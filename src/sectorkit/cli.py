@@ -8,9 +8,9 @@ Subcommands expose each module with machine-readable output:
 * ``cover``: sector census of a finite cover;
 * ``circle``: theta-sector spectra, gauge check, convergence.
 
-Exit codes: 0 all checks passed, 2 usage error, 3 resource cap,
-4 consistency or equivalence failure. Output is deterministic for a
-fixed seed (floats are rounded to 10 significant digits before
+Exit codes: 0 all checks passed, 2 usage error, 3 resource cap or out
+of memory, 4 consistency or equivalence failure. Output is deterministic
+for a fixed seed (floats are rounded to 10 significant digits before
 serialization).
 """
 
@@ -322,10 +322,9 @@ def main(argv: list[str] | None = None) -> int:
     except DomainError as exc:
         sys.stderr.write(json.dumps({"schema": SCHEMA, "error": str(exc), "kind": "usage"}) + "\n")
         return EXIT_USAGE
-    except ResourceLimitError as exc:
-        sys.stderr.write(
-            json.dumps({"schema": SCHEMA, "error": str(exc), "kind": "resource"}) + "\n"
-        )
+    except (ResourceLimitError, MemoryError) as exc:
+        error = str(exc) or "out of memory"
+        sys.stderr.write(json.dumps({"schema": SCHEMA, "error": error, "kind": "resource"}) + "\n")
         return EXIT_RESOURCE
     except ConsistencyError as exc:
         sys.stderr.write(

@@ -51,27 +51,24 @@ class FiniteGroup:
         n = cayley.shape[0]
         if cayley.shape != (n, n) or len(self.labels) != n:
             raise DomainError("cayley table and labels are inconsistent")
-        ident = [
-            i
-            for i in range(n)
-            if all(cayley[i, j] == j and cayley[j, i] == j for j in range(n))
-        ]
+        if cayley.size and (cayley.min() < 0 or cayley.max() >= n):
+            raise DomainError("cayley table entries must be element indices")
+        idx = np.arange(n)
+        ident = np.flatnonzero(
+            np.all(cayley == idx, axis=1) & np.all(cayley == idx[:, None], axis=0)
+        )
         if len(ident) != 1:
             raise DomainError("group must have exactly one identity")
-        object.__setattr__(self, "_identity", ident[0])
-        inv = np.full(n, -1, dtype=np.int64)
-        for i in range(n):
-            for j in range(n):
-                if cayley[i, j] == ident[0] and cayley[j, i] == ident[0]:
-                    inv[i] = j
-        if np.any(inv < 0):
+        e = int(ident[0])
+        object.__setattr__(self, "_identity", e)
+        two_sided = (cayley == e) & (cayley.T == e)
+        if not np.all(two_sided.any(axis=1)):
             raise DomainError("group element without inverse")
-        object.__setattr__(self, "_inverse", inv)
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    if cayley[cayley[i, j], k] != cayley[i, cayley[j, k]]:
-                        raise DomainError("multiplication is not associative")
+        object.__setattr__(self, "_inverse", two_sided.argmax(axis=1).astype(np.int64))
+        # (g_i g_j) g_k == g_i (g_j g_k), one n x n comparison per k
+        for k in range(n):
+            if not np.array_equal(cayley[cayley, k], cayley[:, cayley[:, k]]):
+                raise DomainError("multiplication is not associative")
 
     @property
     def order(self) -> int:
@@ -116,11 +113,9 @@ class FiniteCover:
         for g in range(ng):
             if g != e and np.any(action[:, g] == np.arange(npts)):
                 raise DomainError(f"action is not free: element {self.group.labels[g]}")
-            for h in range(ng):
-                if not np.array_equal(
-                    action[action[:, g], h], action[:, self.group.cayley[g, h]]
-                ):
-                    raise DomainError("action is incompatible with the group law")
+            # (x.g).h == x.(g h) for every point x and every h at once
+            if not np.array_equal(action[action[:, g]], action[:, self.group.cayley[g]]):
+                raise DomainError("action is incompatible with the group law")
         nbase = int(tau.max()) + 1 if npts else 0
         if npts != nbase * ng:
             raise DomainError("|total| must equal |base| * |group|")
@@ -175,21 +170,23 @@ def cover_from_action(
     for p in maps:
         if sorted(p) != list(range(npts)):
             raise DomainError(f"not a permutation of the point set: {p}")
-    index = {p: i for i, p in enumerate(maps)}
+    images = np.array(maps, dtype=np.int64).reshape(len(maps), npts)
+    index = {row.tobytes(): i for i, row in enumerate(images)}
     if len(index) != len(maps):
         raise DomainError("duplicate group elements")
     ng = len(maps)
     cayley = np.zeros((ng, ng), dtype=np.int64)
-    for i, pi in enumerate(maps):
-        for j, pj in enumerate(maps):
-            composed = tuple(pj[x] for x in pi)  # x . (g_i g_j) = (x . g_i) . g_j
-            if composed not in index:
+    for i in range(ng):
+        composed = images[:, images[i]]  # row j: x . (g_i g_j) = (x . g_i) . g_j
+        for j in range(ng):
+            k = index.get(composed[j].tobytes())
+            if k is None:
                 raise DomainError("action maps are not closed under composition")
-            cayley[i, j] = index[composed]
+            cayley[i, j] = k
     labels = group_labels if group_labels is not None else tuple(str(p) for p in maps)
     group = FiniteGroup(cayley=cayley, labels=tuple(labels), perms=perms)
 
-    action = np.array(maps, dtype=np.int64).T  # action[x, g]
+    action = images.T  # action[x, g]
     tau = np.full(npts, -1, dtype=np.int64)
     orbit_reps = []
     for x in range(npts):
@@ -522,8 +519,15 @@ def constrained_action(
     invariance keeps the constrained subspace stable, which is checked
     (leakage must stay below tol).
     """
-    basis = constrained_space(kernel.cover, rep)
-    big = np.kron(kernel.matrix, np.eye(rep.dimension))
+    return _restrict(kernel, constrained_space(kernel.cover, rep), tol)
+
+
+def _restrict(
+    kernel: InvariantKernel, basis: np.ndarray, tol: float = linalg.RESIDUAL_TOL
+) -> np.ndarray:
+    """constrained_action on a precomputed constrained_space basis."""
+    dchi = basis.shape[0] // kernel.cover.total_size
+    big = np.kron(kernel.matrix, np.eye(dchi))
     image = big @ basis
     restricted = linalg.dagger(basis) @ image
     leakage = linalg.max_abs(image - basis @ restricted)
@@ -565,8 +569,12 @@ def realization_unitary(cover: FiniteCover, rep: GroupRep) -> np.ndarray:
     by constrained_space: U psi = psi(sigma(.)). Conjugation by it turns
     every constrained action into the matching section action.
     """
-    dchi = rep.dimension
-    basis = constrained_space(cover, rep)
+    return _evaluate_on_section(cover, constrained_space(cover, rep))
+
+
+def _evaluate_on_section(cover: FiniteCover, basis: np.ndarray) -> np.ndarray:
+    """realization_unitary from a precomputed constrained_space basis."""
+    dchi = basis.shape[0] // cover.total_size
     rows = [int(cover.section[q]) * dchi + i for q in range(cover.base_size) for i in range(dchi)]
     return math.sqrt(cover.group.order) * basis[rows, :]
 
@@ -625,6 +633,13 @@ def sector_census(
     intertwiner, the squared carrier dimensions must exhaust the
     invariant-kernel space, and the realization unitary must conjugate
     the constrained action into the section action on random kernels.
+
+    The first two checks are Burnside span ranks over the kernel orbit
+    basis: the restricted actions of one sector span all d x d matrices
+    (commutant dim 1), and the actions of two sectors jointly span
+    M_d1 x M_d2 (intertwiner dim 0). linalg falls back to the Sylvester
+    null space only when a span falls short, so the reported dimensions
+    are exact either way.
     """
     reps = irreps_of(cover.group, seed=seed)
     kernels = [InvariantKernel(cover=cover, matrix=mat) for mat in kernel_orbit_basis(cover)]
@@ -635,35 +650,33 @@ def sector_census(
             f"kernel orbit count {kernel_dim} != {expected_kernel_dim}"
         )
 
-    actions: list[list[np.ndarray]] = []
-    records = []
-    for rep in reps:
-        acts = [constrained_action(k, rep) for k in kernels]
-        actions.append(acts)
-        records.append(
-            SectorCensusRecord(
-                label=rep.label,
-                internal_dim=rep.dimension,
-                carrier_dim=cover.base_size * rep.dimension,
-                commutant_dim=linalg.commutant_dimension_of(acts),
-            )
+    bases = [constrained_space(cover, rep) for rep in reps]
+    actions = [[_restrict(k, basis) for k in kernels] for basis in bases]
+    records = [
+        SectorCensusRecord(
+            label=rep.label,
+            internal_dim=rep.dimension,
+            carrier_dim=cover.base_size * rep.dimension,
+            commutant_dim=linalg.commutant_dimension_of(acts),
         )
+        for rep, acts in zip(reps, actions)
+    ]
 
     pairwise = {}
     for i in range(len(reps)):
         for j in range(i + 1, len(reps)):
-            dim = linalg.intertwiner_basis(actions[i], actions[j]).shape[1]
+            dim = linalg.intertwiner_dimension(actions[i], actions[j])
             pairwise[f"{reps[i].label}|{reps[j].label}"] = dim
 
     identity_ok = sum(r.carrier_dim**2 for r in records) == kernel_dim
 
+    unitaries = [_evaluate_on_section(cover, basis) for basis in bases]
     rng = np.random.default_rng(seed)
     residual = 0.0
     for _ in range(n_check_kernels):
         kernel = random_invariant_kernel(cover, rng)
-        for rep in reps:
-            u = realization_unitary(cover, rep)
-            conj = u @ constrained_action(kernel, rep) @ linalg.dagger(u)
+        for rep, basis, u in zip(reps, bases, unitaries):
+            conj = u @ _restrict(kernel, basis) @ linalg.dagger(u)
             residual = max(residual, linalg.max_abs(conj - section_action(kernel, rep)))
 
     passed = (

@@ -2,8 +2,16 @@
 
 Operators are plain complex numpy arrays. Rank decisions follow a fixed
 policy: eigenvalue counting at threshold 1e-8 for Hermitian idempotents,
-singular values at 1e-8 otherwise; identity-type residuals are measured
-in the max-abs entry norm against 1e-10.
+singular values above 1e-8 times max(1, largest) otherwise; identity-type
+residuals are measured in the max-abs entry norm against 1e-10.
+
+Commutant and intertwiner dimensions are first certified by span rank,
+one singular-value decomposition of the operators stacked as vectors
+(Burnside): operators spanning all of M_d have scalar commutant, and
+pairs (A_k, B_k) spanning M_d1 x M_d2 admit no intertwiner but 0. Both
+certificates hold for any operator list. When the span falls short, the
+dimension comes from the null space of the stacked Kronecker-product
+Sylvester system instead, so a reported dimension is always the true one.
 """
 
 from __future__ import annotations
@@ -25,6 +33,17 @@ def max_abs(a: np.ndarray) -> float:
     return float(np.max(np.abs(a))) if a.size else 0.0
 
 
+def _rank_from_singular_values(s: np.ndarray, tol: float) -> int:
+    """Singular values above tol * max(1, largest); s is sorted descending."""
+    return int(np.sum(s > tol * max(1.0, s[0] if s.size else 0.0)))
+
+
+def _span_rank(ops: list[np.ndarray], tol: float = RANK_TOL) -> int:
+    """Dimension of the linear span of the operators, as flat vectors."""
+    stack = np.asarray([np.ravel(a) for a in ops], dtype=complex)
+    return _rank_from_singular_values(np.linalg.svd(stack, compute_uv=False), tol)
+
+
 def nullspace(mat: np.ndarray, tol: float = RANK_TOL) -> np.ndarray:
     """Orthonormal basis (columns) of the kernel, via SVD.
 
@@ -36,16 +55,14 @@ def nullspace(mat: np.ndarray, tol: float = RANK_TOL) -> np.ndarray:
         return np.eye(mat.shape[1], dtype=complex)
     full = mat.shape[0] < mat.shape[1]
     _, s, vh = np.linalg.svd(mat, full_matrices=full)
-    rank = int(np.sum(s > tol * max(1.0, s[0] if s.size else 0.0)))
-    return dagger(vh[rank:])
+    return dagger(vh[_rank_from_singular_values(s, tol):])
 
 
 def orthonormal_range(a: np.ndarray, tol: float = RANK_TOL) -> np.ndarray:
     """Orthonormal basis (columns) of the column space, rank-revealing."""
     a = np.asarray(a, dtype=complex)
     u, s, _ = np.linalg.svd(a, full_matrices=False)
-    rank = int(np.sum(s > tol * max(1.0, s[0] if s.size else 0.0)))
-    return u[:, :rank]
+    return u[:, : _rank_from_singular_values(s, tol)]
 
 
 def rank_of_hermitian_idempotent(p: np.ndarray, tol: float = RANK_TOL) -> int:
@@ -75,6 +92,17 @@ def commutant_basis_of(ops: list[np.ndarray], tol: float = RANK_TOL) -> list[np.
 
 
 def commutant_dimension_of(ops: list[np.ndarray], tol: float = RANK_TOL) -> int:
+    """dim {X : [X, A] = 0 for all A}.
+
+    When the operators span all of M_d the commutant is the scalars
+    (Burnside), which one |ops| x d**2 span rank certifies; otherwise the
+    dimension is counted from the Sylvester null space.
+    """
+    if not ops:
+        raise DomainError("empty operator list")
+    d = ops[0].shape[0]
+    if 0 < d * d <= len(ops) and _span_rank(ops, tol) == d * d:
+        return 1
     return len(commutant_basis_of(ops, tol))
 
 
@@ -93,6 +121,25 @@ def intertwiner_basis(
     eye2 = np.eye(d2)
     blocks = [np.kron(eye2, a.T) - np.kron(b, eye1) for a, b in zip(ops1, ops2)]
     return nullspace(np.vstack(blocks), tol)
+
+
+def intertwiner_dimension(
+    ops1: list[np.ndarray], ops2: list[np.ndarray], tol: float = RANK_TOL
+) -> int:
+    """dim {V : V A_k = B_k V}, the width of intertwiner_basis.
+
+    When the pairs (A_k, B_k) span M_d1 x M_d2, the pair (I, 0) is a
+    combination sum_k c_k (A_k, B_k), so V = sum_k c_k V A_k =
+    sum_k c_k B_k V = 0; one |ops| x (d1**2 + d2**2) span rank certifies
+    this. Otherwise the dimension is counted from the Sylvester null space.
+    """
+    if not ops1 or len(ops1) != len(ops2):
+        raise DomainError("operator lists must be nonempty and aligned")
+    full = ops1[0].size + ops2[0].size
+    pairs = [np.concatenate((np.ravel(a), np.ravel(b))) for a, b in zip(ops1, ops2)]
+    if 0 < full <= len(pairs) and _span_rank(pairs, tol) == full:
+        return 0
+    return intertwiner_basis(ops1, ops2, tol).shape[1]
 
 
 def polar_unitary(a: np.ndarray) -> np.ndarray:

@@ -91,6 +91,37 @@ def dense_commutant_dimension(ops: list[np.ndarray]) -> int:
     return d * d - rank
 
 
+def dense_intertwiner_dimension(ops1: list[np.ndarray], ops2: list[np.ndarray]) -> int:
+    """Null-space dimension of the stacked system V A - B V = 0, dense SVD."""
+    d1 = ops1[0].shape[0]
+    d2 = ops2[0].shape[0]
+    blocks = [np.kron(np.eye(d2), a.T) - np.kron(b, np.eye(d1)) for a, b in zip(ops1, ops2)]
+    s = np.linalg.svd(np.vstack(blocks), compute_uv=False)
+    rank = int(np.sum(s > 1e-8 * max(1.0, s[0])))
+    return d1 * d2 - rank
+
+
+def bruteforce_group_structure(table) -> tuple[int, list[int]] | None:
+    """(identity, inverses) when the table is a group, else None, by loops."""
+    n = len(table)
+    if any(not 0 <= x < n for row in table for x in row):
+        return None
+    idents = [e for e in range(n) if all(table[e][x] == x == table[x][e] for x in range(n))]
+    if len(idents) != 1:
+        return None
+    e = idents[0]
+    inverses = []
+    for x in range(n):
+        found = [y for y in range(n) if table[x][y] == e == table[y][x]]
+        if not found:
+            return None
+        inverses.append(found[0])
+    for x, y, z in itertools.product(range(n), repeat=3):
+        if table[table[x][y]][z] != table[x][table[y][z]]:
+            return None
+    return e, inverses
+
+
 def symmetric_basis_count(m: int) -> int:
     """Dimension of the symmetric subspace of C^m x C^m by enumeration."""
     return sum(1 for i in range(m) for j in range(m) if i <= j)

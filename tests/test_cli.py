@@ -182,6 +182,21 @@ class TestFailureExitCodes:
         assert main(["sectors", "--m", "2", "--N", "2"]) == 4
         assert json.loads(capsys.readouterr().err)["kind"] == "consistency"
 
+    def test_memory_error_exits_3(self, monkeypatch, capsys):
+        from sectorkit import cover_quant
+
+        def exhausted(cover, seed=0, n_check_kernels=5):
+            raise MemoryError("Unable to allocate 3.43 GiB for an array")
+
+        monkeypatch.setattr(cover_quant, "sector_census", exhausted)
+        assert main(["cover", "--q-size", "3", "--N", "2"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "Traceback" not in captured.err
+        error = json.loads(captured.err)
+        assert error["kind"] == "resource"
+        assert "Unable to allocate" in error["error"]
+
 
 class TestDeterminism:
     @pytest.mark.parametrize(

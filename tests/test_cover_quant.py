@@ -3,9 +3,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from sectorkit import linalg
 from sectorkit.cover_quant import (
+    FiniteCover,
+    FiniteGroup,
     GroupRep,
     InvariantKernel,
     constrained_action,
@@ -92,6 +97,76 @@ class TestCoverConstruction:
         bad[1] = cover32.section[0]  # two orbits share a representative
         with pytest.raises(DomainError):
             replace(cover32, section=bad)
+
+
+class TestGroupValidation:
+    def labels(self, n):
+        return tuple(str(i) for i in range(n))
+
+    def test_no_identity_rejected(self):
+        with pytest.raises(DomainError, match="exactly one identity"):
+            FiniteGroup(cayley=np.zeros((2, 2)), labels=self.labels(2))
+
+    def test_missing_inverse_rejected(self):
+        with pytest.raises(DomainError, match="without inverse"):
+            FiniteGroup(cayley=[[0, 1], [1, 1]], labels=self.labels(2))
+
+    def test_nonassociative_loop_rejected(self):
+        # a Latin square with identity 0 in which every element is its own
+        # inverse; the only group of order 5 is Z_5, which has no such
+        # element besides 0, so associativity must fail
+        table = [
+            [0, 1, 2, 3, 4],
+            [1, 0, 3, 4, 2],
+            [2, 4, 0, 1, 3],
+            [3, 2, 4, 0, 1],
+            [4, 3, 1, 2, 0],
+        ]
+        with pytest.raises(DomainError, match="not associative"):
+            FiniteGroup(cayley=table, labels=self.labels(5))
+
+    def test_out_of_range_entry_rejected(self):
+        with pytest.raises(DomainError, match="element indices"):
+            FiniteGroup(cayley=[[0, 2], [1, 0]], labels=self.labels(2))
+
+    def test_action_against_group_law_rejected(self):
+        # Z_4 acting regularly, presented with the Klein four-group's table
+        klein = [[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]]
+        group = FiniteGroup(cayley=klein, labels=self.labels(4))
+        action = np.array([[(x + g) % 4 for g in range(4)] for x in range(4)])
+        with pytest.raises(DomainError, match="incompatible with the group law"):
+            FiniteCover(
+                points=tuple(range(4)), group=group, action=action, tau=np.zeros(4), section=[0]
+            )
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_validation_matches_loop_oracle(self, data):
+        # relabeled group tables of Z_n, Klein and S_3, optionally with one
+        # entry overwritten, so accepted and rejected tables both occur
+        groups = [
+            (np.add.outer(np.arange(n), np.arange(n)) % n).tolist() for n in (1, 2, 3, 4)
+        ]
+        groups.append([[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]])
+        groups.append(symmetric_cover(3, 3).group.cayley.tolist())
+        base = data.draw(st.sampled_from(groups))
+        n = len(base)
+        relabel = data.draw(st.permutations(range(n)))
+        table = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(n):
+                table[relabel[i]][relabel[j]] = relabel[base[i][j]]
+        if data.draw(st.booleans()):
+            i, j = data.draw(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)))
+            table[i][j] = data.draw(st.integers(-1, n))
+        expected = oracles.bruteforce_group_structure(table)
+        if expected is None:
+            with pytest.raises(DomainError):
+                FiniteGroup(cayley=table, labels=self.labels(n))
+        else:
+            group = FiniteGroup(cayley=table, labels=self.labels(n))
+            assert group.identity == expected[0]
+            assert [group.inverse(i) for i in range(n)] == expected[1]
 
 
 class TestIrreps:
@@ -317,6 +392,28 @@ class TestCensus:
                     pieces.extend([eigs] * rep.dimension)
                 combined = np.sort(np.concatenate(pieces))
                 assert linalg.max_abs(full - combined) < 1e-9
+
+    def test_census_53_past_the_sylvester_frontier(self):
+        # the Kronecker-product Sylvester stacks needed 240000 x 400 here
+        report = sector_census(symmetric_cover(5, 3), seed=0)
+        assert report.kernel_space_dim == 600
+        assert [s.carrier_dim for s in report.sectors] == [10, 20, 10]
+        assert all(s.commutant_dim == 1 for s in report.sectors)
+        assert len(report.pairwise_intertwiner_dims) == 3
+        assert all(v == 0 for v in report.pairwise_intertwiner_dims.values())
+        assert report.passed
+
+    def test_census_62_certified_by_span_rank_alone(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("Sylvester fallback taken")
+
+        monkeypatch.setattr(linalg, "commutant_basis_of", refuse)
+        monkeypatch.setattr(linalg, "intertwiner_basis", refuse)
+        report = sector_census(symmetric_cover(6, 2), seed=0)
+        assert report.kernel_space_dim == 450
+        assert [s.commutant_dim for s in report.sectors] == [1, 1]
+        assert report.pairwise_intertwiner_dims == {"(2,)|(1, 1)": 0}
+        assert report.passed
 
     def test_census_serializes(self, cover32):
         report = sector_census(cover32, seed=0)
