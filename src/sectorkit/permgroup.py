@@ -232,10 +232,6 @@ class StandardTableau:
         except DomainError:
             return None
 
-    def relabel(self, pi: Permutation) -> tuple[tuple[int, ...], ...]:
-        """Apply pi to every entry; the result need not be standard."""
-        return tuple(tuple(pi(v) for v in row) for row in self.rows)
-
 
 def standard_tableaux(shape: Partition) -> list[StandardTableau]:
     """All standard tableaux of the given shape, in a fixed generation order.
@@ -305,7 +301,6 @@ class IrrepMatrices:
         self._n = shape.total
         self._index = {t.rows: i for i, t in enumerate(self.tableaux)}
         self._adjacent = [self._adjacent_matrix(k) for k in range(1, self._n)]
-        self._cache: dict[tuple[int, ...], np.ndarray] = {}
 
     def _adjacent_matrix(self, k: int) -> np.ndarray:
         d = self.dimension
@@ -323,13 +318,10 @@ class IrrepMatrices:
         """Representing matrix of pi (complex dtype for uniformity)."""
         if pi.degree != self._n:
             raise DomainError(f"degree mismatch: {pi.degree} vs {self._n}")
-        key = pi.images
-        if key not in self._cache:
-            mat = np.eye(self.dimension)
-            for k in pi.adjacent_word():
-                mat = mat @ self._adjacent[k - 1]
-            self._cache[key] = mat.astype(complex)
-        return self._cache[key]
+        mat = np.eye(self.dimension)
+        for k in pi.adjacent_word():
+            mat = mat @ self._adjacent[k - 1]
+        return mat.astype(complex)
 
 
 def irrep(shape: Partition) -> IrrepMatrices:

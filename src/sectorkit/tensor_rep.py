@@ -3,15 +3,18 @@
 The natural unitary action moves the content of slot i to slot pi(i);
 with flat indices taking slot 1 as most significant this makes
 U(pi) U(sigma) = U(pi sigma) for the composition (pi sigma)(i) =
-pi(sigma(i)). Young symmetrizers, central (isotypic) projectors and an
-exact orbit basis of the commutant algebra are all materialized as dense
-matrices, guarded by a configurable dimension cap.
+pi(sigma(i)). Every sum of U(pi) is filled in from flat index maps, and
+central projectors from conjugacy-class sums with one character per
+class. Commutant orbits are labeled by the multiset of per-slot digit
+pairs, so their number needs no basis. Dense results are guarded by a
+dimension cap, enumerations of S_N by an estimate of their bytes.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -32,6 +35,12 @@ from .permgroup import (
 # Cap on the tensor-space dimension m**N: a dense operator then holds at
 # most ~1e6 complex entries.
 DEFAULT_DIM_CAP = 1024
+
+# Cap on the estimated bytes N! * (PERMUTATION_BYTES + 8 * m**N) of S_N
+# and one int64 index map per element ((2, 8): ~90 MiB; a Permutation
+# takes ~190 bytes at N = 8). (1, 10) and (2, 9) are refused.
+GROUP_BYTES_CAP = 256 * 2**20
+PERMUTATION_BYTES = 256
 
 
 @dataclass(frozen=True)
@@ -63,42 +72,59 @@ def _check_cap(dim: int, dim_cap: int | None) -> None:
         raise ResourceLimitError(f"tensor dimension {dim} exceeds cap {cap}")
 
 
-def _index_map(pi: Permutation, m: int) -> np.ndarray:
-    """Flat-index permutation of the slot action: map[i] = image of basis i."""
-    space = TensorSpace(m, pi.degree)
-    digits = space.digits()
-    weights = np.array([m ** (space.N - pi(k + 1)) for k in range(space.N)])
-    return digits @ weights
+def _check_group_cost(m: int, n: int, dim_cap: int | None) -> None:
+    """Dimension cap, then refuse to enumerate S_n beyond the byte cap."""
+    _check_cap(m**n, dim_cap)
+    TensorSpace(m, n)  # validates m and n
+    # 20! permutations alone exceed any cap; skip computing larger factorials
+    cost = math.factorial(min(n, 20)) * (PERMUTATION_BYTES + 8 * m**n)
+    if cost > GROUP_BYTES_CAP:
+        raise ResourceLimitError(
+            f"enumerating S_{n} on (C^{m})^(x{n}) needs at least ~{cost / 2**20:.3g} MiB, "
+            f"cap {GROUP_BYTES_CAP // 2**20} MiB"
+        )
+
+
+def _index_maps(perms: list[Permutation], m: int) -> np.ndarray:
+    """Flat-index maps of the slot action: row k, column i is U(perms[k]) e_i."""
+    n = perms[0].degree
+    images = np.array([pi.images for pi in perms])
+    return (m ** (n - images)) @ TensorSpace(m, n).digits().T
+
+
+def _operator_sum(perms: list[Permutation], coeffs, m: int) -> np.ndarray:
+    """Real dense sum_k coeffs[k] U(perms[k]), one fancy-index add per map.
+
+    Each map is a bijection, so no entry repeats within one add.
+    """
+    maps = _index_maps(perms, m)
+    dim = maps.shape[1]
+    cols = np.arange(dim)
+    acc = np.zeros((dim, dim))
+    for rows, c in zip(maps, coeffs):
+        acc[rows, cols] += c
+    return acc
 
 
 def permutation_operator(pi: Permutation, m: int, dim_cap: int | None = None) -> np.ndarray:
     """Unitary 0/1 matrix of the slot action of pi on (C^m)^{tensor N}."""
-    dim = m**pi.degree
-    _check_cap(dim, dim_cap)
-    mapped = _index_map(pi, m)
-    u = np.zeros((dim, dim), dtype=complex)
-    u[mapped, np.arange(dim)] = 1.0
-    return u
+    _check_cap(m**pi.degree, dim_cap)
+    return _operator_sum([pi], [1.0], m).astype(complex)
 
 
 def symmetrizer(N: int, m: int, dim_cap: int | None = None) -> np.ndarray:
     """Orthogonal projector onto the fully symmetric subspace."""
-    dim = m**N
-    _check_cap(dim, dim_cap)
-    acc = np.zeros((dim, dim), dtype=complex)
-    for pi in symmetric_group(N):
-        acc += permutation_operator(pi, m, dim_cap)
-    return acc / math.factorial(N)
+    _check_group_cost(m, N, dim_cap)
+    group = symmetric_group(N)
+    return (_operator_sum(group, np.ones(len(group)), m) / math.factorial(N)).astype(complex)
 
 
 def antisymmetrizer(N: int, m: int, dim_cap: int | None = None) -> np.ndarray:
     """Orthogonal projector onto the fully antisymmetric subspace."""
-    dim = m**N
-    _check_cap(dim, dim_cap)
-    acc = np.zeros((dim, dim), dtype=complex)
-    for pi in symmetric_group(N):
-        acc += pi.sign() * permutation_operator(pi, m, dim_cap)
-    return acc / math.factorial(N)
+    _check_group_cost(m, N, dim_cap)
+    group = symmetric_group(N)
+    signs = [pi.sign() for pi in group]
+    return (_operator_sum(group, signs, m) / math.factorial(N)).astype(complex)
 
 
 def young_projector(
@@ -111,18 +137,13 @@ def young_projector(
     obliquely (use :func:`hermitian_range_projector` for the orthogonal
     projector onto the same image).
     """
-    shape = tableau.shape
     n = tableau.size
-    dim = m**n
-    _check_cap(dim, dim_cap)
+    _check_group_cost(m, n, dim_cap)
     rows, cols = row_col_groups(tableau)
-    row_sum = np.zeros((dim, dim), dtype=complex)
-    for pi in rows:
-        row_sum += permutation_operator(pi, m, dim_cap)
-    col_sum = np.zeros((dim, dim), dtype=complex)
-    for pi in cols:
-        col_sum += pi.sign() * permutation_operator(pi, m, dim_cap)
-    return (hook_dimension(shape) / math.factorial(n)) * (col_sum @ row_sum)
+    row_sum = _operator_sum(rows, np.ones(len(rows)), m)
+    col_sum = _operator_sum(cols, [pi.sign() for pi in cols], m)
+    scale = hook_dimension(tableau.shape) / math.factorial(n)
+    return (scale * (col_sum @ row_sum)).astype(complex)
 
 
 def hermitian_range_projector(p: np.ndarray) -> np.ndarray:
@@ -131,16 +152,32 @@ def hermitian_range_projector(p: np.ndarray) -> np.ndarray:
     return q @ linalg.dagger(q)
 
 
+def _central_projectors(shapes: list[Partition], m: int) -> list[np.ndarray]:
+    """Real z_lambda = (d_lambda / N!) sum_C chi_lambda(C) K_C, one per shape.
+
+    The class sums K_C = sum_{pi in C} U(pi) are built once. chi_lambda(C) is
+    the trace of one irrep matrix of a class representative; S_N characters
+    are real with chi(pi^-1) = chi(pi).
+    """
+    n = shapes[0].total
+    classes: dict[tuple[int, ...], list[Permutation]] = {}
+    for pi in symmetric_group(n):
+        classes.setdefault(pi.cycle_type(), []).append(pi)
+    class_sums = [_operator_sum(c, np.ones(len(c)), m) for c in classes.values()]
+    projectors = []
+    for shape in shapes:
+        rep = irrep(shape)
+        chars = [character(shape, c[0], rep) for c in classes.values()]
+        z = sum(chi * k for chi, k in zip(chars, class_sums))
+        projectors.append((rep.dimension / math.factorial(n)) * z)
+    return projectors
+
+
 def central_projector(shape: Partition, m: int, dim_cap: int | None = None) -> np.ndarray:
     """Isotypic (central) projector z_lambda = (N_l/N!) sum chi(pi^-1) U(pi)."""
     n = shape.total
-    dim = m**n
-    _check_cap(dim, dim_cap)
-    rep = irrep(shape)
-    acc = np.zeros((dim, dim), dtype=complex)
-    for pi in symmetric_group(n):
-        acc += character(shape, pi.inverse(), rep) * permutation_operator(pi, m, dim_cap)
-    return (rep.dimension / math.factorial(n)) * acc
+    _check_group_cost(m, n, dim_cap)
+    return _central_projectors([shape], m)[0].astype(complex)
 
 
 def _generators(N: int) -> list[Permutation]:
@@ -153,33 +190,19 @@ def _generators(N: int) -> list[Permutation]:
 
 
 def _entry_orbits(m: int, N: int) -> list[np.ndarray]:
-    """Orbits of simultaneous slot permutation on index pairs (row, col).
+    """Orbits of simultaneous slot permutation on flat entries row * m**N + col.
 
-    Connected components under the generator maps; equivalently the
-    supports of the matrix units of (C^m)^{tensor N} averaged over S_N.
+    A slot permutation permutes the per-slot digit pairs (row_k, col_k) of
+    an entry, so their sorted codes label its orbit; equivalently the
+    supports of the matrix units averaged over S_N. Each orbit is sorted,
+    and they are ordered by smallest flat entry index.
     """
-    dim = m**N
-    maps = [_index_map(g, m) for g in _generators(N)]
-    npairs = dim * dim
-    label = np.full(npairs, -1, dtype=np.int64)
-    orbits: list[list[int]] = []
-    for start in range(npairs):
-        if label[start] >= 0:
-            continue
-        members = [start]
-        label[start] = len(orbits)
-        stack = [start]
-        while stack:
-            pair = stack.pop()
-            a, b = divmod(pair, dim)
-            for mp in maps:
-                image = int(mp[a]) * dim + int(mp[b])
-                if label[image] < 0:
-                    label[image] = len(orbits)
-                    members.append(image)
-                    stack.append(image)
-        orbits.append(members)
-    return [np.array(sorted(o)) for o in orbits]
+    digits = TensorSpace(m, N).digits()
+    codes = np.sort((digits[:, None, :] * m + digits[None, :, :]).reshape(-1, N), axis=1)
+    keys = codes @ (m * m) ** np.arange(N)
+    _, first, label = np.unique(keys, return_index=True, return_inverse=True)
+    orbits = np.split(np.argsort(label, kind="stable"), np.cumsum(np.bincount(label))[:-1])
+    return [orbits[k] for k in np.argsort(first)]
 
 
 def commutant_basis(m: int, N: int, dim_cap: int | None = None) -> list[np.ndarray]:
@@ -206,8 +229,7 @@ def commutant_dimension_nullspace(m: int, N: int, dim_cap: int | None = None) ->
     The linear system [A, U(g)] = 0 over the generators is a difference
     of entry permutations, so its null space is spanned by orbit
     indicators; for small spaces the kernel is extracted by a dense SVD,
-    beyond that its dimension is counted exactly through the orbit
-    structure of the same system.
+    beyond that the entry orbits are counted.
     """
     dim = m**N
     _check_cap(dim, dim_cap)
@@ -230,13 +252,7 @@ class SectorRecord:
     idempotence_residual: float
 
     def to_dict(self) -> dict:
-        return {
-            "partition": list(self.partition),
-            "irrep_dim": self.irrep_dim,
-            "multiplicity": self.multiplicity,
-            "rank": self.rank,
-            "idempotence_residual": self.idempotence_residual,
-        }
+        return {**asdict(self), "partition": list(self.partition)}
 
 
 @dataclass(frozen=True)
@@ -250,13 +266,7 @@ class SectorReport:
     residuals: dict
 
     def to_dict(self) -> dict:
-        return {
-            "m": self.m,
-            "N": self.N,
-            "sectors": [s.to_dict() for s in self.sectors],
-            "commutant_dim": self.commutant_dim,
-            "residuals": dict(self.residuals),
-        }
+        return {**asdict(self), "sectors": [s.to_dict() for s in self.sectors]}
 
 
 def sector_decomposition(m: int, N: int, dim_cap: int | None = None) -> SectorReport:
@@ -264,14 +274,15 @@ def sector_decomposition(m: int, N: int, dim_cap: int | None = None) -> SectorRe
 
     Multiplicities come from central-projector ranks (rank / irrep dim,
     which must divide exactly); the two counting identities
-    sum(N_l * d_l) = m**N and commutant dim = sum(d_l**2) are enforced.
+    sum(N_l * d_l) = m**N and commutant dim = sum(d_l**2) are enforced,
+    the commutant dim being the number of entry orbits.
     """
     dim = m**N
-    _check_cap(dim, dim_cap)
-    projectors = []
+    _check_group_cost(m, N, dim_cap)
+    shapes = enumerate_partitions(N)
+    projectors = _central_projectors(shapes, m)
     records = []
-    for shape in enumerate_partitions(N):
-        z = central_projector(shape, m, dim_cap)
+    for shape, z in zip(shapes, projectors):
         idem = linalg.max_abs(z @ z - z)
         rank = linalg.rank_of_hermitian_idempotent(z)
         n_lam = hook_dimension(shape)
@@ -288,13 +299,12 @@ def sector_decomposition(m: int, N: int, dim_cap: int | None = None) -> SectorRe
                 idempotence_residual=idem,
             )
         )
-        projectors.append(z)
 
     rank_sum = sum(r.rank for r in records)
     if rank_sum != dim:
         raise ConsistencyError(f"sector ranks sum to {rank_sum}, expected {dim}")
 
-    commutant_dim = len(commutant_basis(m, N, dim_cap))
+    commutant_dim = len(_entry_orbits(m, N))
     sq_sum = sum(r.multiplicity**2 for r in records)
     if commutant_dim != sq_sum:
         raise ConsistencyError(
@@ -303,10 +313,9 @@ def sector_decomposition(m: int, N: int, dim_cap: int | None = None) -> SectorRe
 
     total = sum(projectors)
     completeness = linalg.max_abs(total - np.eye(dim))
-    orthogonality = 0.0
-    for i in range(len(projectors)):
-        for j in range(i + 1, len(projectors)):
-            orthogonality = max(orthogonality, linalg.max_abs(projectors[i] @ projectors[j]))
+    orthogonality = max(
+        (linalg.max_abs(a @ b) for a, b in itertools.combinations(projectors, 2)), default=0.0
+    )
     residuals = {
         "central_idempotence_max": max(r.idempotence_residual for r in records),
         "central_completeness": completeness,
@@ -345,16 +354,8 @@ class SpanCheckReport:
     passed: bool
 
     def to_dict(self) -> dict:
-        return {
-            "m": self.m,
-            "ranks": dict(self.ranks),
-            "span_vs_projector": dict(self.span_vs_projector),
-            "orthogonal_pairs": dict(self.orthogonal_pairs),
-            "skew_pair_overlap": self.skew_pair_overlap,
-            "direct_sum_ok": self.direct_sum_ok,
-            "mapping_permutations": [list(p) for p in self.mapping_permutations],
-            "passed": self.passed,
-        }
+        mapping = [list(p) for p in self.mapping_permutations]
+        return {**asdict(self), "mapping_permutations": mapping}
 
 
 def _span_projectors(m: int, dim_cap: int | None) -> dict[str, np.ndarray]:
@@ -434,11 +435,11 @@ def sector_basis_span_check(
     else:
         proj_p = qp @ linalg.dagger(qp)
         proj_pp = qpp @ linalg.dagger(qpp)
-        for pi in symmetric_group(3):
-            if pi.is_identity():
-                continue
-            u = permutation_operator(pi, m, dim_cap)
-            if linalg.max_abs(u @ proj_p @ linalg.dagger(u) - proj_pp) < tol:
+        moved = symmetric_group(3)[1:]  # the identity comes first
+        for pi, image in zip(moved, _index_maps(moved, m)):
+            conjugated = np.empty_like(proj_p)
+            conjugated[np.ix_(image, image)] = proj_p  # U(pi) proj_p U(pi)^dagger
+            if linalg.max_abs(conjugated - proj_pp) < tol:
                 mapping.append(pi.images)
         mapping_ok = bool(mapping)
 

@@ -3,10 +3,13 @@
 Everything here deliberately avoids the library's own code paths:
 partition and tableau counts come from exhaustive enumeration, sector
 multiplicities from the classical product formula over cells, commutants
-from dense null spaces.
+from dense null spaces, characters from the Murnaghan-Nakayama rule, group
+sums from one dense permutation matrix per element, and commutant orbits
+from a breadth-first search over generators.
 """
 
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -129,3 +132,111 @@ def symmetric_basis_count(m: int) -> int:
 
 def antisymmetric_basis_count(m: int) -> int:
     return sum(1 for i in range(m) for j in range(m) if i < j)
+
+
+def permutation_sign(images: tuple[int, ...]) -> int:
+    """(-1)^(number of inversions) of a one-line permutation."""
+    n = len(images)
+    inversions = sum(images[i] > images[j] for i in range(n) for j in range(i + 1, n))
+    return -1 if inversions % 2 else 1
+
+
+def inverse_cycle_type(images: tuple[int, ...]) -> tuple[int, ...]:
+    """Cycle lengths of the inverse permutation, non-increasing."""
+    inverse = {img: i for i, img in enumerate(images, start=1)}
+    seen, lengths = set(), []
+    for start in inverse:
+        length, i = 0, start
+        while i not in seen:
+            seen.add(i)
+            i = inverse[i]
+            length += 1
+        if length:
+            lengths.append(length)
+    return tuple(sorted(lengths, reverse=True))
+
+
+def mn_character(shape: tuple[int, ...], cycle_type: tuple[int, ...]) -> int:
+    """chi_shape at a cycle type by the Murnaghan-Nakayama rule.
+
+    The shape is a beta-set {shape_i + (rows - i)}; removing a rim hook of
+    length r moves one bead b to b - r, with sign (-1)^(beads in between).
+    """
+    if not cycle_type:
+        return 1
+    r, rest = cycle_type[0], cycle_type[1:]
+    rows = len(shape)
+    beta = {part + rows - 1 - i for i, part in enumerate(shape)}
+    total = 0
+    for b in beta:
+        if b - r < 0 or b - r in beta:
+            continue
+        height = sum(1 for c in beta if b - r < c < b)
+        moved = sorted((beta - {b}) | {b - r}, reverse=True)
+        smaller = tuple(p for p in (c - (rows - 1 - i) for i, c in enumerate(moved)) if p > 0)
+        total += (-1) ** height * mn_character(smaller, rest)
+    return total
+
+
+def slot_permutation_matrix(images: tuple[int, ...], m: int) -> np.ndarray:
+    """Dense U(pi) from multi-indices: slot k's content moves to slot pi(k)."""
+    n = len(images)
+
+    def flat(idx):
+        return sum(d * m ** (n - 1 - k) for k, d in enumerate(idx))
+
+    u = np.zeros((m**n, m**n))
+    for idx in itertools.product(range(m), repeat=n):
+        moved = [0] * n
+        for k, d in enumerate(idx):
+            moved[images[k] - 1] = d
+        u[flat(moved), flat(idx)] = 1.0
+    return u
+
+
+def dense_group_sum(m: int, n: int, weight) -> np.ndarray:
+    """sum_pi weight(pi) U(pi) over S_n, one dense matrix per element."""
+    acc = np.zeros((m**n, m**n))
+    for images in itertools.permutations(range(1, n + 1)):
+        acc += weight(images) * slot_permutation_matrix(images, m)
+    return acc
+
+
+def dense_central_projector(shape: tuple[int, ...], m: int) -> np.ndarray:
+    """(d / N!) sum_pi chi(pi^-1) U(pi), one character per element."""
+    n = sum(shape)
+    d = mn_character(shape, (1,) * n)
+    total = dense_group_sum(m, n, lambda images: mn_character(shape, inverse_cycle_type(images)))
+    return d * total / math.factorial(n)
+
+
+def generator_bfs_entry_orbits(m: int, n: int) -> list[list[int]]:
+    """Orbits of flat entries row * m**n + col under S_n, by BFS.
+
+    The generators (1 2) and the long cycle act through their dense
+    permutation matrices; orbits are sorted and ordered by smallest entry.
+    """
+    dim = m**n
+    gens = []
+    if n > 1:
+        gens.append((2, 1) + tuple(range(3, n + 1)))
+    if n > 2:
+        gens.append(tuple(range(2, n + 1)) + (1,))
+    maps = [np.argmax(slot_permutation_matrix(g, m), axis=0) for g in gens]
+    label = [-1] * (dim * dim)
+    orbits = []
+    for start in range(dim * dim):
+        if label[start] >= 0:
+            continue
+        label[start] = len(orbits)
+        members, stack = [start], [start]
+        while stack:
+            a, b = divmod(stack.pop(), dim)
+            for mp in maps:
+                image = int(mp[a]) * dim + int(mp[b])
+                if label[image] < 0:
+                    label[image] = len(orbits)
+                    members.append(image)
+                    stack.append(image)
+        orbits.append(sorted(members))
+    return orbits

@@ -1,5 +1,7 @@
 import json
 import math
+import time
+import tracemalloc
 
 import pytest
 
@@ -70,6 +72,28 @@ class TestSectors:
     def test_resource_cap_exit(self, capsys):
         assert main(["sectors", "--m", "10", "--N", "6"]) == 3
         assert json.loads(capsys.readouterr().err)["kind"] == "resource"
+
+    @pytest.mark.parametrize("m,n", [(1, 11), (2, 10), (1, 100000)])
+    def test_group_order_cap_exits_before_allocating(self, capsys, m, n):
+        # dim m**N is under the cap, N! is not: refused by the cost estimate
+        tracemalloc.start()
+        start = time.perf_counter()
+        try:
+            code = main(["sectors", "--m", str(m), "--N", str(n)])
+            elapsed = time.perf_counter() - start
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 3
+        assert elapsed < 1.0
+        assert peak < 1 << 20
+        error = json.loads(capsys.readouterr().err)
+        assert error["kind"] == "resource"
+        assert f"S_{n}" in error["error"]
+
+    def test_negative_m_is_usage_error(self, capsys):
+        assert main(["sectors", "--m", "-1", "--N", "3"]) == 2
+        assert json.loads(capsys.readouterr().err)["kind"] == "usage"
 
     def test_lambda_filter(self, tmp_path):
         code, payload = run_to_file(

@@ -1,9 +1,10 @@
 import json
+import math
 
 import numpy as np
 import pytest
 
-from sectorkit import linalg
+from sectorkit import linalg, tensor_rep
 from sectorkit.errors import ConsistencyError, DomainError, ResourceLimitError
 from sectorkit.permgroup import (
     Partition,
@@ -11,6 +12,7 @@ from sectorkit.permgroup import (
     StandardTableau,
     enumerate_partitions,
     hook_dimension,
+    irrep,
     standard_tableaux,
     symmetric_group,
 )
@@ -297,6 +299,15 @@ class TestSectorDecomposition:
             assert s.multiplicity == oracles.weyl_multiplicity(s.partition, m)
         assert max(report.residuals.values()) < 1e-10
 
+    @pytest.mark.parametrize("m,n", [(5, 4), (2, 8)])
+    def test_frontier_sizes_against_weyl_and_multiset_count(self, m, n):
+        # the commutant has one basis element per multiset of N matrix units
+        report = sector_decomposition(m, n)
+        for s in report.sectors:
+            assert s.multiplicity == oracles.weyl_multiplicity(s.partition, m)
+        assert report.commutant_dim == math.comb(m * m + n - 1, n)
+        assert max(report.residuals.values()) < 1e-12
+
     def test_json_schema_keys(self):
         data = sector_decomposition(2, 2).to_dict()
         assert set(data) == {"m", "N", "sectors", "commutant_dim", "residuals"}
@@ -338,3 +349,68 @@ class TestConsistencyGuards:
 
     def test_consistency_error_is_distinct_type(self):
         assert issubclass(ConsistencyError, RuntimeError)
+
+
+ORACLE_SIZES = [(2, 2), (2, 3), (3, 3), (2, 4)]
+
+
+class TestAgainstDenseLoops:
+    """Class-sum and orbit-label fast paths against per-element dense loops."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_mn_characters_match_per_element_traces(self, n):
+        for shape in enumerate_partitions(n):
+            rep = irrep(shape)
+            for pi in symmetric_group(n):
+                trace = np.trace(rep.matrix(pi)).real
+                expected = oracles.mn_character(shape.parts, pi.cycle_type())
+                assert trace == pytest.approx(expected, abs=1e-12)
+
+    def test_slot_permutation_matrix_matches_operator(self):
+        for pi in symmetric_group(3):
+            expected = oracles.slot_permutation_matrix(pi.images, 3)
+            assert np.array_equal(permutation_operator(pi, 3), expected)
+
+    @pytest.mark.parametrize("m,n", ORACLE_SIZES)
+    def test_central_projectors(self, m, n):
+        for shape in enumerate_partitions(n):
+            expected = oracles.dense_central_projector(shape.parts, m)
+            assert linalg.max_abs(central_projector(shape, m) - expected) < 1e-12
+
+    @pytest.mark.parametrize("m,n", ORACLE_SIZES)
+    def test_symmetrizer_and_antisymmetrizer(self, m, n):
+        order = math.factorial(n)
+        sym = oracles.dense_group_sum(m, n, lambda images: 1) / order
+        anti = oracles.dense_group_sum(m, n, oracles.permutation_sign) / order
+        assert linalg.max_abs(symmetrizer(n, m) - sym) < 1e-12
+        assert linalg.max_abs(antisymmetrizer(n, m) - anti) < 1e-12
+
+    @pytest.mark.parametrize("m,n", ORACLE_SIZES)
+    def test_commutant_basis_orbit_order_and_supports(self, m, n):
+        orbits = oracles.generator_bfs_entry_orbits(m, n)
+        basis = commutant_basis(m, n)
+        assert [list(np.flatnonzero(a)) for a in basis] == orbits
+        for a, orbit in zip(basis, orbits):
+            assert np.all(a.ravel()[orbit] == 1.0 / math.sqrt(len(orbit)))
+
+
+class TestGroupCostEstimate:
+    @pytest.mark.parametrize("m,n", [(1, 11), (2, 10), (2, 9)])
+    def test_group_enumeration_refused_by_estimate(self, m, n, monkeypatch):
+        def enumerate_group(degree):
+            raise AssertionError(f"S_{degree} enumerated past the cost estimate")
+
+        monkeypatch.setattr(tensor_rep, "symmetric_group", enumerate_group)
+        for build in (
+            lambda: sector_decomposition(m, n),
+            lambda: symmetrizer(n, m),
+            lambda: antisymmetrizer(n, m),
+            lambda: central_projector(Partition((n,)), m),
+            lambda: young_projector(StandardTableau((tuple(range(1, n + 1)),)), m),
+        ):
+            with pytest.raises(ResourceLimitError, match="enumerating"):
+                build()
+
+    def test_group_estimate_admits_benchmark_sizes(self):
+        for m, n in [(3, 4), (4, 4), (2, 6), (3, 5), (2, 7), (5, 4), (4, 5), (2, 8)]:
+            tensor_rep._check_group_cost(m, n, None)
