@@ -10,8 +10,14 @@ one singular-value decomposition of the operators stacked as vectors
 (Burnside): operators spanning all of M_d have scalar commutant, and
 pairs (A_k, B_k) spanning M_d1 x M_d2 admit no intertwiner but 0. Both
 certificates hold for any operator list. When the span falls short, the
-dimension comes from the null space of the stacked Kronecker-product
-Sylvester system instead, so a reported dimension is always the true one.
+dimension comes from the null space of the Sylvester system instead, so a
+reported dimension is always the true one.
+
+That null space is found by successive restriction, one operator pair at a
+time: if the columns of N span the solutions of the first k - 1 equations,
+those of N null(M_k N) span the solutions of the first k, so each SVD
+involves only one equation on the current (shrinking) solution space and
+no Kronecker-product stack is ever formed.
 """
 
 from __future__ import annotations
@@ -78,16 +84,12 @@ def hermitian_part_residual(a: np.ndarray) -> float:
 def commutant_basis_of(ops: list[np.ndarray], tol: float = RANK_TOL) -> list[np.ndarray]:
     """Orthonormal (Hilbert-Schmidt) basis of {X : [X, A] = 0 for all A}.
 
-    Stacks the Sylvester systems vec([X, A]) = 0 over the given operators
-    and extracts the joint null space. Row-major vec convention:
-    vec(AXB) = (A kron B^T) vec(X).
+    XA - AX = 0 is the intertwiner equation with both sides equal.
     """
     if not ops:
         raise DomainError("empty operator list")
     d = ops[0].shape[0]
-    eye = np.eye(d)
-    blocks = [np.kron(a, eye) - np.kron(eye, a.T) for a in ops]
-    basis = nullspace(np.vstack(blocks), tol)
+    basis = intertwiner_basis(ops, ops, tol)
     return [basis[:, k].reshape(d, d) for k in range(basis.shape[1])]
 
 
@@ -109,18 +111,29 @@ def commutant_dimension_of(ops: list[np.ndarray], tol: float = RANK_TOL) -> int:
 def intertwiner_basis(
     ops1: list[np.ndarray], ops2: list[np.ndarray], tol: float = RANK_TOL
 ) -> np.ndarray:
-    """Basis of {V : V A_k = B_k V}, as columns of vec(V), row-major.
+    """Orthonormal basis of {V : V A_k = B_k V}, as columns of vec(V), row-major.
 
     V maps the carrier of ops1 (dim d1) to the carrier of ops2 (dim d2).
+    The solution space is restricted one pair at a time: the r current
+    basis columns, viewed as d2 x d1 matrices V, give the (d1 d2) x r
+    block vec(V A_k - B_k V), whose null space selects the combinations
+    that also solve equation k. A block of Frobenius norm <= tol has no
+    singular value above the rank threshold, so it is skipped unsolved.
     """
     if not ops1 or len(ops1) != len(ops2):
         raise DomainError("operator lists must be nonempty and aligned")
     d1 = ops1[0].shape[0]
     d2 = ops2[0].shape[0]
-    eye1 = np.eye(d1)
-    eye2 = np.eye(d2)
-    blocks = [np.kron(eye2, a.T) - np.kron(b, eye1) for a, b in zip(ops1, ops2)]
-    return nullspace(np.vstack(blocks), tol)
+    basis = np.eye(d1 * d2, dtype=complex)
+    for a, b in zip(ops1, ops2):
+        width = basis.shape[1]
+        if width == 0:
+            break
+        v = basis.T.reshape(width, d2, d1)
+        block = (v @ a - b @ v).reshape(width, d1 * d2).T
+        if np.linalg.norm(block) > tol:
+            basis = basis @ nullspace(block, tol)
+    return basis
 
 
 def intertwiner_dimension(
@@ -149,8 +162,14 @@ def polar_unitary(a: np.ndarray) -> np.ndarray:
 
 
 def normalize_phase(v: np.ndarray) -> np.ndarray:
-    """Fix the global phase so the largest-magnitude entry is real positive."""
-    idx = np.unravel_index(np.argmax(np.abs(v)), v.shape)
+    """Fix the global phase so the largest-magnitude entry is real positive.
+
+    Entries within a relative RANK_TOL of the largest magnitude count as
+    tied, and the first of them (row-major) is the pivot, so rounding
+    noise cannot pick between, say, a +1 and a -1 entry.
+    """
+    mags = np.abs(v)
+    idx = np.unravel_index(np.argmax(mags >= (1.0 - RANK_TOL) * mags.max()), v.shape)
     pivot = v[idx]
     if abs(pivot) == 0.0:
         return v

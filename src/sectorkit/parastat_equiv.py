@@ -276,18 +276,20 @@ def general_equivalence(
 
 def bosonic_singlet_realization(m: int) -> SectorRealization:
     """Internal-singlet slice of two bosonic doublets, invariant action."""
+    basis = commutant_basis(m, 2)  # checks its cost before anything is allocated
     w = singlet_isometry_2(m)
     p0 = linalg.dagger(w) @ w
     pb = symmetrizer(2, 2 * m)
     carrier = linalg.orthonormal_range(p0 @ pb)
-    ops = (extend_internal(a, m, 2) for a in commutant_basis(m, 2))
+    ops = (extend_internal(a, m, 2) for a in basis)
     return realize("two bosonic doublets, internal singlet", carrier, ops)
 
 
 def fermionic_realization(m: int) -> SectorRealization:
     """Antisymmetric two-particle wave functions, invariant action."""
+    basis = commutant_basis(m, 2)
     carrier = linalg.orthonormal_range(antisymmetrizer(2, m))
-    return realize("two spinless fermions", carrier, commutant_basis(m, 2))
+    return realize("two spinless fermions", carrier, basis)
 
 
 def verify_singlet_fermion_equivalence(
@@ -301,19 +303,21 @@ def verify_singlet_fermion_equivalence(
 
 def bosonic_doublet_realization(m: int) -> SectorRealization:
     """Internal-doublet slice of three bosonic doublets, invariant action."""
+    basis = commutant_basis(m, 3)  # checks its cost before anything is allocated
     w = doublet_isometry_3(m)
     p2 = linalg.dagger(w) @ w
     pb = symmetrizer(3, 2 * m)
     carrier = linalg.orthonormal_range(p2 @ pb)
-    ops = (extend_internal(a, m, 3) for a in commutant_basis(m, 3))
+    ops = (extend_internal(a, m, 3) for a in basis)
     return realize("three bosonic doublets, internal doublet", carrier, ops)
 
 
 def parafermion_realization(m: int) -> SectorRealization:
     """Two-component equivariant wave functions, invariant action x 1_2."""
+    basis = commutant_basis(m, 3)
     carrier = parafermion_constraint_space(m)
     eye2 = np.eye(2, dtype=complex)
-    ops = (np.kron(a, eye2) for a in commutant_basis(m, 3))
+    ops = (np.kron(a, eye2) for a in basis)
     return realize("parafermion doublet wave functions", carrier, ops)
 
 

@@ -129,6 +129,42 @@ def symmetric_group(n: int) -> list[Permutation]:
     return [Permutation(p) for p in itertools.permutations(range(1, n + 1))]
 
 
+def conjugacy_classes(images: np.ndarray) -> tuple[list[tuple[int, ...]], np.ndarray]:
+    """Cycle types of many permutations at once, as class labels.
+
+    images is a (k, n) array of one-line images (1-based), one permutation
+    per row. Returns (types, label): label[r] numbers the class of row r,
+    classes numbered by their first row, and types[c] is the cycle type
+    of class c, as Permutation.cycle_type gives it. Each point's cycle
+    length is the first power of the row that fixes it; a cycle of length
+    L holds L points of length L, so the sorted point lengths determine
+    the cycle type.
+    """
+    perm = np.asarray(images) - 1
+    n = perm.shape[1]
+    points = np.arange(n)
+    lengths = np.zeros(perm.shape, dtype=np.min_scalar_type(n))
+    power = perm
+    for step in range(1, n + 1):
+        lengths[(power == points) & (lengths == 0)] = step
+        power = np.take_along_axis(perm, power, axis=1)
+    # non-increasing rows compared as raw bytes; np.unique(axis=0) is ~20x slower
+    keys = np.ascontiguousarray(np.sort(lengths, axis=1)[:, ::-1])
+    rows = keys.view(np.dtype((np.void, keys.strides[0]))).ravel()
+    _, first, label = np.unique(rows, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    types = []
+    for row in keys[first[order]]:
+        cycle_type, i = [], 0
+        while i < n:
+            cycle_type.append(int(row[i]))
+            i += row[i]
+        types.append(tuple(cycle_type))
+    return types, rank[label]
+
+
 @dataclass(frozen=True)
 class Partition:
     """Non-increasing positive parts; labels an irreducible of S_total."""

@@ -7,7 +7,8 @@ pi(sigma(i)). Every sum of U(pi) is filled in from flat index maps, and
 central projectors from conjugacy-class sums with one character per
 class. Commutant orbits are labeled by the multiset of per-slot digit
 pairs, so their number needs no basis. Dense results are guarded by a
-dimension cap, enumerations of S_N by an estimate of their bytes.
+dimension cap, enumerations of S_N and the dense commutant basis by an
+estimate of their bytes.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from .permgroup import (
     Permutation,
     StandardTableau,
     character,
+    conjugacy_classes,
     enumerate_partitions,
     hook_dimension,
     irrep,
@@ -41,6 +43,7 @@ DEFAULT_DIM_CAP = 1024
 # takes ~190 bytes at N = 8). (1, 10) and (2, 9) are refused.
 GROUP_BYTES_CAP = 256 * 2**20
 PERMUTATION_BYTES = 256
+COMPLEX_BYTES = 16
 
 
 @dataclass(frozen=True)
@@ -85,38 +88,59 @@ def _check_group_cost(m: int, n: int, dim_cap: int | None) -> None:
         )
 
 
-def _index_maps(perms: list[Permutation], m: int) -> np.ndarray:
-    """Flat-index maps of the slot action: row k, column i is U(perms[k]) e_i."""
-    n = perms[0].degree
-    images = np.array([pi.images for pi in perms])
+def _check_commutant_cost(m: int, n: int, dim_cap: int | None) -> None:
+    """Dimension cap, then refuse a dense commutant basis beyond the byte cap.
+
+    The basis holds one complex m**n x m**n matrix per multiset of n matrix
+    units, C(m*m + n - 1, n) of them ((4, 3): ~53 MB; (5, 3): ~731 MB).
+    """
+    _check_cap(m**n, dim_cap)
+    TensorSpace(m, n)  # validates m and n
+    cost = math.comb(m * m + n - 1, n) * m ** (2 * n) * COMPLEX_BYTES
+    if cost > GROUP_BYTES_CAP:
+        raise ResourceLimitError(
+            f"the commutant basis of (C^{m})^(x{n}) needs ~{cost / 2**20:.3g} MiB, "
+            f"cap {GROUP_BYTES_CAP // 2**20} MiB"
+        )
+
+
+def _images(perms: list[Permutation]) -> np.ndarray:
+    """One-line images (1-based) of the permutations, one row each."""
+    return np.array([pi.images for pi in perms])
+
+
+def _index_maps(images: np.ndarray, m: int) -> np.ndarray:
+    """Flat-index maps of the slot action: row k, column i is U(pi_k) e_i,
+    where images[k] is the one-line form of pi_k."""
+    n = images.shape[1]
     return (m ** (n - images)) @ TensorSpace(m, n).digits().T
 
 
-def _operator_sum(perms: list[Permutation], coeffs, m: int) -> np.ndarray:
-    """Real dense sum_k coeffs[k] U(perms[k]), one fancy-index add per map.
+def _operator_sum(images: np.ndarray, coeffs, m: int) -> np.ndarray:
+    """Real dense sum_k coeffs[k] U(pi_k), by one unbuffered scatter-add.
 
-    Each map is a bijection, so no entry repeats within one add.
+    images[k] is the one-line form of pi_k; U(pi_k) has a one in row
+    maps[k, i] of column i. np.add.at adds in k order, entry by entry.
     """
-    maps = _index_maps(perms, m)
+    maps = _index_maps(images, m)
     dim = maps.shape[1]
-    cols = np.arange(dim)
     acc = np.zeros((dim, dim))
-    for rows, c in zip(maps, coeffs):
-        acc[rows, cols] += c
+    np.add.at(acc, (maps, np.arange(dim)), np.asarray(coeffs, dtype=float)[:, None])
     return acc
 
 
 def permutation_operator(pi: Permutation, m: int, dim_cap: int | None = None) -> np.ndarray:
     """Unitary 0/1 matrix of the slot action of pi on (C^m)^{tensor N}."""
     _check_cap(m**pi.degree, dim_cap)
-    return _operator_sum([pi], [1.0], m).astype(complex)
+    return _operator_sum(_images([pi]), [1.0], m).astype(complex)
 
 
 def symmetrizer(N: int, m: int, dim_cap: int | None = None) -> np.ndarray:
     """Orthogonal projector onto the fully symmetric subspace."""
     _check_group_cost(m, N, dim_cap)
     group = symmetric_group(N)
-    return (_operator_sum(group, np.ones(len(group)), m) / math.factorial(N)).astype(complex)
+    total = _operator_sum(_images(group), np.ones(len(group)), m)
+    return (total / math.factorial(N)).astype(complex)
 
 
 def antisymmetrizer(N: int, m: int, dim_cap: int | None = None) -> np.ndarray:
@@ -124,7 +148,7 @@ def antisymmetrizer(N: int, m: int, dim_cap: int | None = None) -> np.ndarray:
     _check_group_cost(m, N, dim_cap)
     group = symmetric_group(N)
     signs = [pi.sign() for pi in group]
-    return (_operator_sum(group, signs, m) / math.factorial(N)).astype(complex)
+    return (_operator_sum(_images(group), signs, m) / math.factorial(N)).astype(complex)
 
 
 def young_projector(
@@ -140,8 +164,8 @@ def young_projector(
     n = tableau.size
     _check_group_cost(m, n, dim_cap)
     rows, cols = row_col_groups(tableau)
-    row_sum = _operator_sum(rows, np.ones(len(rows)), m)
-    col_sum = _operator_sum(cols, [pi.sign() for pi in cols], m)
+    row_sum = _operator_sum(_images(rows), np.ones(len(rows)), m)
+    col_sum = _operator_sum(_images(cols), [pi.sign() for pi in cols], m)
     scale = hook_dimension(tableau.shape) / math.factorial(n)
     return (scale * (col_sum @ row_sum)).astype(complex)
 
@@ -155,19 +179,21 @@ def hermitian_range_projector(p: np.ndarray) -> np.ndarray:
 def _central_projectors(shapes: list[Partition], m: int) -> list[np.ndarray]:
     """Real z_lambda = (d_lambda / N!) sum_C chi_lambda(C) K_C, one per shape.
 
-    The class sums K_C = sum_{pi in C} U(pi) are built once. chi_lambda(C) is
-    the trace of one irrep matrix of a class representative; S_N characters
-    are real with chi(pi^-1) = chi(pi).
+    S_N is enumerated as one image array, in lexicographic order, and split
+    into classes by one vectorized cycle-type pass. The class sums
+    K_C = sum_{pi in C} U(pi) are built once. chi_lambda(C) is the trace of
+    one irrep matrix of the class's first element; S_N characters are real
+    with chi(pi^-1) = chi(pi).
     """
     n = shapes[0].total
-    classes: dict[tuple[int, ...], list[Permutation]] = {}
-    for pi in symmetric_group(n):
-        classes.setdefault(pi.cycle_type(), []).append(pi)
-    class_sums = [_operator_sum(c, np.ones(len(c)), m) for c in classes.values()]
+    images = np.array(list(itertools.permutations(range(1, n + 1))))
+    _, label = conjugacy_classes(images)
+    classes = [images[label == c] for c in range(label.max() + 1)]
+    class_sums = [_operator_sum(c, np.ones(len(c)), m) for c in classes]
     projectors = []
     for shape in shapes:
         rep = irrep(shape)
-        chars = [character(shape, c[0], rep) for c in classes.values()]
+        chars = [character(shape, Permutation(c[0]), rep) for c in classes]
         z = sum(chi * k for chi, k in zip(chars, class_sums))
         projectors.append((rep.dimension / math.factorial(n)) * z)
     return projectors
@@ -210,10 +236,11 @@ def commutant_basis(m: int, N: int, dim_cap: int | None = None) -> list[np.ndarr
 
     Matrix units averaged over the group have disjoint supports given by
     the entry orbits, so the normalized orbit indicators are an exact
-    orthonormal basis. Ordered by smallest flat entry index.
+    orthonormal basis. Ordered by smallest flat entry index. Refused
+    before any allocation when its dense matrices exceed the byte cap.
     """
     dim = m**N
-    _check_cap(dim, dim_cap)
+    _check_commutant_cost(m, N, dim_cap)
     basis = []
     for orbit in _entry_orbits(m, N):
         mat = np.zeros((dim, dim), dtype=complex)
@@ -436,7 +463,7 @@ def sector_basis_span_check(
         proj_p = qp @ linalg.dagger(qp)
         proj_pp = qpp @ linalg.dagger(qpp)
         moved = symmetric_group(3)[1:]  # the identity comes first
-        for pi, image in zip(moved, _index_maps(moved, m)):
+        for pi, image in zip(moved, _index_maps(_images(moved), m)):
             conjugated = np.empty_like(proj_p)
             conjugated[np.ix_(image, image)] = proj_p  # U(pi) proj_p U(pi)^dagger
             if linalg.max_abs(conjugated - proj_pp) < tol:

@@ -3,9 +3,10 @@
 Everything here deliberately avoids the library's own code paths:
 partition and tableau counts come from exhaustive enumeration, sector
 multiplicities from the classical product formula over cells, commutants
-from dense null spaces, characters from the Murnaghan-Nakayama rule, group
-sums from one dense permutation matrix per element, and commutant orbits
-from a breadth-first search over generators.
+and intertwiners from dense null spaces of stacked Kronecker systems,
+characters from the Murnaghan-Nakayama rule, group sums from one dense
+permutation matrix per element, and commutant orbits from a
+breadth-first search over generators.
 """
 
 import itertools
@@ -102,6 +103,22 @@ def dense_intertwiner_dimension(ops1: list[np.ndarray], ops2: list[np.ndarray]) 
     s = np.linalg.svd(np.vstack(blocks), compute_uv=False)
     rank = int(np.sum(s > 1e-8 * max(1.0, s[0])))
     return d1 * d2 - rank
+
+
+def dense_intertwiner_basis(ops1: list[np.ndarray], ops2: list[np.ndarray]) -> np.ndarray:
+    """Null space of V A - B V = 0 for all pairs, one stacked Kronecker SVD.
+
+    Columns are orthonormal vec(V), row-major, V of shape d2 x d1.
+    """
+    d1 = ops1[0].shape[0]
+    d2 = ops2[0].shape[0]
+    stack = np.vstack(
+        [np.kron(np.eye(d2), a.T) - np.kron(b, np.eye(d1)) for a, b in zip(ops1, ops2)]
+    )
+    # a tall stack's economy SVD already holds every right singular vector
+    _, s, vh = np.linalg.svd(stack, full_matrices=stack.shape[0] < stack.shape[1])
+    rank = int(np.sum(s > 1e-8 * max(1.0, s[0])))
+    return vh[rank:].conj().T
 
 
 def bruteforce_group_structure(table) -> tuple[int, list[int]] | None:

@@ -114,6 +114,23 @@ class TestEquiv:
         assert data["certificate"]["residual"] < 1e-10
         assert "intertwiner" in data["certificate"]
 
+    @pytest.mark.parametrize("m,n", [(5, 3), (9, 2)])
+    def test_commutant_cost_exits_before_allocating(self, capsys, m, n):
+        tracemalloc.start()
+        start = time.perf_counter()
+        try:
+            code = main(["equiv", "--m", str(m), "--N", str(n)])
+            elapsed = time.perf_counter() - start
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 3
+        assert elapsed < 1.0
+        assert peak < 1 << 20
+        error = json.loads(capsys.readouterr().err)
+        assert error["kind"] == "resource"
+        assert "commutant basis" in error["error"]
+
     def test_bad_n(self, capsys):
         assert main(["equiv", "--m", "2", "--N", "4"]) == 2
         capsys.readouterr()

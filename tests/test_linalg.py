@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -135,3 +137,135 @@ class TestIntertwinerDimension:
     def test_misaligned_lists_rejected(self):
         with pytest.raises(DomainError):
             linalg.intertwiner_dimension(rep_of((2, 1)), rep_of((3,))[:2])
+
+
+def projector(basis):
+    return basis @ basis.conj().T
+
+
+def conjugated(ops, seed):
+    w = random_unitary(ops[0].shape[0], seed)
+    return [w @ a @ linalg.dagger(w) for a in ops]
+
+
+COMMUTANT_CASES = {
+    "irrep": lambda: rep_of((2, 1)),
+    "regular": regular_s3,
+    "irrep+irrep": lambda: direct_sum(rep_of((2, 1)), rep_of((2, 1))),
+    "trivial+sign": lambda: direct_sum(rep_of((3,)), rep_of((1, 1, 1))),
+}
+
+def generic_pairs():
+    # the zero and identity pairs restrict nothing; each generic pair does
+    rng = np.random.default_rng(8)
+    d = 4
+    gen = [rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)) for _ in range(2)]
+    ops1 = [np.zeros((d, d)), np.eye(d), *gen]
+    return ops1, conjugated(ops1, 9)
+
+
+INTERTWINER_CASES = {
+    "S3 equivalent": lambda: (rep_of((2, 1)), conjugated(rep_of((2, 1)), 4)),
+    "S4 equivalent": lambda: (rep_of((3, 1)), conjugated(rep_of((3, 1)), 4)),
+    "standard vs trivial": lambda: (rep_of((2, 1)), rep_of((3,))),
+    "standard vs sign": lambda: (rep_of((2, 1)), rep_of((1, 1, 1))),
+    "trivial vs sign": lambda: (rep_of((3,)), rep_of((1, 1, 1))),
+    "trivial+trivial vs sign": lambda: (
+        direct_sum(rep_of((3,)), rep_of((3,))),
+        rep_of((1, 1, 1)),
+    ),
+    "irrep vs irrep+irrep": lambda: (
+        rep_of((2, 1)),
+        direct_sum(rep_of((2, 1)), rep_of((2, 1))),
+    ),
+    "irrep+irrep vs rotated": lambda: (
+        direct_sum(rep_of((2, 1)), rep_of((2, 1))),
+        conjugated(direct_sum(rep_of((2, 1)), rep_of((2, 1))), 5),
+    ),
+    "regular vs rotated": lambda: (regular_s3(), conjugated(regular_s3(), 6)),
+    "zero, identity, then generic pairs": generic_pairs,
+}
+
+
+class TestSuccessiveRestriction:
+    """The pair-by-pair null space against one stacked Kronecker SVD."""
+
+    @pytest.mark.parametrize("case", sorted(INTERTWINER_CASES))
+    def test_intertwiner_projector_matches_stacked_svd(self, case):
+        ops1, ops2 = INTERTWINER_CASES[case]()
+        basis = linalg.intertwiner_basis(ops1, ops2)
+        dense = oracles.dense_intertwiner_basis(ops1, ops2)
+        assert basis.shape == dense.shape
+        assert linalg.max_abs(basis.conj().T @ basis - np.eye(basis.shape[1])) < 1e-12
+        assert linalg.max_abs(projector(basis) - projector(dense)) < 1e-12
+        for k in range(basis.shape[1]):
+            v = basis[:, k].reshape(ops2[0].shape[0], ops1[0].shape[0])
+            assert linalg.intertwining_residual(v, ops1, ops2) < 1e-12
+
+    @pytest.mark.parametrize("case", sorted(COMMUTANT_CASES))
+    def test_commutant_projector_matches_stacked_svd(self, case):
+        ops = COMMUTANT_CASES[case]()
+        d = ops[0].shape[0]
+        basis = linalg.commutant_basis_of(ops)
+        flat = np.stack([x.ravel() for x in basis], axis=1)
+        dense = oracles.dense_intertwiner_basis(ops, ops)
+        assert flat.shape == dense.shape
+        assert linalg.max_abs(projector(flat) - projector(dense)) < 1e-12
+        for x in basis:
+            assert max(linalg.max_abs(x @ a - a @ x) for a in ops) < 1e-12
+        assert len(basis) == oracles.dense_commutant_dimension(ops)
+        assert flat.shape[0] == d * d
+
+    def test_every_pair_restricts(self):
+        ops1, ops2 = generic_pairs()
+        assert linalg.intertwiner_basis(ops1, ops2).shape[1] == 1
+        assert linalg.intertwiner_basis(ops1[:3], ops2[:3]).shape[1] == 4
+        assert linalg.intertwiner_basis(ops1[:2], ops2[:2]).shape[1] == 16
+
+    def test_multiplicity_space_has_dimension_four(self):
+        ops1, ops2 = INTERTWINER_CASES["irrep+irrep vs rotated"]()
+        assert linalg.intertwiner_basis(ops1, ops2).shape[1] == 4
+        ops1, ops2 = INTERTWINER_CASES["regular vs rotated"]()
+        assert linalg.intertwiner_basis(ops1, ops2).shape[1] == 6
+
+    def test_many_pairs_without_kronecker_stack(self):
+        # 816 pairs of 20 x 20 operators: the stacked system would hold
+        # 326,400 x 400 complex entries (2.09 GB); one restriction step
+        # holds at most 400 x 400
+        rng = np.random.default_rng(11)
+        d, count = 20, 816
+        u = random_unitary(d, seed=12)
+        ops1 = [rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)) for _ in range(count)]
+        ops2 = [u @ a @ linalg.dagger(u) for a in ops1]
+        tracemalloc.start()
+        try:
+            basis = linalg.intertwiner_basis(ops1, ops2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 << 20
+        assert basis.shape == (d * d, 1)
+        overlap = np.vdot(u.ravel() / np.sqrt(d), basis[:, 0])
+        assert abs(overlap) == pytest.approx(1.0, abs=1e-12)
+
+    def test_zero_carriers(self):
+        empty = [np.zeros((0, 0))] * 6
+        assert linalg.intertwiner_basis(empty, rep_of((2, 1))).shape == (0, 0)
+        assert linalg.commutant_basis_of(empty) == []
+
+
+class TestNormalizePhase:
+    @pytest.mark.parametrize("noise", [1e-15, -1e-15])
+    def test_tied_pivot_is_first_entry(self, noise):
+        # entries of equal magnitude up to rounding: the first one is made
+        # real positive, whichever rounds larger
+        v = np.array([[0.5, -1.0], [1.0 + noise, 0.25j]])
+        out = linalg.normalize_phase(v)
+        assert out[0, 1] == pytest.approx(1.0)
+        assert out[1, 0] == pytest.approx(-1.0)
+
+    def test_unique_pivot(self):
+        v = np.array([0.1, -2j, 1.0])
+        out = linalg.normalize_phase(v)
+        assert out[1] == pytest.approx(2.0)
+        assert np.allclose(np.abs(out), np.abs(v))

@@ -12,6 +12,7 @@ from sectorkit.permgroup import (
     Permutation,
     StandardTableau,
     character,
+    conjugacy_classes,
     enumerate_partitions,
     hook_dimension,
     irrep,
@@ -71,6 +72,16 @@ class TestPermutation:
         pi = Permutation((2, 1, 4, 3))
         for g in group:
             assert (g * pi * g.inverse()).cycle_type() == pi.cycle_type()
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_conjugacy_classes_match_cycle_types(self, n):
+        group = symmetric_group(n)
+        types, label = conjugacy_classes(np.array([pi.images for pi in group]))
+        assert [types[c] for c in label] == [pi.cycle_type() for pi in group]
+        # classes are numbered by their first element
+        firsts = [int(np.flatnonzero(label == c)[0]) for c in range(len(types))]
+        assert firsts == sorted(firsts)
+        assert len(types) == len(oracles.bruteforce_partitions(n))
 
     def test_adjacent_word_reconstructs(self):
         for pi in symmetric_group(4):

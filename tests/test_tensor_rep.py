@@ -394,6 +394,20 @@ class TestAgainstDenseLoops:
             assert np.all(a.ravel()[orbit] == 1.0 / math.sqrt(len(orbit)))
 
 
+    @pytest.mark.parametrize("m,n", [(1, 6), (2, 5)])
+    def test_sums_with_more_elements_than_columns(self, m, n):
+        # a class or group larger than m**n hits entries repeatedly in one
+        # scatter-add, which must accumulate every hit
+        for shape in enumerate_partitions(n):
+            expected = oracles.dense_central_projector(shape.parts, m)
+            assert linalg.max_abs(central_projector(shape, m) - expected) < 1e-12
+        order = math.factorial(n)
+        sym = oracles.dense_group_sum(m, n, lambda images: 1) / order
+        anti = oracles.dense_group_sum(m, n, oracles.permutation_sign) / order
+        assert linalg.max_abs(symmetrizer(n, m) - sym) < 1e-12
+        assert linalg.max_abs(antisymmetrizer(n, m) - anti) < 1e-12
+
+
 class TestGroupCostEstimate:
     @pytest.mark.parametrize("m,n", [(1, 11), (2, 10), (2, 9)])
     def test_group_enumeration_refused_by_estimate(self, m, n, monkeypatch):
@@ -410,6 +424,20 @@ class TestGroupCostEstimate:
         ):
             with pytest.raises(ResourceLimitError, match="enumerating"):
                 build()
+
+    @pytest.mark.parametrize("m,n", [(5, 3), (9, 2)])
+    def test_commutant_basis_refused_by_estimate(self, m, n, monkeypatch):
+        def label_orbits(*args):
+            raise AssertionError("entry orbits computed past the cost estimate")
+
+        monkeypatch.setattr(tensor_rep, "_entry_orbits", label_orbits)
+        with pytest.raises(ResourceLimitError, match="commutant basis"):
+            commutant_basis(m, n)
+
+    def test_commutant_estimate_admits_equiv_sizes(self):
+        # (4, 3) ~53 MB and (8, 2) ~136 MB stay under the 256 MiB cap
+        for m, n in [(2, 2), (8, 2), (2, 3), (3, 3), (4, 3), (3, 4)]:
+            tensor_rep._check_commutant_cost(m, n, None)
 
     def test_group_estimate_admits_benchmark_sizes(self):
         for m, n in [(3, 4), (4, 4), (2, 6), (3, 5), (2, 7), (5, 4), (4, 5), (2, 8)]:
