@@ -8,6 +8,9 @@ Subcommands expose each module with machine-readable output:
 * ``cover``: sector census of a finite cover;
 * ``circle``: theta-sector spectra, gauge check, convergence.
 
+Each handler imports the modules it uses, so a run loads only what its
+subcommand computes.
+
 Exit codes: 0 all checks passed, 2 usage error, 3 resource cap or out
 of memory, 4 consistency or equivalence failure. Output is deterministic
 for a fixed seed (floats are rounded to 10 significant digits before
@@ -26,7 +29,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import circle_theta, cover_quant, parastat_equiv, tensor_rep
 from .errors import ConsistencyError, DomainError, ResourceLimitError
 from .permgroup import Partition, enumerate_partitions, hook_dimension, standard_tableaux
 
@@ -122,6 +124,8 @@ def _run_tableaux(args) -> tuple[int, bytes]:
 
 
 def _run_sectors(args) -> tuple[int, bytes]:
+    from . import tensor_rep
+
     report = tensor_rep.sector_decomposition(args.m, args.N)
     data = report.to_dict()
     if args.lam is not None:
@@ -156,6 +160,8 @@ def _run_sectors(args) -> tuple[int, bytes]:
 
 
 def _run_equiv(args) -> tuple[int, bytes]:
+    from . import parastat_equiv
+
     if args.N not in (2, 3):
         raise DomainError(f"--N must be 2 or 3 for equiv, got {args.N}")
     if args.m < 2:
@@ -190,6 +196,8 @@ def _run_equiv(args) -> tuple[int, bytes]:
 
 
 def _run_cover(args) -> tuple[int, bytes]:
+    from . import cover_quant
+
     if args.format == "csv":
         raise DomainError("csv output is not defined for cover; use json or pretty")
     if args.cover_json is not None:
@@ -226,6 +234,8 @@ def _run_cover(args) -> tuple[int, bytes]:
 
 
 def _run_circle(args) -> tuple[int, bytes]:
+    from . import circle_theta
+
     theta = circle_theta.ThetaSector(args.theta).theta
     n = args.grid
     k_max = args.k_max

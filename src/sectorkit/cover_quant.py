@@ -27,8 +27,12 @@ from pathlib import Path
 import numpy as np
 
 from . import linalg
-from .errors import ConsistencyError, DomainError
+from .errors import ConsistencyError, DomainError, ResourceLimitError
 from .permgroup import Permutation, enumerate_partitions, irrep, symmetric_group
+
+# Budget for one sector census, checked against _census_bytes before any
+# orbit or kernel array exists; the same 256 MiB as tensor_rep.GROUP_BYTES_CAP.
+CENSUS_BYTES_CAP = 256 * 2**20
 
 
 @dataclass(frozen=True, eq=False)
@@ -302,13 +306,14 @@ class GroupRep:
         for i, mat in enumerate(mats):
             if mat.shape != (d, d):
                 raise DomainError("matrices must share one square shape")
-            if linalg.max_abs(mat @ linalg.dagger(mat) - eye) > 1e-9:
+            if linalg.max_abs(mat @ linalg.dagger(mat) - eye) > linalg.GROUP_LAW_TOL:
                 raise DomainError(f"matrix {i} is not unitary")
+        stack = np.array(mats)
         for i in range(len(mats)):
-            for j in range(len(mats)):
-                prod = mats[i] @ mats[j]
-                if linalg.max_abs(prod - mats[self.group.cayley[i, j]]) > 1e-9:
-                    raise DomainError("matrices do not respect the group law")
+            # mats[i] @ mats[j] against mats[g_i g_j], all j at once
+            prods = mats[i] @ stack
+            if linalg.max_abs(prods - stack[self.group.cayley[i]]) > linalg.GROUP_LAW_TOL:
+                raise DomainError("matrices do not respect the group law")
 
     @property
     def dimension(self) -> int:
@@ -344,7 +349,7 @@ def _regular_irreps(group: FiniteGroup, seed: int) -> list[GroupRep]:
         eigvals, eigvecs = np.linalg.eigh(avg)
         clusters: list[list[int]] = [[0]]
         for i in range(1, n):
-            if eigvals[i] - eigvals[i - 1] < 1e-6:
+            if eigvals[i] - eigvals[i - 1] < linalg.EIGEN_CLUSTER_TOL:
                 clusters[-1].append(i)
             else:
                 clusters.append([i])
@@ -355,7 +360,8 @@ def _regular_irreps(group: FiniteGroup, seed: int) -> list[GroupRep]:
             mats = []
             for r in reg:
                 rb = r @ basis
-                if linalg.max_abs(rb - basis @ (linalg.dagger(basis) @ rb)) > 1e-8:
+                leak = linalg.max_abs(rb - basis @ (linalg.dagger(basis) @ rb))
+                if leak > linalg.INVARIANT_SUBSPACE_TOL:
                     ok = False
                     break
                 mats.append(linalg.dagger(basis) @ rb)
@@ -375,7 +381,9 @@ def _regular_irreps(group: FiniteGroup, seed: int) -> list[GroupRep]:
             continue
         distinct: list[tuple[np.ndarray, GroupRep]] = []
         for chars, rep in found:
-            if not any(np.allclose(chars, c, atol=1e-6) for c, _ in distinct):
+            if not any(
+                np.allclose(chars, c, atol=linalg.EIGEN_CLUSTER_TOL) for c, _ in distinct
+            ):
                 distinct.append((chars, rep))
         if sum(rep.dimension**2 for _, rep in distinct) != n:
             continue
@@ -433,7 +441,7 @@ class InvariantKernel:
             moved = mat[np.ix_(action[:, g], action[:, g])]
             err = np.abs(moved - mat)
             worst = float(err.max()) if err.size else 0.0
-            if worst > 1e-10:
+            if worst > linalg.KERNEL_INVARIANCE_TOL:
                 x, y = np.unravel_index(int(err.argmax()), err.shape)
                 raise DomainError(
                     "kernel is not invariant: "
@@ -468,24 +476,47 @@ def kernel_orbit_basis(cover: FiniteCover) -> list[np.ndarray]:
     kernel.
     """
     npts = cover.total_size
-    action = cover.action
-    npairs = npts * npts
-    label = np.full(npairs, -1, dtype=np.int64)
     basis = []
-    for start in range(npairs):
-        if label[start] >= 0:
-            continue
-        a, b = divmod(start, npts)
-        members = sorted(
-            int(action[a, g]) * npts + int(action[b, g]) for g in range(cover.group.order)
-        )
-        for mem in members:
-            label[mem] = len(basis)
+    for rows, cols in zip(*_entry_orbits(cover)):
         mat = np.zeros((npts, npts), dtype=complex)
-        rows, cols = np.divmod(np.array(members), npts)
-        mat[rows, cols] = 1.0 / math.sqrt(len(members))
+        mat[rows, cols] = 1.0 / math.sqrt(rows.size)
         basis.append(mat)
     return basis
+
+
+def _entry_orbits(cover: FiniteCover) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column points of every entry orbit, as two (K, |G|) arrays.
+
+    Each orbit of the diagonal action on point pairs holds exactly one
+    pair whose row point is on the section, so the orbits are
+    {(section(q).g, b.g) : g} over base points q and points b, and
+    K = |base| * |total| = |base|**2 * |G|. Rows follow g; orbits are
+    ordered by their smallest flat index row * |total| + col, which is the
+    order of kernel_orbit_basis.
+    """
+    npts = cover.total_size
+    rows = np.repeat(cover.action[cover.section], npts, axis=0)
+    cols = np.tile(cover.action, (cover.base_size, 1))
+    order = np.argsort((rows * npts + cols).min(axis=1))
+    return rows[order], cols[order]
+
+
+def _check_orbit_invariance(cover: FiniteCover, rows: np.ndarray, cols: np.ndarray) -> None:
+    """Every deck element must map each entry orbit onto itself.
+
+    This is the invariance check of InvariantKernel for all orbit
+    indicators at once: the sorted flat codes of each moved orbit must
+    equal the codes of the orbit.
+    """
+    npts = cover.total_size
+    codes = np.sort(rows * npts + cols, axis=1)
+    for g in range(cover.group.order):
+        moved = np.sort(cover.action[rows, g] * npts + cover.action[cols, g], axis=1)
+        bad = np.flatnonzero(np.any(moved != codes, axis=1))
+        if bad.size:
+            raise ConsistencyError(
+                f"entry orbit {int(bad[0])} is not invariant under g={cover.group.labels[g]}"
+            )
 
 
 def constrained_space(cover: FiniteCover, rep: GroupRep) -> np.ndarray:
@@ -534,6 +565,39 @@ def _restrict(
     if leakage > tol:
         raise ConsistencyError(f"constrained subspace leaks: {leakage:.2e}")
     return restricted
+
+
+def _restrict_orbits(
+    cover: FiniteCover, rows: np.ndarray, cols: np.ndarray, basis: np.ndarray
+) -> np.ndarray:
+    """_restrict of every normalized orbit indicator, as a (K, n, n) array.
+
+    Row block x of a constrained_space basis is a d x d block W_x in
+    column block tau(x) and zero elsewhere, which is checked first. An
+    orbit {(a_g, b_g)} has the one entry |G|**-1/2 in each row a_g, and
+    its rows fill the fiber over tau(a). So its restricted action is the
+    single block R = |G|**-1/2 sum_g W_{a_g}^* W_{b_g} at (tau(a), tau(b)),
+    and the image leaves the subspace only on the orbit rows, by
+    |G|**-1/2 W_{b_g} - W_{a_g} R: the leakage _restrict measures on the
+    whole image.
+    """
+    npts = cover.total_size
+    nbase = cover.base_size
+    d = basis.shape[0] // npts
+    own = basis.reshape(npts, d, nbase, d)[np.arange(npts), :, cover.tau, :]
+    if np.count_nonzero(basis) != np.count_nonzero(own):
+        raise ConsistencyError("constrained basis is not supported on the fiber blocks")
+    scale = 1.0 / math.sqrt(rows.shape[1])
+    w_rows = own[rows]
+    w_cols = scale * own[cols]
+    restricted = np.sum(w_rows.conj().swapaxes(-1, -2) @ w_cols, axis=1)
+    leakage = linalg.max_abs(w_cols - w_rows @ restricted[:, None])
+    if leakage > linalg.RESIDUAL_TOL:
+        raise ConsistencyError(f"constrained subspace leaks: {leakage:.2e}")
+    k = len(rows)
+    out = np.zeros((k, nbase, d, nbase, d), dtype=complex)
+    out[np.arange(k), cover.tau[rows[:, 0]], :, cover.tau[cols[:, 0]], :] = restricted
+    return out.reshape(k, nbase * d, nbase * d)
 
 
 def section_action(kernel: InvariantKernel, rep: GroupRep) -> np.ndarray:
@@ -623,6 +687,33 @@ class SectorCensusReport:
         }
 
 
+def _census_bytes(cover: FiniteCover, dims: list[int]) -> int:
+    """Peak bytes of sector_census, estimated from the sizes alone.
+
+    Sector chi holds K restricted orbit kernels of (|base| d_chi)**2
+    complex entries, K**2 entries over all sectors since sum d**2 = |G|;
+    the largest pairwise span stack adds K |base|**2 (d1**2 + d2**2)
+    entries and one support-mask byte per entry. Smaller terms: the
+    batched gathers (K |G| d**2 per array), the orbit tables, the
+    constrained bases and the Kronecker restrictions of the random check
+    kernels.
+    """
+    npts, nbase, ng = cover.total_size, cover.base_size, cover.group.order
+    k = nbase * nbase * ng
+    squares = sorted(d * d for d in dims)
+    pair = squares[-1] + squares[-2] if len(squares) > 1 else 0
+    dmax = max(dims)
+    pair_entries = k * nbase * nbase * pair
+    entries = (
+        k * k
+        + pair_entries
+        + 6 * k * ng * dmax * dmax
+        + 4 * (npts * dmax) ** 2
+        + 5 * npts * npts
+    )
+    return 16 * entries + pair_entries + 5 * 8 * k * ng
+
+
 def sector_census(
     cover: FiniteCover, seed: int = 0, n_check_kernels: int = 5
 ) -> SectorCensusReport:
@@ -640,18 +731,35 @@ def sector_census(
     M_d1 x M_d2 (intertwiner dim 0). linalg falls back to the Sylvester
     null space only when a span falls short, so the reported dimensions
     are exact either way.
+
+    The orbit basis is never formed as dense kernels: the entry orbits
+    are enumerated once as (K, |G|) tables of row and column points,
+    checked for deck invariance in one pass per group element, and each
+    sector restricts all of them in one batched product (_restrict_orbits).
+    Each restricted kernel is one (base, base) block, so the span-rank
+    stacks split into |base|**2 small SVDs in linalg. A cost estimate
+    from the sizes (_census_bytes) refuses covers over CENSUS_BYTES_CAP
+    with ResourceLimitError before any of this is allocated.
     """
     reps = irreps_of(cover.group, seed=seed)
-    kernels = [InvariantKernel(cover=cover, matrix=mat) for mat in kernel_orbit_basis(cover)]
-    kernel_dim = len(kernels)
+    cost = _census_bytes(cover, [rep.dimension for rep in reps])
+    if cost > CENSUS_BYTES_CAP:
+        raise ResourceLimitError(
+            f"cover census of {cover.total_size} points over {cover.base_size} base points "
+            f"(deck group of order {cover.group.order}) needs ~{cost // 2**20} MiB; "
+            f"cap {CENSUS_BYTES_CAP // 2**20} MiB"
+        )
+    rows, cols = _entry_orbits(cover)
+    kernel_dim = len(rows)
     expected_kernel_dim = cover.base_size**2 * cover.group.order
     if kernel_dim != expected_kernel_dim:
         raise ConsistencyError(
             f"kernel orbit count {kernel_dim} != {expected_kernel_dim}"
         )
+    _check_orbit_invariance(cover, rows, cols)
 
     bases = [constrained_space(cover, rep) for rep in reps]
-    actions = [[_restrict(k, basis) for k in kernels] for basis in bases]
+    actions = [_restrict_orbits(cover, rows, cols, basis) for basis in bases]
     records = [
         SectorCensusRecord(
             label=rep.label,

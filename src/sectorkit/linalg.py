@@ -5,13 +5,23 @@ policy: eigenvalue counting at threshold 1e-8 for Hermitian idempotents,
 singular values above 1e-8 times max(1, largest) otherwise; identity-type
 residuals are measured in the max-abs entry norm against 1e-10.
 
-Commutant and intertwiner dimensions are first certified by span rank,
-one singular-value decomposition of the operators stacked as vectors
-(Burnside): operators spanning all of M_d have scalar commutant, and
-pairs (A_k, B_k) spanning M_d1 x M_d2 admit no intertwiner but 0. Both
-certificates hold for any operator list. When the span falls short, the
-dimension comes from the null space of the Sylvester system instead, so a
-reported dimension is always the true one.
+Commutant and intertwiner dimensions are first certified by span rank of
+the operators stacked as vectors (Burnside): operators spanning all of M_d
+have scalar commutant, and pairs (A_k, B_k) spanning M_d1 x M_d2 admit no
+intertwiner but 0. Both certificates hold for any operator list. When the
+span falls short, the dimension comes from the null space of the Sylvester
+system instead, so a reported dimension is always the true one.
+
+The span rank splits the stack into a direct sum first. Rows (operators)
+and columns (matrix entries) that share a nonzero entry are linked; each
+connected component is a block, and after permuting rows and columns the
+stack is block diagonal with zero rows and columns left over. The singular
+values of a block-diagonal matrix are the union of those of its blocks
+(plus zeros), so one small SVD per block, thresholded against the largest
+singular value over all blocks, gives exactly the rank of one big SVD. The
+restricted orbit kernels of a cover census each live in one (base, base)
+block, so their stacks fall apart into |base|**2 tiny problems; a dense
+operator list is one component and takes the single SVD.
 
 That null space is found by successive restriction, one operator pair at a
 time: if the columns of N span the solutions of the first k - 1 equations,
@@ -28,6 +38,11 @@ from .errors import DomainError
 
 RANK_TOL = 1e-8
 RESIDUAL_TOL = 1e-10
+# Checks of the cover layer, kept at the values they were introduced with:
+GROUP_LAW_TOL = 1e-9  # unitarity and group law of a representation
+INVARIANT_SUBSPACE_TOL = 1e-8  # leakage of a candidate irreducible subspace
+EIGEN_CLUSTER_TOL = 1e-6  # eigenvalue clustering and character matching
+KERNEL_INVARIANCE_TOL = 1e-10  # deck invariance of a kernel
 
 
 def dagger(a: np.ndarray) -> np.ndarray:
@@ -40,14 +55,64 @@ def max_abs(a: np.ndarray) -> float:
 
 
 def _rank_from_singular_values(s: np.ndarray, tol: float) -> int:
-    """Singular values above tol * max(1, largest); s is sorted descending."""
-    return int(np.sum(s > tol * max(1.0, s[0] if s.size else 0.0)))
+    """Singular values above tol * max(1, largest)."""
+    return int(np.sum(s > tol * max(1.0, s.max() if s.size else 0.0)))
 
 
-def _span_rank(ops: list[np.ndarray], tol: float = RANK_TOL) -> int:
-    """Dimension of the linear span of the operators, as flat vectors."""
-    stack = np.asarray([np.ravel(a) for a in ops], dtype=complex)
-    return _rank_from_singular_values(np.linalg.svd(stack, compute_uv=False), tol)
+def _components(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Component labels of the rows and columns of a boolean support mask.
+
+    Rows and columns sharing a True entry are linked. Labels are column
+    indices (the smallest column of the component), found by alternating
+    row and column minima with pointer jumping; a row or column with no
+    True entry gets label -1.
+    """
+    nrows, ncols = mask.shape
+    r, c = np.nonzero(mask)
+    col_label = np.arange(ncols)
+    while True:
+        row_min = np.full(nrows, ncols)
+        np.minimum.at(row_min, r, col_label[c])
+        new = col_label.copy()
+        np.minimum.at(new, c, row_min[r])
+        new = new[new]
+        if np.array_equal(new, col_label):
+            break
+        col_label = new
+    used = np.zeros(ncols, dtype=bool)
+    used[c] = True
+    row_label = np.where(row_min < ncols, row_min, -1)
+    return row_label, np.where(used, col_label, -1)
+
+
+def _span_rank(ops, tol: float = RANK_TOL) -> int:
+    """Dimension of the linear span of the operators, as flat vectors.
+
+    The stack is split into the connected components of its row/column
+    support and each block gets its own SVD; the threshold is tol times
+    max(1, largest singular value over all blocks), so the rank is the
+    one a single SVD of the whole stack gives (see the module docstring).
+    A stack that is one component is decomposed whole.
+    """
+    stack = np.asarray(ops, dtype=complex).reshape(len(ops), -1)
+    row_label, col_label = _components(stack != 0)
+    labels = np.flatnonzero(np.bincount(row_label[row_label >= 0], minlength=stack.shape[1]))
+    if labels.size <= 1:
+        return _rank_from_singular_values(np.linalg.svd(stack, compute_uv=False), tol)
+    row_order = np.argsort(row_label, kind="stable")
+    col_order = np.argsort(col_label, kind="stable")
+    row_groups = np.split(row_order, np.searchsorted(row_label[row_order], labels))[1:]
+    col_groups = np.split(col_order, np.searchsorted(col_label[col_order], labels))[1:]
+    # blocks of one shape share one batched SVD
+    by_shape: dict[tuple[int, int], list[tuple[np.ndarray, np.ndarray]]] = {}
+    for rows, cols in zip(row_groups, col_groups):
+        by_shape.setdefault((rows.size, cols.size), []).append((rows, cols))
+    values = []
+    for blocks in by_shape.values():
+        rows, cols = (np.array(side) for side in zip(*blocks))
+        batch = stack[rows[:, :, None], cols[:, None, :]]
+        values.append(np.linalg.svd(batch, compute_uv=False).ravel())
+    return _rank_from_singular_values(np.concatenate(values), tol)
 
 
 def nullspace(mat: np.ndarray, tol: float = RANK_TOL) -> np.ndarray:
@@ -86,7 +151,7 @@ def commutant_basis_of(ops: list[np.ndarray], tol: float = RANK_TOL) -> list[np.
 
     XA - AX = 0 is the intertwiner equation with both sides equal.
     """
-    if not ops:
+    if len(ops) == 0:
         raise DomainError("empty operator list")
     d = ops[0].shape[0]
     basis = intertwiner_basis(ops, ops, tol)
@@ -100,7 +165,7 @@ def commutant_dimension_of(ops: list[np.ndarray], tol: float = RANK_TOL) -> int:
     (Burnside), which one |ops| x d**2 span rank certifies; otherwise the
     dimension is counted from the Sylvester null space.
     """
-    if not ops:
+    if len(ops) == 0:
         raise DomainError("empty operator list")
     d = ops[0].shape[0]
     if 0 < d * d <= len(ops) and _span_rank(ops, tol) == d * d:
@@ -120,7 +185,7 @@ def intertwiner_basis(
     that also solve equation k. A block of Frobenius norm <= tol has no
     singular value above the rank threshold, so it is skipped unsolved.
     """
-    if not ops1 or len(ops1) != len(ops2):
+    if len(ops1) == 0 or len(ops1) != len(ops2):
         raise DomainError("operator lists must be nonempty and aligned")
     d1 = ops1[0].shape[0]
     d2 = ops2[0].shape[0]
@@ -146,12 +211,19 @@ def intertwiner_dimension(
     sum_k c_k B_k V = 0; one |ops| x (d1**2 + d2**2) span rank certifies
     this. Otherwise the dimension is counted from the Sylvester null space.
     """
-    if not ops1 or len(ops1) != len(ops2):
+    if len(ops1) == 0 or len(ops1) != len(ops2):
         raise DomainError("operator lists must be nonempty and aligned")
     full = ops1[0].size + ops2[0].size
-    pairs = [np.concatenate((np.ravel(a), np.ravel(b))) for a, b in zip(ops1, ops2)]
-    if 0 < full <= len(pairs) and _span_rank(pairs, tol) == full:
-        return 0
+    if 0 < full <= len(ops1):
+        pairs = np.concatenate(
+            (
+                np.asarray(ops1, dtype=complex).reshape(len(ops1), -1),
+                np.asarray(ops2, dtype=complex).reshape(len(ops2), -1),
+            ),
+            axis=1,
+        )
+        if _span_rank(pairs, tol) == full:
+            return 0
     return intertwiner_basis(ops1, ops2, tol).shape[1]
 
 

@@ -5,8 +5,9 @@ partition and tableau counts come from exhaustive enumeration, sector
 multiplicities from the classical product formula over cells, commutants
 and intertwiners from dense null spaces of stacked Kronecker systems,
 characters from the Murnaghan-Nakayama rule, group sums from one dense
-permutation matrix per element, and commutant orbits from a
-breadth-first search over generators.
+permutation matrix per element, commutant orbits from a
+breadth-first search over generators, cover entry orbits by a scan over
+all point pairs, and span ranks from one dense SVD of the whole stack.
 """
 
 import itertools
@@ -256,4 +257,30 @@ def generator_bfs_entry_orbits(m: int, n: int) -> list[list[int]]:
                     members.append(image)
                     stack.append(image)
         orbits.append(sorted(members))
+    return orbits
+
+
+def dense_span_rank(stack: np.ndarray) -> int:
+    """Rank of a stack of flat vectors, one dense SVD of the whole stack."""
+    s = np.linalg.svd(np.asarray(stack, dtype=complex), compute_uv=False)
+    return int(np.sum(s > 1e-8 * max(1.0, s[0])))
+
+
+def scanned_entry_orbits(action: np.ndarray) -> list[list[int]]:
+    """Orbits of flat pairs a * n + b under (a, b) -> (a.g, b.g), by a scan.
+
+    action[x, g] is the image of point x under element g. Orbits are
+    sorted and ordered by smallest member.
+    """
+    npts, order = action.shape
+    label = [-1] * (npts * npts)
+    orbits = []
+    for start in range(npts * npts):
+        if label[start] >= 0:
+            continue
+        a, b = divmod(start, npts)
+        members = sorted({int(action[a, g]) * npts + int(action[b, g]) for g in range(order)})
+        for member in members:
+            label[member] = len(orbits)
+        orbits.append(members)
     return orbits

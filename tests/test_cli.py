@@ -1,10 +1,16 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
+import sectorkit
+from sectorkit import cover_quant
 from sectorkit.cli import main
 from sectorkit.cover_quant import cover_to_json, symmetric_cover
 
@@ -164,6 +170,29 @@ class TestCover:
         assert main(["cover"]) == 2
         capsys.readouterr()
 
+    def test_census_cost_exits_before_allocating(self, capsys):
+        # 1,320 points, 290,400 orbit kernels: refused by the census estimate
+        tracemalloc.start()
+        start = time.perf_counter()
+        try:
+            code = main(["cover", "--q-size", "12", "--N", "3"])
+            elapsed = time.perf_counter() - start
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 3
+        assert elapsed < 2.0
+        assert peak < 4 << 20
+        error = json.loads(capsys.readouterr().err)
+        assert error["kind"] == "resource"
+        assert "cover census" in error["error"]
+
+    def test_census_cost_applies_to_cover_json(self, tmp_path, capsys):
+        spec_file = tmp_path / "cover.json"
+        spec_file.write_text(json.dumps(cover_to_json(symmetric_cover(11, 2))))
+        assert main(["cover", "--cover-json", str(spec_file)]) == 3
+        assert "cover census" in json.loads(capsys.readouterr().err)["error"]
+
 
 class TestCircle:
     def test_json_report(self, tmp_path):
@@ -237,6 +266,37 @@ class TestFailureExitCodes:
         error = json.loads(captured.err)
         assert error["kind"] == "resource"
         assert "Unable to allocate" in error["error"]
+
+
+class TestImports:
+    def test_subcommand_loads_only_its_modules(self):
+        src = str(Path(sectorkit.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        script = (
+            "import sys\n"
+            "from sectorkit import cli\n"
+            "code = cli.main(['tableaux', '--N', '3', '--out', sys.argv[1]])\n"
+            "print(code, ' '.join(sorted(m for m in sys.modules if m.startswith('sectorkit'))))\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", script, os.devnull],
+            env=env, capture_output=True, text=True, check=True, timeout=60,
+        ).stdout.split()
+        assert out[0] == "0"
+        loaded = set(out[1:])
+        assert "sectorkit.cli" in loaded
+        for heavy in ("tensor_rep", "cover_quant", "parastat_equiv", "circle_theta"):
+            assert f"sectorkit.{heavy}" not in loaded
+
+    def test_every_public_name_resolves(self):
+        for name in sectorkit.__all__:
+            assert getattr(sectorkit, name) is not None
+        assert sectorkit.sector_census is cover_quant.sector_census
+        from sectorkit import young_projector  # imported before, outside __all__
+
+        assert callable(young_projector)
+        with pytest.raises(AttributeError):
+            sectorkit.no_such_name
 
 
 class TestDeterminism:

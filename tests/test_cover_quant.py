@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from sectorkit import linalg
+from sectorkit import cover_quant, linalg
 from sectorkit.cover_quant import (
     FiniteCover,
     FiniteGroup,
@@ -30,7 +30,7 @@ from sectorkit.cover_quant import (
     symmetric_cover,
     trivial_rep,
 )
-from sectorkit.errors import DomainError
+from sectorkit.errors import ConsistencyError, DomainError, ResourceLimitError
 
 
 @pytest.fixture(scope="module")
@@ -420,6 +420,107 @@ class TestCensus:
         data = report.to_dict()
         assert json.dumps(data)
         assert data["kernel_space_dim"] == 18
+
+
+def regular_path_cover():
+    """symmetric_cover(4, 3) without its Permutation objects: irreps_of splits
+    the regular representation instead of using Young's forms."""
+    return cover_from_json(cover_to_json(symmetric_cover(4, 3)))
+
+
+class TestBatchedCensus:
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: symmetric_cover(3, 2),
+            lambda: symmetric_cover(4, 3),
+            lambda: symmetric_cover(5, 3),
+            regular_path_cover,
+        ],
+    )
+    def test_batched_restriction_matches_per_kernel(self, make):
+        cover = make()
+        rows, cols = cover_quant._entry_orbits(cover)
+        npts = cover.total_size
+        scanned = oracles.scanned_entry_orbits(cover.action)
+        assert np.sort(rows * npts + cols, axis=1).tolist() == scanned
+        kernels = []
+        for members in scanned:
+            mat = np.zeros((npts, npts), dtype=complex)
+            mat[np.divmod(members, npts)] = 1.0 / math.sqrt(len(members))
+            kernels.append(InvariantKernel(cover=cover, matrix=mat))
+        for rep in irreps_of(cover.group):
+            basis = constrained_space(cover, rep)
+            batched = cover_quant._restrict_orbits(cover, rows, cols, basis)
+            single = np.array([cover_quant._restrict(kernel, basis) for kernel in kernels])
+            assert batched.shape == single.shape
+            assert linalg.max_abs(batched - single) < 1e-14
+
+    def test_orbit_basis_built_from_the_orbit_tables(self, cover43):
+        npts = cover43.total_size
+        scanned = oracles.scanned_entry_orbits(cover43.action)
+        for mat, members in zip(kernel_orbit_basis(cover43), scanned):
+            assert sorted(np.flatnonzero(mat).tolist()) == members
+            assert np.allclose(mat.ravel()[members], 1.0 / math.sqrt(cover43.group.order))
+        assert len(kernel_orbit_basis(cover43)) == len(scanned) == npts * cover43.base_size
+
+    def test_corrupted_orbit_table_rejected(self, cover43, monkeypatch):
+        rows, cols = cover_quant._entry_orbits(cover43)
+        cols = cols.copy()
+        cols[[0, 1], 1] = cols[[1, 0], 1]  # swap one member between two orbits
+        with pytest.raises(ConsistencyError, match="not invariant"):
+            cover_quant._check_orbit_invariance(cover43, rows, cols)
+        monkeypatch.setattr(cover_quant, "_entry_orbits", lambda cover: (rows, cols))
+        with pytest.raises(ConsistencyError, match="not invariant"):
+            sector_census(cover43, seed=0)
+
+    def test_basis_outside_fiber_blocks_rejected(self, cover43, monkeypatch):
+        exact = cover_quant.constrained_space
+
+        def spilled(cover, rep):
+            basis = exact(cover, rep).copy()
+            d = rep.dimension
+            other = (int(cover.tau[0]) + 1) % cover.base_size
+            basis[0, other * d] = 1e-3  # point 0 reaches a foreign column block
+            return basis
+
+        monkeypatch.setattr(cover_quant, "constrained_space", spilled)
+        with pytest.raises(ConsistencyError, match="fiber blocks"):
+            sector_census(cover43, seed=0)
+
+    def test_non_equivariant_basis_leaks(self, cover43):
+        rows, cols = cover_quant._entry_orbits(cover43)
+        for rep in irreps_of(cover43.group):
+            basis = constrained_space(cover43, rep).copy()
+            basis[: rep.dimension] *= 2.0  # inside its fiber block, but not equivariant
+            with pytest.raises(ConsistencyError, match="leaks"):
+                cover_quant._restrict_orbits(cover43, rows, cols, basis)
+
+    @pytest.mark.parametrize("q,n", [(6, 3), (9, 2)])
+    def test_frontier_census(self, q, n):
+        # the parent built |base|**2 |G| dense kernels here: 17 s and 11 s
+        report = sector_census(symmetric_cover(q, n), seed=0)
+        assert report.kernel_space_dim == report.base_size**2 * report.group_order
+        assert all(s.commutant_dim == 1 for s in report.sectors)
+        assert all(v == 0 for v in report.pairwise_intertwiner_dims.values())
+        assert report.passed
+
+    def test_cost_estimate_admits_the_frontier(self):
+        for q, n in [(3, 2), (4, 2), (4, 3), (5, 2), (6, 2), (5, 3), (8, 2), (6, 3), (9, 2),
+                     (5, 4), (5, 5)]:
+            cover = symmetric_cover(q, n)
+            dims = [rep.dimension for rep in irreps_of(cover.group)]
+            assert cover_quant._census_bytes(cover, dims) <= cover_quant.CENSUS_BYTES_CAP
+
+    def test_cost_estimate_refuses_before_orbits(self, monkeypatch):
+        def refuse(cover):
+            raise AssertionError("orbit tables built")
+
+        monkeypatch.setattr(cover_quant, "_entry_orbits", refuse)
+        with pytest.raises(ResourceLimitError, match="cover census"):
+            sector_census(symmetric_cover(12, 3), seed=0)
+        with pytest.raises(ResourceLimitError, match="cover census"):
+            sector_census(cover_from_json(cover_to_json(symmetric_cover(11, 2))), seed=0)
 
 
 class TestJsonInterface:

@@ -87,6 +87,84 @@ class TestCommutantDimension:
             linalg.commutant_dimension_of([])
 
 
+def low_rank(rows, cols, rank, seed, scale=1.0):
+    rng = np.random.default_rng(seed)
+    left = rng.standard_normal((rows, rank)) + 1j * rng.standard_normal((rows, rank))
+    right = rng.standard_normal((rank, cols)) + 1j * rng.standard_normal((rank, cols))
+    return scale * (left @ right)
+
+
+def block_diagonal(blocks, offsets=None):
+    """Blocks placed down the diagonal; offsets[i] is block i's first column."""
+    if offsets is None:
+        offsets = np.cumsum([0] + [b.shape[1] for b in blocks[:-1]])
+    out = np.zeros(
+        (sum(b.shape[0] for b in blocks), max(o + b.shape[1] for o, b in zip(offsets, blocks))),
+        dtype=complex,
+    )
+    row = 0
+    for block, col in zip(blocks, offsets):
+        out[row : row + block.shape[0], col : col + block.shape[1]] = block
+        row += block.shape[0]
+    return out
+
+
+def shuffled(stack, seed):
+    rng = np.random.default_rng(seed)
+    return stack[rng.permutation(stack.shape[0])][:, rng.permutation(stack.shape[1])]
+
+
+class TestSpanRankComponents:
+    """_span_rank splits a stack into its row/column components; one dense
+    SVD of the whole stack is the reference."""
+
+    def test_block_diagonal_shuffled(self):
+        blocks = [
+            low_rank(6, 4, 4, 1),
+            low_rank(6, 4, 2, 2),
+            low_rank(6, 4, 3, 3),
+            low_rank(3, 9, 3, 4),
+            low_rank(5, 5, 1, 5),
+        ]
+        stack = shuffled(block_diagonal(blocks), 0)
+        row_label, col_label = linalg._components(stack != 0)
+        assert len(np.unique(row_label)) == len(np.unique(col_label)) == len(blocks)
+        assert linalg._span_rank(stack) == oracles.dense_span_rank(stack) == 4 + 2 + 3 + 3 + 1
+
+    def test_zero_rows_and_columns(self):
+        stack = block_diagonal([low_rank(4, 4, 2, 6), low_rank(4, 4, 4, 7)])
+        stack = np.insert(stack, [0, 3, 8], 0.0, axis=0)
+        stack = np.insert(stack, [2, 8], 0.0, axis=1)
+        stack = shuffled(stack, 1)
+        row_label, col_label = linalg._components(stack != 0)
+        assert np.sum(row_label < 0) == 3
+        assert np.sum(col_label < 0) == 2
+        assert linalg._span_rank(stack) == oracles.dense_span_rank(stack) == 6
+
+    def test_overlapping_supports_form_one_component(self):
+        # block i starts on the last column of block i - 1: one long chain
+        blocks = [low_rank(2, 3, 2, 10 + i) for i in range(40)]
+        stack = shuffled(block_diagonal(blocks, offsets=[2 * i for i in range(40)]), 2)
+        row_label, col_label = linalg._components(stack != 0)
+        assert np.unique(row_label).size == np.unique(col_label).size == 1
+        assert linalg._span_rank(stack) == oracles.dense_span_rank(stack) == 80
+
+    def test_threshold_is_relative_to_the_global_largest_value(self):
+        # 1e-5 clears 1e-8 * max(1, 1e-5) but not 1e-8 * 1e4
+        big = 1e4 * random_unitary(3, seed=8)
+        small = 1e-5 * random_unitary(2, seed=9)
+        stack = shuffled(block_diagonal([big, small]), 3)
+        assert oracles.dense_span_rank(stack) == 3
+        assert linalg._span_rank(stack) == 3
+        assert linalg._span_rank(small) == 2
+
+    def test_operator_arrays_accepted(self):
+        ops = np.array(rep_of((2, 1)))
+        assert linalg.commutant_dimension_of(ops) == 1
+        assert linalg.commutant_dimension_of(np.array(regular_s3())) == 6
+        assert linalg.intertwiner_dimension(ops, np.array(rep_of((3,)))) == 0
+
+
 class TestIntertwinerDimension:
     @pytest.mark.parametrize("parts", [(2, 1), (3, 1)])
     def test_equivalent_pair(self, parts):
