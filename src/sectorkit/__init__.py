@@ -92,68 +92,7 @@ _EXPORTS = {
 
 _OWNER = {name: module for module, names in _EXPORTS.items() for name in names}
 
-__all__ = [
-    "ConsistencyError",
-    "DomainError",
-    "ResourceLimitError",
-    "EquivalenceCertificate",
-    "FiniteCover",
-    "FiniteGroup",
-    "GroupRep",
-    "InvariantKernel",
-    "IrrepMatrices",
-    "Partition",
-    "Permutation",
-    "SectorRealization",
-    "SectorReport",
-    "StandardTableau",
-    "TensorSpace",
-    "ThetaSector",
-    "antisymmetrizer",
-    "central_projector",
-    "character",
-    "commutant_basis",
-    "commutant_dimension_nullspace",
-    "constrained_action",
-    "constrained_space",
-    "cover_from_action",
-    "cover_from_json",
-    "cover_to_json",
-    "doublet_isometry_3",
-    "enumerate_partitions",
-    "fd_convergence",
-    "gauge_equivalence_check",
-    "general_equivalence",
-    "hermitian_range_projector",
-    "hook_dimension",
-    "irrep",
-    "irreps_of",
-    "momentum_spectrum",
-    "parafermion_constraint_space",
-    "parafermion_matrix",
-    "permutation_operator",
-    "position_operator",
-    "random_invariant_kernel",
-    "randomize_section",
-    "realization_unitary",
-    "realize",
-    "row_col_groups",
-    "section_action",
-    "sector_basis_span_check",
-    "sector_census",
-    "sector_decomposition",
-    "singlet_isometry_2",
-    "spectrum_rows",
-    "standard_tableaux",
-    "symmetric_cover",
-    "symmetric_group",
-    "symmetrizer",
-    "translation_unitary",
-    "twisted_momentum",
-    "verify_singlet_fermion_equivalence",
-    "verify_doublet_parafermion_equivalence",
-    "__version__",
-]
+__all__ = [*_OWNER, "__version__"]
 
 
 def __getattr__(name: str):

@@ -16,7 +16,7 @@ conventions).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -29,11 +29,13 @@ MIN_GRID = 8
 
 @dataclass(frozen=True)
 class ThetaSector:
-    """Sector angle, reduced modulo 2*pi into [0, 2*pi)."""
+    """Sector angle, reduced modulo 2*pi into [0, 2*pi); must be finite."""
 
     theta: float
 
     def __post_init__(self):
+        if not math.isfinite(float(self.theta)):
+            raise DomainError(f"theta must be finite, got {self.theta}")
         theta = math.fmod(float(self.theta), TWO_PI)
         if theta < 0.0:
             theta += TWO_PI
@@ -158,15 +160,7 @@ class GaugeReport:
     eigenvalue_agreement: float
 
     def to_dict(self) -> dict:
-        return {
-            "theta": self.theta,
-            "n": self.n,
-            "method": self.method,
-            "residual": self.residual,
-            "measured_constant": self.measured_constant,
-            "theta_over_2pi": self.theta_over_2pi,
-            "eigenvalue_agreement": self.eigenvalue_agreement,
-        }
+        return asdict(self)
 
 
 def gauge_equivalence_check(theta, n: int, method: str = "spectral", k_max: int = 8) -> GaugeReport:
@@ -262,14 +256,7 @@ class ConvergenceReport:
     fitted_order: float
 
     def to_dict(self) -> dict:
-        return {
-            "theta": self.theta,
-            "k_max": self.k_max,
-            "grid_sizes": list(self.grid_sizes),
-            "errors": list(self.errors),
-            "pairwise_orders": list(self.pairwise_orders),
-            "fitted_order": self.fitted_order,
-        }
+        return {k: list(v) if isinstance(v, tuple) else v for k, v in asdict(self).items()}
 
 
 def fd_convergence(

@@ -21,7 +21,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -256,10 +256,22 @@ def cover_to_json(cover: FiniteCover) -> dict:
     }
 
 
+def _load_json(data):
+    """A JSON document given as a dict, or as a path to read it from.
+
+    A file that cannot be read or parsed is a usage error (DomainError).
+    """
+    if not isinstance(data, (str, Path)):
+        return data
+    try:
+        return json.loads(Path(data).read_text())
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise DomainError(f"cannot read JSON from {str(data)!r}: {exc}") from exc
+
+
 def cover_from_json(data) -> FiniteCover:
     """Load a cover from its JSON description (or a path to one)."""
-    if isinstance(data, (str, Path)):
-        data = json.loads(Path(data).read_text())
+    data = _load_json(data)
     section = data.get("section")
     return cover_from_action(
         tuple(data["points"]),
@@ -280,8 +292,7 @@ def kernel_to_json(kernel: "InvariantKernel") -> dict:
 
 def kernel_from_json(cover: FiniteCover, data) -> "InvariantKernel":
     """Load an invariant kernel for a cover (dict or path); validated."""
-    if isinstance(data, (str, Path)):
-        data = json.loads(Path(data).read_text())
+    data = _load_json(data)
     matrix = np.array(
         [[complex(re, im) for re, im in row] for row in data["matrix"]], dtype=complex
     )
@@ -557,11 +568,7 @@ def _restrict(
     kernel: InvariantKernel, basis: np.ndarray, tol: float = linalg.RESIDUAL_TOL
 ) -> np.ndarray:
     """constrained_action on a precomputed constrained_space basis."""
-    dchi = basis.shape[0] // kernel.cover.total_size
-    big = np.kron(kernel.matrix, np.eye(dchi))
-    image = big @ basis
-    restricted = linalg.dagger(basis) @ image
-    leakage = linalg.max_abs(image - basis @ restricted)
+    restricted, leakage = linalg.restrict(kernel.matrix, basis)
     if leakage > tol:
         raise ConsistencyError(f"constrained subspace leaks: {leakage:.2e}")
     return restricted
@@ -606,24 +613,17 @@ def section_action(kernel: InvariantKernel, rep: GroupRep) -> np.ndarray:
     On psi: base -> internal space,
     (A psi)(q) = sum_{h, q'} A(sigma(q), sigma(q').h) U(h^-1) psi(q');
     this is the conjugate of the constrained action by the section
-    evaluation unitary.
+    evaluation unitary. The entries A(sigma(q), sigma(q').h) are gathered
+    as one (base, base, G) array and contracted with U(h^-1) stacked
+    over h.
     """
     cover = kernel.cover
     if rep.group is not cover.group:
         raise DomainError("representation must belong to the cover's deck group")
-    dchi = rep.dimension
-    nbase = cover.base_size
-    ng = cover.group.order
-    mat = np.zeros((nbase * dchi, nbase * dchi), dtype=complex)
-    for q in range(nbase):
-        row_pt = int(cover.section[q])
-        for qp in range(nbase):
-            block = np.zeros((dchi, dchi), dtype=complex)
-            for h in range(ng):
-                col_pt = cover.point_of(qp, h)
-                block += kernel.matrix[row_pt, col_pt] * rep.matrices[cover.group.inverse(h)]
-            mat[q * dchi : (q + 1) * dchi, qp * dchi : (qp + 1) * dchi] = block
-    return mat
+    entries = kernel.matrix[cover.section][:, cover.action[cover.section]]
+    u_inv = np.array(rep.matrices)[cover.group._inverse]
+    size = cover.base_size * rep.dimension
+    return np.einsum("qph,hij->qipj", entries, u_inv).reshape(size, size)
 
 
 def realization_unitary(cover: FiniteCover, rep: GroupRep) -> np.ndarray:
@@ -651,12 +651,7 @@ class SectorCensusRecord:
     commutant_dim: int
 
     def to_dict(self) -> dict:
-        return {
-            "label": self.label,
-            "internal_dim": self.internal_dim,
-            "carrier_dim": self.carrier_dim,
-            "commutant_dim": self.commutant_dim,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -674,17 +669,7 @@ class SectorCensusReport:
     passed: bool
 
     def to_dict(self) -> dict:
-        return {
-            "total_size": self.total_size,
-            "base_size": self.base_size,
-            "group_order": self.group_order,
-            "kernel_space_dim": self.kernel_space_dim,
-            "sectors": [s.to_dict() for s in self.sectors],
-            "pairwise_intertwiner_dims": dict(self.pairwise_intertwiner_dims),
-            "dimension_identity_ok": self.dimension_identity_ok,
-            "intertwining_residual_max": self.intertwining_residual_max,
-            "passed": self.passed,
-        }
+        return {**asdict(self), "sectors": [s.to_dict() for s in self.sectors]}
 
 
 def _census_bytes(cover: FiniteCover, dims: list[int]) -> int:
@@ -695,8 +680,8 @@ def _census_bytes(cover: FiniteCover, dims: list[int]) -> int:
     the largest pairwise span stack adds K |base|**2 (d1**2 + d2**2)
     entries and one support-mask byte per entry. Smaller terms: the
     batched gathers (K |G| d**2 per array), the orbit tables, the
-    constrained bases and the Kronecker restrictions of the random check
-    kernels.
+    constrained bases and the restrictions of the random check kernels
+    (image and leakage arrays, bounded by (|total| d)**2 entries each).
     """
     npts, nbase, ng = cover.total_size, cover.base_size, cover.group.order
     k = nbase * nbase * ng

@@ -136,6 +136,28 @@ def orthonormal_range(a: np.ndarray, tol: float = RANK_TOL) -> np.ndarray:
     return u[:, : _rank_from_singular_values(s, tol)]
 
 
+def restrict(a: np.ndarray, carrier: np.ndarray) -> tuple[np.ndarray, float]:
+    """Restriction of A x 1_k to the range of an isometry C, and its leakage.
+
+    The carrier's rows are ordered (index of `a`, internal index), so
+    k = rows / a.shape[1] and the internal-blind operator A x 1_k acts on
+    C by one reshape: row i of C.reshape(n, -1) holds the k internal rows
+    of index i side by side. Returns C* (A x 1)C and the leakage
+    max_abs((A x 1)C - C C*(A x 1)C), zero exactly when the range of C is
+    invariant.
+    """
+    a = np.asarray(a)
+    c = np.asarray(carrier)
+    n = a.shape[1]
+    if a.shape != (n, n) or n == 0 or c.shape[0] % n:
+        raise DomainError(
+            f"carrier of {c.shape[0]} rows does not carry a {a.shape} operator times an identity"
+        )
+    image = (a @ c.reshape(n, -1)).reshape(c.shape)
+    restricted = dagger(c) @ image
+    return restricted, max_abs(image - c @ restricted)
+
+
 def rank_of_hermitian_idempotent(p: np.ndarray, tol: float = RANK_TOL) -> int:
     """Rank of a Hermitian idempotent by eigenvalue counting."""
     eigs = np.linalg.eigvalsh(p)

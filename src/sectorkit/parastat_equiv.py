@@ -8,9 +8,18 @@ realization. Both equivalences are certified by an explicitly computed
 unitary intertwiner; a generic intertwiner search doubles as an
 inequivalence prover.
 
-Index conventions: an internal doublet index a in {0, 1} rides with its
-particle slot, per-slot basis index = spatial * 2 + a; doublet-valued
-wave functions are flattened as spatial_flat * 2 + component.
+Internal degrees of freedom are unobservable: every observable acts as
+A x 1 with A an invariant spatial operator. That extension is never
+formed as a matrix. Each realization's carrier has its rows ordered
+(spatial index, internal index), so A x 1 acts on it by one reshape
+(linalg.restrict), the same restriction the covering-space picture uses.
+
+Index conventions: on (C^m x C^2)^{xN} the isometries and symmetrizers
+use per-slot basis indices spatial * 2 + a, slots interleaved as
+(q_1 a_1 ... q_N a_N). The bosonic `injection` holds the same carrier
+with its rows reordered spatial-major, (q_1 ... q_N, a_1 ... a_N).
+Doublet-valued wave functions are flattened as spatial_flat * 2 +
+component, which is already spatial-major.
 """
 
 from __future__ import annotations
@@ -112,24 +121,6 @@ def doublet_isometry_3(m: int) -> np.ndarray:
     return w
 
 
-def extend_internal(a: np.ndarray, m: int, n_slots: int, internal_dim: int = 2) -> np.ndarray:
-    """Internal-blind extension of a spatial operator to (C^m x C^d)^{xN}.
-
-    Acts as `a` on the joint spatial indices and as the identity on every
-    internal index; this is how internal degrees of freedom are declared
-    unobservable.
-    """
-    d = internal_dim
-    a_t = np.asarray(a, dtype=complex).reshape((m,) * (2 * n_slots))
-    eye_t = np.eye(d**n_slots, dtype=complex).reshape((d,) * (2 * n_slots))
-    big = np.tensordot(a_t, eye_t, axes=0)
-    # axes: q_1..q_N, q'_1..q'_N, a_1..a_N, a'_1..a'_N -> interleave per slot
-    row_axes = [ax for k in range(n_slots) for ax in (k, 2 * n_slots + k)]
-    col_axes = [ax for k in range(n_slots) for ax in (n_slots + k, 3 * n_slots + k)]
-    dim = (m * d) ** n_slots
-    return big.transpose(row_axes + col_axes).reshape(dim, dim)
-
-
 def parafermion_constraint_operators(m: int) -> list[tuple[Permutation, np.ndarray]]:
     """The equivariance constraints defining the two-component realization.
 
@@ -194,22 +185,23 @@ def realize(
     ambient_ops: Iterable[np.ndarray],
     tol: float = linalg.RESIDUAL_TOL,
 ) -> SectorRealization:
-    """Restrict ambient operators to the carrier spanned by the injection.
+    """Restrict internal-blind operators A x 1 to the carrier of the injection.
 
-    The injection must be an isometry (orthonormal columns) and its range
-    must be invariant under every operator; the worst leakage
-    ||(1 - CC*) A C|| is recorded and must stay below tol.
+    The injection must be an isometry (orthonormal columns) with rows
+    ordered (index of A, internal index); an operator A on a carrier of
+    as many rows acts as itself. Its range must be invariant under every
+    operator; the worst leakage ||(1 - CC*) (A x 1) C|| is recorded and
+    must stay below tol.
     """
     c = np.asarray(injection, dtype=complex)
     if linalg.max_abs(linalg.dagger(c) @ c - np.eye(c.shape[1])) > 1e-12:
         raise DomainError(f"injection for {label!r} is not an isometry")
-    proj = c @ linalg.dagger(c)
     restricted = []
     leakage = 0.0
     for a in ambient_ops:
-        ac = a @ c
-        leakage = max(leakage, linalg.max_abs(ac - proj @ ac))
-        restricted.append(linalg.dagger(c) @ ac)
+        block, leak = linalg.restrict(a, c)
+        restricted.append(block)
+        leakage = max(leakage, leak)
     if not restricted:
         raise DomainError("empty algebra basis")
     if leakage > tol:
@@ -274,15 +266,21 @@ def general_equivalence(
     )
 
 
+def _spatial_major(carrier: np.ndarray, m: int, n_slots: int) -> np.ndarray:
+    """Carrier rows reordered from (q_1 a_1 ... q_N a_N) to (q_1 ... q_N, a_1 ... a_N)."""
+    axes = [*range(0, 2 * n_slots, 2), *range(1, 2 * n_slots, 2), 2 * n_slots]
+    split = carrier.reshape((m, 2) * n_slots + (carrier.shape[1],))
+    return split.transpose(axes).reshape(carrier.shape)
+
+
 def bosonic_singlet_realization(m: int) -> SectorRealization:
     """Internal-singlet slice of two bosonic doublets, invariant action."""
     basis = commutant_basis(m, 2)  # checks its cost before anything is allocated
     w = singlet_isometry_2(m)
     p0 = linalg.dagger(w) @ w
     pb = symmetrizer(2, 2 * m)
-    carrier = linalg.orthonormal_range(p0 @ pb)
-    ops = (extend_internal(a, m, 2) for a in basis)
-    return realize("two bosonic doublets, internal singlet", carrier, ops)
+    carrier = _spatial_major(linalg.orthonormal_range(p0 @ pb), m, 2)
+    return realize("two bosonic doublets, internal singlet", carrier, basis)
 
 
 def fermionic_realization(m: int) -> SectorRealization:
@@ -307,18 +305,15 @@ def bosonic_doublet_realization(m: int) -> SectorRealization:
     w = doublet_isometry_3(m)
     p2 = linalg.dagger(w) @ w
     pb = symmetrizer(3, 2 * m)
-    carrier = linalg.orthonormal_range(p2 @ pb)
-    ops = (extend_internal(a, m, 3) for a in basis)
-    return realize("three bosonic doublets, internal doublet", carrier, ops)
+    carrier = _spatial_major(linalg.orthonormal_range(p2 @ pb), m, 3)
+    return realize("three bosonic doublets, internal doublet", carrier, basis)
 
 
 def parafermion_realization(m: int) -> SectorRealization:
     """Two-component equivariant wave functions, invariant action x 1_2."""
     basis = commutant_basis(m, 3)
     carrier = parafermion_constraint_space(m)
-    eye2 = np.eye(2, dtype=complex)
-    ops = (np.kron(a, eye2) for a in basis)
-    return realize("parafermion doublet wave functions", carrier, ops)
+    return realize("parafermion doublet wave functions", carrier, basis)
 
 
 def verify_doublet_parafermion_equivalence(

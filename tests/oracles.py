@@ -7,7 +7,9 @@ and intertwiners from dense null spaces of stacked Kronecker systems,
 characters from the Murnaghan-Nakayama rule, group sums from one dense
 permutation matrix per element, commutant orbits from a
 breadth-first search over generators, cover entry orbits by a scan over
-all point pairs, and span ranks from one dense SVD of the whole stack.
+all point pairs, span ranks from one dense SVD of the whole stack,
+internal-blind operators A x 1 as dense per-slot tensor products, and
+section actions from one loop over base pairs and group elements.
 """
 
 import itertools
@@ -284,3 +286,40 @@ def scanned_entry_orbits(action: np.ndarray) -> list[list[int]]:
             label[member] = len(orbits)
         orbits.append(members)
     return orbits
+
+
+def extend_internal(a: np.ndarray, m: int, n_slots: int, internal_dim: int = 2) -> np.ndarray:
+    """Dense A x 1 on (C^m x C^d)^{xN}, slots interleaved (q_1 a_1 ... q_N a_N).
+
+    Acts as `a` on the joint spatial indices and as the identity on every
+    internal index, formed as one tensor product and a transpose.
+    """
+    d = internal_dim
+    a_t = np.asarray(a, dtype=complex).reshape((m,) * (2 * n_slots))
+    eye_t = np.eye(d**n_slots, dtype=complex).reshape((d,) * (2 * n_slots))
+    big = np.tensordot(a_t, eye_t, axes=0)
+    # axes: q_1..q_N, q'_1..q'_N, a_1..a_N, a'_1..a'_N -> interleave per slot
+    row_axes = [ax for k in range(n_slots) for ax in (k, 2 * n_slots + k)]
+    col_axes = [ax for k in range(n_slots) for ax in (n_slots + k, 3 * n_slots + k)]
+    dim = (m * d) ** n_slots
+    return big.transpose(row_axes + col_axes).reshape(dim, dim)
+
+
+def looped_section_action(
+    matrix: np.ndarray,
+    action: np.ndarray,
+    section: np.ndarray,
+    inverses: list[int],
+    rep_matrices: list[np.ndarray],
+) -> np.ndarray:
+    """sum_h A(sigma(q), sigma(q').h) U(h^-1), block by block in three loops."""
+    nbase, ng = len(section), action.shape[1]
+    d = rep_matrices[0].shape[0]
+    mat = np.zeros((nbase * d, nbase * d), dtype=complex)
+    for q in range(nbase):
+        for qp in range(nbase):
+            block = np.zeros((d, d), dtype=complex)
+            for h in range(ng):
+                block += matrix[section[q], action[section[qp], h]] * rep_matrices[inverses[h]]
+            mat[q * d : (q + 1) * d, qp * d : (qp + 1) * d] = block
+    return mat

@@ -27,6 +27,26 @@ class TestThetaSector:
         assert ThetaSector(-1.0).theta == pytest.approx(TWO_PI - 1.0)
         assert ThetaSector(TWO_PI).theta == 0.0  # exact for one full turn
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, value):
+        with pytest.raises(DomainError, match="finite"):
+            ThetaSector(value)
+        with pytest.raises(DomainError, match="finite"):
+            twisted_momentum(value, 16)
+
+    def test_report_dicts(self):
+        gauge = gauge_equivalence_check(1.0, 16).to_dict()
+        assert list(gauge) == [
+            "theta", "n", "method", "residual", "measured_constant", "theta_over_2pi",
+            "eigenvalue_agreement",
+        ]
+        conv = fd_convergence(1.0, k_max=2, grid_sizes=(32, 64)).to_dict()
+        assert list(conv) == [
+            "theta", "k_max", "grid_sizes", "errors", "pairwise_orders", "fitted_order",
+        ]
+        assert conv["grid_sizes"] == [32, 64]
+        assert all(type(conv[key]) is list for key in ("grid_sizes", "errors", "pairwise_orders"))
+
     def test_reduction_idempotent(self):
         for value in (0.0, 1.0, 3.9, -2.5, 12.0):
             once = ThetaSector(value).theta

@@ -268,6 +268,41 @@ class TestFailureExitCodes:
         assert "Unable to allocate" in error["error"]
 
 
+def run_process(argv, cwd):
+    src = str(Path(sectorkit.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    return subprocess.run(
+        [sys.executable, "-m", "sectorkit", *argv],
+        cwd=cwd, env=env, capture_output=True, text=True, timeout=60,
+    )
+
+
+class TestInputContract:
+    """Inputs that once ended in a traceback exit 2 with one JSON error line."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["circle", "--theta", "nan", "--grid", "128"],
+            ["circle", "--theta", "inf"],
+            ["circle", "--theta=-inf"],
+            ["cover", "--cover-json", "missing.json"],
+            ["cover", "--cover-json", "."],
+        ],
+        ids=["theta-nan", "theta-inf", "theta-minus-inf", "cover-json-missing", "cover-json-dir"],
+    )
+    def test_exits_2_with_one_json_line(self, tmp_path, argv):
+        done = run_process(argv, tmp_path)
+        assert done.returncode == 2
+        assert done.stdout == ""
+        assert "Traceback" not in done.stderr
+        lines = done.stderr.splitlines()
+        assert len(lines) == 1
+        error = json.loads(lines[0])
+        assert error["kind"] == "usage"
+        assert error["schema"] == "sector-kit/1"
+
+
 class TestImports:
     def test_subcommand_loads_only_its_modules(self):
         src = str(Path(sectorkit.__file__).resolve().parents[1])
@@ -292,7 +327,7 @@ class TestImports:
         for name in sectorkit.__all__:
             assert getattr(sectorkit, name) is not None
         assert sectorkit.sector_census is cover_quant.sector_census
-        from sectorkit import young_projector  # imported before, outside __all__
+        from sectorkit import young_projector  # listed in _EXPORTS, so in __all__ too
 
         assert callable(young_projector)
         with pytest.raises(AttributeError):

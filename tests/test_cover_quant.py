@@ -352,6 +352,48 @@ class TestSectionRealization:
                 assert linalg.max_abs(np.sort(a) - np.sort(b)) < 1e-10
 
 
+def looped_section_action(kernel, rep):
+    cover = kernel.cover
+    inverses = [cover.group.inverse(h) for h in range(cover.group.order)]
+    return oracles.looped_section_action(
+        kernel.matrix, cover.action, cover.section, inverses, list(rep.matrices)
+    )
+
+
+class TestBatchedSectionAction:
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: symmetric_cover(3, 2),
+            lambda: symmetric_cover(4, 3),
+            lambda: symmetric_cover(5, 2),
+            # no Permutation objects (regular-representation irreps, one of
+            # dimension 2) and a random representative per orbit
+            lambda: randomize_section(regular_path_cover(), seed=3),
+        ],
+    )
+    def test_matches_loop(self, make):
+        cover = make()
+        rng = np.random.default_rng(11)
+        reps = irreps_of(cover.group)
+        assert max(rep.dimension for rep in reps) == (2 if cover.group.order == 6 else 1)
+        for _ in range(2):
+            kernel = random_invariant_kernel(cover, rng)
+            for rep in reps:
+                batched = section_action(kernel, rep)
+                assert linalg.max_abs(batched - looped_section_action(kernel, rep)) < 1e-14
+
+    def test_randomized_section_still_conjugates(self):
+        cover = randomize_section(regular_path_cover(), seed=3)
+        assert not np.array_equal(cover.section, regular_path_cover().section)
+        rng = np.random.default_rng(12)
+        kernel = random_invariant_kernel(cover, rng)
+        for rep in irreps_of(cover.group):
+            u = realization_unitary(cover, rep)
+            conj = u @ constrained_action(kernel, rep) @ linalg.dagger(u)
+            assert linalg.max_abs(conj - section_action(kernel, rep)) < 1e-12
+
+
 class TestCensus:
     def test_two_point_cover(self):
         cover = cover_from_action(("p0", "p1"), [(0, 1), (1, 0)])
@@ -420,6 +462,15 @@ class TestCensus:
         data = report.to_dict()
         assert json.dumps(data)
         assert data["kernel_space_dim"] == 18
+        assert list(data) == [
+            "total_size", "base_size", "group_order", "kernel_space_dim", "sectors",
+            "pairwise_intertwiner_dims", "dimension_identity_ok",
+            "intertwining_residual_max", "passed",
+        ]
+        assert type(data["sectors"]) is list
+        assert data["sectors"][0] == {
+            "label": "(2,)", "internal_dim": 1, "carrier_dim": 3, "commutant_dim": 1,
+        }
 
 
 def regular_path_cover():
@@ -496,6 +547,14 @@ class TestBatchedCensus:
             with pytest.raises(ConsistencyError, match="leaks"):
                 cover_quant._restrict_orbits(cover43, rows, cols, basis)
 
+    def test_per_kernel_restriction_leaks_off_the_constrained_space(self, cover43):
+        kernel = random_invariant_kernel(cover43, np.random.default_rng(13))
+        for rep in irreps_of(cover43.group):
+            basis = constrained_space(cover43, rep).copy()
+            basis[: rep.dimension] *= 2.0
+            with pytest.raises(ConsistencyError, match="leaks"):
+                cover_quant._restrict(kernel, linalg.orthonormal_range(basis))
+
     @pytest.mark.parametrize("q,n", [(6, 3), (9, 2)])
     def test_frontier_census(self, q, n):
         # the parent built |base|**2 |G| dense kernels here: 17 s and 11 s
@@ -552,3 +611,19 @@ class TestJsonInterface:
         bad["matrix"][0][1] = [99.0, 0.0]
         with pytest.raises(DomainError):
             kernel_from_json(cover32, bad)
+
+    def test_unreadable_files_are_usage_errors(self, tmp_path):
+        with pytest.raises(DomainError, match="cannot read JSON"):
+            cover_from_json(tmp_path / "missing.json")
+        with pytest.raises(DomainError, match="cannot read JSON"):
+            cover_from_json(tmp_path)
+        truncated = tmp_path / "truncated.json"
+        truncated.write_text('{"points": ["a", "b"')
+        with pytest.raises(DomainError, match="cannot read JSON"):
+            cover_from_json(truncated)
+        with pytest.raises(DomainError, match="cannot read JSON"):
+            kernel_from_json(symmetric_cover(3, 2), truncated)
+        binary = tmp_path / "binary.json"
+        binary.write_bytes(b"\xff\xfe\x00")
+        with pytest.raises(DomainError, match="cannot read JSON"):
+            cover_from_json(binary)

@@ -347,3 +347,38 @@ class TestNormalizePhase:
         out = linalg.normalize_phase(v)
         assert out[1] == pytest.approx(2.0)
         assert np.allclose(np.abs(out), np.abs(v))
+
+
+class TestRestrict:
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_matches_explicit_kronecker(self, k):
+        rng = np.random.default_rng(20 + k)
+        n = 5
+        a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        raw = rng.standard_normal((n * k, 4)) + 1j * rng.standard_normal((n * k, 4))
+        c = linalg.orthonormal_range(raw)
+        big = np.kron(a, np.eye(k))
+        restricted, leakage = linalg.restrict(a, c)
+        assert linalg.max_abs(restricted - linalg.dagger(c) @ big @ c) < 1e-14
+        image = big @ c
+        assert leakage == pytest.approx(linalg.max_abs(image - c @ linalg.dagger(c) @ image))
+
+    def test_invariant_carrier_has_no_leakage(self):
+        # span{e_0 x e_j} is invariant under diagonal A x 1
+        a = np.diag([1.0, 2.0, 3.0]).astype(complex)
+        c = np.eye(6)[:, :2]
+        restricted, leakage = linalg.restrict(a, c)
+        assert leakage == 0.0
+        assert linalg.max_abs(restricted - np.eye(2)) == 0.0
+
+    def test_non_invariant_carrier_leaks(self):
+        a = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)  # swaps the spatial index
+        c = np.eye(4)[:, :2]  # spatial index 0 only
+        _, leakage = linalg.restrict(a, c)
+        assert leakage > linalg.RESIDUAL_TOL
+
+    def test_rows_must_divide(self):
+        with pytest.raises(DomainError):
+            linalg.restrict(np.eye(3), np.eye(4)[:, :1])
+        with pytest.raises(DomainError):
+            linalg.restrict(np.ones((2, 3)), np.eye(6)[:, :1])

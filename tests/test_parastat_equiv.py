@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 
@@ -5,18 +6,19 @@ import numpy as np
 import pytest
 
 from sectorkit import linalg
-from sectorkit.errors import DomainError
+from sectorkit.errors import ConsistencyError, DomainError
 from sectorkit.parastat_equiv import (
     PARAFERMION_BASIS,
+    bosonic_doublet_realization,
     bosonic_singlet_realization,
     doublet_isometry_3,
-    extend_internal,
     fermionic_realization,
     general_equivalence,
     natural_permutation_matrix,
     parafermion_constraint_residuals,
     parafermion_constraint_space,
     parafermion_matrix,
+    parafermion_realization,
     partial_isometry_residual,
     realize,
     s3_block_diagonalization_residuals,
@@ -143,7 +145,7 @@ class TestExtendedAction:
         p0 = linalg.dagger(w2) @ w2
         pb2 = symmetrizer(2, 2 * m)
         for a in commutant_basis(m, 2):
-            big = extend_internal(a, m, 2)
+            big = oracles.extend_internal(a, m, 2)
             assert linalg.max_abs(big @ p0 - p0 @ big) < 1e-10
             assert linalg.max_abs(big @ pb2 - pb2 @ big) < 1e-10
 
@@ -153,13 +155,61 @@ class TestExtendedAction:
         p2 = linalg.dagger(w3) @ w3
         pb3 = symmetrizer(3, 2 * m)
         for a in commutant_basis(m, 3):
-            big = extend_internal(a, m, 3)
+            big = oracles.extend_internal(a, m, 3)
             assert linalg.max_abs(big @ p2 - p2 @ big) < 1e-10
             assert linalg.max_abs(big @ pb3 - pb3 @ big) < 1e-10
 
     def test_extension_of_identity(self):
         m = 2
-        assert np.allclose(extend_internal(np.eye(m**2), m, 2), np.eye((2 * m) ** 2))
+        assert np.allclose(oracles.extend_internal(np.eye(m**2), m, 2), np.eye((2 * m) ** 2))
+
+
+def interleaved(injection, m, n_slots):
+    """Injection rows moved from (q_1..q_N, a_1..a_N) to (q_1 a_1 .. q_N a_N), by loops."""
+    rows = []
+    for idx in itertools.product(range(m), range(2), repeat=n_slots):
+        q, a = idx[0::2], idx[1::2]
+        spatial = sum(qk * m ** (n_slots - 1 - k) for k, qk in enumerate(q))
+        internal = sum(ak * 2 ** (n_slots - 1 - k) for k, ak in enumerate(a))
+        rows.append(spatial * 2**n_slots + internal)
+    return injection[rows]
+
+
+class TestRestrictedOperators:
+    """Realization operators against C* (A x 1) C with A x 1 formed densely."""
+
+    @pytest.mark.parametrize("m,n", [(2, 2), (3, 2), (2, 3), (3, 3)])
+    def test_bosonic_against_dense_extension(self, m, n):
+        build = bosonic_singlet_realization if n == 2 else bosonic_doublet_realization
+        real = build(m)
+        c = interleaved(real.injection, m, n)
+        w = singlet_isometry_2(m) if n == 2 else doublet_isometry_3(m)
+        p = linalg.dagger(w) @ w
+        assert linalg.max_abs(p @ c - c) < 1e-12
+        assert linalg.max_abs(symmetrizer(n, 2 * m) @ c - c) < 1e-12
+        basis = commutant_basis(m, n)
+        assert len(real.operators) == len(basis)
+        for a, op in zip(basis, real.operators):
+            dense = linalg.dagger(c) @ oracles.extend_internal(a, m, n) @ c
+            assert linalg.max_abs(op - dense) < 1e-14
+        assert real.leakage < 1e-14
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_parafermion_against_kronecker(self, m):
+        real = parafermion_realization(m)
+        c = real.injection
+        eye2 = np.eye(2)
+        for a, op in zip(commutant_basis(m, 3), real.operators):
+            assert linalg.max_abs(op - linalg.dagger(c) @ np.kron(a, eye2) @ c) < 1e-14
+
+    def test_leaking_carrier_is_refused(self):
+        # the singlet carrier is antisymmetric in space; a generic spatial
+        # operator outside the commutant does not preserve that
+        m = 2
+        carrier = bosonic_singlet_realization(m).injection
+        a = np.random.default_rng(6).standard_normal((m * m, m * m))
+        with pytest.raises(ConsistencyError, match="leaks"):
+            realize("outside the commutant", carrier, [a])
 
 
 class TestConstraintSpace:
