@@ -11,10 +11,11 @@ Subcommands expose each module with machine-readable output:
 Each handler imports the modules it uses, so a run loads only what its
 subcommand computes.
 
-Exit codes: 0 all checks passed, 2 usage error, 3 resource cap or out
-of memory, 4 consistency or equivalence failure. Output is deterministic
-for a fixed seed (floats are rounded to 10 significant digits before
-serialization).
+Exit codes: 0 all checks passed, 2 usage error (a malformed command
+line or cover document included), 3 resource cap or out of memory, 4
+consistency or equivalence failure. Errors write one JSON line to
+stderr. Output is deterministic for a fixed seed (floats are rounded to
+10 significant digits before serialization).
 """
 
 from __future__ import annotations
@@ -275,8 +276,19 @@ def _run_circle(args) -> tuple[int, bytes]:
     return code, _render_json(payload)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises DomainError on a malformed command line, so that it exits 2
+    with one JSON error line like every other usage error."""
+
+    def error(self, message):
+        if "expected one argument" in message:
+            option = message.split()[1].rstrip(":")
+            message += f" (write a negative value attached to the option, as in {option}=-1e3)"
+        raise DomainError(f"{self.prog}: {message}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="sectorkit",
         description="Sector structure of permutation-invariant algebras, finite covers, "
         "and circle theta-sectors.",
@@ -325,9 +337,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         code, payload = args.func(args)
     except DomainError as exc:
         sys.stderr.write(json.dumps({"schema": SCHEMA, "error": str(exc), "kind": "usage"}) + "\n")

@@ -269,14 +269,51 @@ def _load_json(data):
         raise DomainError(f"cannot read JSON from {str(data)!r}: {exc}") from exc
 
 
+def _is_int_list(value) -> bool:
+    """A list of ints; bools, an int subclass in Python, are not indices."""
+    return isinstance(value, list) and all(
+        isinstance(v, int) and not isinstance(v, bool) for v in value
+    )
+
+
 def cover_from_json(data) -> FiniteCover:
-    """Load a cover from its JSON description (or a path to one)."""
+    """Load a cover from its JSON description (or a path to one).
+
+    The document is an object with `points`, a non-empty list of distinct
+    strings, and `group`, a non-empty list of words, each a list of ints;
+    optional `group_labels` hold one string per word and `section` a list
+    of point indices. Anything else raises DomainError, as does a table
+    that is not a free group action (see cover_from_action).
+    """
     data = _load_json(data)
+    if not isinstance(data, dict):
+        raise DomainError(f"a cover document is a JSON object, not {type(data).__name__}")
+    points = data.get("points")
+    if not (isinstance(points, list) and points and all(isinstance(p, str) for p in points)):
+        raise DomainError("cover 'points' must be a non-empty list of strings")
+    if len(set(points)) != len(points):
+        raise DomainError("cover 'points' must be distinct")
+    group = data.get("group")
+    if not (isinstance(group, list) and group and all(_is_int_list(w) for w in group)):
+        raise DomainError("cover 'group' must be a non-empty list of lists of ints")
+    labels = data.get("group_labels")
+    if labels is not None and not (
+        isinstance(labels, list)
+        and len(labels) == len(group)
+        and all(isinstance(label, str) for label in labels)
+    ):
+        raise DomainError("cover 'group_labels' must hold one string per group element")
     section = data.get("section")
+    if section is not None and not (
+        _is_int_list(section) and all(0 <= i < len(points) for i in section)
+    ):
+        raise DomainError(
+            f"cover 'section' must be a list of point indices in 0..{len(points) - 1}"
+        )
     return cover_from_action(
-        tuple(data["points"]),
-        [tuple(g) for g in data["group"]],
-        group_labels=tuple(data["group_labels"]) if "group_labels" in data else None,
+        tuple(points),
+        [tuple(g) for g in group],
+        group_labels=tuple(labels) if labels is not None else None,
         section=np.asarray(section, dtype=np.int64) if section is not None else None,
     )
 

@@ -41,7 +41,7 @@ RESIDUAL_TOL = 1e-10
 # Checks of the cover layer, kept at the values they were introduced with:
 GROUP_LAW_TOL = 1e-9  # unitarity and group law of a representation
 INVARIANT_SUBSPACE_TOL = 1e-8  # leakage of a candidate irreducible subspace
-EIGEN_CLUSTER_TOL = 1e-6  # eigenvalue clustering and character matching
+EIGEN_CLUSTER_TOL = 1e-6  # eigenvalue clustering, character matching, sector eigenvalues
 KERNEL_INVARIANCE_TOL = 1e-10  # deck invariance of a kernel
 
 

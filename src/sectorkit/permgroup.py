@@ -199,20 +199,32 @@ class Partition:
         ]
 
 
-def enumerate_partitions(n: int) -> list[Partition]:
-    """All partitions of n in reverse-lexicographic order, (n,) first."""
+def iter_partitions(n: int, max_parts: int | None = None):
+    """Partitions of n with at most max_parts parts, as tuples, one at a time.
+
+    Reverse-lexicographic order, (n,) first; nothing is held beyond the
+    current partition, so a caller may stop after any prefix.
+    """
     if n < 1:
         raise DomainError(f"no partitions of {n}")
 
-    def gen(rest: int, max_part: int):
+    def gen(rest: int, max_part: int, slots: int):
         if rest == 0:
             yield ()
             return
+        # the remaining slots must absorb rest with parts of at most `first`
         for first in range(min(rest, max_part), 0, -1):
-            for tail in gen(rest - first, first):
+            if slots < 1 or first * slots < rest:
+                return
+            for tail in gen(rest - first, first, slots - 1):
                 yield (first,) + tail
 
-    return [Partition(p) for p in gen(n, n)]
+    return gen(n, n, n if max_parts is None else max_parts)
+
+
+def enumerate_partitions(n: int) -> list[Partition]:
+    """All partitions of n in reverse-lexicographic order, (n,) first."""
+    return [Partition(p) for p in iter_partitions(n)]
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,8 @@
 
 Everything here deliberately avoids the library's own code paths:
 partition and tableau counts come from exhaustive enumeration, sector
-multiplicities from the classical product formula over cells, commutants
+multiplicities from the classical product formula over cells, Kostka
+numbers from filtering every filling, commutants
 and intertwiners from dense null spaces of stacked Kronecker systems,
 characters from the Murnaghan-Nakayama rule, group sums from one dense
 permutation matrix per element, commutant orbits from a
@@ -72,6 +73,23 @@ def weyl_multiplicity(shape: tuple[int, ...], m: int) -> int:
             value *= Fraction(m + j - i, hooks[j])
     assert value.denominator == 1
     return int(value)
+
+
+def bruteforce_kostka(shape: tuple[int, ...], content: tuple[int, ...]) -> int:
+    """Semistandard fillings of the shape in which value i occurs content[i] times.
+
+    Every arrangement of the content's multiset over the cells, row by row,
+    is filtered for weakly increasing rows and strictly increasing columns.
+    """
+    cells = [(i, j) for i, row_len in enumerate(shape) for j in range(row_len)]
+    values = [v for v, count in enumerate(content) for _ in range(count)]
+    count = 0
+    for filling in set(itertools.permutations(values)):
+        grid = dict(zip(cells, filling))
+        rows_ok = all(grid[(i, j)] <= grid[(i, j + 1)] for i, j in cells if (i, j + 1) in grid)
+        cols_ok = all(grid[(i, j)] < grid[(i + 1, j)] for i, j in cells if (i + 1, j) in grid)
+        count += rows_ok and cols_ok
+    return count
 
 
 def preserving_permutations(n: int, blocks: list[tuple[int, ...]]) -> list[tuple[int, ...]]:

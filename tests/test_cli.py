@@ -1,13 +1,18 @@
+import contextlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 import time
 import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sectorkit
 from sectorkit import cover_quant
@@ -76,12 +81,12 @@ class TestSectors:
         assert data["commutant_dim"] == 20
 
     def test_resource_cap_exit(self, capsys):
-        assert main(["sectors", "--m", "10", "--N", "6"]) == 3
+        assert main(["sectors", "--m", "3", "--N", "12"]) == 3
         assert json.loads(capsys.readouterr().err)["kind"] == "resource"
 
-    @pytest.mark.parametrize("m,n", [(1, 11), (2, 10), (1, 100000)])
+    @pytest.mark.parametrize("m,n", [(2, 30), (3, 12), (1, 100000)])
     def test_group_order_cap_exits_before_allocating(self, capsys, m, n):
-        # dim m**N is under the cap, N! is not: refused by the cost estimate
+        # too many records or too large a weight block: refused by the cost estimate
         tracemalloc.start()
         start = time.perf_counter()
         try:
@@ -95,7 +100,15 @@ class TestSectors:
         assert peak < 1 << 20
         error = json.loads(capsys.readouterr().err)
         assert error["kind"] == "resource"
-        assert f"S_{n}" in error["error"]
+        assert f"sector decomposition of (C^{m})^(x{n})" in error["error"]
+
+    @pytest.mark.parametrize("m,n", [(1, 11), (2, 10)])
+    def test_sizes_once_refused_by_the_group_cap_run(self, tmp_path, m, n):
+        code, payload = run_to_file(tmp_path, "s.json", ["sectors", "--m", str(m), "--N", str(n)])
+        assert code == 0
+        data = json.loads(payload)
+        assert sum(s["rank"] for s in data["sectors"]) == m**n
+        assert data["commutant_dim"] == math.comb(m * m + n - 1, n)
 
     def test_negative_m_is_usage_error(self, capsys):
         assert main(["sectors", "--m", "-1", "--N", "3"]) == 2
@@ -288,8 +301,16 @@ class TestInputContract:
             ["circle", "--theta=-inf"],
             ["cover", "--cover-json", "missing.json"],
             ["cover", "--cover-json", "."],
+            ["circle", "--theta", "-inf"],
+            ["circle", "--theta", "-1e3"],
+            ["sectors", "--m", "2"],
+            ["tableaux", "--N", "3", "--bogus"],
         ],
-        ids=["theta-nan", "theta-inf", "theta-minus-inf", "cover-json-missing", "cover-json-dir"],
+        ids=[
+            "theta-nan", "theta-inf", "theta-minus-inf", "cover-json-missing", "cover-json-dir",
+            "theta-detached-minus-inf", "theta-detached-negative", "missing-required-option",
+            "unknown-flag",
+        ],
     )
     def test_exits_2_with_one_json_line(self, tmp_path, argv):
         done = run_process(argv, tmp_path)
@@ -301,6 +322,89 @@ class TestInputContract:
         error = json.loads(lines[0])
         assert error["kind"] == "usage"
         assert error["schema"] == "sector-kit/1"
+
+
+    def test_detached_negative_value_suggests_the_attached_form(self, tmp_path):
+        done = run_process(["circle", "--theta", "-1e3"], tmp_path)
+        assert "--theta=-1e3" in json.loads(done.stderr)["error"]
+
+    def test_help_is_unchanged(self, tmp_path):
+        done = run_process(["sectors", "--help"], tmp_path)
+        assert done.returncode == 0
+        assert done.stdout.startswith("usage: sectorkit sectors")
+        assert done.stderr == ""
+
+
+# Documents that once ended in a traceback (the first eight) or were
+# accepted silently (the last three).
+MALFORMED_COVERS = {
+    "top-level-list": [1, 2],
+    "points-not-a-list": {"points": 3, "group": [[0]]},
+    "group-a-string": {"points": ["a", "b"], "group": "xy"},
+    "group-null": {"points": ["a", "b"], "group": None},
+    "nested-words": {"points": ["a", "b"], "group": [[[0], [1]], [[1], [0]]]},
+    "section-out-of-range": {"points": ["a", "b"], "group": [[0, 1], [1, 0]], "section": [5]},
+    "section-a-string": {"points": ["a", "b"], "group": [[0, 1], [1, 0]], "section": "0"},
+    "points-empty": {"points": [], "group": [[]]},
+    "word-entry-float": {"points": ["a", "b"], "group": [[0, 1], [1.5, 0]]},
+    "word-entries-bool": {"points": ["a", "b"], "group": [[False, True], [True, False]]},
+    "points-duplicate": {"points": ["a", "a"], "group": [[0, 1], [1, 0]]},
+}
+
+
+def run_cover_document(path, document):
+    """main() on `cover --cover-json` for one document: (code, stderr lines)."""
+    path.write_text(json.dumps(document))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(["cover", "--cover-json", str(path), "--out", os.devnull])
+    return code, err.getvalue().splitlines()
+
+
+class TestCoverDocumentContract:
+    @pytest.mark.parametrize("document", MALFORMED_COVERS.values(), ids=MALFORMED_COVERS.keys())
+    def test_malformed_document_exits_2(self, tmp_path, document):
+        code, lines = run_cover_document(tmp_path / "cover.json", document)
+        assert code == 2
+        assert len(lines) == 1
+        error = json.loads(lines[0])
+        assert error["kind"] == "usage"
+        assert error["schema"] == "sector-kit/1"
+
+    def test_well_formed_document_still_runs(self, tmp_path):
+        document = {"points": ["a", "b"], "group": [[0, 1], [1, 0]], "section": [1]}
+        assert run_cover_document(tmp_path / "cover.json", document) == (0, [])
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        document=st.recursive(
+            st.none() | st.booleans() | st.integers(-3, 6) | st.floats(allow_nan=False)
+            | st.text(max_size=3),
+            lambda inner: st.lists(inner, max_size=4)
+            | st.dictionaries(
+                st.sampled_from(["points", "group", "section", "group_labels", "x"]),
+                inner, max_size=4,
+            ),
+            max_leaves=12,
+        )
+        | st.fixed_dictionaries(
+            {
+                "points": st.lists(st.text(max_size=2), min_size=1, max_size=4),
+                "group": st.lists(st.lists(st.integers(-1, 4), max_size=4), min_size=1, max_size=4),
+            },
+            optional={
+                "section": st.lists(st.integers(-1, 4), max_size=3),
+                "group_labels": st.lists(st.text(max_size=2), max_size=4),
+            },
+        )
+    )
+    def test_generated_documents_never_escape_the_contract(self, document):
+        with tempfile.TemporaryDirectory() as tmp:
+            code, lines = run_cover_document(Path(tmp) / "cover.json", document)
+        assert code in (0, 2, 3, 4)
+        if code in (2, 3):
+            assert len(lines) == 1
+            assert json.loads(lines[0])["kind"] in ("usage", "resource")
 
 
 class TestImports:

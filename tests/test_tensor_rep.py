@@ -1,5 +1,7 @@
+import itertools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from sectorkit.permgroup import (
     enumerate_partitions,
     hook_dimension,
     irrep,
+    iter_partitions,
     standard_tableaux,
     symmetric_group,
 )
@@ -345,7 +348,7 @@ class TestConsistencyGuards:
         # simulate by checking the exception type exists and is raised from
         # an impossible multiplicty request via monkeypatching-free path
         with pytest.raises(ResourceLimitError):
-            sector_decomposition(4, 6)
+            sector_decomposition(3, 12)
 
     def test_consistency_error_is_distinct_type(self):
         assert issubclass(ConsistencyError, RuntimeError)
@@ -416,7 +419,6 @@ class TestGroupCostEstimate:
 
         monkeypatch.setattr(tensor_rep, "symmetric_group", enumerate_group)
         for build in (
-            lambda: sector_decomposition(m, n),
             lambda: symmetrizer(n, m),
             lambda: antisymmetrizer(n, m),
             lambda: central_projector(Partition((n,)), m),
@@ -442,3 +444,172 @@ class TestGroupCostEstimate:
     def test_group_estimate_admits_benchmark_sizes(self):
         for m, n in [(3, 4), (4, 4), (2, 6), (3, 5), (2, 7), (5, 4), (4, 5), (2, 8)]:
             tensor_rep._check_group_cost(m, n, None)
+
+
+def split_weight_blocks(m, n):
+    """(shapes with <= m rows, [WeightBlock per sorted weight]) as the decomposition builds them."""
+    shapes = list(iter_partitions(n, m))
+    return shapes, list(tensor_rep._weight_blocks(m, shapes))
+
+
+def compositions(m, n):
+    """Every weight of (C^m)^{xN}: letter counts (a_0, ..., a_{m-1}) summing to n."""
+    return [a for a in itertools.product(range(n + 1), repeat=m) if sum(a) == n]
+
+
+class TestWeightBlocks:
+    """Per-weight spectral split against dense and combinatorial oracles."""
+
+    @pytest.mark.parametrize("m,n", ORACLE_SIZES[1:] + [(3, 4)])
+    def test_block_projectors_reassemble_central_projectors(self, m, n):
+        shapes, blocks = split_weight_blocks(m, n)
+        z = {shape: np.zeros((m**n, m**n)) for shape in shapes}
+        place = m ** np.arange(n - 1, -1, -1)
+        for block in blocks:
+            seen = set()
+            # every weight of this sorted type: block letter i -> letters[i]
+            for letters in itertools.permutations(range(m), len(block.weight)):
+                weight = [0] * m
+                for letter, count in zip(letters, block.weight):
+                    weight[letter] = count
+                if tuple(weight) in seen:
+                    continue
+                seen.add(tuple(weight))
+                flat = np.array(letters)[block.words] @ place
+                for s, shape in enumerate(shapes):
+                    v = block.vectors[:, block.sector == s]
+                    z[shape][np.ix_(flat, flat)] += v @ v.T
+        for shape in enumerate_partitions(n):
+            expected = oracles.dense_central_projector(shape.parts, m)
+            got = z.get(shape.parts, np.zeros_like(expected))
+            assert linalg.max_abs(got - expected) < 1e-12
+
+    @pytest.mark.parametrize("m,n", [(2, 4), (3, 4), (3, 5), (4, 5), (3, 6), (4, 6)])
+    def test_block_ranks_are_kostka_times_irrep_dim(self, m, n):
+        shapes, blocks = split_weight_blocks(m, n)
+        for block in blocks:
+            ranks = np.bincount(block.sector, minlength=len(shapes))
+            for shape, rank in zip(shapes, ranks):
+                kostka = oracles.bruteforce_kostka(shape, block.weight)
+                assert rank == kostka * hook_dimension(Partition(shape))
+
+    @pytest.mark.parametrize("m,n", [(2, 9), (2, 10), (3, 7), (3, 8), (4, 7), (10, 6)])
+    def test_frontier_multiplicities_against_hook_content(self, m, n):
+        report = sector_decomposition(m, n)
+        for s in report.sectors:
+            assert s.multiplicity == oracles.weyl_multiplicity(s.partition, m)
+            assert s.rank == s.multiplicity * s.irrep_dim
+        assert report.commutant_dim == math.comb(m * m + n - 1, n)
+        assert max(report.residuals.values()) < 1e-10
+
+    @pytest.mark.parametrize("m,n", [(1, 11), (2, 9), (2, 10)])
+    def test_no_group_enumeration_or_irrep(self, m, n, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the weight-block path enumerated S_N or built an irrep")
+
+        names = ("symmetric_group", "_operator_sum", "irrep", "character", "_central_projectors")
+        for name in names:
+            monkeypatch.setattr(tensor_rep, name, refuse)
+        report = sector_decomposition(m, n)
+        assert sum(s.rank for s in report.sectors) == m**n
+
+    def test_peak_traced_memory_at_4_5(self):
+        # the central-projector path peaked at ~145 MiB here
+        tracemalloc.start()
+        try:
+            sector_decomposition(4, 5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 << 20
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
+    def test_content_characters_are_class_sum_eigenvalues(self, n):
+        # omega_lambda(C) = |C| chi_lambda(C) / d_lambda, by Murnaghan-Nakayama
+        shapes = [s.parts for s in enumerate_partitions(n)]
+        omega, _ = tensor_rep._separating_combination(shapes)
+        for shape, (w2, w3) in zip(shapes, omega):
+            d = oracles.mn_character(shape, (1,) * n)
+            chi2 = oracles.mn_character(shape, (2,) + (1,) * (n - 2))
+            assert w2 * d == math.comb(n, 2) * chi2
+            chi3 = oracles.mn_character(shape, (3,) + (1,) * (n - 3)) if n >= 3 else 0
+            assert w3 * d == 2 * math.comb(n, 3) * chi3
+
+    def test_contents_separate_up_to_14_and_collide_at_15(self):
+        for n in range(1, 15):
+            tensor_rep._separating_combination([s.parts for s in enumerate_partitions(n)])
+        for m, n in [(5, 15), (4, 16)]:
+            with pytest.raises(ConsistencyError, match="do not separate"):
+                tensor_rep._separating_combination(list(iter_partitions(n, m)))
+
+    def test_stray_eigenvalue_raises(self):
+        predicted = np.array([0.0, 2.0, 5.0])
+        landed = tensor_rep._assign_sectors(np.array([5.0, 0.0, 2.0]), predicted, (1,))
+        assert list(landed) == [2, 0, 1]
+        with pytest.raises(ConsistencyError, match="eigenvalue"):
+            tensor_rep._assign_sectors(np.array([0.0, 2.0 + 1e-3]), predicted, (1,))
+
+    def test_wrong_prediction_raises_from_the_eigenvalues(self, monkeypatch):
+        # omega_3 without its -C(N, 2): no eigenvalue lands on a prediction
+        separate = tensor_rep._separating_combination
+
+        def shifted(shapes):
+            omega, scale = separate(shapes)
+            return omega + [0, math.comb(sum(shapes[0]), 2)], scale
+
+        monkeypatch.setattr(tensor_rep, "_separating_combination", shifted)
+        with pytest.raises(ConsistencyError, match="eigenvalue"):
+            sector_decomposition(3, 4)
+
+    @pytest.mark.parametrize("m,n", [(1, 4), (2, 4), (3, 4), (4, 3), (3, 5)])
+    def test_words_and_weight_counts_against_enumeration(self, m, n):
+        weights = compositions(m, n)
+        for weight in iter_partitions(n, m):
+            expected = sorted(set(itertools.permutations(
+                [letter for letter, count in enumerate(weight) for _ in range(count)]
+            )))
+            assert [tuple(w) for w in tensor_rep._weight_words(weight)] == expected
+            same_type = [
+                a for a in weights if tuple(sorted((c for c in a if c), reverse=True)) == weight
+            ]
+            assert tensor_rep._weight_count(weight, m) == len(same_type)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_cycle_images_are_the_classes(self, n):
+        group = list(itertools.permutations(range(1, n + 1)))
+        for length in (2, 3):
+            cycle_type = (length,) + (1,) * (n - length)
+            expected = sorted(p for p in group if oracles.inverse_cycle_type(p) == cycle_type)
+            assert sorted(map(tuple, tensor_rep._cycle_images(n, length))) == expected
+
+
+class TestSectorCostEstimate:
+    @pytest.mark.parametrize(
+        "m,n,reason",
+        [(1, 100000, "records"), (1, 36, "records"), (2, 30, "MiB"), (3, 12, "MiB"),
+         (3, 9, "block operations"), (10**400, 3, "digits")],
+    )
+    def test_refused_before_any_block(self, m, n, reason, monkeypatch):
+        def build(*args):
+            raise AssertionError("a weight block was built past the estimate")
+
+        monkeypatch.setattr(tensor_rep, "_weight_block", build)
+        with pytest.raises(ResourceLimitError, match=f"sector decomposition.*{reason}"):
+            sector_decomposition(m, n)
+
+    def test_admits_the_frontier(self):
+        for m, n in [(2, 10), (3, 8), (4, 7), (10, 6), (2, 12), (1, 35), (10**50, 3)]:
+            tensor_rep._check_sector_cost(m, n)
+
+    def test_record_count_matches_enumeration(self):
+        for n in range(1, 25):
+            assert tensor_rep._partition_count(n, 10**6) == len(enumerate_partitions(n))
+        assert tensor_rep._partition_count(35, 2**14) == 14883
+        assert tensor_rep._partition_count(10**5, 2**14) == 2**14 + 1
+
+    def test_huge_m_counts_exactly(self):
+        m = 10**12
+        report = sector_decomposition(m, 3)
+        for s in report.sectors:
+            assert s.multiplicity == oracles.weyl_multiplicity(s.partition, m)
+        assert report.commutant_dim == math.comb(m * m + 2, 3)
