@@ -385,9 +385,18 @@ def _regular_irreps(group: FiniteGroup, seed: int) -> list[GroupRep]:
     commutant; generically its eigenspaces are irreducible invariant
     subspaces, each irreducible appearing (dim) times. Candidates are
     validated (invariance, unitarity, group law, scalar commutant) and
-    deduplicated by character; failures retry with a fresh sample.
+    deduplicated by character; failures retry with a fresh sample. The
+    |G| dense |G| x |G| matrices are refused over CENSUS_BYTES_CAP before
+    they are built.
     """
     n = group.order
+    # the |G| dense regular matrices and a few n x n work arrays, complex
+    cost = 16 * (n**3 + 8 * n * n)
+    if cost > CENSUS_BYTES_CAP:
+        raise ResourceLimitError(
+            f"splitting the regular representation of a deck group of order {n} needs "
+            f"~{cost / 2**20:.3g} MiB, cap {CENSUS_BYTES_CAP // 2**20} MiB"
+        )
     reg = _regular_representation(group)
     for attempt in range(20):
         rng = np.random.default_rng(seed + attempt)
@@ -620,10 +629,10 @@ def _restrict_orbits(
     column block tau(x) and zero elsewhere, which is checked first. An
     orbit {(a_g, b_g)} has the one entry |G|**-1/2 in each row a_g, and
     its rows fill the fiber over tau(a). So its restricted action is the
-    single block R = |G|**-1/2 sum_g W_{a_g}^* W_{b_g} at (tau(a), tau(b)),
-    and the image leaves the subspace only on the orbit rows, by
-    |G|**-1/2 W_{b_g} - W_{a_g} R: the leakage _restrict measures on the
-    whole image.
+    single block R = |G|**-1/2 sum_g W_{a_g}^* W_{b_g} at (tau(a), tau(b))
+    (linalg.orbit_restrictions), and the image leaves the subspace only on
+    the orbit rows, by |G|**-1/2 W_{b_g} - W_{a_g} R: the leakage _restrict
+    measures on the whole image.
     """
     npts = cover.total_size
     nbase = cover.base_size
@@ -631,11 +640,10 @@ def _restrict_orbits(
     own = basis.reshape(npts, d, nbase, d)[np.arange(npts), :, cover.tau, :]
     if np.count_nonzero(basis) != np.count_nonzero(own):
         raise ConsistencyError("constrained basis is not supported on the fiber blocks")
-    scale = 1.0 / math.sqrt(rows.shape[1])
-    w_rows = own[rows]
-    w_cols = scale * own[cols]
-    restricted = np.sum(w_rows.conj().swapaxes(-1, -2) @ w_cols, axis=1)
-    leakage = linalg.max_abs(w_cols - w_rows @ restricted[:, None])
+    ng = rows.shape[1]
+    starts = np.arange(len(rows) + 1) * ng
+    restricted = linalg.orbit_restrictions(own, rows.ravel(), cols.ravel(), starts)
+    leakage = linalg.max_abs(own[cols] / math.sqrt(ng) - own[rows] @ restricted[:, None])
     if leakage > linalg.RESIDUAL_TOL:
         raise ConsistencyError(f"constrained subspace leaks: {leakage:.2e}")
     k = len(rows)

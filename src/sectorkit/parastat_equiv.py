@@ -8,18 +8,37 @@ realization. Both equivalences are certified by an explicitly computed
 unitary intertwiner; a generic intertwiner search doubles as an
 inequivalence prover.
 
-Internal degrees of freedom are unobservable: every observable acts as
-A x 1 with A an invariant spatial operator. That extension is never
-formed as a matrix. Each realization's carrier has its rows ordered
-(spatial index, internal index), so A x 1 acts on it by one reshape
-(linalg.restrict), the same restriction the covering-space picture uses.
+No (2m)^N x (2m)^N or m^N x m^N array is formed on the way:
 
-Index conventions: on (C^m x C^2)^{xN} the isometries and symmetrizers
-use per-slot basis indices spatial * 2 + a, slots interleaved as
-(q_1 a_1 ... q_N a_N). The bosonic `injection` holds the same carrier
-with its rows reordered spatial-major, (q_1 ... q_N, a_1 ... a_N).
-Doublet-valued wave functions are flattened as spatial_flat * 2 +
-component, which is already spatial-major.
+* Carriers are ranges of group averages applied to thin blocks of
+  columns, each by N! row scatters of the slot action and one thin SVD.
+  The internal projector W*W commutes with the slot symmetrizer P_sym,
+  so the bosonic carrier range(W*W P_sym) is range(P_sym W*). The
+  fermionic and parafermionic carriers average the unit columns of the
+  sorted words (every word is a slot permutation of one), with the sign
+  and with U_P(pi) on the component index respectively.
+* Internal degrees of freedom are unobservable: every observable acts as
+  A x 1 with A an invariant spatial operator. The algebra's basis is the
+  normalized entry-orbit indicators of tensor_rep.commutant_basis, and
+  each is restricted to a carrier whose rows are ordered (spatial index,
+  internal index) straight from the orbit table, R_O = |O|^-1/2
+  sum_{(i,j) in O} C_i* C_j with C_i the internal row block of spatial
+  index i (linalg.restrict_orbits), leakage included.
+* The intertwiner comes from one random Hermitian element of the
+  algebra, certified by its residual over all operators
+  (linalg.unitary_intertwiner), with successive restriction as the
+  fallback whose verdict stands.
+
+One estimate, checked before anything is allocated, bounds the
+restricted operators of both realizations, the carrier blocks, the
+orbit table and the working chunks.
+
+Index conventions: on (C^m x C^2)^{xN} the isometries use per-slot basis
+indices spatial * 2 + a, slots interleaved as (q_1 a_1 ... q_N a_N). The
+bosonic `injection` holds its carrier with the rows reordered
+spatial-major, (q_1 ... q_N, a_1 ... a_N). Doublet-valued wave functions
+are flattened as spatial_flat * 2 + component, which is already
+spatial-major.
 """
 
 from __future__ import annotations
@@ -31,13 +50,16 @@ from typing import Iterable
 import numpy as np
 
 from . import linalg
-from .errors import ConsistencyError, DomainError
+from .errors import ConsistencyError, DomainError, ResourceLimitError
 from .permgroup import Permutation, symmetric_group
 from .tensor_rep import (
-    antisymmetrizer,
-    commutant_basis,
+    FLOAT_BYTES,
+    GROUP_BYTES_CAP,
+    TensorSpace,
+    _entry_orbit_table,
+    _images,
+    _index_maps,
     permutation_operator,
-    symmetrizer,
 )
 
 #: Orthonormal basis of C^3 splitting the natural S_3 action into the
@@ -121,28 +143,49 @@ def doublet_isometry_3(m: int) -> np.ndarray:
     return w
 
 
-def parafermion_constraint_operators(m: int) -> list[tuple[Permutation, np.ndarray]]:
-    """The equivariance constraints defining the two-component realization.
+def _slot_average(columns: np.ndarray, m: int, n_slots: int, internal=None) -> np.ndarray:
+    """(1/N!) sum_pi U(pi) x M(pi) applied to the columns, by N! row scatters.
 
-    For each transposition pi the constraint operator is
-    U(pi) x 1_2 - 1 x U_P(pi); its joint kernel is the constrained space.
+    Rows of `columns` are ordered (word of (C^m)^{xN}, internal index);
+    U(pi) sends the rows of word i to those of word _index_maps[pi][i], and
+    M(pi) = internal(pi) acts on the internal index (the identity when
+    internal is None). No operator on the row space is formed.
     """
-    eye_sp = np.eye(m**3, dtype=complex)
-    eye2 = np.eye(2, dtype=complex)
-    out = []
-    for images in [(2, 1, 3), (3, 2, 1), (1, 3, 2)]:
-        pi = Permutation(images)
-        op = np.kron(permutation_operator(pi, m), eye2) - np.kron(
-            eye_sp, parafermion_matrix(pi).astype(complex)
-        )
-        out.append((pi, op))
-    return out
+    perms = symmetric_group(n_slots)
+    x = columns.reshape(m**n_slots, -1, columns.shape[1])
+    total = np.zeros_like(x)
+    for pi, image in zip(perms, _index_maps(_images(perms), m)):
+        total[image] += x if internal is None else internal(pi) @ x
+    return total.reshape(columns.shape) / math.factorial(n_slots)
+
+
+def _sorted_word_columns(m: int, n_slots: int, internal_dim: int) -> np.ndarray:
+    """Unit columns e_w x e_a for the sorted words w and internal indices a.
+
+    Every word is U(sigma) of a sorted word, and the average P of
+    U(pi) x M(pi) satisfies P (U(sigma) x M(sigma)) = P, so P applied to
+    these columns spans the range of P.
+    """
+    digits = TensorSpace(m, n_slots).digits()
+    words = np.flatnonzero(np.all(np.diff(digits, axis=1) >= 0, axis=1))
+    rows = (words[:, None] * internal_dim + np.arange(internal_dim)).ravel()
+    columns = np.zeros((m**n_slots * internal_dim, len(rows)))
+    columns[rows, np.arange(len(rows))] = 1.0
+    return columns
 
 
 def parafermion_constraint_space(m: int) -> np.ndarray:
-    """Orthonormal basis (columns) of the two-component constrained space."""
-    stacked = np.vstack([op for _, op in parafermion_constraint_operators(m)])
-    return linalg.nullspace(stacked)
+    """Orthonormal basis (columns) of the two-component constrained space.
+
+    The wave functions psi with U(pi) psi = psi U_P(pi)^T for the
+    transpositions pi are the invariants of pi -> U(pi) x U_P(pi), the
+    range of its group average; that average is applied to the unit
+    columns of the sorted words and orthonormalized by one thin SVD.
+    """
+    if m < 1:
+        raise DomainError("m must be >= 1")
+    columns = _sorted_word_columns(m, 3, 2)
+    return linalg.orthonormal_range(_slot_average(columns, m, 3, parafermion_matrix))
 
 
 def parafermion_constraint_residuals(psi: np.ndarray, m: int) -> dict[str, float]:
@@ -167,16 +210,34 @@ def parafermion_constraint_residuals(psi: np.ndarray, m: int) -> dict[str, float
 
 @dataclass(frozen=True)
 class SectorRealization:
-    """An invariant-algebra action restricted to an invariant carrier."""
+    """An invariant-algebra action restricted to an invariant carrier.
+
+    `operators` is a (K, r, r) array, one restricted operator per
+    algebra basis element.
+    """
 
     label: str
     injection: np.ndarray
-    operators: tuple[np.ndarray, ...]
+    operators: np.ndarray
     leakage: float
 
     @property
     def carrier_dim(self) -> int:
         return self.injection.shape[1]
+
+
+def _isometry(label: str, injection: np.ndarray) -> np.ndarray:
+    c = np.asarray(injection)
+    if linalg.max_abs(linalg.dagger(c) @ c - np.eye(c.shape[1])) > 1e-12:
+        raise DomainError(f"injection for {label!r} is not an isometry")
+    return c
+
+
+def _realization(label: str, c: np.ndarray, restricted: np.ndarray, leakage: float, tol: float):
+    """The realization, refused when the carrier leaks by more than tol."""
+    if leakage > tol:
+        raise ConsistencyError(f"carrier of {label!r} leaks under the algebra: {leakage:.2e}")
+    return SectorRealization(label=label, injection=c, operators=restricted, leakage=leakage)
 
 
 def realize(
@@ -193,9 +254,7 @@ def realize(
     operator; the worst leakage ||(1 - CC*) (A x 1) C|| is recorded and
     must stay below tol.
     """
-    c = np.asarray(injection, dtype=complex)
-    if linalg.max_abs(linalg.dagger(c) @ c - np.eye(c.shape[1])) > 1e-12:
-        raise DomainError(f"injection for {label!r} is not an isometry")
+    c = _isometry(label, np.asarray(injection, dtype=complex))
     restricted = []
     leakage = 0.0
     for a in ambient_ops:
@@ -204,11 +263,25 @@ def realize(
         leakage = max(leakage, leak)
     if not restricted:
         raise DomainError("empty algebra basis")
-    if leakage > tol:
-        raise ConsistencyError(f"carrier of {label!r} leaks under the algebra: {leakage:.2e}")
-    return SectorRealization(
-        label=label, injection=c, operators=tuple(restricted), leakage=leakage
-    )
+    return _realization(label, c, np.array(restricted), leakage, tol)
+
+
+def invariant_realization(
+    label: str, injection: np.ndarray, m: int, n_slots: int, tol: float = linalg.RESIDUAL_TOL
+) -> SectorRealization:
+    """realize for the orthonormal orbit basis of the S_N-invariant operators.
+
+    The basis is tensor_rep.commutant_basis(m, n_slots), in its order, but
+    no operator is formed: each normalized orbit indicator is restricted
+    from the entry-orbit table by gathers and per-orbit sums
+    (linalg.restrict_orbits), with realize's leakage check.
+    """
+    c = _isometry(label, injection)
+    dim = m**n_slots
+    entries, starts = _entry_orbit_table(m, n_slots)
+    rows, cols = np.divmod(entries, dim)
+    restricted, leakage = linalg.restrict_orbits(c, dim, rows, cols, starts)
+    return _realization(label, c, restricted, leakage, tol)
 
 
 @dataclass(frozen=True)
@@ -243,18 +316,20 @@ def general_equivalence(
 ) -> EquivalenceCertificate:
     """Certify unitary equivalence of two realizations of the same algebra.
 
-    Solves V a_1(A) = a_2(A) V over the shared operator basis; a unitary
-    solution (polar factor of an invertible one) yields an equivalence
-    certificate, otherwise the rank deficiency or non-invertibility of
-    the solution space is reported as inequivalence evidence.
+    Seeks V a_1(A) = a_2(A) V over the shared operator basis
+    (linalg.unitary_intertwiner: one random Hermitian element first, the
+    full solution space as the fallback); a unitary solution with a
+    residual below tol yields an equivalence certificate, otherwise the
+    rank deficiency or non-invertibility of the solution space is
+    reported as inequivalence evidence.
     """
-    if not r1.operators or not r2.operators:
+    if len(r1.operators) == 0 or len(r2.operators) == 0:
         raise DomainError("empty algebra basis")
     if len(r1.operators) != len(r2.operators):
         raise DomainError("realizations carry differently sized algebra bases")
     dims = (r1.carrier_dim, r2.carrier_dim)
     v, residual, evidence = linalg.unitary_intertwiner(
-        list(r1.operators), list(r2.operators), rng=rng
+        r1.operators, r2.operators, rng=rng
     )
     equivalent = v is not None and residual < tol
     return EquivalenceCertificate(
@@ -273,21 +348,69 @@ def _spatial_major(carrier: np.ndarray, m: int, n_slots: int) -> np.ndarray:
     return split.transpose(axes).reshape(carrier.shape)
 
 
+def _carrier_dim(m: int, n_slots: int) -> int:
+    """Dimension of the certified carriers: C(m, 2) at N = 2, m (m^2 - 1) / 3 at N = 3."""
+    return math.comb(m, 2) if n_slots == 2 else m * (m * m - 1) // 3
+
+
+def _equiv_bytes(m: int, n_slots: int) -> int:
+    """Peak bytes of an equivalence certificate, estimated from the sizes alone.
+
+    Both realizations hold K = C(m^2 + N - 1, N) restricted r x r real
+    operators. Added: the larger carrier's thin slot-averaged block with
+    its SVD factors, the entry-orbit table of (m^N)^2 entries with its
+    sort keys, the working chunks of the orbit restriction, and the K x r
+    spun vectors of the intertwiner with their least-squares copies.
+    """
+    k = math.comb(m * m + n_slots - 1, n_slots)
+    r = _carrier_dim(m, n_slots)
+    entries = (
+        2 * k * r * r
+        + 4 * (2 * m) ** n_slots * 2 * m**n_slots
+        + (n_slots + 10) * m ** (2 * n_slots)
+        + 4 * k * r
+    )
+    return entries * FLOAT_BYTES + 4 * linalg.ORBIT_CHUNK_BYTES
+
+
+def _check_equiv_cost(m: int, n_slots: int) -> None:
+    """Refuse an equivalence certificate over GROUP_BYTES_CAP, before allocating."""
+    if m < 1:
+        raise DomainError("m must be >= 1")
+    cost = _equiv_bytes(m, n_slots)
+    if cost > GROUP_BYTES_CAP:
+        raise ResourceLimitError(
+            f"the commutant basis of (C^{m})^(x{n_slots}) restricted to two carriers of "
+            f"dim {_carrier_dim(m, n_slots)} needs ~{cost / 2**20:.3g} MiB, "
+            f"cap {GROUP_BYTES_CAP // 2**20} MiB"
+        )
+
+
+def _bosonic_carrier(w: np.ndarray, m: int, n_slots: int) -> np.ndarray:
+    """Orthonormal basis of range(P_sym W*W), spatial-major.
+
+    W*W commutes with the slot symmetrizer P_sym, so this range is also
+    range(P_sym W*): the symmetrizer is applied to the columns of the real
+    isometry W* by N! row scatters, then one thin SVD.
+    """
+    block = _slot_average(w.real.T, 2 * m, n_slots)
+    return _spatial_major(linalg.orthonormal_range(block), m, n_slots)
+
+
 def bosonic_singlet_realization(m: int) -> SectorRealization:
     """Internal-singlet slice of two bosonic doublets, invariant action."""
-    basis = commutant_basis(m, 2)  # checks its cost before anything is allocated
-    w = singlet_isometry_2(m)
-    p0 = linalg.dagger(w) @ w
-    pb = symmetrizer(2, 2 * m)
-    carrier = _spatial_major(linalg.orthonormal_range(p0 @ pb), m, 2)
-    return realize("two bosonic doublets, internal singlet", carrier, basis)
+    _check_equiv_cost(m, 2)
+    carrier = _bosonic_carrier(singlet_isometry_2(m), m, 2)
+    return invariant_realization("two bosonic doublets, internal singlet", carrier, m, 2)
 
 
 def fermionic_realization(m: int) -> SectorRealization:
     """Antisymmetric two-particle wave functions, invariant action."""
-    basis = commutant_basis(m, 2)
-    carrier = linalg.orthonormal_range(antisymmetrizer(2, m))
-    return realize("two spinless fermions", carrier, basis)
+    _check_equiv_cost(m, 2)
+    columns = _sorted_word_columns(m, 2, 1)
+    block = _slot_average(columns, m, 2, lambda pi: np.array([[pi.sign()]]))
+    carrier = linalg.orthonormal_range(block)
+    return invariant_realization("two spinless fermions", carrier, m, 2)
 
 
 def verify_singlet_fermion_equivalence(
@@ -301,19 +424,16 @@ def verify_singlet_fermion_equivalence(
 
 def bosonic_doublet_realization(m: int) -> SectorRealization:
     """Internal-doublet slice of three bosonic doublets, invariant action."""
-    basis = commutant_basis(m, 3)  # checks its cost before anything is allocated
-    w = doublet_isometry_3(m)
-    p2 = linalg.dagger(w) @ w
-    pb = symmetrizer(3, 2 * m)
-    carrier = _spatial_major(linalg.orthonormal_range(p2 @ pb), m, 3)
-    return realize("three bosonic doublets, internal doublet", carrier, basis)
+    _check_equiv_cost(m, 3)
+    carrier = _bosonic_carrier(doublet_isometry_3(m), m, 3)
+    return invariant_realization("three bosonic doublets, internal doublet", carrier, m, 3)
 
 
 def parafermion_realization(m: int) -> SectorRealization:
     """Two-component equivariant wave functions, invariant action x 1_2."""
-    basis = commutant_basis(m, 3)
+    _check_equiv_cost(m, 3)
     carrier = parafermion_constraint_space(m)
-    return realize("parafermion doublet wave functions", carrier, basis)
+    return invariant_realization("parafermion doublet wave functions", carrier, m, 3)
 
 
 def verify_doublet_parafermion_equivalence(

@@ -252,20 +252,31 @@ def _generators(N: int) -> list[Permutation]:
     return gens
 
 
-def _entry_orbits(m: int, N: int) -> list[np.ndarray]:
+def _entry_orbit_table(m: int, N: int) -> tuple[np.ndarray, np.ndarray]:
     """Orbits of simultaneous slot permutation on flat entries row * m**N + col.
 
     A slot permutation permutes the per-slot digit pairs (row_k, col_k) of
     an entry, so their sorted codes label its orbit; equivalently the
-    supports of the matrix units averaged over S_N. Each orbit is sorted,
-    and they are ordered by smallest flat entry index.
+    supports of the matrix units averaged over S_N. Returns every entry
+    once, grouped by orbit, and the K + 1 orbit boundaries: orbit o is
+    entries[starts[o]:starts[o + 1]]. Each orbit is sorted, and they are
+    ordered by smallest flat entry index.
     """
     digits = TensorSpace(m, N).digits()
     codes = np.sort((digits[:, None, :] * m + digits[None, :, :]).reshape(-1, N), axis=1)
     keys = codes @ (m * m) ** np.arange(N)
     _, first, label = np.unique(keys, return_index=True, return_inverse=True)
-    orbits = np.split(np.argsort(label, kind="stable"), np.cumsum(np.bincount(label))[:-1])
-    return [orbits[k] for k in np.argsort(first)]
+    rank = np.empty_like(first)
+    rank[np.argsort(first)] = np.arange(len(first))
+    orbit = rank[label]
+    starts = np.concatenate(([0], np.cumsum(np.bincount(orbit))))
+    return np.argsort(orbit, kind="stable"), starts
+
+
+def _entry_orbits(m: int, N: int) -> list[np.ndarray]:
+    """The entry orbits of _entry_orbit_table, one sorted array each."""
+    entries, starts = _entry_orbit_table(m, N)
+    return np.split(entries, starts[1:-1])
 
 
 def commutant_basis(m: int, N: int, dim_cap: int | None = None) -> list[np.ndarray]:
@@ -316,7 +327,13 @@ class SectorRecord:
     idempotence_residual: float
 
     def to_dict(self) -> dict:
-        return {**asdict(self), "partition": list(self.partition)}
+        return {
+            "partition": list(self.partition),
+            "irrep_dim": self.irrep_dim,
+            "multiplicity": self.multiplicity,
+            "rank": self.rank,
+            "idempotence_residual": self.idempotence_residual,
+        }
 
 
 @dataclass(frozen=True)
@@ -330,7 +347,14 @@ class SectorReport:
     residuals: dict
 
     def to_dict(self) -> dict:
-        return {**asdict(self), "sectors": [s.to_dict() for s in self.sectors]}
+        """The fields in declaration order, each record converted once."""
+        return {
+            "m": self.m,
+            "N": self.N,
+            "sectors": [s.to_dict() for s in self.sectors],
+            "commutant_dim": self.commutant_dim,
+            "residuals": dict(self.residuals),
+        }
 
 
 def _block_size(weight: tuple[int, ...]) -> int:

@@ -11,6 +11,12 @@ breadth-first search over generators, cover entry orbits by a scan over
 all point pairs, span ranks from one dense SVD of the whole stack,
 internal-blind operators A x 1 as dense per-slot tensor products, and
 section actions from one loop over base pairs and group elements.
+
+The dense paths the equivalence certificates were first built on are
+kept here as their references: carriers as ranges of dense projectors
+(W*W times the dense slot symmetrizer, the dense antisymmetrizer, the
+null space of the stacked parafermion constraint operators), and
+realizations as the dense orbit indicators restricted one at a time.
 """
 
 import itertools
@@ -341,3 +347,62 @@ def looped_section_action(
                 block += matrix[section[q], action[section[qp], h]] * rep_matrices[inverses[h]]
             mat[q * d : (q + 1) * d, qp * d : (qp + 1) * d] = block
     return mat
+
+
+def dense_orthonormal_range(a: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of the column space, one dense SVD."""
+    u, s, _ = np.linalg.svd(np.asarray(a, dtype=complex), full_matrices=False)
+    return u[:, : int(np.sum(s > 1e-8 * max(1.0, s[0] if s.size else 0.0)))]
+
+
+def dense_bosonic_carrier(w: np.ndarray, m: int, n_slots: int) -> np.ndarray:
+    """range(W*W P_sym) on (C^m x C^2)^{xN}, rows interleaved (q_1 a_1 ... q_N a_N).
+
+    P_sym is the dense average of every slot permutation of (C^{2m})^{xN}.
+    """
+    p_sym = dense_group_sum(2 * m, n_slots, lambda images: 1) / math.factorial(n_slots)
+    return dense_orthonormal_range(w.conj().T @ w @ p_sym)
+
+
+def dense_antisymmetric_carrier(m: int) -> np.ndarray:
+    """Range of the dense two-slot antisymmetrizer on (C^m)^{x2}."""
+    return dense_orthonormal_range(dense_group_sum(m, 2, permutation_sign) / 2)
+
+
+def dense_parafermion_constraint_space(m: int, doublet_matrices: dict) -> np.ndarray:
+    """Joint kernel of U(pi) x 1_2 - 1 x U_P(pi) over the three transpositions.
+
+    doublet_matrices maps each transposition's one-line images to its 2 x 2
+    matrix U_P; the constraint operators are stacked and the kernel read
+    from one dense SVD.
+    """
+    eye = np.eye(m**3)
+    stack = np.vstack(
+        [
+            np.kron(slot_permutation_matrix(images, m), np.eye(2)) - np.kron(eye, up)
+            for images, up in doublet_matrices.items()
+        ]
+    )
+    _, s, vh = np.linalg.svd(stack.astype(complex))
+    rank = int(np.sum(s > 1e-8 * max(1.0, s[0])))
+    return vh[rank:].conj().T
+
+
+def dense_orbit_restrictions(carrier: np.ndarray, m: int, n_slots: int):
+    """C* (A x 1) C for every dense normalized orbit indicator A, and the worst leakage.
+
+    The indicators come from generator_bfs_entry_orbits, in its order; the
+    carrier's rows are ordered (spatial index, internal index), so A x 1
+    acts on row block i as sum_j A_ij C_j.
+    """
+    dim = m**n_slots
+    blocks = carrier.reshape(dim, -1)
+    out, leakage = [], 0.0
+    for orbit in generator_bfs_entry_orbits(m, n_slots):
+        a = np.zeros(dim * dim)
+        a[orbit] = 1.0 / math.sqrt(len(orbit))
+        image = (a.reshape(dim, dim) @ blocks).reshape(carrier.shape)
+        restricted = carrier.conj().T @ image
+        out.append(restricted)
+        leakage = max(leakage, float(np.abs(image - carrier @ restricted).max()))
+    return np.array(out), leakage

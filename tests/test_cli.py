@@ -10,6 +10,7 @@ import time
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -133,7 +134,7 @@ class TestEquiv:
         assert data["certificate"]["residual"] < 1e-10
         assert "intertwiner" in data["certificate"]
 
-    @pytest.mark.parametrize("m,n", [(5, 3), (9, 2)])
+    @pytest.mark.parametrize("m,n", [(6, 3), (11, 2)])
     def test_commutant_cost_exits_before_allocating(self, capsys, m, n):
         tracemalloc.start()
         start = time.perf_counter()
@@ -149,6 +150,17 @@ class TestEquiv:
         error = json.loads(capsys.readouterr().err)
         assert error["kind"] == "resource"
         assert "commutant basis" in error["error"]
+
+    @pytest.mark.parametrize("m,n", [(5, 3), (9, 2)])
+    def test_sizes_once_refused_by_the_commutant_cap_run(self, tmp_path, m, n):
+        code, payload = run_to_file(tmp_path, "e.json", ["equiv", "--m", str(m), "--N", str(n)])
+        cert = json.loads(payload)["certificate"]
+        dim = math.comb(m, 2) if n == 2 else m * (m * m - 1) // 3
+        assert code == 0
+        assert cert["equivalent"] is True and cert["carrier_dims"] == [dim, dim]
+        assert cert["residual"] < 1e-12
+        v = np.array([[complex(re, im) for re, im in row] for row in cert["intertwiner"]])
+        assert np.abs(v @ v.conj().T - np.eye(dim)).max() < 1e-8
 
     def test_bad_n(self, capsys):
         assert main(["equiv", "--m", "2", "--N", "4"]) == 2
@@ -199,6 +211,48 @@ class TestCover:
         error = json.loads(capsys.readouterr().err)
         assert error["kind"] == "resource"
         assert "cover census" in error["error"]
+
+    @staticmethod
+    def cyclic_cover_file(tmp_path, order):
+        spec_file = tmp_path / f"z{order}.json"
+        spec = {
+            "points": [f"p{x}" for x in range(order)],
+            "group": [[(x + k) % order for x in range(order)] for k in range(order)],
+        }
+        spec_file.write_text(json.dumps(spec))
+        return spec_file
+
+    def test_regular_representation_cost_exits_before_allocating(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # Z_512: 512 dense 512 x 512 regular matrices would take 2 GiB
+        def refuse(group):
+            raise AssertionError("regular representation built past the cost check")
+
+        monkeypatch.setattr(cover_quant, "_regular_representation", refuse)
+        spec_file = self.cyclic_cover_file(tmp_path, 512)
+        tracemalloc.start()
+        try:
+            code = main(["cover", "--cover-json", str(spec_file)])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 3
+        assert peak < 64 << 20
+        error = json.loads(capsys.readouterr().err)
+        assert error["kind"] == "resource"
+        assert "regular representation" in error["error"]
+
+    def test_regular_representation_admits_z128(self, tmp_path, monkeypatch):
+        class Admitted(Exception):
+            pass
+
+        def admitted(group):
+            raise Admitted
+
+        monkeypatch.setattr(cover_quant, "_regular_representation", admitted)
+        with pytest.raises(Admitted):
+            main(["cover", "--cover-json", str(self.cyclic_cover_file(tmp_path, 128))])
 
     def test_census_cost_applies_to_cover_json(self, tmp_path, capsys):
         spec_file = tmp_path / "cover.json"

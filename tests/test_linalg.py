@@ -382,3 +382,156 @@ class TestRestrict:
             linalg.restrict(np.eye(3), np.eye(4)[:, :1])
         with pytest.raises(DomainError):
             linalg.restrict(np.ones((2, 3)), np.eye(6)[:, :1])
+
+
+def random_orbits(n, seed):
+    """A random partition of the n * n entries into orbits of sizes 1 to 7, as a table."""
+    rng = np.random.default_rng(seed)
+    entries = rng.permutation(n * n)
+    cuts = np.cumsum(rng.integers(1, 8, size=n * n))
+    starts = np.concatenate(([0], cuts[cuts < n * n], [n * n]))
+    return entries, starts
+
+
+class TestRestrictOrbits:
+    """The orbit-table restriction against restrict of each dense indicator."""
+
+    @pytest.mark.parametrize("k, dtype", [(1, float), (2, complex), (3, float)])
+    @pytest.mark.parametrize("chunk", [1, 1 << 20])
+    def test_matches_restrict_of_dense_indicators(self, k, dtype, chunk, monkeypatch):
+        # chunk = 1 byte makes every chunk a single orbit
+        monkeypatch.setattr(linalg, "ORBIT_CHUNK_BYTES", chunk)
+        n, r = 5, 4
+        rng = np.random.default_rng(30 + k)
+        raw = rng.standard_normal((n * k, r)).astype(dtype)
+        if dtype is complex:
+            raw = raw + 1j * rng.standard_normal((n * k, r))
+        c = linalg.orthonormal_range(raw)
+        entries, starts = random_orbits(n, seed=k)
+        rows, cols = np.divmod(entries, n)
+        restricted, leakage = linalg.restrict_orbits(c, n, rows, cols, starts)
+        assert restricted.shape == (len(starts) - 1, r, r)
+        worst = 0.0
+        for o in range(len(starts) - 1):
+            a = np.zeros(n * n)
+            orbit = entries[starts[o] : starts[o + 1]]
+            a[orbit] = 1.0 / np.sqrt(len(orbit))
+            expected, leak = linalg.restrict(a.reshape(n, n), c)
+            assert linalg.max_abs(restricted[o] - expected) < 1e-14
+            worst = max(worst, leak)
+        assert leakage == pytest.approx(worst, rel=1e-12, abs=1e-15)
+        assert leakage > linalg.RESIDUAL_TOL  # a random carrier is not invariant
+
+    def test_invariant_carrier_has_no_leakage(self):
+        # orbits of the swap (i, j) <-> (j, i) on 3 x 3 entries; the carrier
+        # spans e_0 x C^2 + e_1 x C^2 + e_2 x C^2, all of C^6
+        n = 3
+        entries = np.array([0, 1, 3, 2, 6, 4, 5, 7, 8])
+        starts = np.array([0, 1, 3, 5, 6, 8, 9])
+        rows, cols = np.divmod(entries, n)
+        c = np.eye(n * 2)
+        restricted, leakage = linalg.restrict_orbits(c, n, rows, cols, starts)
+        assert leakage == 0.0
+        expected = np.zeros((n, n))
+        expected[0, 1] = expected[1, 0] = 1 / np.sqrt(2)
+        assert linalg.max_abs(restricted[1] - np.kron(expected, np.eye(2))) < 1e-15
+
+    def test_orbit_restrictions_of_blocks(self):
+        # the shared gather-and-segment-sum, against a loop over the entries
+        rng = np.random.default_rng(40)
+        n, k, r = 6, 2, 3
+        blocks = rng.standard_normal((n, k, r)) + 1j * rng.standard_normal((n, k, r))
+        entries, starts = random_orbits(n, seed=41)
+        rows, cols = np.divmod(entries, n)
+        out = linalg.orbit_restrictions(blocks, rows, cols, starts)
+        for o in range(len(starts) - 1):
+            seg = range(starts[o], starts[o + 1])
+            expected = sum(blocks[rows[e]].conj().T @ blocks[cols[e]] for e in seg)
+            assert linalg.max_abs(out[o] - expected / np.sqrt(len(seg))) < 1e-13
+
+    def test_rows_must_divide(self):
+        entries, starts = random_orbits(3, seed=0)
+        rows, cols = np.divmod(entries, 3)
+        with pytest.raises(DomainError):
+            linalg.restrict_orbits(np.eye(4)[:, :1], 3, rows, cols, starts)
+
+
+def refuse_fallback(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("successive-restriction fallback taken")
+
+    monkeypatch.setattr(linalg, "intertwiner_basis", refuse)
+
+
+def without_random_element(monkeypatch):
+    monkeypatch.setattr(linalg, "_intertwiner_from_random_element", lambda *args: None)
+
+
+class TestRandomElementIntertwiner:
+    """The random-combination path and the successive-restriction fallback."""
+
+    EQUIVALENT = {
+        "S3 standard": lambda: (rep_of((2, 1)), conjugated(rep_of((2, 1)), 4)),
+        "S4 (3, 1)": lambda: (rep_of((3, 1)), conjugated(rep_of((3, 1)), 5)),
+        "S4 (2, 2)": lambda: (rep_of((2, 2)), conjugated(rep_of((2, 2)), 6)),
+        "S4 (2, 1, 1) with itself": lambda: (rep_of((2, 1, 1)), rep_of((2, 1, 1))),
+    }
+    INEQUIVALENT = {
+        "S4 (3, 1) vs (2, 1, 1)": lambda: (rep_of((3, 1)), rep_of((2, 1, 1))),
+        "S3 trivial vs sign": lambda: (rep_of((3,)), rep_of((1, 1, 1))),
+        "S3 standard vs twice trivial": lambda: (
+            rep_of((2, 1)),
+            direct_sum(rep_of((3,)), rep_of((3,))),
+        ),
+        # the same Hermitian parts, so the random element's spectra agree and
+        # only the residual over all pairs rules the spun-up V out
+        "S4 (3, 1) vs its transposes": lambda: (
+            [a.real for a in rep_of((3, 1))],
+            [a.real.T for a in rep_of((3, 1))],
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(EQUIVALENT))
+    def test_equivalent_pairs_agree_on_both_paths(self, case, monkeypatch):
+        ops1, ops2 = self.EQUIVALENT[case]()
+        with monkeypatch.context() as patch:
+            refuse_fallback(patch)
+            fast, res_fast, detail = linalg.unitary_intertwiner(ops1, ops2)
+        without_random_element(monkeypatch)
+        slow, res_slow, _ = linalg.unitary_intertwiner(ops1, ops2)
+        assert detail == "unitary intertwiner found"
+        assert res_fast < 1e-12 and res_slow < 1e-12
+        d = fast.shape[0]
+        assert linalg.max_abs(fast @ linalg.dagger(fast) - np.eye(d)) < 1e-12
+        # an irreducible pair has one intertwiner up to the phase both fix
+        assert linalg.max_abs(fast - slow) < 1e-10
+
+    @pytest.mark.parametrize("case", sorted(INEQUIVALENT))
+    def test_inequivalent_pairs_take_the_fallback(self, case, monkeypatch):
+        ops1, ops2 = self.INEQUIVALENT[case]()
+        found = linalg._intertwiner_from_random_element(ops1, ops2, np.random.default_rng(0))
+        assert found is None or found[1] > linalg.RESIDUAL_TOL
+        calls = []
+        basis = linalg.intertwiner_basis
+        monkeypatch.setattr(
+            linalg, "intertwiner_basis", lambda *args: calls.append(1) or basis(*args)
+        )
+        v, residual, detail = linalg.unitary_intertwiner(ops1, ops2)
+        assert calls == [1]
+        assert v is None and residual == float("inf")
+        assert detail != "unitary intertwiner found"
+
+    def test_degenerate_spectrum_falls_back(self, monkeypatch):
+        # two copies of one irreducible: every Hermitian element of the
+        # algebra has doubly degenerate eigenvalues
+        ops = direct_sum(rep_of((2, 1)), rep_of((2, 1)))
+        assert linalg._intertwiner_from_random_element(ops, ops, np.random.default_rng(1)) is None
+        v, residual, _ = linalg.unitary_intertwiner(ops, ops)
+        assert residual < 1e-12
+
+    def test_real_operators_give_a_real_intertwiner(self, monkeypatch):
+        refuse_fallback(monkeypatch)
+        ops = [a.real for a in rep_of((3, 1))]
+        w = np.linalg.qr(np.random.default_rng(3).standard_normal((3, 3)))[0]
+        v, residual, _ = linalg.unitary_intertwiner(ops, [w @ a @ w.T for a in ops])
+        assert not np.iscomplexobj(v) and residual < 1e-12

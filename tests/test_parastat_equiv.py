@@ -1,12 +1,14 @@
 import itertools
 import json
 import math
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from sectorkit import linalg
-from sectorkit.errors import ConsistencyError, DomainError
+from sectorkit import cli, linalg, parastat_equiv, tensor_rep
+from sectorkit.errors import ConsistencyError, DomainError, ResourceLimitError
 from sectorkit.parastat_equiv import (
     PARAFERMION_BASIS,
     bosonic_doublet_realization,
@@ -138,6 +140,21 @@ class TestPartialIsometries:
         assert linalg.max_abs(p2 @ pb3 - pb3 @ p2) < 1e-10
 
 
+class TestSymmetrizedIsometryColumns:
+    """range(W*W P_sym) = range(P_sym W*), with P_sym the dense slot average."""
+
+    @pytest.mark.parametrize("m,n", [(2, 2), (3, 2), (2, 3), (3, 3)])
+    def test_internal_projector_commutes_with_slot_symmetrizer(self, m, n):
+        w = singlet_isometry_2(m) if n == 2 else doublet_isometry_3(m)
+        p = linalg.dagger(w) @ w
+        p_sym = oracles.dense_group_sum(2 * m, n, lambda images: 1) / math.factorial(n)
+        assert linalg.max_abs(p @ p_sym - p_sym @ p) < 1e-15
+        columns = oracles.dense_orthonormal_range(p_sym @ linalg.dagger(w))
+        carrier = oracles.dense_bosonic_carrier(w, m, n)
+        assert columns.shape == carrier.shape
+        assert linalg.max_abs(projector(columns) - projector(carrier)) < 1e-12
+
+
 class TestExtendedAction:
     @pytest.mark.parametrize("m", [2, 3])
     def test_extension_commutes_with_projectors(self, m):
@@ -173,6 +190,149 @@ def interleaved(injection, m, n_slots):
         internal = sum(ak * 2 ** (n_slots - 1 - k) for k, ak in enumerate(a))
         rows.append(spatial * 2**n_slots + internal)
     return injection[rows]
+
+
+def projector(basis):
+    return basis @ linalg.dagger(basis)
+
+
+def spatial_major(carrier, m, n_slots):
+    """Inverse of interleaved: rows (q_1 a_1 .. q_N a_N) back to (q_1..q_N, a_1..a_N)."""
+    out = np.empty_like(carrier)
+    out[interleaved(np.arange(len(carrier)), m, n_slots)] = carrier
+    return out
+
+
+def parafermion_doublet_matrices():
+    transpositions = [(2, 1, 3), (3, 2, 1), (1, 3, 2)]
+    return {images: parafermion_matrix(Permutation(images)) for images in transpositions}
+
+
+DENSE_SIZES = [(2, 2), (3, 2), (8, 2), (2, 3), (3, 3), (4, 3)]
+
+
+class TestAgainstDensePath:
+    """Carriers and restricted operators against the dense path they replaced.
+
+    New carriers are another orthonormal basis of the same range, so the
+    projectors CC* agree, and the restricted operators agree after
+    conjugation by the carrier unitary U = C_old* C_new.
+    """
+
+    @staticmethod
+    def check(real, old, m, n):
+        new = real.injection
+        assert new.shape == old.shape
+        assert linalg.max_abs(projector(new) - projector(old)) < 1e-12
+        u = linalg.dagger(old) @ new
+        dense, leakage = oracles.dense_orbit_restrictions(old, m, n)
+        assert len(real.operators) == len(dense) == math.comb(m * m + n - 1, n)
+        conjugated = linalg.dagger(u) @ dense @ u
+        assert linalg.max_abs(real.operators - conjugated) < 1e-12
+        assert leakage < 1e-12 and real.leakage < 1e-12
+
+    @pytest.mark.parametrize("m,n", DENSE_SIZES)
+    def test_bosonic(self, m, n):
+        build = bosonic_singlet_realization if n == 2 else bosonic_doublet_realization
+        w = singlet_isometry_2(m) if n == 2 else doublet_isometry_3(m)
+        old = spatial_major(oracles.dense_bosonic_carrier(w, m, n), m, n)
+        self.check(build(m), old, m, n)
+
+    @pytest.mark.parametrize("m,n", DENSE_SIZES)
+    def test_fermionic_or_parafermionic(self, m, n):
+        if n == 2:
+            real, old = fermionic_realization(m), oracles.dense_antisymmetric_carrier(m)
+        else:
+            real = parafermion_realization(m)
+            old = oracles.dense_parafermion_constraint_space(m, parafermion_doublet_matrices())
+        self.check(real, old, m, n)
+
+    @pytest.mark.parametrize("m,n", [(2, 2), (2, 3)])
+    def test_leaking_carrier_is_refused(self, m, n):
+        # a random isometry is not invariant under the commutant
+        rng = np.random.default_rng(7)
+        raw = rng.standard_normal((m**n * 2, 3))
+        carrier = linalg.orthonormal_range(raw)
+        with pytest.raises(ConsistencyError, match="leaks"):
+            parastat_equiv.invariant_realization("random", carrier, m, n)
+
+    def test_empty_carriers_at_m1(self):
+        # one spatial state: the singlet, antisymmetric and doublet slices vanish
+        builders = (
+            bosonic_singlet_realization,
+            fermionic_realization,
+            bosonic_doublet_realization,
+            parafermion_realization,
+        )
+        for build in builders:
+            real = build(1)
+            assert real.carrier_dim == 0 and real.operators.shape == (1, 0, 0)
+        cert = general_equivalence(bosonic_singlet_realization(1), fermionic_realization(1))
+        assert not cert.equivalent and cert.detail == "intertwiner space is zero"
+
+    def test_carriers_are_real(self):
+        for real in (bosonic_doublet_realization(2), parafermion_realization(2)):
+            assert not np.iscomplexobj(real.injection)
+            assert not np.iscomplexobj(real.operators)
+
+    def test_equiv_forms_no_dense_operator(self, monkeypatch, tmp_path):
+        def refuse(*args, **kwargs):
+            raise AssertionError("dense operator formed")
+
+        for name in ("symmetrizer", "antisymmetrizer", "commutant_basis", "_operator_sum"):
+            monkeypatch.setattr(tensor_rep, name, refuse)
+        monkeypatch.setattr(parastat_equiv, "permutation_operator", refuse)
+        monkeypatch.setattr(linalg, "restrict", refuse)
+        monkeypatch.setattr(linalg, "intertwiner_basis", refuse)  # no fallback either
+        out = tmp_path / "e.json"
+        assert cli.main(["equiv", "--m", "4", "--N", "3", "--out", str(out)]) == 0
+        cert = json.loads(out.read_text())["certificate"]
+        assert cert["equivalent"] is True and cert["carrier_dims"] == [20, 20]
+        assert cert["residual"] < 1e-12
+
+
+class TestEquivCostEstimate:
+    @pytest.mark.parametrize("m,n", [(6, 3), (11, 2), (10**6, 2)])
+    def test_refused_before_allocating(self, m, n, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("built past the cost estimate")
+
+        for name in ("_entry_orbit_table", "singlet_isometry_2", "doublet_isometry_3"):
+            monkeypatch.setattr(parastat_equiv, name, refuse)
+        builders = (
+            (bosonic_singlet_realization, fermionic_realization)
+            if n == 2
+            else (bosonic_doublet_realization, parafermion_realization)
+        )
+        for build in builders:
+            tracemalloc.start()
+            start = time.perf_counter()
+            try:
+                with pytest.raises(ResourceLimitError, match="commutant basis"):
+                    build(m)
+                elapsed = time.perf_counter() - start
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert elapsed < 1.0 and peak < 1 << 20
+
+    def test_frontier_admitted(self):
+        for m, n in [(5, 3), (9, 2), (10, 2)]:
+            parastat_equiv._check_equiv_cost(m, n)
+
+    @pytest.mark.parametrize("m,n", [(8, 2), (4, 3)])
+    def test_estimate_bounds_traced_peak(self, m, n):
+        verify = (
+            verify_singlet_fermion_equivalence if n == 2 else verify_doublet_parafermion_equivalence
+        )
+        tracemalloc.start()
+        try:
+            cert = verify(m)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert cert.equivalent
+        assert peak < parastat_equiv._equiv_bytes(m, n)
 
 
 class TestRestrictedOperators:

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import math
@@ -315,6 +316,25 @@ class TestSectorDecomposition:
         data = sector_decomposition(2, 2).to_dict()
         assert set(data) == {"m", "N", "sectors", "commutant_dim", "residuals"}
         assert json.dumps(data)  # serializable
+
+    @pytest.mark.parametrize("m,n", [(1, 1), (3, 4), (2, 8), (1, 20)])
+    def test_to_dict_matches_the_asdict_form(self, m, n):
+        # one pass over the records gives what asdict and a rebuilt
+        # record list gave: same keys in the same order, same values
+        report = sector_decomposition(m, n)
+        reference = {
+            **dataclasses.asdict(report),
+            "sectors": [
+                {**dataclasses.asdict(s), "partition": list(s.partition)} for s in report.sectors
+            ],
+        }
+        data = report.to_dict()
+        assert list(data) == list(reference)
+        assert [list(s) for s in data["sectors"]] == [list(s) for s in reference["sectors"]]
+        assert list(data["residuals"]) == list(reference["residuals"])
+        assert data == reference
+        assert json.dumps(data) == json.dumps(reference)
+        assert data["residuals"] is not report.residuals
 
 
 class TestSpanCheck:
