@@ -384,8 +384,9 @@ def _regular_irreps(group: FiniteGroup, seed: int) -> list[GroupRep]:
     A random Hermitian matrix averaged over conjugation lands in the
     commutant; generically its eigenspaces are irreducible invariant
     subspaces, each irreducible appearing (dim) times. Candidates are
-    validated (invariance, unitarity, group law, scalar commutant) and
-    deduplicated by character; failures retry with a fresh sample. The
+    checked for invariance and scalar commutant and deduplicated by
+    character; the survivors are validated (unitarity, group law) once, as
+    the GroupReps returned. Failures retry with a fresh sample. The
     |G| dense |G| x |G| matrices are refused over CENSUS_BYTES_CAP before
     they are built.
     """
@@ -410,7 +411,7 @@ def _regular_irreps(group: FiniteGroup, seed: int) -> list[GroupRep]:
                 clusters[-1].append(i)
             else:
                 clusters.append([i])
-        found: list[tuple[np.ndarray, GroupRep]] = []
+        found: list[tuple[np.ndarray, list[np.ndarray]]] = []
         ok = True
         for cluster in clusters:
             basis = eigvecs[:, cluster]
@@ -427,28 +428,25 @@ def _regular_irreps(group: FiniteGroup, seed: int) -> list[GroupRep]:
             if linalg.commutant_dimension_of(mats) != 1:
                 ok = False
                 break
-            try:
-                rep = GroupRep(group=group, matrices=tuple(mats), label="")
-            except DomainError:
-                ok = False
-                break
-            chars = np.array([np.trace(mat) for mat in mats])
-            found.append((chars, rep))
+            found.append((np.array([np.trace(mat) for mat in mats]), mats))
         if not ok:
             continue
-        distinct: list[tuple[np.ndarray, GroupRep]] = []
-        for chars, rep in found:
+        distinct: list[tuple[np.ndarray, list[np.ndarray]]] = []
+        for chars, mats in found:
             if not any(
                 np.allclose(chars, c, atol=linalg.EIGEN_CLUSTER_TOL) for c, _ in distinct
             ):
-                distinct.append((chars, rep))
-        if sum(rep.dimension**2 for _, rep in distinct) != n:
+                distinct.append((chars, mats))
+        if sum(len(mats[0]) ** 2 for _, mats in distinct) != n:
             continue
-        distinct.sort(key=lambda item: (item[1].dimension, np.round(item[0].real, 6).tolist()))
-        return [
-            GroupRep(group=group, matrices=rep.matrices, label=f"chi{i}")
-            for i, (_, rep) in enumerate(distinct)
-        ]
+        distinct.sort(key=lambda item: (len(item[1][0]), np.round(item[0].real, 6).tolist()))
+        try:
+            return [
+                GroupRep(group=group, matrices=tuple(mats), label=f"chi{i}")
+                for i, (_, mats) in enumerate(distinct)
+            ]
+        except DomainError:
+            continue
     raise ConsistencyError("failed to split the regular representation")
 
 
@@ -623,16 +621,17 @@ def _restrict(
 def _restrict_orbits(
     cover: FiniteCover, rows: np.ndarray, cols: np.ndarray, basis: np.ndarray
 ) -> np.ndarray:
-    """_restrict of every normalized orbit indicator, as a (K, n, n) array.
+    """_restrict of every normalized orbit indicator, as (K, d, d) blocks.
 
     Row block x of a constrained_space basis is a d x d block W_x in
     column block tau(x) and zero elsewhere, which is checked first. An
     orbit {(a_g, b_g)} has the one entry |G|**-1/2 in each row a_g, and
-    its rows fill the fiber over tau(a). So its restricted action is the
-    single block R = |G|**-1/2 sum_g W_{a_g}^* W_{b_g} at (tau(a), tau(b))
-    (linalg.orbit_restrictions), and the image leaves the subspace only on
-    the orbit rows, by |G|**-1/2 W_{b_g} - W_{a_g} R: the leakage _restrict
-    measures on the whole image.
+    its rows fill the fiber over tau(a). So its restricted action is zero
+    but for the single block R = |G|**-1/2 sum_g W_{a_g}^* W_{b_g} at
+    (tau(a), tau(b)) (linalg.orbit_restrictions), which is what is
+    returned; the image leaves the subspace only on the orbit rows, by
+    |G|**-1/2 W_{b_g} - W_{a_g} R: the leakage _restrict measures on the
+    whole image.
     """
     npts = cover.total_size
     nbase = cover.base_size
@@ -646,10 +645,48 @@ def _restrict_orbits(
     leakage = linalg.max_abs(own[cols] / math.sqrt(ng) - own[rows] @ restricted[:, None])
     if leakage > linalg.RESIDUAL_TOL:
         raise ConsistencyError(f"constrained subspace leaks: {leakage:.2e}")
-    k = len(rows)
-    out = np.zeros((k, nbase, d, nbase, d), dtype=complex)
-    out[np.arange(k), cover.tau[rows[:, 0]], :, cover.tau[cols[:, 0]], :] = restricted
+    return restricted
+
+
+def _dense_actions(
+    blocks: np.ndarray, base_a: np.ndarray, base_b: np.ndarray, nbase: int
+) -> np.ndarray:
+    """The (K, n, n) restricted kernels whose one nonzero block each is blocks[o]."""
+    k, d, _ = blocks.shape
+    out = np.zeros((k, nbase, d, nbase, d), dtype=blocks.dtype)
+    out[np.arange(k), base_a, :, base_b, :] = blocks
     return out.reshape(k, nbase * d, nbase * d)
+
+
+def _transport_residual(
+    cover: FiniteCover,
+    rep: GroupRep,
+    basis: np.ndarray,
+    blocks: np.ndarray,
+    base_a: np.ndarray,
+    base_b: np.ndarray,
+    h: np.ndarray,
+) -> float:
+    """Largest entry of u R_O u* - S_O over the whole kernel orbit basis.
+
+    u (_evaluate_on_section) is block diagonal, |G|**1/2 W_sigma(q) at
+    (q, q), because the basis rows lie in their fiber blocks
+    (_restrict_orbits), so it carries the restricted orbit kernel, block
+    R_O at (tau(a), tau(b)), to the single block
+    |G| W_sigma(tau a) R_O W_sigma(tau b)^*. The section action S_O of the
+    orbit kernel reads one entry, |G|**-1/2 at (sigma(tau a), b) with
+    b = sigma(tau b).h the orbit's column point at the identity: its single
+    block is |G|**-1/2 U(h^-1), again at (tau(a), tau(b)). Every invariant
+    kernel is a combination of orbit kernels, so a small residual here
+    bounds the intertwining residual of all of them.
+    """
+    nbase = cover.base_size
+    d = rep.dimension
+    u = _evaluate_on_section(cover, basis).reshape(nbase, d, nbase, d)
+    u = u[np.arange(nbase), :, np.arange(nbase), :]
+    transported = u[base_a] @ blocks @ u[base_b].conj().swapaxes(1, 2)
+    u_inv = np.array(rep.matrices)[cover.group._inverse]
+    return linalg.max_abs(transported - u_inv[h] / math.sqrt(cover.group.order))
 
 
 def section_action(kernel: InvariantKernel, rep: GroupRep) -> np.ndarray:
@@ -720,65 +757,125 @@ class SectorCensusReport:
 def _census_bytes(cover: FiniteCover, dims: list[int]) -> int:
     """Peak bytes of sector_census, estimated from the sizes alone.
 
-    Sector chi holds K restricted orbit kernels of (|base| d_chi)**2
-    complex entries, K**2 entries over all sectors since sum d**2 = |G|;
-    the largest pairwise span stack adds K |base|**2 (d1**2 + d2**2)
-    entries and one support-mask byte per entry. Smaller terms: the
-    batched gathers (K |G| d**2 per array), the orbit tables, the
-    constrained bases and the restrictions of the random check kernels
-    (image and leakage arrays, bounded by (|total| d)**2 entries each).
+    Sector chi keeps its K restricted orbit blocks of d_chi**2 complex
+    entries, K sum d**2 over all sectors (K |G| for a complete set of
+    irreducibles); the joint span stack holds them again, reordered by
+    base pair, and its batched SVD takes a copy. One sector at a time adds
+    its constrained basis ((|total| d) x (|base| d)), the leakage gathers
+    of _restrict_orbits (about six K |G| d**2 arrays), the transport check
+    (a few (K, d, d) arrays) and the chunks of linalg.orbit_restrictions.
+    The orbit tables are (K, |G|) int arrays, six of them alive at the
+    invariance check. The exact fallback is estimated on its own
+    (_fallback_bytes), and only when it runs.
     """
     npts, nbase, ng = cover.total_size, cover.base_size, cover.group.order
     k = nbase * nbase * ng
-    squares = sorted(d * d for d in dims)
-    pair = squares[-1] + squares[-2] if len(squares) > 1 else 0
     dmax = max(dims)
-    pair_entries = k * nbase * nbase * pair
     entries = (
-        k * k
-        + pair_entries
+        4 * k * sum(d * d for d in dims)
         + 6 * k * ng * dmax * dmax
-        + 4 * (npts * dmax) ** 2
-        + 5 * npts * npts
+        + npts * nbase * dmax * dmax
+        + 5 * k * dmax * dmax
     )
-    return 16 * entries + pair_entries + 5 * 8 * k * ng
+    return 16 * entries + 6 * 8 * k * ng + 3 * linalg.ORBIT_CHUNK_BYTES
 
 
-def sector_census(
-    cover: FiniteCover, seed: int = 0, n_check_kernels: int = 5
-) -> SectorCensusReport:
+def _fallback_bytes(k: int, carrier_dims: list[int]) -> int:
+    """Peak bytes of the exact per-sector and per-pair path of sector_census.
+
+    Every sector densified to K n x n restricted kernels, the span stack of
+    the largest pair with its SVD copy, and the Sylvester basis of the
+    largest carrier (n**2 x n**2) with its update.
+    """
+    squares = sorted(n * n for n in carrier_dims)
+    pair = squares[-1] + (squares[-2] if len(squares) > 1 else 0)
+    return 16 * (k * sum(squares) + 2 * k * pair + 3 * squares[-1] ** 2)
+
+
+def _check_bytes(cost: int, what: str) -> None:
+    if cost > CENSUS_BYTES_CAP:
+        raise ResourceLimitError(
+            f"{what} needs ~{cost // 2**20} MiB; cap {CENSUS_BYTES_CAP // 2**20} MiB"
+        )
+
+
+def _sector_dimensions(
+    reps: list[GroupRep],
+    blocks: list[np.ndarray],
+    base_a: np.ndarray,
+    base_b: np.ndarray,
+    nbase: int,
+) -> tuple[list[int], dict]:
+    """Commutant dimension of every sector and intertwiner dimension of every pair.
+
+    The sectors represent the K-dimensional kernel algebra in
+    (+)_chi M_{n_chi}, n_chi = |base| d_chi. Restricted orbit kernels of
+    different base pairs live in disjoint blocks, so the stack of all
+    sectors' restrictions is block diagonal: one |G| x sum d**2 block per
+    base pair, its rows the pair's |G| orbits, its columns the sectors'
+    d x d blocks side by side. Rank |base|**2 sum d**2 (one batched SVD,
+    linalg.block_span_rank) means the algebra maps onto all of
+    (+)_chi M_{n_chi}: every sector is irreducible (commutant dim 1) and
+    no two are equivalent (intertwiner dim 0), Burnside and Wedderburn.
+    Otherwise the exact per-sector and per-pair span ranks and Sylvester
+    null spaces of linalg answer on densified restrictions, after a check
+    against CENSUS_BYTES_CAP.
+    """
+    k = len(base_a)
+    pair = base_a * nbase + base_b
+    if np.any(np.bincount(pair, minlength=nbase * nbase) != k // (nbase * nbase)):
+        raise ConsistencyError("entry orbits do not fill every base pair equally")
+    flat = np.concatenate([b.reshape(k, -1) for b in blocks], axis=1)
+    joint = flat[np.argsort(pair, kind="stable")].reshape(nbase * nbase, -1, flat.shape[1])
+    pairs = [(i, j) for i in range(len(reps)) for j in range(i + 1, len(reps))]
+    labels = [f"{reps[i].label}|{reps[j].label}" for i, j in pairs]
+    if linalg.block_span_rank(joint) == joint.shape[0] * joint.shape[2]:
+        return [1] * len(reps), dict.fromkeys(labels, 0)
+    del flat, joint
+    _check_bytes(
+        _fallback_bytes(k, [nbase * b.shape[1] for b in blocks]),
+        "the exact sector dimensions (the joint span rank fell short)",
+    )
+    dense = [_dense_actions(b, base_a, base_b, nbase) for b in blocks]
+    commutant = [linalg.commutant_dimension_of(acts) for acts in dense]
+    pairwise = {
+        label: linalg.intertwiner_dimension(dense[i], dense[j])
+        for label, (i, j) in zip(labels, pairs)
+    }
+    return commutant, pairwise
+
+
+def sector_census(cover: FiniteCover, seed: int = 0) -> SectorCensusReport:
     """Verify the sector correspondence for one cover.
 
     For every irreducible of the deck group the constrained action must
     have scalar commutant, distinct irreducibles must admit no
     intertwiner, the squared carrier dimensions must exhaust the
     invariant-kernel space, and the realization unitary must conjugate
-    the constrained action into the section action on random kernels.
-
-    The first two checks are Burnside span ranks over the kernel orbit
-    basis: the restricted actions of one sector span all d x d matrices
-    (commutant dim 1), and the actions of two sectors jointly span
-    M_d1 x M_d2 (intertwiner dim 0). linalg falls back to the Sylvester
-    null space only when a span falls short, so the reported dimensions
-    are exact either way.
+    the constrained action into the section action on every invariant
+    kernel. `seed` only reaches irreps_of, for deck groups split
+    numerically.
 
     The orbit basis is never formed as dense kernels: the entry orbits
     are enumerated once as (K, |G|) tables of row and column points,
     checked for deck invariance in one pass per group element, and each
-    sector restricts all of them in one batched product (_restrict_orbits).
-    Each restricted kernel is one (base, base) block, so the span-rank
-    stacks split into |base|**2 small SVDs in linalg. A cost estimate
-    from the sizes (_census_bytes) refuses covers over CENSUS_BYTES_CAP
-    with ResourceLimitError before any of this is allocated.
+    sector restricts all of them in one batched product to one d x d
+    block per orbit (_restrict_orbits), indexed by the orbit's base pair.
+    The first two checks are one joint span rank of all sectors' blocks
+    (_sector_dimensions); the exact dimensions come from linalg's
+    per-sector and per-pair path only when it falls short. The last check
+    runs on the whole orbit basis, which spans the invariant kernels, one
+    block per orbit (_transport_residual); no random kernel is drawn. A
+    cost estimate from the sizes (_census_bytes) refuses covers over
+    CENSUS_BYTES_CAP with ResourceLimitError before any of this is
+    allocated.
     """
     reps = irreps_of(cover.group, seed=seed)
-    cost = _census_bytes(cover, [rep.dimension for rep in reps])
-    if cost > CENSUS_BYTES_CAP:
-        raise ResourceLimitError(
-            f"cover census of {cover.total_size} points over {cover.base_size} base points "
-            f"(deck group of order {cover.group.order}) needs ~{cost // 2**20} MiB; "
-            f"cap {CENSUS_BYTES_CAP // 2**20} MiB"
-        )
+    _check_bytes(
+        _census_bytes(cover, [rep.dimension for rep in reps]),
+        f"cover census of {cover.total_size} points over {cover.base_size} base points "
+        f"(deck group of order {cover.group.order})",
+    )
     rows, cols = _entry_orbits(cover)
     kernel_dim = len(rows)
     expected_kernel_dim = cover.base_size**2 * cover.group.order
@@ -788,34 +885,29 @@ def sector_census(
         )
     _check_orbit_invariance(cover, rows, cols)
 
-    bases = [constrained_space(cover, rep) for rep in reps]
-    actions = [_restrict_orbits(cover, rows, cols, basis) for basis in bases]
+    e = cover.group.identity
+    base_a, base_b = cover.tau[rows[:, e]], cover.tau[cols[:, e]]
+    h = cover.deck_element()[cols[:, e]]
+    blocks = []
+    residual = 0.0
+    for rep in reps:
+        basis = constrained_space(cover, rep)
+        blocks.append(_restrict_orbits(cover, rows, cols, basis))
+        residual = max(
+            residual, _transport_residual(cover, rep, basis, blocks[-1], base_a, base_b, h)
+        )
+    del rows, cols
+    commutant, pairwise = _sector_dimensions(reps, blocks, base_a, base_b, cover.base_size)
     records = [
         SectorCensusRecord(
             label=rep.label,
             internal_dim=rep.dimension,
             carrier_dim=cover.base_size * rep.dimension,
-            commutant_dim=linalg.commutant_dimension_of(acts),
+            commutant_dim=dim,
         )
-        for rep, acts in zip(reps, actions)
+        for rep, dim in zip(reps, commutant)
     ]
-
-    pairwise = {}
-    for i in range(len(reps)):
-        for j in range(i + 1, len(reps)):
-            dim = linalg.intertwiner_dimension(actions[i], actions[j])
-            pairwise[f"{reps[i].label}|{reps[j].label}"] = dim
-
     identity_ok = sum(r.carrier_dim**2 for r in records) == kernel_dim
-
-    unitaries = [_evaluate_on_section(cover, basis) for basis in bases]
-    rng = np.random.default_rng(seed)
-    residual = 0.0
-    for _ in range(n_check_kernels):
-        kernel = random_invariant_kernel(cover, rng)
-        for rep, basis, u in zip(reps, bases, unitaries):
-            conj = u @ _restrict(kernel, basis) @ linalg.dagger(u)
-            residual = max(residual, linalg.max_abs(conj - section_action(kernel, rep)))
 
     passed = (
         identity_ok

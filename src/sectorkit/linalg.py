@@ -12,22 +12,18 @@ intertwiner but 0. Both certificates hold for any operator list. When the
 span falls short, the dimension comes from the null space of the Sylvester
 system instead, so a reported dimension is always the true one.
 
-The span rank splits the stack into a direct sum first. Rows (operators)
-and columns (matrix entries) that share a nonzero entry are linked; each
-connected component is a block, and after permuting rows and columns the
-stack is block diagonal with zero rows and columns left over. The singular
-values of a block-diagonal matrix are the union of those of its blocks
-(plus zeros), so one small SVD per block, thresholded against the largest
-singular value over all blocks, gives exactly the rank of one big SVD. The
-restricted orbit kernels of a cover census each live in one (base, base)
-block, so their stacks fall apart into |base|**2 tiny problems; a dense
-operator list is one component and takes the single SVD.
-
 That null space is found by successive restriction, one operator pair at a
 time: if the columns of N span the solutions of the first k - 1 equations,
 those of N null(M_k N) span the solutions of the first k, so each SVD
 involves only one equation on the current (shrinking) solution space and
 no Kronecker-product stack is ever formed.
+
+A stack whose operators fall into blocks of disjoint support, such as
+the restricted orbit kernels of a cover census, each living in one
+(base, base) block, is passed as its diagonal blocks (block_span_rank):
+the singular values of a block-diagonal matrix are the union of those of
+its blocks, so one batched SVD, thresholded against the largest singular
+value over all blocks, gives exactly the rank of one big SVD.
 
 A unitary intertwiner is first sought from one random Hermitian element
 of each side, MeatAxe-style (Parker 1984; Holt and Rees 1994): matched
@@ -73,60 +69,21 @@ def _rank_from_singular_values(s: np.ndarray, tol: float) -> int:
     return int(np.sum(s > tol * max(1.0, s.max() if s.size else 0.0)))
 
 
-def _components(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Component labels of the rows and columns of a boolean support mask.
-
-    Rows and columns sharing a True entry are linked. Labels are column
-    indices (the smallest column of the component), found by alternating
-    row and column minima with pointer jumping; a row or column with no
-    True entry gets label -1.
-    """
-    nrows, ncols = mask.shape
-    r, c = np.nonzero(mask)
-    col_label = np.arange(ncols)
-    while True:
-        row_min = np.full(nrows, ncols)
-        np.minimum.at(row_min, r, col_label[c])
-        new = col_label.copy()
-        np.minimum.at(new, c, row_min[r])
-        new = new[new]
-        if np.array_equal(new, col_label):
-            break
-        col_label = new
-    used = np.zeros(ncols, dtype=bool)
-    used[c] = True
-    row_label = np.where(row_min < ncols, row_min, -1)
-    return row_label, np.where(used, col_label, -1)
-
-
 def _span_rank(ops, tol: float = RANK_TOL) -> int:
-    """Dimension of the linear span of the operators, as flat vectors.
-
-    The stack is split into the connected components of its row/column
-    support and each block gets its own SVD; the threshold is tol times
-    max(1, largest singular value over all blocks), so the rank is the
-    one a single SVD of the whole stack gives (see the module docstring).
-    A stack that is one component is decomposed whole.
-    """
+    """Dimension of the linear span of the operators, as flat vectors."""
     stack = np.asarray(ops, dtype=complex).reshape(len(ops), -1)
-    row_label, col_label = _components(stack != 0)
-    labels = np.flatnonzero(np.bincount(row_label[row_label >= 0], minlength=stack.shape[1]))
-    if labels.size <= 1:
-        return _rank_from_singular_values(np.linalg.svd(stack, compute_uv=False), tol)
-    row_order = np.argsort(row_label, kind="stable")
-    col_order = np.argsort(col_label, kind="stable")
-    row_groups = np.split(row_order, np.searchsorted(row_label[row_order], labels))[1:]
-    col_groups = np.split(col_order, np.searchsorted(col_label[col_order], labels))[1:]
-    # blocks of one shape share one batched SVD
-    by_shape: dict[tuple[int, int], list[tuple[np.ndarray, np.ndarray]]] = {}
-    for rows, cols in zip(row_groups, col_groups):
-        by_shape.setdefault((rows.size, cols.size), []).append((rows, cols))
-    values = []
-    for blocks in by_shape.values():
-        rows, cols = (np.array(side) for side in zip(*blocks))
-        batch = stack[rows[:, :, None], cols[:, None, :]]
-        values.append(np.linalg.svd(batch, compute_uv=False).ravel())
-    return _rank_from_singular_values(np.concatenate(values), tol)
+    return _rank_from_singular_values(np.linalg.svd(stack, compute_uv=False), tol)
+
+
+def block_span_rank(blocks: np.ndarray, tol: float = RANK_TOL) -> int:
+    """Rank of the block-diagonal stack whose diagonal blocks are blocks[i].
+
+    blocks is a (P, rows, cols) array; one batched SVD, thresholded at tol
+    times max(1, largest singular value over all blocks), gives the rank
+    one SVD of the assembled stack gives (see the module docstring).
+    """
+    values = np.linalg.svd(np.asarray(blocks), compute_uv=False)
+    return _rank_from_singular_values(values.ravel(), tol)
 
 
 def nullspace(mat: np.ndarray, tol: float = RANK_TOL) -> np.ndarray:

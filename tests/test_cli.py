@@ -256,7 +256,7 @@ class TestCover:
 
     def test_census_cost_applies_to_cover_json(self, tmp_path, capsys):
         spec_file = tmp_path / "cover.json"
-        spec_file.write_text(json.dumps(cover_to_json(symmetric_cover(11, 2))))
+        spec_file.write_text(json.dumps(cover_to_json(symmetric_cover(33, 2))))
         assert main(["cover", "--cover-json", str(spec_file)]) == 3
         assert "cover census" in json.loads(capsys.readouterr().err)["error"]
 
@@ -322,7 +322,7 @@ class TestFailureExitCodes:
     def test_memory_error_exits_3(self, monkeypatch, capsys):
         from sectorkit import cover_quant
 
-        def exhausted(cover, seed=0, n_check_kernels=5):
+        def exhausted(cover, seed=0):
             raise MemoryError("Unable to allocate 3.43 GiB for an array")
 
         monkeypatch.setattr(cover_quant, "sector_census", exhausted)
@@ -480,6 +480,23 @@ class TestImports:
         assert "sectorkit.cli" in loaded
         for heavy in ("tensor_rep", "cover_quant", "parastat_equiv", "circle_theta"):
             assert f"sectorkit.{heavy}" not in loaded
+
+    def test_cover_run_does_not_load_numpy_random(self):
+        # the census draws no random kernel, and symmetric deck groups get
+        # exact irreducibles, so numpy.random (~6 MB of RSS) stays unloaded
+        src = str(Path(sectorkit.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        script = (
+            "import sys\n"
+            "from sectorkit import cli\n"
+            "code = cli.main(['cover', '--q-size', '4', '--N', '3', '--out', sys.argv[1]])\n"
+            "print(code, 'numpy.random' in sys.modules)\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", script, os.devnull],
+            env=env, capture_output=True, text=True, check=True, timeout=60,
+        ).stdout.split()
+        assert out == ["0", "False"]
 
     def test_every_public_name_resolves(self):
         for name in sectorkit.__all__:

@@ -199,6 +199,19 @@ class TestIrreps:
         assert sorted(r.dimension for r in reps) == [1, 1, 2]
         assert sum(r.dimension**2 for r in reps) == 6
 
+    def test_regular_path_validates_each_irrep_once(self, monkeypatch):
+        group = regular_path_cover().group
+        validated = []
+        exact = GroupRep.__post_init__
+
+        def counting(self):
+            validated.append(self.label)
+            exact(self)
+
+        monkeypatch.setattr(GroupRep, "__post_init__", counting)
+        reps = irreps_of(group, seed=0)
+        assert validated == [rep.label for rep in reps] == ["chi0", "chi1", "chi2"]
+
     def test_group_rep_validation(self, cover32):
         bad = [np.eye(1) * 2.0 for _ in range(cover32.group.order)]
         with pytest.raises(DomainError):
@@ -451,11 +464,76 @@ class TestCensus:
 
         monkeypatch.setattr(linalg, "commutant_basis_of", refuse)
         monkeypatch.setattr(linalg, "intertwiner_basis", refuse)
+        monkeypatch.setattr(linalg, "commutant_dimension_of", refuse)
+        monkeypatch.setattr(linalg, "intertwiner_dimension", refuse)
         report = sector_census(symmetric_cover(6, 2), seed=0)
         assert report.kernel_space_dim == 450
         assert [s.commutant_dim for s in report.sectors] == [1, 1]
         assert report.pairwise_intertwiner_dims == {"(2,)|(1, 1)": 0}
         assert report.passed
+
+    def test_duplicate_irrep_falls_back_to_exact_dimensions(self, cover43, monkeypatch):
+        # a rotated copy of (2, 1) added to the irreducibles: the joint span
+        # has |G| rows per base pair against sum d**2 = 10 columns
+        exact = cover_quant.irreps_of
+        rotation = np.array([[0.6, -0.8], [0.8, 0.6]])
+
+        def with_duplicate(group, seed=0):
+            reps = exact(group, seed)
+            copy = [rotation @ m @ rotation.T for m in reps[1].matrices]
+            return reps + [GroupRep(group=group, matrices=tuple(copy), label="dup")]
+
+        monkeypatch.setattr(cover_quant, "irreps_of", with_duplicate)
+        report = sector_census(cover43, seed=0)
+        reps = with_duplicate(cover43.group)
+        actions = []
+        for rep in reps:
+            basis = constrained_space(cover43, rep)
+            actions.append([cover_quant._restrict(k, basis) for k in orbit_kernels(cover43)])
+        assert [s.commutant_dim for s in report.sectors] == [
+            oracles.dense_intertwiner_dimension(acts, acts) for acts in actions
+        ] == [1, 1, 1, 1]
+        expected = {
+            f"{reps[i].label}|{reps[j].label}": oracles.dense_intertwiner_dimension(
+                actions[i], actions[j]
+            )
+            for i in range(len(reps))
+            for j in range(i + 1, len(reps))
+        }
+        assert report.pairwise_intertwiner_dims == expected
+        assert expected["(2, 1)|dup"] == 1 and sum(expected.values()) == 1
+        assert not report.dimension_identity_ok
+        assert report.intertwining_residual_max < linalg.RESIDUAL_TOL
+        assert not report.passed
+
+    def test_corrupted_section_transport_is_caught(self, cover43, monkeypatch):
+        exact = cover_quant._evaluate_on_section
+        monkeypatch.setattr(
+            cover_quant, "_evaluate_on_section", lambda cover, basis: 2 * exact(cover, basis)
+        )
+        report = sector_census(cover43, seed=0)
+        assert report.intertwining_residual_max > linalg.RESIDUAL_TOL
+        assert not report.passed
+
+    @pytest.mark.parametrize(
+        "make", [lambda: symmetric_cover(4, 3), lambda: randomize_section(symmetric_cover(3, 2), 5)]
+    )
+    def test_section_blocks_of_the_orbit_basis(self, make):
+        # the census compares each transported orbit kernel with the block
+        # |G|**-1/2 U(h^-1) at (tau(a), tau(b)); section_action agrees
+        cover = make()
+        rows, cols = cover_quant._entry_orbits(cover)
+        e = cover.group.identity
+        h_of = cover.deck_element()
+        nbase, ng = cover.base_size, cover.group.order
+        for rep in irreps_of(cover.group):
+            d = rep.dimension
+            for kernel, row, col in zip(orbit_kernels(cover), rows, cols):
+                expected = np.zeros((nbase * d, nbase * d), dtype=complex)
+                a, b = cover.tau[row[e]], cover.tau[col[e]]
+                u_inv = rep.matrices[cover.group.inverse(int(h_of[col[e]]))]
+                expected[a * d : (a + 1) * d, b * d : (b + 1) * d] = u_inv / math.sqrt(ng)
+                assert linalg.max_abs(section_action(kernel, rep) - expected) < 1e-15
 
     def test_census_serializes(self, cover32):
         report = sector_census(cover32, seed=0)
@@ -471,6 +549,18 @@ class TestCensus:
         assert data["sectors"][0] == {
             "label": "(2,)", "internal_dim": 1, "carrier_dim": 3, "commutant_dim": 1,
         }
+
+
+def orbit_kernels(cover):
+    """Normalized orbit indicators as validated dense kernels, in table order."""
+    rows, cols = cover_quant._entry_orbits(cover)
+    npts = cover.total_size
+    kernels = []
+    for row, col in zip(rows, cols):
+        mat = np.zeros((npts, npts), dtype=complex)
+        mat[row, col] = 1.0 / math.sqrt(len(row))
+        kernels.append(InvariantKernel(cover=cover, matrix=mat))
+    return kernels
 
 
 def regular_path_cover():
@@ -500,12 +590,18 @@ class TestBatchedCensus:
             mat = np.zeros((npts, npts), dtype=complex)
             mat[np.divmod(members, npts)] = 1.0 / math.sqrt(len(members))
             kernels.append(InvariantKernel(cover=cover, matrix=mat))
+        nbase = cover.base_size
         for rep in irreps_of(cover.group):
+            d = rep.dimension
             basis = constrained_space(cover, rep)
-            batched = cover_quant._restrict_orbits(cover, rows, cols, basis)
+            blocks = cover_quant._restrict_orbits(cover, rows, cols, basis)
+            assert blocks.shape == (len(kernels), d, d)
+            placed = np.zeros((len(kernels), nbase * d, nbase * d), dtype=complex)
+            for o, block in enumerate(blocks):
+                a, b = cover.tau[rows[o, 0]], cover.tau[cols[o, 0]]
+                placed[o, a * d : (a + 1) * d, b * d : (b + 1) * d] = block
             single = np.array([cover_quant._restrict(kernel, basis) for kernel in kernels])
-            assert batched.shape == single.shape
-            assert linalg.max_abs(batched - single) < 1e-14
+            assert linalg.max_abs(placed - single) < 1e-14
 
     def test_orbit_basis_built_from_the_orbit_tables(self, cover43):
         npts = cover43.total_size
@@ -555,7 +651,7 @@ class TestBatchedCensus:
             with pytest.raises(ConsistencyError, match="leaks"):
                 cover_quant._restrict(kernel, linalg.orthonormal_range(basis))
 
-    @pytest.mark.parametrize("q,n", [(6, 3), (9, 2)])
+    @pytest.mark.parametrize("q,n", [(6, 3), (9, 2), (11, 2)])
     def test_frontier_census(self, q, n):
         # the parent built |base|**2 |G| dense kernels here: 17 s and 11 s
         report = sector_census(symmetric_cover(q, n), seed=0)
@@ -566,7 +662,7 @@ class TestBatchedCensus:
 
     def test_cost_estimate_admits_the_frontier(self):
         for q, n in [(3, 2), (4, 2), (4, 3), (5, 2), (6, 2), (5, 3), (8, 2), (6, 3), (9, 2),
-                     (5, 4), (5, 5)]:
+                     (5, 4), (5, 5), (10, 2), (11, 2)]:
             cover = symmetric_cover(q, n)
             dims = [rep.dimension for rep in irreps_of(cover.group)]
             assert cover_quant._census_bytes(cover, dims) <= cover_quant.CENSUS_BYTES_CAP
@@ -579,7 +675,8 @@ class TestBatchedCensus:
         with pytest.raises(ResourceLimitError, match="cover census"):
             sector_census(symmetric_cover(12, 3), seed=0)
         with pytest.raises(ResourceLimitError, match="cover census"):
-            sector_census(cover_from_json(cover_to_json(symmetric_cover(11, 2))), seed=0)
+            # the smallest N = 2 cover the estimate refuses (q = 32 is admitted)
+            sector_census(cover_from_json(cover_to_json(symmetric_cover(33, 2))), seed=0)
 
 
 class TestJsonInterface:

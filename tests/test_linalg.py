@@ -115,48 +115,46 @@ def shuffled(stack, seed):
 
 
 class TestSpanRankComponents:
-    """_span_rank splits a stack into its row/column components; one dense
-    SVD of the whole stack is the reference."""
+    """Span ranks of stacks made of blocks with disjoint supports: one dense
+    SVD of the whole stack is the reference, and block_span_rank, given the
+    diagonal blocks, must agree with it."""
 
     def test_block_diagonal_shuffled(self):
         blocks = [
             low_rank(6, 4, 4, 1),
             low_rank(6, 4, 2, 2),
             low_rank(6, 4, 3, 3),
-            low_rank(3, 9, 3, 4),
-            low_rank(5, 5, 1, 5),
+            low_rank(6, 4, 1, 4),
         ]
-        stack = shuffled(block_diagonal(blocks), 0)
-        row_label, col_label = linalg._components(stack != 0)
-        assert len(np.unique(row_label)) == len(np.unique(col_label)) == len(blocks)
-        assert linalg._span_rank(stack) == oracles.dense_span_rank(stack) == 4 + 2 + 3 + 3 + 1
+        stack = block_diagonal(blocks)
+        assert linalg.block_span_rank(np.array(blocks)) == 4 + 2 + 3 + 1
+        assert oracles.dense_span_rank(stack) == 4 + 2 + 3 + 1
+        assert linalg._span_rank(shuffled(stack, 0)) == 4 + 2 + 3 + 1
+        mixed = shuffled(block_diagonal(blocks + [low_rank(3, 9, 3, 5)]), 0)
+        assert linalg._span_rank(mixed) == oracles.dense_span_rank(mixed) == 4 + 2 + 3 + 1 + 3
 
     def test_zero_rows_and_columns(self):
         stack = block_diagonal([low_rank(4, 4, 2, 6), low_rank(4, 4, 4, 7)])
         stack = np.insert(stack, [0, 3, 8], 0.0, axis=0)
         stack = np.insert(stack, [2, 8], 0.0, axis=1)
         stack = shuffled(stack, 1)
-        row_label, col_label = linalg._components(stack != 0)
-        assert np.sum(row_label < 0) == 3
-        assert np.sum(col_label < 0) == 2
         assert linalg._span_rank(stack) == oracles.dense_span_rank(stack) == 6
+        assert linalg.block_span_rank(np.zeros((3, 4, 5))) == 0
 
     def test_overlapping_supports_form_one_component(self):
         # block i starts on the last column of block i - 1: one long chain
         blocks = [low_rank(2, 3, 2, 10 + i) for i in range(40)]
         stack = shuffled(block_diagonal(blocks, offsets=[2 * i for i in range(40)]), 2)
-        row_label, col_label = linalg._components(stack != 0)
-        assert np.unique(row_label).size == np.unique(col_label).size == 1
         assert linalg._span_rank(stack) == oracles.dense_span_rank(stack) == 80
 
     def test_threshold_is_relative_to_the_global_largest_value(self):
         # 1e-5 clears 1e-8 * max(1, 1e-5) but not 1e-8 * 1e4
         big = 1e4 * random_unitary(3, seed=8)
-        small = 1e-5 * random_unitary(2, seed=9)
-        stack = shuffled(block_diagonal([big, small]), 3)
-        assert oracles.dense_span_rank(stack) == 3
-        assert linalg._span_rank(stack) == 3
-        assert linalg._span_rank(small) == 2
+        small = 1e-5 * random_unitary(3, seed=9)
+        assert oracles.dense_span_rank(block_diagonal([big, small])) == 3
+        assert linalg.block_span_rank(np.array([big, small])) == 3
+        assert linalg.block_span_rank(small[None]) == 3
+        assert linalg._span_rank(small) == 3
 
     def test_operator_arrays_accepted(self):
         ops = np.array(rep_of((2, 1)))
