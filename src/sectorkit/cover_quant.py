@@ -670,9 +670,8 @@ def _transport_residual(
     """Largest entry of u R_O u* - S_O over the whole kernel orbit basis.
 
     u (_evaluate_on_section) is block diagonal, |G|**1/2 W_sigma(q) at
-    (q, q), because the basis rows lie in their fiber blocks
-    (_restrict_orbits), so it carries the restricted orbit kernel, block
-    R_O at (tau(a), tau(b)), to the single block
+    (q, q) (_section_blocks), so it carries the restricted orbit kernel,
+    block R_O at (tau(a), tau(b)), to the single block
     |G| W_sigma(tau a) R_O W_sigma(tau b)^*. The section action S_O of the
     orbit kernel reads one entry, |G|**-1/2 at (sigma(tau a), b) with
     b = sigma(tau b).h the orbit's column point at the identity: its single
@@ -680,13 +679,24 @@ def _transport_residual(
     kernel is a combination of orbit kernels, so a small residual here
     bounds the intertwining residual of all of them.
     """
-    nbase = cover.base_size
-    d = rep.dimension
-    u = _evaluate_on_section(cover, basis).reshape(nbase, d, nbase, d)
-    u = u[np.arange(nbase), :, np.arange(nbase), :]
+    u = _section_blocks(cover, basis)
     transported = u[base_a] @ blocks @ u[base_b].conj().swapaxes(1, 2)
     u_inv = np.array(rep.matrices)[cover.group._inverse]
     return linalg.max_abs(transported - u_inv[h] / math.sqrt(cover.group.order))
+
+
+def _section_blocks(cover: FiniteCover, basis: np.ndarray) -> np.ndarray:
+    """The diagonal blocks |G|**1/2 W_sigma(q) of _evaluate_on_section, as (|base|, d, d).
+
+    Row block sigma(q) of a constrained_space basis lies in column block
+    tau(sigma(q)) = q once _restrict_orbits has checked the fiber support,
+    so the realization unitary is block diagonal and these blocks are all
+    of it.
+    """
+    nbase = cover.base_size
+    d = basis.shape[0] // cover.total_size
+    fibers = basis.reshape(cover.total_size, d, nbase, d)
+    return math.sqrt(cover.group.order) * fibers[cover.section, :, np.arange(nbase), :]
 
 
 def section_action(kernel: InvariantKernel, rep: GroupRep) -> np.ndarray:
@@ -760,7 +770,9 @@ def _census_bytes(cover: FiniteCover, dims: list[int]) -> int:
     Sector chi keeps its K restricted orbit blocks of d_chi**2 complex
     entries, K sum d**2 over all sectors (K |G| for a complete set of
     irreducibles); the joint span stack holds them again, reordered by
-    base pair, and its batched SVD takes a copy. One sector at a time adds
+    base pair, and its batched SVD takes a copy (when it falls short, the
+    columns of one sector or pair and their SVD copy take the place of
+    the reordering and the copy). One sector at a time adds
     its constrained basis ((|total| d) x (|base| d)), the leakage gathers
     of _restrict_orbits (about six K |G| d**2 arrays), the transport check
     (a few (K, d, d) arrays) and the chunks of linalg.orbit_restrictions.
@@ -781,15 +793,15 @@ def _census_bytes(cover: FiniteCover, dims: list[int]) -> int:
 
 
 def _fallback_bytes(k: int, carrier_dims: list[int]) -> int:
-    """Peak bytes of the exact per-sector and per-pair path of sector_census.
+    """Peak bytes of one Sylvester solve of the exact path of sector_census.
 
-    Every sector densified to K n x n restricted kernels, the span stack of
-    the largest pair with its SVD copy, and the Sylvester basis of the
-    largest carrier (n**2 x n**2) with its update.
+    The K n x n restricted kernels of each of the one or two sectors
+    densified, and linalg.intertwiner_basis on them: its identity basis of
+    the (n1 n2)-dimensional space, the products of its first step and that
+    step's SVD workspace, about ten (n1 n2)**2 complex arrays of peak RSS.
     """
-    squares = sorted(n * n for n in carrier_dims)
-    pair = squares[-1] + (squares[-2] if len(squares) > 1 else 0)
-    return 16 * (k * sum(squares) + 2 * k * pair + 3 * squares[-1] ** 2)
+    width = math.prod(carrier_dims) if len(carrier_dims) > 1 else carrier_dims[0] ** 2
+    return 16 * (k * sum(n * n for n in carrier_dims) + 10 * width * width)
 
 
 def _check_bytes(cost: int, what: str) -> None:
@@ -817,9 +829,12 @@ def _sector_dimensions(
     linalg.block_span_rank) means the algebra maps onto all of
     (+)_chi M_{n_chi}: every sector is irreducible (commutant dim 1) and
     no two are equivalent (intertwiner dim 0), Burnside and Wedderburn.
-    Otherwise the exact per-sector and per-pair span ranks and Sylvester
-    null spaces of linalg answer on densified restrictions, after a check
-    against CENSUS_BYTES_CAP.
+    Otherwise the same certificate is asked of each sector's and each
+    pair's columns alone, which are the span ranks of linalg's
+    commutant_dimension_of and intertwiner_dimension; only a sector or
+    pair whose span falls short is densified, after a check against
+    CENSUS_BYTES_CAP, and its dimension counted from the Sylvester null
+    space (linalg.commutant_basis_of, linalg.intertwiner_basis).
     """
     k = len(base_a)
     pair = base_a * nbase + base_b
@@ -827,19 +842,30 @@ def _sector_dimensions(
         raise ConsistencyError("entry orbits do not fill every base pair equally")
     flat = np.concatenate([b.reshape(k, -1) for b in blocks], axis=1)
     joint = flat[np.argsort(pair, kind="stable")].reshape(nbase * nbase, -1, flat.shape[1])
+    del flat
     pairs = [(i, j) for i in range(len(reps)) for j in range(i + 1, len(reps))]
     labels = [f"{reps[i].label}|{reps[j].label}" for i, j in pairs]
     if linalg.block_span_rank(joint) == joint.shape[0] * joint.shape[2]:
         return [1] * len(reps), dict.fromkeys(labels, 0)
-    del flat, joint
-    _check_bytes(
-        _fallback_bytes(k, [nbase * b.shape[1] for b in blocks]),
-        "the exact sector dimensions (the joint span rank fell short)",
-    )
-    dense = [_dense_actions(b, base_a, base_b, nbase) for b in blocks]
-    commutant = [linalg.commutant_dimension_of(acts) for acts in dense]
+    edges = np.cumsum([0] + [b.shape[1] ** 2 for b in blocks])
+
+    def spans(*sectors):
+        stack = np.concatenate([joint[:, :, edges[i] : edges[i + 1]] for i in sectors], axis=2)
+        return linalg.block_span_rank(stack) == stack.shape[0] * stack.shape[2]
+
+    def dense(*sectors):
+        _check_bytes(
+            _fallback_bytes(k, [nbase * blocks[i].shape[1] for i in sectors]),
+            "the exact sector dimensions (the joint span rank fell short)",
+        )
+        return [_dense_actions(blocks[i], base_a, base_b, nbase) for i in sectors]
+
+    commutant = [
+        1 if spans(i) else len(linalg.commutant_basis_of(*dense(i)))
+        for i in range(len(reps))
+    ]
     pairwise = {
-        label: linalg.intertwiner_dimension(dense[i], dense[j])
+        label: 0 if spans(i, j) else linalg.intertwiner_basis(*dense(i, j)).shape[1]
         for label, (i, j) in zip(labels, pairs)
     }
     return commutant, pairwise
@@ -862,8 +888,9 @@ def sector_census(cover: FiniteCover, seed: int = 0) -> SectorCensusReport:
     sector restricts all of them in one batched product to one d x d
     block per orbit (_restrict_orbits), indexed by the orbit's base pair.
     The first two checks are one joint span rank of all sectors' blocks
-    (_sector_dimensions); the exact dimensions come from linalg's
-    per-sector and per-pair path only when it falls short. The last check
+    (_sector_dimensions); only when it falls short are the same blocks
+    ranked per sector and per pair, and only a sector or pair whose span
+    falls short is densified for linalg's Sylvester null space. The last check
     runs on the whole orbit basis, which spans the invariant kernels, one
     block per orbit (_transport_residual); no random kernel is drawn. A
     cost estimate from the sizes (_census_bytes) refuses covers over

@@ -75,15 +75,16 @@ def _span_rank(ops, tol: float = RANK_TOL) -> int:
     return _rank_from_singular_values(np.linalg.svd(stack, compute_uv=False), tol)
 
 
-def block_span_rank(blocks: np.ndarray, tol: float = RANK_TOL) -> int:
+def block_span_rank(blocks: np.ndarray) -> int:
     """Rank of the block-diagonal stack whose diagonal blocks are blocks[i].
 
-    blocks is a (P, rows, cols) array; one batched SVD, thresholded at tol
-    times max(1, largest singular value over all blocks), gives the rank
-    one SVD of the assembled stack gives (see the module docstring).
+    blocks is a (P, rows, cols) array; one batched SVD, thresholded at
+    RANK_TOL times max(1, largest singular value over all blocks), gives
+    the rank one SVD of the assembled stack gives (see the module
+    docstring).
     """
     values = np.linalg.svd(np.asarray(blocks), compute_uv=False)
-    return _rank_from_singular_values(values.ravel(), tol)
+    return _rank_from_singular_values(values.ravel(), RANK_TOL)
 
 
 def nullspace(mat: np.ndarray, tol: float = RANK_TOL) -> np.ndarray:

@@ -483,8 +483,24 @@ class TestCensus:
             copy = [rotation @ m @ rotation.T for m in reps[1].matrices]
             return reps + [GroupRep(group=group, matrices=tuple(copy), label="dup")]
 
+        def refuse(*args, **kwargs):
+            raise AssertionError("commutant Sylvester path taken")
+
+        densify = cover_quant._dense_actions
+        densified = []
+
+        def counted(blocks, *args):
+            densified.append(blocks.shape)
+            return densify(blocks, *args)
+
         monkeypatch.setattr(cover_quant, "irreps_of", with_duplicate)
+        monkeypatch.setattr(cover_quant, "_dense_actions", counted)
+        monkeypatch.setattr(linalg, "commutant_basis_of", refuse)
         report = sector_census(cover43, seed=0)
+        # every sector spans its M_n alone, and only the pair (2, 1)|dup falls
+        # short, so only its two sectors are densified for the Sylvester path
+        assert densified == [(96, 2, 2), (96, 2, 2)]
+        monkeypatch.undo()
         reps = with_duplicate(cover43.group)
         actions = []
         for rep in reps:
@@ -507,9 +523,9 @@ class TestCensus:
         assert not report.passed
 
     def test_corrupted_section_transport_is_caught(self, cover43, monkeypatch):
-        exact = cover_quant._evaluate_on_section
+        exact = cover_quant._section_blocks
         monkeypatch.setattr(
-            cover_quant, "_evaluate_on_section", lambda cover, basis: 2 * exact(cover, basis)
+            cover_quant, "_section_blocks", lambda cover, basis: 2 * exact(cover, basis)
         )
         report = sector_census(cover43, seed=0)
         assert report.intertwining_residual_max > linalg.RESIDUAL_TOL
