@@ -25,6 +25,16 @@ from .errors import DomainError
 
 TWO_PI = 2.0 * math.pi
 MIN_GRID = 8
+# A circle report passes when the spectral eigenvalues are within
+# SPECTRAL_ERROR_TOL of theta + 2 pi k, the gauge residual is below
+# GAUGE_RESIDUAL_TOL and the difference stencil's fitted order of
+# convergence (2 in theory) is at least MIN_FD_ORDER.
+SPECTRAL_ERROR_TOL = 1e-9
+GAUGE_RESIDUAL_TOL = 1e-8
+MIN_FD_ORDER = 1.9
+# translation_unitary takes a shift a as a grid move when a * n is this
+# close to an integer.
+GRID_SHIFT_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -216,7 +226,7 @@ def translation_unitary(a: float, theta, n: int, interpolation: str | None = Non
     if not 0.0 <= a < 1.0:
         raise DomainError("shift must lie in [0, 1)")
     steps = a * n
-    if abs(steps - round(steps)) < 1e-9:
+    if abs(steps - round(steps)) < GRID_SHIFT_TOL:
         s = int(round(steps)) % n
         shift = np.zeros((n, n), dtype=complex)
         cols = (np.arange(n) + s) % n

@@ -125,7 +125,7 @@ def _run_tableaux(args) -> tuple[int, bytes]:
 
 
 def _run_sectors(args) -> tuple[int, bytes]:
-    from . import tensor_rep
+    from . import linalg, tensor_rep
 
     report = tensor_rep.sector_decomposition(args.m, args.N)
     data = report.to_dict()
@@ -141,7 +141,7 @@ def _run_sectors(args) -> tuple[int, bytes]:
         **data,
     }
     worst = max(payload["residuals"].values())
-    code = EXIT_OK if worst < 1e-10 else EXIT_CHECK_FAILED
+    code = EXIT_OK if worst < linalg.RESIDUAL_TOL else EXIT_CHECK_FAILED
     if args.format == "csv":
         rows = [
             [",".join(map(str, s["partition"])), s["irrep_dim"], s["multiplicity"], s["rank"]]
@@ -183,7 +183,7 @@ def _run_equiv(args) -> tuple[int, bytes]:
         "config": {"m": args.m, "N": args.N, "seed": args.seed},
         "realizations": [first.label, second.label],
         "carrier_leakages": [first.leakage, second.leakage],
-        "certificate": cert.to_dict(include_intertwiner=True),
+        "certificate": cert.to_dict(),
     }
     code = EXIT_OK if cert.equivalent else EXIT_CHECK_FAILED
     if args.format == "pretty":
@@ -245,7 +245,11 @@ def _run_circle(args) -> tuple[int, bytes]:
     sizes = (64, 128, 256)
     convergence = circle_theta.fd_convergence(theta, k_max=4, grid_sizes=sizes)
     worst = max(r["error"] for r in rows)
-    ok = worst < 1e-9 and gauge.residual < 1e-8 and convergence.fitted_order >= 1.9
+    ok = (
+        worst < circle_theta.SPECTRAL_ERROR_TOL
+        and gauge.residual < circle_theta.GAUGE_RESIDUAL_TOL
+        and convergence.fitted_order >= circle_theta.MIN_FD_ORDER
+    )
     code = EXIT_OK if ok else EXIT_CHECK_FAILED
     if args.format == "csv":
         csv_rows = [
@@ -295,8 +299,15 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def seed(text: str) -> int:
+        """numpy's generators take only non-negative integer seeds."""
+        value = int(text)
+        if value < 0:
+            raise argparse.ArgumentTypeError(f"--seed must be >= 0, got {value}")
+        return value
+
     def common(p):
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=seed, default=0)
         p.add_argument("--format", choices=("json", "csv", "pretty"), default="json")
         p.add_argument("--out", type=str, default=None)
 

@@ -27,12 +27,8 @@ from pathlib import Path
 import numpy as np
 
 from . import linalg
-from .errors import ConsistencyError, DomainError, ResourceLimitError
+from .errors import ConsistencyError, DomainError, check_bytes
 from .permgroup import Permutation, enumerate_partitions, irrep, symmetric_group
-
-# Budget for one sector census, checked against _census_bytes before any
-# orbit or kernel array exists; the same 256 MiB as tensor_rep.GROUP_BYTES_CAP.
-CENSUS_BYTES_CAP = 256 * 2**20
 
 
 @dataclass(frozen=True, eq=False)
@@ -387,17 +383,15 @@ def _regular_irreps(group: FiniteGroup, seed: int) -> list[GroupRep]:
     checked for invariance and scalar commutant and deduplicated by
     character; the survivors are validated (unitarity, group law) once, as
     the GroupReps returned. Failures retry with a fresh sample. The
-    |G| dense |G| x |G| matrices are refused over CENSUS_BYTES_CAP before
+    |G| dense |G| x |G| matrices are refused over errors.BYTES_CAP before
     they are built.
     """
     n = group.order
     # the |G| dense regular matrices and a few n x n work arrays, complex
-    cost = 16 * (n**3 + 8 * n * n)
-    if cost > CENSUS_BYTES_CAP:
-        raise ResourceLimitError(
-            f"splitting the regular representation of a deck group of order {n} needs "
-            f"~{cost / 2**20:.3g} MiB, cap {CENSUS_BYTES_CAP // 2**20} MiB"
-        )
+    check_bytes(
+        16 * (n**3 + 8 * n * n),
+        f"splitting the regular representation of a deck group of order {n}",
+    )
     reg = _regular_representation(group)
     for attempt in range(20):
         rng = np.random.default_rng(seed + attempt)
@@ -596,24 +590,20 @@ def constrained_space(cover: FiniteCover, rep: GroupRep) -> np.ndarray:
     return basis
 
 
-def constrained_action(
-    kernel: InvariantKernel, rep: GroupRep, tol: float = linalg.RESIDUAL_TOL
-) -> np.ndarray:
+def constrained_action(kernel: InvariantKernel, rep: GroupRep) -> np.ndarray:
     """Matrix of the kernel action restricted to the equivariant functions.
 
     The kernel acts as (matrix x identity) on vector-valued functions;
     invariance keeps the constrained subspace stable, which is checked
-    (leakage must stay below tol).
+    (leakage must stay below linalg.RESIDUAL_TOL).
     """
-    return _restrict(kernel, constrained_space(kernel.cover, rep), tol)
+    return _restrict(kernel, constrained_space(kernel.cover, rep))
 
 
-def _restrict(
-    kernel: InvariantKernel, basis: np.ndarray, tol: float = linalg.RESIDUAL_TOL
-) -> np.ndarray:
+def _restrict(kernel: InvariantKernel, basis: np.ndarray) -> np.ndarray:
     """constrained_action on a precomputed constrained_space basis."""
     restricted, leakage = linalg.restrict(kernel.matrix, basis)
-    if leakage > tol:
+    if leakage > linalg.RESIDUAL_TOL:
         raise ConsistencyError(f"constrained subspace leaks: {leakage:.2e}")
     return restricted
 
@@ -804,13 +794,6 @@ def _fallback_bytes(k: int, carrier_dims: list[int]) -> int:
     return 16 * (k * sum(n * n for n in carrier_dims) + 10 * width * width)
 
 
-def _check_bytes(cost: int, what: str) -> None:
-    if cost > CENSUS_BYTES_CAP:
-        raise ResourceLimitError(
-            f"{what} needs ~{cost // 2**20} MiB; cap {CENSUS_BYTES_CAP // 2**20} MiB"
-        )
-
-
 def _sector_dimensions(
     reps: list[GroupRep],
     blocks: list[np.ndarray],
@@ -833,7 +816,7 @@ def _sector_dimensions(
     pair's columns alone, which are the span ranks of linalg's
     commutant_dimension_of and intertwiner_dimension; only a sector or
     pair whose span falls short is densified, after a check against
-    CENSUS_BYTES_CAP, and its dimension counted from the Sylvester null
+    errors.BYTES_CAP, and its dimension counted from the Sylvester null
     space (linalg.commutant_basis_of, linalg.intertwiner_basis).
     """
     k = len(base_a)
@@ -854,7 +837,7 @@ def _sector_dimensions(
         return linalg.block_span_rank(stack) == stack.shape[0] * stack.shape[2]
 
     def dense(*sectors):
-        _check_bytes(
+        check_bytes(
             _fallback_bytes(k, [nbase * blocks[i].shape[1] for i in sectors]),
             "the exact sector dimensions (the joint span rank fell short)",
         )
@@ -894,11 +877,11 @@ def sector_census(cover: FiniteCover, seed: int = 0) -> SectorCensusReport:
     runs on the whole orbit basis, which spans the invariant kernels, one
     block per orbit (_transport_residual); no random kernel is drawn. A
     cost estimate from the sizes (_census_bytes) refuses covers over
-    CENSUS_BYTES_CAP with ResourceLimitError before any of this is
+    errors.BYTES_CAP with ResourceLimitError before any of this is
     allocated.
     """
     reps = irreps_of(cover.group, seed=seed)
-    _check_bytes(
+    check_bytes(
         _census_bytes(cover, [rep.dimension for rep in reps]),
         f"cover census of {cover.total_size} points over {cover.base_size} base points "
         f"(deck group of order {cover.group.order})",

@@ -1,9 +1,13 @@
 """Dense linear-algebra helpers shared by the sector modules.
 
-Operators are plain complex numpy arrays. Rank decisions follow a fixed
-policy: eigenvalue counting at threshold 1e-8 for Hermitian idempotents,
-singular values above 1e-8 times max(1, largest) otherwise; identity-type
-residuals are measured in the max-abs entry norm against 1e-10.
+Operators are plain complex numpy arrays. Every threshold of the matrix
+certificates is a named constant below (circle_theta names those of its
+grid spectra), and no function takes a tolerance argument, so each
+certificate is decided against the same numbers wherever it is
+computed. Rank decisions count eigenvalues of a Hermitian idempotent
+above RANK_TOL, or singular values above RANK_TOL times max(1, largest);
+identity-type residuals (intertwining, leakage, idempotence) are
+measured in the max-abs entry norm against RESIDUAL_TOL.
 
 Commutant and intertwiner dimensions are first certified by span rank of
 the operators stacked as vectors (Burnside): operators spanning all of M_d
@@ -46,6 +50,7 @@ from .errors import DomainError
 
 RANK_TOL = 1e-8
 RESIDUAL_TOL = 1e-10
+ISOMETRY_TOL = 1e-12  # C*C - 1 of an injection handed to a realization
 # Checks of the cover layer, kept at the values they were introduced with:
 GROUP_LAW_TOL = 1e-9  # unitarity and group law of a representation
 INVARIANT_SUBSPACE_TOL = 1e-8  # leakage of a candidate irreducible subspace
@@ -64,15 +69,15 @@ def max_abs(a: np.ndarray) -> float:
     return float(np.max(np.abs(a))) if a.size else 0.0
 
 
-def _rank_from_singular_values(s: np.ndarray, tol: float) -> int:
-    """Singular values above tol * max(1, largest)."""
-    return int(np.sum(s > tol * max(1.0, s.max() if s.size else 0.0)))
+def _rank_from_singular_values(s: np.ndarray) -> int:
+    """Singular values above RANK_TOL * max(1, largest)."""
+    return int(np.sum(s > RANK_TOL * max(1.0, s.max() if s.size else 0.0)))
 
 
-def _span_rank(ops, tol: float = RANK_TOL) -> int:
+def _span_rank(ops) -> int:
     """Dimension of the linear span of the operators, as flat vectors."""
     stack = np.asarray(ops, dtype=complex).reshape(len(ops), -1)
-    return _rank_from_singular_values(np.linalg.svd(stack, compute_uv=False), tol)
+    return _rank_from_singular_values(np.linalg.svd(stack, compute_uv=False))
 
 
 def block_span_rank(blocks: np.ndarray) -> int:
@@ -84,10 +89,10 @@ def block_span_rank(blocks: np.ndarray) -> int:
     docstring).
     """
     values = np.linalg.svd(np.asarray(blocks), compute_uv=False)
-    return _rank_from_singular_values(values.ravel(), RANK_TOL)
+    return _rank_from_singular_values(values.ravel())
 
 
-def nullspace(mat: np.ndarray, tol: float = RANK_TOL) -> np.ndarray:
+def nullspace(mat: np.ndarray) -> np.ndarray:
     """Orthonormal basis (columns) of the kernel, via SVD.
 
     The economy SVD of a tall matrix already carries every right singular
@@ -98,10 +103,10 @@ def nullspace(mat: np.ndarray, tol: float = RANK_TOL) -> np.ndarray:
         return np.eye(mat.shape[1], dtype=complex)
     full = mat.shape[0] < mat.shape[1]
     _, s, vh = np.linalg.svd(mat, full_matrices=full)
-    return dagger(vh[_rank_from_singular_values(s, tol):])
+    return dagger(vh[_rank_from_singular_values(s):])
 
 
-def orthonormal_range(a: np.ndarray, tol: float = RANK_TOL) -> np.ndarray:
+def orthonormal_range(a: np.ndarray) -> np.ndarray:
     """Orthonormal basis (columns) of the column space, rank-revealing.
 
     Real input gives a real basis.
@@ -109,7 +114,7 @@ def orthonormal_range(a: np.ndarray, tol: float = RANK_TOL) -> np.ndarray:
     a = np.asarray(a)
     a = a.astype(np.result_type(a, float), copy=False)
     u, s, _ = np.linalg.svd(a, full_matrices=False)
-    return u[:, : _rank_from_singular_values(s, tol)]
+    return u[:, : _rank_from_singular_values(s)]
 
 
 def restrict(a: np.ndarray, carrier: np.ndarray) -> tuple[np.ndarray, float]:
@@ -196,17 +201,17 @@ def restrict_orbits(
     return restricted, leakage
 
 
-def rank_of_hermitian_idempotent(p: np.ndarray, tol: float = RANK_TOL) -> int:
+def rank_of_hermitian_idempotent(p: np.ndarray) -> int:
     """Rank of a Hermitian idempotent by eigenvalue counting."""
     eigs = np.linalg.eigvalsh(p)
-    return int(np.sum(eigs > tol))
+    return int(np.sum(eigs > RANK_TOL))
 
 
 def hermitian_part_residual(a: np.ndarray) -> float:
     return max_abs(a - dagger(a))
 
 
-def commutant_basis_of(ops: list[np.ndarray], tol: float = RANK_TOL) -> list[np.ndarray]:
+def commutant_basis_of(ops: list[np.ndarray]) -> list[np.ndarray]:
     """Orthonormal (Hilbert-Schmidt) basis of {X : [X, A] = 0 for all A}.
 
     XA - AX = 0 is the intertwiner equation with both sides equal.
@@ -214,11 +219,11 @@ def commutant_basis_of(ops: list[np.ndarray], tol: float = RANK_TOL) -> list[np.
     if len(ops) == 0:
         raise DomainError("empty operator list")
     d = ops[0].shape[0]
-    basis = intertwiner_basis(ops, ops, tol)
+    basis = intertwiner_basis(ops, ops)
     return [basis[:, k].reshape(d, d) for k in range(basis.shape[1])]
 
 
-def commutant_dimension_of(ops: list[np.ndarray], tol: float = RANK_TOL) -> int:
+def commutant_dimension_of(ops: list[np.ndarray]) -> int:
     """dim {X : [X, A] = 0 for all A}.
 
     When the operators span all of M_d the commutant is the scalars
@@ -228,22 +233,20 @@ def commutant_dimension_of(ops: list[np.ndarray], tol: float = RANK_TOL) -> int:
     if len(ops) == 0:
         raise DomainError("empty operator list")
     d = ops[0].shape[0]
-    if 0 < d * d <= len(ops) and _span_rank(ops, tol) == d * d:
+    if 0 < d * d <= len(ops) and _span_rank(ops) == d * d:
         return 1
-    return len(commutant_basis_of(ops, tol))
+    return len(commutant_basis_of(ops))
 
 
-def intertwiner_basis(
-    ops1: list[np.ndarray], ops2: list[np.ndarray], tol: float = RANK_TOL
-) -> np.ndarray:
+def intertwiner_basis(ops1: list[np.ndarray], ops2: list[np.ndarray]) -> np.ndarray:
     """Orthonormal basis of {V : V A_k = B_k V}, as columns of vec(V), row-major.
 
     V maps the carrier of ops1 (dim d1) to the carrier of ops2 (dim d2).
     The solution space is restricted one pair at a time: the r current
     basis columns, viewed as d2 x d1 matrices V, give the (d1 d2) x r
     block vec(V A_k - B_k V), whose null space selects the combinations
-    that also solve equation k. A block of Frobenius norm <= tol has no
-    singular value above the rank threshold, so it is skipped unsolved.
+    that also solve equation k. A block of Frobenius norm <= RANK_TOL has
+    no singular value above the rank threshold, so it is skipped unsolved.
     """
     if len(ops1) == 0 or len(ops1) != len(ops2):
         raise DomainError("operator lists must be nonempty and aligned")
@@ -256,14 +259,12 @@ def intertwiner_basis(
             break
         v = basis.T.reshape(width, d2, d1)
         block = (v @ a - b @ v).reshape(width, d1 * d2).T
-        if np.linalg.norm(block) > tol:
-            basis = basis @ nullspace(block, tol)
+        if np.linalg.norm(block) > RANK_TOL:
+            basis = basis @ nullspace(block)
     return basis
 
 
-def intertwiner_dimension(
-    ops1: list[np.ndarray], ops2: list[np.ndarray], tol: float = RANK_TOL
-) -> int:
+def intertwiner_dimension(ops1: list[np.ndarray], ops2: list[np.ndarray]) -> int:
     """dim {V : V A_k = B_k V}, the width of intertwiner_basis.
 
     When the pairs (A_k, B_k) span M_d1 x M_d2, the pair (I, 0) is a
@@ -282,9 +283,9 @@ def intertwiner_dimension(
             ),
             axis=1,
         )
-        if _span_rank(pairs, tol) == full:
+        if _span_rank(pairs) == full:
             return 0
-    return intertwiner_basis(ops1, ops2, tol).shape[1]
+    return intertwiner_basis(ops1, ops2).shape[1]
 
 
 def polar_unitary(a: np.ndarray) -> np.ndarray:
@@ -360,7 +361,6 @@ def _intertwiner_from_random_element(
 def unitary_intertwiner(
     ops1: list[np.ndarray],
     ops2: list[np.ndarray],
-    tol: float = RANK_TOL,
     rng: np.random.Generator | None = None,
 ) -> tuple[np.ndarray | None, float, str]:
     """Search for a unitary V with V A_k = B_k V for all k.
@@ -379,7 +379,7 @@ def unitary_intertwiner(
     found = _intertwiner_from_random_element(ops1, ops2, rng)
     if found is not None and found[1] < RESIDUAL_TOL:
         return found[0], found[1], "unitary intertwiner found"
-    basis = intertwiner_basis(ops1, ops2, tol)
+    basis = intertwiner_basis(ops1, ops2)
     if basis.shape[1] == 0:
         return None, float("inf"), "intertwiner space is zero"
     d1 = ops1[0].shape[0]
@@ -393,7 +393,7 @@ def unitary_intertwiner(
     best: tuple[np.ndarray, float] | None = None
     for cand in candidates:
         smin = np.linalg.svd(cand, compute_uv=False)[-1]
-        if smin <= tol:
+        if smin <= RANK_TOL:
             continue
         v = normalize_phase(polar_unitary(cand))
         res = intertwining_residual(v, ops1, ops2)

@@ -50,11 +50,10 @@ from typing import Iterable
 import numpy as np
 
 from . import linalg
-from .errors import ConsistencyError, DomainError, ResourceLimitError
+from .errors import ConsistencyError, DomainError, check_bytes
 from .permgroup import Permutation, symmetric_group
 from .tensor_rep import (
     FLOAT_BYTES,
-    GROUP_BYTES_CAP,
     TensorSpace,
     _entry_orbit_table,
     _images,
@@ -228,23 +227,20 @@ class SectorRealization:
 
 def _isometry(label: str, injection: np.ndarray) -> np.ndarray:
     c = np.asarray(injection)
-    if linalg.max_abs(linalg.dagger(c) @ c - np.eye(c.shape[1])) > 1e-12:
+    if linalg.max_abs(linalg.dagger(c) @ c - np.eye(c.shape[1])) > linalg.ISOMETRY_TOL:
         raise DomainError(f"injection for {label!r} is not an isometry")
     return c
 
 
-def _realization(label: str, c: np.ndarray, restricted: np.ndarray, leakage: float, tol: float):
-    """The realization, refused when the carrier leaks by more than tol."""
-    if leakage > tol:
+def _realization(label: str, c: np.ndarray, restricted: np.ndarray, leakage: float):
+    """The realization, refused when the carrier leaks by more than RESIDUAL_TOL."""
+    if leakage > linalg.RESIDUAL_TOL:
         raise ConsistencyError(f"carrier of {label!r} leaks under the algebra: {leakage:.2e}")
     return SectorRealization(label=label, injection=c, operators=restricted, leakage=leakage)
 
 
 def realize(
-    label: str,
-    injection: np.ndarray,
-    ambient_ops: Iterable[np.ndarray],
-    tol: float = linalg.RESIDUAL_TOL,
+    label: str, injection: np.ndarray, ambient_ops: Iterable[np.ndarray]
 ) -> SectorRealization:
     """Restrict internal-blind operators A x 1 to the carrier of the injection.
 
@@ -252,7 +248,7 @@ def realize(
     ordered (index of A, internal index); an operator A on a carrier of
     as many rows acts as itself. Its range must be invariant under every
     operator; the worst leakage ||(1 - CC*) (A x 1) C|| is recorded and
-    must stay below tol.
+    must stay below linalg.RESIDUAL_TOL.
     """
     c = _isometry(label, np.asarray(injection, dtype=complex))
     restricted = []
@@ -263,11 +259,11 @@ def realize(
         leakage = max(leakage, leak)
     if not restricted:
         raise DomainError("empty algebra basis")
-    return _realization(label, c, np.array(restricted), leakage, tol)
+    return _realization(label, c, np.array(restricted), leakage)
 
 
 def invariant_realization(
-    label: str, injection: np.ndarray, m: int, n_slots: int, tol: float = linalg.RESIDUAL_TOL
+    label: str, injection: np.ndarray, m: int, n_slots: int
 ) -> SectorRealization:
     """realize for the orthonormal orbit basis of the S_N-invariant operators.
 
@@ -281,7 +277,7 @@ def invariant_realization(
     entries, starts = _entry_orbit_table(m, n_slots)
     rows, cols = np.divmod(entries, dim)
     restricted, leakage = linalg.restrict_orbits(c, dim, rows, cols, starts)
-    return _realization(label, c, restricted, leakage, tol)
+    return _realization(label, c, restricted, leakage)
 
 
 @dataclass(frozen=True)
@@ -294,14 +290,14 @@ class EquivalenceCertificate:
     intertwiner: np.ndarray | None
     detail: str
 
-    def to_dict(self, include_intertwiner: bool = True) -> dict:
+    def to_dict(self) -> dict:
         out = {
             "equivalent": self.equivalent,
             "carrier_dims": list(self.carrier_dims),
             "residual": self.residual if math.isfinite(self.residual) else None,
             "detail": self.detail,
         }
-        if include_intertwiner and self.intertwiner is not None:
+        if self.intertwiner is not None:
             out["intertwiner"] = [
                 [[float(z.real), float(z.imag)] for z in row] for row in self.intertwiner
             ]
@@ -309,29 +305,24 @@ class EquivalenceCertificate:
 
 
 def general_equivalence(
-    r1: SectorRealization,
-    r2: SectorRealization,
-    tol: float = linalg.RESIDUAL_TOL,
-    rng: np.random.Generator | None = None,
+    r1: SectorRealization, r2: SectorRealization, rng: np.random.Generator | None = None
 ) -> EquivalenceCertificate:
     """Certify unitary equivalence of two realizations of the same algebra.
 
     Seeks V a_1(A) = a_2(A) V over the shared operator basis
     (linalg.unitary_intertwiner: one random Hermitian element first, the
     full solution space as the fallback); a unitary solution with a
-    residual below tol yields an equivalence certificate, otherwise the
-    rank deficiency or non-invertibility of the solution space is
-    reported as inequivalence evidence.
+    residual below linalg.RESIDUAL_TOL yields an equivalence
+    certificate, otherwise the rank deficiency or non-invertibility of
+    the solution space is reported as inequivalence evidence.
     """
     if len(r1.operators) == 0 or len(r2.operators) == 0:
         raise DomainError("empty algebra basis")
     if len(r1.operators) != len(r2.operators):
         raise DomainError("realizations carry differently sized algebra bases")
     dims = (r1.carrier_dim, r2.carrier_dim)
-    v, residual, evidence = linalg.unitary_intertwiner(
-        r1.operators, r2.operators, rng=rng
-    )
-    equivalent = v is not None and residual < tol
+    v, residual, evidence = linalg.unitary_intertwiner(r1.operators, r2.operators, rng=rng)
+    equivalent = v is not None and residual < linalg.RESIDUAL_TOL
     return EquivalenceCertificate(
         equivalent=equivalent,
         carrier_dims=dims,
@@ -374,16 +365,14 @@ def _equiv_bytes(m: int, n_slots: int) -> int:
 
 
 def _check_equiv_cost(m: int, n_slots: int) -> None:
-    """Refuse an equivalence certificate over GROUP_BYTES_CAP, before allocating."""
+    """Refuse an equivalence certificate over errors.BYTES_CAP, before allocating."""
     if m < 1:
         raise DomainError("m must be >= 1")
-    cost = _equiv_bytes(m, n_slots)
-    if cost > GROUP_BYTES_CAP:
-        raise ResourceLimitError(
-            f"the commutant basis of (C^{m})^(x{n_slots}) restricted to two carriers of "
-            f"dim {_carrier_dim(m, n_slots)} needs ~{cost / 2**20:.3g} MiB, "
-            f"cap {GROUP_BYTES_CAP // 2**20} MiB"
-        )
+    check_bytes(
+        _equiv_bytes(m, n_slots),
+        f"the commutant basis of (C^{m})^(x{n_slots}) restricted to two carriers of "
+        f"dim {_carrier_dim(m, n_slots)}",
+    )
 
 
 def _bosonic_carrier(w: np.ndarray, m: int, n_slots: int) -> np.ndarray:
@@ -413,13 +402,11 @@ def fermionic_realization(m: int) -> SectorRealization:
     return invariant_realization("two spinless fermions", carrier, m, 2)
 
 
-def verify_singlet_fermion_equivalence(
-    m: int, tol: float = linalg.RESIDUAL_TOL
-) -> EquivalenceCertificate:
+def verify_singlet_fermion_equivalence(m: int) -> EquivalenceCertificate:
     """Certify: singlet slice of two bosonic doublets ~ two fermions."""
     if m < 2:
         raise DomainError("need m >= 2 so the fermionic sector is nonzero")
-    return general_equivalence(bosonic_singlet_realization(m), fermionic_realization(m), tol)
+    return general_equivalence(bosonic_singlet_realization(m), fermionic_realization(m))
 
 
 def bosonic_doublet_realization(m: int) -> SectorRealization:
@@ -436,13 +423,11 @@ def parafermion_realization(m: int) -> SectorRealization:
     return invariant_realization("parafermion doublet wave functions", carrier, m, 3)
 
 
-def verify_doublet_parafermion_equivalence(
-    m: int, tol: float = linalg.RESIDUAL_TOL
-) -> EquivalenceCertificate:
+def verify_doublet_parafermion_equivalence(m: int) -> EquivalenceCertificate:
     """Certify: doublet slice of three bosonic doublets ~ parafermions."""
     if m < 2:
         raise DomainError("need m >= 2 so the parastatistics sector is nonzero")
-    return general_equivalence(bosonic_doublet_realization(m), parafermion_realization(m), tol)
+    return general_equivalence(bosonic_doublet_realization(m), parafermion_realization(m))
 
 
 def sector_realization_from_projector(

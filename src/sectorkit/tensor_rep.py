@@ -37,7 +37,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import linalg
-from .errors import ConsistencyError, DomainError, ResourceLimitError
+from .errors import ConsistencyError, DomainError, ResourceLimitError, check_bytes
 from .permgroup import (
     Partition,
     Permutation,
@@ -54,12 +54,11 @@ from .permgroup import (
 
 # Cap on the tensor-space dimension m**N: a dense operator then holds at
 # most ~1e6 complex entries.
-DEFAULT_DIM_CAP = 1024
+DIM_CAP = 1024
 
-# Cap on the estimated bytes N! * (PERMUTATION_BYTES + 8 * m**N) of S_N
-# and one int64 index map per element ((2, 8): ~90 MiB; a Permutation
-# takes ~190 bytes at N = 8). (1, 10) and (2, 9) are refused.
-GROUP_BYTES_CAP = 256 * 2**20
+# S_N and one int64 index map per element take N! * (PERMUTATION_BYTES +
+# 8 * m**N) bytes ((2, 8): ~90 MiB; a Permutation takes ~190 bytes at
+# N = 8). Against errors.BYTES_CAP, (1, 10) and (2, 9) are refused.
 PERMUTATION_BYTES = 256
 COMPLEX_BYTES = 16
 
@@ -102,39 +101,30 @@ class TensorSpace:
         )
 
 
-def _check_cap(dim: int, dim_cap: int | None) -> None:
-    cap = DEFAULT_DIM_CAP if dim_cap is None else dim_cap
-    if dim > cap:
-        raise ResourceLimitError(f"tensor dimension {dim} exceeds cap {cap}")
+def _check_cap(dim: int) -> None:
+    if dim > DIM_CAP:
+        raise ResourceLimitError(f"tensor dimension {dim} exceeds cap {DIM_CAP}")
 
 
-def _check_group_cost(m: int, n: int, dim_cap: int | None) -> None:
+def _check_group_cost(m: int, n: int) -> None:
     """Dimension cap, then refuse to enumerate S_n beyond the byte cap."""
-    _check_cap(m**n, dim_cap)
+    _check_cap(m**n)
     TensorSpace(m, n)  # validates m and n
     # 20! permutations alone exceed any cap; skip computing larger factorials
     cost = math.factorial(min(n, 20)) * (PERMUTATION_BYTES + 8 * m**n)
-    if cost > GROUP_BYTES_CAP:
-        raise ResourceLimitError(
-            f"enumerating S_{n} on (C^{m})^(x{n}) needs at least ~{cost / 2**20:.3g} MiB, "
-            f"cap {GROUP_BYTES_CAP // 2**20} MiB"
-        )
+    check_bytes(cost, f"enumerating S_{n} on (C^{m})^(x{n})")
 
 
-def _check_commutant_cost(m: int, n: int, dim_cap: int | None) -> None:
+def _check_commutant_cost(m: int, n: int) -> None:
     """Dimension cap, then refuse a dense commutant basis beyond the byte cap.
 
     The basis holds one complex m**n x m**n matrix per multiset of n matrix
     units, C(m*m + n - 1, n) of them ((4, 3): ~53 MB; (5, 3): ~731 MB).
     """
-    _check_cap(m**n, dim_cap)
+    _check_cap(m**n)
     TensorSpace(m, n)  # validates m and n
     cost = math.comb(m * m + n - 1, n) * m ** (2 * n) * COMPLEX_BYTES
-    if cost > GROUP_BYTES_CAP:
-        raise ResourceLimitError(
-            f"the commutant basis of (C^{m})^(x{n}) needs ~{cost / 2**20:.3g} MiB, "
-            f"cap {GROUP_BYTES_CAP // 2**20} MiB"
-        )
+    check_bytes(cost, f"the commutant basis of (C^{m})^(x{n})")
 
 
 def _images(perms: list[Permutation]) -> np.ndarray:
@@ -166,31 +156,29 @@ def _operator_sum(images: np.ndarray, coeffs, m: int) -> np.ndarray:
     return _scatter_sum(_index_maps(images, m), coeffs)
 
 
-def permutation_operator(pi: Permutation, m: int, dim_cap: int | None = None) -> np.ndarray:
+def permutation_operator(pi: Permutation, m: int) -> np.ndarray:
     """Unitary 0/1 matrix of the slot action of pi on (C^m)^{tensor N}."""
-    _check_cap(m**pi.degree, dim_cap)
+    _check_cap(m**pi.degree)
     return _operator_sum(_images([pi]), [1.0], m).astype(complex)
 
 
-def symmetrizer(N: int, m: int, dim_cap: int | None = None) -> np.ndarray:
+def symmetrizer(N: int, m: int) -> np.ndarray:
     """Orthogonal projector onto the fully symmetric subspace."""
-    _check_group_cost(m, N, dim_cap)
+    _check_group_cost(m, N)
     group = symmetric_group(N)
     total = _operator_sum(_images(group), np.ones(len(group)), m)
     return (total / math.factorial(N)).astype(complex)
 
 
-def antisymmetrizer(N: int, m: int, dim_cap: int | None = None) -> np.ndarray:
+def antisymmetrizer(N: int, m: int) -> np.ndarray:
     """Orthogonal projector onto the fully antisymmetric subspace."""
-    _check_group_cost(m, N, dim_cap)
+    _check_group_cost(m, N)
     group = symmetric_group(N)
     signs = [pi.sign() for pi in group]
     return (_operator_sum(_images(group), signs, m) / math.factorial(N)).astype(complex)
 
 
-def young_projector(
-    tableau: StandardTableau, m: int, dim_cap: int | None = None
-) -> np.ndarray:
+def young_projector(tableau: StandardTableau, m: int) -> np.ndarray:
     """Young symmetrizer of a standard tableau, acting on (C^m)^{tensor N}.
 
     (N_lambda / N!) * (signed column sum) @ (row sum). Idempotent; for
@@ -199,7 +187,7 @@ def young_projector(
     projector onto the same image).
     """
     n = tableau.size
-    _check_group_cost(m, n, dim_cap)
+    _check_group_cost(m, n)
     rows, cols = row_col_groups(tableau)
     row_sum = _operator_sum(_images(rows), np.ones(len(rows)), m)
     col_sum = _operator_sum(_images(cols), [pi.sign() for pi in cols], m)
@@ -236,10 +224,10 @@ def _central_projectors(shapes: list[Partition], m: int) -> list[np.ndarray]:
     return projectors
 
 
-def central_projector(shape: Partition, m: int, dim_cap: int | None = None) -> np.ndarray:
+def central_projector(shape: Partition, m: int) -> np.ndarray:
     """Isotypic (central) projector z_lambda = (N_l/N!) sum chi(pi^-1) U(pi)."""
     n = shape.total
-    _check_group_cost(m, n, dim_cap)
+    _check_group_cost(m, n)
     return _central_projectors([shape], m)[0].astype(complex)
 
 
@@ -279,7 +267,7 @@ def _entry_orbits(m: int, N: int) -> list[np.ndarray]:
     return np.split(entries, starts[1:-1])
 
 
-def commutant_basis(m: int, N: int, dim_cap: int | None = None) -> list[np.ndarray]:
+def commutant_basis(m: int, N: int) -> list[np.ndarray]:
     """Orthonormal (Hilbert-Schmidt) basis of {A : [A, U(pi)] = 0 for all pi}.
 
     Matrix units averaged over the group have disjoint supports given by
@@ -288,7 +276,7 @@ def commutant_basis(m: int, N: int, dim_cap: int | None = None) -> list[np.ndarr
     before any allocation when its dense matrices exceed the byte cap.
     """
     dim = m**N
-    _check_commutant_cost(m, N, dim_cap)
+    _check_commutant_cost(m, N)
     basis = []
     for orbit in _entry_orbits(m, N):
         mat = np.zeros((dim, dim), dtype=complex)
@@ -298,7 +286,7 @@ def commutant_basis(m: int, N: int, dim_cap: int | None = None) -> list[np.ndarr
     return basis
 
 
-def commutant_dimension_nullspace(m: int, N: int, dim_cap: int | None = None) -> int:
+def commutant_dimension_nullspace(m: int, N: int) -> int:
     """dim of the commutant from the kernel of the generator commutators.
 
     The linear system [A, U(g)] = 0 over the generators is a difference
@@ -307,14 +295,12 @@ def commutant_dimension_nullspace(m: int, N: int, dim_cap: int | None = None) ->
     beyond that the entry orbits are counted.
     """
     dim = m**N
-    _check_cap(dim, dim_cap)
+    _check_cap(dim)
     gens = _generators(N)
     if not gens:
         return dim * dim
     if dim <= 32:
-        return linalg.commutant_dimension_of(
-            [permutation_operator(g, m, dim_cap) for g in gens]
-        )
+        return linalg.commutant_dimension_of([permutation_operator(g, m) for g in gens])
     return len(_entry_orbits(m, N))
 
 
@@ -393,7 +379,7 @@ def _check_sector_cost(m: int, n: int) -> None:
     Counts the report's records (partitions of n), stopping as soon as
     the count passes RECORDS_CAP; bounds the digits of its integers;
     then checks the largest weight block's dense bytes against
-    GROUP_BYTES_CAP and the summed cubic work of the blocks (one per
+    errors.BYTES_CAP and the summed cubic work of the blocks (one per
     partition of n with at most m parts) against BLOCK_WORK_CAP.
     """
     TensorSpace(m, n)  # validates m and n
@@ -412,11 +398,7 @@ def _check_sector_cost(m: int, n: int) -> None:
     words = max(sizes)
     cycles = math.comb(n, 2) + 2 * math.comb(n, 3)
     nbytes = FLOAT_BYTES * (DENSE_BLOCK_ARRAYS * words * words + 3 * cycles * (words + n))
-    if nbytes > GROUP_BYTES_CAP:
-        raise ResourceLimitError(
-            f"{where} needs ~{nbytes / 2**20:.3g} MiB for its largest weight block "
-            f"({words} words), cap {GROUP_BYTES_CAP // 2**20} MiB"
-        )
+    check_bytes(nbytes, f"{where} (largest weight block: {words} words)")
     work = sum(b**3 for b in sizes)
     if work > BLOCK_WORK_CAP:
         raise ResourceLimitError(
@@ -686,42 +668,36 @@ class SpanCheckReport:
         return {**asdict(self), "mapping_permutations": mapping}
 
 
-def _span_projectors(m: int, dim_cap: int | None) -> dict[str, np.ndarray]:
+def _span_projectors(m: int) -> dict[str, np.ndarray]:
     t_s = StandardTableau(((1, 2, 3),))
     t_a = StandardTableau(((1,), (2,), (3,)))
     t_p = StandardTableau(((1, 2), (3,)))
     t_pp = StandardTableau(((1, 3), (2,)))
     return {
-        "S": young_projector(t_s, m, dim_cap),
-        "A": young_projector(t_a, m, dim_cap),
-        "P": young_projector(t_p, m, dim_cap),
-        "P'": young_projector(t_pp, m, dim_cap),
+        "S": young_projector(t_s, m),
+        "A": young_projector(t_a, m),
+        "P": young_projector(t_p, m),
+        "P'": young_projector(t_pp, m),
     }
 
 
-def sector_basis_span_check(
-    m: int,
-    samples: int | None = None,
-    seed: int = 0,
-    dim_cap: int | None = None,
-    tol: float = linalg.RESIDUAL_TOL,
-) -> SpanCheckReport:
-    """Build the four N=3 sector spans from random product vectors.
+def sector_basis_span_check(m: int, seed: int = 0) -> SpanCheckReport:
+    """Build the four N=3 sector spans from 2 m^3 + 8 random product vectors.
 
     Verifies, for each sector, that the closed span of its signed
     combinations equals the image of the defining Young projector; that
     the sectors form a direct sum of the whole space with every pair
     orthogonal except (P, P') (those two carry the same partition and
     meet at a fixed nonzero angle); and that some slot permutation maps
-    the P span onto the P' span and back.
+    the P span onto the P' span and back. Residuals are held against
+    linalg.RESIDUAL_TOL.
     """
     dim = m**3
-    _check_cap(dim, dim_cap)
+    _check_cap(dim)
     rng = np.random.default_rng(seed)
-    n_samples = samples if samples is not None else 2 * dim + 8
 
     vectors: dict[str, list[np.ndarray]] = {k: [] for k in _SPAN_PATTERNS}
-    for _ in range(n_samples):
+    for _ in range(2 * dim + 8):
         psi = rng.standard_normal((3, m)) + 1j * rng.standard_normal((3, m))
         for key, pattern in _SPAN_PATTERNS.items():
             acc = np.zeros(dim, dtype=complex)
@@ -730,7 +706,7 @@ def sector_basis_span_check(
             vectors[key].append(acc)
 
     spans = {k: linalg.orthonormal_range(np.stack(v, axis=1)) for k, v in vectors.items()}
-    projectors = _span_projectors(m, dim_cap)
+    projectors = _span_projectors(m)
     images = {k: linalg.orthonormal_range(p) for k, p in projectors.items()}
 
     span_vs_projector = {}
@@ -753,7 +729,7 @@ def sector_basis_span_check(
 
     stacked = np.concatenate([spans[k] for k in spans], axis=1)
     direct_sum_ok = bool(
-        sum(ranks.values()) == dim and np.linalg.matrix_rank(stacked, tol=1e-8) == dim
+        sum(ranks.values()) == dim and np.linalg.matrix_rank(stacked, tol=linalg.RANK_TOL) == dim
     )
 
     mapping = []
@@ -767,13 +743,13 @@ def sector_basis_span_check(
         for pi, image in zip(moved, _index_maps(_images(moved), m)):
             conjugated = np.empty_like(proj_p)
             conjugated[np.ix_(image, image)] = proj_p  # U(pi) proj_p U(pi)^dagger
-            if linalg.max_abs(conjugated - proj_pp) < tol:
+            if linalg.max_abs(conjugated - proj_pp) < linalg.RESIDUAL_TOL:
                 mapping.append(pi.images)
         mapping_ok = bool(mapping)
 
     passed = bool(
-        max(span_vs_projector.values()) < tol
-        and (not orthogonal_pairs or max(orthogonal_pairs.values()) < tol)
+        max(span_vs_projector.values()) < linalg.RESIDUAL_TOL
+        and (not orthogonal_pairs or max(orthogonal_pairs.values()) < linalg.RESIDUAL_TOL)
         and direct_sum_ok
         and mapping_ok
     )

@@ -294,7 +294,7 @@ class TestFailureExitCodes:
         from sectorkit import parastat_equiv
         from sectorkit.parastat_equiv import EquivalenceCertificate
 
-        def refuted(first, second, tol=1e-10, rng=None):
+        def refuted(first, second, rng=None):
             return EquivalenceCertificate(
                 equivalent=False,
                 carrier_dims=(first.carrier_dim, second.carrier_dim),
@@ -312,7 +312,7 @@ class TestFailureExitCodes:
         from sectorkit import tensor_rep
         from sectorkit.errors import ConsistencyError
 
-        def broken(m, n, dim_cap=None):
+        def broken(m, n):
             raise ConsistencyError("rank bookkeeping went wrong")
 
         monkeypatch.setattr(tensor_rep, "sector_decomposition", broken)
@@ -377,6 +377,24 @@ class TestInputContract:
         assert error["kind"] == "usage"
         assert error["schema"] == "sector-kit/1"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["equiv", "--m", "2", "--N", "2", "--seed", "-1"],
+         ["cover", "--cover-json", "z6.json", "--seed", "-1"]],
+        ids=["equiv", "cover-json"],
+    )
+    def test_negative_seed_exits_2(self, tmp_path, argv):
+        # numpy's default_rng refused it with a ValueError traceback and exit 1
+        TestCover.cyclic_cover_file(tmp_path, 6)
+        done = run_process(argv, tmp_path)
+        assert done.returncode == 2
+        assert done.stdout == ""
+        assert "Traceback" not in done.stderr
+        lines = done.stderr.splitlines()
+        assert len(lines) == 1
+        error = json.loads(lines[0])
+        assert error["kind"] == "usage"
+        assert "--seed must be >= 0" in error["error"]
 
     def test_detached_negative_value_suggests_the_attached_form(self, tmp_path):
         done = run_process(["circle", "--theta", "-1e3"], tmp_path)

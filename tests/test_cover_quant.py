@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from sectorkit import cover_quant, linalg
+from sectorkit import cover_quant, errors, linalg
 from sectorkit.cover_quant import (
     FiniteCover,
     FiniteGroup,
@@ -681,7 +681,7 @@ class TestBatchedCensus:
                      (5, 4), (5, 5), (10, 2), (11, 2)]:
             cover = symmetric_cover(q, n)
             dims = [rep.dimension for rep in irreps_of(cover.group)]
-            assert cover_quant._census_bytes(cover, dims) <= cover_quant.CENSUS_BYTES_CAP
+            assert cover_quant._census_bytes(cover, dims) <= errors.BYTES_CAP
 
     def test_cost_estimate_refuses_before_orbits(self, monkeypatch):
         def refuse(cover):

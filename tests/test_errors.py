@@ -1,0 +1,45 @@
+"""One byte budget: every byte estimate refuses through errors.check_bytes."""
+
+import contextlib
+
+import numpy as np
+import pytest
+
+from sectorkit import cover_quant, errors, parastat_equiv, tensor_rep
+from sectorkit.cover_quant import FiniteGroup, sector_census, symmetric_cover
+from sectorkit.errors import ResourceLimitError
+
+
+class Admitted(Exception):
+    """Raised by the stub that stands in for what an admitted estimate allocates."""
+
+
+def admitted(*args):
+    raise Admitted
+
+
+def cyclic_group(order):
+    idx = np.arange(order)
+    return FiniteGroup(cayley=(idx[:, None] + idx) % order, labels=tuple(map(str, idx)))
+
+
+# the phrase each refusal names -> a request every estimate admits at 256 MiB
+ESTIMATES = {
+    "enumerating": lambda: tensor_rep._check_group_cost(2, 8),
+    "commutant basis": lambda: tensor_rep._check_commutant_cost(4, 3),
+    "sector decomposition": lambda: tensor_rep._check_sector_cost(2, 12),
+    "restricted to two carriers": lambda: parastat_equiv._check_equiv_cost(8, 2),
+    "regular representation": lambda: cover_quant._regular_irreps(cyclic_group(128), 0),
+    "cover census": lambda: sector_census(symmetric_cover(4, 2)),
+}
+
+
+@pytest.mark.parametrize("phrase", ESTIMATES)
+def test_every_byte_estimate_reads_the_one_cap(phrase, monkeypatch):
+    monkeypatch.setattr(cover_quant, "_regular_representation", admitted)
+    monkeypatch.setattr(cover_quant, "_entry_orbits", admitted)
+    with contextlib.suppress(Admitted):
+        ESTIMATES[phrase]()
+    monkeypatch.setattr(errors, "BYTES_CAP", 2**20)
+    with pytest.raises(ResourceLimitError, match=f"{phrase}.* cap 1 MiB"):
+        ESTIMATES[phrase]()

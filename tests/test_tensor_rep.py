@@ -95,9 +95,8 @@ class TestPermutationOperator:
     def test_resource_cap(self):
         with pytest.raises(ResourceLimitError):
             permutation_operator(Permutation.identity(4), 10)
-        # explicit cap override
-        with pytest.raises(ResourceLimitError):
-            permutation_operator(Permutation.identity(2), 4, dim_cap=15)
+        with pytest.raises(ResourceLimitError, match="4096 exceeds cap 1024"):
+            permutation_operator(Permutation.identity(6), 4)
 
     def test_tensor_space_indexing(self):
         space = TensorSpace(3, 2)
@@ -459,11 +458,11 @@ class TestGroupCostEstimate:
     def test_commutant_estimate_admits_equiv_sizes(self):
         # (4, 3) ~53 MB and (8, 2) ~136 MB stay under the 256 MiB cap
         for m, n in [(2, 2), (8, 2), (2, 3), (3, 3), (4, 3), (3, 4)]:
-            tensor_rep._check_commutant_cost(m, n, None)
+            tensor_rep._check_commutant_cost(m, n)
 
     def test_group_estimate_admits_benchmark_sizes(self):
         for m, n in [(3, 4), (4, 4), (2, 6), (3, 5), (2, 7), (5, 4), (4, 5), (2, 8)]:
-            tensor_rep._check_group_cost(m, n, None)
+            tensor_rep._check_group_cost(m, n)
 
 
 def split_weight_blocks(m, n):
