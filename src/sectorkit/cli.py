@@ -227,6 +227,7 @@ def _run_cover(args) -> tuple[int, bytes]:
             f"  sector {s.label}: carrier dim {s.carrier_dim}, commutant dim {s.commutant_dim}"
             for s in report.sectors
         ]
+        lines.append(f"dimension margin: {report.dimension_margin:.3e}")
         lines.append(f"dimension identity: {report.dimension_identity_ok}")
         lines.append(f"intertwining residual: {report.intertwining_residual_max:.3e}")
         lines.append(f"passed: {report.passed}")

@@ -121,9 +121,8 @@ class FiniteCover:
             raise DomainError("|total| must equal |base| * |group|")
         if not np.array_equal(tau[section], np.arange(nbase)):
             raise DomainError("section must pick one point per orbit")
-        for x in range(npts):
-            if tau[action[x, 0]] != tau[x] or len({int(t) for t in tau[action[x]]}) != 1:
-                raise DomainError("tau is not constant on orbits")
+        if np.any(tau[action] != tau[:, None]):
+            raise DomainError("tau is not constant on orbits")
 
     @property
     def total_size(self) -> int:
@@ -145,9 +144,7 @@ class FiniteCover:
     def deck_element(self) -> np.ndarray:
         """h_of[x]: the unique h with section(tau(x)) . h = x."""
         h_of = np.full(self.total_size, -1, dtype=np.int64)
-        for q in range(self.base_size):
-            for g in range(self.group.order):
-                h_of[self.action[self.section[q], g]] = g
+        h_of[self.action[self.section]] = np.arange(self.group.order)
         return h_of
 
 
@@ -187,17 +184,10 @@ def cover_from_action(
     group = FiniteGroup(cayley=cayley, labels=tuple(labels), perms=perms)
 
     action = images.T  # action[x, g]
-    tau = np.full(npts, -1, dtype=np.int64)
-    orbit_reps = []
-    for x in range(npts):
-        if tau[x] >= 0:
-            continue
-        orbit = sorted({int(a) for a in action[x]})
-        for y in orbit:
-            tau[y] = len(orbit_reps)
-        orbit_reps.append(min(orbit))
+    # orbits labeled in the order of their smallest points, which represent them
+    orbit_reps, tau = np.unique(action.min(axis=1), return_inverse=True)
     if section is None:
-        section = np.array(orbit_reps, dtype=np.int64)
+        section = orbit_reps
     return FiniteCover(
         points=points, group=group, action=action, tau=tau, section=np.asarray(section)
     )
@@ -638,16 +628,6 @@ def _restrict_orbits(
     return restricted
 
 
-def _dense_actions(
-    blocks: np.ndarray, base_a: np.ndarray, base_b: np.ndarray, nbase: int
-) -> np.ndarray:
-    """The (K, n, n) restricted kernels whose one nonzero block each is blocks[o]."""
-    k, d, _ = blocks.shape
-    out = np.zeros((k, nbase, d, nbase, d), dtype=blocks.dtype)
-    out[np.arange(k), base_a, :, base_b, :] = blocks
-    return out.reshape(k, nbase * d, nbase * d)
-
-
 def _transport_residual(
     cover: FiniteCover,
     rep: GroupRep,
@@ -746,6 +726,7 @@ class SectorCensusReport:
     kernel_space_dim: int
     sectors: tuple[SectorCensusRecord, ...]
     pairwise_intertwiner_dims: dict
+    dimension_margin: float
     dimension_identity_ok: bool
     intertwining_residual_max: float
     passed: bool
@@ -757,101 +738,67 @@ class SectorCensusReport:
 def _census_bytes(cover: FiniteCover, dims: list[int]) -> int:
     """Peak bytes of sector_census, estimated from the sizes alone.
 
-    Sector chi keeps its K restricted orbit blocks of d_chi**2 complex
-    entries, K sum d**2 over all sectors (K |G| for a complete set of
-    irreducibles); the joint span stack holds them again, reordered by
-    base pair, and its batched SVD takes a copy (when it falls short, the
-    columns of one sector or pair and their SVD copy take the place of
-    the reordering and the copy). One sector at a time adds
-    its constrained basis ((|total| d) x (|base| d)), the leakage gathers
-    of _restrict_orbits (about six K |G| d**2 arrays), the transport check
-    (a few (K, d, d) arrays) and the chunks of linalg.orbit_restrictions.
-    The orbit tables are (K, |G|) int arrays, six of them alive at the
-    invariance check. The exact fallback is estimated on its own
-    (_fallback_bytes), and only when it runs.
+    One sector at a time holds its K restricted orbit blocks
+    (K d**2 complex entries), its constrained basis
+    ((|total| d) x (|base| d)), the leakage gathers of _restrict_orbits
+    (about six K |G| d**2 arrays), the transport check (a few (K, d, d)
+    arrays) and the chunks of linalg.orbit_restrictions, all at
+    d = max d_chi. Only the traces of its diagonal-orbit blocks outlive
+    the sector: a (sectors, |base| |G|) table. The orbit tables are
+    (K, |G|) int arrays, six of them alive at the invariance check.
     """
     npts, nbase, ng = cover.total_size, cover.base_size, cover.group.order
     k = nbase * nbase * ng
     dmax = max(dims)
     entries = (
-        4 * k * sum(d * d for d in dims)
-        + 6 * k * ng * dmax * dmax
+        6 * k * ng * dmax * dmax
         + npts * nbase * dmax * dmax
-        + 5 * k * dmax * dmax
+        + 6 * k * dmax * dmax
+        + len(dims) * nbase * ng
     )
     return 16 * entries + 6 * 8 * k * ng + 3 * linalg.ORBIT_CHUNK_BYTES
 
 
-def _fallback_bytes(k: int, carrier_dims: list[int]) -> int:
-    """Peak bytes of one Sylvester solve of the exact path of sector_census.
-
-    The K n x n restricted kernels of each of the one or two sectors
-    densified, and linalg.intertwiner_basis on them: its identity basis of
-    the (n1 n2)-dimensional space, the products of its first step and that
-    step's SVD workspace, about ten (n1 n2)**2 complex arrays of peak RSS.
-    """
-    width = math.prod(carrier_dims) if len(carrier_dims) > 1 else carrier_dims[0] ** 2
-    return 16 * (k * sum(n * n for n in carrier_dims) + 10 * width * width)
-
-
 def _sector_dimensions(
-    reps: list[GroupRep],
-    blocks: list[np.ndarray],
-    base_a: np.ndarray,
-    base_b: np.ndarray,
-    nbase: int,
-) -> tuple[list[int], dict]:
-    """Commutant dimension of every sector and intertwiner dimension of every pair.
+    reps: list[GroupRep], traces: np.ndarray, nbase: int
+) -> tuple[list[int], dict, float]:
+    """Commutant and pairwise intertwiner dimensions from one character Gram matrix.
 
-    The sectors represent the K-dimensional kernel algebra in
-    (+)_chi M_{n_chi}, n_chi = |base| d_chi. Restricted orbit kernels of
-    different base pairs live in disjoint blocks, so the stack of all
-    sectors' restrictions is block diagonal: one |G| x sum d**2 block per
-    base pair, its rows the pair's |G| orbits, its columns the sectors'
-    d x d blocks side by side. Rank |base|**2 sum d**2 (one batched SVD,
-    linalg.block_span_rank) means the algebra maps onto all of
-    (+)_chi M_{n_chi}: every sector is irreducible (commutant dim 1) and
-    no two are equivalent (intertwiner dim 0), Burnside and Wedderburn.
-    Otherwise the same certificate is asked of each sector's and each
-    pair's columns alone, which are the span ranks of linalg's
-    commutant_dimension_of and intertwiner_dimension; only a sector or
-    pair whose span falls short is densified, after a check against
-    errors.BYTES_CAP, and its dimension counted from the Sylvester null
-    space (linalg.commutant_basis_of, linalg.intertwiner_basis).
+    traces[i, o] is the trace of sector i's restricted block of the o-th
+    diagonal orbit (both ends over one base point); every other orbit
+    block sits off the block diagonal and has trace zero. The Gram matrix
+    |base|**-1 traces traces^* is dim Hom(pi_i, pi_j) entry by entry:
+
+    - the orbit basis is orthonormal in the Hilbert-Schmidt product of
+      l2(total), so sum_O tr pi(A_O) conj(tr pi'(A_O)) is the same for
+      every orthonormal basis of the invariant kernels;
+    - each sector is a *-representation of them, the compression to a
+      subspace the leakage check found invariant, hence a direct sum of
+      irreducibles;
+    - the kernels form M_|base| x C[G], which is (+)_chi M_{|base| d_chi},
+      and l2(total) carries the irreducible of chi d_chi times. In the
+      matrix-unit basis, scaled by d_chi**-1/2 to be orthonormal there,
+      the sum is therefore sum_chi |base| m_chi m'_chi, with m and m' the
+      multiplicities of chi in pi and pi' (Schur orthogonality; Serre,
+      Linear Representations of Finite Groups, 2.3).
+
+    Rounded, the diagonal gives the commutant dimensions and the upper
+    triangle the intertwiner dimensions. The largest distance of an entry
+    from its integer is returned as the certificate's margin; past
+    linalg.RESIDUAL_TOL the Gram matrix is not a dimension count, and
+    ConsistencyError is raised.
     """
-    k = len(base_a)
-    pair = base_a * nbase + base_b
-    if np.any(np.bincount(pair, minlength=nbase * nbase) != k // (nbase * nbase)):
-        raise ConsistencyError("entry orbits do not fill every base pair equally")
-    flat = np.concatenate([b.reshape(k, -1) for b in blocks], axis=1)
-    joint = flat[np.argsort(pair, kind="stable")].reshape(nbase * nbase, -1, flat.shape[1])
-    del flat
-    pairs = [(i, j) for i in range(len(reps)) for j in range(i + 1, len(reps))]
-    labels = [f"{reps[i].label}|{reps[j].label}" for i, j in pairs]
-    if linalg.block_span_rank(joint) == joint.shape[0] * joint.shape[2]:
-        return [1] * len(reps), dict.fromkeys(labels, 0)
-    edges = np.cumsum([0] + [b.shape[1] ** 2 for b in blocks])
-
-    def spans(*sectors):
-        stack = np.concatenate([joint[:, :, edges[i] : edges[i + 1]] for i in sectors], axis=2)
-        return linalg.block_span_rank(stack) == stack.shape[0] * stack.shape[2]
-
-    def dense(*sectors):
-        check_bytes(
-            _fallback_bytes(k, [nbase * blocks[i].shape[1] for i in sectors]),
-            "the exact sector dimensions (the joint span rank fell short)",
-        )
-        return [_dense_actions(blocks[i], base_a, base_b, nbase) for i in sectors]
-
-    commutant = [
-        1 if spans(i) else len(linalg.commutant_basis_of(*dense(i)))
-        for i in range(len(reps))
-    ]
+    gram = traces @ traces.conj().T / nbase
+    dims = np.rint(gram.real)
+    margin = linalg.max_abs(gram - dims)
+    if margin > linalg.RESIDUAL_TOL:
+        raise ConsistencyError(f"character Gram matrix is {margin:.2e} from integral")
+    commutant = [int(dims[i, i]) for i in range(len(reps))]
     pairwise = {
-        label: 0 if spans(i, j) else linalg.intertwiner_basis(*dense(i, j)).shape[1]
-        for label, (i, j) in zip(labels, pairs)
+        f"{reps[i].label}|{reps[j].label}": int(dims[i, j])
+        for i, j in itertools.combinations(range(len(reps)), 2)
     }
-    return commutant, pairwise
+    return commutant, pairwise, margin
 
 
 def sector_census(cover: FiniteCover, seed: int = 0) -> SectorCensusReport:
@@ -870,12 +817,13 @@ def sector_census(cover: FiniteCover, seed: int = 0) -> SectorCensusReport:
     checked for deck invariance in one pass per group element, and each
     sector restricts all of them in one batched product to one d x d
     block per orbit (_restrict_orbits), indexed by the orbit's base pair.
-    The first two checks are one joint span rank of all sectors' blocks
-    (_sector_dimensions); only when it falls short are the same blocks
-    ranked per sector and per pair, and only a sector or pair whose span
-    falls short is densified for linalg's Sylvester null space. The last check
-    runs on the whole orbit basis, which spans the invariant kernels, one
-    block per orbit (_transport_residual); no random kernel is drawn. A
+    The transport check runs on these blocks, the whole orbit basis,
+    which spans the invariant kernels (_transport_residual); no random
+    kernel is drawn. Then only the traces of the |base| |G| blocks over
+    the diagonal of the base are kept, and the sector's blocks are
+    dropped. The commutant and intertwiner dimensions are the entries of
+    their character Gram matrix, exact integers by Schur orthogonality
+    (_sector_dimensions), with no rank decision and no null space. A
     cost estimate from the sizes (_census_bytes) refuses covers over
     errors.BYTES_CAP with ResourceLimitError before any of this is
     allocated.
@@ -898,16 +846,24 @@ def sector_census(cover: FiniteCover, seed: int = 0) -> SectorCensusReport:
     e = cover.group.identity
     base_a, base_b = cover.tau[rows[:, e]], cover.tau[cols[:, e]]
     h = cover.deck_element()[cols[:, e]]
-    blocks = []
-    residual = 0.0
-    for rep in reps:
-        basis = constrained_space(cover, rep)
-        blocks.append(_restrict_orbits(cover, rows, cols, basis))
-        residual = max(
-            residual, _transport_residual(cover, rep, basis, blocks[-1], base_a, base_b, h)
+    diagonal = np.flatnonzero(base_a == base_b)
+    if len(diagonal) != cover.base_size * cover.group.order:
+        raise ConsistencyError(
+            f"{len(diagonal)} entry orbits over the diagonal of the base, "
+            f"not |base| |G| = {cover.base_size * cover.group.order}"
         )
+    traces = np.empty((len(reps), len(diagonal)), dtype=complex)
+    residual = 0.0
+    for i, rep in enumerate(reps):
+        basis = constrained_space(cover, rep)
+        blocks = _restrict_orbits(cover, rows, cols, basis)
+        residual = max(
+            residual, _transport_residual(cover, rep, basis, blocks, base_a, base_b, h)
+        )
+        traces[i] = np.trace(blocks[diagonal], axis1=1, axis2=2)
+        del basis, blocks
     del rows, cols
-    commutant, pairwise = _sector_dimensions(reps, blocks, base_a, base_b, cover.base_size)
+    commutant, pairwise, margin = _sector_dimensions(reps, traces, cover.base_size)
     records = [
         SectorCensusRecord(
             label=rep.label,
@@ -932,6 +888,7 @@ def sector_census(cover: FiniteCover, seed: int = 0) -> SectorCensusReport:
         kernel_space_dim=kernel_dim,
         sectors=tuple(records),
         pairwise_intertwiner_dims=pairwise,
+        dimension_margin=margin,
         dimension_identity_ok=identity_ok,
         intertwining_residual_max=residual,
         passed=passed,

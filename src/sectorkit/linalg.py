@@ -9,25 +9,17 @@ above RANK_TOL, or singular values above RANK_TOL times max(1, largest);
 identity-type residuals (intertwining, leakage, idempotence) are
 measured in the max-abs entry norm against RESIDUAL_TOL.
 
-Commutant and intertwiner dimensions are first certified by span rank of
-the operators stacked as vectors (Burnside): operators spanning all of M_d
-have scalar commutant, and pairs (A_k, B_k) spanning M_d1 x M_d2 admit no
-intertwiner but 0. Both certificates hold for any operator list. When the
-span falls short, the dimension comes from the null space of the Sylvester
-system instead, so a reported dimension is always the true one.
+Commutant dimensions are first certified by span rank of the operators
+stacked as vectors (Burnside): operators spanning all of M_d have scalar
+commutant. When the span falls short, the dimension comes from the null
+space of the Sylvester system instead, so a reported dimension is always
+the true one.
 
 That null space is found by successive restriction, one operator pair at a
 time: if the columns of N span the solutions of the first k - 1 equations,
 those of N null(M_k N) span the solutions of the first k, so each SVD
 involves only one equation on the current (shrinking) solution space and
 no Kronecker-product stack is ever formed.
-
-A stack whose operators fall into blocks of disjoint support, such as
-the restricted orbit kernels of a cover census, each living in one
-(base, base) block, is passed as its diagonal blocks (block_span_rank):
-the singular values of a block-diagonal matrix are the union of those of
-its blocks, so one batched SVD, thresholded against the largest singular
-value over all blocks, gives exactly the rank of one big SVD.
 
 A unitary intertwiner is first sought from one random Hermitian element
 of each side, MeatAxe-style (Parker 1984; Holt and Rees 1994): matched
@@ -78,18 +70,6 @@ def _span_rank(ops) -> int:
     """Dimension of the linear span of the operators, as flat vectors."""
     stack = np.asarray(ops, dtype=complex).reshape(len(ops), -1)
     return _rank_from_singular_values(np.linalg.svd(stack, compute_uv=False))
-
-
-def block_span_rank(blocks: np.ndarray) -> int:
-    """Rank of the block-diagonal stack whose diagonal blocks are blocks[i].
-
-    blocks is a (P, rows, cols) array; one batched SVD, thresholded at
-    RANK_TOL times max(1, largest singular value over all blocks), gives
-    the rank one SVD of the assembled stack gives (see the module
-    docstring).
-    """
-    values = np.linalg.svd(np.asarray(blocks), compute_uv=False)
-    return _rank_from_singular_values(values.ravel())
 
 
 def nullspace(mat: np.ndarray) -> np.ndarray:
@@ -262,30 +242,6 @@ def intertwiner_basis(ops1: list[np.ndarray], ops2: list[np.ndarray]) -> np.ndar
         if np.linalg.norm(block) > RANK_TOL:
             basis = basis @ nullspace(block)
     return basis
-
-
-def intertwiner_dimension(ops1: list[np.ndarray], ops2: list[np.ndarray]) -> int:
-    """dim {V : V A_k = B_k V}, the width of intertwiner_basis.
-
-    When the pairs (A_k, B_k) span M_d1 x M_d2, the pair (I, 0) is a
-    combination sum_k c_k (A_k, B_k), so V = sum_k c_k V A_k =
-    sum_k c_k B_k V = 0; one |ops| x (d1**2 + d2**2) span rank certifies
-    this. Otherwise the dimension is counted from the Sylvester null space.
-    """
-    if len(ops1) == 0 or len(ops1) != len(ops2):
-        raise DomainError("operator lists must be nonempty and aligned")
-    full = ops1[0].size + ops2[0].size
-    if 0 < full <= len(ops1):
-        pairs = np.concatenate(
-            (
-                np.asarray(ops1, dtype=complex).reshape(len(ops1), -1),
-                np.asarray(ops2, dtype=complex).reshape(len(ops2), -1),
-            ),
-            axis=1,
-        )
-        if _span_rank(pairs) == full:
-            return 0
-    return intertwiner_basis(ops1, ops2).shape[1]
 
 
 def polar_unitary(a: np.ndarray) -> np.ndarray:

@@ -286,6 +286,35 @@ def generator_bfs_entry_orbits(m: int, n: int) -> list[list[int]]:
     return orbits
 
 
+def looped_orbit_labels(action: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """tau and the smallest point of each orbit, by a scan over the points.
+
+    action[x, g] is the image of point x under element g; orbits are
+    labeled in the order the scan meets them, which is the order of their
+    smallest points.
+    """
+    npts = action.shape[0]
+    tau = np.full(npts, -1, dtype=np.int64)
+    smallest = []
+    for x in range(npts):
+        if tau[x] >= 0:
+            continue
+        orbit = sorted({int(a) for a in action[x]})
+        for y in orbit:
+            tau[y] = len(smallest)
+        smallest.append(min(orbit))
+    return tau, np.array(smallest, dtype=np.int64)
+
+
+def looped_deck_element(cover) -> np.ndarray:
+    """h_of[x]: the h with section(tau(x)) . h = x, one point at a time."""
+    h_of = np.full(cover.total_size, -1, dtype=np.int64)
+    for q in range(cover.base_size):
+        for g in range(cover.group.order):
+            h_of[cover.action[cover.section[q], g]] = g
+    return h_of
+
+
 def dense_span_rank(stack: np.ndarray) -> int:
     """Rank of a stack of flat vectors, one dense SVD of the whole stack."""
     s = np.linalg.svd(np.asarray(stack, dtype=complex), compute_uv=False)

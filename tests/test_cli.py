@@ -256,7 +256,7 @@ class TestCover:
 
     def test_census_cost_applies_to_cover_json(self, tmp_path, capsys):
         spec_file = tmp_path / "cover.json"
-        spec_file.write_text(json.dumps(cover_to_json(symmetric_cover(33, 2))))
+        spec_file.write_text(json.dumps(cover_to_json(symmetric_cover(35, 2))))
         assert main(["cover", "--cover-json", str(spec_file)]) == 3
         assert "cover census" in json.loads(capsys.readouterr().err)["error"]
 

@@ -90,6 +90,38 @@ class TestCoverConstruction:
         other = randomize_section(cover32, seed=3)
         assert np.array_equal(other.tau[other.section], np.arange(other.base_size))
 
+    @pytest.mark.parametrize(
+        "make, default_section",
+        [
+            (lambda: symmetric_cover(4, 3), True),
+            (lambda: randomize_section(symmetric_cover(4, 3), seed=7), False),
+            (lambda: cover_from_json(cover_to_json(symmetric_cover(5, 2))), True),
+            # Z_3 with orbits {0, 5, 7}, {1, 3, 8}, {2, 4, 6}
+            (
+                lambda: cover_from_action(
+                    tuple(range(9)),
+                    [tuple(range(9)), (5, 3, 4, 8, 6, 7, 2, 0, 1), (7, 8, 6, 1, 2, 0, 4, 5, 3)],
+                ),
+                True,
+            ),
+        ],
+    )
+    def test_orbit_labels_and_deck_elements_match_the_loops(self, make, default_section):
+        cover = make()
+        tau, smallest = oracles.looped_orbit_labels(cover.action)
+        assert np.array_equal(cover.tau, tau)
+        assert np.array_equal(cover.section, smallest) == default_section
+        assert np.array_equal(cover.deck_element(), oracles.looped_deck_element(cover))
+
+    def test_tau_not_constant_on_orbits_rejected(self, cover32):
+        from dataclasses import replace
+
+        tau = cover32.tau.copy()
+        moved = next(x for x in range(cover32.total_size) if x not in cover32.section)
+        tau[moved] = (tau[moved] + 1) % cover32.base_size
+        with pytest.raises(DomainError, match="not constant on orbits"):
+            replace(cover32, tau=tau)
+
     def test_invalid_section_rejected(self, cover32):
         from dataclasses import replace
 
@@ -458,23 +490,22 @@ class TestCensus:
         assert all(v == 0 for v in report.pairwise_intertwiner_dims.values())
         assert report.passed
 
-    def test_census_62_certified_by_span_rank_alone(self, monkeypatch):
+    def test_census_62_certified_by_characters_alone(self, monkeypatch):
         def refuse(*args, **kwargs):
-            raise AssertionError("Sylvester fallback taken")
+            raise AssertionError("Sylvester path taken")
 
         monkeypatch.setattr(linalg, "commutant_basis_of", refuse)
         monkeypatch.setattr(linalg, "intertwiner_basis", refuse)
         monkeypatch.setattr(linalg, "commutant_dimension_of", refuse)
-        monkeypatch.setattr(linalg, "intertwiner_dimension", refuse)
         report = sector_census(symmetric_cover(6, 2), seed=0)
         assert report.kernel_space_dim == 450
         assert [s.commutant_dim for s in report.sectors] == [1, 1]
         assert report.pairwise_intertwiner_dims == {"(2,)|(1, 1)": 0}
         assert report.passed
 
-    def test_duplicate_irrep_falls_back_to_exact_dimensions(self, cover43, monkeypatch):
-        # a rotated copy of (2, 1) added to the irreducibles: the joint span
-        # has |G| rows per base pair against sum d**2 = 10 columns
+    def test_duplicate_irrep_gets_exact_dimensions(self, cover43, monkeypatch):
+        # a rotated copy of (2, 1) added to the irreducibles: the character
+        # Gram matrix must count the one intertwiner between the two copies
         exact = cover_quant.irreps_of
         rotation = np.array([[0.6, -0.8], [0.8, 0.6]])
 
@@ -483,41 +514,13 @@ class TestCensus:
             copy = [rotation @ m @ rotation.T for m in reps[1].matrices]
             return reps + [GroupRep(group=group, matrices=tuple(copy), label="dup")]
 
-        def refuse(*args, **kwargs):
-            raise AssertionError("commutant Sylvester path taken")
-
-        densify = cover_quant._dense_actions
-        densified = []
-
-        def counted(blocks, *args):
-            densified.append(blocks.shape)
-            return densify(blocks, *args)
-
         monkeypatch.setattr(cover_quant, "irreps_of", with_duplicate)
-        monkeypatch.setattr(cover_quant, "_dense_actions", counted)
-        monkeypatch.setattr(linalg, "commutant_basis_of", refuse)
         report = sector_census(cover43, seed=0)
-        # every sector spans its M_n alone, and only the pair (2, 1)|dup falls
-        # short, so only its two sectors are densified for the Sylvester path
-        assert densified == [(96, 2, 2), (96, 2, 2)]
         monkeypatch.undo()
-        reps = with_duplicate(cover43.group)
-        actions = []
-        for rep in reps:
-            basis = constrained_space(cover43, rep)
-            actions.append([cover_quant._restrict(k, basis) for k in orbit_kernels(cover43)])
-        assert [s.commutant_dim for s in report.sectors] == [
-            oracles.dense_intertwiner_dimension(acts, acts) for acts in actions
-        ] == [1, 1, 1, 1]
-        expected = {
-            f"{reps[i].label}|{reps[j].label}": oracles.dense_intertwiner_dimension(
-                actions[i], actions[j]
-            )
-            for i in range(len(reps))
-            for j in range(i + 1, len(reps))
-        }
-        assert report.pairwise_intertwiner_dims == expected
-        assert expected["(2, 1)|dup"] == 1 and sum(expected.values()) == 1
+        commutant, pairwise = oracle_dimensions(cover43, with_duplicate(cover43.group))
+        assert [s.commutant_dim for s in report.sectors] == commutant == [1, 1, 1, 1]
+        assert report.pairwise_intertwiner_dims == pairwise
+        assert pairwise["(2, 1)|dup"] == 1 and sum(pairwise.values()) == 1
         assert not report.dimension_identity_ok
         assert report.intertwining_residual_max < linalg.RESIDUAL_TOL
         assert not report.passed
@@ -558,13 +561,124 @@ class TestCensus:
         assert data["kernel_space_dim"] == 18
         assert list(data) == [
             "total_size", "base_size", "group_order", "kernel_space_dim", "sectors",
-            "pairwise_intertwiner_dims", "dimension_identity_ok",
+            "pairwise_intertwiner_dims", "dimension_margin", "dimension_identity_ok",
             "intertwining_residual_max", "passed",
         ]
+        assert 0.0 <= data["dimension_margin"] < linalg.RESIDUAL_TOL
         assert type(data["sectors"]) is list
         assert data["sectors"][0] == {
             "label": "(2,)", "internal_dim": 1, "carrier_dim": 3, "commutant_dim": 1,
         }
+
+
+def direct_sum_rep(first, second, label):
+    mats = []
+    for a, b in zip(first.matrices, second.matrices):
+        mat = np.zeros((a.shape[0] + b.shape[0],) * 2, dtype=complex)
+        mat[: a.shape[0], : a.shape[0]] = a
+        mat[a.shape[0] :, a.shape[0] :] = b
+        mats.append(mat)
+    return GroupRep(group=first.group, matrices=tuple(mats), label=label)
+
+
+class TestCharacterGram:
+    @pytest.mark.parametrize(
+        "make", [lambda: symmetric_cover(4, 3), lambda: regular_path_cover()],
+        ids=["cover43", "regular_path_cover"],
+    )
+    def test_reducible_sectors_match_the_dense_oracle(self, make, monkeypatch):
+        # (2, 1) doubled, and trivial (+) sign, next to the irreducibles
+        cover = make()
+        irreps = irreps_of(cover.group)
+        two = next(r for r in irreps if r.dimension == 2)
+        ones = [r for r in irreps if r.dimension == 1]
+        trivial = next(r for r in ones if np.allclose([m[0, 0] for m in r.matrices], 1.0))
+        sign = next(r for r in ones if r is not trivial)
+        reps = irreps + [
+            direct_sum_rep(two, two, "2x(2, 1)"),
+            direct_sum_rep(trivial, sign, "trivial+sign"),
+        ]
+        monkeypatch.setattr(cover_quant, "irreps_of", lambda group, seed=0: reps)
+        report = sector_census(cover, seed=0)
+        commutant, pairwise = oracle_dimensions(cover, reps)
+        assert [s.commutant_dim for s in report.sectors] == commutant
+        assert commutant == [1, 1, 1, 4, 2]
+        assert report.pairwise_intertwiner_dims == pairwise
+        assert pairwise[f"{two.label}|2x(2, 1)"] == 2
+        assert pairwise[f"{trivial.label}|trivial+sign"] == 1
+        assert pairwise[f"{sign.label}|trivial+sign"] == 1
+        assert pairwise["2x(2, 1)|trivial+sign"] == 0
+        assert report.dimension_margin < linalg.RESIDUAL_TOL
+        assert report.intertwining_residual_max < linalg.RESIDUAL_TOL
+        assert not report.passed
+
+    def test_non_integral_gram_raises(self, cover43, monkeypatch):
+        # restricted blocks off by one part in a million: no dimension count
+        exact = cover_quant._restrict_orbits
+        monkeypatch.setattr(
+            cover_quant, "_restrict_orbits", lambda *args: (1 + 1e-6) * exact(*args)
+        )
+        with pytest.raises(ConsistencyError, match="integral"):
+            sector_census(cover43, seed=0)
+
+    def test_diagonal_orbit_count_checked(self, cover43, monkeypatch):
+        # one orbit over the diagonal of the base moved off it; the invariance
+        # check is skipped so that only the count can catch it
+        rows, cols = cover_quant._entry_orbits(cover43)
+        e = cover43.group.identity
+        over_a, over_b = cover43.tau[rows[:, e]], cover43.tau[cols[:, e]]
+        on = int(np.flatnonzero(over_a == over_b)[0])
+        off = int(np.flatnonzero(over_a != over_b)[0])
+        cols = cols.copy()
+        cols[on] = cols[off]
+        monkeypatch.setattr(cover_quant, "_entry_orbits", lambda cover: (rows, cols))
+        monkeypatch.setattr(cover_quant, "_check_orbit_invariance", lambda *args: None)
+        with pytest.raises(ConsistencyError, match="diagonal of the base"):
+            sector_census(cover43, seed=0)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: symmetric_cover(3, 2),
+            lambda: symmetric_cover(4, 3),
+            lambda: symmetric_cover(5, 4),
+            # Z_4 over three base points: complex characters
+            lambda: cover_from_action(
+                tuple(range(12)),
+                [tuple(4 * (x // 4) + (x + k) % 4 for x in range(12)) for k in range(4)],
+            ),
+        ],
+    )
+    def test_gram_is_the_character_inner_product(self, make):
+        # the census sees |G|**-1/2 U(h^-1) on every diagonal orbit, so its
+        # Gram matrix is sum_h chi(h) conj(chi'(h)) / |G|
+        cover = make()
+        reps = irreps_of(cover.group)
+        chars = np.array([[np.trace(m) for m in rep.matrices] for rep in reps])
+        inner = chars @ chars.conj().T / cover.group.order
+        assert linalg.max_abs(inner - np.eye(len(reps))) < 1e-12
+        report = sector_census(cover, seed=0)
+        assert [s.commutant_dim for s in report.sectors] == [1] * len(reps)
+        assert all(v == 0 for v in report.pairwise_intertwiner_dims.values())
+        assert report.dimension_margin < 1e-13
+
+
+def oracle_dimensions(cover, reps):
+    """Commutant and pairwise intertwiner dimensions by dense Sylvester SVDs."""
+    kernels = orbit_kernels(cover)
+    actions = []
+    for rep in reps:
+        basis = constrained_space(cover, rep)
+        actions.append([cover_quant._restrict(k, basis) for k in kernels])
+    commutant = [oracles.dense_intertwiner_dimension(acts, acts) for acts in actions]
+    pairwise = {
+        f"{reps[i].label}|{reps[j].label}": oracles.dense_intertwiner_dimension(
+            actions[i], actions[j]
+        )
+        for i in range(len(reps))
+        for j in range(i + 1, len(reps))
+    }
+    return commutant, pairwise
 
 
 def orbit_kernels(cover):
@@ -678,7 +792,7 @@ class TestBatchedCensus:
 
     def test_cost_estimate_admits_the_frontier(self):
         for q, n in [(3, 2), (4, 2), (4, 3), (5, 2), (6, 2), (5, 3), (8, 2), (6, 3), (9, 2),
-                     (5, 4), (5, 5), (10, 2), (11, 2)]:
+                     (5, 4), (5, 5), (10, 2), (11, 2), (33, 2), (34, 2), (10, 3)]:
             cover = symmetric_cover(q, n)
             dims = [rep.dimension for rep in irreps_of(cover.group)]
             assert cover_quant._census_bytes(cover, dims) <= errors.BYTES_CAP
@@ -691,8 +805,8 @@ class TestBatchedCensus:
         with pytest.raises(ResourceLimitError, match="cover census"):
             sector_census(symmetric_cover(12, 3), seed=0)
         with pytest.raises(ResourceLimitError, match="cover census"):
-            # the smallest N = 2 cover the estimate refuses (q = 32 is admitted)
-            sector_census(cover_from_json(cover_to_json(symmetric_cover(33, 2))), seed=0)
+            # the smallest N = 2 cover the estimate refuses (q = 34 is admitted)
+            sector_census(cover_from_json(cover_to_json(symmetric_cover(35, 2))), seed=0)
 
 
 class TestJsonInterface:

@@ -116,8 +116,8 @@ def shuffled(stack, seed):
 
 class TestSpanRankComponents:
     """Span ranks of stacks made of blocks with disjoint supports: one dense
-    SVD of the whole stack is the reference, and block_span_rank, given the
-    diagonal blocks, must agree with it."""
+    SVD of the whole stack is the reference, and _span_rank, given the stack
+    with its rows and columns shuffled, must agree with it."""
 
     def test_block_diagonal_shuffled(self):
         blocks = [
@@ -127,7 +127,6 @@ class TestSpanRankComponents:
             low_rank(6, 4, 1, 4),
         ]
         stack = block_diagonal(blocks)
-        assert linalg.block_span_rank(np.array(blocks)) == 4 + 2 + 3 + 1
         assert oracles.dense_span_rank(stack) == 4 + 2 + 3 + 1
         assert linalg._span_rank(shuffled(stack, 0)) == 4 + 2 + 3 + 1
         mixed = shuffled(block_diagonal(blocks + [low_rank(3, 9, 3, 5)]), 0)
@@ -139,7 +138,7 @@ class TestSpanRankComponents:
         stack = np.insert(stack, [2, 8], 0.0, axis=1)
         stack = shuffled(stack, 1)
         assert linalg._span_rank(stack) == oracles.dense_span_rank(stack) == 6
-        assert linalg.block_span_rank(np.zeros((3, 4, 5))) == 0
+        assert linalg._span_rank(np.zeros((12, 15))) == 0
 
     def test_overlapping_supports_form_one_component(self):
         # block i starts on the last column of block i - 1: one long chain
@@ -151,38 +150,49 @@ class TestSpanRankComponents:
         # 1e-5 clears 1e-8 * max(1, 1e-5) but not 1e-8 * 1e4
         big = 1e4 * random_unitary(3, seed=8)
         small = 1e-5 * random_unitary(3, seed=9)
-        assert oracles.dense_span_rank(block_diagonal([big, small])) == 3
-        assert linalg.block_span_rank(np.array([big, small])) == 3
-        assert linalg.block_span_rank(small[None]) == 3
+        stack = shuffled(block_diagonal([big, small]), 3)
+        assert linalg._span_rank(stack) == oracles.dense_span_rank(stack) == 3
         assert linalg._span_rank(small) == 3
 
     def test_operator_arrays_accepted(self):
         ops = np.array(rep_of((2, 1)))
         assert linalg.commutant_dimension_of(ops) == 1
         assert linalg.commutant_dimension_of(np.array(regular_s3())) == 6
-        assert linalg.intertwiner_dimension(ops, np.array(rep_of((3,)))) == 0
+        assert linalg.intertwiner_basis(ops, np.array(rep_of((3,)))).shape[1] == 0
+
+
+def pair_stack(ops1, ops2):
+    """Each pair (A_k, B_k) as one flat row."""
+    return [np.concatenate((a.ravel(), b.ravel())) for a, b in zip(ops1, ops2)]
+
+
+def intertwiner_dimension(ops1, ops2):
+    return linalg.intertwiner_basis(ops1, ops2).shape[1]
 
 
 class TestIntertwinerDimension:
+    """Intertwiner dimensions, the width of intertwiner_basis, against the
+    dense Sylvester oracle; pairs spanning M_d1 x M_d2 admit none (Burnside)."""
+
     @pytest.mark.parametrize("parts", [(2, 1), (3, 1)])
     def test_equivalent_pair(self, parts):
-        # S_4 has 24 >= 3**2 + 3**2 elements, so there the joint span rank
-        # is computed, falls short at 9, and the fallback must answer
+        # S_4 has 24 >= 3**2 + 3**2 elements, yet the joint span of an
+        # equivalent pair falls short at 9
         ops = rep_of(parts)
         w = random_unitary(ops[0].shape[0], seed=4)
         conj = [w @ a @ linalg.dagger(w) for a in ops]
-        assert linalg.intertwiner_dimension(ops, conj) == 1
+        assert linalg._span_rank(pair_stack(ops, conj)) == ops[0].size
+        assert intertwiner_dimension(ops, conj) == 1
         assert oracles.dense_intertwiner_dimension(ops, conj) == 1
-        assert linalg.intertwiner_dimension(ops, conj) == linalg.intertwiner_basis(
-            ops, conj
-        ).shape[1]
 
     @pytest.mark.parametrize(
         "first, second",
         [((2, 1), (3,)), ((2, 1), (1, 1, 1)), ((3,), (1, 1, 1))],
     )
-    def test_inequivalent_pair_by_span_rank(self, first, second, no_sylvester):
-        assert linalg.intertwiner_dimension(rep_of(first), rep_of(second)) == 0
+    def test_inequivalent_pair_by_span_rank(self, first, second):
+        ops1, ops2 = rep_of(first), rep_of(second)
+        assert linalg._span_rank(pair_stack(ops1, ops2)) == ops1[0].size + ops2[0].size
+        assert intertwiner_dimension(ops1, ops2) == 0
 
     @pytest.mark.parametrize(
         "first, second",
@@ -191,28 +201,26 @@ class TestIntertwinerDimension:
     def test_inequivalent_pair_matches_oracle(self, first, second):
         ops1, ops2 = rep_of(first), rep_of(second)
         assert oracles.dense_intertwiner_dimension(ops1, ops2) == 0
-        assert linalg.intertwiner_dimension(ops1, ops2) == 0
+        assert intertwiner_dimension(ops1, ops2) == 0
 
     def test_reducible_inequivalent_pair_falls_back(self):
         # trivial+trivial against sign: the joint span is too small to
         # certify, yet no nonzero intertwiner exists
         trivial2 = direct_sum(rep_of((3,)), rep_of((3,)))
         sign = rep_of((1, 1, 1))
-        assert linalg._span_rank(
-            [np.concatenate((a.ravel(), b.ravel())) for a, b in zip(trivial2, sign)]
-        ) < 4 + 1
-        assert linalg.intertwiner_dimension(trivial2, sign) == 0
+        assert linalg._span_rank(pair_stack(trivial2, sign)) < 4 + 1
+        assert intertwiner_dimension(trivial2, sign) == 0
         assert oracles.dense_intertwiner_dimension(trivial2, sign) == 0
 
     def test_reducible_pair_counts_multiplicity(self):
         ops = rep_of((2, 1))
         twice = direct_sum(ops, ops)
-        assert linalg.intertwiner_dimension(ops, twice) == 2
+        assert intertwiner_dimension(ops, twice) == 2
         assert oracles.dense_intertwiner_dimension(ops, twice) == 2
 
     def test_misaligned_lists_rejected(self):
         with pytest.raises(DomainError):
-            linalg.intertwiner_dimension(rep_of((2, 1)), rep_of((3,))[:2])
+            linalg.intertwiner_basis(rep_of((2, 1)), rep_of((3,))[:2])
 
 
 def projector(basis):
