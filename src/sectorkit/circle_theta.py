@@ -11,6 +11,17 @@ twist from the boundary condition into an additive constant of the
 operator; the constant is measured, not assumed, because normalization
 conventions for it differ (theta here, theta/2*pi in some unit
 conventions).
+
+The certificates neither form nor diagonalize an n x n operator. The
+twisted plane wave exp(i (theta + 2 pi k) x)/sqrt(n) is an exact
+eigenvector of both discretizations. Each operator is applied to it
+matrix-free (_apply: the stencil as two shifted copies with the
+exp(+-i theta) wrap, the spectral operator by FFT), and its Rayleigh
+quotient is certified by the residual, which bounds the distance to the
+spectrum of a Hermitian operator (Parlett, The Symmetric Eigenvalue
+Problem). The gauge identity is checked on the whole plane-wave basis,
+in chunks of bounded size, after a byte and a work estimate.
+twisted_momentum builds the dense operators, kept as the reference.
 """
 
 from __future__ import annotations
@@ -21,20 +32,29 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import linalg
-from .errors import DomainError
+from .errors import ConsistencyError, DomainError, check_bytes, check_work
 
 TWO_PI = 2.0 * math.pi
 MIN_GRID = 8
 # A circle report passes when the spectral eigenvalues are within
 # SPECTRAL_ERROR_TOL of theta + 2 pi k, the gauge residual is below
 # GAUGE_RESIDUAL_TOL and the difference stencil's fitted order of
-# convergence (2 in theory) is at least MIN_FD_ORDER.
+# convergence (2 in theory) is at least MIN_FD_ORDER. Every plane-wave
+# eigenvalue is certified by a residual ||H v - lambda v|| within
+# SPECTRAL_ERROR_TOL, else ConsistencyError.
 SPECTRAL_ERROR_TOL = 1e-9
 GAUGE_RESIDUAL_TOL = 1e-8
 MIN_FD_ORDER = 1.9
 # translation_unitary takes a shift a as a grid move when a * n is this
 # close to an integer.
 GRID_SHIFT_TOL = 1e-9
+COMPLEX_BYTES = 16
+# A matrix-free pass holds at most PASS_VECTORS length-n vectors (grid,
+# phases, mode numbers, roots of unity, multipliers, the two spectra and the
+# gauge diagonal) and PASS_CHUNKS arrays of one chunk of plane waves (the
+# waves, their images, products, FFT output and gather indices).
+PASS_VECTORS = 12
+PASS_CHUNKS = 10
 
 
 @dataclass(frozen=True)
@@ -72,6 +92,92 @@ def grid(n: int) -> np.ndarray:
 def _mode_numbers(n: int) -> np.ndarray:
     """Integer Fourier mode numbers in the symmetric window."""
     return ((np.arange(n) + n // 2) % n) - n // 2
+
+
+def _chunk_rows(n: int) -> int:
+    """Plane waves per chunk: linalg.CHUNK_BYTES worth, one at least."""
+    return max(1, linalg.CHUNK_BYTES // (COMPLEX_BYTES * n))
+
+
+def _check_cost(n: int, transforms: int, what: str) -> None:
+    """Refuse a matrix-free pass of `transforms` length-n FFTs before allocating.
+
+    Bytes: PASS_VECTORS vectors and PASS_CHUNKS chunks of length n.
+    Work: n log2 n per transform (the stencil costs less).
+    """
+    check_bytes(COMPLEX_BYTES * n * (PASS_VECTORS + PASS_CHUNKS * _chunk_rows(n)), what)
+    check_work(transforms * n * math.log2(n), what)
+
+
+def check_gauge_cost(n: int) -> None:
+    """Refuse the spectral gauge check on n points beyond the byte or work budget.
+
+    Its pass applies two operators (an FFT and an inverse each) to all n
+    plane waves and transforms their difference: 5 n transforms.
+    """
+    _check_grid(n)
+    _check_cost(n, 5 * n, f"the gauge check on a {n}-point grid")
+
+
+def _plane_waves(theta: float, modes: np.ndarray, n: int) -> np.ndarray:
+    """Rows exp(i (theta + 2 pi m) x)/sqrt(n) on the grid, one per mode number m.
+
+    The phase is exp(i theta x) times an n-th root of unity indexed by
+    m j mod n, exact to rounding for every m; exp(i mu x) itself would
+    lose about |mu| ulp in its argument.
+    """
+    j = np.arange(n)
+    roots = np.exp(2j * math.pi * j / n) / math.sqrt(n)
+    return np.exp(1j * theta * grid(n)) * roots[np.multiply.outer(modes, j) % n]
+
+
+def _apply_spectral(theta: float, vectors: np.ndarray) -> np.ndarray:
+    """twisted_momentum(theta, n, "spectral") applied to each row, by FFT."""
+    n = vectors.shape[-1]
+    twist = np.exp(1j * theta * grid(n))
+    mu = theta + TWO_PI * _mode_numbers(n)  # in numpy's FFT frequency order
+    return twist * np.fft.ifft(mu * np.fft.fft(twist.conj() * vectors))
+
+
+def _apply_fd(theta: float, vectors: np.ndarray) -> np.ndarray:
+    """twisted_momentum(theta, n, "fd") applied to each row, in O(n) per row."""
+    n = vectors.shape[-1]
+    ahead = np.roll(vectors, -1, axis=-1)  # psi(x + 1/n), wrapping as psi(1) = e^{i theta} psi(0)
+    ahead[..., -1] *= np.exp(1j * theta)
+    behind = np.roll(vectors, 1, axis=-1)
+    behind[..., 0] *= np.exp(-1j * theta)
+    return (-0.5j * n) * (ahead - behind)
+
+
+def _apply(theta: float, vectors: np.ndarray, method: str) -> np.ndarray:
+    """The discretized -i d/dx applied to each row of `vectors`, without forming it."""
+    if method == "spectral":
+        return _apply_spectral(theta, vectors)
+    if method == "fd":
+        return _apply_fd(theta, vectors)
+    raise DomainError(f"unknown discretization {method!r}")
+
+
+def _certified_eigenvalues(
+    theta: float, waves: np.ndarray, method: str
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Images H v, Rayleigh quotients v* H v and residuals of the unit rows v of `waves`.
+
+    For Hermitian H some eigenvalue lies within ||H v - (v* H v) v|| of
+    v* H v. A residual past SPECTRAL_ERROR_TOL raises ConsistencyError:
+    v is then no eigenvector and its quotient certifies nothing.
+    """
+    images = _apply(theta, waves, method)
+    # np.sum sums pairwise: a sequential dot product loses ~sqrt(n) |lambda| ulp
+    values = np.sum(waves.conj() * images, axis=-1).real
+    residuals = np.linalg.norm(images - values[:, None] * waves, axis=-1)
+    worst = float(residuals.max())
+    if not worst <= SPECTRAL_ERROR_TOL:
+        raise ConsistencyError(
+            f"a plane wave of the {method} operator (theta={theta:.6g}, n={waves.shape[-1]}) "
+            f"has residual {worst:.3e}, over SPECTRAL_ERROR_TOL {SPECTRAL_ERROR_TOL:g}"
+        )
+    return images, values, residuals
 
 
 def twisted_momentum(theta, n: int, method: str = "spectral") -> np.ndarray:
@@ -127,33 +233,39 @@ def momentum_spectrum(theta, n: int, k_max: int, method: str = "spectral") -> np
 
 
 def spectrum_rows(theta, n: int, k_max: int, method: str = "spectral") -> list[dict]:
-    """Continuum references paired with their computed eigenvalues.
+    """Continuum references paired with certified eigenvalues.
 
     One row per mode number k in [-k_max, k_max]: the reference
-    theta + 2*pi*k, the eigenvalue of the discretized operator whose
-    eigenvector overlaps the mode's twisted plane wave most strongly,
-    and their distance. Matching by eigenvector keeps band-edge aliases
-    of the difference stencil from being mistaken for low modes.
+    theta + 2*pi*k, the eigenvalue of the discretized operator on the
+    mode's twisted plane wave (its Rayleigh quotient; the wave is an exact
+    eigenvector of both discretizations), their distance, and the
+    residual that certifies the eigenvalue (ConsistencyError past
+    SPECTRAL_ERROR_TOL). Following each mode's own plane wave keeps
+    band-edge aliases of the difference stencil from being mistaken for
+    low modes.
     """
     angle = _as_angle(theta)
     _check_grid(n)
     if 2 * k_max + 1 > n // 2:
         raise DomainError(f"k_max={k_max} too large for grid size {n}")
-    eigvals, eigvecs = np.linalg.eigh(twisted_momentum(angle, n, method))
-    x = grid(n)
+    refs = reference_eigenvalues(angle, k_max)
+    _check_cost(n, 2 * len(refs), f"{len(refs)} plane-wave eigenvalues on a {n}-point grid")
+    step = _chunk_rows(n)
     rows = []
-    for k, ref in reference_eigenvalues(angle, k_max):
-        wave = np.exp(1j * ref * x) / math.sqrt(n)
-        overlaps = np.abs(wave.conj() @ eigvecs)
-        value = float(eigvals[int(np.argmax(overlaps))])
-        rows.append(
+    for start in range(0, len(refs), step):
+        chunk = refs[start : start + step]
+        waves = _plane_waves(angle, np.array([k for k, _ in chunk]), n)
+        _, values, residuals = _certified_eigenvalues(angle, waves, method)
+        rows += [
             {
                 "k": k,
-                "eigenvalue": value,
+                "eigenvalue": float(value),
                 "reference": float(ref),
                 "error": float(abs(value - ref)),
+                "residual": float(residual),
             }
-        )
+            for (k, ref), value, residual in zip(chunk, values, residuals)
+        ]
     return rows
 
 
@@ -173,31 +285,60 @@ class GaugeReport:
         return asdict(self)
 
 
+def _spectral_gauge(theta: float, n: int) -> GaugeReport:
+    """The spectral gauge identity G T_theta G* = T_0 + c on the whole plane-wave basis.
+
+    G = diag(exp(-i theta x)). For each periodic plane wave w_m (an
+    eigenvector of T_0) and v_m = G* w_m (one of T_theta), both operators
+    are applied and both eigenvalues certified; W* (G T_theta v_m - T_0 w_m)
+    is column m of the difference in the plane-wave basis, by one more
+    FFT. Chunks of _chunk_rows(n) waves keep every array at n x chunk.
+    """
+    modes = _mode_numbers(n)
+    twist = np.exp(1j * theta * grid(n))
+    twisted_values = np.empty(n)
+    periodic_values = np.empty(n)
+    diagonal = np.empty(n, dtype=complex)
+    off_diagonal = 0.0
+    step = _chunk_rows(n)
+    for start in range(0, n, step):
+        block = modes[start : start + step]
+        stop = start + len(block)
+        waves = _plane_waves(0.0, block, n)
+        twisted, twisted_values[start:stop], _ = _certified_eigenvalues(
+            theta, twist * waves, "spectral"
+        )
+        periodic, periodic_values[start:stop], _ = _certified_eigenvalues(0.0, waves, "spectral")
+        columns = np.fft.fft(twist.conj() * twisted - periodic) / math.sqrt(n)
+        rows, own = np.arange(len(block)), block % n  # FFT index of mode m
+        diagonal[start:stop] = columns[rows, own]
+        columns[rows, own] = 0.0
+        off_diagonal = max(off_diagonal, linalg.max_abs(columns))
+    constant = float(np.mean(diagonal).real)
+    residual = max(off_diagonal, linalg.max_abs(diagonal - constant))
+    agreement = linalg.max_abs(twisted_values - periodic_values - constant)
+    return GaugeReport(theta, n, "spectral", residual, constant, theta / TWO_PI, agreement)
+
+
 def gauge_equivalence_check(theta, n: int, method: str = "spectral", k_max: int = 8) -> GaugeReport:
     """Conjugate the twisted operator by exp(-i theta x) and compare.
 
     The conjugated operator must equal the periodic operator plus a
-    constant. With the spectral discretization the identity is exact and
-    the residual is the max-abs deviation from (periodic + c); with
-    finite differences only the low part of the spectrum obeys it, so
-    the residual compares the 2*k_max+1 central eigenvalues. The
-    measured constant c (theta, in circumference-1 units) is reported
-    next to theta/2*pi, the value quoted under other normalizations.
+    constant. With the spectral discretization the identity is exact:
+    the residual is the max-abs deviation from (periodic + c) of its
+    matrix in the plane-wave basis, over the whole space, and the
+    eigenvalue agreement compares the two certified plane-wave spectra
+    (_spectral_gauge). With finite differences only the low part of the
+    spectrum obeys it, so the residual compares the 2*k_max+1 central
+    eigenvalues. The measured constant c (theta, in circumference-1
+    units) is reported next to theta/2*pi, the value quoted under other
+    normalizations.
     """
     theta = _as_angle(theta)
     _check_grid(n)
-    twisted = twisted_momentum(theta, n, method)
-    periodic = twisted_momentum(0.0, n, method)
-    gauge = np.diag(np.exp(-1j * theta * grid(n)))
-    conjugated = gauge @ twisted @ linalg.dagger(gauge)
     if method == "spectral":
-        diff = conjugated - periodic
-        constant = float(np.mean(np.diag(diff)).real)
-        residual = linalg.max_abs(diff - constant * np.eye(n))
-        eig_twist = np.sort(np.linalg.eigvalsh(conjugated))
-        eig_per = np.sort(np.linalg.eigvalsh(periodic)) + constant
-        agreement = float(np.max(np.abs(eig_twist - eig_per)))
-        return GaugeReport(theta, n, method, residual, constant, theta / TWO_PI, agreement)
+        check_gauge_cost(n)
+        return _spectral_gauge(theta, n)
     if method == "fd":
         eig_twist = np.array(
             [r["eigenvalue"] for r in spectrum_rows(theta, n, k_max, method)]

@@ -169,14 +169,13 @@ def _run_equiv(args) -> tuple[int, bytes]:
         raise DomainError("--m must be >= 2 for the equivalence certificates")
     if args.format == "csv":
         raise DomainError("csv output is not defined for equiv; use json or pretty")
-    rng = np.random.default_rng(args.seed)
     if args.N == 2:
         first = parastat_equiv.bosonic_singlet_realization(args.m)
         second = parastat_equiv.fermionic_realization(args.m)
     else:
         first = parastat_equiv.bosonic_doublet_realization(args.m)
         second = parastat_equiv.parafermion_realization(args.m)
-    cert = parastat_equiv.general_equivalence(first, second, rng=rng)
+    cert = parastat_equiv.general_equivalence(first, second, seed=args.seed)
     payload = {
         "schema": SCHEMA,
         "command": "equiv",
@@ -241,7 +240,10 @@ def _run_circle(args) -> tuple[int, bytes]:
     theta = circle_theta.ThetaSector(args.theta).theta
     n = args.grid
     k_max = args.k_max
+    # the whole-space gauge pass is the costliest step: refuse before computing anything
+    circle_theta.check_gauge_cost(n)
     rows = circle_theta.spectrum_rows(theta, n, k_max, method="spectral")
+    eigen_residual = max(r.pop("residual") for r in rows)
     gauge = circle_theta.gauge_equivalence_check(theta, n, method="spectral")
     sizes = (64, 128, 256)
     convergence = circle_theta.fd_convergence(theta, k_max=4, grid_sizes=sizes)
@@ -263,6 +265,7 @@ def _run_circle(args) -> tuple[int, bytes]:
         "config": {"theta": theta, "grid": n, "k_max": k_max, "seed": args.seed},
         "rows": rows,
         "worst_spectral_error": worst,
+        "eigen_residual_max": eigen_residual,
         "gauge": gauge.to_dict(),
         "fd_convergence": convergence.to_dict(),
         "passed": ok,
@@ -271,6 +274,7 @@ def _run_circle(args) -> tuple[int, bytes]:
         lines = [
             f"theta = {theta:.6f}, grid {n}",
             f"worst spectral eigenvalue error (|k| <= {k_max}): {worst:.3e}",
+            f"largest eigenvalue residual: {eigen_residual:.3e}",
             f"gauge residual: {gauge.residual:.3e} "
             f"(measured constant {gauge.measured_constant:.6f}, "
             f"theta/2pi = {gauge.theta_over_2pi:.6f})",

@@ -756,7 +756,7 @@ def _census_bytes(cover: FiniteCover, dims: list[int]) -> int:
         + 6 * k * dmax * dmax
         + len(dims) * nbase * ng
     )
-    return 16 * entries + 6 * 8 * k * ng + 3 * linalg.ORBIT_CHUNK_BYTES
+    return 16 * entries + 6 * 8 * k * ng + 3 * linalg.CHUNK_BYTES
 
 
 def _sector_dimensions(

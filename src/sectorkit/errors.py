@@ -1,16 +1,24 @@
-"""Exception types shared across the toolkit, and the one byte budget.
+"""Exception types shared across the toolkit, and the one byte and work budgets.
 
 The CLI maps the exceptions onto its exit-code contract (usage error 2,
 resource cap 3, consistency failure 4).
 
 Every computation whose memory grows with its input estimates its peak
 bytes from the sizes alone and passes the estimate to check_bytes before
-allocating; one BYTES_CAP bounds them all. The caps on report records,
-printed digits, dense block work and the tensor dimension are not byte
-estimates and stay with the computations they bound.
+allocating; one BYTES_CAP bounds them all. Likewise a computation whose
+time grows faster than its memory counts its operations and passes the
+count to check_work; one WORK_CAP bounds them all. The caps on report
+records, printed digits and the tensor dimension are neither and stay
+with the computations they bound.
 """
 
 BYTES_CAP = 256 * 2**20
+# The sector decomposition counts b^3 per dense b x b weight block: (2, 12)
+# needs 1.4e9 and runs in about a second on two cores, (2, 13) and (3, 9)
+# need 7.6e9 and are refused. The circle's whole-space gauge pass counts
+# n log2 n per length-n FFT: grid 4096 needs 1.0e9 and runs in about 3 s,
+# 8192 needs 4.4e9 and is refused.
+WORK_CAP = 4 * 10**9
 
 
 class DomainError(ValueError):
@@ -31,3 +39,9 @@ def check_bytes(nbytes: int, what: str) -> None:
         raise ResourceLimitError(
             f"{what} needs ~{nbytes / 2**20:.3g} MiB, cap {BYTES_CAP // 2**20} MiB"
         )
+
+
+def check_work(work: float, what: str) -> None:
+    """Refuse `what`, estimated at `work` operations, with ResourceLimitError over WORK_CAP."""
+    if work > WORK_CAP:
+        raise ResourceLimitError(f"{what} needs ~{work:.3g} operations, cap {WORK_CAP:.3g}")

@@ -22,7 +22,9 @@ involves only one equation on the current (shrinking) solution space and
 no Kronecker-product stack is ever formed.
 
 A unitary intertwiner is first sought from one random Hermitian element
-of each side, MeatAxe-style (Parker 1984; Holt and Rees 1994): matched
+of each side (coefficients drawn from the standard library's
+random.Random, so that no CLI run loads numpy.random), MeatAxe-style
+(Parker 1984; Holt and Rees 1994): matched
 eigenvectors spun up through the operators give V, certified by its
 residual over every pair. Only when that fails is the intertwiner space
 solved by successive restriction, whose verdict then stands.
@@ -36,6 +38,8 @@ them.
 
 from __future__ import annotations
 
+import random
+
 import numpy as np
 
 from .errors import DomainError
@@ -48,8 +52,9 @@ GROUP_LAW_TOL = 1e-9  # unitarity and group law of a representation
 INVARIANT_SUBSPACE_TOL = 1e-8  # leakage of a candidate irreducible subspace
 EIGEN_CLUSTER_TOL = 1e-6  # eigenvalue clustering, character matching, sector eigenvalues
 KERNEL_INVARIANCE_TOL = 1e-10  # deck invariance of a kernel
-# Working set of one chunk of orbit_restrictions / restrict_orbits.
-ORBIT_CHUNK_BYTES = 2**20
+# Working set of one chunk of orbit_restrictions / restrict_orbits, and the
+# size of one chunk of plane waves in circle_theta's matrix-free passes.
+CHUNK_BYTES = 2**20
 
 
 def dagger(a: np.ndarray) -> np.ndarray:
@@ -129,12 +134,12 @@ def orbit_restrictions(
     R_O is the carrier restriction of the normalized indicator of O (times
     the identity on the k internal rows). The blocks are gathered per
     entry, multiplied and summed per orbit, in chunks of whole orbits
-    whose products take at most ORBIT_CHUNK_BYTES (one orbit at least).
+    whose products take at most CHUNK_BYTES (one orbit at least).
     """
     r = blocks.shape[2]
     sizes = np.diff(starts)
     out = np.empty((len(sizes), r, r), dtype=blocks.dtype)
-    step = max(1, ORBIT_CHUNK_BYTES // max(1, r * r * blocks.itemsize * int(sizes.max())))
+    step = max(1, CHUNK_BYTES // max(1, r * r * blocks.itemsize * int(sizes.max())))
     for lo in range(0, len(sizes), step):
         hi = min(lo + step, len(sizes))
         entries = slice(starts[lo], starts[hi])
@@ -165,7 +170,7 @@ def restrict_orbits(
     sizes = np.diff(starts)
     scale = np.repeat(1.0 / np.sqrt(sizes), sizes)[:, None, None]
     # C R_O and its absolute values are the two arrays of a chunk
-    step = max(1, ORBIT_CHUNK_BYTES // max(1, 2 * c.size * c.itemsize))
+    step = max(1, CHUNK_BYTES // max(1, 2 * c.size * c.itemsize))
     leakage = 0.0
     for lo in range(0, len(sizes), step):
         hi = min(lo + step, len(sizes))
@@ -271,8 +276,13 @@ def intertwining_residual(
     return max(max_abs(v @ a - b @ v) for a, b in zip(ops1, ops2))
 
 
+def _normals(rng: random.Random, count: int) -> np.ndarray:
+    """`count` standard normal draws from rng."""
+    return np.array([rng.gauss(0.0, 1.0) for _ in range(count)])
+
+
 def _intertwiner_from_random_element(
-    ops1, ops2, rng: np.random.Generator
+    ops1, ops2, rng: random.Random
 ) -> tuple[np.ndarray, float] | None:
     """A unitary intertwiner from one random Hermitian element, or None.
 
@@ -292,9 +302,9 @@ def _intertwiner_from_random_element(
     a2 = np.asarray(ops2)
     if a1.ndim != 3 or a1.shape != a2.shape or a1.shape[1] == 0:
         return None
-    coeffs = rng.standard_normal(len(a1))
+    coeffs = _normals(rng, len(a1))
     if np.iscomplexobj(a1) or np.iscomplexobj(a2):
-        coeffs = coeffs + 1j * rng.standard_normal(len(a1))
+        coeffs = coeffs + 1j * _normals(rng, len(a1))
         a1, a2 = a1.astype(complex, copy=False), a2.astype(complex, copy=False)
     spectra = []
     for ops in (a1, a2):
@@ -317,7 +327,7 @@ def _intertwiner_from_random_element(
 def unitary_intertwiner(
     ops1: list[np.ndarray],
     ops2: list[np.ndarray],
-    rng: np.random.Generator | None = None,
+    seed: int = 0,
 ) -> tuple[np.ndarray | None, float, str]:
     """Search for a unitary V with V A_k = B_k V for all k.
 
@@ -330,8 +340,10 @@ def unitary_intertwiner(
     invertible intertwiner exists; evidence then states what ruled it out.
     For *-closed irreducible actions the polar factor of any invertible
     solution intertwines exactly, which is what the residual certifies.
+    The random element and the fallback's four random candidates draw
+    from one random.Random(seed) stream.
     """
-    rng = rng if rng is not None else np.random.default_rng(0)
+    rng = random.Random(seed)
     found = _intertwiner_from_random_element(ops1, ops2, rng)
     if found is not None and found[1] < RESIDUAL_TOL:
         return found[0], found[1], "unitary intertwiner found"
@@ -344,7 +356,7 @@ def unitary_intertwiner(
         return None, float("inf"), f"carrier dimensions differ ({d1} vs {d2})"
     candidates = [basis[:, k].reshape(d2, d1) for k in range(basis.shape[1])]
     for _ in range(4):
-        coeffs = rng.standard_normal(basis.shape[1]) + 1j * rng.standard_normal(basis.shape[1])
+        coeffs = _normals(rng, basis.shape[1]) + 1j * _normals(rng, basis.shape[1])
         candidates.append((basis @ coeffs).reshape(d2, d1))
     best: tuple[np.ndarray, float] | None = None
     for cand in candidates:

@@ -305,7 +305,7 @@ class EquivalenceCertificate:
 
 
 def general_equivalence(
-    r1: SectorRealization, r2: SectorRealization, rng: np.random.Generator | None = None
+    r1: SectorRealization, r2: SectorRealization, seed: int = 0
 ) -> EquivalenceCertificate:
     """Certify unitary equivalence of two realizations of the same algebra.
 
@@ -321,7 +321,7 @@ def general_equivalence(
     if len(r1.operators) != len(r2.operators):
         raise DomainError("realizations carry differently sized algebra bases")
     dims = (r1.carrier_dim, r2.carrier_dim)
-    v, residual, evidence = linalg.unitary_intertwiner(r1.operators, r2.operators, rng=rng)
+    v, residual, evidence = linalg.unitary_intertwiner(r1.operators, r2.operators, seed=seed)
     equivalent = v is not None and residual < linalg.RESIDUAL_TOL
     return EquivalenceCertificate(
         equivalent=equivalent,
@@ -361,7 +361,7 @@ def _equiv_bytes(m: int, n_slots: int) -> int:
         + (n_slots + 10) * m ** (2 * n_slots)
         + 4 * k * r
     )
-    return entries * FLOAT_BYTES + 4 * linalg.ORBIT_CHUNK_BYTES
+    return entries * FLOAT_BYTES + 4 * linalg.CHUNK_BYTES
 
 
 def _check_equiv_cost(m: int, n_slots: int) -> None:

@@ -37,7 +37,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import linalg
-from .errors import ConsistencyError, DomainError, ResourceLimitError, check_bytes
+from .errors import ConsistencyError, DomainError, ResourceLimitError, check_bytes, check_work
 from .permgroup import (
     Partition,
     Permutation,
@@ -70,11 +70,8 @@ RECORDS_CAP = 2**14
 REPORT_DIGITS_CAP = 1000
 # Dense b x b float arrays alive at once for a block of b words (the two
 # class sums, their combination, eigenvectors, the eigensolver's work
-# space, and the products of the residuals), and the budget on the sum
-# of b^3 over the blocks: (2, 12) needs 1.4e9 and runs in about a second
-# on two cores, (2, 13) and (3, 9) need 7.6e9 and are refused.
+# space, and the products of the residuals).
 DENSE_BLOCK_ARRAYS = 8
-BLOCK_WORK_CAP = 4 * 10**9
 FLOAT_BYTES = 8
 
 
@@ -380,7 +377,7 @@ def _check_sector_cost(m: int, n: int) -> None:
     the count passes RECORDS_CAP; bounds the digits of its integers;
     then checks the largest weight block's dense bytes against
     errors.BYTES_CAP and the summed cubic work of the blocks (one per
-    partition of n with at most m parts) against BLOCK_WORK_CAP.
+    partition of n with at most m parts) against errors.WORK_CAP.
     """
     TensorSpace(m, n)  # validates m and n
     where = f"the sector decomposition of (C^{m})^(x{n})"
@@ -400,11 +397,9 @@ def _check_sector_cost(m: int, n: int) -> None:
     nbytes = FLOAT_BYTES * (DENSE_BLOCK_ARRAYS * words * words + 3 * cycles * (words + n))
     check_bytes(nbytes, f"{where} (largest weight block: {words} words)")
     work = sum(b**3 for b in sizes)
-    if work > BLOCK_WORK_CAP:
-        raise ResourceLimitError(
-            f"{where} needs ~{work:.3g} dense block operations (sum of b^3 over "
-            f"{len(sizes)} weight blocks), cap {BLOCK_WORK_CAP:.3g}"
-        )
+    check_work(
+        work, f"{where} (dense block operations: sum of b^3 over {len(sizes)} weight blocks)"
+    )
 
 
 def _separating_combination(shapes: list[tuple[int, ...]]) -> tuple[np.ndarray, int]:
@@ -539,7 +534,10 @@ def _weight_block(
     values, vectors = np.linalg.eigh(scale * k2 + k3)
     sector = _assign_sectors(values, scale * omega[:, 0] + omega[:, 1], weight)
     gram = vectors.T @ vectors
-    columns = {int(s): np.flatnonzero(sector == s) for s in np.unique(sector)}
+    # columns grouped by sector, ascending in both (np.unique would load numpy.ma)
+    order = np.argsort(sector, kind="stable")
+    groups = np.split(order, np.flatnonzero(np.diff(sector[order])) + 1)
+    columns = {int(sector[c[0]]): c for c in groups}
     idempotence = {
         s: linalg.max_abs(vectors[:, c] @ (gram[np.ix_(c, c)] - np.eye(len(c))) @ vectors[:, c].T)
         for s, c in columns.items()

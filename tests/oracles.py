@@ -17,6 +17,10 @@ kept here as their references: carriers as ranges of dense projectors
 (W*W times the dense slot symmetrizer, the dense antisymmetrizer, the
 null space of the stacked parafermion constraint operators), and
 realizations as the dense orbit indicators restricted one at a time.
+Likewise the circle's first certificates: eigenvalues matched to plane
+waves by eigenvector overlap after a dense eigh of the operators of
+circle_theta.twisted_momentum (the kept dense reference), and the gauge
+identity as a dense n x n residual with eigvalsh spectra.
 """
 
 import itertools
@@ -435,3 +439,41 @@ def dense_orbit_restrictions(carrier: np.ndarray, m: int, n_slots: int):
         out.append(restricted)
         leakage = max(leakage, float(np.abs(image - carrier @ restricted).max()))
     return np.array(out), leakage
+
+
+def dense_spectrum_rows(theta: float, n: int, k_max: int, method: str) -> list[dict]:
+    """(k, eigenvalue, reference, error) rows from one dense eigh of twisted_momentum.
+
+    Each reference theta + 2 pi k is paired with the eigenvalue whose
+    eigenvector overlaps the mode's twisted plane wave most strongly.
+    theta must already lie in [0, 2 pi).
+    """
+    from sectorkit.circle_theta import twisted_momentum
+
+    eigvals, eigvecs = np.linalg.eigh(twisted_momentum(theta, n, method))
+    x = np.arange(n) / n
+    rows = []
+    for k in range(-k_max, k_max + 1):
+        ref = theta + 2 * math.pi * k
+        overlaps = np.abs((np.exp(1j * ref * x) / math.sqrt(n)).conj() @ eigvecs)
+        value = float(eigvals[int(np.argmax(overlaps))])
+        rows.append({"k": k, "eigenvalue": value, "reference": ref, "error": abs(value - ref)})
+    return rows
+
+
+def dense_gauge_report(theta: float, n: int) -> dict:
+    """Spectral gauge check on dense matrices: G T_theta G* - T_0 - c and both eigvalsh spectra."""
+    from sectorkit.circle_theta import twisted_momentum
+
+    gauge = np.diag(np.exp(-1j * theta * np.arange(n) / n))
+    conjugated = gauge @ twisted_momentum(theta, n, "spectral") @ gauge.conj().T
+    periodic = twisted_momentum(0.0, n, "spectral")
+    diff = conjugated - periodic
+    constant = float(np.mean(np.diag(diff)).real)
+    eig_twist = np.sort(np.linalg.eigvalsh(conjugated))
+    eig_per = np.sort(np.linalg.eigvalsh(periodic)) + constant
+    return {
+        "residual": float(np.abs(diff - constant * np.eye(n)).max()),
+        "measured_constant": constant,
+        "eigenvalue_agreement": float(np.abs(eig_twist - eig_per).max()),
+    }

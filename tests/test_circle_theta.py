@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from sectorkit import linalg
+import oracles
+from sectorkit import circle_theta, linalg
 from sectorkit.circle_theta import (
     ThetaSector,
     fd_convergence,
@@ -16,7 +18,7 @@ from sectorkit.circle_theta import (
     translation_unitary,
     twisted_momentum,
 )
-from sectorkit.errors import DomainError
+from sectorkit.errors import ConsistencyError, DomainError, ResourceLimitError
 
 TWO_PI = 2 * math.pi
 
@@ -237,3 +239,79 @@ class TestPosition:
             position_operator(np.ones(4))
         with pytest.raises(DomainError):
             position_operator(np.ones((8, 8)))
+
+
+def wrong_wrap_phase(monkeypatch):
+    """Replace the stencil by one that wraps with exp(-i theta) instead of exp(i theta)."""
+    stencil = circle_theta._apply_fd
+    monkeypatch.setattr(circle_theta, "_apply_fd", lambda theta, vectors: stencil(-theta, vectors))
+
+
+class TestMatrixFree:
+    """Certified plane-wave eigenvalues against the dense eigh path they replace."""
+
+    THETAS = [0.0, 0.5, math.pi / 2, math.pi, 3.0, 6.2]
+
+    @pytest.mark.parametrize("theta", THETAS)
+    @pytest.mark.parametrize("method", ["spectral", "fd"])
+    def test_rows_match_the_dense_eigenvector_overlap(self, theta, method):
+        # the full window: for the stencil it holds band-edge aliases of low modes
+        for n in (16, 32, 64, 128, 256, 512):
+            k_max = (n // 2 - 1) // 2
+            rows = spectrum_rows(theta, n, k_max, method)
+            dense = oracles.dense_spectrum_rows(ThetaSector(theta).theta, n, k_max, method)
+            assert [r["k"] for r in rows] == [r["k"] for r in dense]
+            for row, ref in zip(rows, dense):
+                assert row["reference"] == ref["reference"]
+                scale = max(1.0, abs(ref["eigenvalue"]))
+                assert abs(row["eigenvalue"] - ref["eigenvalue"]) <= 1e-12 * scale
+                assert row["residual"] <= circle_theta.SPECTRAL_ERROR_TOL
+
+    @pytest.mark.parametrize("theta", THETAS)
+    def test_gauge_matches_the_dense_report(self, theta):
+        for n in (16, 128, 512):
+            report = gauge_equivalence_check(theta, n)
+            dense = oracles.dense_gauge_report(ThetaSector(theta).theta, n)
+            assert report.measured_constant == pytest.approx(dense["measured_constant"], abs=1e-12)
+            for key in ("residual", "eigenvalue_agreement"):
+                assert getattr(report, key) < circle_theta.GAUGE_RESIDUAL_TOL
+                assert dense[key] < circle_theta.GAUGE_RESIDUAL_TOL
+
+    @pytest.mark.parametrize("method", ["spectral", "fd"])
+    @pytest.mark.parametrize("n", [8, 17, 64])
+    def test_application_is_the_dense_operator(self, method, n):
+        # row j of the application to the identity is column j of the operator
+        for theta in (0.0, 1.3, math.pi):
+            applied = circle_theta._apply(theta, np.eye(n, dtype=complex), method)
+            dense = twisted_momentum(theta, n, method)
+            assert linalg.max_abs(applied - dense.T) < 1e-12 * n
+
+    def test_wrong_wrap_phase_fails_the_residual_check(self, monkeypatch):
+        wrong_wrap_phase(monkeypatch)
+        with pytest.raises(ConsistencyError, match="residual"):
+            spectrum_rows(1.0, 64, 4, method="fd")
+        with pytest.raises(ConsistencyError, match="residual"):
+            fd_convergence(1.0)
+
+    def test_gauge_pass_stays_within_its_byte_estimate(self):
+        n = 2048
+        estimate = 16 * n * (circle_theta.PASS_VECTORS + circle_theta.PASS_CHUNKS * 32)
+        assert circle_theta._chunk_rows(n) == 32
+        tracemalloc.start()
+        try:
+            gauge_equivalence_check(1.0, n)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= estimate < 16 * n * n // 4  # no n x n array
+
+    def test_refused_grid_allocates_nothing(self, monkeypatch):
+        def allocated(*args):
+            raise AssertionError("a plane wave was built")
+
+        monkeypatch.setattr(circle_theta, "_plane_waves", allocated)
+        for n in (8192, 100000, 10**9):
+            with pytest.raises(ResourceLimitError, match=f"gauge check on a {n}-point grid"):
+                gauge_equivalence_check(1.0, n)
+        with pytest.raises(ResourceLimitError, match="plane-wave eigenvalues"):
+            spectrum_rows(1.0, 10**9, 4)

@@ -272,6 +272,8 @@ class TestCircle:
         k0 = [r for r in data["rows"] if r["k"] == 0][0]
         assert abs(k0["eigenvalue"]) < 1e-9
         assert data["gauge"]["residual"] < 1e-8
+        assert 0 < data["eigen_residual_max"] < 1e-9
+        assert sorted(k0) == ["eigenvalue", "error", "k", "reference"]
 
     def test_csv_rows(self, tmp_path):
         code, payload = run_to_file(
@@ -288,13 +290,33 @@ class TestCircle:
         assert main(["circle", "--theta", "0", "--grid", "4"]) == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("grid", [8192, 100000])
+    def test_refused_grid_exits_3_before_allocating(self, capsys, grid):
+        # refused by the gauge pass's work estimate, not by numpy's allocator
+        tracemalloc.start()
+        start = time.perf_counter()
+        try:
+            code = main(["circle", "--theta", "1", "--grid", str(grid)])
+            elapsed = time.perf_counter() - start
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 3
+        assert elapsed < 1.0
+        assert peak < 1 << 20
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        error = json.loads(captured.err)
+        assert error["kind"] == "resource"
+        assert f"gauge check on a {grid}-point grid" in error["error"]
+
 
 class TestFailureExitCodes:
     def test_equivalence_failure_exits_4(self, monkeypatch, capsys):
         from sectorkit import parastat_equiv
         from sectorkit.parastat_equiv import EquivalenceCertificate
 
-        def refuted(first, second, rng=None):
+        def refuted(first, second, seed=0):
             return EquivalenceCertificate(
                 equivalent=False,
                 carrier_dims=(first.carrier_dim, second.carrier_dim),
@@ -318,6 +340,19 @@ class TestFailureExitCodes:
         monkeypatch.setattr(tensor_rep, "sector_decomposition", broken)
         assert main(["sectors", "--m", "2", "--N", "2"]) == 4
         assert json.loads(capsys.readouterr().err)["kind"] == "consistency"
+
+    def test_wrong_wrap_phase_exits_4_without_a_report(self, monkeypatch, capsys):
+        from sectorkit import circle_theta
+
+        # the stencil wraps with exp(-i theta): its plane waves are no eigenvectors
+        stencil = circle_theta._apply_fd
+        monkeypatch.setattr(circle_theta, "_apply_fd", lambda theta, v: stencil(-theta, v))
+        assert main(["circle", "--theta", "1", "--grid", "128"]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        error = json.loads(captured.err)
+        assert error["kind"] == "consistency"
+        assert "fd operator" in error["error"]
 
     def test_memory_error_exits_3(self, monkeypatch, capsys):
         from sectorkit import cover_quant
@@ -512,6 +547,32 @@ class TestImports:
         )
         out = subprocess.run(
             [sys.executable, "-c", script, os.devnull],
+            env=env, capture_output=True, text=True, check=True, timeout=60,
+        ).stdout.split()
+        assert out == ["0", "False"]
+
+    @pytest.mark.parametrize(
+        "argv,module",
+        [
+            # stdlib random.Random draws the generic element (numpy.random is ~6 MB of RSS)
+            (["equiv", "--m", "3", "--N", "3"], "numpy.random"),
+            (["circle", "--theta", "1", "--grid", "128"], "numpy.random"),
+            # np.unique without return_inverse loads numpy.ma (~1.3 MB)
+            (["sectors", "--m", "3", "--N", "4"], "numpy.ma"),
+        ],
+        ids=["equiv-numpy.random", "circle-numpy.random", "sectors-numpy.ma"],
+    )
+    def test_run_does_not_load(self, argv, module):
+        src = str(Path(sectorkit.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        script = (
+            "import sys\n"
+            "from sectorkit import cli\n"
+            "code = cli.main(sys.argv[2:] + ['--out', sys.argv[1]])\n"
+            f"print(code, {module!r} in sys.modules)\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", script, os.devnull, *argv],
             env=env, capture_output=True, text=True, check=True, timeout=60,
         ).stdout.split()
         assert out == ["0", "False"]

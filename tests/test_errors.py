@@ -1,11 +1,15 @@
-"""One byte budget: every byte estimate refuses through errors.check_bytes."""
+"""One byte and one work budget.
+
+Every byte estimate refuses through errors.check_bytes, every work
+estimate through errors.check_work.
+"""
 
 import contextlib
 
 import numpy as np
 import pytest
 
-from sectorkit import cover_quant, errors, parastat_equiv, tensor_rep
+from sectorkit import circle_theta, cover_quant, errors, parastat_equiv, tensor_rep
 from sectorkit.cover_quant import FiniteGroup, sector_census, symmetric_cover
 from sectorkit.errors import ResourceLimitError
 
@@ -31,6 +35,7 @@ ESTIMATES = {
     "restricted to two carriers": lambda: parastat_equiv._check_equiv_cost(8, 2),
     "regular representation": lambda: cover_quant._regular_irreps(cyclic_group(128), 0),
     "cover census": lambda: sector_census(symmetric_cover(4, 2)),
+    "gauge check": lambda: circle_theta.check_gauge_cost(4096),
 }
 
 
@@ -43,3 +48,18 @@ def test_every_byte_estimate_reads_the_one_cap(phrase, monkeypatch):
     monkeypatch.setattr(errors, "BYTES_CAP", 2**20)
     with pytest.raises(ResourceLimitError, match=f"{phrase}.* cap 1 MiB"):
         ESTIMATES[phrase]()
+
+
+# the phrase each refusal names -> a request every work estimate admits at 4e9
+WORK_ESTIMATES = {
+    "dense block operations": lambda: tensor_rep._check_sector_cost(2, 12),
+    "gauge check": lambda: circle_theta.check_gauge_cost(4096),
+}
+
+
+@pytest.mark.parametrize("phrase", WORK_ESTIMATES)
+def test_every_work_estimate_reads_the_one_cap(phrase, monkeypatch):
+    WORK_ESTIMATES[phrase]()
+    monkeypatch.setattr(errors, "WORK_CAP", 10**8)
+    with pytest.raises(ResourceLimitError, match=f"{phrase}.* operations, cap 1e\\+08"):
+        WORK_ESTIMATES[phrase]()

@@ -1,3 +1,4 @@
+import random
 import tracemalloc
 
 import numpy as np
@@ -406,7 +407,7 @@ class TestRestrictOrbits:
     @pytest.mark.parametrize("chunk", [1, 1 << 20])
     def test_matches_restrict_of_dense_indicators(self, k, dtype, chunk, monkeypatch):
         # chunk = 1 byte makes every chunk a single orbit
-        monkeypatch.setattr(linalg, "ORBIT_CHUNK_BYTES", chunk)
+        monkeypatch.setattr(linalg, "CHUNK_BYTES", chunk)
         n, r = 5, 4
         rng = np.random.default_rng(30 + k)
         raw = rng.standard_normal((n * k, r)).astype(dtype)
@@ -515,7 +516,7 @@ class TestRandomElementIntertwiner:
     @pytest.mark.parametrize("case", sorted(INEQUIVALENT))
     def test_inequivalent_pairs_take_the_fallback(self, case, monkeypatch):
         ops1, ops2 = self.INEQUIVALENT[case]()
-        found = linalg._intertwiner_from_random_element(ops1, ops2, np.random.default_rng(0))
+        found = linalg._intertwiner_from_random_element(ops1, ops2, random.Random(0))
         assert found is None or found[1] > linalg.RESIDUAL_TOL
         calls = []
         basis = linalg.intertwiner_basis
@@ -531,7 +532,7 @@ class TestRandomElementIntertwiner:
         # two copies of one irreducible: every Hermitian element of the
         # algebra has doubly degenerate eigenvalues
         ops = direct_sum(rep_of((2, 1)), rep_of((2, 1)))
-        assert linalg._intertwiner_from_random_element(ops, ops, np.random.default_rng(1)) is None
+        assert linalg._intertwiner_from_random_element(ops, ops, random.Random(1)) is None
         v, residual, _ = linalg.unitary_intertwiner(ops, ops)
         assert residual < 1e-12
 
