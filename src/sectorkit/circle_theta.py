@@ -320,7 +320,9 @@ def _spectral_gauge(theta: float, n: int) -> GaugeReport:
     return GaugeReport(theta, n, "spectral", residual, constant, theta / TWO_PI, agreement)
 
 
-def gauge_equivalence_check(theta, n: int, method: str = "spectral", k_max: int = 8) -> GaugeReport:
+def gauge_equivalence_check(
+    theta, n: int, method: str = "spectral", k_max: int | None = None
+) -> GaugeReport:
     """Conjugate the twisted operator by exp(-i theta x) and compare.
 
     The conjugated operator must equal the periodic operator plus a
@@ -330,9 +332,10 @@ def gauge_equivalence_check(theta, n: int, method: str = "spectral", k_max: int 
     eigenvalue agreement compares the two certified plane-wave spectra
     (_spectral_gauge). With finite differences only the low part of the
     spectrum obeys it, so the residual compares the 2*k_max+1 central
-    eigenvalues. The measured constant c (theta, in circumference-1
-    units) is reported next to theta/2*pi, the value quoted under other
-    normalizations.
+    eigenvalues; by default k_max = min(8, (n // 2 - 1) // 2), the widest
+    window up to 8 that spectrum_rows admits on the grid. The measured
+    constant c (theta, in circumference-1 units) is reported next to
+    theta/2*pi, the value quoted under other normalizations.
     """
     theta = _as_angle(theta)
     _check_grid(n)
@@ -340,6 +343,8 @@ def gauge_equivalence_check(theta, n: int, method: str = "spectral", k_max: int 
         check_gauge_cost(n)
         return _spectral_gauge(theta, n)
     if method == "fd":
+        if k_max is None:
+            k_max = min(8, (n // 2 - 1) // 2)
         eig_twist = np.array(
             [r["eigenvalue"] for r in spectrum_rows(theta, n, k_max, method)]
         )

@@ -21,6 +21,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import random
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
@@ -372,7 +373,9 @@ def _regular_irreps(group: FiniteGroup, seed: int) -> list[GroupRep]:
     subspaces, each irreducible appearing (dim) times. Candidates are
     checked for invariance and scalar commutant and deduplicated by
     character; the survivors are validated (unitarity, group law) once, as
-    the GroupReps returned. Failures retry with a fresh sample. The
+    the GroupReps returned. Failures retry with a fresh sample, each
+    drawn from the standard library's random.Random(seed + attempt), so
+    that a --cover-json run does not load numpy.random. The
     |G| dense |G| x |G| matrices are refused over errors.BYTES_CAP before
     they are built.
     """
@@ -384,8 +387,8 @@ def _regular_irreps(group: FiniteGroup, seed: int) -> list[GroupRep]:
     )
     reg = _regular_representation(group)
     for attempt in range(20):
-        rng = np.random.default_rng(seed + attempt)
-        h = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        rng = random.Random(seed + attempt)
+        h = (linalg._normals(rng, n * n) + 1j * linalg._normals(rng, n * n)).reshape(n, n)
         h = h + linalg.dagger(h)
         avg = sum(r @ h @ linalg.dagger(r) for r in reg) / n
         eigvals, eigvecs = np.linalg.eigh(avg)

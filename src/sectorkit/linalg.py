@@ -21,19 +21,17 @@ those of N null(M_k N) span the solutions of the first k, so each SVD
 involves only one equation on the current (shrinking) solution space and
 no Kronecker-product stack is ever formed.
 
-A unitary intertwiner is first sought from one random Hermitian element
-of each side (coefficients drawn from the standard library's
-random.Random, so that no CLI run loads numpy.random), MeatAxe-style
-(Parker 1984; Holt and Rees 1994): matched
-eigenvectors spun up through the operators give V, certified by its
-residual over every pair. Only when that fails is the intertwiner space
-solved by successive restriction, whose verdict then stands.
+A unitary intertwiner is first sought from one random element of the
+algebra the operators generate (drawn from random.Random, so that no CLI
+run loads numpy.random): a mismatch of its two spectra refutes
+equivalence, and simple spectra give V = Q2 D Q1*, certified by its
+residual over every pair. Otherwise successive restriction, after a byte
+estimate, decides.
 
 Operators given as normalized indicators of entry orbits (the orbit
-bases of both the operator and the covering-space pictures) are
-restricted to a carrier straight from their orbit tables, by gathers and
-per-orbit sums (orbit_restrictions, restrict_orbits), without forming
-them.
+basis of the covering-space picture) are restricted to a carrier
+straight from their orbit tables, by gathers and per-orbit sums
+(orbit_restrictions), without forming them.
 """
 
 from __future__ import annotations
@@ -42,7 +40,7 @@ import random
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, check_bytes
 
 RANK_TOL = 1e-8
 RESIDUAL_TOL = 1e-10
@@ -52,8 +50,8 @@ GROUP_LAW_TOL = 1e-9  # unitarity and group law of a representation
 INVARIANT_SUBSPACE_TOL = 1e-8  # leakage of a candidate irreducible subspace
 EIGEN_CLUSTER_TOL = 1e-6  # eigenvalue clustering, character matching, sector eigenvalues
 KERNEL_INVARIANCE_TOL = 1e-10  # deck invariance of a kernel
-# Working set of one chunk of orbit_restrictions / restrict_orbits, and the
-# size of one chunk of plane waves in circle_theta's matrix-free passes.
+# Working set of one chunk of orbit_restrictions, and the size of one
+# chunk of plane waves in circle_theta's matrix-free passes.
 CHUNK_BYTES = 2**20
 
 
@@ -147,43 +145,6 @@ def orbit_restrictions(
         out[lo:hi] = np.add.reduceat(products, starts[lo:hi] - starts[lo], axis=0)
     out /= np.sqrt(sizes)[:, None, None]
     return out
-
-
-def restrict_orbits(
-    carrier: np.ndarray, n: int, rows: np.ndarray, cols: np.ndarray, starts: np.ndarray
-) -> tuple[np.ndarray, float]:
-    """restrict of every normalized orbit indicator A_O, from the orbit table.
-
-    The orbits hold entries of n x n matrices as in
-    orbit_restrictions, and the carrier's rows are ordered (index of A,
-    internal index) as in restrict. Returns the (K, r, r) restrictions and
-    the largest leakage max_abs((A_O x 1)C - C R_O) over the orbits,
-    restrict's definition, evaluated in chunks of orbits: row block i of
-    (A_O x 1)C is |O|**-1/2 sum_{j : (i, j) in O} C_j, a scatter-add of
-    gathered blocks. No n x n operator is formed.
-    """
-    c = np.asarray(carrier)
-    if n == 0 or c.shape[0] % n:
-        raise DomainError(f"carrier of {c.shape[0]} rows does not carry {n} x {n} operators")
-    blocks = c.reshape(n, c.shape[0] // n, c.shape[1])
-    restricted = orbit_restrictions(blocks, rows, cols, starts)
-    sizes = np.diff(starts)
-    scale = np.repeat(1.0 / np.sqrt(sizes), sizes)[:, None, None]
-    # C R_O and its absolute values are the two arrays of a chunk
-    step = max(1, CHUNK_BYTES // max(1, 2 * c.size * c.itemsize))
-    leakage = 0.0
-    for lo in range(0, len(sizes), step):
-        hi = min(lo + step, len(sizes))
-        entries = slice(starts[lo], starts[hi])
-        residual = c @ restricted[lo:hi]
-        local = np.repeat(np.arange(hi - lo), sizes[lo:hi])
-        np.add.at(
-            residual.reshape((hi - lo,) + blocks.shape),
-            (local, rows[entries]),
-            -scale[entries] * blocks[cols[entries]],
-        )
-        leakage = max(leakage, max_abs(residual))
-    return restricted, leakage
 
 
 def rank_of_hermitian_idempotent(p: np.ndarray) -> int:
@@ -281,47 +242,75 @@ def _normals(rng: random.Random, count: int) -> np.ndarray:
     return np.array([rng.gauss(0.0, 1.0) for _ in range(count)])
 
 
+def _combinations(rng: random.Random, a1: np.ndarray, a2: np.ndarray, real: bool):
+    """One random combination sum_k c_k A_k of each stack, with the same c_k."""
+    coeffs = _normals(rng, len(a1))
+    if not real:
+        coeffs = coeffs + 1j * _normals(rng, len(a1))
+    return np.tensordot(coeffs, a1, axes=1), np.tensordot(coeffs, a2, axes=1)
+
+
+def _tree_phases(m1: np.ndarray, m2: np.ndarray) -> np.ndarray:
+    """Unit d with d_i m1_ij = m2_ij d_j along a maximum spanning forest of |m1|.
+
+    Prim's algorithm; a vertex with no edge to the tree above
+    RANK_TOL * max(1, largest) starts a new tree with phase 1.
+    """
+    weight = np.abs(m1)
+    floor = RANK_TOL * max(1.0, float(weight.max()))
+    d = np.ones(len(m1), dtype=np.result_type(m1, m2))
+    best = np.zeros(len(m1))
+    parent = np.zeros(len(m1), dtype=int)
+    done = np.zeros(len(m1), dtype=bool)
+    for _ in range(len(m1)):
+        j = int(np.argmax(np.where(done, -1.0, best)))
+        if best[j] > floor:
+            ratio = m2[j, parent[j]] * np.conj(m1[j, parent[j]])
+            d[j] = d[parent[j]] * (ratio / abs(ratio) if ratio != 0 else 1.0)
+        done[j] = True
+        closer = ~done & (weight[:, j] > best)
+        best[closer] = weight[closer, j]
+        parent[closer] = j
+    return d
+
+
 def _intertwiner_from_random_element(
     ops1, ops2, rng: random.Random
-) -> tuple[np.ndarray, float] | None:
-    """A unitary intertwiner from one random Hermitian element, or None.
+) -> tuple[np.ndarray | None, float, str] | None:
+    """(V, residual, evidence) from one random element of the generated algebra, or None.
 
-    H = (X + X*)/2 with X = sum_k c_k A_k, the same random coefficients on
-    both sides (real when every operator is real, so that a real
-    intertwiner comes out real), lies in a *-closed algebra, so a unitary
-    intertwiner V maps each eigenvector of H_1 to the eigenvector of H_2 of
-    the same eigenvalue, up to a phase. When both spectra are simple and
-    agree, the pair (v1, v2) of the best-isolated eigenvalue is spun up
-    through the operators: V A_k v1 = B_k v2 for every k, which V solves
-    in the least squares sense (the vectors A_k v1 span an irreducible
-    carrier). The polar factor is returned with its residual over all
-    pairs; None when the spectra do not qualify. Nothing here decides
-    inequivalence.
+    Each Y is sum_k c_k A_k, the same (real if all operators are) c_k on
+    both sides. A unitary intertwiner also intertwines adjoints, so it
+    carries H = herm(Y1 + Y2 Y3) of one side to the other's: unequal
+    spectra refute (V None). The product leaves the operators' span, whose
+    weights may be degenerate. Simple spectra fix V = Q2 D Q1* up to the
+    phases D, which solve d_i (Q1* Y4 Q1)_ij = (Q2* Y4 Q2)_ij d_j
+    (_tree_phases). None when the spectra are degenerate.
     """
     a1 = np.asarray(ops1)
     a2 = np.asarray(ops2)
     if a1.ndim != 3 or a1.shape != a2.shape or a1.shape[1] == 0:
         return None
-    coeffs = _normals(rng, len(a1))
-    if np.iscomplexobj(a1) or np.iscomplexobj(a2):
-        coeffs = coeffs + 1j * _normals(rng, len(a1))
-        a1, a2 = a1.astype(complex, copy=False), a2.astype(complex, copy=False)
+    real = not (np.iscomplexobj(a1) or np.iscomplexobj(a2))
+    y1, y2, y3, y4 = (_combinations(rng, a1, a2, real) for _ in range(4))
     spectra = []
-    for ops in (a1, a2):
-        x = np.tensordot(coeffs, ops, axes=1)
+    for x in (y1[0] + y2[0] @ y3[0], y1[1] + y2[1] @ y3[1]):
         spectra.append(np.linalg.eigh((x + dagger(x)) / 2))
     (w1, q1), (w2, q2) = spectra
     scale = EIGEN_CLUSTER_TOL * max(1.0, float(np.abs(w1).max()))
-    gaps = np.diff(w1)
-    if np.abs(w1 - w2).max() > scale or (gaps.size and gaps.min() <= scale):
+    mismatch = float(np.abs(w1 - w2).max())
+    if mismatch > scale:
+        return None, float("inf"), f"spectra of a random algebra element differ by {mismatch:.3e}"
+    if np.diff(w1).min(initial=np.inf) <= scale:
         return None
-    isolation = np.minimum(np.append(gaps, np.inf), np.insert(gaps, 0, np.inf))
-    best = int(np.argmax(isolation))
-    spun1 = a1 @ q1[:, best]
-    spun2 = a2 @ q2[:, best]
-    v = np.linalg.lstsq(spun1, spun2, rcond=None)[0].T
-    v = normalize_phase(polar_unitary(v))
-    return v, intertwining_residual(v, ops1, ops2)
+    d = _tree_phases(dagger(q1) @ y4[0] @ q1, dagger(q2) @ y4[1] @ q2)
+    v = normalize_phase((q2 * d) @ dagger(q1))
+    return v, intertwining_residual(v, ops1, ops2), "unitary intertwiner found"
+
+
+def _fallback_bytes(d1: int, d2: int) -> int:
+    """Peak bytes of intertwiner_basis: about ten complex (d1 d2)**2 arrays."""
+    return 160 * (d1 * d2) ** 2
 
 
 def unitary_intertwiner(
@@ -331,27 +320,28 @@ def unitary_intertwiner(
 ) -> tuple[np.ndarray | None, float, str]:
     """Search for a unitary V with V A_k = B_k V for all k.
 
-    Returns (V, residual, evidence). The first try is one random Hermitian
-    element of each side (_intertwiner_from_random_element), accepted when
-    its residual over all pairs is below RESIDUAL_TOL. Otherwise the
+    Returns (V, residual, evidence); V is None when no unitary
+    intertwiner exists, and evidence states what ruled it out. The random
+    element (_intertwiner_from_random_element) decides when its spectra
+    differ or its V has a residual below RESIDUAL_TOL. Otherwise the
     intertwiner space is solved by successive restriction
-    (intertwiner_basis) and that path's verdict stands, so an
-    inequivalence verdict always comes from it. V is None when no
-    invertible intertwiner exists; evidence then states what ruled it out.
-    For *-closed irreducible actions the polar factor of any invertible
-    solution intertwines exactly, which is what the residual certifies.
-    The random element and the fallback's four random candidates draw
-    from one random.Random(seed) stream.
+    (intertwiner_basis), after a byte estimate, and its verdict stands:
+    for *-closed irreducible actions the polar factor of any invertible
+    solution intertwines exactly, which the residual certifies. All
+    draws come from one random.Random(seed).
     """
+    if len(ops1) == 0 or len(ops1) != len(ops2):
+        raise DomainError("operator lists must be nonempty and aligned")
     rng = random.Random(seed)
     found = _intertwiner_from_random_element(ops1, ops2, rng)
-    if found is not None and found[1] < RESIDUAL_TOL:
-        return found[0], found[1], "unitary intertwiner found"
+    if found is not None and (found[0] is None or found[1] < RESIDUAL_TOL):
+        return found
+    d1 = ops1[0].shape[0]
+    d2 = ops2[0].shape[0]
+    check_bytes(_fallback_bytes(d1, d2), f"dim {d1} x {d2} intertwiners by successive restriction")
     basis = intertwiner_basis(ops1, ops2)
     if basis.shape[1] == 0:
         return None, float("inf"), "intertwiner space is zero"
-    d1 = ops1[0].shape[0]
-    d2 = ops2[0].shape[0]
     if d1 != d2:
         return None, float("inf"), f"carrier dimensions differ ({d1} vs {d2})"
     candidates = [basis[:, k].reshape(d2, d1) for k in range(basis.shape[1])]

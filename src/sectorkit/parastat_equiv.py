@@ -18,20 +18,25 @@ No (2m)^N x (2m)^N or m^N x m^N array is formed on the way:
   sorted words (every word is a slot permutation of one), with the sign
   and with U_P(pi) on the component index respectively.
 * Internal degrees of freedom are unobservable: every observable acts as
-  A x 1 with A an invariant spatial operator. The algebra's basis is the
-  normalized entry-orbit indicators of tensor_rep.commutant_basis, and
-  each is restricted to a carrier whose rows are ordered (spatial index,
-  internal index) straight from the orbit table, R_O = |O|^-1/2
-  sum_{(i,j) in O} C_i* C_j with C_i the internal row block of spatial
-  index i (linalg.restrict_orbits), leakage included.
-* The intertwiner comes from one random Hermitian element of the
-  algebra, certified by its residual over all operators
-  (linalg.unitary_intertwiner), with successive restriction as the
-  fallback whose verdict stands.
+  A x 1 with A an S_N-invariant spatial operator. By Schur-Weyl duality
+  the m^2 one-body operators G_ab = sum_i E_ab^(i) generate that algebra
+  (Goodman and Wallach, Symmetry, Representations, and Invariants), so a
+  carrier invariant under them is invariant under all of it, and a
+  unitary intertwining them intertwines all of it. Each G_ab x 1 is
+  restricted to a carrier whose rows are ordered (spatial word, internal
+  index) by moving slices of the carrier viewed as an
+  (m, ..., m, k, r) array (one_body_realization), its leakage included;
+  neither the K = C(m^2 + N - 1, N) orbit operators nor their entry
+  table is formed.
+* The intertwiner comes from one random element of the generated
+  algebra: matched eigenvectors with phases fixed along a spanning
+  forest, certified by the residual over all generators, a spectrum
+  mismatch refuting equivalence (linalg.unitary_intertwiner), with
+  successive restriction as the fallback whose verdict stands.
 
 One estimate, checked before anything is allocated, bounds the
-restricted operators of both realizations, the carrier blocks, the
-orbit table and the working chunks.
+carrier blocks, the restricted generators of both realizations, their
+working images and the intertwiner search.
 
 Index conventions: on (C^m x C^2)^{xN} the isometries use per-slot basis
 indices spatial * 2 + a, slots interleaved as (q_1 a_1 ... q_N a_N). The
@@ -43,6 +48,7 @@ spatial-major.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable
@@ -55,7 +61,6 @@ from .permgroup import Permutation, symmetric_group
 from .tensor_rep import (
     FLOAT_BYTES,
     TensorSpace,
-    _entry_orbit_table,
     _images,
     _index_maps,
     permutation_operator,
@@ -211,8 +216,8 @@ def parafermion_constraint_residuals(psi: np.ndarray, m: int) -> dict[str, float
 class SectorRealization:
     """An invariant-algebra action restricted to an invariant carrier.
 
-    `operators` is a (K, r, r) array, one restricted operator per
-    algebra basis element.
+    `operators` is a (K, r, r) array, one restricted operator per given
+    operator: the m**2 one-body generators for the equiv realizations.
     """
 
     label: str
@@ -262,22 +267,34 @@ def realize(
     return _realization(label, c, np.array(restricted), leakage)
 
 
-def invariant_realization(
+def one_body_realization(
     label: str, injection: np.ndarray, m: int, n_slots: int
 ) -> SectorRealization:
-    """realize for the orthonormal orbit basis of the S_N-invariant operators.
+    """realize for the m**2 one-body operators G_ab = sum_i E_ab^(i), row-major in (a, b).
 
-    The basis is tensor_rep.commutant_basis(m, n_slots), in its order, but
-    no operator is formed: each normalized orbit indicator is restricted
-    from the entry-orbit table by gathers and per-orbit sums
-    (linalg.restrict_orbits), with realize's leakage check.
+    By Schur-Weyl duality they generate the S_N-invariant operators on
+    (C^m)^{xN}, so invariance under them is invariance under the whole
+    algebra, and an intertwiner of them intertwines all of it. No operator
+    is formed: the carrier's rows (spatial word, internal index) are
+    viewed as an (m, ..., m, k, r) array, and (G_ab x 1) C is the sum over
+    slots i of the slice with digit b at slot i moved to digit a. Each
+    image gives C* (G_ab x 1) C and its leakage, with realize's check.
     """
     c = _isometry(label, injection)
-    dim = m**n_slots
-    entries, starts = _entry_orbit_table(m, n_slots)
-    rows, cols = np.divmod(entries, dim)
-    restricted, leakage = linalg.restrict_orbits(c, dim, rows, cols, starts)
-    return _realization(label, c, restricted, leakage)
+    r = c.shape[1]
+    carrier = c.reshape((m,) * n_slots + (c.shape[0] // m**n_slots, r))
+    adjoint = linalg.dagger(c)
+    restricted = np.empty((m, m, r, r), dtype=c.dtype)
+    leakage = 0.0
+    for a, b in itertools.product(range(m), repeat=2):
+        image = np.zeros_like(carrier)
+        for i in range(n_slots):
+            before = (slice(None),) * i
+            image[before + (a,)] += carrier[before + (b,)]
+        image = image.reshape(c.shape)
+        restricted[a, b] = adjoint @ image
+        leakage = max(leakage, linalg.max_abs(image - c @ restricted[a, b]))
+    return _realization(label, c, restricted.reshape(m * m, r, r), leakage)
 
 
 @dataclass(frozen=True)
@@ -309,12 +326,13 @@ def general_equivalence(
 ) -> EquivalenceCertificate:
     """Certify unitary equivalence of two realizations of the same algebra.
 
-    Seeks V a_1(A) = a_2(A) V over the shared operator basis
-    (linalg.unitary_intertwiner: one random Hermitian element first, the
-    full solution space as the fallback); a unitary solution with a
-    residual below linalg.RESIDUAL_TOL yields an equivalence
-    certificate, otherwise the rank deficiency or non-invertibility of
-    the solution space is reported as inequivalence evidence.
+    Seeks V a_1(A) = a_2(A) V over the shared operators, which may be an
+    algebra basis or a generating set (linalg.unitary_intertwiner: one
+    random element of the generated algebra first, the full solution
+    space as the fallback); a unitary solution with a residual below
+    linalg.RESIDUAL_TOL yields an equivalence certificate, otherwise the
+    spectrum mismatch, or the rank deficiency or non-invertibility of the
+    solution space, is reported as inequivalence evidence.
     """
     if len(r1.operators) == 0 or len(r2.operators) == 0:
         raise DomainError("empty algebra basis")
@@ -347,21 +365,23 @@ def _carrier_dim(m: int, n_slots: int) -> int:
 def _equiv_bytes(m: int, n_slots: int) -> int:
     """Peak bytes of an equivalence certificate, estimated from the sizes alone.
 
-    Both realizations hold K = C(m^2 + N - 1, N) restricted r x r real
-    operators. Added: the larger carrier's thin slot-averaged block with
-    its SVD factors, the entry-orbit table of (m^N)^2 entries with its
-    sort keys, the working chunks of the orbit restriction, and the K x r
-    spun vectors of the intertwiner with their least-squares copies.
+    Each realization holds m**2 restricted r x r real operators. The
+    larger carrier is built first: its slot-averaged (2m)^N x (rows of W)
+    block, with W, its SVD factors and a scatter temporary, takes five
+    such arrays (measured: 4.25 to 4.5), and is freed before the first
+    realization is built. The second carrier is built beside the first
+    realization and is no larger. Then both realizations are alive with
+    five carrier-sized images of one generator at a time, and at last
+    with the intertwiner search's r x r arrays (random elements,
+    eigenvectors, phases, residuals: 24 of them).
     """
-    k = math.comb(m * m + n_slots - 1, n_slots)
     r = _carrier_dim(m, n_slots)
-    entries = (
-        2 * k * r * r
-        + 4 * (2 * m) ** n_slots * 2 * m**n_slots
-        + (n_slots + 10) * m ** (2 * n_slots)
-        + 4 * k * r
+    generators = m * m * r * r
+    block = (2 * m) ** n_slots * m**n_slots * (n_slots - 1)
+    entries = generators + max(
+        5 * block, generators + 5 * (2 * m) ** n_slots * r + 24 * r * r
     )
-    return entries * FLOAT_BYTES + 4 * linalg.CHUNK_BYTES
+    return entries * FLOAT_BYTES
 
 
 def _check_equiv_cost(m: int, n_slots: int) -> None:
@@ -370,8 +390,8 @@ def _check_equiv_cost(m: int, n_slots: int) -> None:
         raise DomainError("m must be >= 1")
     check_bytes(
         _equiv_bytes(m, n_slots),
-        f"the commutant basis of (C^{m})^(x{n_slots}) restricted to two carriers of "
-        f"dim {_carrier_dim(m, n_slots)}",
+        f"the {m * m} one-body generators on (C^{m})^(x{n_slots}) restricted to two carriers "
+        f"of dim {_carrier_dim(m, n_slots)}",
     )
 
 
@@ -390,7 +410,7 @@ def bosonic_singlet_realization(m: int) -> SectorRealization:
     """Internal-singlet slice of two bosonic doublets, invariant action."""
     _check_equiv_cost(m, 2)
     carrier = _bosonic_carrier(singlet_isometry_2(m), m, 2)
-    return invariant_realization("two bosonic doublets, internal singlet", carrier, m, 2)
+    return one_body_realization("two bosonic doublets, internal singlet", carrier, m, 2)
 
 
 def fermionic_realization(m: int) -> SectorRealization:
@@ -399,7 +419,7 @@ def fermionic_realization(m: int) -> SectorRealization:
     columns = _sorted_word_columns(m, 2, 1)
     block = _slot_average(columns, m, 2, lambda pi: np.array([[pi.sign()]]))
     carrier = linalg.orthonormal_range(block)
-    return invariant_realization("two spinless fermions", carrier, m, 2)
+    return one_body_realization("two spinless fermions", carrier, m, 2)
 
 
 def verify_singlet_fermion_equivalence(m: int) -> EquivalenceCertificate:
@@ -413,14 +433,14 @@ def bosonic_doublet_realization(m: int) -> SectorRealization:
     """Internal-doublet slice of three bosonic doublets, invariant action."""
     _check_equiv_cost(m, 3)
     carrier = _bosonic_carrier(doublet_isometry_3(m), m, 3)
-    return invariant_realization("three bosonic doublets, internal doublet", carrier, m, 3)
+    return one_body_realization("three bosonic doublets, internal doublet", carrier, m, 3)
 
 
 def parafermion_realization(m: int) -> SectorRealization:
     """Two-component equivariant wave functions, invariant action x 1_2."""
     _check_equiv_cost(m, 3)
     carrier = parafermion_constraint_space(m)
-    return invariant_realization("parafermion doublet wave functions", carrier, m, 3)
+    return one_body_realization("parafermion doublet wave functions", carrier, m, 3)
 
 
 def verify_doublet_parafermion_equivalence(m: int) -> EquivalenceCertificate:

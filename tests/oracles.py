@@ -17,6 +17,11 @@ kept here as their references: carriers as ranges of dense projectors
 (W*W times the dense slot symmetrizer, the dense antisymmetrizer, the
 null space of the stacked parafermion constraint operators), and
 realizations as the dense orbit indicators restricted one at a time.
+The orbit-table restriction of all K orbit indicators (restrict_orbits,
+invariant_realization), which the equiv path used before it was built
+from the m^2 one-body generators, is kept as their oracle, with the
+generators formed as dense Kronecker sums and the algebra they generate
+closed under products by dense ranks.
 Likewise the circle's first certificates: eigenvalues matched to plane
 waves by eigenvector overlap after a dense eigh of the operators of
 circle_theta.twisted_momentum (the kept dense reference), and the gauge
@@ -439,6 +444,101 @@ def dense_orbit_restrictions(carrier: np.ndarray, m: int, n_slots: int):
         out.append(restricted)
         leakage = max(leakage, float(np.abs(image - carrier @ restricted).max()))
     return np.array(out), leakage
+
+
+def restrict_orbits(carrier, n: int, rows, cols, starts):
+    """Restriction of every normalized orbit indicator A_O, from the orbit table.
+
+    The orbits hold entries of n x n matrices as in
+    linalg.orbit_restrictions, and the carrier's rows are ordered (index
+    of A, internal index) as in linalg.restrict. Returns the (K, r, r)
+    restrictions and the largest leakage max_abs((A_O x 1)C - C R_O) over
+    the orbits, evaluated in chunks of orbits: row block i of (A_O x 1)C
+    is |O|**-1/2 sum_{j : (i, j) in O} C_j, a scatter-add of gathered
+    blocks. No n x n operator is formed.
+    """
+    from sectorkit import linalg
+    from sectorkit.errors import DomainError
+
+    c = np.asarray(carrier)
+    if n == 0 or c.shape[0] % n:
+        raise DomainError(f"carrier of {c.shape[0]} rows does not carry {n} x {n} operators")
+    blocks = c.reshape(n, c.shape[0] // n, c.shape[1])
+    restricted = linalg.orbit_restrictions(blocks, rows, cols, starts)
+    sizes = np.diff(starts)
+    scale = np.repeat(1.0 / np.sqrt(sizes), sizes)[:, None, None]
+    # C R_O and its absolute values are the two arrays of a chunk
+    step = max(1, linalg.CHUNK_BYTES // max(1, 2 * c.size * c.itemsize))
+    leakage = 0.0
+    for lo in range(0, len(sizes), step):
+        hi = min(lo + step, len(sizes))
+        entries = slice(starts[lo], starts[hi])
+        residual = c @ restricted[lo:hi]
+        local = np.repeat(np.arange(hi - lo), sizes[lo:hi])
+        np.add.at(
+            residual.reshape((hi - lo,) + blocks.shape),
+            (local, rows[entries]),
+            -scale[entries] * blocks[cols[entries]],
+        )
+        leakage = max(leakage, linalg.max_abs(residual))
+    return restricted, leakage
+
+
+def invariant_realization(label: str, injection, m: int, n_slots: int):
+    """The realization on all K = C(m^2 + N - 1, N) orbit indicators of the invariant algebra.
+
+    The basis is tensor_rep.commutant_basis(m, n_slots), in its order,
+    restricted from the entry-orbit table by restrict_orbits, with the
+    package's isometry and leakage checks: the equiv realizations before
+    they were built from the m^2 one-body generators.
+    """
+    from sectorkit import parastat_equiv, tensor_rep
+
+    c = parastat_equiv._isometry(label, injection)
+    dim = m**n_slots
+    entries, starts = tensor_rep._entry_orbit_table(m, n_slots)
+    rows, cols = np.divmod(entries, dim)
+    restricted, leakage = restrict_orbits(c, dim, rows, cols, starts)
+    return parastat_equiv._realization(label, c, restricted, leakage)
+
+
+def one_body_operator(a: int, b: int, m: int, n_slots: int) -> np.ndarray:
+    """Dense G_ab = sum_i 1 x ... x E_ab (slot i) x ... x 1 on (C^m)^{xN}, by Kronecker products."""
+    unit = np.zeros((m, m))
+    unit[a, b] = 1.0
+    total = np.zeros((m**n_slots, m**n_slots))
+    for i in range(n_slots):
+        factors = [np.eye(m)] * n_slots
+        factors[i] = unit
+        term = np.ones((1, 1))
+        for factor in factors:
+            term = np.kron(term, factor)
+        total += term
+    return total
+
+
+def generated_algebra_dimension(ops) -> int:
+    """Dimension of the unital algebra the operators generate.
+
+    The span of the identity and the operators is closed under right
+    multiplication by each operator until its rank stops growing; the
+    ranks come from dense SVDs of the flattened stacks.
+    """
+    ops = [np.asarray(a) for a in ops]
+    d = ops[0].shape[0]
+
+    def row_basis(stack):
+        _, s, vh = np.linalg.svd(stack, full_matrices=False)
+        return vh[: int(np.sum(s > 1e-8 * max(1.0, s[0])))]
+
+    basis = row_basis(np.array([np.eye(d)] + ops).reshape(len(ops) + 1, -1))
+    while True:
+        mats = basis.reshape(-1, d, d)
+        products = np.concatenate([mats @ a for a in ops]).reshape(-1, d * d)
+        grown = row_basis(np.vstack([basis, products]))
+        if len(grown) == len(basis):
+            return len(basis)
+        basis = grown
 
 
 def dense_spectrum_rows(theta: float, n: int, k_max: int, method: str) -> list[dict]:

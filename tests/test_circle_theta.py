@@ -161,6 +161,16 @@ class TestGauge:
         ]
         assert all(order >= 1.9 for order in orders)
 
+    @pytest.mark.parametrize("n", [8, 16, 33, 64])
+    def test_fd_default_window_fits_the_grid(self, n):
+        # the widest window up to k_max = 8 that the grid admits
+        k_max = min(8, (n // 2 - 1) // 2)
+        report = gauge_equivalence_check(1.0, n, method="fd")
+        assert report == gauge_equivalence_check(1.0, n, method="fd", k_max=k_max)
+        if k_max < 8:
+            with pytest.raises(DomainError, match="too large"):
+                gauge_equivalence_check(1.0, n, method="fd", k_max=k_max + 1)
+
     def test_fd_measured_constant_converges(self):
         theta = 3.0
         constants = [

@@ -134,8 +134,8 @@ class TestEquiv:
         assert data["certificate"]["residual"] < 1e-10
         assert "intertwiner" in data["certificate"]
 
-    @pytest.mark.parametrize("m,n", [(6, 3), (11, 2)])
-    def test_commutant_cost_exits_before_allocating(self, capsys, m, n):
+    @pytest.mark.parametrize("m,n", [(9, 3), (21, 2)])
+    def test_equiv_cost_exits_before_allocating(self, capsys, m, n):
         tracemalloc.start()
         start = time.perf_counter()
         try:
@@ -149,9 +149,9 @@ class TestEquiv:
         assert peak < 1 << 20
         error = json.loads(capsys.readouterr().err)
         assert error["kind"] == "resource"
-        assert "commutant basis" in error["error"]
+        assert "one-body generators" in error["error"]
 
-    @pytest.mark.parametrize("m,n", [(5, 3), (9, 2)])
+    @pytest.mark.parametrize("m,n", [(5, 3), (9, 2), (6, 3), (11, 2)])
     def test_sizes_once_refused_by_the_commutant_cap_run(self, tmp_path, m, n):
         code, payload = run_to_file(tmp_path, "e.json", ["equiv", "--m", str(m), "--N", str(n)])
         cert = json.loads(payload)["certificate"]
@@ -550,6 +550,17 @@ class TestImports:
             env=env, capture_output=True, text=True, check=True, timeout=60,
         ).stdout.split()
         assert out == ["0", "False"]
+
+    def test_cover_json_run_does_not_load_numpy_random(self, tmp_path):
+        # the regular representation is split by a random.Random draw
+        n = 6
+        doc = {
+            "points": [f"p{x}" for x in range(n)],
+            "group": [[(x + k) % n for x in range(n)] for k in range(n)],
+        }
+        path = tmp_path / "z6.json"
+        path.write_text(json.dumps(doc))
+        self.test_run_does_not_load(["cover", "--cover-json", str(path)], "numpy.random")
 
     @pytest.mark.parametrize(
         "argv,module",

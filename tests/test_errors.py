@@ -9,7 +9,7 @@ import contextlib
 import numpy as np
 import pytest
 
-from sectorkit import circle_theta, cover_quant, errors, parastat_equiv, tensor_rep
+from sectorkit import circle_theta, cover_quant, errors, linalg, parastat_equiv, tensor_rep
 from sectorkit.cover_quant import FiniteGroup, sector_census, symmetric_cover
 from sectorkit.errors import ResourceLimitError
 
@@ -33,6 +33,7 @@ ESTIMATES = {
     "commutant basis": lambda: tensor_rep._check_commutant_cost(4, 3),
     "sector decomposition": lambda: tensor_rep._check_sector_cost(2, 12),
     "restricted to two carriers": lambda: parastat_equiv._check_equiv_cost(8, 2),
+    "successive restriction": lambda: linalg.unitary_intertwiner([np.eye(10)], [np.eye(10)]),
     "regular representation": lambda: cover_quant._regular_irreps(cyclic_group(128), 0),
     "cover census": lambda: sector_census(symmetric_cover(4, 2)),
     "gauge check": lambda: circle_theta.check_gauge_cost(4096),

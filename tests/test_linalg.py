@@ -401,7 +401,12 @@ def random_orbits(n, seed):
 
 
 class TestRestrictOrbits:
-    """The orbit-table restriction against restrict of each dense indicator."""
+    """The orbit-table restriction against restrict of each dense indicator.
+
+    restrict_orbits lives in the oracles (it restricted the K orbit
+    operators of the equiv realizations); linalg.orbit_restrictions,
+    which it and the cover census share, stays in the package.
+    """
 
     @pytest.mark.parametrize("k, dtype", [(1, float), (2, complex), (3, float)])
     @pytest.mark.parametrize("chunk", [1, 1 << 20])
@@ -416,7 +421,7 @@ class TestRestrictOrbits:
         c = linalg.orthonormal_range(raw)
         entries, starts = random_orbits(n, seed=k)
         rows, cols = np.divmod(entries, n)
-        restricted, leakage = linalg.restrict_orbits(c, n, rows, cols, starts)
+        restricted, leakage = oracles.restrict_orbits(c, n, rows, cols, starts)
         assert restricted.shape == (len(starts) - 1, r, r)
         worst = 0.0
         for o in range(len(starts) - 1):
@@ -437,7 +442,7 @@ class TestRestrictOrbits:
         starts = np.array([0, 1, 3, 5, 6, 8, 9])
         rows, cols = np.divmod(entries, n)
         c = np.eye(n * 2)
-        restricted, leakage = linalg.restrict_orbits(c, n, rows, cols, starts)
+        restricted, leakage = oracles.restrict_orbits(c, n, rows, cols, starts)
         assert leakage == 0.0
         expected = np.zeros((n, n))
         expected[0, 1] = expected[1, 0] = 1 / np.sqrt(2)
@@ -460,7 +465,7 @@ class TestRestrictOrbits:
         entries, starts = random_orbits(3, seed=0)
         rows, cols = np.divmod(entries, 3)
         with pytest.raises(DomainError):
-            linalg.restrict_orbits(np.eye(4)[:, :1], 3, rows, cols, starts)
+            oracles.restrict_orbits(np.eye(4)[:, :1], 3, rows, cols, starts)
 
 
 def refuse_fallback(monkeypatch):
@@ -490,8 +495,8 @@ class TestRandomElementIntertwiner:
             rep_of((2, 1)),
             direct_sum(rep_of((3,)), rep_of((3,))),
         ),
-        # the same Hermitian parts, so the random element's spectra agree and
-        # only the residual over all pairs rules the spun-up V out
+        # the same Hermitian parts: a random combination alone has equal
+        # spectra, but the product Y2 Y3 turns into (Y3 Y2)^T
         "S4 (3, 1) vs its transposes": lambda: (
             [a.real for a in rep_of((3, 1))],
             [a.real.T for a in rep_of((3, 1))],
@@ -515,9 +520,9 @@ class TestRandomElementIntertwiner:
 
     @pytest.mark.parametrize("case", sorted(INEQUIVALENT))
     def test_inequivalent_pairs_take_the_fallback(self, case, monkeypatch):
+        # with the random element switched off, the fallback alone refutes
         ops1, ops2 = self.INEQUIVALENT[case]()
-        found = linalg._intertwiner_from_random_element(ops1, ops2, random.Random(0))
-        assert found is None or found[1] > linalg.RESIDUAL_TOL
+        without_random_element(monkeypatch)
         calls = []
         basis = linalg.intertwiner_basis
         monkeypatch.setattr(
@@ -528,13 +533,54 @@ class TestRandomElementIntertwiner:
         assert v is None and residual == float("inf")
         assert detail != "unitary intertwiner found"
 
+    @pytest.mark.parametrize("case", sorted(INEQUIVALENT))
+    def test_mismatched_spectra_are_refuted(self, case, monkeypatch):
+        # equivalent actions give the random element equal spectra
+        ops1, ops2 = self.INEQUIVALENT[case]()
+        refuse_fallback(monkeypatch)
+        v, residual, detail = linalg.unitary_intertwiner(ops1, ops2)
+        assert v is None and residual == float("inf")
+        assert detail.startswith("spectra of a random algebra element differ by ")
+        assert float(detail.split()[-1]) > linalg.EIGEN_CLUSTER_TOL
+
     def test_degenerate_spectrum_falls_back(self, monkeypatch):
         # two copies of one irreducible: every Hermitian element of the
         # algebra has doubly degenerate eigenvalues
         ops = direct_sum(rep_of((2, 1)), rep_of((2, 1)))
         assert linalg._intertwiner_from_random_element(ops, ops, random.Random(1)) is None
+        calls = []
+        basis = linalg.intertwiner_basis
+        monkeypatch.setattr(
+            linalg, "intertwiner_basis", lambda *args: calls.append(1) or basis(*args)
+        )
         v, residual, _ = linalg.unitary_intertwiner(ops, ops)
+        assert calls == [1]
         assert residual < 1e-12
+
+    def test_multiplicity_free_sum_needs_no_fallback(self, monkeypatch):
+        # inequivalent summands: the spectrum is simple, Q1* Y4 Q1 has no
+        # entry between the summands, and each tree of the forest fixes
+        # its own phases
+        refuse_fallback(monkeypatch)
+        ops1 = direct_sum(rep_of((3, 1)), rep_of((2, 1, 1)))
+        w = np.zeros((6, 6), dtype=complex)
+        w[:3, :3], w[3:, 3:] = random_unitary(3, 7), random_unitary(3, 8)
+        ops2 = [w @ a @ linalg.dagger(w) for a in ops1]
+        v, residual, detail = linalg.unitary_intertwiner(ops1, ops2)
+        assert detail == "unitary intertwiner found" and residual < 1e-12
+        assert linalg.max_abs(v[:3, 3:]) < 1e-12 and linalg.max_abs(v[3:, :3]) < 1e-12
+
+    def test_tree_phases_solve_the_phase_equations(self):
+        # d_i m1_ij = m2_ij d_j, with the zero block between the two trees
+        rng = np.random.default_rng(9)
+        m1 = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
+        m1[:2, 2:] = m1[2:, :2] = 0.0
+        d = np.exp(1j * rng.uniform(0, 2 * np.pi, 5))
+        m2 = d[:, None] * m1 / d[None, :]
+        found = linalg._tree_phases(m1, m2)
+        assert linalg.max_abs(np.abs(found) - 1) < 1e-15
+        assert linalg.max_abs(found[:, None] * m1 - m2 * found[None, :]) < 1e-14
+        assert found[0] == 1.0 and found[2] == 1.0  # one root per tree
 
     def test_real_operators_give_a_real_intertwiner(self, monkeypatch):
         refuse_fallback(monkeypatch)
@@ -542,3 +588,9 @@ class TestRandomElementIntertwiner:
         w = np.linalg.qr(np.random.default_rng(3).standard_normal((3, 3)))[0]
         v, residual, _ = linalg.unitary_intertwiner(ops, [w @ a @ w.T for a in ops])
         assert not np.iscomplexobj(v) and residual < 1e-12
+
+    def test_empty_or_misaligned_lists_rejected(self):
+        with pytest.raises(DomainError):
+            linalg.unitary_intertwiner([], [])
+        with pytest.raises(DomainError):
+            linalg.unitary_intertwiner(rep_of((2, 1)), rep_of((2, 1))[:2])

@@ -211,6 +211,47 @@ def parafermion_doublet_matrices():
 DENSE_SIZES = [(2, 2), (3, 2), (8, 2), (2, 3), (3, 3), (4, 3)]
 
 
+def dense_generator_restrictions(carrier, m, n_slots):
+    """C* (G_ab x 1) C for the dense one-body generators, (a, b) row-major."""
+    blocks = carrier.reshape(m**n_slots, -1)
+    out = []
+    for a, b in itertools.product(range(m), repeat=2):
+        image = (oracles.one_body_operator(a, b, m, n_slots) @ blocks).reshape(carrier.shape)
+        out.append(linalg.dagger(carrier) @ image)
+    return np.array(out)
+
+
+class TestOneBodyGenerators:
+    """The m**2 one-body generators stand in for the K orbit operators."""
+
+    @pytest.mark.parametrize("m,n", [(2, 2), (2, 3), (3, 2), (3, 3), (2, 4)])
+    def test_generate_the_invariant_algebra(self, m, n):
+        # on the identity carrier the restricted generators are the operators
+        whole = parastat_equiv.one_body_realization("whole space", np.eye(m**n), m, n)
+        dense = [oracles.one_body_operator(a, b, m, n) for a in range(m) for b in range(m)]
+        assert linalg.max_abs(whole.operators - np.array(dense)) == 0.0
+        cycle = Permutation.from_cycles(n, tuple(range(1, n + 1)))
+        for pi in (Permutation.transposition(n, 1, 2), cycle):
+            u = oracles.slot_permutation_matrix(pi.images, m)
+            assert all(linalg.max_abs(u @ g - g @ u) == 0.0 for g in dense)
+        # inside the commutant, and of its dimension C(m^2 + N - 1, N)
+        assert oracles.generated_algebra_dimension(dense) == math.comb(m * m + n - 1, n)
+
+    @pytest.mark.parametrize("m,n", [(m, n) for n in (2, 3) for m in (2, 3, 4)])
+    def test_certified_intertwiner_intertwines_every_orbit_operator(self, m, n):
+        if n == 2:
+            first, second = bosonic_singlet_realization(m), fermionic_realization(m)
+        else:
+            first, second = bosonic_doublet_realization(m), parafermion_realization(m)
+        cert = general_equivalence(first, second)
+        assert cert.equivalent and cert.residual < 1e-12
+        orbit1 = oracles.invariant_realization(first.label, first.injection, m, n)
+        orbit2 = oracles.invariant_realization(second.label, second.injection, m, n)
+        assert len(orbit1.operators) == math.comb(m * m + n - 1, n)
+        v = cert.intertwiner
+        assert linalg.intertwining_residual(v, orbit1.operators, orbit2.operators) <= 1e-12
+
+
 class TestAgainstDensePath:
     """Carriers and restricted operators against the dense path they replaced.
 
@@ -225,11 +266,16 @@ class TestAgainstDensePath:
         assert new.shape == old.shape
         assert linalg.max_abs(projector(new) - projector(old)) < 1e-12
         u = linalg.dagger(old) @ new
+        assert len(real.operators) == m * m
+        dense = dense_generator_restrictions(old, m, n)
+        assert linalg.max_abs(real.operators - linalg.dagger(u) @ dense @ u) < 1e-12
+        # the K orbit operators, from the orbit-table oracle on the new carrier
+        orbit = oracles.invariant_realization(real.label, new, m, n)
         dense, leakage = oracles.dense_orbit_restrictions(old, m, n)
-        assert len(real.operators) == len(dense) == math.comb(m * m + n - 1, n)
+        assert len(orbit.operators) == len(dense) == math.comb(m * m + n - 1, n)
         conjugated = linalg.dagger(u) @ dense @ u
-        assert linalg.max_abs(real.operators - conjugated) < 1e-12
-        assert leakage < 1e-12 and real.leakage < 1e-12
+        assert linalg.max_abs(orbit.operators - conjugated) < 1e-12
+        assert leakage < 1e-12 and orbit.leakage < 1e-12 and real.leakage < 1e-12
 
     @pytest.mark.parametrize("m,n", DENSE_SIZES)
     def test_bosonic(self, m, n):
@@ -254,7 +300,9 @@ class TestAgainstDensePath:
         raw = rng.standard_normal((m**n * 2, 3))
         carrier = linalg.orthonormal_range(raw)
         with pytest.raises(ConsistencyError, match="leaks"):
-            parastat_equiv.invariant_realization("random", carrier, m, n)
+            parastat_equiv.one_body_realization("random", carrier, m, n)
+        with pytest.raises(ConsistencyError, match="leaks"):
+            oracles.invariant_realization("random", carrier, m, n)
 
     def test_empty_carriers_at_m1(self):
         # one spatial state: the singlet, antisymmetric and doublet slices vanish
@@ -279,7 +327,8 @@ class TestAgainstDensePath:
         def refuse(*args, **kwargs):
             raise AssertionError("dense operator formed")
 
-        for name in ("symmetrizer", "antisymmetrizer", "commutant_basis", "_operator_sum"):
+        names = ("symmetrizer", "antisymmetrizer", "commutant_basis", "_operator_sum")
+        for name in names + ("_entry_orbit_table",):
             monkeypatch.setattr(tensor_rep, name, refuse)
         monkeypatch.setattr(parastat_equiv, "permutation_operator", refuse)
         monkeypatch.setattr(linalg, "restrict", refuse)
@@ -292,12 +341,12 @@ class TestAgainstDensePath:
 
 
 class TestEquivCostEstimate:
-    @pytest.mark.parametrize("m,n", [(6, 3), (11, 2), (10**6, 2)])
+    @pytest.mark.parametrize("m,n", [(9, 3), (21, 2), (10**6, 2)])
     def test_refused_before_allocating(self, m, n, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("built past the cost estimate")
 
-        for name in ("_entry_orbit_table", "singlet_isometry_2", "doublet_isometry_3"):
+        for name in ("one_body_realization", "singlet_isometry_2", "doublet_isometry_3"):
             monkeypatch.setattr(parastat_equiv, name, refuse)
         builders = (
             (bosonic_singlet_realization, fermionic_realization)
@@ -308,7 +357,7 @@ class TestEquivCostEstimate:
             tracemalloc.start()
             start = time.perf_counter()
             try:
-                with pytest.raises(ResourceLimitError, match="commutant basis"):
+                with pytest.raises(ResourceLimitError, match="one-body generators"):
                     build(m)
                 elapsed = time.perf_counter() - start
                 _, peak = tracemalloc.get_traced_memory()
@@ -317,10 +366,10 @@ class TestEquivCostEstimate:
             assert elapsed < 1.0 and peak < 1 << 20
 
     def test_frontier_admitted(self):
-        for m, n in [(5, 3), (9, 2), (10, 2)]:
+        for m, n in [(5, 3), (9, 2), (10, 2), (6, 3), (11, 2), (8, 3), (20, 2)]:
             parastat_equiv._check_equiv_cost(m, n)
 
-    @pytest.mark.parametrize("m,n", [(8, 2), (4, 3)])
+    @pytest.mark.parametrize("m,n", [(8, 2), (4, 3), (6, 3), (11, 2)])
     def test_estimate_bounds_traced_peak(self, m, n):
         verify = (
             verify_singlet_fermion_equivalence if n == 2 else verify_doublet_parafermion_equivalence
@@ -347,19 +396,30 @@ class TestRestrictedOperators:
         p = linalg.dagger(w) @ w
         assert linalg.max_abs(p @ c - c) < 1e-12
         assert linalg.max_abs(symmetrizer(n, 2 * m) @ c - c) < 1e-12
-        basis = commutant_basis(m, n)
-        assert len(real.operators) == len(basis)
-        for a, op in zip(basis, real.operators):
-            dense = linalg.dagger(c) @ oracles.extend_internal(a, m, n) @ c
+        generators = [oracles.one_body_operator(a, b, m, n) for a in range(m) for b in range(m)]
+        assert len(real.operators) == len(generators) == m * m
+        for g, op in zip(generators, real.operators):
+            dense = linalg.dagger(c) @ oracles.extend_internal(g, m, n) @ c
             assert linalg.max_abs(op - dense) < 1e-14
         assert real.leakage < 1e-14
+        # the orbit-table oracle restricts the whole commutant basis
+        basis = commutant_basis(m, n)
+        orbit = oracles.invariant_realization(real.label, real.injection, m, n)
+        assert len(orbit.operators) == len(basis)
+        for a, op in zip(basis, orbit.operators):
+            dense = linalg.dagger(c) @ oracles.extend_internal(a, m, n) @ c
+            assert linalg.max_abs(op - dense) < 1e-14
 
     @pytest.mark.parametrize("m", [2, 3])
     def test_parafermion_against_kronecker(self, m):
         real = parafermion_realization(m)
         c = real.injection
         eye2 = np.eye(2)
-        for a, op in zip(commutant_basis(m, 3), real.operators):
+        generators = [oracles.one_body_operator(a, b, m, 3) for a in range(m) for b in range(m)]
+        for g, op in zip(generators, real.operators, strict=True):
+            assert linalg.max_abs(op - linalg.dagger(c) @ np.kron(g, eye2) @ c) < 1e-14
+        orbit = oracles.invariant_realization(real.label, c, m, 3)
+        for a, op in zip(commutant_basis(m, 3), orbit.operators, strict=True):
             assert linalg.max_abs(op - linalg.dagger(c) @ np.kron(a, eye2) @ c) < 1e-14
 
     def test_leaking_carrier_is_refused(self):
