@@ -55,6 +55,9 @@ COMPLEX_BYTES = 16
 # waves, their images, products, FFT output and gather indices).
 PASS_VECTORS = 12
 PASS_CHUNKS = 10
+# A dense reference build holds at most 4 complex n x n arrays (traced at
+# n = 512), and momentum_spectrum's eigvalsh one more.
+DENSE_ARRAYS = 5
 
 
 @dataclass(frozen=True)
@@ -107,6 +110,11 @@ def _check_cost(n: int, transforms: int, what: str) -> None:
     """
     check_bytes(COMPLEX_BYTES * n * (PASS_VECTORS + PASS_CHUNKS * _chunk_rows(n)), what)
     check_work(transforms * n * math.log2(n), what)
+
+
+def _check_dense(n: int, what: str) -> None:
+    """Refuse a dense n x n build of `what` over errors.BYTES_CAP before allocating."""
+    check_bytes(COMPLEX_BYTES * DENSE_ARRAYS * n * n, f"a dense operator on {n} points ({what})")
 
 
 def check_gauge_cost(n: int) -> None:
@@ -189,6 +197,7 @@ def twisted_momentum(theta, n: int, method: str = "spectral") -> np.ndarray:
     """
     theta = _as_angle(theta)
     _check_grid(n)
+    _check_dense(n, "twisted momentum")
     if method == "spectral":
         x = grid(n)
         mu = theta + TWO_PI * _mode_numbers(n)
@@ -371,6 +380,7 @@ def translation_unitary(a: float, theta, n: int, interpolation: str | None = Non
     _check_grid(n)
     if not 0.0 <= a < 1.0:
         raise DomainError("shift must lie in [0, 1)")
+    _check_dense(n, "translation")
     steps = a * n
     if abs(steps - round(steps)) < GRID_SHIFT_TOL:
         s = int(round(steps)) % n
@@ -397,6 +407,7 @@ def position_operator(samples) -> np.ndarray:
     if values.ndim != 1:
         raise DomainError("samples must be one-dimensional")
     _check_grid(values.size)
+    _check_dense(values.size, "position operator")
     return np.diag(values)
 
 

@@ -160,27 +160,28 @@ def cover_from_action(
 
     Every group element is given as the tuple of image indices of the
     points; the list must be closed under composition, contain the
-    identity, and act freely.
+    identity, and act freely. A free action is fixed by the image of one
+    point, so the Cayley table is read off the first point's images.
     """
     points = tuple(points)
     maps = [tuple(int(i) for i in p) for p in action_perms]
-    npts = len(points)
+    ng, npts = len(maps), len(points)
     for p in maps:
         if sorted(p) != list(range(npts)):
             raise DomainError(f"not a permutation of the point set: {p}")
-    images = np.array(maps, dtype=np.int64).reshape(len(maps), npts)
-    index = {row.tobytes(): i for i, row in enumerate(images)}
-    if len(index) != len(maps):
-        raise DomainError("duplicate group elements")
-    ng = len(maps)
-    cayley = np.zeros((ng, ng), dtype=np.int64)
-    for i in range(ng):
-        composed = images[:, images[i]]  # row j: x . (g_i g_j) = (x . g_i) . g_j
-        for j in range(ng):
-            k = index.get(composed[j].tobytes())
-            if k is None:
-                raise DomainError("action maps are not closed under composition")
-            cayley[i, j] = k
+    if npts == 0:
+        raise DomainError("a cover needs at least one point")
+    images = np.array(maps, dtype=np.int64).reshape(ng, npts)
+    # g -> 0.g is injective on a free action
+    lookup = np.full(npts, -1, dtype=np.int64)
+    lookup[images[:, 0]] = np.arange(ng)
+    if np.count_nonzero(lookup >= 0) != ng:
+        raise DomainError("group elements agree at the first point: duplicates or not free")
+    # cayley[i, j] is the element taking 0 to 0.(g_i g_j) = (0.g_i).g_j; that it
+    # agrees with the composition at every point is FiniteCover's group-law check
+    cayley = lookup[images[:, images[:, 0]]].T
+    if np.any(cayley < 0):
+        raise DomainError("action maps are not closed under composition")
     labels = group_labels if group_labels is not None else tuple(str(p) for p in maps)
     group = FiniteGroup(cayley=cayley, labels=tuple(labels), perms=perms)
 
@@ -305,24 +306,6 @@ def cover_from_json(data) -> FiniteCover:
     )
 
 
-def kernel_to_json(kernel: "InvariantKernel") -> dict:
-    """Kernel entries as [re, im] pairs, row by row over the point set."""
-    return {
-        "matrix": [
-            [[float(z.real), float(z.imag)] for z in row] for row in kernel.matrix
-        ]
-    }
-
-
-def kernel_from_json(cover: FiniteCover, data) -> "InvariantKernel":
-    """Load an invariant kernel for a cover (dict or path); validated."""
-    data = _load_json(data)
-    matrix = np.array(
-        [[complex(re, im) for re, im in row] for row in data["matrix"]], dtype=complex
-    )
-    return InvariantKernel(cover=cover, matrix=matrix)
-
-
 @dataclass(frozen=True, eq=False)
 class GroupRep:
     """Unitary representation of a FiniteGroup, matrices per element."""
@@ -355,78 +338,72 @@ class GroupRep:
         return self.matrices[0].shape[0]
 
 
-def _regular_representation(group: FiniteGroup) -> list[np.ndarray]:
-    n = group.order
-    mats = []
-    for g in range(n):
-        mat = np.zeros((n, n), dtype=complex)
-        mat[group.cayley[g], np.arange(n)] = 1.0
-        mats.append(mat)
-    return mats
+def _regular_bytes(n: int) -> int:
+    """Peak bytes of _regular_irreps at order n: four complex n x n arrays (H, its
+    eigenvectors, eigh's work), two int n x n index tables, and one candidate's
+    three (n, n, d) complex gathers at d = isqrt(n), the most an irreducible has."""
+    return 16 * n * n * (5 + 3 * math.isqrt(n))
+
+
+def _irreducible_blocks(bases: list[np.ndarray], left: np.ndarray) -> list | None:
+    """(character, (n, d, d) matrices) of each inequivalent irreducible eigenspace B.
+
+    L(g) only permutes rows, (L(g) B)[i] = B[g^-1 i], so M(g) = B* L(g) B is
+    one row gather and a product for all g. None if some B is not invariant
+    or its character norm n**-1 sum_g |chi(g)|**2, which is 1 exactly for
+    irreducibles (Serre, 2.3), is not; a B whose character inner product
+    with a kept one rounds to 1 is a repeat.
+    """
+    n = len(left)
+    kept = []
+    for basis in bases:
+        if basis.shape[1] > math.isqrt(n):  # d**2 <= n
+            return None
+        moved = basis[left]
+        mats = linalg.dagger(basis) @ moved
+        moved -= basis @ mats
+        if linalg.max_abs(moved) > linalg.INVARIANT_SUBSPACE_TOL:
+            return None
+        chars = np.trace(mats, axis1=1, axis2=2)
+        if np.rint(np.vdot(chars, chars).real / n) != 1:
+            return None
+        if not any(np.rint(abs(np.vdot(c, chars)) / n) for c, _ in kept):
+            kept.append((chars, mats))
+    return kept
 
 
 def _regular_irreps(group: FiniteGroup, seed: int) -> list[GroupRep]:
-    """All irreducibles by splitting the regular representation.
+    """All irreducibles by splitting the left regular representation L.
 
-    A random Hermitian matrix averaged over conjugation lands in the
-    commutant; generically its eigenspaces are irreducible invariant
-    subspaces, each irreducible appearing (dim) times. Candidates are
-    checked for invariance and scalar commutant and deduplicated by
-    character; the survivors are validated (unitarity, group law) once, as
-    the GroupReps returned. Failures retry with a fresh sample, each
-    drawn from the standard library's random.Random(seed + attempt), so
-    that a --cover-json run does not load numpy.random. The
-    |G| dense |G| x |G| matrices are refused over errors.BYTES_CAP before
-    they are built.
+    The right multiplications R(k) e_j = e_{j k} span the commutant of
+    L(g) e_j = e_{g j} (Serre, Linear Representations of Finite Groups,
+    2.4), so the eigenspaces of a random Hermitian H = sum_k c_k R(k) + h.c.,
+    scattered from the Cayley table, are generically irreducible, each
+    irreducible appearing (dim) times. _irreducible_blocks restricts,
+    checks and deduplicates them; when the squared dimensions sum to |G|
+    the survivors are validated once, as the GroupReps returned. A failed
+    split retries with a fresh random.Random(seed + attempt), so a
+    --cover-json run does not load numpy.random. _regular_bytes is refused
+    over errors.BYTES_CAP before anything is allocated.
     """
     n = group.order
-    # the |G| dense regular matrices and a few n x n work arrays, complex
     check_bytes(
-        16 * (n**3 + 8 * n * n),
-        f"splitting the regular representation of a deck group of order {n}",
+        _regular_bytes(n), f"splitting the regular representation of a deck group of order {n}"
     )
-    reg = _regular_representation(group)
+    left = group.cayley[group._inverse]
     for attempt in range(20):
         rng = random.Random(seed + attempt)
-        h = (linalg._normals(rng, n * n) + 1j * linalg._normals(rng, n * n)).reshape(n, n)
-        h = h + linalg.dagger(h)
-        avg = sum(r @ h @ linalg.dagger(r) for r in reg) / n
-        eigvals, eigvecs = np.linalg.eigh(avg)
-        clusters: list[list[int]] = [[0]]
-        for i in range(1, n):
-            if eigvals[i] - eigvals[i - 1] < linalg.EIGEN_CLUSTER_TOL:
-                clusters[-1].append(i)
-            else:
-                clusters.append([i])
-        found: list[tuple[np.ndarray, list[np.ndarray]]] = []
-        ok = True
-        for cluster in clusters:
-            basis = eigvecs[:, cluster]
-            mats = []
-            for r in reg:
-                rb = r @ basis
-                leak = linalg.max_abs(rb - basis @ (linalg.dagger(basis) @ rb))
-                if leak > linalg.INVARIANT_SUBSPACE_TOL:
-                    ok = False
-                    break
-                mats.append(linalg.dagger(basis) @ rb)
-            if not ok:
-                break
-            if linalg.commutant_dimension_of(mats) != 1:
-                ok = False
-                break
-            found.append((np.array([np.trace(mat) for mat in mats]), mats))
-        if not ok:
+        h = np.zeros((n, n), dtype=complex)
+        # R(k) has its one entry of column j in row j k
+        h[group.cayley, np.arange(n)[:, None]] = (
+            linalg._normals(rng, n) + 1j * linalg._normals(rng, n)
+        )
+        eigvals, eigvecs = np.linalg.eigh(h + linalg.dagger(h))
+        gaps = np.flatnonzero(np.diff(eigvals) >= linalg.EIGEN_CLUSTER_TOL)
+        distinct = _irreducible_blocks(np.split(eigvecs, gaps + 1, axis=1), left)
+        if distinct is None or sum(mats.shape[1] ** 2 for _, mats in distinct) != n:
             continue
-        distinct: list[tuple[np.ndarray, list[np.ndarray]]] = []
-        for chars, mats in found:
-            if not any(
-                np.allclose(chars, c, atol=linalg.EIGEN_CLUSTER_TOL) for c, _ in distinct
-            ):
-                distinct.append((chars, mats))
-        if sum(len(mats[0]) ** 2 for _, mats in distinct) != n:
-            continue
-        distinct.sort(key=lambda item: (len(item[1][0]), np.round(item[0].real, 6).tolist()))
+        distinct.sort(key=lambda item: (item[1].shape[1], np.round(item[0].real, 6).tolist()))
         try:
             return [
                 GroupRep(group=group, matrices=tuple(mats), label=f"chi{i}")

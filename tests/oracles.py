@@ -8,7 +8,9 @@ and intertwiners from dense null spaces of stacked Kronecker systems,
 characters from the Murnaghan-Nakayama rule, group sums from one dense
 permutation matrix per element, commutant orbits from a
 breadth-first search over generators, cover entry orbits by a scan over
-all point pairs, span ranks from one dense SVD of the whole stack,
+all point pairs, Cayley tables of action words by composing every pair
+and looking the composite up in a dict, span ranks from one dense SVD of
+the whole stack,
 internal-blind operators A x 1 as dense per-slot tensor products, and
 section actions from one loop over base pairs and group elements.
 
@@ -313,6 +315,52 @@ def looped_orbit_labels(action: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             tau[y] = len(smallest)
         smallest.append(min(orbit))
     return tau, np.array(smallest, dtype=np.int64)
+
+
+def dict_composition_cayley(images: np.ndarray) -> np.ndarray | None:
+    """Cayley table of permutation words by composing every pair.
+
+    images[g] is word g as the image indices of the points; entry (i, j)
+    is the word x -> (x.g_i).g_j, looked up among the words by its bytes.
+    None when a composite is not among the words.
+    """
+    index = {row.tobytes(): k for k, row in enumerate(images)}
+    ng = len(images)
+    cayley = np.zeros((ng, ng), dtype=np.int64)
+    for i in range(ng):
+        composed = images[:, images[i]]  # row j: x.(g_i g_j) = (x.g_i).g_j
+        for j in range(ng):
+            k = index.get(composed[j].tobytes())
+            if k is None:
+                return None
+            cayley[i, j] = k
+    return cayley
+
+
+def cyclic_document(n: int) -> dict:
+    """Cover document of Z_n acting on itself by shifts; word k is x -> x + k."""
+    return {
+        "points": [f"p{x}" for x in range(n)],
+        "group": [[(x + k) % n for x in range(n)] for k in range(n)],
+    }
+
+
+def dihedral_document(n: int) -> dict:
+    """Cover document of D_n (order 2n) acting on itself by right multiplication.
+
+    Element r^a s^b sits at index a + n b, with s r s = r^-1; the words
+    with b = 0 are the rotations.
+    """
+    elements = [(a, b) for b in range(2) for a in range(n)]
+    index = {e: i for i, e in enumerate(elements)}
+
+    def times(x, y):
+        return ((x[0] + (-1) ** x[1] * y[0]) % n, (x[1] + y[1]) % 2)
+
+    return {
+        "points": [f"r{a}s{b}" for a, b in elements],
+        "group": [[index[times(x, g)] for x in elements] for g in elements],
+    }
 
 
 def looped_deck_element(cover) -> np.ndarray:

@@ -325,3 +325,40 @@ class TestMatrixFree:
                 gauge_equivalence_check(1.0, n)
         with pytest.raises(ResourceLimitError, match="plane-wave eigenvalues"):
             spectrum_rows(1.0, 10**9, 4)
+
+    def test_dense_builders_refuse_before_allocating(self):
+        n = 100000  # one n x n complex array is 149 GiB
+        builders = [
+            lambda: twisted_momentum(0.0, n),
+            lambda: twisted_momentum(0.0, n, "fd"),
+            lambda: momentum_spectrum(0.0, n, 4),
+            lambda: translation_unitary(0.5, 0.0, n),
+            lambda: translation_unitary(0.1, 0.0, n, interpolation="spectral"),
+            lambda: position_operator(np.ones(n)),
+        ]
+        tracemalloc.start()
+        try:
+            for build in builders:
+                with pytest.raises(ResourceLimitError, match=f"dense operator on {n} points"):
+                    build()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 << 20
+
+    @pytest.mark.parametrize("method", ["spectral", "fd"])
+    def test_dense_builds_stay_within_their_estimate(self, method):
+        n = 256
+        estimate = 16 * circle_theta.DENSE_ARRAYS * n * n
+        for build in (
+            lambda: twisted_momentum(1.3, n, method),
+            lambda: momentum_spectrum(1.3, n, 4, method),
+            lambda: translation_unitary(0.1, 1.3, n, interpolation="spectral"),
+        ):
+            tracemalloc.start()
+            try:
+                build()
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak <= estimate

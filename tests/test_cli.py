@@ -15,8 +15,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 import sectorkit
-from sectorkit import cover_quant
+from sectorkit import cover_quant, errors, linalg
 from sectorkit.cli import main
 from sectorkit.cover_quant import cover_to_json, symmetric_cover
 
@@ -222,37 +223,33 @@ class TestCover:
         spec_file.write_text(json.dumps(spec))
         return spec_file
 
-    def test_regular_representation_cost_exits_before_allocating(
-        self, tmp_path, capsys, monkeypatch
-    ):
-        # Z_512: 512 dense 512 x 512 regular matrices would take 2 GiB
-        def refuse(group):
-            raise AssertionError("regular representation built past the cost check")
+    def test_regular_split_cost_exits_before_allocating(self, tmp_path, capsys, monkeypatch):
+        # Z_64 under a 1 MiB budget: the split's estimate (~1.8 MiB) refuses
+        # it before H is diagonalized
+        def refuse(*args):
+            raise AssertionError("regular representation split past the cost check")
 
-        monkeypatch.setattr(cover_quant, "_regular_representation", refuse)
-        spec_file = self.cyclic_cover_file(tmp_path, 512)
-        tracemalloc.start()
-        try:
-            code = main(["cover", "--cover-json", str(spec_file)])
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert code == 3
-        assert peak < 64 << 20
+        monkeypatch.setattr(errors, "BYTES_CAP", 2**20)
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        spec_file = self.cyclic_cover_file(tmp_path, 64)
+        assert main(["cover", "--cover-json", str(spec_file)]) == 3
         error = json.loads(capsys.readouterr().err)
         assert error["kind"] == "resource"
-        assert "regular representation" in error["error"]
+        assert "regular representation of a deck group of order 64" in error["error"]
 
-    def test_regular_representation_admits_z128(self, tmp_path, monkeypatch):
-        class Admitted(Exception):
-            pass
+    def test_cover_json_census_takes_no_span_rank_or_sylvester_path(self, tmp_path, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("span rank or Sylvester path taken")
 
-        def admitted(group):
-            raise Admitted
-
-        monkeypatch.setattr(cover_quant, "_regular_representation", admitted)
-        with pytest.raises(Admitted):
-            main(["cover", "--cover-json", str(self.cyclic_cover_file(tmp_path, 128))])
+        for name in ("commutant_dimension_of", "commutant_basis_of", "intertwiner_basis"):
+            monkeypatch.setattr(linalg, name, refuse)
+        spec_file = tmp_path / "d6.json"
+        spec_file.write_text(json.dumps(oracles.dihedral_document(6)))
+        code, payload = run_to_file(tmp_path, "c.json", ["cover", "--cover-json", str(spec_file)])
+        data = json.loads(payload)
+        assert code == 0
+        assert [s["internal_dim"] for s in data["sectors"]] == [1, 1, 1, 1, 2, 2]
+        assert data["passed"] is True
 
     def test_census_cost_applies_to_cover_json(self, tmp_path, capsys):
         spec_file = tmp_path / "cover.json"
@@ -477,6 +474,17 @@ class TestCoverDocumentContract:
         error = json.loads(lines[0])
         assert error["kind"] == "usage"
         assert error["schema"] == "sector-kit/1"
+
+    @pytest.mark.parametrize(
+        "group",
+        [[[0, 1, 2, 3], [0, 1, 2, 3]], [[0, 1, 2, 3], [1, 0, 3, 2], [0, 1, 3, 2]]],
+        ids=["duplicate-words", "word-fixing-the-first-point"],
+    )
+    def test_words_agreeing_at_the_first_point_exit_2(self, tmp_path, group):
+        document = {"points": ["a", "b", "c", "d"], "group": group}
+        code, lines = run_cover_document(tmp_path / "cover.json", document)
+        assert code == 2
+        assert "agree at the first point" in json.loads(lines[0])["error"]
 
     def test_well_formed_document_still_runs(self, tmp_path):
         document = {"points": ["a", "b"], "group": [[0, 1], [1, 0]], "section": [1]}

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,9 +20,7 @@ from sectorkit.cover_quant import (
     cover_from_json,
     cover_to_json,
     irreps_of,
-    kernel_from_json,
     kernel_orbit_basis,
-    kernel_to_json,
     random_invariant_kernel,
     randomize_section,
     realization_unitary,
@@ -81,7 +80,7 @@ class TestCoverConstruction:
             cover_from_action(("a", "b", "c"), [(0, 1, 2), (2, 1, 0)])
 
     def test_nonclosed_action_rejected(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="not closed"):
             cover_from_action(
                 tuple(range(4)), [(0, 1, 2, 3), (1, 2, 3, 0)]
             )  # missing the square of the 4-cycle
@@ -129,6 +128,40 @@ class TestCoverConstruction:
         bad[1] = cover32.section[0]  # two orbits share a representative
         with pytest.raises(DomainError):
             replace(cover32, section=bad)
+
+
+def z3_on_two_orbits_with_a_wrong_square():
+    """Words e, a, b on the orbits {0, 1, 2} and {3, 4, 5}: a turns both
+    by one, b turns the first by two and the second by one. Their products
+    agree with e, a, b at point 0, and form Z_3 there, but a a is not b."""
+    return (
+        tuple(range(6)),
+        [(0, 1, 2, 3, 4, 5), (1, 2, 0, 4, 5, 3), (2, 0, 1, 4, 5, 3)],
+    )
+
+
+class TestCayleyFromOnePoint:
+    @pytest.mark.parametrize(
+        "make",
+        [lambda q=q, n=n: symmetric_cover(q, n) for q in (3, 4, 5) for n in (2, 3)]
+        + [lambda n=n: cover_from_json(oracles.cyclic_document(n)) for n in (1, 2, 6, 12)]
+        + [lambda n=n: cover_from_json(oracles.dihedral_document(n)) for n in (3, 4, 5, 8)]
+        + [lambda: cover_from_json(cover_to_json(randomize_section(symmetric_cover(4, 3), 2)))],
+    )
+    def test_table_matches_dict_composition(self, make):
+        cover = make()
+        expected = oracles.dict_composition_cayley(np.ascontiguousarray(cover.action.T))
+        assert np.array_equal(cover.group.cayley, expected)
+
+    def test_table_of_one_point_is_checked_at_every_point(self):
+        points, words = z3_on_two_orbits_with_a_wrong_square()
+        assert oracles.dict_composition_cayley(np.array(words)) is None
+        with pytest.raises(DomainError, match="incompatible with the group law"):
+            cover_from_action(points, words)
+
+    def test_no_points_rejected(self):
+        with pytest.raises(DomainError, match="at least one point"):
+            cover_from_action((), [()])
 
 
 class TestGroupValidation:
@@ -243,6 +276,62 @@ class TestIrreps:
         monkeypatch.setattr(GroupRep, "__post_init__", counting)
         reps = irreps_of(group, seed=0)
         assert validated == [rep.label for rep in reps] == ["chi0", "chi1", "chi2"]
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 8, 12])
+    def test_cyclic_characters_are_the_roots_of_unity(self, n):
+        # word k is the shift by k, so chi(k) = chi(1)**k, chi(1) = e^{2 pi i j / n}
+        reps = irreps_of(cover_from_json(oracles.cyclic_document(n)).group, seed=0)
+        assert [r.dimension for r in reps] == [1] * n
+        chars = np.array([[m[0, 0] for m in r.matrices] for r in reps])
+        found = np.rint(np.angle(chars[:, 1 % n]) * n / (2 * math.pi)).astype(int) % n
+        assert sorted(found) == list(range(n))
+        k = np.arange(n)
+        expected = np.exp(2j * math.pi * np.outer(found, k) / n)
+        assert linalg.max_abs(chars - expected) < 1e-12
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 9])
+    def test_dihedral_irreducibles(self, n):
+        # 2 linear characters for odd n and 4 for even n; the rest are 2-dim,
+        # r^a -> diag(w^ja, w^-ja) with w = e^{2 pi i / n} and 1 <= j < n / 2:
+        # trace 2 cos(2 pi j a / n) on rotations and 0 on every reflection
+        reps = irreps_of(cover_from_json(oracles.dihedral_document(n)).group, seed=0)
+        linear = 2 if n % 2 else 4
+        dims = [r.dimension for r in reps]
+        assert dims == [1] * linear + [2] * ((n - 1) // 2)
+        chars = np.array([[np.trace(m) for m in r.matrices] for r in reps[linear:]])
+        assert linalg.max_abs(chars[:, n:]) < 1e-12
+        a = np.arange(n)
+        expected = {
+            tuple(np.round(2 * np.cos(2 * math.pi * j * a / n), 9)) for j in range(1, (n + 1) // 2)
+        }
+        assert {tuple(np.round(c.real, 9) + 0.0) for c in chars[:, :n]} == expected
+        assert linalg.max_abs(chars.imag) < 1e-12
+
+    @pytest.mark.parametrize(
+        "document",
+        [
+            oracles.cyclic_document(64),
+            oracles.dihedral_document(16),
+            cover_to_json(symmetric_cover(4, 4)),
+        ],
+        ids=["Z64", "D16", "S4"],
+    )
+    def test_regular_split_estimate(self, document, monkeypatch):
+        group = cover_from_json(document).group
+        estimate = cover_quant._regular_bytes(group.order)
+        tracemalloc.start()
+        try:
+            reps = cover_quant._regular_irreps(group, 0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sum(r.dimension**2 for r in reps) == group.order
+        assert peak <= estimate
+        monkeypatch.setattr(errors, "BYTES_CAP", estimate)
+        cover_quant._regular_irreps(group, 0)
+        monkeypatch.setattr(errors, "BYTES_CAP", estimate - 1)
+        with pytest.raises(ResourceLimitError, match="regular representation"):
+            cover_quant._regular_irreps(group, 0)
 
     def test_group_rep_validation(self, cover32):
         bad = [np.eye(1) * 2.0 for _ in range(cover32.group.order)]
@@ -827,18 +916,6 @@ class TestJsonInterface:
         clone = cover_from_json(cover_to_json(shifted))
         assert np.array_equal(clone.section, shifted.section)
 
-    def test_kernel_round_trip(self, cover32, tmp_path):
-        rng = np.random.default_rng(10)
-        kernel = random_invariant_kernel(cover32, rng)
-        path = tmp_path / "kernel.json"
-        path.write_text(json.dumps(kernel_to_json(kernel)))
-        clone = kernel_from_json(cover32, path)
-        assert linalg.max_abs(clone.matrix - kernel.matrix) < 1e-15
-        bad = kernel_to_json(kernel)
-        bad["matrix"][0][1] = [99.0, 0.0]
-        with pytest.raises(DomainError):
-            kernel_from_json(cover32, bad)
-
     def test_unreadable_files_are_usage_errors(self, tmp_path):
         with pytest.raises(DomainError, match="cannot read JSON"):
             cover_from_json(tmp_path / "missing.json")
@@ -848,8 +925,6 @@ class TestJsonInterface:
         truncated.write_text('{"points": ["a", "b"')
         with pytest.raises(DomainError, match="cannot read JSON"):
             cover_from_json(truncated)
-        with pytest.raises(DomainError, match="cannot read JSON"):
-            kernel_from_json(symmetric_cover(3, 2), truncated)
         binary = tmp_path / "binary.json"
         binary.write_bytes(b"\xff\xfe\x00")
         with pytest.raises(DomainError, match="cannot read JSON"):

@@ -34,15 +34,15 @@ ESTIMATES = {
     "sector decomposition": lambda: tensor_rep._check_sector_cost(2, 12),
     "restricted to two carriers": lambda: parastat_equiv._check_equiv_cost(8, 2),
     "successive restriction": lambda: linalg.unitary_intertwiner([np.eye(10)], [np.eye(10)]),
-    "regular representation": lambda: cover_quant._regular_irreps(cyclic_group(128), 0),
+    "regular representation": lambda: cover_quant._regular_irreps(cyclic_group(64), 0),
     "cover census": lambda: sector_census(symmetric_cover(4, 2)),
     "gauge check": lambda: circle_theta.check_gauge_cost(4096),
+    "dense operator": lambda: circle_theta.twisted_momentum(0.0, 256),
 }
 
 
 @pytest.mark.parametrize("phrase", ESTIMATES)
 def test_every_byte_estimate_reads_the_one_cap(phrase, monkeypatch):
-    monkeypatch.setattr(cover_quant, "_regular_representation", admitted)
     monkeypatch.setattr(cover_quant, "_entry_orbits", admitted)
     with contextlib.suppress(Admitted):
         ESTIMATES[phrase]()
