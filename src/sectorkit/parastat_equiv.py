@@ -10,13 +10,15 @@ inequivalence prover.
 
 No (2m)^N x (2m)^N or m^N x m^N array is formed on the way:
 
-* Carriers are ranges of group averages applied to thin blocks of
-  columns, each by N! row scatters of the slot action and one thin SVD.
-  The internal projector W*W commutes with the slot symmetrizer P_sym,
-  so the bosonic carrier range(W*W P_sym) is range(P_sym W*). The
-  fermionic and parafermionic carriers average the unit columns of the
-  sorted words (every word is a slot permutation of one), with the sign
-  and with U_P(pi) on the component index respectively.
+* All four carriers come from one builder (_carrier): the unit columns
+  of the sorted spatial words times a few internal vectors, averaged
+  over S_N by N! row scatters of the joint slot action and
+  orthonormalized by one thin SVD. The internal action is the sign for
+  fermions, U_P(pi) for parafermions and the slot permutation of
+  (C^2)^{xN} for bosons, whose internal vectors are those of W, so the
+  bosonic carrier range(P_sym W*W) is built without forming W. Each
+  carrier is averaged with its own internal action; none is derived
+  from another, which would make the certificate circular.
 * Internal degrees of freedom are unobservable: every observable acts as
   A x 1 with A an S_N-invariant spatial operator. By Schur-Weyl duality
   the m^2 one-body operators G_ab = sum_i E_ab^(i) generate that algebra
@@ -40,10 +42,9 @@ working images and the intertwiner search.
 
 Index conventions: on (C^m x C^2)^{xN} the isometries use per-slot basis
 indices spatial * 2 + a, slots interleaved as (q_1 a_1 ... q_N a_N). The
-bosonic `injection` holds its carrier with the rows reordered
-spatial-major, (q_1 ... q_N, a_1 ... a_N). Doublet-valued wave functions
-are flattened as spatial_flat * 2 + component, which is already
-spatial-major.
+carriers hold their rows spatial-major: (q_1 ... q_N, a_1 ... a_N) for
+the bosons, spatial_flat * 2 + component for doublet-valued wave
+functions.
 """
 
 from __future__ import annotations
@@ -58,13 +59,7 @@ import numpy as np
 from . import linalg
 from .errors import ConsistencyError, DomainError, check_bytes
 from .permgroup import Permutation, symmetric_group
-from .tensor_rep import (
-    FLOAT_BYTES,
-    TensorSpace,
-    _images,
-    _index_maps,
-    permutation_operator,
-)
+from .tensor_rep import FLOAT_BYTES, TensorSpace, _images, _index_maps
 
 #: Orthonormal basis of C^3 splitting the natural S_3 action into the
 #: trivial line (first column) and the two-dimensional irreducible block.
@@ -75,6 +70,17 @@ PARAFERMION_BASIS = np.array(
         [1 / math.sqrt(3), -1 / math.sqrt(2), 1 / math.sqrt(6)],
     ]
 )
+
+#: Internal vector of the singlet isometry W in (C^2)^{x2}, indexed a_1 a_2:
+#: (psi_{01} - psi_{10}) / sqrt(2).
+SINGLET_VECTORS = np.array([[0.0], [1.0], [-1.0], [0.0]]) / math.sqrt(2)
+
+#: Internal vectors of the doublet isometry W in (C^2)^{x3}, indexed
+#: a_1 a_2 a_3: component 0 is (psi_{010} - psi_{001}) / sqrt(2), component
+#: 1 is (-2 psi_{100} + psi_{010} + psi_{001}) / sqrt(6).
+DOUBLET_VECTORS = np.zeros((8, 2))
+DOUBLET_VECTORS[[0b010, 0b001], 0] = np.array([1.0, -1.0]) / math.sqrt(2)
+DOUBLET_VECTORS[[0b100, 0b010, 0b001], 1] = np.array([-2.0, 1.0, 1.0]) / math.sqrt(6)
 
 
 def natural_permutation_matrix(pi: Permutation) -> np.ndarray:
@@ -94,28 +100,27 @@ def parafermion_matrix(pi: Permutation) -> np.ndarray:
     return (b.T @ natural_permutation_matrix(pi) @ b)[1:, 1:]
 
 
-def partial_isometry_residual(w: np.ndarray) -> float:
-    """max-abs of W W* W - W; zero for an exact partial isometry."""
-    return linalg.max_abs(w @ linalg.dagger(w) @ w - w)
+def _internal_isometry(m: int, n_slots: int, vectors: np.ndarray) -> np.ndarray:
+    """W = 1 x V^T: (C^m x C^2)^{xN} -> (C^m)^{xN} x C^c, columns interleaved.
+
+    Row spatial * c + component; the columns of the Kronecker product,
+    (q_1 ... q_N, a_1 ... a_N), are moved to (q_1 a_1 ... q_N a_N).
+    """
+    if m < 1:
+        raise DomainError("m must be >= 1")
+    w = np.kron(np.eye(m**n_slots), vectors.T)
+    split = w.reshape((len(w),) + (m,) * n_slots + (2,) * n_slots)
+    axes = [0] + [ax for k in range(1, n_slots + 1) for ax in (k, n_slots + k)]
+    return split.transpose(axes).reshape(w.shape).astype(complex)
 
 
 def singlet_isometry_2(m: int) -> np.ndarray:
     """W: (C^m x C^2)^{x2} -> (C^m)^{x2}, internal singlet component.
 
     (W psi)(q1, q2) = (psi_{01} - psi_{10})(q1, q2) / sqrt(2) in 0-based
-    internal indices; identity on the spatial factors.
+    internal indices (SINGLET_VECTORS); identity on the spatial factors.
     """
-    if m < 1:
-        raise DomainError("m must be >= 1")
-    amb = 2 * m
-    w = np.zeros((m**2, amb**2), dtype=complex)
-    root2 = math.sqrt(2.0)
-    for q1 in range(m):
-        for q2 in range(m):
-            row = q1 * m + q2
-            w[row, (q1 * 2 + 0) * amb + (q2 * 2 + 1)] = 1 / root2
-            w[row, (q1 * 2 + 1) * amb + (q2 * 2 + 0)] = -1 / root2
-    return w
+    return _internal_isometry(m, 2, SINGLET_VECTORS)
 
 
 def doublet_isometry_3(m: int) -> np.ndarray:
@@ -123,59 +128,60 @@ def doublet_isometry_3(m: int) -> np.ndarray:
 
     Component 0 is (psi_{010} - psi_{001})/sqrt(2), component 1 is
     (-2 psi_{100} + psi_{010} + psi_{001})/sqrt(6), internal indices
-    0-based, identity on the spatial factors.
+    0-based (DOUBLET_VECTORS), identity on the spatial factors.
     """
-    if m < 1:
-        raise DomainError("m must be >= 1")
-    amb = 2 * m
-    w = np.zeros((m**3 * 2, amb**3), dtype=complex)
-    root2, root6 = math.sqrt(2.0), math.sqrt(6.0)
-
-    def col(q: tuple[int, int, int], a: tuple[int, int, int]) -> int:
-        return ((q[0] * 2 + a[0]) * amb + (q[1] * 2 + a[1])) * amb + (q[2] * 2 + a[2])
-
-    for q1 in range(m):
-        for q2 in range(m):
-            for q3 in range(m):
-                q = (q1, q2, q3)
-                sp = (q1 * m + q2) * m + q3
-                w[sp * 2 + 0, col(q, (0, 1, 0))] = 1 / root2
-                w[sp * 2 + 0, col(q, (0, 0, 1))] = -1 / root2
-                w[sp * 2 + 1, col(q, (1, 0, 0))] = -2 / root6
-                w[sp * 2 + 1, col(q, (0, 1, 0))] = 1 / root6
-                w[sp * 2 + 1, col(q, (0, 0, 1))] = 1 / root6
-    return w
+    return _internal_isometry(m, 3, DOUBLET_VECTORS)
 
 
-def _slot_average(columns: np.ndarray, m: int, n_slots: int, internal=None) -> np.ndarray:
+def _slot_average(columns: np.ndarray, m: int, n_slots: int, internal) -> np.ndarray:
     """(1/N!) sum_pi U(pi) x M(pi) applied to the columns, by N! row scatters.
 
     Rows of `columns` are ordered (word of (C^m)^{xN}, internal index);
     U(pi) sends the rows of word i to those of word _index_maps[pi][i], and
-    M(pi) = internal(pi) acts on the internal index (the identity when
-    internal is None). No operator on the row space is formed.
+    M(pi) = internal(pi) acts on the internal index. No operator on the
+    row space is formed.
     """
     perms = symmetric_group(n_slots)
     x = columns.reshape(m**n_slots, -1, columns.shape[1])
     total = np.zeros_like(x)
     for pi, image in zip(perms, _index_maps(_images(perms), m)):
-        total[image] += x if internal is None else internal(pi) @ x
+        total[image] += internal(pi) @ x
     return total.reshape(columns.shape) / math.factorial(n_slots)
 
 
-def _sorted_word_columns(m: int, n_slots: int, internal_dim: int) -> np.ndarray:
-    """Unit columns e_w x e_a for the sorted words w and internal indices a.
-
-    Every word is U(sigma) of a sorted word, and the average P of
-    U(pi) x M(pi) satisfies P (U(sigma) x M(sigma)) = P, so P applied to
-    these columns spans the range of P.
-    """
+def _sorted_word_columns(m: int, n_slots: int) -> np.ndarray:
+    """Unit columns e_w of (C^m)^{xN} for the sorted words w, in flat order."""
     digits = TensorSpace(m, n_slots).digits()
     words = np.flatnonzero(np.all(np.diff(digits, axis=1) >= 0, axis=1))
-    rows = (words[:, None] * internal_dim + np.arange(internal_dim)).ravel()
-    columns = np.zeros((m**n_slots * internal_dim, len(rows)))
-    columns[rows, np.arange(len(rows))] = 1.0
+    columns = np.zeros((m**n_slots, len(words)))
+    columns[words, np.arange(len(words))] = 1.0
     return columns
+
+
+def _carrier(m: int, n_slots: int, vectors: np.ndarray, internal) -> np.ndarray:
+    """Orthonormal basis of range(P (1 x Q)), rows (spatial word, internal index).
+
+    P is the average of U(pi) x M(pi), M(pi) = internal(pi), and Q the
+    projector onto the span of the internal `vectors` v_c, which M must
+    leave invariant. Q = 1 for fermions and parafermions. For the bosons
+    W*W = 1 x Q, so the range is range(P_sym W*W), and span{v_c} is the
+    sign line of (C^2)^{x2} (singlet) or the sum-zero part of the
+    weight-(2, 1) vectors of (C^2)^{x3} (doublet), both invariant under
+    the internal slot permutations. Every word is U(sigma) of a sorted
+    word w, and P (U(sigma) x M(sigma)) = P, so P (e_{sigma w} x v_c) is
+    P (e_w x M(sigma)^-1 v_c), in the span of the P (e_w x v_c) over the
+    sorted words: P is applied to those columns only, then one thin SVD.
+    """
+    columns = np.kron(_sorted_word_columns(m, n_slots), vectors)
+    return linalg.orthonormal_range(_slot_average(columns, m, n_slots, internal))
+
+
+def _internal_slot_permutation(pi: Permutation) -> np.ndarray:
+    """0/1 matrix of the slot permutation pi on the internal (C^2)^{xN}."""
+    image = _index_maps(_images([pi]), 2)[0]
+    action = np.zeros((len(image), len(image)))
+    action[image, np.arange(len(image))] = 1.0
+    return action
 
 
 def parafermion_constraint_space(m: int) -> np.ndarray:
@@ -183,33 +189,11 @@ def parafermion_constraint_space(m: int) -> np.ndarray:
 
     The wave functions psi with U(pi) psi = psi U_P(pi)^T for the
     transpositions pi are the invariants of pi -> U(pi) x U_P(pi), the
-    range of its group average; that average is applied to the unit
-    columns of the sorted words and orthonormalized by one thin SVD.
+    range of its group average (_carrier, with both components kept).
     """
     if m < 1:
         raise DomainError("m must be >= 1")
-    columns = _sorted_word_columns(m, 3, 2)
-    return linalg.orthonormal_range(_slot_average(columns, m, 3, parafermion_matrix))
-
-
-def parafermion_constraint_residuals(psi: np.ndarray, m: int) -> dict[str, float]:
-    """Residuals of the six component constraint equations for one vector.
-
-    Keys are "(i j) component k": the equation relating component k of
-    the slot-permuted wave function to the mixed components.
-    """
-    psi = np.asarray(psi, dtype=complex).reshape(m**3, 2)
-    out = {}
-    for images in [(2, 1, 3), (3, 2, 1), (1, 3, 2)]:
-        pi = Permutation(images)
-        u_sp = permutation_operator(pi, m)
-        lhs = u_sp @ psi
-        rhs = psi @ parafermion_matrix(pi).T
-        swapped = [i for i in range(1, 4) if pi(i) != i]
-        name = f"({swapped[0]} {swapped[1]})"
-        for comp in range(2):
-            out[f"{name} component {comp + 1}"] = linalg.max_abs(lhs[:, comp] - rhs[:, comp])
-    return out
+    return _carrier(m, 3, np.eye(2), parafermion_matrix)
 
 
 @dataclass(frozen=True)
@@ -350,13 +334,6 @@ def general_equivalence(
     )
 
 
-def _spatial_major(carrier: np.ndarray, m: int, n_slots: int) -> np.ndarray:
-    """Carrier rows reordered from (q_1 a_1 ... q_N a_N) to (q_1 ... q_N, a_1 ... a_N)."""
-    axes = [*range(0, 2 * n_slots, 2), *range(1, 2 * n_slots, 2), 2 * n_slots]
-    split = carrier.reshape((m, 2) * n_slots + (carrier.shape[1],))
-    return split.transpose(axes).reshape(carrier.shape)
-
-
 def _carrier_dim(m: int, n_slots: int) -> int:
     """Dimension of the certified carriers: C(m, 2) at N = 2, m (m^2 - 1) / 3 at N = 3."""
     return math.comb(m, 2) if n_slots == 2 else m * (m * m - 1) // 3
@@ -366,18 +343,19 @@ def _equiv_bytes(m: int, n_slots: int) -> int:
     """Peak bytes of an equivalence certificate, estimated from the sizes alone.
 
     Each realization holds m**2 restricted r x r real operators. The
-    larger carrier is built first: its slot-averaged (2m)^N x (rows of W)
-    block, with W, its SVD factors and a scatter temporary, takes five
-    such arrays (measured: 4.25 to 4.5), and is freed before the first
-    realization is built. The second carrier is built beside the first
-    realization and is no larger. Then both realizations are alive with
-    five carrier-sized images of one generator at a time, and at last
-    with the intertwiner search's r x r arrays (random elements,
-    eigenvectors, phases, residuals: 24 of them).
+    larger carrier is built first: its slot-averaged block, (2m)^N rows
+    by N - 1 internal vectors per sorted word, with the unit columns, the
+    SVD factors and a scatter temporary, takes at most five such arrays,
+    and is freed before the first realization is built. The second
+    carrier is built beside the first realization and is no larger.
+    Then both realizations are alive with five carrier-sized images of
+    one generator at a time, and at last with the intertwiner search's
+    r x r arrays (random elements, eigenvectors, phases, residuals: 24
+    of them).
     """
     r = _carrier_dim(m, n_slots)
     generators = m * m * r * r
-    block = (2 * m) ** n_slots * m**n_slots * (n_slots - 1)
+    block = (2 * m) ** n_slots * (n_slots - 1) * math.comb(m + n_slots - 1, n_slots)
     entries = generators + max(
         5 * block, generators + 5 * (2 * m) ** n_slots * r + 24 * r * r
     )
@@ -395,30 +373,17 @@ def _check_equiv_cost(m: int, n_slots: int) -> None:
     )
 
 
-def _bosonic_carrier(w: np.ndarray, m: int, n_slots: int) -> np.ndarray:
-    """Orthonormal basis of range(P_sym W*W), spatial-major.
-
-    W*W commutes with the slot symmetrizer P_sym, so this range is also
-    range(P_sym W*): the symmetrizer is applied to the columns of the real
-    isometry W* by N! row scatters, then one thin SVD.
-    """
-    block = _slot_average(w.real.T, 2 * m, n_slots)
-    return _spatial_major(linalg.orthonormal_range(block), m, n_slots)
-
-
 def bosonic_singlet_realization(m: int) -> SectorRealization:
     """Internal-singlet slice of two bosonic doublets, invariant action."""
     _check_equiv_cost(m, 2)
-    carrier = _bosonic_carrier(singlet_isometry_2(m), m, 2)
+    carrier = _carrier(m, 2, SINGLET_VECTORS, _internal_slot_permutation)
     return one_body_realization("two bosonic doublets, internal singlet", carrier, m, 2)
 
 
 def fermionic_realization(m: int) -> SectorRealization:
     """Antisymmetric two-particle wave functions, invariant action."""
     _check_equiv_cost(m, 2)
-    columns = _sorted_word_columns(m, 2, 1)
-    block = _slot_average(columns, m, 2, lambda pi: np.array([[pi.sign()]]))
-    carrier = linalg.orthonormal_range(block)
+    carrier = _carrier(m, 2, np.ones((1, 1)), lambda pi: np.array([[pi.sign()]]))
     return one_body_realization("two spinless fermions", carrier, m, 2)
 
 
@@ -432,7 +397,7 @@ def verify_singlet_fermion_equivalence(m: int) -> EquivalenceCertificate:
 def bosonic_doublet_realization(m: int) -> SectorRealization:
     """Internal-doublet slice of three bosonic doublets, invariant action."""
     _check_equiv_cost(m, 3)
-    carrier = _bosonic_carrier(doublet_isometry_3(m), m, 3)
+    carrier = _carrier(m, 3, DOUBLET_VECTORS, _internal_slot_permutation)
     return one_body_realization("three bosonic doublets, internal doublet", carrier, m, 3)
 
 
@@ -455,19 +420,3 @@ def sector_realization_from_projector(
 ) -> SectorRealization:
     """Realization on the range of an idempotent (orthonormalized first)."""
     return realize(label, linalg.orthonormal_range(projector), ambient_ops)
-
-
-def s3_block_diagonalization_residuals() -> dict[str, float]:
-    """Leakage of the natural S_3 action on C^3 in the PARAFERMION_BASIS.
-
-    For every group element, conjugating by the basis must produce
-    exactly a 1 + 2 block structure (trivial line plus doublet block);
-    returns the worst off-block entry per element.
-    """
-    b = PARAFERMION_BASIS
-    out = {}
-    for pi in symmetric_group(3):
-        conj = b.T @ natural_permutation_matrix(pi) @ b
-        off = max(linalg.max_abs(conj[0, 1:]), linalg.max_abs(conj[1:, 0]))
-        out[str(pi.images)] = off
-    return out

@@ -11,8 +11,10 @@ breadth-first search over generators, cover entry orbits by a scan over
 all point pairs, Cayley tables of action words by composing every pair
 and looking the composite up in a dict, span ranks from one dense SVD of
 the whole stack,
-internal-blind operators A x 1 as dense per-slot tensor products, and
-section actions from one loop over base pairs and group elements.
+internal-blind operators A x 1 as dense per-slot tensor products,
+section actions from one loop over base pairs and group elements, the
+internal isometries W entry by entry in loops over the spatial indices,
+and the parafermion constraint equations from dense slot permutations.
 
 The dense paths the equivalence certificates were first built on are
 kept here as their references: carriers as ranges of dense projectors
@@ -433,6 +435,67 @@ def looped_section_action(
                 block += matrix[section[q], action[section[qp], h]] * rep_matrices[inverses[h]]
             mat[q * d : (q + 1) * d, qp * d : (qp + 1) * d] = block
     return mat
+
+
+def looped_singlet_isometry_2(m: int) -> np.ndarray:
+    """W of the internal singlet, (psi_{01} - psi_{10}) / sqrt(2), set entry by entry."""
+    amb = 2 * m
+    w = np.zeros((m**2, amb**2), dtype=complex)
+    root2 = math.sqrt(2.0)
+    for q1 in range(m):
+        for q2 in range(m):
+            row = q1 * m + q2
+            w[row, (q1 * 2 + 0) * amb + (q2 * 2 + 1)] = 1 / root2
+            w[row, (q1 * 2 + 1) * amb + (q2 * 2 + 0)] = -1 / root2
+    return w
+
+
+def looped_doublet_isometry_3(m: int) -> np.ndarray:
+    """W of the internal doublet, set entry by entry.
+
+    Component 0 is (psi_{010} - psi_{001})/sqrt(2), component 1 is
+    (-2 psi_{100} + psi_{010} + psi_{001})/sqrt(6).
+    """
+    amb = 2 * m
+    w = np.zeros((m**3 * 2, amb**3), dtype=complex)
+    root2, root6 = math.sqrt(2.0), math.sqrt(6.0)
+
+    def col(q, a):
+        return ((q[0] * 2 + a[0]) * amb + (q[1] * 2 + a[1])) * amb + (q[2] * 2 + a[2])
+
+    for q in itertools.product(range(m), repeat=3):
+        sp = (q[0] * m + q[1]) * m + q[2]
+        w[sp * 2 + 0, col(q, (0, 1, 0))] = 1 / root2
+        w[sp * 2 + 0, col(q, (0, 0, 1))] = -1 / root2
+        w[sp * 2 + 1, col(q, (1, 0, 0))] = -2 / root6
+        w[sp * 2 + 1, col(q, (0, 1, 0))] = 1 / root6
+        w[sp * 2 + 1, col(q, (0, 0, 1))] = 1 / root6
+    return w
+
+
+def parafermion_constraint_residuals(psi, m: int) -> dict[str, float]:
+    """Residuals of the six component constraint equations for one vector.
+
+    Keys are "(i j) component k": the equation U(pi) psi = psi U_P(pi)^T
+    for the transposition pi, restricted to component k, with U(pi) the
+    dense slot permutation of tensor_rep.permutation_operator.
+    """
+    from sectorkit import linalg
+    from sectorkit.parastat_equiv import parafermion_matrix
+    from sectorkit.permgroup import Permutation
+    from sectorkit.tensor_rep import permutation_operator
+
+    psi = np.asarray(psi, dtype=complex).reshape(m**3, 2)
+    out = {}
+    for images in [(2, 1, 3), (3, 2, 1), (1, 3, 2)]:
+        pi = Permutation(images)
+        lhs = permutation_operator(pi, m) @ psi
+        rhs = psi @ parafermion_matrix(pi).T
+        swapped = [i for i in range(1, 4) if pi(i) != i]
+        name = f"({swapped[0]} {swapped[1]})"
+        for comp in range(2):
+            out[f"{name} component {comp + 1}"] = linalg.max_abs(lhs[:, comp] - rhs[:, comp])
+    return out
 
 
 def dense_orthonormal_range(a: np.ndarray) -> np.ndarray:

@@ -135,7 +135,7 @@ class TestEquiv:
         assert data["certificate"]["residual"] < 1e-10
         assert "intertwiner" in data["certificate"]
 
-    @pytest.mark.parametrize("m,n", [(9, 3), (21, 2)])
+    @pytest.mark.parametrize("m,n", [(10, 3), (21, 2)])
     def test_equiv_cost_exits_before_allocating(self, capsys, m, n):
         tracemalloc.start()
         start = time.perf_counter()
@@ -152,7 +152,7 @@ class TestEquiv:
         assert error["kind"] == "resource"
         assert "one-body generators" in error["error"]
 
-    @pytest.mark.parametrize("m,n", [(5, 3), (9, 2), (6, 3), (11, 2)])
+    @pytest.mark.parametrize("m,n", [(5, 3), (9, 2), (6, 3), (11, 2), (9, 3)])
     def test_sizes_once_refused_by_the_commutant_cap_run(self, tmp_path, m, n):
         code, payload = run_to_file(tmp_path, "e.json", ["equiv", "--m", str(m), "--N", str(n)])
         cert = json.loads(payload)["certificate"]

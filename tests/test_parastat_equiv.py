@@ -10,20 +10,19 @@ import pytest
 from sectorkit import cli, linalg, parastat_equiv, tensor_rep
 from sectorkit.errors import ConsistencyError, DomainError, ResourceLimitError
 from sectorkit.parastat_equiv import (
+    DOUBLET_VECTORS,
     PARAFERMION_BASIS,
+    SINGLET_VECTORS,
     bosonic_doublet_realization,
     bosonic_singlet_realization,
     doublet_isometry_3,
     fermionic_realization,
     general_equivalence,
     natural_permutation_matrix,
-    parafermion_constraint_residuals,
     parafermion_constraint_space,
     parafermion_matrix,
     parafermion_realization,
-    partial_isometry_residual,
     realize,
-    s3_block_diagonalization_residuals,
     sector_realization_from_projector,
     singlet_isometry_2,
     verify_singlet_fermion_equivalence,
@@ -53,12 +52,12 @@ class TestParafermionMatrices:
             assert linalg.max_abs(parafermion_matrix(Permutation(images)) - golden) < 1e-12
 
     def test_block_diagonalization(self):
-        residuals = s3_block_diagonalization_residuals()
-        assert max(residuals.values()) < 1e-12
-        # trivial block is exactly 1 on every element
+        # conjugating by the basis gives a 1 + 2 block structure, the
+        # trivial block exactly 1 on every element
         b = PARAFERMION_BASIS
         for pi in symmetric_group(3):
             conj = b.T @ natural_permutation_matrix(pi) @ b
+            assert max(linalg.max_abs(conj[0, 1:]), linalg.max_abs(conj[1:, 0])) < 1e-12
             assert conj[0, 0] == pytest.approx(1.0, abs=1e-12)
 
     def test_homomorphism(self):
@@ -77,7 +76,7 @@ class TestPartialIsometries:
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_singlet_properties(self, m):
         w = singlet_isometry_2(m)
-        assert partial_isometry_residual(w) < 1e-12
+        assert linalg.max_abs(w @ linalg.dagger(w) @ w - w) < 1e-12
         p0 = linalg.dagger(w) @ w
         assert linalg.max_abs(p0 @ p0 - p0) < 1e-12
         assert linalg.hermitian_part_residual(p0) < 1e-12
@@ -110,7 +109,7 @@ class TestPartialIsometries:
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_doublet_properties(self, m):
         w = doublet_isometry_3(m)
-        assert partial_isometry_residual(w) < 1e-12
+        assert linalg.max_abs(w @ linalg.dagger(w) @ w - w) < 1e-12
         # the two defining internal vectors are orthonormal
         assert linalg.max_abs(w @ linalg.dagger(w) - np.eye(m**3 * 2)) < 1e-12
 
@@ -127,6 +126,22 @@ class TestPartialIsometries:
                         idx = ((q1 * 2 + a) * 2 * m + (q2 * 2 + a)) * 2 * m + (q3 * 2 + a)
                         psi[idx] = spatial[q1, q2, q3]
         assert linalg.max_abs(w @ psi) < 1e-12
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_equal_to_the_looped_isometries(self, m):
+        assert np.array_equal(singlet_isometry_2(m), oracles.looped_singlet_isometry_2(m))
+        assert np.array_equal(doublet_isometry_3(m), oracles.looped_doublet_isometry_3(m))
+
+    @pytest.mark.parametrize("n,vectors", [(2, SINGLET_VECTORS), (3, DOUBLET_VECTORS)])
+    def test_internal_span_invariant_under_slot_permutations(self, n, vectors):
+        # the sorted spatial words suffice for the bosonic carriers because
+        # every internal slot permutation maps span{v_c} into itself
+        assert linalg.max_abs(vectors.T @ vectors - np.eye(vectors.shape[1])) < 1e-15
+        q = vectors @ vectors.T
+        for pi in symmetric_group(n):
+            moved = oracles.slot_permutation_matrix(pi.images, 2) @ vectors
+            assert linalg.max_abs(q @ moved - moved) < 1e-15
+            assert np.array_equal(parastat_equiv._internal_slot_permutation(pi) @ vectors, moved)
 
     @pytest.mark.parametrize("m", [2, 3])
     def test_projectors_commute_with_symmetrizers(self, m):
@@ -328,9 +343,10 @@ class TestAgainstDensePath:
             raise AssertionError("dense operator formed")
 
         names = ("symmetrizer", "antisymmetrizer", "commutant_basis", "_operator_sum")
-        for name in names + ("_entry_orbit_table",):
+        for name in names + ("_entry_orbit_table", "permutation_operator"):
             monkeypatch.setattr(tensor_rep, name, refuse)
-        monkeypatch.setattr(parastat_equiv, "permutation_operator", refuse)
+        for name in ("singlet_isometry_2", "doublet_isometry_3"):  # W is never formed
+            monkeypatch.setattr(parastat_equiv, name, refuse)
         monkeypatch.setattr(linalg, "restrict", refuse)
         monkeypatch.setattr(linalg, "intertwiner_basis", refuse)  # no fallback either
         out = tmp_path / "e.json"
@@ -341,7 +357,7 @@ class TestAgainstDensePath:
 
 
 class TestEquivCostEstimate:
-    @pytest.mark.parametrize("m,n", [(9, 3), (21, 2), (10**6, 2)])
+    @pytest.mark.parametrize("m,n", [(10, 3), (21, 2), (10**6, 2)])
     def test_refused_before_allocating(self, m, n, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("built past the cost estimate")
@@ -366,10 +382,10 @@ class TestEquivCostEstimate:
             assert elapsed < 1.0 and peak < 1 << 20
 
     def test_frontier_admitted(self):
-        for m, n in [(5, 3), (9, 2), (10, 2), (6, 3), (11, 2), (8, 3), (20, 2)]:
+        for m, n in [(5, 3), (9, 2), (10, 2), (6, 3), (11, 2), (8, 3), (9, 3), (20, 2)]:
             parastat_equiv._check_equiv_cost(m, n)
 
-    @pytest.mark.parametrize("m,n", [(8, 2), (4, 3), (6, 3), (11, 2)])
+    @pytest.mark.parametrize("m,n", [(8, 2), (4, 3), (6, 3), (8, 3), (11, 2)])
     def test_estimate_bounds_traced_peak(self, m, n):
         verify = (
             verify_singlet_fermion_equivalence if n == 2 else verify_doublet_parafermion_equivalence
@@ -444,7 +460,7 @@ class TestConstraintSpace:
         rng = np.random.default_rng(4)
         coeff = rng.standard_normal(basis.shape[1]) + 1j * rng.standard_normal(basis.shape[1])
         psi = basis @ coeff
-        residuals = parafermion_constraint_residuals(psi, m)
+        residuals = oracles.parafermion_constraint_residuals(psi, m)
         assert len(residuals) == 6
         assert max(residuals.values()) < 1e-10
 
@@ -452,7 +468,7 @@ class TestConstraintSpace:
         m = 2
         rng = np.random.default_rng(5)
         psi = rng.standard_normal(m**3 * 2)
-        assert max(parafermion_constraint_residuals(psi, m).values()) > 1e-3
+        assert max(oracles.parafermion_constraint_residuals(psi, m).values()) > 1e-3
 
 
 class TestPropositions:
