@@ -81,9 +81,7 @@ _EXPORTS = {
         "central_projector",
         "commutant_basis",
         "commutant_dimension_nullspace",
-        "hermitian_range_projector",
         "permutation_operator",
-        "sector_basis_span_check",
         "sector_decomposition",
         "symmetrizer",
         "young_projector",

@@ -305,7 +305,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def seed(text: str) -> int:
-        """numpy's generators take only non-negative integer seeds."""
+        """random.Random seeds with |s|, so s and -s would draw the same numbers."""
         value = int(text)
         if value < 0:
             raise argparse.ArgumentTypeError(f"--seed must be >= 0, got {value}")

@@ -133,15 +133,6 @@ class FiniteCover:
     def base_size(self) -> int:
         return len(self.section)
 
-    @property
-    def base_points(self) -> tuple:
-        """The quotient, represented by the section's points."""
-        return tuple(self.points[s] for s in self.section)
-
-    def point_of(self, base_index: int, group_index: int) -> int:
-        """Index of section(q) . g."""
-        return int(self.action[self.section[base_index], group_index])
-
     def deck_element(self) -> np.ndarray:
         """h_of[x]: the unique h with section(tau(x)) . h = x."""
         h_of = np.full(self.total_size, -1, dtype=np.int64)
@@ -320,13 +311,13 @@ class GroupRep:
         if len(mats) != self.group.order:
             raise DomainError("one matrix per group element required")
         d = mats[0].shape[0]
-        eye = np.eye(d)
-        for i, mat in enumerate(mats):
-            if mat.shape != (d, d):
-                raise DomainError("matrices must share one square shape")
-            if linalg.max_abs(mat @ linalg.dagger(mat) - eye) > linalg.GROUP_LAW_TOL:
-                raise DomainError(f"matrix {i} is not unitary")
+        if any(mat.shape != (d, d) for mat in mats):
+            raise DomainError("matrices must share one square shape")
         stack = np.array(mats)
+        defects = np.abs(stack @ stack.conj().swapaxes(1, 2) - np.eye(d))
+        bad = np.flatnonzero(defects.max(axis=(1, 2), initial=0.0) > linalg.GROUP_LAW_TOL)
+        if bad.size:
+            raise DomainError(f"matrix {bad[0]} is not unitary")
         for i in range(len(mats)):
             # mats[i] @ mats[j] against mats[g_i g_j], all j at once
             prods = mats[i] @ stack
@@ -435,11 +426,6 @@ def irreps_of(group: FiniteGroup, seed: int = 0) -> list[GroupRep]:
             )
         return out
     return _regular_irreps(group, seed)
-
-
-def trivial_rep(group: FiniteGroup) -> GroupRep:
-    one = np.ones((1, 1), dtype=complex)
-    return GroupRep(group=group, matrices=tuple(one for _ in range(group.order)), label="trivial")
 
 
 @dataclass(frozen=True, eq=False)

@@ -9,14 +9,9 @@ above RANK_TOL, or singular values above RANK_TOL times max(1, largest);
 identity-type residuals (intertwining, leakage, idempotence) are
 measured in the max-abs entry norm against RESIDUAL_TOL.
 
-Commutant dimensions are first certified by span rank of the operators
-stacked as vectors (Burnside): operators spanning all of M_d have scalar
-commutant. When the span falls short, the dimension comes from the null
-space of the Sylvester system instead, so a reported dimension is always
-the true one.
-
-That null space is found by successive restriction, one operator pair at a
-time: if the columns of N span the solutions of the first k - 1 equations,
+Commutants and intertwiner spaces are the null spaces of Sylvester
+systems, found by successive restriction, one operator pair at a time:
+if the columns of N span the solutions of the first k - 1 equations,
 those of N null(M_k N) span the solutions of the first k, so each SVD
 involves only one equation on the current (shrinking) solution space and
 no Kronecker-product stack is ever formed.
@@ -67,12 +62,6 @@ def max_abs(a: np.ndarray) -> float:
 def _rank_from_singular_values(s: np.ndarray) -> int:
     """Singular values above RANK_TOL * max(1, largest)."""
     return int(np.sum(s > RANK_TOL * max(1.0, s.max() if s.size else 0.0)))
-
-
-def _span_rank(ops) -> int:
-    """Dimension of the linear span of the operators, as flat vectors."""
-    stack = np.asarray(ops, dtype=complex).reshape(len(ops), -1)
-    return _rank_from_singular_values(np.linalg.svd(stack, compute_uv=False))
 
 
 def nullspace(mat: np.ndarray) -> np.ndarray:
@@ -153,10 +142,6 @@ def rank_of_hermitian_idempotent(p: np.ndarray) -> int:
     return int(np.sum(eigs > RANK_TOL))
 
 
-def hermitian_part_residual(a: np.ndarray) -> float:
-    return max_abs(a - dagger(a))
-
-
 def commutant_basis_of(ops: list[np.ndarray]) -> list[np.ndarray]:
     """Orthonormal (Hilbert-Schmidt) basis of {X : [X, A] = 0 for all A}.
 
@@ -167,21 +152,6 @@ def commutant_basis_of(ops: list[np.ndarray]) -> list[np.ndarray]:
     d = ops[0].shape[0]
     basis = intertwiner_basis(ops, ops)
     return [basis[:, k].reshape(d, d) for k in range(basis.shape[1])]
-
-
-def commutant_dimension_of(ops: list[np.ndarray]) -> int:
-    """dim {X : [X, A] = 0 for all A}.
-
-    When the operators span all of M_d the commutant is the scalars
-    (Burnside), which one |ops| x d**2 span rank certifies; otherwise the
-    dimension is counted from the Sylvester null space.
-    """
-    if len(ops) == 0:
-        raise DomainError("empty operator list")
-    d = ops[0].shape[0]
-    if 0 < d * d <= len(ops) and _span_rank(ops) == d * d:
-        return 1
-    return len(commutant_basis_of(ops))
 
 
 def intertwiner_basis(ops1: list[np.ndarray], ops2: list[np.ndarray]) -> np.ndarray:

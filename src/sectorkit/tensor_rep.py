@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -180,8 +180,8 @@ def young_projector(tableau: StandardTableau, m: int) -> np.ndarray:
 
     (N_lambda / N!) * (signed column sum) @ (row sum). Idempotent; for
     mixed tableaux generally not Hermitian, so its image is cut out
-    obliquely (use :func:`hermitian_range_projector` for the orthogonal
-    projector onto the same image).
+    obliquely (Q Q*, with Q = linalg.orthonormal_range of it, is the
+    orthogonal projector onto the same image).
     """
     n = tableau.size
     _check_group_cost(m, n)
@@ -190,12 +190,6 @@ def young_projector(tableau: StandardTableau, m: int) -> np.ndarray:
     col_sum = _operator_sum(_images(cols), [pi.sign() for pi in cols], m)
     scale = hook_dimension(tableau.shape) / math.factorial(n)
     return (scale * (col_sum @ row_sum)).astype(complex)
-
-
-def hermitian_range_projector(p: np.ndarray) -> np.ndarray:
-    """Orthogonal projector onto range(p), by rank-revealing decomposition."""
-    q = linalg.orthonormal_range(p)
-    return q @ linalg.dagger(q)
 
 
 def _central_projectors(shapes: list[Partition], m: int) -> list[np.ndarray]:
@@ -288,8 +282,9 @@ def commutant_dimension_nullspace(m: int, N: int) -> int:
 
     The linear system [A, U(g)] = 0 over the generators is a difference
     of entry permutations, so its null space is spanned by orbit
-    indicators; for small spaces the kernel is extracted by a dense SVD,
-    beyond that the entry orbits are counted.
+    indicators; for small spaces the kernel is solved by successive
+    restriction (linalg.commutant_basis_of), beyond that the entry orbits
+    are counted.
     """
     dim = m**N
     _check_cap(dim)
@@ -297,7 +292,7 @@ def commutant_dimension_nullspace(m: int, N: int) -> int:
     if not gens:
         return dim * dim
     if dim <= 32:
-        return linalg.commutant_dimension_of([permutation_operator(g, m) for g in gens])
+        return len(linalg.commutant_basis_of([permutation_operator(g, m) for g in gens]))
     return len(_entry_orbits(m, N))
 
 
@@ -635,129 +630,4 @@ def sector_decomposition(m: int, N: int) -> SectorReport:
         sectors=tuple(records),
         commutant_dim=commutant_dim,
         residuals=residuals,
-    )
-
-
-# Arrangements (i, j, k) of the four N=3 sector spans and their signs:
-# each generator vector is sum of sign * psi_i x psi_j x psi_k.
-_SPAN_PATTERNS = {
-    "S": [((1, 2, 3), 1), ((2, 1, 3), 1), ((3, 2, 1), 1), ((3, 1, 2), 1), ((1, 3, 2), 1), ((2, 3, 1), 1)],
-    "A": [((1, 2, 3), 1), ((2, 1, 3), -1), ((3, 2, 1), -1), ((3, 1, 2), 1), ((1, 3, 2), -1), ((2, 3, 1), 1)],
-    "P": [((1, 2, 3), 1), ((2, 1, 3), 1), ((3, 2, 1), -1), ((3, 1, 2), -1)],
-    "P'": [((1, 2, 3), 1), ((3, 2, 1), 1), ((2, 1, 3), -1), ((2, 3, 1), -1)],
-}
-
-
-@dataclass(frozen=True)
-class SpanCheckReport:
-    """Comparison of the four N=3 sector spans with their projector images."""
-
-    m: int
-    ranks: dict
-    span_vs_projector: dict
-    orthogonal_pairs: dict
-    skew_pair_overlap: float
-    direct_sum_ok: bool
-    mapping_permutations: tuple[tuple[int, ...], ...]
-    passed: bool
-
-    def to_dict(self) -> dict:
-        mapping = [list(p) for p in self.mapping_permutations]
-        return {**asdict(self), "mapping_permutations": mapping}
-
-
-def _span_projectors(m: int) -> dict[str, np.ndarray]:
-    t_s = StandardTableau(((1, 2, 3),))
-    t_a = StandardTableau(((1,), (2,), (3,)))
-    t_p = StandardTableau(((1, 2), (3,)))
-    t_pp = StandardTableau(((1, 3), (2,)))
-    return {
-        "S": young_projector(t_s, m),
-        "A": young_projector(t_a, m),
-        "P": young_projector(t_p, m),
-        "P'": young_projector(t_pp, m),
-    }
-
-
-def sector_basis_span_check(m: int, seed: int = 0) -> SpanCheckReport:
-    """Build the four N=3 sector spans from 2 m^3 + 8 random product vectors.
-
-    Verifies, for each sector, that the closed span of its signed
-    combinations equals the image of the defining Young projector; that
-    the sectors form a direct sum of the whole space with every pair
-    orthogonal except (P, P') (those two carry the same partition and
-    meet at a fixed nonzero angle); and that some slot permutation maps
-    the P span onto the P' span and back. Residuals are held against
-    linalg.RESIDUAL_TOL.
-    """
-    dim = m**3
-    _check_cap(dim)
-    rng = np.random.default_rng(seed)
-
-    vectors: dict[str, list[np.ndarray]] = {k: [] for k in _SPAN_PATTERNS}
-    for _ in range(2 * dim + 8):
-        psi = rng.standard_normal((3, m)) + 1j * rng.standard_normal((3, m))
-        for key, pattern in _SPAN_PATTERNS.items():
-            acc = np.zeros(dim, dtype=complex)
-            for (i, j, k), sign in pattern:
-                acc += sign * np.kron(np.kron(psi[i - 1], psi[j - 1]), psi[k - 1])
-            vectors[key].append(acc)
-
-    spans = {k: linalg.orthonormal_range(np.stack(v, axis=1)) for k, v in vectors.items()}
-    projectors = _span_projectors(m)
-    images = {k: linalg.orthonormal_range(p) for k, p in projectors.items()}
-
-    span_vs_projector = {}
-    for key in spans:
-        qs, qi = spans[key], images[key]
-        span_vs_projector[key] = linalg.max_abs(
-            qs @ linalg.dagger(qs) - qi @ linalg.dagger(qi)
-        )
-
-    ranks = {k: q.shape[1] for k, q in spans.items()}
-    orthogonal_pairs = {}
-    for a in spans:
-        for b in spans:
-            if a < b and {a, b} != {"P", "P'"}:
-                orthogonal_pairs[f"{a}|{b}"] = linalg.max_abs(
-                    linalg.dagger(spans[a]) @ spans[b]
-                )
-    overlap = linalg.dagger(spans["P"]) @ spans["P'"]
-    skew = float(np.linalg.svd(overlap, compute_uv=False)[0]) if overlap.size else 0.0
-
-    stacked = np.concatenate([spans[k] for k in spans], axis=1)
-    direct_sum_ok = bool(
-        sum(ranks.values()) == dim and np.linalg.matrix_rank(stacked, tol=linalg.RANK_TOL) == dim
-    )
-
-    mapping = []
-    qp, qpp = spans["P"], spans["P'"]
-    if qp.shape[1] == 0:
-        mapping_ok = True  # nothing to map
-    else:
-        proj_p = qp @ linalg.dagger(qp)
-        proj_pp = qpp @ linalg.dagger(qpp)
-        moved = symmetric_group(3)[1:]  # the identity comes first
-        for pi, image in zip(moved, _index_maps(_images(moved), m)):
-            conjugated = np.empty_like(proj_p)
-            conjugated[np.ix_(image, image)] = proj_p  # U(pi) proj_p U(pi)^dagger
-            if linalg.max_abs(conjugated - proj_pp) < linalg.RESIDUAL_TOL:
-                mapping.append(pi.images)
-        mapping_ok = bool(mapping)
-
-    passed = bool(
-        max(span_vs_projector.values()) < linalg.RESIDUAL_TOL
-        and (not orthogonal_pairs or max(orthogonal_pairs.values()) < linalg.RESIDUAL_TOL)
-        and direct_sum_ok
-        and mapping_ok
-    )
-    return SpanCheckReport(
-        m=m,
-        ranks=ranks,
-        span_vs_projector=span_vs_projector,
-        orthogonal_pairs=orthogonal_pairs,
-        skew_pair_overlap=skew,
-        direct_sum_ok=direct_sum_ok,
-        mapping_permutations=tuple(mapping),
-        passed=passed,
     )

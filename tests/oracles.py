@@ -9,8 +9,7 @@ characters from the Murnaghan-Nakayama rule, group sums from one dense
 permutation matrix per element, commutant orbits from a
 breadth-first search over generators, cover entry orbits by a scan over
 all point pairs, Cayley tables of action words by composing every pair
-and looking the composite up in a dict, span ranks from one dense SVD of
-the whole stack,
+and looking the composite up in a dict,
 internal-blind operators A x 1 as dense per-slot tensor products,
 section actions from one loop over base pairs and group elements, the
 internal isometries W entry by entry in loops over the spatial indices,
@@ -372,12 +371,6 @@ def looped_deck_element(cover) -> np.ndarray:
         for g in range(cover.group.order):
             h_of[cover.action[cover.section[q], g]] = g
     return h_of
-
-
-def dense_span_rank(stack: np.ndarray) -> int:
-    """Rank of a stack of flat vectors, one dense SVD of the whole stack."""
-    s = np.linalg.svd(np.asarray(stack, dtype=complex), compute_uv=False)
-    return int(np.sum(s > 1e-8 * max(1.0, s[0])))
 
 
 def scanned_entry_orbits(action: np.ndarray) -> list[list[int]]:

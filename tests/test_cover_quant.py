@@ -27,7 +27,6 @@ from sectorkit.cover_quant import (
     section_action,
     sector_census,
     symmetric_cover,
-    trivial_rep,
 )
 from sectorkit.errors import ConsistencyError, DomainError, ResourceLimitError
 
@@ -70,9 +69,10 @@ class TestCoverConstruction:
                 assert perms[cover43.group.cayley[i, j]] == product
 
     def test_section_is_sorted_tuple(self, cover32):
-        for point in cover32.base_points:
+        base_points = [cover32.points[s] for s in cover32.section]
+        for point in base_points:
             assert tuple(sorted(point)) == point
-        assert len(cover32.base_points) == cover32.base_size
+        assert len(base_points) == cover32.base_size
 
     def test_nonfree_action_rejected(self):
         # the swap fixes the middle point of a 3-point set
@@ -341,10 +341,24 @@ class TestIrreps:
         # identity matrices on S_2 form the trivial rep: valid
         GroupRep(group=cover32.group, matrices=non_hom, label="trivial")
 
+    def test_group_rep_names_a_late_non_unitary_matrix(self, cover43):
+        mats = list(irreps_of(cover43.group)[1].matrices)
+        last = len(mats) - 1
+        mats[last] = 1.01 * mats[last]
+        with pytest.raises(DomainError, match=f"matrix {last} is not unitary"):
+            GroupRep(group=cover43.group, matrices=tuple(mats), label="bad")
+
+    def test_group_rep_rejects_unitaries_that_break_the_group_law(self, cover43):
+        # one non-identity element sent to the phase i, every other to 1
+        mats = [np.eye(1, dtype=complex) for _ in range(cover43.group.order)]
+        mats[-1] = 1j * mats[-1]
+        with pytest.raises(DomainError, match="group law"):
+            GroupRep(group=cover43.group, matrices=tuple(mats), label="bad")
+
 
 class TestConstrainedSpace:
     def test_trivial_rep_dimension(self, cover32):
-        basis = constrained_space(cover32, trivial_rep(cover32.group))
+        basis = constrained_space(cover32, irreps_of(cover32.group)[0])
         assert basis.shape == (6, 3)
         assert linalg.max_abs(linalg.dagger(basis) @ basis - np.eye(3)) < 1e-12
 
@@ -427,7 +441,7 @@ class TestKernels:
         kernel = random_invariant_kernel(cover32, rng, hermitian=True)
         for rep in irreps_of(cover32.group):
             act = constrained_action(kernel, rep)
-            assert linalg.hermitian_part_residual(act) < 1e-12
+            assert linalg.max_abs(act - linalg.dagger(act)) < 1e-12
         adj = kernel.adjoint()
         assert linalg.max_abs(adj.matrix - kernel.matrix) < 1e-12
 
@@ -437,7 +451,7 @@ class TestSectionRealization:
         cover = symmetric_cover(4, 1)
         rng = np.random.default_rng(3)
         kernel = random_invariant_kernel(cover, rng)
-        rep = trivial_rep(cover.group)
+        rep = irreps_of(cover.group)[0]
         assert linalg.max_abs(section_action(kernel, rep) - kernel.matrix) < 1e-12
 
     def test_spectra_match(self, cover43):
@@ -452,7 +466,7 @@ class TestSectionRealization:
     def test_trivial_sector_unitary_is_identity(self, cover32):
         # invariant functions are identified with functions on the base,
         # and with the canonical basis ordering that map is literally 1
-        u = realization_unitary(cover32, trivial_rep(cover32.group))
+        u = realization_unitary(cover32, irreps_of(cover32.group)[0])
         assert linalg.max_abs(u - np.eye(cover32.base_size)) < 1e-12
 
     def test_realization_unitary_intertwines(self):
@@ -585,7 +599,6 @@ class TestCensus:
 
         monkeypatch.setattr(linalg, "commutant_basis_of", refuse)
         monkeypatch.setattr(linalg, "intertwiner_basis", refuse)
-        monkeypatch.setattr(linalg, "commutant_dimension_of", refuse)
         report = sector_census(symmetric_cover(6, 2), seed=0)
         assert report.kernel_space_dim == 450
         assert [s.commutant_dim for s in report.sectors] == [1, 1]

@@ -45,25 +45,10 @@ def random_unitary(d, seed):
     return q
 
 
-@pytest.fixture
-def no_sylvester(monkeypatch):
-    """Make the null-space fallback fail loudly, so only span ranks can answer."""
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("Sylvester fallback taken")
-
-    monkeypatch.setattr(linalg, "commutant_basis_of", refuse)
-    monkeypatch.setattr(linalg, "intertwiner_basis", refuse)
-
-
 class TestCommutantDimension:
-    def test_irreducible_by_span_rank(self, no_sylvester):
-        ops = rep_of((2, 1))
-        assert linalg.commutant_dimension_of(ops) == 1
-
     def test_irreducible_matches_oracle(self):
         ops = rep_of((2, 1))
-        assert linalg.commutant_dimension_of(ops) == oracles.dense_commutant_dimension(ops) == 1
+        assert len(linalg.commutant_basis_of(ops)) == oracles.dense_commutant_dimension(ops) == 1
 
     @pytest.mark.parametrize(
         "ops, expected",
@@ -75,96 +60,18 @@ class TestCommutantDimension:
         ids=["regular", "irrep+irrep", "trivial+sign"],
     )
     def test_reducible_falls_back_to_true_dimension(self, ops, expected):
-        assert linalg._span_rank(ops) < ops[0].shape[0] ** 2
-        assert linalg.commutant_dimension_of(ops) == expected
+        assert len(linalg.commutant_basis_of(ops)) == expected
         assert oracles.dense_commutant_dimension(ops) == expected
-
-    def test_reducible_needs_fallback(self, no_sylvester):
-        with pytest.raises(AssertionError, match="fallback"):
-            linalg.commutant_dimension_of(regular_s3())
 
     def test_empty_list_rejected(self):
         with pytest.raises(DomainError):
-            linalg.commutant_dimension_of([])
-
-
-def low_rank(rows, cols, rank, seed, scale=1.0):
-    rng = np.random.default_rng(seed)
-    left = rng.standard_normal((rows, rank)) + 1j * rng.standard_normal((rows, rank))
-    right = rng.standard_normal((rank, cols)) + 1j * rng.standard_normal((rank, cols))
-    return scale * (left @ right)
-
-
-def block_diagonal(blocks, offsets=None):
-    """Blocks placed down the diagonal; offsets[i] is block i's first column."""
-    if offsets is None:
-        offsets = np.cumsum([0] + [b.shape[1] for b in blocks[:-1]])
-    out = np.zeros(
-        (sum(b.shape[0] for b in blocks), max(o + b.shape[1] for o, b in zip(offsets, blocks))),
-        dtype=complex,
-    )
-    row = 0
-    for block, col in zip(blocks, offsets):
-        out[row : row + block.shape[0], col : col + block.shape[1]] = block
-        row += block.shape[0]
-    return out
-
-
-def shuffled(stack, seed):
-    rng = np.random.default_rng(seed)
-    return stack[rng.permutation(stack.shape[0])][:, rng.permutation(stack.shape[1])]
-
-
-class TestSpanRankComponents:
-    """Span ranks of stacks made of blocks with disjoint supports: one dense
-    SVD of the whole stack is the reference, and _span_rank, given the stack
-    with its rows and columns shuffled, must agree with it."""
-
-    def test_block_diagonal_shuffled(self):
-        blocks = [
-            low_rank(6, 4, 4, 1),
-            low_rank(6, 4, 2, 2),
-            low_rank(6, 4, 3, 3),
-            low_rank(6, 4, 1, 4),
-        ]
-        stack = block_diagonal(blocks)
-        assert oracles.dense_span_rank(stack) == 4 + 2 + 3 + 1
-        assert linalg._span_rank(shuffled(stack, 0)) == 4 + 2 + 3 + 1
-        mixed = shuffled(block_diagonal(blocks + [low_rank(3, 9, 3, 5)]), 0)
-        assert linalg._span_rank(mixed) == oracles.dense_span_rank(mixed) == 4 + 2 + 3 + 1 + 3
-
-    def test_zero_rows_and_columns(self):
-        stack = block_diagonal([low_rank(4, 4, 2, 6), low_rank(4, 4, 4, 7)])
-        stack = np.insert(stack, [0, 3, 8], 0.0, axis=0)
-        stack = np.insert(stack, [2, 8], 0.0, axis=1)
-        stack = shuffled(stack, 1)
-        assert linalg._span_rank(stack) == oracles.dense_span_rank(stack) == 6
-        assert linalg._span_rank(np.zeros((12, 15))) == 0
-
-    def test_overlapping_supports_form_one_component(self):
-        # block i starts on the last column of block i - 1: one long chain
-        blocks = [low_rank(2, 3, 2, 10 + i) for i in range(40)]
-        stack = shuffled(block_diagonal(blocks, offsets=[2 * i for i in range(40)]), 2)
-        assert linalg._span_rank(stack) == oracles.dense_span_rank(stack) == 80
-
-    def test_threshold_is_relative_to_the_global_largest_value(self):
-        # 1e-5 clears 1e-8 * max(1, 1e-5) but not 1e-8 * 1e4
-        big = 1e4 * random_unitary(3, seed=8)
-        small = 1e-5 * random_unitary(3, seed=9)
-        stack = shuffled(block_diagonal([big, small]), 3)
-        assert linalg._span_rank(stack) == oracles.dense_span_rank(stack) == 3
-        assert linalg._span_rank(small) == 3
+            linalg.commutant_basis_of([])
 
     def test_operator_arrays_accepted(self):
         ops = np.array(rep_of((2, 1)))
-        assert linalg.commutant_dimension_of(ops) == 1
-        assert linalg.commutant_dimension_of(np.array(regular_s3())) == 6
+        assert len(linalg.commutant_basis_of(ops)) == 1
+        assert len(linalg.commutant_basis_of(np.array(regular_s3()))) == 6
         assert linalg.intertwiner_basis(ops, np.array(rep_of((3,)))).shape[1] == 0
-
-
-def pair_stack(ops1, ops2):
-    """Each pair (A_k, B_k) as one flat row."""
-    return [np.concatenate((a.ravel(), b.ravel())) for a, b in zip(ops1, ops2)]
 
 
 def intertwiner_dimension(ops1, ops2):
@@ -177,23 +84,11 @@ class TestIntertwinerDimension:
 
     @pytest.mark.parametrize("parts", [(2, 1), (3, 1)])
     def test_equivalent_pair(self, parts):
-        # S_4 has 24 >= 3**2 + 3**2 elements, yet the joint span of an
-        # equivalent pair falls short at 9
         ops = rep_of(parts)
         w = random_unitary(ops[0].shape[0], seed=4)
         conj = [w @ a @ linalg.dagger(w) for a in ops]
-        assert linalg._span_rank(pair_stack(ops, conj)) == ops[0].size
         assert intertwiner_dimension(ops, conj) == 1
         assert oracles.dense_intertwiner_dimension(ops, conj) == 1
-
-    @pytest.mark.parametrize(
-        "first, second",
-        [((2, 1), (3,)), ((2, 1), (1, 1, 1)), ((3,), (1, 1, 1))],
-    )
-    def test_inequivalent_pair_by_span_rank(self, first, second):
-        ops1, ops2 = rep_of(first), rep_of(second)
-        assert linalg._span_rank(pair_stack(ops1, ops2)) == ops1[0].size + ops2[0].size
-        assert intertwiner_dimension(ops1, ops2) == 0
 
     @pytest.mark.parametrize(
         "first, second",
@@ -205,11 +100,9 @@ class TestIntertwinerDimension:
         assert intertwiner_dimension(ops1, ops2) == 0
 
     def test_reducible_inequivalent_pair_falls_back(self):
-        # trivial+trivial against sign: the joint span is too small to
-        # certify, yet no nonzero intertwiner exists
+        # trivial+trivial against sign: no nonzero intertwiner exists
         trivial2 = direct_sum(rep_of((3,)), rep_of((3,)))
         sign = rep_of((1, 1, 1))
-        assert linalg._span_rank(pair_stack(trivial2, sign)) < 4 + 1
         assert intertwiner_dimension(trivial2, sign) == 0
         assert oracles.dense_intertwiner_dimension(trivial2, sign) == 0
 
