@@ -335,6 +335,88 @@ class TestSectorDecomposition:
         assert data["residuals"] is not report.residuals
 
 
+# The four N=3 sector spans, each spanned by the vectors
+# sum of sign * psi_i x psi_j x psi_k over the listed arrangements (i, j, k).
+THREE_PARTICLE_PATTERNS = {
+    "S": [((1, 2, 3), 1), ((2, 1, 3), 1), ((3, 2, 1), 1), ((3, 1, 2), 1), ((1, 3, 2), 1), ((2, 3, 1), 1)],
+    "A": [((1, 2, 3), 1), ((2, 1, 3), -1), ((3, 2, 1), -1), ((3, 1, 2), 1), ((1, 3, 2), -1), ((2, 3, 1), 1)],
+    "P": [((1, 2, 3), 1), ((2, 1, 3), 1), ((3, 2, 1), -1), ((3, 1, 2), -1)],
+    "P'": [((1, 2, 3), 1), ((3, 2, 1), 1), ((2, 1, 3), -1), ((2, 3, 1), -1)],
+}
+
+THREE_PARTICLE_TABLEAUX = {
+    "S": StandardTableau(((1, 2, 3),)),
+    "A": StandardTableau(((1,), (2,), (3,))),
+    "P": StandardTableau(((1, 2), (3,))),
+    "P'": StandardTableau(((1, 3), (2,))),
+}
+
+
+def three_particle_spans(m, seed):
+    """Orthonormal bases of the four spans from 2 m^3 + 8 random triples."""
+    rng = np.random.default_rng(seed)
+    vectors = {key: [] for key in THREE_PARTICLE_PATTERNS}
+    for _ in range(2 * m**3 + 8):
+        psi = rng.standard_normal((3, m)) + 1j * rng.standard_normal((3, m))
+        for key, pattern in THREE_PARTICLE_PATTERNS.items():
+            acc = np.zeros(m**3, dtype=complex)
+            for (i, j, k), sign in pattern:
+                acc += sign * np.kron(np.kron(psi[i - 1], psi[j - 1]), psi[k - 1])
+            vectors[key].append(acc)
+    return {key: linalg.orthonormal_range(np.stack(v, axis=1)) for key, v in vectors.items()}
+
+
+def range_projector(q):
+    return q @ linalg.dagger(q)
+
+
+class TestThreeParticleSpans:
+    """The sector spans of three particles against the Young projector images."""
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_ranks_are_weyl_multiplicities(self, m):
+        spans = three_particle_spans(m, seed=m)
+        for key, tab in THREE_PARTICLE_TABLEAUX.items():
+            assert spans[key].shape[1] == oracles.weyl_multiplicity(tab.shape.parts, m)
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_spans_equal_young_projector_images(self, m):
+        spans = three_particle_spans(m, seed=m)
+        for key, tab in THREE_PARTICLE_TABLEAUX.items():
+            image = linalg.orthonormal_range(young_projector(tab, m))
+            residual = linalg.max_abs(range_projector(spans[key]) - range_projector(image))
+            assert residual < linalg.RESIDUAL_TOL
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_spans_form_a_direct_sum_orthogonal_but_for_the_mixed_pair(self, m):
+        spans = three_particle_spans(m, seed=m)
+        stacked = np.concatenate(list(spans.values()), axis=1)
+        assert stacked.shape[1] == m**3
+        assert np.linalg.matrix_rank(stacked, tol=linalg.RANK_TOL) == m**3
+        for a, b in itertools.combinations(spans, 2):
+            if {a, b} != {"P", "P'"}:
+                assert linalg.max_abs(linalg.dagger(spans[a]) @ spans[b]) < linalg.RESIDUAL_TOL
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_mixed_copies_meet_at_a_fixed_angle(self, m):
+        # the two copies of shape (2, 1) are never orthogonal: their
+        # largest principal cosine is 1/2 whatever the random vectors
+        spans = three_particle_spans(m, seed=m)
+        overlap = linalg.dagger(spans["P"]) @ spans["P'"]
+        assert np.linalg.svd(overlap, compute_uv=False)[0] == pytest.approx(0.5, abs=1e-9)
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_the_slot_swap_of_two_and_three_maps_p_onto_p_prime(self, m):
+        spans = three_particle_spans(m, seed=m)
+        proj_p, proj_pp = range_projector(spans["P"]), range_projector(spans["P'"])
+        mapping = []
+        for pi in symmetric_group(3)[1:]:
+            u = permutation_operator(pi, m)
+            if linalg.max_abs(u @ proj_p @ linalg.dagger(u) - proj_pp) < linalg.RESIDUAL_TOL:
+                mapping.append(pi.images)
+        assert (1, 3, 2) in mapping
+
+
 class TestConsistencyGuards:
     def test_rank_sum_guard_triggers_on_bad_cap(self):
         # sanity: decomposition raises ConsistencyError only through bugs;
