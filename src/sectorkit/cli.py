@@ -9,7 +9,8 @@ Subcommands expose each module with machine-readable output:
 * ``circle``: theta-sector spectra, gauge check, convergence.
 
 Each handler imports the modules it uses, so a run loads only what its
-subcommand computes.
+subcommand computes: numpy is loaded inside the numeric handlers only,
+and ``tableaux``, ``--help`` and usage errors run without it.
 
 Exit codes: 0 all checks passed, 2 usage error (a malformed command
 line or cover document included), 3 resource cap or out of memory, 4
@@ -25,10 +26,9 @@ import csv
 import io
 import json
 import math
+import numbers
 import sys
 from pathlib import Path
-
-import numpy as np
 
 from .errors import ConsistencyError, DomainError, ResourceLimitError
 from .permgroup import Partition, enumerate_partitions, hook_dimension, standard_tableaux
@@ -51,9 +51,11 @@ def _round_floats(obj, sig: int = 10):
         return {k: _round_floats(v, sig) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_round_floats(v, sig) for v in obj]
-    if isinstance(obj, (np.integer,)):
+    # numpy scalars register with the numbers ABCs (np.bool_ does not): np.integer
+    # becomes int, np.floating a rounded float; Python int and bool pass unchanged
+    if isinstance(obj, numbers.Integral) and not isinstance(obj, int):
         return int(obj)
-    if isinstance(obj, (np.floating,)):
+    if isinstance(obj, numbers.Real) and not isinstance(obj, numbers.Integral):
         return _round_floats(float(obj), sig)
     return obj
 
@@ -125,12 +127,12 @@ def _run_tableaux(args) -> tuple[int, bytes]:
 
 
 def _run_sectors(args) -> tuple[int, bytes]:
+    wanted = _parse_partition(args.lam) if args.lam is not None else None
     from . import linalg, tensor_rep
 
     report = tensor_rep.sector_decomposition(args.m, args.N)
     data = report.to_dict()
-    if args.lam is not None:
-        wanted = _parse_partition(args.lam)
+    if wanted is not None:
         data["sectors"] = [s for s in data["sectors"] if tuple(s["partition"]) == wanted.parts]
         if not data["sectors"]:
             raise DomainError(f"{wanted.parts} is not a partition of {args.N}")
@@ -161,14 +163,14 @@ def _run_sectors(args) -> tuple[int, bytes]:
 
 
 def _run_equiv(args) -> tuple[int, bytes]:
-    from . import parastat_equiv
-
     if args.N not in (2, 3):
         raise DomainError(f"--N must be 2 or 3 for equiv, got {args.N}")
     if args.m < 2:
         raise DomainError("--m must be >= 2 for the equivalence certificates")
     if args.format == "csv":
         raise DomainError("csv output is not defined for equiv; use json or pretty")
+    from . import parastat_equiv
+
     if args.N == 2:
         first = parastat_equiv.bosonic_singlet_realization(args.m)
         second = parastat_equiv.fermionic_realization(args.m)
@@ -196,16 +198,16 @@ def _run_equiv(args) -> tuple[int, bytes]:
 
 
 def _run_cover(args) -> tuple[int, bytes]:
-    from . import cover_quant
-
     if args.format == "csv":
         raise DomainError("csv output is not defined for cover; use json or pretty")
+    if args.cover_json is None and (args.q_size is None or args.N is None):
+        raise DomainError("cover needs --q-size and --N (or --cover-json)")
+    from . import cover_quant
+
     if args.cover_json is not None:
         cover = cover_quant.cover_from_json(Path(args.cover_json))
         source = {"cover_json": str(args.cover_json)}
     else:
-        if args.q_size is None or args.N is None:
-            raise DomainError("cover needs --q-size and --N (or --cover-json)")
         cover = cover_quant.symmetric_cover(args.q_size, args.N)
         source = {"q_size": args.q_size, "N": args.N}
     report = cover_quant.sector_census(cover, seed=args.seed)

@@ -4,6 +4,10 @@ Partitions label the irreducible representations, standard Young tableaux
 index their bases, and the unitary matrices themselves are built in
 Young's orthogonal form. Everything here is exact combinatorics plus
 small dense numpy matrices; degrees beyond N ~ 8 are out of scope.
+Partitions, tableaux and hook dimensions are numpy-free: numpy is
+imported only where arrays are built (conjugacy_classes and
+IrrepMatrices, which character uses), so the ``tableaux`` subcommand
+never loads it.
 
 Conventions used throughout the package:
 
@@ -20,10 +24,12 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import reduce
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import DomainError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -140,6 +146,8 @@ def conjugacy_classes(images: np.ndarray) -> tuple[list[tuple[int, ...]], np.nda
     L holds L points of length L, so the sorted point lengths determine
     the cycle type.
     """
+    import numpy as np
+
     perm = np.asarray(images) - 1
     n = perm.shape[1]
     points = np.arange(n)
@@ -351,6 +359,8 @@ class IrrepMatrices:
         self._adjacent = [self._adjacent_matrix(k) for k in range(1, self._n)]
 
     def _adjacent_matrix(self, k: int) -> np.ndarray:
+        import numpy as np
+
         d = self.dimension
         mat = np.zeros((d, d))
         for i, tab in enumerate(self.tableaux):
@@ -364,6 +374,8 @@ class IrrepMatrices:
 
     def matrix(self, pi: Permutation) -> np.ndarray:
         """Representing matrix of pi (complex dtype for uniformity)."""
+        import numpy as np
+
         if pi.degree != self._n:
             raise DomainError(f"degree mismatch: {pi.degree} vs {self._n}")
         mat = np.eye(self.dimension)
@@ -380,4 +392,4 @@ def irrep(shape: Partition) -> IrrepMatrices:
 def character(shape: Partition, pi: Permutation, rep: IrrepMatrices | None = None) -> float:
     """Trace of the representing matrix; constant on conjugacy classes."""
     rep = rep if rep is not None else irrep(shape)
-    return float(np.trace(rep.matrix(pi)).real)
+    return float(rep.matrix(pi).trace().real)

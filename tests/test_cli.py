@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 import oracles
 import sectorkit
 from sectorkit import cover_quant, errors, linalg
-from sectorkit.cli import main
+from sectorkit.cli import _round_floats, main
 from sectorkit.cover_quant import cover_to_json, symmetric_cover
 
 
@@ -598,6 +598,46 @@ class TestImports:
         ).stdout.split()
         assert out == ["0", "False"]
 
+    @pytest.mark.parametrize(
+        "argv,code",
+        [
+            (["tableaux", "--N", "6"], 0),
+            (["tableaux", "--N", "5", "--format", "csv"], 0),
+            (["tableaux", "--N", "8", "--format", "pretty"], 0),
+            (["--help"], 0),
+            (["tableaux", "--N"], 2),
+            (["equiv", "--m", "3", "--N", "4"], 2),
+            (["cover", "--q-size", "3", "--N", "2", "--format", "csv"], 2),
+            (["cover", "--q-size", "3"], 2),
+            (["sectors", "--m", "2", "--N", "3", "--lambda", "2,x"], 2),
+        ],
+        ids=[
+            "tableaux-json", "tableaux-csv", "tableaux-pretty", "help", "argparse-error",
+            "equiv-bad-N", "cover-csv", "cover-no-N", "sectors-bad-lambda",
+        ],
+    )
+    def test_combinatorics_and_usage_errors_load_no_numpy(self, argv, code):
+        # tableaux is exact integer combinatorics, and usage errors are raised
+        # before a handler imports its numeric module
+        src = str(Path(sectorkit.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        numeric = ("numpy", "sectorkit.linalg", "sectorkit.tensor_rep",
+                   "sectorkit.parastat_equiv", "sectorkit.cover_quant", "sectorkit.circle_theta")
+        script = (
+            "import sys\n"
+            "from sectorkit import cli\n"
+            "try:\n"
+            "    code = cli.main(sys.argv[1:])\n"
+            "except SystemExit as exc:\n"
+            "    code = exc.code\n"
+            f"print('\\n', code, *(m for m in {numeric!r} if m in sys.modules))\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", script, *argv],
+            env=env, capture_output=True, text=True, check=True, timeout=60,
+        ).stdout.splitlines()[-1].split()
+        assert out == [str(code)]
+
     def test_every_public_name_resolves(self):
         for name in sectorkit.__all__:
             assert getattr(sectorkit, name) is not None
@@ -618,6 +658,35 @@ class TestImports:
         for module, attr, _, _ in tracing.TRACED:
             owner = importlib.import_module(f"sectorkit.{module}")
             assert callable(functools.reduce(getattr, attr.split("."), owner)), (module, attr)
+
+
+class TestRoundFloats:
+    """Pins the JSON of numpy scalars, which _round_floats meets through the
+    numbers ABCs without importing numpy."""
+
+    def test_numpy_integer_becomes_int(self):
+        value = _round_floats(np.int64(3))
+        assert type(value) is int and value == 3
+
+    def test_numpy_float_is_rounded_to_ten_digits(self):
+        value = _round_floats(np.float32(0.1))
+        assert type(value) is float and value == 0.1000000015
+        assert _round_floats(np.float64(1 / 3)) == 0.3333333333
+
+    @pytest.mark.parametrize("value", [np.float64("nan"), np.float32("inf"), -np.inf])
+    def test_non_finite_numpy_float_becomes_none(self, value):
+        assert _round_floats(value) is None
+
+    def test_python_int_and_bools_pass_unchanged(self):
+        assert _round_floats(True) is True
+        assert _round_floats(np.True_) is np.True_
+        value = _round_floats(2**70)
+        assert type(value) is int and value == 2**70
+
+    def test_nested_tuples_become_lists(self):
+        data = {"a": (1, (np.float32(0.5), (np.int8(-2), 2 / 3)), "x")}
+        assert _round_floats(data) == {"a": [1, [0.5, [-2, 0.6666666667]], "x"]}
+        assert json.dumps(_round_floats(data)) == '{"a": [1, [0.5, [-2, 0.6666666667]], "x"]}'
 
 
 class TestDeterminism:
