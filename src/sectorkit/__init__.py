@@ -20,11 +20,7 @@ _EXPORTS = {
         "ThetaSector",
         "fd_convergence",
         "gauge_equivalence_check",
-        "momentum_spectrum",
-        "position_operator",
         "spectrum_rows",
-        "translation_unitary",
-        "twisted_momentum",
     ),
     "cover_quant": (
         "FiniteCover",
@@ -35,7 +31,6 @@ _EXPORTS = {
         "constrained_space",
         "cover_from_action",
         "cover_from_json",
-        "cover_to_json",
         "irreps_of",
         "random_invariant_kernel",
         "randomize_section",
@@ -52,12 +47,10 @@ _EXPORTS = {
     "parastat_equiv": (
         "EquivalenceCertificate",
         "SectorRealization",
-        "doublet_isometry_3",
         "general_equivalence",
         "parafermion_constraint_space",
         "parafermion_matrix",
         "realize",
-        "singlet_isometry_2",
         "verify_singlet_fermion_equivalence",
         "verify_doublet_parafermion_equivalence",
     ),

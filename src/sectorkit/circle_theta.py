@@ -21,7 +21,6 @@ quotient is certified by the residual, which bounds the distance to the
 spectrum of a Hermitian operator (Parlett, The Symmetric Eigenvalue
 Problem). The gauge identity is checked on the whole plane-wave basis,
 in chunks of bounded size, after a byte and a work estimate.
-twisted_momentum builds the dense operators, kept as the reference.
 """
 
 from __future__ import annotations
@@ -45,9 +44,6 @@ MIN_GRID = 8
 SPECTRAL_ERROR_TOL = 1e-9
 GAUGE_RESIDUAL_TOL = 1e-8
 MIN_FD_ORDER = 1.9
-# translation_unitary takes a shift a as a grid move when a * n is this
-# close to an integer.
-GRID_SHIFT_TOL = 1e-9
 COMPLEX_BYTES = 16
 # A matrix-free pass holds at most PASS_VECTORS length-n vectors (grid,
 # phases, mode numbers, roots of unity, multipliers, the two spectra and the
@@ -55,9 +51,6 @@ COMPLEX_BYTES = 16
 # waves, their images, products, FFT output and gather indices).
 PASS_VECTORS = 12
 PASS_CHUNKS = 10
-# A dense reference build holds at most 4 complex n x n arrays (traced at
-# n = 512), and momentum_spectrum's eigvalsh one more.
-DENSE_ARRAYS = 5
 
 
 @dataclass(frozen=True)
@@ -112,11 +105,6 @@ def _check_cost(n: int, transforms: int, what: str) -> None:
     check_work(transforms * n * math.log2(n), what)
 
 
-def _check_dense(n: int, what: str) -> None:
-    """Refuse a dense n x n build of `what` over errors.BYTES_CAP before allocating."""
-    check_bytes(COMPLEX_BYTES * DENSE_ARRAYS * n * n, f"a dense operator on {n} points ({what})")
-
-
 def check_gauge_cost(n: int) -> None:
     """Refuse the spectral gauge check on n points beyond the byte or work budget.
 
@@ -140,7 +128,7 @@ def _plane_waves(theta: float, modes: np.ndarray, n: int) -> np.ndarray:
 
 
 def _apply_spectral(theta: float, vectors: np.ndarray) -> np.ndarray:
-    """twisted_momentum(theta, n, "spectral") applied to each row, by FFT."""
+    """The spectral operator applied to each row, by FFT."""
     n = vectors.shape[-1]
     twist = np.exp(1j * theta * grid(n))
     mu = theta + TWO_PI * _mode_numbers(n)  # in numpy's FFT frequency order
@@ -148,7 +136,7 @@ def _apply_spectral(theta: float, vectors: np.ndarray) -> np.ndarray:
 
 
 def _apply_fd(theta: float, vectors: np.ndarray) -> np.ndarray:
-    """twisted_momentum(theta, n, "fd") applied to each row, in O(n) per row."""
+    """The central-difference stencil applied to each row, in O(n) per row."""
     n = vectors.shape[-1]
     ahead = np.roll(vectors, -1, axis=-1)  # psi(x + 1/n), wrapping as psi(1) = e^{i theta} psi(0)
     ahead[..., -1] *= np.exp(1j * theta)
@@ -188,57 +176,12 @@ def _certified_eigenvalues(
     return images, values, residuals
 
 
-def twisted_momentum(theta, n: int, method: str = "spectral") -> np.ndarray:
-    """Discretized -i d/dx with boundary psi(1) = exp(i theta) psi(0).
-
-    "spectral": plane-wave diagonalization, exact eigenvalues
-    theta + 2*pi*k. "fd": second-order central differences with the
-    twisted wrap-around.
-    """
-    theta = _as_angle(theta)
-    _check_grid(n)
-    _check_dense(n, "twisted momentum")
-    if method == "spectral":
-        x = grid(n)
-        mu = theta + TWO_PI * _mode_numbers(n)
-        modes = np.exp(1j * np.outer(x, mu)) / math.sqrt(n)
-        mat = (modes * mu) @ linalg.dagger(modes)
-        return (mat + linalg.dagger(mat)) / 2
-    if method == "fd":
-        coeff = -1j * n / 2.0
-        mat = np.zeros((n, n), dtype=complex)
-        idx = np.arange(n - 1)
-        mat[idx, idx + 1] = coeff
-        mat[idx + 1, idx] = -coeff
-        mat[n - 1, 0] = coeff * np.exp(1j * theta)
-        mat[0, n - 1] = -coeff * np.exp(-1j * theta)
-        return mat
-    raise DomainError(f"unknown discretization {method!r}")
-
-
 def reference_eigenvalues(theta, k_max: int) -> list[tuple[int, float]]:
     """(k, theta + 2*pi*k) for k in [-k_max, k_max], ascending."""
     theta = _as_angle(theta)
     if k_max < 0:
         raise DomainError("k_max must be >= 0")
     return [(k, theta + TWO_PI * k) for k in range(-k_max, k_max + 1)]
-
-
-def momentum_spectrum(theta, n: int, k_max: int, method: str = "spectral") -> np.ndarray:
-    """The 2*k_max+1 eigenvalues nearest zero, sorted ascending.
-
-    With the spectral discretization these are exactly the continuum
-    values theta + 2*pi*k nearest zero. The difference stencil folds
-    its dispersion back at the band edge, so its high modes alias into
-    this window; use :func:`spectrum_rows` to pair references with
-    eigenvalues when assessing the stencil.
-    """
-    _check_grid(n)
-    if 2 * k_max + 1 > n // 2:
-        raise DomainError(f"k_max={k_max} too large for grid size {n}")
-    eigs = np.linalg.eigvalsh(twisted_momentum(theta, n, method))
-    order = np.argsort(np.abs(eigs), kind="stable")
-    return np.sort(eigs[order[: 2 * k_max + 1]])
 
 
 def spectrum_rows(theta, n: int, k_max: int, method: str = "spectral") -> list[dict]:
@@ -329,86 +272,24 @@ def _spectral_gauge(theta: float, n: int) -> GaugeReport:
     return GaugeReport(theta, n, "spectral", residual, constant, theta / TWO_PI, agreement)
 
 
-def gauge_equivalence_check(
-    theta, n: int, method: str = "spectral", k_max: int | None = None
-) -> GaugeReport:
-    """Conjugate the twisted operator by exp(-i theta x) and compare.
+def gauge_equivalence_check(theta, n: int, method: str = "spectral") -> GaugeReport:
+    """Conjugate the twisted spectral operator by exp(-i theta x) and compare.
 
     The conjugated operator must equal the periodic operator plus a
-    constant. With the spectral discretization the identity is exact:
-    the residual is the max-abs deviation from (periodic + c) of its
-    matrix in the plane-wave basis, over the whole space, and the
-    eigenvalue agreement compares the two certified plane-wave spectra
-    (_spectral_gauge). With finite differences only the low part of the
-    spectrum obeys it, so the residual compares the 2*k_max+1 central
-    eigenvalues; by default k_max = min(8, (n // 2 - 1) // 2), the widest
-    window up to 8 that spectrum_rows admits on the grid. The measured
-    constant c (theta, in circumference-1 units) is reported next to
-    theta/2*pi, the value quoted under other normalizations.
+    constant, exactly: the residual is the max-abs deviation from
+    (periodic + c) of its matrix in the plane-wave basis, over the whole
+    space, and the eigenvalue agreement compares the two certified
+    plane-wave spectra (_spectral_gauge). The measured constant c (theta,
+    in circumference-1 units) is reported next to theta/2*pi, the value
+    quoted under other normalizations. Only the spectral discretization
+    is checked; fd_convergence certifies the difference stencil.
     """
     theta = _as_angle(theta)
     _check_grid(n)
-    if method == "spectral":
-        check_gauge_cost(n)
-        return _spectral_gauge(theta, n)
-    if method == "fd":
-        if k_max is None:
-            k_max = min(8, (n // 2 - 1) // 2)
-        eig_twist = np.array(
-            [r["eigenvalue"] for r in spectrum_rows(theta, n, k_max, method)]
-        )
-        eig_per = np.array([r["eigenvalue"] for r in spectrum_rows(0.0, n, k_max, method)])
-        diffs = eig_twist - eig_per
-        constant = float(np.mean(diffs))
-        residual = float(np.max(np.abs(diffs - theta)))
-        agreement = float(np.max(np.abs(diffs - constant)))
-        return GaugeReport(theta, n, method, residual, constant, theta / TWO_PI, agreement)
-    raise DomainError(f"unknown discretization {method!r}")
-
-
-def translation_unitary(a: float, theta, n: int, interpolation: str | None = None) -> np.ndarray:
-    """Translation by a on the periodic (gauge-fixed) realization.
-
-    For grid-compatible shifts (a*n integral) this is the cyclic shift
-    times the phase exp(i a theta); the phase slope in theta is the
-    measured translation constant (a, in circumference-1 units). Other
-    shifts need interpolation="spectral", which exponentiates the
-    spectral momentum operator and agrees with the shift formula on grid
-    moves.
-    """
-    theta = _as_angle(theta)
-    _check_grid(n)
-    if not 0.0 <= a < 1.0:
-        raise DomainError("shift must lie in [0, 1)")
-    _check_dense(n, "translation")
-    steps = a * n
-    if abs(steps - round(steps)) < GRID_SHIFT_TOL:
-        s = int(round(steps)) % n
-        shift = np.zeros((n, n), dtype=complex)
-        cols = (np.arange(n) + s) % n
-        shift[np.arange(n), cols] = 1.0
-        return np.exp(1j * a * theta) * shift
-    if interpolation == "spectral":
-        mu = theta + TWO_PI * _mode_numbers(n)
-        modes = np.exp(1j * np.outer(grid(n), TWO_PI * _mode_numbers(n))) / math.sqrt(n)
-        return (modes * np.exp(1j * a * mu)) @ linalg.dagger(modes)
-    raise DomainError(
-        f"shift a={a} is not grid compatible for n={n}; pass interpolation='spectral'"
-    )
-
-
-def position_operator(samples) -> np.ndarray:
-    """Multiplication operator of a sampled function on the grid.
-
-    The same diagonal matrix in every sector: the angle never enters
-    position observables.
-    """
-    values = np.asarray(samples, dtype=complex)
-    if values.ndim != 1:
-        raise DomainError("samples must be one-dimensional")
-    _check_grid(values.size)
-    _check_dense(values.size, "position operator")
-    return np.diag(values)
+    if method != "spectral":
+        raise DomainError(f"unknown discretization {method!r}")
+    check_gauge_cost(n)
+    return _spectral_gauge(theta, n)
 
 
 @dataclass(frozen=True)

@@ -354,26 +354,29 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _fail(kind: str, error: str, code: int) -> int:
+    """Write one JSON error line to stderr and return the exit code."""
+    sys.stderr.write(json.dumps({"schema": SCHEMA, "error": error, "kind": kind}) + "\n")
+    return code
+
+
 def main(argv: list[str] | None = None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         code, payload = args.func(args)
     except DomainError as exc:
-        sys.stderr.write(json.dumps({"schema": SCHEMA, "error": str(exc), "kind": "usage"}) + "\n")
-        return EXIT_USAGE
+        return _fail("usage", str(exc), EXIT_USAGE)
     except (ResourceLimitError, MemoryError) as exc:
-        error = str(exc) or "out of memory"
-        sys.stderr.write(json.dumps({"schema": SCHEMA, "error": error, "kind": "resource"}) + "\n")
-        return EXIT_RESOURCE
+        return _fail("resource", str(exc) or "out of memory", EXIT_RESOURCE)
     except ConsistencyError as exc:
-        sys.stderr.write(
-            json.dumps({"schema": SCHEMA, "error": str(exc), "kind": "consistency"}) + "\n"
-        )
-        return EXIT_CHECK_FAILED
-    if args.out is not None:
-        Path(args.out).write_bytes(payload)
-    else:
+        return _fail("consistency", str(exc), EXIT_CHECK_FAILED)
+    if args.out is None:
         sys.stdout.buffer.write(payload)
+        return code
+    try:
+        Path(args.out).write_bytes(payload)
+    except OSError as exc:  # a directory, a missing parent, a full or read-only disk
+        return _fail("usage", f"cannot write --out {args.out!r}: {exc}", EXIT_USAGE)
     return code
 
 

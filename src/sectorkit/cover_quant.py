@@ -226,15 +226,6 @@ def randomize_section(cover: FiniteCover, seed: int = 0) -> FiniteCover:
     return replace(cover, section=section)
 
 
-def cover_to_json(cover: FiniteCover) -> dict:
-    return {
-        "points": [str(p) for p in cover.points],
-        "group": [[int(x) for x in cover.action[:, g]] for g in range(cover.group.order)],
-        "group_labels": list(cover.group.labels),
-        "section": [int(s) for s in cover.section],
-    }
-
-
 def _load_json(data):
     """A JSON document given as a dict, or as a path to read it from.
 

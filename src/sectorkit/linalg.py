@@ -43,7 +43,7 @@ ISOMETRY_TOL = 1e-12  # C*C - 1 of an injection handed to a realization
 # Checks of the cover layer, kept at the values they were introduced with:
 GROUP_LAW_TOL = 1e-9  # unitarity and group law of a representation
 INVARIANT_SUBSPACE_TOL = 1e-8  # leakage of a candidate irreducible subspace
-EIGEN_CLUSTER_TOL = 1e-6  # eigenvalue clustering, character matching, sector eigenvalues
+EIGEN_CLUSTER_TOL = 1e-6  # eigenvalue clusters, sector eigenvalues, intertwiner spectra
 KERNEL_INVARIANCE_TOL = 1e-10  # deck invariance of a kernel
 # Working set of one chunk of orbit_restrictions, and the size of one
 # chunk of plane waves in circle_theta's matrix-free passes.

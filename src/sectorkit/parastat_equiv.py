@@ -15,8 +15,9 @@ No (2m)^N x (2m)^N or m^N x m^N array is formed on the way:
   over S_N by N! row scatters of the joint slot action and
   orthonormalized by one thin SVD. The internal action is the sign for
   fermions, U_P(pi) for parafermions and the slot permutation of
-  (C^2)^{xN} for bosons, whose internal vectors are those of W, so the
-  bosonic carrier range(P_sym W*W) is built without forming W. Each
+  (C^2)^{xN} for bosons, whose internal vectors V span the singlet or
+  doublet slice: with W = 1 x V^T the internal isometry onto that slice,
+  the bosonic carrier range(P_sym W*W) is built without forming W. Each
   carrier is averaged with its own internal action; none is derived
   from another, which would make the certificate circular.
 * Internal degrees of freedom are unobservable: every observable acts as
@@ -40,11 +41,9 @@ One estimate, checked before anything is allocated, bounds the
 carrier blocks, the restricted generators of both realizations, their
 working images and the intertwiner search.
 
-Index conventions: on (C^m x C^2)^{xN} the isometries use per-slot basis
-indices spatial * 2 + a, slots interleaved as (q_1 a_1 ... q_N a_N). The
-carriers hold their rows spatial-major: (q_1 ... q_N, a_1 ... a_N) for
-the bosons, spatial_flat * 2 + component for doublet-valued wave
-functions.
+Index conventions: the carriers hold their rows spatial-major:
+(q_1 ... q_N, a_1 ... a_N) for the bosons, spatial_flat * 2 + component
+for doublet-valued wave functions; internal indices a_k are 0-based.
 """
 
 from __future__ import annotations
@@ -71,11 +70,11 @@ PARAFERMION_BASIS = np.array(
     ]
 )
 
-#: Internal vector of the singlet isometry W in (C^2)^{x2}, indexed a_1 a_2:
+#: Internal vector V of the singlet slice in (C^2)^{x2}, indexed a_1 a_2:
 #: (psi_{01} - psi_{10}) / sqrt(2).
 SINGLET_VECTORS = np.array([[0.0], [1.0], [-1.0], [0.0]]) / math.sqrt(2)
 
-#: Internal vectors of the doublet isometry W in (C^2)^{x3}, indexed
+#: Internal vectors V of the doublet slice in (C^2)^{x3}, indexed
 #: a_1 a_2 a_3: component 0 is (psi_{010} - psi_{001}) / sqrt(2), component
 #: 1 is (-2 psi_{100} + psi_{010} + psi_{001}) / sqrt(6).
 DOUBLET_VECTORS = np.zeros((8, 2))
@@ -98,39 +97,6 @@ def parafermion_matrix(pi: Permutation) -> np.ndarray:
         raise DomainError("parafermion representation lives on S_3")
     b = PARAFERMION_BASIS
     return (b.T @ natural_permutation_matrix(pi) @ b)[1:, 1:]
-
-
-def _internal_isometry(m: int, n_slots: int, vectors: np.ndarray) -> np.ndarray:
-    """W = 1 x V^T: (C^m x C^2)^{xN} -> (C^m)^{xN} x C^c, columns interleaved.
-
-    Row spatial * c + component; the columns of the Kronecker product,
-    (q_1 ... q_N, a_1 ... a_N), are moved to (q_1 a_1 ... q_N a_N).
-    """
-    if m < 1:
-        raise DomainError("m must be >= 1")
-    w = np.kron(np.eye(m**n_slots), vectors.T)
-    split = w.reshape((len(w),) + (m,) * n_slots + (2,) * n_slots)
-    axes = [0] + [ax for k in range(1, n_slots + 1) for ax in (k, n_slots + k)]
-    return split.transpose(axes).reshape(w.shape).astype(complex)
-
-
-def singlet_isometry_2(m: int) -> np.ndarray:
-    """W: (C^m x C^2)^{x2} -> (C^m)^{x2}, internal singlet component.
-
-    (W psi)(q1, q2) = (psi_{01} - psi_{10})(q1, q2) / sqrt(2) in 0-based
-    internal indices (SINGLET_VECTORS); identity on the spatial factors.
-    """
-    return _internal_isometry(m, 2, SINGLET_VECTORS)
-
-
-def doublet_isometry_3(m: int) -> np.ndarray:
-    """W: (C^m x C^2)^{x3} -> (C^m)^{x3} x C^2, internal doublet component.
-
-    Component 0 is (psi_{010} - psi_{001})/sqrt(2), component 1 is
-    (-2 psi_{100} + psi_{010} + psi_{001})/sqrt(6), internal indices
-    0-based (DOUBLET_VECTORS), identity on the spatial factors.
-    """
-    return _internal_isometry(m, 3, DOUBLET_VECTORS)
 
 
 def _slot_average(columns: np.ndarray, m: int, n_slots: int, internal) -> np.ndarray:

@@ -25,10 +25,10 @@ invariant_realization), which the equiv path used before it was built
 from the m^2 one-body generators, is kept as their oracle, with the
 generators formed as dense Kronecker sums and the algebra they generate
 closed under products by dense ranks.
-Likewise the circle's first certificates: eigenvalues matched to plane
-waves by eigenvector overlap after a dense eigh of the operators of
-circle_theta.twisted_momentum (the kept dense reference), and the gauge
-identity as a dense n x n residual with eigvalsh spectra.
+Likewise the circle's first certificates: the dense n x n momentum
+operators (twisted_momentum), eigenvalues matched to plane waves by
+eigenvector overlap after a dense eigh of them, and the gauge identity
+as a dense n x n residual with eigvalsh spectra.
 """
 
 import itertools
@@ -346,6 +346,16 @@ def cyclic_document(n: int) -> dict:
     }
 
 
+def cover_to_json(cover) -> dict:
+    """Cover document of a FiniteCover, as cover_from_json reads it back."""
+    return {
+        "points": [str(p) for p in cover.points],
+        "group": [[int(x) for x in cover.action[:, g]] for g in range(cover.group.order)],
+        "group_labels": list(cover.group.labels),
+        "section": [int(s) for s in cover.section],
+    }
+
+
 def dihedral_document(n: int) -> dict:
     """Cover document of D_n (order 2n) acting on itself by right multiplication.
 
@@ -431,7 +441,11 @@ def looped_section_action(
 
 
 def looped_singlet_isometry_2(m: int) -> np.ndarray:
-    """W of the internal singlet, (psi_{01} - psi_{10}) / sqrt(2), set entry by entry."""
+    """W of the internal singlet, (psi_{01} - psi_{10}) / sqrt(2), set entry by entry.
+
+    Columns index (C^m x C^2)^{x2} by the per-slot indices q * 2 + a,
+    slots interleaved as (q_1 a_1 q_2 a_2); rows index the spatial words.
+    """
     amb = 2 * m
     w = np.zeros((m**2, amb**2), dtype=complex)
     root2 = math.sqrt(2.0)
@@ -447,7 +461,8 @@ def looped_doublet_isometry_3(m: int) -> np.ndarray:
     """W of the internal doublet, set entry by entry.
 
     Component 0 is (psi_{010} - psi_{001})/sqrt(2), component 1 is
-    (-2 psi_{100} + psi_{010} + psi_{001})/sqrt(6).
+    (-2 psi_{100} + psi_{010} + psi_{001})/sqrt(6). Columns as in
+    looped_singlet_isometry_2; row spatial * 2 + component.
     """
     amb = 2 * m
     w = np.zeros((m**3 * 2, amb**3), dtype=complex)
@@ -645,6 +660,31 @@ def generated_algebra_dimension(ops) -> int:
         basis = grown
 
 
+def twisted_momentum(theta: float, n: int, method: str = "spectral") -> np.ndarray:
+    """Dense n x n -i d/dx with boundary psi(1) = exp(i theta) psi(0).
+
+    "spectral": plane-wave diagonalization, exact eigenvalues
+    theta + 2*pi*k for the mode numbers k of the symmetric window. "fd":
+    second-order central differences with the twisted wrap-around.
+    """
+    if method == "spectral":
+        x = np.arange(n) / n
+        mu = theta + 2 * math.pi * (((np.arange(n) + n // 2) % n) - n // 2)
+        modes = np.exp(1j * np.outer(x, mu)) / math.sqrt(n)
+        mat = (modes * mu) @ modes.conj().T
+        return (mat + mat.conj().T) / 2
+    if method == "fd":
+        coeff = -1j * n / 2.0
+        mat = np.zeros((n, n), dtype=complex)
+        idx = np.arange(n - 1)
+        mat[idx, idx + 1] = coeff
+        mat[idx + 1, idx] = -coeff
+        mat[n - 1, 0] = coeff * np.exp(1j * theta)
+        mat[0, n - 1] = -coeff * np.exp(-1j * theta)
+        return mat
+    raise ValueError(f"unknown discretization {method!r}")
+
+
 def dense_spectrum_rows(theta: float, n: int, k_max: int, method: str) -> list[dict]:
     """(k, eigenvalue, reference, error) rows from one dense eigh of twisted_momentum.
 
@@ -652,8 +692,6 @@ def dense_spectrum_rows(theta: float, n: int, k_max: int, method: str) -> list[d
     eigenvector overlaps the mode's twisted plane wave most strongly.
     theta must already lie in [0, 2 pi).
     """
-    from sectorkit.circle_theta import twisted_momentum
-
     eigvals, eigvecs = np.linalg.eigh(twisted_momentum(theta, n, method))
     x = np.arange(n) / n
     rows = []
@@ -667,8 +705,6 @@ def dense_spectrum_rows(theta: float, n: int, k_max: int, method: str) -> list[d
 
 def dense_gauge_report(theta: float, n: int) -> dict:
     """Spectral gauge check on dense matrices: G T_theta G* - T_0 - c and both eigvalsh spectra."""
-    from sectorkit.circle_theta import twisted_momentum
-
     gauge = np.diag(np.exp(-1j * theta * np.arange(n) / n))
     conjugated = gauge @ twisted_momentum(theta, n, "spectral") @ gauge.conj().T
     periodic = twisted_momentum(0.0, n, "spectral")

@@ -21,7 +21,7 @@ import oracles
 import sectorkit
 from sectorkit import cover_quant, errors, linalg
 from sectorkit.cli import _round_floats, main
-from sectorkit.cover_quant import cover_to_json, symmetric_cover
+from sectorkit.cover_quant import symmetric_cover
 
 
 def run_to_file(tmp_path, name, argv):
@@ -186,7 +186,7 @@ class TestCover:
 
     def test_cover_json_input(self, tmp_path):
         spec_file = tmp_path / "cover.json"
-        spec_file.write_text(json.dumps(cover_to_json(symmetric_cover(3, 2))))
+        spec_file.write_text(json.dumps(oracles.cover_to_json(symmetric_cover(3, 2))))
         code, payload = run_to_file(
             tmp_path, "c.json", ["cover", "--cover-json", str(spec_file)]
         )
@@ -255,7 +255,7 @@ class TestCover:
 
     def test_census_cost_applies_to_cover_json(self, tmp_path, capsys):
         spec_file = tmp_path / "cover.json"
-        spec_file.write_text(json.dumps(cover_to_json(symmetric_cover(35, 2))))
+        spec_file.write_text(json.dumps(oracles.cover_to_json(symmetric_cover(35, 2))))
         assert main(["cover", "--cover-json", str(spec_file)]) == 3
         assert "cover census" in json.loads(capsys.readouterr().err)["error"]
 
@@ -393,11 +393,13 @@ class TestInputContract:
             ["circle", "--theta", "-1e3"],
             ["sectors", "--m", "2"],
             ["tableaux", "--N", "3", "--bogus"],
+            ["tableaux", "--N", "3", "--out", "."],
+            ["cover", "--q-size", "3", "--N", "2", "--out", "missing/x.json"],
         ],
         ids=[
             "theta-nan", "theta-inf", "theta-minus-inf", "cover-json-missing", "cover-json-dir",
             "theta-detached-minus-inf", "theta-detached-negative", "missing-required-option",
-            "unknown-flag",
+            "unknown-flag", "out-directory", "out-missing-parent",
         ],
     )
     def test_exits_2_with_one_json_line(self, tmp_path, argv):

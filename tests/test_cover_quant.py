@@ -18,7 +18,6 @@ from sectorkit.cover_quant import (
     constrained_space,
     cover_from_action,
     cover_from_json,
-    cover_to_json,
     irreps_of,
     kernel_orbit_basis,
     random_invariant_kernel,
@@ -94,7 +93,7 @@ class TestCoverConstruction:
         [
             (lambda: symmetric_cover(4, 3), True),
             (lambda: randomize_section(symmetric_cover(4, 3), seed=7), False),
-            (lambda: cover_from_json(cover_to_json(symmetric_cover(5, 2))), True),
+            (lambda: cover_from_json(oracles.cover_to_json(symmetric_cover(5, 2))), True),
             # Z_3 with orbits {0, 5, 7}, {1, 3, 8}, {2, 4, 6}
             (
                 lambda: cover_from_action(
@@ -146,7 +145,11 @@ class TestCayleyFromOnePoint:
         [lambda q=q, n=n: symmetric_cover(q, n) for q in (3, 4, 5) for n in (2, 3)]
         + [lambda n=n: cover_from_json(oracles.cyclic_document(n)) for n in (1, 2, 6, 12)]
         + [lambda n=n: cover_from_json(oracles.dihedral_document(n)) for n in (3, 4, 5, 8)]
-        + [lambda: cover_from_json(cover_to_json(randomize_section(symmetric_cover(4, 3), 2)))],
+        + [
+            lambda: cover_from_json(
+                oracles.cover_to_json(randomize_section(symmetric_cover(4, 3), 2))
+            )
+        ],
     )
     def test_table_matches_dict_composition(self, make):
         cover = make()
@@ -242,7 +245,7 @@ class TestIrreps:
 
     def test_regular_path_matches_exact_path(self, cover32):
         # strip the permutation structure and re-derive irreps numerically
-        data = cover_to_json(cover32)
+        data = oracles.cover_to_json(cover32)
         generic = cover_from_json(data)
         assert generic.group.perms is None
         reps = irreps_of(generic.group, seed=0)
@@ -259,7 +262,7 @@ class TestIrreps:
 
     def test_regular_path_s3(self):
         cover = symmetric_cover(4, 3)
-        generic = cover_from_json(cover_to_json(cover))
+        generic = cover_from_json(oracles.cover_to_json(cover))
         reps = irreps_of(generic.group, seed=0)
         assert sorted(r.dimension for r in reps) == [1, 1, 2]
         assert sum(r.dimension**2 for r in reps) == 6
@@ -312,7 +315,7 @@ class TestIrreps:
         [
             oracles.cyclic_document(64),
             oracles.dihedral_document(16),
-            cover_to_json(symmetric_cover(4, 4)),
+            oracles.cover_to_json(symmetric_cover(4, 4)),
         ],
         ids=["Z64", "D16", "S4"],
     )
@@ -798,7 +801,7 @@ def orbit_kernels(cover):
 def regular_path_cover():
     """symmetric_cover(4, 3) without its Permutation objects: irreps_of splits
     the regular representation instead of using Young's forms."""
-    return cover_from_json(cover_to_json(symmetric_cover(4, 3)))
+    return cover_from_json(oracles.cover_to_json(symmetric_cover(4, 3)))
 
 
 class TestBatchedCensus:
@@ -908,12 +911,12 @@ class TestBatchedCensus:
             sector_census(symmetric_cover(12, 3), seed=0)
         with pytest.raises(ResourceLimitError, match="cover census"):
             # the smallest N = 2 cover the estimate refuses (q = 34 is admitted)
-            sector_census(cover_from_json(cover_to_json(symmetric_cover(35, 2))), seed=0)
+            sector_census(cover_from_json(oracles.cover_to_json(symmetric_cover(35, 2))), seed=0)
 
 
 class TestJsonInterface:
     def test_round_trip(self, cover32, tmp_path):
-        data = cover_to_json(cover32)
+        data = oracles.cover_to_json(cover32)
         clone = cover_from_json(data)
         assert clone.total_size == cover32.total_size
         assert clone.base_size == cover32.base_size
@@ -926,7 +929,7 @@ class TestJsonInterface:
 
     def test_section_preserved(self, cover32):
         shifted = randomize_section(cover32, seed=9)
-        clone = cover_from_json(cover_to_json(shifted))
+        clone = cover_from_json(oracles.cover_to_json(shifted))
         assert np.array_equal(clone.section, shifted.section)
 
     def test_unreadable_files_are_usage_errors(self, tmp_path):

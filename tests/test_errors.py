@@ -37,7 +37,6 @@ ESTIMATES = {
     "regular representation": lambda: cover_quant._regular_irreps(cyclic_group(64), 0),
     "cover census": lambda: sector_census(symmetric_cover(4, 2)),
     "gauge check": lambda: circle_theta.check_gauge_cost(4096),
-    "dense operator": lambda: circle_theta.twisted_momentum(0.0, 256),
 }
 
 
