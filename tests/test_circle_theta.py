@@ -117,6 +117,16 @@ class TestSpectra:
             with pytest.raises(DomainError, match="unknown discretization"):
                 gauge_equivalence_check(0.0, 64, method=method)
 
+    @pytest.mark.parametrize("method", ["spectral", "fd"])
+    @pytest.mark.parametrize("n", [8, 16, 33, 64])
+    def test_widest_window_fits_the_grid(self, method, n):
+        # 2 k_max + 1 modes must fit in n // 2
+        k_max = (n // 2 - 1) // 2
+        rows = spectrum_rows(1.0, n, k_max, method)
+        assert [row["k"] for row in rows] == list(range(-k_max, k_max + 1))
+        with pytest.raises(DomainError, match="too large"):
+            spectrum_rows(1.0, n, k_max + 1, method)
+
     def test_hermitian_operators(self):
         # the application to the identity is the transposed operator
         for method in ("spectral", "fd"):
@@ -158,6 +168,60 @@ class TestGauge:
         assert report.measured_constant == pytest.approx(math.pi / 2, abs=1e-9)
         assert report.theta_over_2pi == pytest.approx(0.25)
         assert report.eigenvalue_agreement < 1e-8
+
+
+def grid_step(theta, vectors):
+    """psi(x) -> psi(x + 1/n) on each row, wrapping as psi(1) = exp(i theta) psi(0)."""
+    ahead = np.roll(vectors, -1, axis=-1)
+    ahead[..., -1] *= np.exp(1j * theta)
+    return ahead
+
+
+class TestPlaneWaves:
+    """The twisted plane waves and the translations, gauge and position
+    multipliers that act on them, checked without forming an n x n operator."""
+
+    THETAS = [0.0, 0.7, 1.4, math.pi, 3.0, 6.2]
+
+    @pytest.mark.parametrize("theta", THETAS)
+    def test_one_grid_step_is_the_twisted_phase(self, theta):
+        # every mode, band edge included, picks up exp(i (theta + 2 pi k) / n)
+        n = 64
+        modes = circle_theta._mode_numbers(n)
+        waves = circle_theta._plane_waves(theta, modes, n)
+        phases = np.exp(1j * (theta + TWO_PI * modes) / n)
+        assert linalg.max_abs(grid_step(theta, waves) - phases[:, None] * waves) < 1e-12
+        # n steps make one full turn: the phase exp(i theta), linear in theta
+        assert linalg.max_abs(phases**n - np.exp(1j * theta)) < 1e-12
+
+    @pytest.mark.parametrize("theta", [0.0, 1.3, math.pi])
+    @pytest.mark.parametrize("method", ["spectral", "fd"])
+    def test_operators_commute_with_the_grid_step(self, method, theta):
+        rng = np.random.default_rng(3)
+        n = 33
+        vectors = rng.standard_normal((4, n)) + 1j * rng.standard_normal((4, n))
+        moved_then_applied = circle_theta._apply(theta, grid_step(theta, vectors), method)
+        applied_then_moved = grid_step(theta, circle_theta._apply(theta, vectors, method))
+        assert linalg.max_abs(moved_then_applied - applied_then_moved) < 1e-11 * n
+
+    @pytest.mark.parametrize("n", [8, 17, 64])
+    def test_orthonormal_basis(self, n):
+        waves = circle_theta._plane_waves(1.3, circle_theta._mode_numbers(n), n)
+        assert linalg.max_abs(waves @ linalg.dagger(waves) - np.eye(n)) < 1e-13
+
+    @pytest.mark.parametrize("theta", [0.5, math.pi, 6.2])
+    def test_multipliers_move_between_waves(self, theta):
+        n = 64
+        x = circle_theta.grid(n)
+        modes = circle_theta._mode_numbers(n)
+        waves = circle_theta._plane_waves(theta, modes, n)
+        # the gauge multiplier exp(-i theta x) untwists each wave
+        untwisted = np.exp(-1j * theta * x) * waves
+        assert linalg.max_abs(untwisted - circle_theta._plane_waves(0.0, modes, n)) < 1e-13
+        # the position multiplier exp(2 pi i x) raises the mode by one
+        raised = np.exp(2j * math.pi * x) * waves
+        assert linalg.max_abs(raised - circle_theta._plane_waves(theta, modes + 1, n)) < 1e-13
+
 
 def wrong_wrap_phase(monkeypatch):
     """Replace the stencil by one that wraps with exp(-i theta) instead of exp(i theta)."""
@@ -218,6 +282,18 @@ class TestMatrixFree:
         tracemalloc.start()
         try:
             gauge_equivalence_check(1.0, n)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= estimate < 16 * n * n // 4  # no n x n array
+
+    @pytest.mark.parametrize("method", ["spectral", "fd"])
+    def test_spectrum_pass_stays_within_its_byte_estimate(self, method):
+        n = 2048
+        estimate = 16 * n * (circle_theta.PASS_VECTORS + circle_theta.PASS_CHUNKS * 32)
+        tracemalloc.start()
+        try:
+            spectrum_rows(1.0, n, (n // 2 - 1) // 2, method)  # 1023 modes, 32 per chunk
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

@@ -37,6 +37,7 @@ ESTIMATES = {
     "regular representation": lambda: cover_quant._regular_irreps(cyclic_group(64), 0),
     "cover census": lambda: sector_census(symmetric_cover(4, 2)),
     "gauge check": lambda: circle_theta.check_gauge_cost(4096),
+    "plane-wave eigenvalues": lambda: circle_theta.spectrum_rows(1.0, 4096, 4),
 }
 
 

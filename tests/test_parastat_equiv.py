@@ -125,6 +125,13 @@ class TestPartialIsometries:
                         psi[idx] = spatial[q1, q2, q3]
         assert linalg.max_abs(w @ psi) < 1e-12
 
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_looped_isometries_carry_the_internal_vectors(self, m):
+        # the W oracles are 1 x V per spatial word, V the library's internal vectors
+        for n, vectors in ((2, SINGLET_VECTORS), (3, DOUBLET_VECTORS)):
+            w = looped_isometry(m, n)
+            assert np.array_equal(spatial_major(w.T, m, n), np.kron(np.eye(m**n), vectors))
+
     @pytest.mark.parametrize("n,vectors", [(2, SINGLET_VECTORS), (3, DOUBLET_VECTORS)])
     def test_internal_span_invariant_under_slot_permutations(self, n, vectors):
         # the sorted spatial words suffice for the bosonic carriers because
