@@ -1,5 +1,6 @@
 import contextlib
 import functools
+import gc
 import importlib.util
 import io
 import json
@@ -369,13 +370,41 @@ class TestFailureExitCodes:
         assert "Unable to allocate" in error["error"]
 
 
-def run_process(argv, cwd):
+def process_env():
     src = str(Path(sectorkit.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    return dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+
+
+def run_process(argv, cwd):
     return subprocess.run(
         [sys.executable, "-m", "sectorkit", *argv],
-        cwd=cwd, env=env, capture_output=True, text=True, timeout=60,
+        cwd=cwd, env=process_env(), capture_output=True, text=True, timeout=60,
     )
+
+
+def run_to_stdout(argv, cwd, stdout, unbuffered, launcher=()):
+    """`python -m sectorkit argv` writing to the file descriptor `stdout`, with
+    PYTHONUNBUFFERED set or unset; `launcher` is a shell prefix that receives
+    the command line as its arguments."""
+    env = process_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return subprocess.run(
+        [*launcher, sys.executable, "-m", "sectorkit", *argv],
+        cwd=cwd, env=env, stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=60,
+    )
+
+
+def assert_one_usage_line(done, fragment):
+    assert done.returncode == 2
+    assert "Traceback" not in done.stderr and "Exception ignored" not in done.stderr
+    lines = done.stderr.splitlines()
+    assert len(lines) == 1
+    error = json.loads(lines[0])
+    assert error["kind"] == "usage"
+    assert error["schema"] == "sector-kit/1"
+    assert fragment in error["error"]
 
 
 class TestInputContract:
@@ -441,6 +470,53 @@ class TestInputContract:
         assert done.returncode == 0
         assert done.stdout.startswith("usage: sectorkit sectors")
         assert done.stderr == ""
+
+    # a small report waits in the stdout buffer until the final flush; a 25 kB
+    # one is written through at once
+    STDOUT_JOBS = pytest.mark.parametrize(
+        "argv", [["tableaux", "--N", "3"], ["equiv", "--m", "4", "--N", "3"]],
+        ids=["small-report", "large-report"],
+    )
+    UNBUFFERED = pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+
+    @STDOUT_JOBS
+    @UNBUFFERED
+    def test_closed_pipe_on_stdout_exits_2(self, tmp_path, argv, unbuffered):
+        # ended in BrokenPipeError with exit 1, or "Exception ignored" and exit 120
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            done = run_to_stdout(argv, tmp_path, write_end, unbuffered)
+        finally:
+            os.close(write_end)
+        assert_one_usage_line(done, "Broken pipe")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this system")
+    @STDOUT_JOBS
+    @UNBUFFERED
+    def test_full_device_on_stdout_exits_2(self, tmp_path, argv, unbuffered):
+        with open("/dev/full", "wb") as full:
+            done = run_to_stdout(argv, tmp_path, full, unbuffered)
+        assert_one_usage_line(done, "No space left on device")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this system")
+    def test_help_to_a_full_device_exits_2(self, tmp_path):
+        # buffered only: unbuffered, argparse itself swallows the failed write
+        with open("/dev/full", "wb") as full:
+            done = run_to_stdout(["--help"], tmp_path, full, False)
+        assert_one_usage_line(done, "No space left on device")
+
+    @pytest.mark.parametrize("out,code", [(None, 2), (os.devnull, 0)], ids=["stdout", "out-file"])
+    def test_closed_stdout_descriptor(self, tmp_path, out, code):
+        # a process started with fd 1 closed has sys.stdout None; with --out it
+        # has nothing to write there
+        argv = ["tableaux", "--N", "3"] + (["--out", out] if out else [])
+        launcher = ["sh", "-c", 'exec "$0" "$@" >&-']
+        done = run_to_stdout(argv, tmp_path, None, True, launcher)
+        if code == 2:
+            assert_one_usage_line(done, "stdout is closed")
+        else:
+            assert (done.returncode, done.stderr) == (0, "")
 
 
 # Documents that once ended in a traceback (the first eight) or were
@@ -582,8 +658,10 @@ class TestImports:
             (["circle", "--theta", "1", "--grid", "128"], "numpy.random"),
             # np.unique without return_inverse loads numpy.ma (~1.3 MB)
             (["sectors", "--m", "3", "--N", "4"], "numpy.ma"),
+            # only tableaux and --lambda parsing use the symmetric group
+            (["circle", "--theta", "1", "--grid", "128"], "sectorkit.permgroup"),
         ],
-        ids=["equiv-numpy.random", "circle-numpy.random", "sectors-numpy.ma"],
+        ids=["equiv-numpy.random", "circle-numpy.random", "sectors-numpy.ma", "circle-permgroup"],
     )
     def test_run_does_not_load(self, argv, module):
         src = str(Path(sectorkit.__file__).resolve().parents[1])
@@ -712,3 +790,56 @@ class TestDeterminism:
         assert main(["tableaux", "--N", "2"]) == 0
         data = json.loads(capsys.readouterr().out)
         assert data["command"] == "tableaux"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["tableaux", "--N", "6"],
+            ["sectors", "--m", "2", "--N", "3"],
+            ["equiv", "--m", "2", "--N", "3"],
+            ["cover", "--q-size", "4", "--N", "3"],
+            ["circle", "--theta", "3", "--grid", "128", "--format", "csv"],
+            ["equiv", "--m", "3", "--N", "4"],
+        ],
+        ids=["tableaux", "sectors", "equiv", "cover", "circle", "usage-error"],
+    )
+    def test_process_entry_matches_main(self, tmp_path, capsysbinary, argv):
+        # the module launcher and the console script's target, against in-process main
+        code = main(argv)
+        expected = (code, capsysbinary.readouterr().out)
+        launchers = [["-m", "sectorkit"],
+                     ["-c", "import sys; from sectorkit.cli import entry; sys.exit(entry())"]]
+        for launcher in launchers:
+            done = subprocess.run(
+                [sys.executable, *launcher, *argv],
+                cwd=tmp_path, env=process_env(), capture_output=True, timeout=60,
+            )
+            assert (done.returncode, done.stdout) == expected, launcher
+
+    def test_console_script_is_the_process_entry(self):
+        tomllib = pytest.importorskip("tomllib")
+        root = Path(__file__).resolve().parents[1]
+        with open(root / "pyproject.toml", "rb") as fh:
+            scripts = tomllib.load(fh)["project"]["scripts"]
+        assert scripts == {"sectorkit": "sectorkit.cli:entry"}
+        assert "sys.exit(entry())" in (root / "src" / "sectorkit" / "__main__.py").read_text()
+
+    def test_main_leaves_the_collector_alone(self):
+        before = (gc.isenabled(), gc.get_freeze_count())
+        assert main(["tableaux", "--N", "3", "--out", os.devnull]) == 0
+        assert main(["tableaux", "--N", "3", "--out", "."]) == 2
+        assert (gc.isenabled(), gc.get_freeze_count()) == before
+
+    def test_entry_freezes_the_heap_and_keeps_the_collector_on(self, tmp_path):
+        script = (
+            "import gc, sys\n"
+            "from sectorkit import cli\n"
+            "sys.argv[1:] = ['tableaux', '--N', '3', '--out', sys.argv[1]]\n"
+            "code = cli.entry()\n"
+            "print(code, gc.isenabled(), gc.get_freeze_count() > 0)\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", script, os.devnull],
+            cwd=tmp_path, env=process_env(), capture_output=True, text=True, timeout=60,
+        )
+        assert done.stdout.split() == ["0", "True", "True"]
