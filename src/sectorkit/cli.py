@@ -222,6 +222,8 @@ def _run_cover(args) -> tuple[int, bytes]:
         cover = cover_quant.cover_from_json(Path(args.cover_json))
         source = {"cover_json": str(args.cover_json)}
     else:
+        # refuse from (q, N) alone: enumerating the cover may already exceed the cap
+        cover_quant.check_census_cost(args.q_size, args.N)
         cover = cover_quant.symmetric_cover(args.q_size, args.N)
         source = {"q_size": args.q_size, "N": args.N}
     report = cover_quant.sector_census(cover, seed=args.seed)

@@ -79,9 +79,6 @@ class FiniteGroup:
     def identity(self) -> int:
         return self._identity
 
-    def inverse(self, i: int) -> int:
-        return int(self._inverse[i])
-
 
 @dataclass(frozen=True, eq=False)
 class FiniteCover:
@@ -319,6 +316,10 @@ class GroupRep:
     def dimension(self) -> int:
         return self.matrices[0].shape[0]
 
+    def inverse_matrices(self) -> np.ndarray:
+        """U(g^-1) for every element g, stacked as (|G|, d, d)."""
+        return np.array(self.matrices)[self.group._inverse]
+
 
 def _regular_bytes(n: int) -> int:
     """Peak bytes of _regular_irreps at order n: four complex n x n arrays (H, its
@@ -444,9 +445,6 @@ class InvariantKernel:
                     f"A({x}.g, {y}.g) != A({x}, {y}) for g={self.cover.group.labels[g]}"
                 )
 
-    def adjoint(self) -> "InvariantKernel":
-        return InvariantKernel(cover=self.cover, matrix=linalg.dagger(self.matrix))
-
 
 def random_invariant_kernel(
     cover: FiniteCover, rng: np.random.Generator, hermitian: bool = False
@@ -515,26 +513,32 @@ def _check_orbit_invariance(cover: FiniteCover, rows: np.ndarray, cols: np.ndarr
             )
 
 
+def _fiber_blocks(cover: FiniteCover, rep: GroupRep) -> np.ndarray:
+    """The fiber blocks W_x = |G|**-1/2 U(h(x)^-1) of constrained_space, as (|total|, d, d).
+
+    h(x) is the deck element taking x's section point to x (deck_element).
+    Row block x of the constrained basis is W_x in column block tau(x) and
+    zero elsewhere, so these blocks are the whole basis.
+    """
+    if rep.group is not cover.group:
+        raise DomainError("representation must belong to the cover's deck group")
+    return rep.inverse_matrices()[cover.deck_element()] * (1.0 / math.sqrt(cover.group.order))
+
+
 def constrained_space(cover: FiniteCover, rep: GroupRep) -> np.ndarray:
     """Orthonormal basis (columns) of the equivariant functions.
 
     Functions psi with psi(x.h) = U(h^-1) psi(x), encoded as vectors with
     index (point, component); the 1/sqrt(|G|) scaling realizes the
     quotient measure so that the columns are orthonormal and evaluation
-    along the section is unitary.
+    along the section is unitary. The fiber blocks (_fiber_blocks) are
+    scattered onto the block diagonal of (point, base point).
     """
-    if rep.group is not cover.group:
-        raise DomainError("representation must belong to the cover's deck group")
-    dchi = rep.dimension
-    ng = cover.group.order
-    h_of = cover.deck_element()
-    basis = np.zeros((cover.total_size * dchi, cover.base_size * dchi), dtype=complex)
-    scale = 1.0 / math.sqrt(ng)
-    for x in range(cover.total_size):
-        q = int(cover.tau[x])
-        u_inv = rep.matrices[cover.group.inverse(int(h_of[x]))]
-        basis[x * dchi : (x + 1) * dchi, q * dchi : (q + 1) * dchi] = u_inv * scale
-    return basis
+    blocks = _fiber_blocks(cover, rep)
+    npts, d = blocks.shape[:2]
+    basis = np.zeros((npts, d, cover.base_size, d), dtype=complex)
+    basis[np.arange(npts), :, cover.tau, :] = blocks
+    return basis.reshape(npts * d, cover.base_size * d)
 
 
 def constrained_action(kernel: InvariantKernel, rep: GroupRep) -> np.ndarray:
@@ -555,31 +559,23 @@ def _restrict(kernel: InvariantKernel, basis: np.ndarray) -> np.ndarray:
     return restricted
 
 
-def _restrict_orbits(
-    cover: FiniteCover, rows: np.ndarray, cols: np.ndarray, basis: np.ndarray
-) -> np.ndarray:
+def _restrict_orbits(fibers: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """_restrict of every normalized orbit indicator, as (K, d, d) blocks.
 
-    Row block x of a constrained_space basis is a d x d block W_x in
-    column block tau(x) and zero elsewhere, which is checked first. An
-    orbit {(a_g, b_g)} has the one entry |G|**-1/2 in each row a_g, and
-    its rows fill the fiber over tau(a). So its restricted action is zero
-    but for the single block R = |G|**-1/2 sum_g W_{a_g}^* W_{b_g} at
-    (tau(a), tau(b)) (linalg.orbit_restrictions), which is what is
-    returned; the image leaves the subspace only on the orbit rows, by
+    fibers[x] is the block W_x of the constrained basis (_fiber_blocks),
+    which sits in column block tau(x). An orbit {(a_g, b_g)} has the one
+    entry |G|**-1/2 in each row a_g, and its rows fill the fiber over
+    tau(a). So its restricted action is zero but for the single block
+    R = |G|**-1/2 sum_g W_{a_g}^* W_{b_g} at (tau(a), tau(b))
+    (linalg.orbit_restrictions), which is what is returned; the image
+    leaves the subspace only on the orbit rows, by
     |G|**-1/2 W_{b_g} - W_{a_g} R: the leakage _restrict measures on the
     whole image.
     """
-    npts = cover.total_size
-    nbase = cover.base_size
-    d = basis.shape[0] // npts
-    own = basis.reshape(npts, d, nbase, d)[np.arange(npts), :, cover.tau, :]
-    if np.count_nonzero(basis) != np.count_nonzero(own):
-        raise ConsistencyError("constrained basis is not supported on the fiber blocks")
     ng = rows.shape[1]
     starts = np.arange(len(rows) + 1) * ng
-    restricted = linalg.orbit_restrictions(own, rows.ravel(), cols.ravel(), starts)
-    leakage = linalg.max_abs(own[cols] / math.sqrt(ng) - own[rows] @ restricted[:, None])
+    restricted = linalg.orbit_restrictions(fibers, rows.ravel(), cols.ravel(), starts)
+    leakage = linalg.max_abs(fibers[cols] / math.sqrt(ng) - fibers[rows] @ restricted[:, None])
     if leakage > linalg.RESIDUAL_TOL:
         raise ConsistencyError(f"constrained subspace leaks: {leakage:.2e}")
     return restricted
@@ -588,7 +584,7 @@ def _restrict_orbits(
 def _transport_residual(
     cover: FiniteCover,
     rep: GroupRep,
-    basis: np.ndarray,
+    fibers: np.ndarray,
     blocks: np.ndarray,
     base_a: np.ndarray,
     base_b: np.ndarray,
@@ -596,7 +592,7 @@ def _transport_residual(
 ) -> float:
     """Largest entry of u R_O u* - S_O over the whole kernel orbit basis.
 
-    u (_evaluate_on_section) is block diagonal, |G|**1/2 W_sigma(q) at
+    u (realization_unitary) is block diagonal, |G|**1/2 W_sigma(q) at
     (q, q) (_section_blocks), so it carries the restricted orbit kernel,
     block R_O at (tau(a), tau(b)), to the single block
     |G| W_sigma(tau a) R_O W_sigma(tau b)^*. The section action S_O of the
@@ -606,24 +602,19 @@ def _transport_residual(
     kernel is a combination of orbit kernels, so a small residual here
     bounds the intertwining residual of all of them.
     """
-    u = _section_blocks(cover, basis)
+    u = _section_blocks(cover, fibers)
     transported = u[base_a] @ blocks @ u[base_b].conj().swapaxes(1, 2)
-    u_inv = np.array(rep.matrices)[cover.group._inverse]
-    return linalg.max_abs(transported - u_inv[h] / math.sqrt(cover.group.order))
+    return linalg.max_abs(transported - rep.inverse_matrices()[h] / math.sqrt(cover.group.order))
 
 
-def _section_blocks(cover: FiniteCover, basis: np.ndarray) -> np.ndarray:
-    """The diagonal blocks |G|**1/2 W_sigma(q) of _evaluate_on_section, as (|base|, d, d).
+def _section_blocks(cover: FiniteCover, fibers: np.ndarray) -> np.ndarray:
+    """The diagonal blocks |G|**1/2 W_sigma(q) of realization_unitary, as (|base|, d, d).
 
-    Row block sigma(q) of a constrained_space basis lies in column block
-    tau(sigma(q)) = q once _restrict_orbits has checked the fiber support,
-    so the realization unitary is block diagonal and these blocks are all
-    of it.
+    The fiber block of sigma(q) lies in column block tau(sigma(q)) = q, so
+    the realization unitary is block diagonal and these blocks are all of
+    it.
     """
-    nbase = cover.base_size
-    d = basis.shape[0] // cover.total_size
-    fibers = basis.reshape(cover.total_size, d, nbase, d)
-    return math.sqrt(cover.group.order) * fibers[cover.section, :, np.arange(nbase), :]
+    return math.sqrt(cover.group.order) * fibers[cover.section]
 
 
 def section_action(kernel: InvariantKernel, rep: GroupRep) -> np.ndarray:
@@ -640,9 +631,8 @@ def section_action(kernel: InvariantKernel, rep: GroupRep) -> np.ndarray:
     if rep.group is not cover.group:
         raise DomainError("representation must belong to the cover's deck group")
     entries = kernel.matrix[cover.section][:, cover.action[cover.section]]
-    u_inv = np.array(rep.matrices)[cover.group._inverse]
     size = cover.base_size * rep.dimension
-    return np.einsum("qph,hij->qipj", entries, u_inv).reshape(size, size)
+    return np.einsum("qph,hij->qipj", entries, rep.inverse_matrices()).reshape(size, size)
 
 
 def realization_unitary(cover: FiniteCover, rep: GroupRep) -> np.ndarray:
@@ -652,13 +642,8 @@ def realization_unitary(cover: FiniteCover, rep: GroupRep) -> np.ndarray:
     by constrained_space: U psi = psi(sigma(.)). Conjugation by it turns
     every constrained action into the matching section action.
     """
-    return _evaluate_on_section(cover, constrained_space(cover, rep))
-
-
-def _evaluate_on_section(cover: FiniteCover, basis: np.ndarray) -> np.ndarray:
-    """realization_unitary from a precomputed constrained_space basis."""
-    dchi = basis.shape[0] // cover.total_size
-    rows = [int(cover.section[q]) * dchi + i for q in range(cover.base_size) for i in range(dchi)]
+    basis = constrained_space(cover, rep)
+    rows = (cover.section[:, None] * rep.dimension + np.arange(rep.dimension)).ravel()
     return math.sqrt(cover.group.order) * basis[rows, :]
 
 
@@ -696,8 +681,8 @@ def _census_bytes(cover: FiniteCover, dims: list[int]) -> int:
     """Peak bytes of sector_census, estimated from the sizes alone.
 
     One sector at a time holds its K restricted orbit blocks
-    (K d**2 complex entries), its constrained basis
-    ((|total| d) x (|base| d)), the leakage gathers of _restrict_orbits
+    (K d**2 complex entries), its |total| fiber blocks (_fiber_blocks,
+    |total| d**2 entries), the leakage gathers of _restrict_orbits
     (about six K |G| d**2 arrays), the transport check (a few (K, d, d)
     arrays) and the chunks of linalg.orbit_restrictions, all at
     d = max d_chi. Only the traces of its diagonal-orbit blocks outlive
@@ -709,11 +694,31 @@ def _census_bytes(cover: FiniteCover, dims: list[int]) -> int:
     dmax = max(dims)
     entries = (
         6 * k * ng * dmax * dmax
-        + npts * nbase * dmax * dmax
+        + npts * dmax * dmax
         + 6 * k * dmax * dmax
         + len(dims) * nbase * ng
     )
     return 16 * entries + 6 * 8 * k * ng + 3 * linalg.CHUNK_BYTES
+
+
+def check_census_cost(q: int, n_particles: int) -> None:
+    """Refuse the census of symmetric_cover(q, N) from (q, N) alone.
+
+    The leakage gathers alone give _census_bytes at least 96 |total|**2
+    bytes (16 * 6 K |G| entries at d = 1, with K |G| = |total|**2), and
+    |total| = q!/(q - N)!. The bound is checked after each factor of the
+    product, whose factors are all at least 1, so a refusal comes as soon
+    as a partial product passes errors.BYTES_CAP and reports that lower
+    bound; nothing of the cover's size is formed. (q, N) outside
+    symmetric_cover's domain are left to its DomainError.
+    """
+    if not 1 <= n_particles <= q:
+        return
+    what = f"cover census of the {n_particles}-particle cover of {q} points"
+    total = 1
+    for k in range(q, q - n_particles, -1):
+        total *= k
+        check_bytes(96 * total * total, what)
 
 
 def _sector_dimensions(
@@ -772,8 +777,9 @@ def sector_census(cover: FiniteCover, seed: int = 0) -> SectorCensusReport:
     The orbit basis is never formed as dense kernels: the entry orbits
     are enumerated once as (K, |G|) tables of row and column points,
     checked for deck invariance in one pass per group element, and each
-    sector restricts all of them in one batched product to one d x d
-    block per orbit (_restrict_orbits), indexed by the orbit's base pair.
+    sector, kept as its |total| fiber blocks (_fiber_blocks), restricts
+    all of them in one batched product to one d x d block per orbit
+    (_restrict_orbits), indexed by the orbit's base pair.
     The transport check runs on these blocks, the whole orbit basis,
     which spans the invariant kernels (_transport_residual); no random
     kernel is drawn. Then only the traces of the |base| |G| blocks over
@@ -812,13 +818,13 @@ def sector_census(cover: FiniteCover, seed: int = 0) -> SectorCensusReport:
     traces = np.empty((len(reps), len(diagonal)), dtype=complex)
     residual = 0.0
     for i, rep in enumerate(reps):
-        basis = constrained_space(cover, rep)
-        blocks = _restrict_orbits(cover, rows, cols, basis)
+        fibers = _fiber_blocks(cover, rep)
+        blocks = _restrict_orbits(fibers, rows, cols)
         residual = max(
-            residual, _transport_residual(cover, rep, basis, blocks, base_a, base_b, h)
+            residual, _transport_residual(cover, rep, fibers, blocks, base_a, base_b, h)
         )
         traces[i] = np.trace(blocks[diagonal], axis1=1, axis2=2)
-        del basis, blocks
+        del fibers, blocks
     del rows, cols
     commutant, pairwise, margin = _sector_dimensions(reps, traces, cover.base_size)
     records = [

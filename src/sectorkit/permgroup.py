@@ -13,7 +13,7 @@ Conventions used throughout the package:
 
 * permutations are stored in one-line form with 1-based images,
   ``pi(i) = images[i-1]``;
-* composition is ``(pi * sigma)(i) = pi(sigma(i))``;
+* products compose right to left, ``(pi sigma)(i) = pi(sigma(i))``;
 * a permutation acts on tensor slots by moving the content of slot ``i``
   to slot ``pi(i)`` (see :mod:`sectorkit.tensor_rep`).
 """
@@ -51,20 +51,6 @@ class Permutation:
     def __call__(self, i: int) -> int:
         return self.images[i - 1]
 
-    def __mul__(self, other: "Permutation") -> "Permutation":
-        if self.degree != other.degree:
-            raise DomainError("cannot compose permutations of different degree")
-        return Permutation(tuple(self.images[j - 1] for j in other.images))
-
-    def inverse(self) -> "Permutation":
-        inv = [0] * self.degree
-        for i, img in enumerate(self.images, start=1):
-            inv[img - 1] = i
-        return Permutation(tuple(inv))
-
-    def is_identity(self) -> bool:
-        return all(img == i for i, img in enumerate(self.images, start=1))
-
     def cycles(self) -> list[tuple[int, ...]]:
         """Disjoint cycles, each starting at its smallest element."""
         seen = [False] * self.degree
@@ -81,16 +67,8 @@ class Permutation:
             out.append(tuple(cyc))
         return out
 
-    def cycle_type(self) -> tuple[int, ...]:
-        """Cycle lengths in non-increasing order; labels the conjugacy class."""
-        return tuple(sorted((len(c) for c in self.cycles()), reverse=True))
-
     def sign(self) -> int:
         return -1 if (self.degree - len(self.cycles())) % 2 else 1
-
-    @classmethod
-    def identity(cls, n: int) -> "Permutation":
-        return cls(tuple(range(1, n + 1)))
 
     @classmethod
     def transposition(cls, n: int, i: int, j: int) -> "Permutation":
@@ -141,7 +119,7 @@ def conjugacy_classes(images: np.ndarray) -> tuple[list[tuple[int, ...]], np.nda
     images is a (k, n) array of one-line images (1-based), one permutation
     per row. Returns (types, label): label[r] numbers the class of row r,
     classes numbered by their first row, and types[c] is the cycle type
-    of class c, as Permutation.cycle_type gives it. Each point's cycle
+    of class c, its cycle lengths in non-increasing order. Each point's cycle
     length is the first power of the row that fixes it; a cycle of length
     L holds L points of length L, so the sorted point lengths determine
     the cycle type.

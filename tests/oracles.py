@@ -13,7 +13,9 @@ and looking the composite up in a dict,
 internal-blind operators A x 1 as dense per-slot tensor products,
 section actions from one loop over base pairs and group elements, the
 internal isometries W entry by entry in loops over the spatial indices,
-and the parafermion constraint equations from dense slot permutations.
+the parafermion constraint equations from dense slot permutations,
+permutation products and identities from one-line images, and the
+constrained basis of a cover block by block in a loop over its points.
 
 The dense paths the equivalence certificates were first built on are
 kept here as their references: carriers as ranges of dense projectors
@@ -195,6 +197,20 @@ def permutation_sign(images: tuple[int, ...]) -> int:
     n = len(images)
     inversions = sum(images[i] > images[j] for i in range(n) for j in range(i + 1, n))
     return -1 if inversions % 2 else 1
+
+
+def compose(a, b):
+    """The product a b of two Permutations, (a b)(i) = a(b(i)), from their one-line images."""
+    from sectorkit.permgroup import Permutation
+
+    return Permutation(tuple(a.images[j - 1] for j in b.images))
+
+
+def identity_permutation(n: int):
+    """The identity of S_n as a Permutation."""
+    from sectorkit.permgroup import Permutation
+
+    return Permutation(tuple(range(1, n + 1)))
 
 
 def inverse_cycle_type(images: tuple[int, ...]) -> tuple[int, ...]:
@@ -381,6 +397,26 @@ def looped_deck_element(cover) -> np.ndarray:
         for g in range(cover.group.order):
             h_of[cover.action[cover.section[q], g]] = g
     return h_of
+
+
+def looped_constrained_space(cover, rep) -> np.ndarray:
+    """Constrained basis of a cover, one d x d block per point in a loop.
+
+    Row block x holds |G|**-1/2 U(h^-1) in column block tau(x), with h
+    from looped_deck_element and h^-1 found by scanning row h of the Cayley
+    table for the identity.
+    """
+    d = rep.dimension
+    ng = cover.group.order
+    h_of = looped_deck_element(cover)
+    basis = np.zeros((cover.total_size * d, cover.base_size * d), dtype=complex)
+    scale = 1.0 / math.sqrt(ng)
+    for x in range(cover.total_size):
+        q = int(cover.tau[x])
+        row = cover.group.cayley[int(h_of[x])]
+        h_inv = next(g for g in range(ng) if row[g] == cover.group.identity)
+        basis[x * d : (x + 1) * d, q * d : (q + 1) * d] = rep.matrices[h_inv] * scale
+    return basis
 
 
 def scanned_entry_orbits(action: np.ndarray) -> list[list[int]]:

@@ -216,6 +216,26 @@ class TestCover:
         assert error["kind"] == "resource"
         assert "cover census" in error["error"]
 
+    @pytest.mark.parametrize(
+        "q,n,code",
+        [(1000, 2, 3), (12, 12, 3), (10**9, 1, 3), (1000, 2000, 2), (4, 0, 2)],
+    )
+    def test_q_size_and_n_refused_before_enumerating(self, q, n, code, capsys, monkeypatch):
+        # q!/(q - N)! tuples would be listed before the census estimate runs;
+        # sizes outside symmetric_cover's domain stay usage errors
+        real = cover_quant.symmetric_cover
+
+        def enumerate_small(q, n_particles):
+            if q > n_particles > 0:
+                raise AssertionError("cover enumerated before the estimate")
+            return real(q, n_particles)
+
+        monkeypatch.setattr(cover_quant, "symmetric_cover", enumerate_small)
+        assert main(["cover", "--q-size", str(q), "--N", str(n)]) == code
+        error = json.loads(capsys.readouterr().err)
+        assert error["kind"] == ("resource" if code == 3 else "usage")
+        assert code == 2 or "cover census" in error["error"]
+
     @staticmethod
     def cyclic_cover_file(tmp_path, order):
         spec_file = tmp_path / f"z{order}.json"

@@ -64,8 +64,7 @@ class TestCoverConstruction:
         perms = cover43.group.perms
         for i, a in enumerate(perms):
             for j, b in enumerate(perms):
-                product = a * b
-                assert perms[cover43.group.cayley[i, j]] == product
+                assert perms[cover43.group.cayley[i, j]] == oracles.compose(a, b)
 
     def test_section_is_sorted_tuple(self, cover32):
         base_points = [cover32.points[s] for s in cover32.section]
@@ -234,7 +233,7 @@ class TestGroupValidation:
         else:
             group = FiniteGroup(cayley=table, labels=self.labels(n))
             assert group.identity == expected[0]
-            assert [group.inverse(i) for i in range(n)] == expected[1]
+            assert group._inverse.tolist() == expected[1]
 
 
 class TestIrreps:
@@ -376,6 +375,26 @@ class TestConstrainedSpace:
         )
         assert total == cover43.base_size**2 * cover43.group.order
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: symmetric_cover(3, 2),
+            lambda: symmetric_cover(4, 3),
+            lambda: regular_path_cover(),
+            lambda: randomize_section(symmetric_cover(4, 3), seed=4),
+        ],
+        ids=["cover32", "cover43", "regular_path_cover", "random_section"],
+    )
+    def test_scatter_matches_the_loop(self, make):
+        cover = make()
+        for rep in irreps_of(cover.group):
+            expected = oracles.looped_constrained_space(cover, rep)
+            assert np.array_equal(constrained_space(cover, rep), expected)
+
+    def test_rep_of_another_group_rejected(self, cover32, cover43):
+        with pytest.raises(DomainError, match="deck group"):
+            constrained_space(cover32, irreps_of(cover43.group)[0])
+
     def test_equivariance_of_basis_columns(self, cover32):
         for rep in irreps_of(cover32.group):
             basis = constrained_space(cover32, rep)
@@ -383,9 +402,8 @@ class TestConstrainedSpace:
             values = basis.reshape(cover32.total_size, d, -1)
             for g in range(cover32.group.order):
                 moved = values[cover32.action[:, g]]
-                expected = np.einsum(
-                    "ab,xbc->xac", rep.matrices[cover32.group.inverse(g)], values
-                )
+                # U(g^-1) = U(g)* for a unitary representation
+                expected = np.einsum("ab,xbc->xac", rep.matrices[g].conj().T, values)
                 assert linalg.max_abs(moved - expected) < 1e-12
 
 
@@ -445,8 +463,7 @@ class TestKernels:
         for rep in irreps_of(cover32.group):
             act = constrained_action(kernel, rep)
             assert linalg.max_abs(act - linalg.dagger(act)) < 1e-12
-        adj = kernel.adjoint()
-        assert linalg.max_abs(adj.matrix - kernel.matrix) < 1e-12
+        assert linalg.max_abs(linalg.dagger(kernel.matrix) - kernel.matrix) < 1e-12
 
 
 class TestSectionRealization:
@@ -505,7 +522,7 @@ class TestSectionRealization:
 
 def looped_section_action(kernel, rep):
     cover = kernel.cover
-    inverses = [cover.group.inverse(h) for h in range(cover.group.order)]
+    _, inverses = oracles.bruteforce_group_structure(cover.group.cayley.tolist())
     return oracles.looped_section_action(
         kernel.matrix, cover.action, cover.section, inverses, list(rep.matrices)
     )
@@ -655,7 +672,7 @@ class TestCensus:
             for kernel, row, col in zip(orbit_kernels(cover), rows, cols):
                 expected = np.zeros((nbase * d, nbase * d), dtype=complex)
                 a, b = cover.tau[row[e]], cover.tau[col[e]]
-                u_inv = rep.matrices[cover.group.inverse(int(h_of[col[e]]))]
+                u_inv = rep.matrices[int(h_of[col[e]])].conj().T  # U(h^-1) = U(h)*
                 expected[a * d : (a + 1) * d, b * d : (b + 1) * d] = u_inv / math.sqrt(ng)
                 assert linalg.max_abs(section_action(kernel, rep) - expected) < 1e-15
 
@@ -828,8 +845,9 @@ class TestBatchedCensus:
         nbase = cover.base_size
         for rep in irreps_of(cover.group):
             d = rep.dimension
-            basis = constrained_space(cover, rep)
-            blocks = cover_quant._restrict_orbits(cover, rows, cols, basis)
+            basis = oracles.looped_constrained_space(cover, rep)
+            fibers = cover_quant._fiber_blocks(cover, rep)
+            blocks = cover_quant._restrict_orbits(fibers, rows, cols)
             assert blocks.shape == (len(kernels), d, d)
             placed = np.zeros((len(kernels), nbase * d, nbase * d), dtype=complex)
             for o, block in enumerate(blocks):
@@ -856,27 +874,22 @@ class TestBatchedCensus:
         with pytest.raises(ConsistencyError, match="not invariant"):
             sector_census(cover43, seed=0)
 
-    def test_basis_outside_fiber_blocks_rejected(self, cover43, monkeypatch):
-        exact = cover_quant.constrained_space
-
-        def spilled(cover, rep):
-            basis = exact(cover, rep).copy()
-            d = rep.dimension
-            other = (int(cover.tau[0]) + 1) % cover.base_size
-            basis[0, other * d] = 1e-3  # point 0 reaches a foreign column block
-            return basis
-
-        monkeypatch.setattr(cover_quant, "constrained_space", spilled)
-        with pytest.raises(ConsistencyError, match="fiber blocks"):
-            sector_census(cover43, seed=0)
-
     def test_non_equivariant_basis_leaks(self, cover43):
         rows, cols = cover_quant._entry_orbits(cover43)
         for rep in irreps_of(cover43.group):
-            basis = constrained_space(cover43, rep).copy()
-            basis[: rep.dimension] *= 2.0  # inside its fiber block, but not equivariant
+            fibers = cover_quant._fiber_blocks(cover43, rep)
+            fibers[0] *= 2.0  # one fiber block no longer equivariant
             with pytest.raises(ConsistencyError, match="leaks"):
-                cover_quant._restrict_orbits(cover43, rows, cols, basis)
+                cover_quant._restrict_orbits(fibers, rows, cols)
+
+    def test_census_reads_the_fiber_blocks_alone(self, cover43, monkeypatch):
+        # no dense (|total| d) x (|base| d) basis is formed anywhere in the census
+        def refuse(cover, rep):
+            raise AssertionError("dense constrained basis built")
+
+        monkeypatch.setattr(cover_quant, "constrained_space", refuse)
+        for cover in (cover43, regular_path_cover()):
+            assert sector_census(cover, seed=0).passed
 
     def test_per_kernel_restriction_leaks_off_the_constrained_space(self, cover43):
         kernel = random_invariant_kernel(cover43, np.random.default_rng(13))
@@ -898,9 +911,22 @@ class TestBatchedCensus:
     def test_cost_estimate_admits_the_frontier(self):
         for q, n in [(3, 2), (4, 2), (4, 3), (5, 2), (6, 2), (5, 3), (8, 2), (6, 3), (9, 2),
                      (5, 4), (5, 5), (10, 2), (11, 2), (33, 2), (34, 2), (10, 3)]:
+            cover_quant.check_census_cost(q, n)
             cover = symmetric_cover(q, n)
             dims = [rep.dimension for rep in irreps_of(cover.group)]
             assert cover_quant._census_bytes(cover, dims) <= errors.BYTES_CAP
+
+    @pytest.mark.parametrize("q,n", [(3, 2), (4, 3), (5, 5), (6, 2), (6, 3), (8, 2), (5, 4)])
+    def test_early_refusal_bounds_the_census_estimate_from_below(self, q, n, monkeypatch):
+        # check_census_cost refuses on 96 |total|**2, which _census_bytes never undercuts
+        cover = symmetric_cover(q, n)
+        dims = [rep.dimension for rep in irreps_of(cover.group)]
+        monkeypatch.setattr(errors, "BYTES_CAP", cover_quant._census_bytes(cover, dims))
+        cover_quant.check_census_cost(q, n)
+        sector_census(cover, seed=0)
+        monkeypatch.setattr(errors, "BYTES_CAP", 96 * cover.total_size**2 - 1)
+        with pytest.raises(ResourceLimitError, match=f"{n}-particle cover of {q} points"):
+            cover_quant.check_census_cost(q, n)
 
     def test_cost_estimate_refuses_before_orbits(self, monkeypatch):
         def refuse(cover):

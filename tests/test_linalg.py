@@ -23,7 +23,7 @@ def regular_s3():
     for pi in S3:
         mat = np.zeros((6, 6))
         for j, sigma in enumerate(S3):
-            mat[index[(pi * sigma).images], j] = 1.0
+            mat[index[oracles.compose(pi, sigma).images], j] = 1.0
         mats.append(mat)
     return mats
 

@@ -63,7 +63,7 @@ class TestParafermionMatrices:
         for a in group:
             for b_ in group:
                 lhs = parafermion_matrix(a) @ parafermion_matrix(b_)
-                assert linalg.max_abs(lhs - parafermion_matrix(a * b_)) < 1e-12
+                assert linalg.max_abs(lhs - parafermion_matrix(oracles.compose(a, b_))) < 1e-12
 
     def test_rejects_wrong_degree(self):
         with pytest.raises(DomainError):
