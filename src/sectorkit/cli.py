@@ -214,8 +214,13 @@ def _run_equiv(args) -> tuple[int, bytes]:
 def _run_cover(args) -> tuple[int, bytes]:
     if args.format == "csv":
         raise DomainError("csv output is not defined for cover; use json or pretty")
-    if args.cover_json is None and (args.q_size is None or args.N is None):
+    if args.cover_json is not None:
+        if args.q_size is not None or args.N is not None:
+            raise DomainError("cover takes either --cover-json or --q-size and --N, not both")
+    elif args.q_size is None or args.N is None:
         raise DomainError("cover needs --q-size and --N (or --cover-json)")
+    elif args.q_size < 0:
+        raise DomainError(f"--q-size must be >= 0, got {args.q_size}")
     from . import cover_quant
 
     if args.cover_json is not None:

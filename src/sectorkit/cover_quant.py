@@ -29,7 +29,7 @@ import numpy as np
 
 from . import linalg
 from .errors import ConsistencyError, DomainError, check_bytes
-from .permgroup import Permutation, enumerate_partitions, irrep, symmetric_group
+from .permgroup import Permutation, enumerate_partitions, hook_dimension, irrep, symmetric_group
 
 
 @dataclass(frozen=True, eq=False)
@@ -194,7 +194,7 @@ def symmetric_cover(q, n_particles: int) -> FiniteCover:
     labels = tuple(range(q)) if isinstance(q, int) else tuple(q)
     n = n_particles
     if n < 1:
-        raise DomainError("need at least one particle")
+        raise DomainError(f"need at least one particle, got N={n}")
     if len(labels) < n:
         raise DomainError(f"need |Q| >= N, got |Q|={len(labels)}, N={n}")
     tuples = list(itertools.permutations(range(len(labels)), n))
@@ -465,52 +465,20 @@ def random_invariant_kernel(
 def kernel_orbit_basis(cover: FiniteCover) -> list[np.ndarray]:
     """Orthonormal basis of the invariant kernels, one per entry orbit.
 
-    The diagonal action on index pairs is free, so there are exactly
-    |base|**2 * |group| orbits; each normalized indicator is one basis
-    kernel.
-    """
-    npts = cover.total_size
-    basis = []
-    for rows, cols in zip(*_entry_orbits(cover)):
-        mat = np.zeros((npts, npts), dtype=complex)
-        mat[rows, cols] = 1.0 / math.sqrt(rows.size)
-        basis.append(mat)
-    return basis
-
-
-def _entry_orbits(cover: FiniteCover) -> tuple[np.ndarray, np.ndarray]:
-    """Row and column points of every entry orbit, as two (K, |G|) arrays.
-
-    Each orbit of the diagonal action on point pairs holds exactly one
-    pair whose row point is on the section, so the orbits are
-    {(section(q).g, b.g) : g} over base points q and points b, and
-    K = |base| * |total| = |base|**2 * |G|. Rows follow g; orbits are
-    ordered by their smallest flat index row * |total| + col, which is the
-    order of kernel_orbit_basis.
+    Each orbit of the (free) diagonal action on index pairs holds one pair
+    whose row point is on the section: the |base|**2 |group| orbits are
+    {(section(q).g, b.g) : g} over base points q and points b, ordered by
+    smallest flat index row * |total| + col.
     """
     npts = cover.total_size
     rows = np.repeat(cover.action[cover.section], npts, axis=0)
     cols = np.tile(cover.action, (cover.base_size, 1))
-    order = np.argsort((rows * npts + cols).min(axis=1))
-    return rows[order], cols[order]
-
-
-def _check_orbit_invariance(cover: FiniteCover, rows: np.ndarray, cols: np.ndarray) -> None:
-    """Every deck element must map each entry orbit onto itself.
-
-    This is the invariance check of InvariantKernel for all orbit
-    indicators at once: the sorted flat codes of each moved orbit must
-    equal the codes of the orbit.
-    """
-    npts = cover.total_size
-    codes = np.sort(rows * npts + cols, axis=1)
-    for g in range(cover.group.order):
-        moved = np.sort(cover.action[rows, g] * npts + cover.action[cols, g], axis=1)
-        bad = np.flatnonzero(np.any(moved != codes, axis=1))
-        if bad.size:
-            raise ConsistencyError(
-                f"entry orbit {int(bad[0])} is not invariant under g={cover.group.labels[g]}"
-            )
+    basis = []
+    for o in np.argsort((rows * npts + cols).min(axis=1)):
+        mat = np.zeros((npts, npts), dtype=complex)
+        mat[rows[o], cols[o]] = 1.0 / math.sqrt(cover.group.order)
+        basis.append(mat)
+    return basis
 
 
 def _fiber_blocks(cover: FiniteCover, rep: GroupRep) -> np.ndarray:
@@ -557,64 +525,6 @@ def _restrict(kernel: InvariantKernel, basis: np.ndarray) -> np.ndarray:
     if leakage > linalg.RESIDUAL_TOL:
         raise ConsistencyError(f"constrained subspace leaks: {leakage:.2e}")
     return restricted
-
-
-def _restrict_orbits(fibers: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """_restrict of every normalized orbit indicator, as (K, d, d) blocks.
-
-    fibers[x] is the block W_x of the constrained basis (_fiber_blocks),
-    which sits in column block tau(x). An orbit {(a_g, b_g)} has the one
-    entry |G|**-1/2 in each row a_g, and its rows fill the fiber over
-    tau(a). So its restricted action is zero but for the single block
-    R = |G|**-1/2 sum_g W_{a_g}^* W_{b_g} at (tau(a), tau(b))
-    (linalg.orbit_restrictions), which is what is returned; the image
-    leaves the subspace only on the orbit rows, by
-    |G|**-1/2 W_{b_g} - W_{a_g} R: the leakage _restrict measures on the
-    whole image.
-    """
-    ng = rows.shape[1]
-    starts = np.arange(len(rows) + 1) * ng
-    restricted = linalg.orbit_restrictions(fibers, rows.ravel(), cols.ravel(), starts)
-    leakage = linalg.max_abs(fibers[cols] / math.sqrt(ng) - fibers[rows] @ restricted[:, None])
-    if leakage > linalg.RESIDUAL_TOL:
-        raise ConsistencyError(f"constrained subspace leaks: {leakage:.2e}")
-    return restricted
-
-
-def _transport_residual(
-    cover: FiniteCover,
-    rep: GroupRep,
-    fibers: np.ndarray,
-    blocks: np.ndarray,
-    base_a: np.ndarray,
-    base_b: np.ndarray,
-    h: np.ndarray,
-) -> float:
-    """Largest entry of u R_O u* - S_O over the whole kernel orbit basis.
-
-    u (realization_unitary) is block diagonal, |G|**1/2 W_sigma(q) at
-    (q, q) (_section_blocks), so it carries the restricted orbit kernel,
-    block R_O at (tau(a), tau(b)), to the single block
-    |G| W_sigma(tau a) R_O W_sigma(tau b)^*. The section action S_O of the
-    orbit kernel reads one entry, |G|**-1/2 at (sigma(tau a), b) with
-    b = sigma(tau b).h the orbit's column point at the identity: its single
-    block is |G|**-1/2 U(h^-1), again at (tau(a), tau(b)). Every invariant
-    kernel is a combination of orbit kernels, so a small residual here
-    bounds the intertwining residual of all of them.
-    """
-    u = _section_blocks(cover, fibers)
-    transported = u[base_a] @ blocks @ u[base_b].conj().swapaxes(1, 2)
-    return linalg.max_abs(transported - rep.inverse_matrices()[h] / math.sqrt(cover.group.order))
-
-
-def _section_blocks(cover: FiniteCover, fibers: np.ndarray) -> np.ndarray:
-    """The diagonal blocks |G|**1/2 W_sigma(q) of realization_unitary, as (|base|, d, d).
-
-    The fiber block of sigma(q) lies in column block tau(sigma(q)) = q, so
-    the realization unitary is block diagonal and these blocks are all of
-    it.
-    """
-    return math.sqrt(cover.group.order) * fibers[cover.section]
 
 
 def section_action(kernel: InvariantKernel, rep: GroupRep) -> np.ndarray:
@@ -677,39 +587,28 @@ class SectorCensusReport:
         return {**asdict(self), "sectors": [s.to_dict() for s in self.sectors]}
 
 
-def _census_bytes(cover: FiniteCover, dims: list[int]) -> int:
-    """Peak bytes of sector_census, estimated from the sizes alone.
+def _census_bytes(npts: int, nbase: int, ng: int, dims: list[int]) -> int:
+    """Peak bytes of sector_census on |total| = npts, |base| = nbase, |G| = ng.
 
-    One sector at a time holds its K restricted orbit blocks
-    (K d**2 complex entries), its |total| fiber blocks (_fiber_blocks,
-    |total| d**2 entries), the leakage gathers of _restrict_orbits
-    (about six K |G| d**2 arrays), the transport check (a few (K, d, d)
-    arrays) and the chunks of linalg.orbit_restrictions, all at
-    d = max d_chi. Only the traces of its diagonal-orbit blocks outlive
-    the sector: a (sectors, |base| |G|) table. The orbit tables are
-    (K, |G|) int arrays, six of them alive at the invariance check.
+    Three (|total|, |G|) int64 tables for the deck identity; then, one
+    sector at a time at d = max d_chi, two |total| d**2 complex arrays of
+    fiber blocks and six (k, |G|, d, d) gathers, products and residuals
+    of the k <= |base| + log2 |G| generating orbits.
     """
-    npts, nbase, ng = cover.total_size, cover.base_size, cover.group.order
-    k = nbase * nbase * ng
+    k = nbase + ng.bit_length() - 1
     dmax = max(dims)
-    entries = (
-        6 * k * ng * dmax * dmax
-        + npts * dmax * dmax
-        + 6 * k * dmax * dmax
-        + len(dims) * nbase * ng
-    )
-    return 16 * entries + 6 * 8 * k * ng + 3 * linalg.CHUNK_BYTES
+    return 3 * 8 * npts * ng + 16 * dmax * dmax * (2 * npts + 6 * k * ng)
 
 
 def check_census_cost(q: int, n_particles: int) -> None:
-    """Refuse the census of symmetric_cover(q, N) from (q, N) alone.
+    """Refuse the census of symmetric_cover(q, N), the cover included, from (q, N) alone.
 
-    The leakage gathers alone give _census_bytes at least 96 |total|**2
-    bytes (16 * 6 K |G| entries at d = 1, with K |G| = |total|**2), and
-    |total| = q!/(q - N)!. The bound is checked after each factor of the
-    product, whose factors are all at least 1, so a refusal comes as soon
-    as a partial product passes errors.BYTES_CAP and reports that lower
-    bound; nothing of the cover's size is formed. (q, N) outside
+    symmetric_cover's Python tables take about 325 bytes per point and 42
+    per (point, element) pair (measured at (500, 2) and (8, 5)), added to
+    _census_bytes. |total| = q!/(q - N)! is multiplied factor by factor,
+    and 325 |total| checked after each, so a refusal comes as soon as a
+    partial product passes errors.BYTES_CAP, reporting that lower bound;
+    nothing of the cover's size is formed. (q, N) outside
     symmetric_cover's domain are left to its DomainError.
     """
     if not 1 <= n_particles <= q:
@@ -718,31 +617,21 @@ def check_census_cost(q: int, n_particles: int) -> None:
     total = 1
     for k in range(q, q - n_particles, -1):
         total *= k
-        check_bytes(96 * total * total, what)
+        check_bytes(325 * total, what)
+    order = math.factorial(n_particles)
+    dims = [hook_dimension(shape) for shape in enumerate_partitions(n_particles)]
+    tables = 325 * total + 42 * total * order
+    check_bytes(tables + _census_bytes(total, total // order, order, dims), what)
 
 
-def _sector_dimensions(
-    reps: list[GroupRep], traces: np.ndarray, nbase: int
-) -> tuple[list[int], dict, float]:
+def _sector_dimensions(reps: list[GroupRep]) -> tuple[list[int], dict, float]:
     """Commutant and pairwise intertwiner dimensions from one character Gram matrix.
 
-    traces[i, o] is the trace of sector i's restricted block of the o-th
-    diagonal orbit (both ends over one base point); every other orbit
-    block sits off the block diagonal and has trace zero. The Gram matrix
-    |base|**-1 traces traces^* is dim Hom(pi_i, pi_j) entry by entry:
-
-    - the orbit basis is orthonormal in the Hilbert-Schmidt product of
-      l2(total), so sum_O tr pi(A_O) conj(tr pi'(A_O)) is the same for
-      every orthonormal basis of the invariant kernels;
-    - each sector is a *-representation of them, the compression to a
-      subspace the leakage check found invariant, hence a direct sum of
-      irreducibles;
-    - the kernels form M_|base| x C[G], which is (+)_chi M_{|base| d_chi},
-      and l2(total) carries the irreducible of chi d_chi times. In the
-      matrix-unit basis, scaled by d_chi**-1/2 to be orthonormal there,
-      the sum is therefore sum_chi |base| m_chi m'_chi, with m and m' the
-      multiplicities of chi in pi and pi' (Schur orthogonality; Serre,
-      Linear Representations of Finite Groups, 2.3).
+    The kernels act on sector pi as M_|base| x pi(C[G]) (sector_census),
+    so Hom(pi, pi') has dimension sum_chi m_chi m'_chi over the
+    multiplicities of the irreducibles chi in pi and pi': the character
+    inner product |G|**-1 sum_g chi_pi(g) conj(chi_pi'(g)) (Schur
+    orthogonality; Serre, Linear Representations of Finite Groups, 2.3).
 
     Rounded, the diagonal gives the commutant dimensions and the upper
     triangle the intertwiner dimensions. The largest distance of an entry
@@ -750,7 +639,8 @@ def _sector_dimensions(
     linalg.RESIDUAL_TOL the Gram matrix is not a dimension count, and
     ConsistencyError is raised.
     """
-    gram = traces @ traces.conj().T / nbase
+    chars = np.array([np.trace(rep.matrices, axis1=1, axis2=2) for rep in reps])
+    gram = chars @ chars.conj().T / chars.shape[1]
     dims = np.rint(gram.real)
     margin = linalg.max_abs(gram - dims)
     if margin > linalg.RESIDUAL_TOL:
@@ -761,6 +651,27 @@ def _sector_dimensions(
         for i, j in itertools.combinations(range(len(reps)), 2)
     }
     return commutant, pairwise, margin
+
+
+def _generators(group: FiniteGroup) -> list[int]:
+    """A generating set of the group, grown greedily from its Cayley table.
+
+    Each generator is the first element outside the subgroup generated so
+    far, which it at least doubles (Lagrange), so there are at most
+    log2 |G| of them. In a finite group the generated subgroup is the
+    closure under products, reached by squaring the member set.
+    """
+    inside = np.arange(group.order) == group.identity
+    gens: list[int] = []
+    while not inside.all():
+        gens.append(int(np.argmin(inside)))
+        inside[gens[-1]] = True
+        size = 0
+        while size < np.count_nonzero(inside):
+            size = np.count_nonzero(inside)
+            members = np.flatnonzero(inside)
+            inside[group.cayley[np.ix_(members, members)]] = True
+    return gens
 
 
 def sector_census(cover: FiniteCover, seed: int = 0) -> SectorCensusReport:
@@ -774,68 +685,60 @@ def sector_census(cover: FiniteCover, seed: int = 0) -> SectorCensusReport:
     kernel. `seed` only reaches irreps_of, for deck groups split
     numerically.
 
-    The orbit basis is never formed as dense kernels: the entry orbits
-    are enumerated once as (K, |G|) tables of row and column points,
-    checked for deck invariance in one pass per group element, and each
-    sector, kept as its |total| fiber blocks (_fiber_blocks), restricts
-    all of them in one batched product to one d x d block per orbit
-    (_restrict_orbits), indexed by the orbit's base pair.
-    The transport check runs on these blocks, the whole orbit basis,
-    which spans the invariant kernels (_transport_residual); no random
-    kernel is drawn. Then only the traces of the |base| |G| blocks over
-    the diagonal of the base are kept, and the sector's blocks are
-    dropped. The commutant and intertwiner dimensions are the entries of
-    their character Gram matrix, exact integers by Schur orthogonality
-    (_sector_dimensions), with no rank decision and no null space. A
-    cost estimate from the sizes (_census_bytes) refuses covers over
-    errors.BYTES_CAP with ResourceLimitError before any of this is
-    allocated.
+    The orbit of a point pair (a, b) restricts to one d x d block at
+    (tau(a), tau(b)), R = |G|**-1/2 sum_g W_{a.g}^* W_{b.g} over the fiber
+    blocks W_x = |G|**-1/2 U(h(x)^-1). As h(x.g) = h(x) g on a right
+    action, R = |G|**-1/2 U(h(a) h(b)^-1): for a on the section, the
+    section action's block (the realization unitary is the identity).
+    So the census checks h(x.g) = h(x) g on the whole action table (an
+    integer comparison), takes the dimensions from the characters alone
+    (_sector_dimensions), and restricts a generating set of the kernels
+    M_|base| x C[G] through the fiber blocks, with the leakage check of
+    _restrict: the orbits of (sigma(q0), sigma(q)) for every q and of
+    (sigma(q0), sigma(q0).g) for the generators g (_generators). Their
+    largest distance from |G|**-1/2 U(h(b)^-1) is
+    intertwining_residual_max; both realizations are *-homomorphisms, so
+    agreement on generators is agreement on every kernel, and the column
+    points cover every fiber. The sizes are first refused over
+    errors.BYTES_CAP by _census_bytes.
     """
     reps = irreps_of(cover.group, seed=seed)
+    npts, nbase, ng = cover.total_size, cover.base_size, cover.group.order
     check_bytes(
-        _census_bytes(cover, [rep.dimension for rep in reps]),
-        f"cover census of {cover.total_size} points over {cover.base_size} base points "
-        f"(deck group of order {cover.group.order})",
+        _census_bytes(npts, nbase, ng, [rep.dimension for rep in reps]),
+        f"cover census of {npts} points over {nbase} base points (deck group of order {ng})",
     )
-    rows, cols = _entry_orbits(cover)
-    kernel_dim = len(rows)
-    expected_kernel_dim = cover.base_size**2 * cover.group.order
-    if kernel_dim != expected_kernel_dim:
-        raise ConsistencyError(
-            f"kernel orbit count {kernel_dim} != {expected_kernel_dim}"
-        )
-    _check_orbit_invariance(cover, rows, cols)
+    h = cover.deck_element()
+    bad = np.flatnonzero(np.any(h[cover.action] != cover.group.cayley[h], axis=1))
+    if bad.size:
+        raise ConsistencyError(f"deck elements break h(x.g) = h(x) g at point {int(bad[0])}")
+    commutant, pairwise, margin = _sector_dimensions(reps)
 
-    e = cover.group.identity
-    base_a, base_b = cover.tau[rows[:, e]], cover.tau[cols[:, e]]
-    h = cover.deck_element()[cols[:, e]]
-    diagonal = np.flatnonzero(base_a == base_b)
-    if len(diagonal) != cover.base_size * cover.group.order:
-        raise ConsistencyError(
-            f"{len(diagonal)} entry orbits over the diagonal of the base, "
-            f"not |base| |G| = {cover.base_size * cover.group.order}"
-        )
-    traces = np.empty((len(reps), len(diagonal)), dtype=complex)
+    start = cover.action[cover.section[0]]
+    ends = np.concatenate((cover.section, start[_generators(cover.group)]))
+    cols = cover.action[ends]
+    root = math.sqrt(ng)
     residual = 0.0
-    for i, rep in enumerate(reps):
+    for rep in reps:
         fibers = _fiber_blocks(cover, rep)
-        blocks = _restrict_orbits(fibers, rows, cols)
-        residual = max(
-            residual, _transport_residual(cover, rep, fibers, blocks, base_a, base_b, h)
-        )
-        traces[i] = np.trace(blocks[diagonal], axis1=1, axis2=2)
-        del fibers, blocks
-    del rows, cols
-    commutant, pairwise, margin = _sector_dimensions(reps, traces, cover.base_size)
+        left, right = fibers[start], fibers[cols]
+        restricted = (left.conj().swapaxes(1, 2) @ right).sum(axis=1) / root
+        leakage = linalg.max_abs(right / root - left @ restricted[:, None])
+        if leakage > linalg.RESIDUAL_TOL:
+            raise ConsistencyError(f"constrained subspace leaks: {leakage:.2e}")
+        expected = rep.inverse_matrices()[h[ends]] / root
+        residual = max(residual, linalg.max_abs(restricted - expected))
+        del fibers, left, right
     records = [
         SectorCensusRecord(
             label=rep.label,
             internal_dim=rep.dimension,
-            carrier_dim=cover.base_size * rep.dimension,
+            carrier_dim=nbase * rep.dimension,
             commutant_dim=dim,
         )
         for rep, dim in zip(reps, commutant)
     ]
+    kernel_dim = nbase * nbase * ng
     identity_ok = sum(r.carrier_dim**2 for r in records) == kernel_dim
 
     passed = (
@@ -845,9 +748,9 @@ def sector_census(cover: FiniteCover, seed: int = 0) -> SectorCensusReport:
         and residual < linalg.RESIDUAL_TOL
     )
     return SectorCensusReport(
-        total_size=cover.total_size,
-        base_size=cover.base_size,
-        group_order=cover.group.order,
+        total_size=npts,
+        base_size=nbase,
+        group_order=ng,
         kernel_space_dim=kernel_dim,
         sectors=tuple(records),
         pairwise_intertwiner_dims=pairwise,

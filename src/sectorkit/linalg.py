@@ -22,11 +22,6 @@ run loads numpy.random): a mismatch of its two spectra refutes
 equivalence, and simple spectra give V = Q2 D Q1*, certified by its
 residual over every pair. Otherwise successive restriction, after a byte
 estimate, decides.
-
-Operators given as normalized indicators of entry orbits (the orbit
-basis of the covering-space picture) are restricted to a carrier
-straight from their orbit tables, by gathers and per-orbit sums
-(orbit_restrictions), without forming them.
 """
 
 from __future__ import annotations
@@ -45,8 +40,7 @@ GROUP_LAW_TOL = 1e-9  # unitarity and group law of a representation
 INVARIANT_SUBSPACE_TOL = 1e-8  # leakage of a candidate irreducible subspace
 EIGEN_CLUSTER_TOL = 1e-6  # eigenvalue clusters, sector eigenvalues, intertwiner spectra
 KERNEL_INVARIANCE_TOL = 1e-10  # deck invariance of a kernel
-# Working set of one chunk of orbit_restrictions, and the size of one
-# chunk of plane waves in circle_theta's matrix-free passes.
+# The size of one chunk of plane waves in circle_theta's matrix-free passes.
 CHUNK_BYTES = 2**20
 
 
@@ -109,31 +103,6 @@ def restrict(a: np.ndarray, carrier: np.ndarray) -> tuple[np.ndarray, float]:
     image = (a @ c.reshape(n, -1)).reshape(c.shape)
     restricted = dagger(c) @ image
     return restricted, max_abs(image - c @ restricted)
-
-
-def orbit_restrictions(
-    blocks: np.ndarray, rows: np.ndarray, cols: np.ndarray, starts: np.ndarray
-) -> np.ndarray:
-    """R_O = |O|**-1/2 sum_{(i, j) in O} B_i^* B_j for every orbit O, as a (K, r, r) array.
-
-    blocks[i] is the k x r row block of a carrier at index i; orbit o
-    holds the entries (rows[e], cols[e]) for e in starts[o]:starts[o + 1].
-    R_O is the carrier restriction of the normalized indicator of O (times
-    the identity on the k internal rows). The blocks are gathered per
-    entry, multiplied and summed per orbit, in chunks of whole orbits
-    whose products take at most CHUNK_BYTES (one orbit at least).
-    """
-    r = blocks.shape[2]
-    sizes = np.diff(starts)
-    out = np.empty((len(sizes), r, r), dtype=blocks.dtype)
-    step = max(1, CHUNK_BYTES // max(1, r * r * blocks.itemsize * int(sizes.max())))
-    for lo in range(0, len(sizes), step):
-        hi = min(lo + step, len(sizes))
-        entries = slice(starts[lo], starts[hi])
-        products = blocks[rows[entries]].conj().swapaxes(1, 2) @ blocks[cols[entries]]
-        out[lo:hi] = np.add.reduceat(products, starts[lo:hi] - starts[lo], axis=0)
-    out /= np.sqrt(sizes)[:, None, None]
-    return out
 
 
 def rank_of_hermitian_idempotent(p: np.ndarray) -> int:

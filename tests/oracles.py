@@ -26,7 +26,10 @@ The orbit-table restriction of all K orbit indicators (restrict_orbits,
 invariant_realization), which the equiv path used before it was built
 from the m^2 one-body generators, is kept as their oracle, with the
 generators formed as dense Kronecker sums and the algebra they generate
-closed under products by dense ranks.
+closed under products by dense ranks. The cover census on all
+K = |base|^2 |G| entry orbits (orbit_census, with orbit_restrictions),
+which restricted, leak-checked and transported every orbit before the
+closed form, is kept as the census's oracle.
 Likewise the circle's first certificates: the dense n x n momentum
 operators (twisted_momentum), eigenvalues matched to plane waves by
 eigenvector overlap after a dense eigh of them, and the gauge identity
@@ -439,6 +442,105 @@ def scanned_entry_orbits(action: np.ndarray) -> list[list[int]]:
     return orbits
 
 
+def entry_orbits(cover) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column points of every entry orbit of a cover, as two (K, |G|) arrays.
+
+    Each orbit of the diagonal action on point pairs holds exactly one
+    pair whose row point is on the section, so the orbits are
+    {(section(q).g, b.g) : g} over base points q and points b, and
+    K = |base| * |total|. Rows follow g; orbits are ordered by their
+    smallest flat index row * |total| + col, the order of
+    scanned_entry_orbits and of cover_quant.kernel_orbit_basis.
+    """
+    npts = cover.total_size
+    rows = np.repeat(cover.action[cover.section], npts, axis=0)
+    cols = np.tile(cover.action, (cover.base_size, 1))
+    order = np.argsort((rows * npts + cols).min(axis=1))
+    return rows[order], cols[order]
+
+
+def orbit_restrictions(
+    blocks: np.ndarray, rows: np.ndarray, cols: np.ndarray, starts: np.ndarray
+) -> np.ndarray:
+    """R_O = |O|**-1/2 sum_{(i, j) in O} B_i^* B_j for every orbit O, as a (K, r, r) array.
+
+    blocks[i] is the k x r row block of a carrier at index i; orbit o
+    holds the entries (rows[e], cols[e]) for e in starts[o]:starts[o + 1].
+    R_O is the carrier restriction of the normalized indicator of O (times
+    the identity on the k internal rows). The blocks are gathered per
+    entry, multiplied and summed per orbit, in chunks of whole orbits
+    whose products take at most linalg.CHUNK_BYTES (one orbit at least).
+    """
+    from sectorkit import linalg
+
+    r = blocks.shape[2]
+    sizes = np.diff(starts)
+    out = np.empty((len(sizes), r, r), dtype=blocks.dtype)
+    step = max(1, linalg.CHUNK_BYTES // max(1, r * r * blocks.itemsize * int(sizes.max())))
+    for lo in range(0, len(sizes), step):
+        hi = min(lo + step, len(sizes))
+        entries = slice(starts[lo], starts[hi])
+        products = blocks[rows[entries]].conj().swapaxes(1, 2) @ blocks[cols[entries]]
+        out[lo:hi] = np.add.reduceat(products, starts[lo:hi] - starts[lo], axis=0)
+    out /= np.sqrt(sizes)[:, None, None]
+    return out
+
+
+def looped_fiber_blocks(cover, rep) -> np.ndarray:
+    """The (|total|, d, d) fiber blocks of looped_constrained_space: row block x
+    of the basis, read in column block tau(x)."""
+    d = rep.dimension
+    basis = looped_constrained_space(cover, rep).reshape(cover.total_size, d, cover.base_size, d)
+    return basis[np.arange(cover.total_size), :, cover.tau, :]
+
+
+def orbit_census(cover, reps) -> dict:
+    """The sector census on all K = |base|**2 |G| entry orbits, as it was before its closed form.
+
+    Every orbit of entry_orbits is restricted through the looped fiber
+    blocks by orbit_restrictions, with its leakage |G|**-1/2 W_{b.g} -
+    W_{a.g} R_O; the block is transported by the realization unitary's
+    diagonal blocks |G|**1/2 W_sigma(q) and compared with the section
+    action's block |G|**-1/2 U(h^-1), h the deck element of the orbit's
+    column point at the identity. The dimensions are the rounded Gram
+    matrix |base|**-1 T T* of the traces T of the blocks whose orbit lies
+    over the diagonal of the base.
+    """
+    rows, cols = entry_orbits(cover)
+    ng = cover.group.order
+    root = math.sqrt(ng)
+    e = cover.group.identity
+    base_a, base_b = cover.tau[rows[:, e]], cover.tau[cols[:, e]]
+    h = looped_deck_element(cover)[cols[:, e]]
+    diagonal = np.flatnonzero(base_a == base_b)
+    starts = np.arange(len(rows) + 1) * ng
+    traces, leakage, residual = [], 0.0, 0.0
+    for rep in reps:
+        fibers = looped_fiber_blocks(cover, rep)
+        blocks = orbit_restrictions(fibers, rows.ravel(), cols.ravel(), starts)
+        image = fibers[rows] @ blocks[:, None]
+        leakage = max(leakage, float(np.abs(fibers[cols] / root - image).max()))
+        u = root * fibers[cover.section]
+        transported = u[base_a] @ blocks @ u[base_b].conj().swapaxes(1, 2)
+        section = np.array(rep.matrices)[h].conj().swapaxes(1, 2) / root  # U(h^-1) = U(h)*
+        residual = max(residual, float(np.abs(transported - section).max()))
+        traces.append(np.trace(blocks[diagonal], axis1=1, axis2=2))
+    traces = np.array(traces)
+    gram = traces @ traces.conj().T / cover.base_size
+    dims = np.rint(gram.real).astype(int)
+    return {
+        "kernel_space_dim": len(rows),
+        "commutant": [int(dims[i, i]) for i in range(len(reps))],
+        "pairwise": {
+            f"{reps[i].label}|{reps[j].label}": int(dims[i, j])
+            for i, j in itertools.combinations(range(len(reps)), 2)
+        },
+        "dimension_margin": float(np.abs(gram - dims).max()),
+        "leakage": leakage,
+        "intertwining_residual_max": residual,
+    }
+
+
 def extend_internal(a: np.ndarray, m: int, n_slots: int, internal_dim: int = 2) -> np.ndarray:
     """Dense A x 1 on (C^m x C^d)^{xN}, slots interleaved (q_1 a_1 ... q_N a_N).
 
@@ -605,7 +707,7 @@ def restrict_orbits(carrier, n: int, rows, cols, starts):
     """Restriction of every normalized orbit indicator A_O, from the orbit table.
 
     The orbits hold entries of n x n matrices as in
-    linalg.orbit_restrictions, and the carrier's rows are ordered (index
+    orbit_restrictions, and the carrier's rows are ordered (index
     of A, internal index) as in linalg.restrict. Returns the (K, r, r)
     restrictions and the largest leakage max_abs((A_O x 1)C - C R_O) over
     the orbits, evaluated in chunks of orbits: row block i of (A_O x 1)C
@@ -619,7 +721,7 @@ def restrict_orbits(carrier, n: int, rows, cols, starts):
     if n == 0 or c.shape[0] % n:
         raise DomainError(f"carrier of {c.shape[0]} rows does not carry {n} x {n} operators")
     blocks = c.reshape(n, c.shape[0] // n, c.shape[1])
-    restricted = linalg.orbit_restrictions(blocks, rows, cols, starts)
+    restricted = orbit_restrictions(blocks, rows, cols, starts)
     sizes = np.diff(starts)
     scale = np.repeat(1.0 / np.sqrt(sizes), sizes)[:, None, None]
     # C R_O and its absolute values are the two arrays of a chunk

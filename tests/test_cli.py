@@ -200,11 +200,11 @@ class TestCover:
         capsys.readouterr()
 
     def test_census_cost_exits_before_allocating(self, capsys):
-        # 1,320 points, 290,400 orbit kernels: refused by the census estimate
+        # 226,920 points: the first N = 3 cover the estimate refuses
         tracemalloc.start()
         start = time.perf_counter()
         try:
-            code = main(["cover", "--q-size", "12", "--N", "3"])
+            code = main(["cover", "--q-size", "62", "--N", "3"])
             elapsed = time.perf_counter() - start
             _, peak = tracemalloc.get_traced_memory()
         finally:
@@ -274,11 +274,57 @@ class TestCover:
         assert [s["internal_dim"] for s in data["sectors"]] == [1, 1, 1, 1, 2, 2]
         assert data["passed"] is True
 
-    def test_census_cost_applies_to_cover_json(self, tmp_path, capsys):
+    def test_census_cost_applies_to_cover_json(self, tmp_path, capsys, monkeypatch):
+        # (100, 2) under a 1 MiB budget: the census estimate (~1.7 MiB) refuses
+        # it, the regular split of Z_2 (512 bytes) does not
         spec_file = tmp_path / "cover.json"
-        spec_file.write_text(json.dumps(oracles.cover_to_json(symmetric_cover(35, 2))))
+        spec_file.write_text(json.dumps(oracles.cover_to_json(symmetric_cover(100, 2))))
+        monkeypatch.setattr(errors, "BYTES_CAP", 2**20)
         assert main(["cover", "--cover-json", str(spec_file)]) == 3
-        assert "cover census" in json.loads(capsys.readouterr().err)["error"]
+        assert "cover census of 9900 points" in json.loads(capsys.readouterr().err)["error"]
+
+    @pytest.mark.parametrize(
+        "options,phrase",
+        [
+            (["--cover-json", "DOC", "--q-size", "4", "--N", "3"], "--cover-json or --q-size"),
+            (["--cover-json", "DOC", "--N", "3"], "--cover-json or --q-size and --N, not both"),
+            (["--q-size", "-3", "--N", "2"], "--q-size must be >= 0, got -3"),
+            (["--q-size", "4", "--N", "-1"], "got N=-1"),
+        ],
+        ids=["cover-json-and-sizes", "cover-json-and-N", "negative-q-size", "negative-N"],
+    )
+    def test_conflicting_or_negative_options_exit_2(self, tmp_path, capsys, options, phrase):
+        # a document given with sizes was read and the sizes ignored; a
+        # negative --q-size was reported as |Q| = 0
+        spec_file = tmp_path / "cover.json"
+        spec_file.write_text(json.dumps(oracles.cover_to_json(symmetric_cover(3, 2))))
+        assert main(["cover"] + [str(spec_file) if o == "DOC" else o for o in options]) == 2
+        error = json.loads(capsys.readouterr().err)
+        assert error["kind"] == "usage"
+        assert phrase in error["error"]
+
+    def test_census_estimate_bounds_the_peak_rss(self, monkeypatch):
+        # peak RSS of (300, 2) above the floor of an exit-3 cover run, against
+        # the estimate check_census_cost refuses on: the cover's own tables
+        # and _census_bytes
+        estimates = []
+        monkeypatch.setattr(cover_quant, "check_bytes", lambda nbytes, _: estimates.append(nbytes))
+        cover_quant.check_census_cost(300, 2)
+        src = str(Path(sectorkit.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+
+        def peak_rss(q, n):
+            argv = ["cover", "--q-size", str(q), "--N", str(n), "--out", os.devnull]
+            child = subprocess.Popen(
+                [sys.executable, "-m", "sectorkit", *argv], env=env, stderr=subprocess.DEVNULL
+            )
+            _, status, usage = os.wait4(child.pid, 0)
+            return os.waitstatus_to_exitcode(status), usage.ru_maxrss * 1024  # KiB on Linux
+
+        floor_code, floor = peak_rss(1000, 2)
+        code, peak = peak_rss(300, 2)
+        assert (floor_code, code) == (3, 0)
+        assert peak - floor < estimates[-1]
 
 
 class TestCircle:
@@ -659,16 +705,13 @@ class TestImports:
         ).stdout.split()
         assert out == ["0", "False"]
 
-    def test_cover_json_run_does_not_load_numpy_random(self, tmp_path):
-        # the regular representation is split by a random.Random draw
-        n = 6
-        doc = {
-            "points": [f"p{x}" for x in range(n)],
-            "group": [[(x + k) % n for x in range(n)] for k in range(n)],
-        }
-        path = tmp_path / "z6.json"
-        path.write_text(json.dumps(doc))
-        self.test_run_does_not_load(["cover", "--cover-json", str(path)], "numpy.random")
+    @pytest.mark.parametrize("module", ["numpy.random", "numpy.ma"])
+    def test_cover_json_run_does_not_load(self, tmp_path, module):
+        # the regular representation is split by a random.Random draw, and
+        # neither the split nor the census calls np.unique without return_inverse
+        path = tmp_path / "d6.json"
+        path.write_text(json.dumps(oracles.dihedral_document(6)))
+        self.test_run_does_not_load(["cover", "--cover-json", str(path)], module)
 
     @pytest.mark.parametrize(
         "argv,module",
@@ -678,10 +721,14 @@ class TestImports:
             (["circle", "--theta", "1", "--grid", "128"], "numpy.random"),
             # np.unique without return_inverse loads numpy.ma (~1.3 MB)
             (["sectors", "--m", "3", "--N", "4"], "numpy.ma"),
+            (["cover", "--q-size", "4", "--N", "3"], "numpy.ma"),
             # only tableaux and --lambda parsing use the symmetric group
             (["circle", "--theta", "1", "--grid", "128"], "sectorkit.permgroup"),
         ],
-        ids=["equiv-numpy.random", "circle-numpy.random", "sectors-numpy.ma", "circle-permgroup"],
+        ids=[
+            "equiv-numpy.random", "circle-numpy.random", "sectors-numpy.ma", "cover-numpy.ma",
+            "circle-permgroup",
+        ],
     )
     def test_run_does_not_load(self, argv, module):
         src = str(Path(sectorkit.__file__).resolve().parents[1])
@@ -709,11 +756,14 @@ class TestImports:
             (["equiv", "--m", "3", "--N", "4"], 2),
             (["cover", "--q-size", "3", "--N", "2", "--format", "csv"], 2),
             (["cover", "--q-size", "3"], 2),
+            (["cover", "--cover-json", "c.json", "--q-size", "3", "--N", "2"], 2),
+            (["cover", "--q-size", "-3", "--N", "2"], 2),
             (["sectors", "--m", "2", "--N", "3", "--lambda", "2,x"], 2),
         ],
         ids=[
             "tableaux-json", "tableaux-csv", "tableaux-pretty", "help", "argparse-error",
-            "equiv-bad-N", "cover-csv", "cover-no-N", "sectors-bad-lambda",
+            "equiv-bad-N", "cover-csv", "cover-no-N", "cover-json-and-sizes",
+            "cover-negative-q-size", "sectors-bad-lambda",
         ],
     )
     def test_combinatorics_and_usage_errors_load_no_numpy(self, argv, code):

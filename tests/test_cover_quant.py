@@ -1,6 +1,7 @@
 import json
 import math
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -647,11 +648,18 @@ class TestCensus:
         assert report.intertwining_residual_max < linalg.RESIDUAL_TOL
         assert not report.passed
 
-    def test_corrupted_section_transport_is_caught(self, cover43, monkeypatch):
-        exact = cover_quant._section_blocks
-        monkeypatch.setattr(
-            cover_quant, "_section_blocks", lambda cover, basis: 2 * exact(cover, basis)
-        )
+    def test_rotated_fiber_blocks_are_caught(self, cover43, monkeypatch):
+        # W_x V spans the same equivariant functions, so nothing leaks, but the
+        # section evaluation of that basis is V, not the identity: the
+        # restricted generators are V* R V, which misses U(h^-1) on the
+        # 2-dim irreducible (a rotation commutes with every 1 x 1 block)
+        exact = cover_quant._fiber_blocks
+        rotation = np.array([[0.6, -0.8], [0.8, 0.6]])
+
+        def rotated(cover, rep):
+            return exact(cover, rep) @ (rotation if rep.dimension == 2 else np.eye(1))
+
+        monkeypatch.setattr(cover_quant, "_fiber_blocks", rotated)
         report = sector_census(cover43, seed=0)
         assert report.intertwining_residual_max > linalg.RESIDUAL_TOL
         assert not report.passed
@@ -663,7 +671,7 @@ class TestCensus:
         # the census compares each transported orbit kernel with the block
         # |G|**-1/2 U(h^-1) at (tau(a), tau(b)); section_action agrees
         cover = make()
-        rows, cols = cover_quant._entry_orbits(cover)
+        rows, cols = oracles.entry_orbits(cover)
         e = cover.group.identity
         h_of = cover.deck_element()
         nbase, ng = cover.base_size, cover.group.order
@@ -691,6 +699,14 @@ class TestCensus:
         assert data["sectors"][0] == {
             "label": "(2,)", "internal_dim": 1, "carrier_dim": 3, "commutant_dim": 1,
         }
+
+
+def z4_cover():
+    """Z_4 over three base points: complex characters."""
+    return cover_from_action(
+        tuple(range(12)),
+        [tuple(4 * (x // 4) + (x + k) % 4 for x in range(12)) for k in range(4)],
+    )
 
 
 def direct_sum_rep(first, second, label):
@@ -734,29 +750,15 @@ class TestCharacterGram:
         assert report.intertwining_residual_max < linalg.RESIDUAL_TOL
         assert not report.passed
 
-    def test_non_integral_gram_raises(self, cover43, monkeypatch):
-        # restricted blocks off by one part in a million: no dimension count
-        exact = cover_quant._restrict_orbits
-        monkeypatch.setattr(
-            cover_quant, "_restrict_orbits", lambda *args: (1 + 1e-6) * exact(*args)
-        )
+    def test_non_integral_gram_raises(self, cover43):
+        # characters off by one part in a million: no dimension count (the
+        # scaled matrices are no longer unitary, so they bypass GroupRep)
+        reps = [
+            SimpleNamespace(label=rep.label, matrices=tuple((1 + 1e-6) * m for m in rep.matrices))
+            for rep in irreps_of(cover43.group)
+        ]
         with pytest.raises(ConsistencyError, match="integral"):
-            sector_census(cover43, seed=0)
-
-    def test_diagonal_orbit_count_checked(self, cover43, monkeypatch):
-        # one orbit over the diagonal of the base moved off it; the invariance
-        # check is skipped so that only the count can catch it
-        rows, cols = cover_quant._entry_orbits(cover43)
-        e = cover43.group.identity
-        over_a, over_b = cover43.tau[rows[:, e]], cover43.tau[cols[:, e]]
-        on = int(np.flatnonzero(over_a == over_b)[0])
-        off = int(np.flatnonzero(over_a != over_b)[0])
-        cols = cols.copy()
-        cols[on] = cols[off]
-        monkeypatch.setattr(cover_quant, "_entry_orbits", lambda cover: (rows, cols))
-        monkeypatch.setattr(cover_quant, "_check_orbit_invariance", lambda *args: None)
-        with pytest.raises(ConsistencyError, match="diagonal of the base"):
-            sector_census(cover43, seed=0)
+            cover_quant._sector_dimensions(reps)
 
     @pytest.mark.parametrize(
         "make",
@@ -764,11 +766,7 @@ class TestCharacterGram:
             lambda: symmetric_cover(3, 2),
             lambda: symmetric_cover(4, 3),
             lambda: symmetric_cover(5, 4),
-            # Z_4 over three base points: complex characters
-            lambda: cover_from_action(
-                tuple(range(12)),
-                [tuple(4 * (x // 4) + (x + k) % 4 for x in range(12)) for k in range(4)],
-            ),
+            z4_cover,
         ],
     )
     def test_gram_is_the_character_inner_product(self, make):
@@ -805,7 +803,7 @@ def oracle_dimensions(cover, reps):
 
 def orbit_kernels(cover):
     """Normalized orbit indicators as validated dense kernels, in table order."""
-    rows, cols = cover_quant._entry_orbits(cover)
+    rows, cols = oracles.entry_orbits(cover)
     npts = cover.total_size
     kernels = []
     for row, col in zip(rows, cols):
@@ -831,9 +829,10 @@ class TestBatchedCensus:
             regular_path_cover,
         ],
     )
-    def test_batched_restriction_matches_per_kernel(self, make):
+    def test_oracle_restriction_matches_per_kernel(self, make):
+        # the K-orbit oracle of the census, against _restrict of each kernel
         cover = make()
-        rows, cols = cover_quant._entry_orbits(cover)
+        rows, cols = oracles.entry_orbits(cover)
         npts = cover.total_size
         scanned = oracles.scanned_entry_orbits(cover.action)
         assert np.sort(rows * npts + cols, axis=1).tolist() == scanned
@@ -846,8 +845,9 @@ class TestBatchedCensus:
         for rep in irreps_of(cover.group):
             d = rep.dimension
             basis = oracles.looped_constrained_space(cover, rep)
-            fibers = cover_quant._fiber_blocks(cover, rep)
-            blocks = cover_quant._restrict_orbits(fibers, rows, cols)
+            fibers = oracles.looped_fiber_blocks(cover, rep)
+            starts = np.arange(len(rows) + 1) * cover.group.order
+            blocks = oracles.orbit_restrictions(fibers, rows.ravel(), cols.ravel(), starts)
             assert blocks.shape == (len(kernels), d, d)
             placed = np.zeros((len(kernels), nbase * d, nbase * d), dtype=complex)
             for o, block in enumerate(blocks):
@@ -864,23 +864,34 @@ class TestBatchedCensus:
             assert np.allclose(mat.ravel()[members], 1.0 / math.sqrt(cover43.group.order))
         assert len(kernel_orbit_basis(cover43)) == len(scanned) == npts * cover43.base_size
 
-    def test_corrupted_orbit_table_rejected(self, cover43, monkeypatch):
-        rows, cols = cover_quant._entry_orbits(cover43)
-        cols = cols.copy()
-        cols[[0, 1], 1] = cols[[1, 0], 1]  # swap one member between two orbits
-        with pytest.raises(ConsistencyError, match="not invariant"):
-            cover_quant._check_orbit_invariance(cover43, rows, cols)
-        monkeypatch.setattr(cover_quant, "_entry_orbits", lambda cover: (rows, cols))
-        with pytest.raises(ConsistencyError, match="not invariant"):
+    @pytest.mark.parametrize("point", [0, 5, 23])
+    def test_broken_deck_identity_raises(self, cover43, point, monkeypatch):
+        # h(x.g) = h(x) g is what the closed form rests on: one point moved to
+        # another element of its fiber breaks it
+        exact = FiniteCover.deck_element
+
+        def broken(cover):
+            h_of = exact(cover).copy()
+            h_of[point] = cover.group.cayley[h_of[point], 1]
+            return h_of
+
+        monkeypatch.setattr(FiniteCover, "deck_element", broken)
+        with pytest.raises(ConsistencyError, match=rf"h\(x.g\) = h\(x\) g at point"):
             sector_census(cover43, seed=0)
 
-    def test_non_equivariant_basis_leaks(self, cover43):
-        rows, cols = cover_quant._entry_orbits(cover43)
-        for rep in irreps_of(cover43.group):
-            fibers = cover_quant._fiber_blocks(cover43, rep)
-            fibers[0] *= 2.0  # one fiber block no longer equivariant
-            with pytest.raises(ConsistencyError, match="leaks"):
-                cover_quant._restrict_orbits(fibers, rows, cols)
+    @pytest.mark.parametrize("point", [0, 7, 23])
+    def test_corrupted_fiber_block_leaks(self, cover43, point, monkeypatch):
+        # one fiber block no longer equivariant, whichever fiber it lies in
+        exact = cover_quant._fiber_blocks
+
+        def corrupted(cover, rep):
+            fibers = exact(cover, rep)
+            fibers[point] *= 2.0
+            return fibers
+
+        monkeypatch.setattr(cover_quant, "_fiber_blocks", corrupted)
+        with pytest.raises(ConsistencyError, match="leaks"):
+            sector_census(cover43, seed=0)
 
     def test_census_reads_the_fiber_blocks_alone(self, cover43, monkeypatch):
         # no dense (|total| d) x (|base| d) basis is formed anywhere in the census
@@ -909,35 +920,102 @@ class TestBatchedCensus:
         assert report.passed
 
     def test_cost_estimate_admits_the_frontier(self):
-        for q, n in [(3, 2), (4, 2), (4, 3), (5, 2), (6, 2), (5, 3), (8, 2), (6, 3), (9, 2),
-                     (5, 4), (5, 5), (10, 2), (11, 2), (33, 2), (34, 2), (10, 3)]:
+        # the largest admitted (q, N) for N = 2..6, and the first refused
+        for q, n in [(677, 2), (61, 3), (18, 4), (9, 5), (6, 6)]:
             cover_quant.check_census_cost(q, n)
+            with pytest.raises(ResourceLimitError, match=f"{n}-particle cover of {q + 1} points"):
+                cover_quant.check_census_cost(q + 1, n)
+        for q, n in [(3, 2), (4, 3), (5, 5), (11, 2), (34, 2), (10, 3), (64, 2), (11, 3), (7, 4)]:
             cover = symmetric_cover(q, n)
             dims = [rep.dimension for rep in irreps_of(cover.group)]
-            assert cover_quant._census_bytes(cover, dims) <= errors.BYTES_CAP
+            sizes = (cover.total_size, cover.base_size, cover.group.order, dims)
+            assert cover_quant._census_bytes(*sizes) <= errors.BYTES_CAP
 
     @pytest.mark.parametrize("q,n", [(3, 2), (4, 3), (5, 5), (6, 2), (6, 3), (8, 2), (5, 4)])
-    def test_early_refusal_bounds_the_census_estimate_from_below(self, q, n, monkeypatch):
-        # check_census_cost refuses on 96 |total|**2, which _census_bytes never undercuts
+    def test_early_refusal_includes_the_census_estimate(self, q, n, monkeypatch):
+        # check_census_cost adds symmetric_cover's tables to _census_bytes, so
+        # at any cap that it admits, the census admits the cover it builds
         cover = symmetric_cover(q, n)
         dims = [rep.dimension for rep in irreps_of(cover.group)]
-        monkeypatch.setattr(errors, "BYTES_CAP", cover_quant._census_bytes(cover, dims))
+        census = cover_quant._census_bytes(
+            cover.total_size, cover.base_size, cover.group.order, dims
+        )
+        estimate = census + 325 * cover.total_size + 42 * cover.total_size * cover.group.order
+        monkeypatch.setattr(errors, "BYTES_CAP", estimate)
         cover_quant.check_census_cost(q, n)
         sector_census(cover, seed=0)
-        monkeypatch.setattr(errors, "BYTES_CAP", 96 * cover.total_size**2 - 1)
+        monkeypatch.setattr(errors, "BYTES_CAP", estimate - 1)
         with pytest.raises(ResourceLimitError, match=f"{n}-particle cover of {q} points"):
             cover_quant.check_census_cost(q, n)
+        monkeypatch.setattr(errors, "BYTES_CAP", census - 1)
+        with pytest.raises(ResourceLimitError, match="cover census of"):
+            sector_census(cover, seed=0)
 
-    def test_cost_estimate_refuses_before_orbits(self, monkeypatch):
+    def test_cost_estimate_refuses_before_the_census_tables(self, monkeypatch):
+        # a 512 KiB budget refuses (12, 3) (~0.83 MiB) before h(x) is read,
+        # with Young's forms and with the regular split alike
         def refuse(cover):
-            raise AssertionError("orbit tables built")
+            raise AssertionError("deck elements read")
 
-        monkeypatch.setattr(cover_quant, "_entry_orbits", refuse)
-        with pytest.raises(ResourceLimitError, match="cover census"):
-            sector_census(symmetric_cover(12, 3), seed=0)
-        with pytest.raises(ResourceLimitError, match="cover census"):
-            # the smallest N = 2 cover the estimate refuses (q = 34 is admitted)
-            sector_census(cover_from_json(oracles.cover_to_json(symmetric_cover(35, 2))), seed=0)
+        cover = symmetric_cover(12, 3)
+        monkeypatch.setattr(errors, "BYTES_CAP", 2**19)
+        monkeypatch.setattr(FiniteCover, "deck_element", refuse)
+        for census_of in (cover, cover_from_json(oracles.cover_to_json(cover))):
+            with pytest.raises(ResourceLimitError, match="cover census of 1320 points"):
+                sector_census(census_of, seed=0)
+
+
+class TestClosedForm:
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: symmetric_cover(3, 2),
+            lambda: symmetric_cover(4, 3),
+            lambda: randomize_section(symmetric_cover(5, 3), seed=4),
+            regular_path_cover,
+            lambda: cover_from_json(oracles.dihedral_document(6)),
+            z4_cover,
+        ],
+        ids=["cover32", "cover43", "random-section-53", "regular-path", "D6", "Z4"],
+    )
+    def test_matches_the_orbit_oracle(self, make):
+        # the generating set and the character Gram matrix give what the
+        # restriction, transport and traces of all K orbits give
+        cover = make()
+        report = sector_census(cover, seed=0)
+        oracle = oracles.orbit_census(cover, irreps_of(cover.group))
+        assert report.kernel_space_dim == oracle["kernel_space_dim"]
+        assert [s.commutant_dim for s in report.sectors] == oracle["commutant"]
+        assert report.pairwise_intertwiner_dims == oracle["pairwise"]
+        assert oracle["leakage"] < 1e-14
+        assert report.dimension_margin < 1e-14 and oracle["dimension_margin"] < 1e-14
+        assert report.intertwining_residual_max < 1e-14
+        assert oracle["intertwining_residual_max"] < 1e-14
+        assert report.passed
+
+    @pytest.mark.parametrize(
+        "group",
+        [
+            lambda: symmetric_cover(3, 3).group,
+            lambda: symmetric_cover(4, 4).group,
+            lambda: symmetric_cover(5, 5).group,
+            lambda: cover_from_json(oracles.cyclic_document(256)).group,
+            lambda: cover_from_json(oracles.dihedral_document(64)).group,
+        ],
+        ids=["S3", "S4", "S5", "Z256", "D64"],
+    )
+    def test_generators_are_few_and_generate(self, group):
+        group = group()
+        gens = cover_quant._generators(group)
+        assert 1 <= len(gens) <= math.log2(group.order)
+        # closure under right multiplication by the generators, in a Python set
+        reached = {group.identity}
+        while True:
+            grown = reached | {int(group.cayley[x, g]) for x in reached for g in gens}
+            if grown == reached:
+                break
+            reached = grown
+        assert reached == set(range(group.order))
 
 
 class TestJsonInterface:

@@ -35,7 +35,7 @@ ESTIMATES = {
     "restricted to two carriers": lambda: parastat_equiv._check_equiv_cost(8, 2),
     "successive restriction": lambda: linalg.unitary_intertwiner([np.eye(10)], [np.eye(10)]),
     "regular representation": lambda: cover_quant._regular_irreps(cyclic_group(64), 0),
-    "cover census": lambda: sector_census(symmetric_cover(4, 2)),
+    "cover census": lambda: sector_census(symmetric_cover(16, 3)),
     "gauge check": lambda: circle_theta.check_gauge_cost(4096),
     "plane-wave eigenvalues": lambda: circle_theta.spectrum_rows(1.0, 4096, 4),
 }
@@ -43,7 +43,7 @@ ESTIMATES = {
 
 @pytest.mark.parametrize("phrase", ESTIMATES)
 def test_every_byte_estimate_reads_the_one_cap(phrase, monkeypatch):
-    monkeypatch.setattr(cover_quant, "_entry_orbits", admitted)
+    monkeypatch.setattr(cover_quant, "_fiber_blocks", admitted)
     with contextlib.suppress(Admitted):
         ESTIMATES[phrase]()
     monkeypatch.setattr(errors, "BYTES_CAP", 2**20)

@@ -296,9 +296,9 @@ def random_orbits(n, seed):
 class TestRestrictOrbits:
     """The orbit-table restriction against restrict of each dense indicator.
 
-    restrict_orbits lives in the oracles (it restricted the K orbit
-    operators of the equiv realizations); linalg.orbit_restrictions,
-    which it and the cover census share, stays in the package.
+    restrict_orbits and orbit_restrictions live in the oracles: they
+    restricted the K orbit operators of the equiv realizations and of the
+    cover census before each was built from a generating set.
     """
 
     @pytest.mark.parametrize("k, dtype", [(1, float), (2, complex), (3, float)])
@@ -342,13 +342,13 @@ class TestRestrictOrbits:
         assert linalg.max_abs(restricted[1] - np.kron(expected, np.eye(2))) < 1e-15
 
     def test_orbit_restrictions_of_blocks(self):
-        # the shared gather-and-segment-sum, against a loop over the entries
+        # the gather-and-segment-sum, against a loop over the entries
         rng = np.random.default_rng(40)
         n, k, r = 6, 2, 3
         blocks = rng.standard_normal((n, k, r)) + 1j * rng.standard_normal((n, k, r))
         entries, starts = random_orbits(n, seed=41)
         rows, cols = np.divmod(entries, n)
-        out = linalg.orbit_restrictions(blocks, rows, cols, starts)
+        out = oracles.orbit_restrictions(blocks, rows, cols, starts)
         for o in range(len(starts) - 1):
             seg = range(starts[o], starts[o + 1])
             expected = sum(blocks[rows[e]].conj().T @ blocks[cols[e]] for e in seg)
