@@ -37,9 +37,9 @@ class FiniteGroup:
     """Finite group presented by its Cayley table.
 
     cayley[i, j] is the index of the product g_i g_j, composed so that a
-    right action satisfies x.(g_i g_j) = (x.g_i).g_j. When the group is a
-    symmetric group acting by slot permutation the corresponding
-    Permutation objects are attached, which unlocks exact irreducibles.
+    right action satisfies x.(g_i g_j) = (x.g_i).g_j. A symmetric group
+    acting by slot permutation carries its Permutation objects, which give
+    exact irreducibles.
     """
 
     cayley: np.ndarray
@@ -66,8 +66,9 @@ class FiniteGroup:
         if not np.all(two_sided.any(axis=1)):
             raise DomainError("group element without inverse")
         object.__setattr__(self, "_inverse", two_sided.argmax(axis=1).astype(np.int64))
-        # (g_i g_j) g_k == g_i (g_j g_k), one n x n comparison per k
-        for k in range(n):
+        # (g_i g_j) g_k == g_i (g_j g_k) for k over generators: the k it holds
+        # for are closed under products (Light's test; Clifford and Preston, 1.2)
+        for k in _generators(self):
             if not np.array_equal(cayley[cayley, k], cayley[:, cayley[:, k]]):
                 raise DomainError("multiplication is not associative")
 
@@ -89,30 +90,31 @@ class FiniteCover:
     orbit.
     """
 
-    points: tuple
+    points: tuple | np.ndarray
     group: FiniteGroup
     action: np.ndarray
     tau: np.ndarray
     section: np.ndarray
 
     def __post_init__(self):
-        action = np.asarray(self.action, dtype=np.int64)
-        tau = np.asarray(self.tau, dtype=np.int64)
-        section = np.asarray(self.section, dtype=np.int64)
-        object.__setattr__(self, "action", action)
-        object.__setattr__(self, "tau", tau)
-        object.__setattr__(self, "section", section)
+        for name in ("action", "tau", "section"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=np.int64))
+        action, tau, section = self.action, self.tau, self.section
         npts, ng = action.shape
         if len(self.points) != npts or ng != self.group.order:
             raise DomainError("action table shape mismatch")
         e = self.group.identity
-        if not np.array_equal(action[:, e], np.arange(npts)):
+        fixed = np.count_nonzero(action == np.arange(npts)[:, None], axis=0)
+        if fixed[e] != npts:
             raise DomainError("identity must act trivially")
-        for g in range(ng):
-            if g != e and np.any(action[:, g] == np.arange(npts)):
-                raise DomainError(f"action is not free: element {self.group.labels[g]}")
-            # (x.g).h == x.(g h) for every point x and every h at once
-            if not np.array_equal(action[action[:, g]], action[:, self.group.cayley[g]]):
+        fixed[e] = 0
+        if fixed.any():
+            g = np.flatnonzero(fixed)[0]
+            raise DomainError(f"action is not free: element {self.group.labels[g]}")
+        # (x.g).h == x.(g h) for every x, g and h over generators: by
+        # associativity the h it holds for are closed under products
+        for h in _generators(self.group):
+            if not np.array_equal(action[action, h], action[:, self.group.cayley[:, h]]):
                 raise DomainError("action is incompatible with the group law")
         nbase = int(tau.max()) + 1 if npts else 0
         if npts != nbase * ng:
@@ -139,27 +141,29 @@ class FiniteCover:
 
 def cover_from_action(
     points,
-    action_perms,
+    words,
     group_labels: tuple[str, ...] | None = None,
     perms: tuple[Permutation, ...] | None = None,
     section: np.ndarray | None = None,
 ) -> FiniteCover:
     """Build a cover from the action permutations of the deck group.
 
-    Every group element is given as the tuple of image indices of the
-    points; the list must be closed under composition, contain the
-    identity, and act freely. A free action is fixed by the image of one
-    point, so the Cayley table is read off the first point's images.
+    words[g] holds the images of the points under element g, a (|G|,
+    |points|) integer array or nested lists; unlabeled elements are named
+    by index. A free action is fixed by the image of one point, so the
+    Cayley table is read off the first point's images.
     """
-    points = tuple(points)
-    maps = [tuple(int(i) for i in p) for p in action_perms]
-    ng, npts = len(maps), len(points)
-    for p in maps:
-        if sorted(p) != list(range(npts)):
-            raise DomainError(f"not a permutation of the point set: {p}")
+    npts = len(points)
+    try:
+        images = np.asarray(words, dtype=np.int64).reshape(len(words), npts)
+    except (ValueError, TypeError, OverflowError) as exc:
+        raise DomainError(f"group words are not lists of {npts} point indices: {exc}") from exc
+    wrong = np.flatnonzero(np.any(np.sort(images, axis=1) != np.arange(npts), axis=1))
+    if wrong.size:
+        raise DomainError(f"not a permutation of the point set: {tuple(images[wrong[0]].tolist())}")
     if npts == 0:
         raise DomainError("a cover needs at least one point")
-    images = np.array(maps, dtype=np.int64).reshape(ng, npts)
+    ng = len(images)
     # g -> 0.g is injective on a free action
     lookup = np.full(npts, -1, dtype=np.int64)
     lookup[images[:, 0]] = np.arange(ng)
@@ -170,12 +174,14 @@ def cover_from_action(
     cayley = lookup[images[:, images[:, 0]]].T
     if np.any(cayley < 0):
         raise DomainError("action maps are not closed under composition")
-    labels = group_labels if group_labels is not None else tuple(str(p) for p in maps)
+    labels = group_labels if group_labels is not None else tuple(map(str, range(ng)))
     group = FiniteGroup(cayley=cayley, labels=tuple(labels), perms=perms)
 
     action = images.T  # action[x, g]
     # orbits labeled in the order of their smallest points, which represent them
-    orbit_reps, tau = np.unique(action.min(axis=1), return_inverse=True)
+    smallest = action.min(axis=1)
+    orbit_reps = np.flatnonzero(smallest == np.arange(npts))
+    tau = np.searchsorted(orbit_reps, smallest)
     if section is None:
         section = orbit_reps
     return FiniteCover(
@@ -183,44 +189,37 @@ def cover_from_action(
     )
 
 
-def symmetric_cover(q, n_particles: int) -> FiniteCover:
-    """Injective tuples over a finite set, with the slot permutation action.
+def symmetric_cover(q: int, n_particles: int) -> FiniteCover:
+    """Injective tuples over q points, with the slot permutation action.
 
-    The total set holds all ordered injective n-tuples of points of the
-    base set (removing the extended diagonal is what keeps the action
-    free); the quotient is the n-element subsets, the canonical section
-    picks the sorted tuple.
+    The points are the rows of all ordered injective n-tuples of 0..q-1
+    (removing the extended diagonal keeps the action free), in
+    lexicographic order, so that read in base q they are increasing codes;
+    the quotient is the n-element subsets, the section the sorted tuples.
     """
-    labels = tuple(range(q)) if isinstance(q, int) else tuple(q)
     n = n_particles
     if n < 1:
         raise DomainError(f"need at least one particle, got N={n}")
-    if len(labels) < n:
-        raise DomainError(f"need |Q| >= N, got |Q|={len(labels)}, N={n}")
-    tuples = list(itertools.permutations(range(len(labels)), n))
-    index = {t: i for i, t in enumerate(tuples)}
+    if q < n:
+        raise DomainError(f"need |Q| >= N, got |Q|={q}, N={n}")
+    tuples = np.fromiter(
+        itertools.permutations(range(q), n), dtype=(np.int64, n), count=math.perm(q, n)
+    )
     perms = tuple(symmetric_group(n))
-    action_perms = [
-        tuple(index[tuple(t[pi(i) - 1] for i in range(1, n + 1))] for t in tuples)
-        for pi in perms
-    ]
-    points = tuple(tuple(labels[i] for i in t) for t in tuples)
+    weights = q ** np.arange(n - 1, -1, -1)
+    # slot i of t.pi holds t[pi(i)], so t.pi's code weighs t[pi(i)] by weights[i]
+    moved = np.zeros((len(perms), n), dtype=np.int64)
+    np.put_along_axis(moved, np.array([pi.images for pi in perms]) - 1, weights, axis=1)
+    words = np.searchsorted(tuples @ weights, moved @ tuples.T)
     return cover_from_action(
-        points,
-        action_perms,
-        group_labels=tuple(str(pi.images) for pi in perms),
-        perms=perms,
+        tuples, words, group_labels=tuple(str(pi.images) for pi in perms), perms=perms
     )
 
 
 def randomize_section(cover: FiniteCover, seed: int = 0) -> FiniteCover:
     """Same cover with a uniformly random representative per orbit."""
-    rng = np.random.default_rng(seed)
-    section = np.array(
-        [int(rng.choice(cover.action[cover.section[q]])) for q in range(cover.base_size)],
-        dtype=np.int64,
-    )
-    return replace(cover, section=section)
+    picks = np.random.default_rng(seed).integers(cover.group.order, size=cover.base_size)
+    return replace(cover, section=cover.action[cover.section, picks])
 
 
 def _load_json(data):
@@ -279,7 +278,7 @@ def cover_from_json(data) -> FiniteCover:
         )
     return cover_from_action(
         tuple(points),
-        [tuple(g) for g in group],
+        group,
         group_labels=tuple(labels) if labels is not None else None,
         section=np.asarray(section, dtype=np.int64) if section is not None else None,
     )
@@ -364,10 +363,9 @@ def _regular_irreps(group: FiniteGroup, seed: int) -> list[GroupRep]:
     scattered from the Cayley table, are generically irreducible, each
     irreducible appearing (dim) times. _irreducible_blocks restricts,
     checks and deduplicates them; when the squared dimensions sum to |G|
-    the survivors are validated once, as the GroupReps returned. A failed
-    split retries with a fresh random.Random(seed + attempt), so a
-    --cover-json run does not load numpy.random. _regular_bytes is refused
-    over errors.BYTES_CAP before anything is allocated.
+    they are returned as GroupReps. A failed split retries with a fresh
+    random.Random(seed + attempt) (numpy.random is not loaded).
+    _regular_bytes is refused over errors.BYTES_CAP first.
     """
     n = group.order
     check_bytes(
@@ -603,24 +601,25 @@ def _census_bytes(npts: int, nbase: int, ng: int, dims: list[int]) -> int:
 def check_census_cost(q: int, n_particles: int) -> None:
     """Refuse the census of symmetric_cover(q, N), the cover included, from (q, N) alone.
 
-    symmetric_cover's Python tables take about 325 bytes per point and 42
-    per (point, element) pair (measured at (500, 2) and (8, 5)), added to
-    _census_bytes. |total| = q!/(q - N)! is multiplied factor by factor,
-    and 325 |total| checked after each, so a refusal comes as soon as a
-    partial product passes errors.BYTES_CAP, reporting that lower bound;
-    nothing of the cover's size is formed. (q, N) outside
-    symmetric_cover's domain are left to its DomainError.
+    The build takes 8 bytes per entry of the (|total|, N) tuples and five
+    |total| vectors, and 25 per entry of the (|total|, |G|) action and the
+    Cayley table (each with two int64 gathers and a boolean comparison
+    while its law is checked), added to _census_bytes. |total| = q!/(q -
+    N)! is multiplied factor by factor and the tuples and vectors checked
+    after each, so nothing of the cover's size is formed before a refusal.
+    (q, N) outside symmetric_cover's domain are left to its DomainError.
     """
-    if not 1 <= n_particles <= q:
+    n = n_particles
+    if not 1 <= n <= q:
         return
-    what = f"cover census of the {n_particles}-particle cover of {q} points"
+    what = f"cover census of the {n}-particle cover of {q} points"
     total = 1
-    for k in range(q, q - n_particles, -1):
+    for k in range(q, q - n, -1):
         total *= k
-        check_bytes(325 * total, what)
-    order = math.factorial(n_particles)
-    dims = [hook_dimension(shape) for shape in enumerate_partitions(n_particles)]
-    tables = 325 * total + 42 * total * order
+        check_bytes(8 * total * (n + 5), what)
+    order = math.factorial(n)
+    dims = [hook_dimension(shape) for shape in enumerate_partitions(n)]
+    tables = 8 * total * (n + 5) + 25 * (total + order) * order
     check_bytes(tables + _census_bytes(total, total // order, order, dims), what)
 
 
@@ -634,10 +633,9 @@ def _sector_dimensions(reps: list[GroupRep]) -> tuple[list[int], dict, float]:
     orthogonality; Serre, Linear Representations of Finite Groups, 2.3).
 
     Rounded, the diagonal gives the commutant dimensions and the upper
-    triangle the intertwiner dimensions. The largest distance of an entry
-    from its integer is returned as the certificate's margin; past
-    linalg.RESIDUAL_TOL the Gram matrix is not a dimension count, and
-    ConsistencyError is raised.
+    triangle the intertwiner dimensions; the largest distance of an entry
+    from its integer is the margin, past linalg.RESIDUAL_TOL a
+    ConsistencyError.
     """
     chars = np.array([np.trace(rep.matrices, axis1=1, axis2=2) for rep in reps])
     gram = chars @ chars.conj().T / chars.shape[1]
@@ -678,29 +676,25 @@ def sector_census(cover: FiniteCover, seed: int = 0) -> SectorCensusReport:
     """Verify the sector correspondence for one cover.
 
     For every irreducible of the deck group the constrained action must
-    have scalar commutant, distinct irreducibles must admit no
-    intertwiner, the squared carrier dimensions must exhaust the
-    invariant-kernel space, and the realization unitary must conjugate
-    the constrained action into the section action on every invariant
-    kernel. `seed` only reaches irreps_of, for deck groups split
-    numerically.
+    have scalar commutant, distinct irreducibles no intertwiner, the
+    squared carrier dimensions must exhaust the invariant kernels, and the
+    realization unitary must conjugate the constrained action into the
+    section action on every kernel. `seed` only reaches irreps_of.
 
     The orbit of a point pair (a, b) restricts to one d x d block at
     (tau(a), tau(b)), R = |G|**-1/2 sum_g W_{a.g}^* W_{b.g} over the fiber
     blocks W_x = |G|**-1/2 U(h(x)^-1). As h(x.g) = h(x) g on a right
     action, R = |G|**-1/2 U(h(a) h(b)^-1): for a on the section, the
     section action's block (the realization unitary is the identity).
-    So the census checks h(x.g) = h(x) g on the whole action table (an
-    integer comparison), takes the dimensions from the characters alone
-    (_sector_dimensions), and restricts a generating set of the kernels
-    M_|base| x C[G] through the fiber blocks, with the leakage check of
-    _restrict: the orbits of (sigma(q0), sigma(q)) for every q and of
-    (sigma(q0), sigma(q0).g) for the generators g (_generators). Their
-    largest distance from |G|**-1/2 U(h(b)^-1) is
-    intertwining_residual_max; both realizations are *-homomorphisms, so
-    agreement on generators is agreement on every kernel, and the column
-    points cover every fiber. The sizes are first refused over
-    errors.BYTES_CAP by _census_bytes.
+    So the census checks h(x.g) = h(x) g on the action table, takes the
+    dimensions from the characters (_sector_dimensions), and restricts,
+    with the leakage check, a generating set of the kernels M_|base| x
+    C[G]: the orbits of (sigma(q0), sigma(q)) for every q and of (sigma(q0),
+    sigma(q0).g) for the generators g. Their largest distance from
+    |G|**-1/2 U(h(b)^-1) is intertwining_residual_max; both realizations
+    are *-homomorphisms, so agreement on generators is agreement on every
+    kernel; the column points cover every fiber. _census_bytes is refused
+    over errors.BYTES_CAP first.
     """
     reps = irreps_of(cover.group, seed=seed)
     npts, nbase, ng = cover.total_size, cover.base_size, cover.group.order

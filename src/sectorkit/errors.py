@@ -36,9 +36,10 @@ class ConsistencyError(RuntimeError):
 def check_bytes(nbytes: int, what: str) -> None:
     """Refuse `what`, estimated at nbytes, with ResourceLimitError over BYTES_CAP."""
     if nbytes > BYTES_CAP:
-        raise ResourceLimitError(
-            f"{what} needs ~{nbytes / 2**20:.3g} MiB, cap {BYTES_CAP // 2**20} MiB"
-        )
+        need, cap, digits = nbytes / 2**20, BYTES_CAP / 2**20, 3
+        while digits < 17 and f"{need:.{digits}g}" == f"{cap:.{digits}g}":
+            digits += 1
+        raise ResourceLimitError(f"{what} needs ~{need:.{digits}g} MiB, cap {cap:.{digits}g} MiB")
 
 
 def check_work(work: float, what: str) -> None:

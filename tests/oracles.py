@@ -9,7 +9,9 @@ characters from the Murnaghan-Nakayama rule, group sums from one dense
 permutation matrix per element, commutant orbits from a
 breadth-first search over generators, cover entry orbits by a scan over
 all point pairs, Cayley tables of action words by composing every pair
-and looking the composite up in a dict,
+and looking the composite up in a dict, the symmetric cover's action by
+looking every permuted tuple up in a dict, free actions by trying every
+(x, g, h),
 internal-blind operators A x 1 as dense per-slot tensor products,
 section actions from one loop over base pairs and group elements, the
 internal isometries W entry by entry in loops over the spatial indices,
@@ -335,6 +337,43 @@ def looped_orbit_labels(action: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             tau[y] = len(smallest)
         smallest.append(min(orbit))
     return tau, np.array(smallest, dtype=np.int64)
+
+
+def dict_symmetric_cover(q: int, n: int) -> tuple[list[tuple[int, ...]], np.ndarray]:
+    """Injective n-tuples over range(q) and their slot-permutation action, by a dict.
+
+    The tuples are listed by itertools.permutations and each image looked
+    up in a dict of them, one tuple per (point, element) pair. Column g of
+    the action is element g of S_n in lexicographic one-line order; slot i
+    of t.pi holds t[pi(i)].
+    """
+    tuples = list(itertools.permutations(range(q), n))
+    index = {t: i for i, t in enumerate(tuples)}
+    perms = list(itertools.permutations(range(n)))
+    action = [[index[tuple(t[pi[i]] for i in range(n))] for pi in perms] for t in tuples]
+    return tuples, np.array(action, dtype=np.int64)
+
+
+def bruteforce_cover_is_valid(action, cayley, identity: int, tau, section) -> bool:
+    """Whether a table is a free right action with quotient data, by loops.
+
+    The identity fixes every point and no other element fixes any; (x.g).h
+    = x.(g h) is tried for every (x, g, h); |total| = |base| |G|, the
+    section picks orbit 0, 1, ... in order, and tau is constant on orbits.
+    """
+    npts, ng = len(action), len(cayley)
+    for x, g in itertools.product(range(npts), range(ng)):
+        if (action[x][g] == x) != (g == identity):
+            return False
+    for x, g, h in itertools.product(range(npts), range(ng), range(ng)):
+        if action[action[x][g]][h] != action[x][cayley[g][h]]:
+            return False
+    nbase = max(tau) + 1
+    return (
+        npts == nbase * ng
+        and [tau[s] for s in section] == list(range(nbase))
+        and all(tau[action[x][g]] == tau[x] for x in range(npts) for g in range(ng))
+    )
 
 
 def dict_composition_cayley(images: np.ndarray) -> np.ndarray | None:

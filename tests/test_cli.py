@@ -200,11 +200,11 @@ class TestCover:
         capsys.readouterr()
 
     def test_census_cost_exits_before_allocating(self, capsys):
-        # 226,920 points: the first N = 3 cover the estimate refuses
+        # 314,364 points: the first N = 3 cover the estimate refuses
         tracemalloc.start()
         start = time.perf_counter()
         try:
-            code = main(["cover", "--q-size", "62", "--N", "3"])
+            code = main(["cover", "--q-size", "69", "--N", "3"])
             elapsed = time.perf_counter() - start
             _, peak = tracemalloc.get_traced_memory()
         finally:
@@ -586,7 +586,8 @@ class TestInputContract:
 
 
 # Documents that once ended in a traceback (the first eight) or were
-# accepted silently (the last three).
+# accepted silently (the next three), and words that are not permutations
+# of the points, which cover_from_action reads as one int64 array.
 MALFORMED_COVERS = {
     "top-level-list": [1, 2],
     "points-not-a-list": {"points": 3, "group": [[0]]},
@@ -599,6 +600,9 @@ MALFORMED_COVERS = {
     "word-entry-float": {"points": ["a", "b"], "group": [[0, 1], [1.5, 0]]},
     "word-entries-bool": {"points": ["a", "b"], "group": [[False, True], [True, False]]},
     "points-duplicate": {"points": ["a", "a"], "group": [[0, 1], [1, 0]]},
+    "words-ragged": {"points": ["a", "b"], "group": [[0, 1], [1]]},
+    "word-entry-out-of-range": {"points": ["a", "b"], "group": [[0, 1], [2, 0]]},
+    "word-entry-past-int64": {"points": ["a", "b"], "group": [[0, 1], [2**64, 0]]},
 }
 
 

@@ -68,10 +68,21 @@ class TestCoverConstruction:
                 assert perms[cover43.group.cayley[i, j]] == oracles.compose(a, b)
 
     def test_section_is_sorted_tuple(self, cover32):
-        base_points = [cover32.points[s] for s in cover32.section]
-        for point in base_points:
-            assert tuple(sorted(point)) == point
+        base_points = cover32.points[cover32.section]
+        assert np.all(np.diff(base_points, axis=1) > 0)
         assert len(base_points) == cover32.base_size
+
+    @pytest.mark.parametrize("q,n", [(q, n) for q in range(1, 7) for n in range(1, q + 1)])
+    def test_array_build_matches_the_dict_build(self, q, n):
+        cover = symmetric_cover(q, n)
+        tuples, action = oracles.dict_symmetric_cover(q, n)
+        tau, smallest = oracles.looped_orbit_labels(action)
+        assert np.array_equal(cover.points, np.reshape(tuples, (-1, n)))
+        assert np.array_equal(cover.action, action)
+        assert np.array_equal(cover.tau, tau)
+        assert np.array_equal(cover.section, smallest)
+        expected = oracles.dict_composition_cayley(np.ascontiguousarray(action.T))
+        assert np.array_equal(cover.group.cayley, expected)
 
     def test_nonfree_action_rejected(self):
         # the swap fixes the middle point of a 3-point set
@@ -167,6 +178,63 @@ class TestCayleyFromOnePoint:
             cover_from_action((), [()])
 
 
+def _fill_row(rows: list, row: list, order: list) -> bool:
+    """Complete row[1:] so that no symbol repeats in the row or in a column
+    of rows, trying symbols in `order`; False if there is no completion."""
+    j = next((j for j, v in enumerate(row) if v is None), None)
+    if j is None:
+        return True
+    for v in order:
+        if v not in row and all(r[j] != v for r in rows):
+            row[j] = v
+            if _fill_row(rows, row, order):
+                return True
+    row[j] = None
+    return False
+
+
+@st.composite
+def loops(draw, max_order=7):
+    """Latin squares with identity 0 (loops), row i starting with i and the
+    rest filled in a drawn symbol order. Any Latin rectangle extends by a
+    row (Hall), also one that starts with the one symbol its first column
+    lacks, so every row completes. Most loops of order 5 or more are not
+    associative."""
+    n = draw(st.integers(1, max_order))
+    rows = [list(range(n))]
+    for i in range(1, n):
+        row = [i] + [None] * (n - 1)
+        assert _fill_row(rows, row, draw(st.permutations(range(n))))
+        rows.append(row)
+    return rows
+
+
+SWAPPABLE_COVERS = [
+    symmetric_cover(3, 2),
+    symmetric_cover(3, 3),
+    symmetric_cover(4, 3),
+    cover_from_json(oracles.cyclic_document(4)),
+    cover_from_json(oracles.dihedral_document(3)),
+    cover_from_json(oracles.dihedral_document(4)),
+]
+
+
+def swapped_action(cover, data):
+    """cover's action unchanged, with two columns swapped, or with two
+    entries of one column swapped, as drawn."""
+    action = cover.action.copy()
+    npts, ng = action.shape
+    kind = data.draw(st.sampled_from(["none", "columns", "entries"]))
+    if kind == "columns":
+        g, h = data.draw(st.lists(st.integers(0, ng - 1), min_size=2, max_size=2, unique=True))
+        action[:, [g, h]] = action[:, [h, g]]
+    elif kind == "entries":
+        g = data.draw(st.integers(0, ng - 1))
+        x, y = data.draw(st.lists(st.integers(0, npts - 1), min_size=2, max_size=2, unique=True))
+        action[[x, y], g] = action[[y, x], g]
+    return action
+
+
 class TestGroupValidation:
     def labels(self, n):
         return tuple(str(i) for i in range(n))
@@ -210,14 +278,15 @@ class TestGroupValidation:
     @given(st.data())
     @settings(max_examples=150, deadline=None)
     def test_validation_matches_loop_oracle(self, data):
-        # relabeled group tables of Z_n, Klein and S_3, optionally with one
-        # entry overwritten, so accepted and rejected tables both occur
+        # relabeled group tables of Z_n, Klein and S_3, and loops of order
+        # up to 7, optionally with one entry overwritten, so accepted and
+        # rejected tables both occur; associativity is checked on generators
         groups = [
             (np.add.outer(np.arange(n), np.arange(n)) % n).tolist() for n in (1, 2, 3, 4)
         ]
         groups.append([[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]])
         groups.append(symmetric_cover(3, 3).group.cayley.tolist())
-        base = data.draw(st.sampled_from(groups))
+        base = data.draw(st.sampled_from(groups) | loops())
         n = len(base)
         relabel = data.draw(st.permutations(range(n)))
         table = [[0] * n for _ in range(n)]
@@ -235,6 +304,22 @@ class TestGroupValidation:
             group = FiniteGroup(cayley=table, labels=self.labels(n))
             assert group.identity == expected[0]
             assert group._inverse.tolist() == expected[1]
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_cover_validation_matches_the_bruteforce_oracle(self, data):
+        # the group law is checked on generators only; every (x, g, h) here
+        cover = data.draw(st.sampled_from(SWAPPABLE_COVERS))
+        action = swapped_action(cover, data)
+        group, tau, section = cover.group, cover.tau, cover.section
+        args = (action.tolist(), group.cayley.tolist(), group.identity)
+        if oracles.bruteforce_cover_is_valid(*args, tau.tolist(), section.tolist()):
+            FiniteCover(points=cover.points, group=group, action=action, tau=tau, section=section)
+        else:
+            with pytest.raises(DomainError):
+                FiniteCover(
+                    points=cover.points, group=group, action=action, tau=tau, section=section
+                )
 
 
 class TestIrreps:
@@ -921,7 +1006,7 @@ class TestBatchedCensus:
 
     def test_cost_estimate_admits_the_frontier(self):
         # the largest admitted (q, N) for N = 2..6, and the first refused
-        for q, n in [(677, 2), (61, 3), (18, 4), (9, 5), (6, 6)]:
+        for q, n in [(976, 2), (68, 3), (19, 4), (9, 5), (6, 6)]:
             cover_quant.check_census_cost(q, n)
             with pytest.raises(ResourceLimitError, match=f"{n}-particle cover of {q + 1} points"):
                 cover_quant.check_census_cost(q + 1, n)
@@ -933,14 +1018,15 @@ class TestBatchedCensus:
 
     @pytest.mark.parametrize("q,n", [(3, 2), (4, 3), (5, 5), (6, 2), (6, 3), (8, 2), (5, 4)])
     def test_early_refusal_includes_the_census_estimate(self, q, n, monkeypatch):
-        # check_census_cost adds symmetric_cover's tables to _census_bytes, so
-        # at any cap that it admits, the census admits the cover it builds
+        # check_census_cost adds symmetric_cover's arrays to _census_bytes, so
+        # at any cap that it admits, the census admits the cover it builds:
+        # 8 bytes per entry of the (|total|, N) tuples and five |total|
+        # vectors, 25 per entry of the action and the Cayley table
         cover = symmetric_cover(q, n)
+        npts, order = cover.total_size, cover.group.order
         dims = [rep.dimension for rep in irreps_of(cover.group)]
-        census = cover_quant._census_bytes(
-            cover.total_size, cover.base_size, cover.group.order, dims
-        )
-        estimate = census + 325 * cover.total_size + 42 * cover.total_size * cover.group.order
+        census = cover_quant._census_bytes(npts, cover.base_size, order, dims)
+        estimate = census + 8 * npts * (n + 5) + 25 * (npts + order) * order
         monkeypatch.setattr(errors, "BYTES_CAP", estimate)
         cover_quant.check_census_cost(q, n)
         sector_census(cover, seed=0)

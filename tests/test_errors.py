@@ -51,6 +51,24 @@ def test_every_byte_estimate_reads_the_one_cap(phrase, monkeypatch):
         ESTIMATES[phrase]()
 
 
+@pytest.mark.parametrize(
+    "cap,nbytes,sizes",
+    [
+        (2**28, 2**28 + 1, "needs ~256.000001 MiB, cap 256 MiB"),
+        (2**28, 677 * 2**20, "needs ~677 MiB, cap 256 MiB"),
+        (2**19, 2**19 + 1, "needs ~0.500001 MiB, cap 0.5 MiB"),
+        (1000, 10**15, "needs ~9.54e+08 MiB, cap 0.000954 MiB"),
+    ],
+)
+def test_a_refused_estimate_reads_larger_than_the_cap(cap, nbytes, sizes, monkeypatch):
+    # both sizes to 3 significant digits, or to as many more as it takes
+    # for the estimate to read larger; a cap below 1 MiB is not 0
+    monkeypatch.setattr(errors, "BYTES_CAP", cap)
+    with pytest.raises(ResourceLimitError) as refused:
+        errors.check_bytes(nbytes, "x")
+    assert str(refused.value) == f"x {sizes}"
+
+
 # the phrase each refusal names -> a request every work estimate admits at 4e9
 WORK_ESTIMATES = {
     "dense block operations": lambda: tensor_rep._check_sector_cost(2, 12),
