@@ -67,15 +67,17 @@ _EXPORTS = {
         "standard_tableaux",
         "symmetric_group",
     ),
-    "tensor_rep": (
+    "schur_weyl": (
         "SectorReport",
+        "sector_decomposition",
+    ),
+    "tensor_rep": (
         "TensorSpace",
         "antisymmetrizer",
         "central_projector",
         "commutant_basis",
         "commutant_dimension_nullspace",
         "permutation_operator",
-        "sector_decomposition",
         "symmetrizer",
         "young_projector",
     ),

@@ -142,9 +142,9 @@ def _run_tableaux(args) -> tuple[int, bytes]:
 
 def _run_sectors(args) -> tuple[int, bytes]:
     wanted = _parse_partition(args.lam) if args.lam is not None else None
-    from . import linalg, tensor_rep
+    from . import linalg, schur_weyl
 
-    report = tensor_rep.sector_decomposition(args.m, args.N)
+    report = schur_weyl.sector_decomposition(args.m, args.N)
     data = report.to_dict()
     if wanted is not None:
         data["sectors"] = [s for s in data["sectors"] if tuple(s["partition"]) == wanted.parts]

@@ -260,7 +260,8 @@ def unitary_intertwiner(
     """Search for a unitary V with V A_k = B_k V for all k.
 
     Returns (V, residual, evidence); V is None when no unitary
-    intertwiner exists, and evidence states what ruled it out. The random
+    intertwiner exists, and evidence states what ruled it out. Carrier
+    dimensions that differ refute before anything is drawn. The random
     element (_intertwiner_from_random_element) decides when its spectra
     differ or its V has a residual below RESIDUAL_TOL. Otherwise the
     intertwiner space is solved by successive restriction
@@ -271,18 +272,18 @@ def unitary_intertwiner(
     """
     if len(ops1) == 0 or len(ops1) != len(ops2):
         raise DomainError("operator lists must be nonempty and aligned")
+    d1 = ops1[0].shape[0]
+    d2 = ops2[0].shape[0]
+    if d1 != d2:
+        return None, float("inf"), f"carrier dimensions differ ({d1} vs {d2})"
     rng = random.Random(seed)
     found = _intertwiner_from_random_element(ops1, ops2, rng)
     if found is not None and (found[0] is None or found[1] < RESIDUAL_TOL):
         return found
-    d1 = ops1[0].shape[0]
-    d2 = ops2[0].shape[0]
     check_bytes(_fallback_bytes(d1, d2), f"dim {d1} x {d2} intertwiners by successive restriction")
     basis = intertwiner_basis(ops1, ops2)
     if basis.shape[1] == 0:
         return None, float("inf"), "intertwiner space is zero"
-    if d1 != d2:
-        return None, float("inf"), f"carrier dimensions differ ({d1} vs {d2})"
     candidates = [basis[:, k].reshape(d2, d1) for k in range(basis.shape[1])]
     for _ in range(4):
         coeffs = _normals(rng, basis.shape[1]) + 1j * _normals(rng, basis.shape[1])

@@ -12,14 +12,15 @@ No (2m)^N x (2m)^N or m^N x m^N array is formed on the way:
 
 * All four carriers come from one builder (_carrier): the unit columns
   of the sorted spatial words times a few internal vectors, averaged
-  over S_N by N! row scatters of the joint slot action and
-  orthonormalized by one thin SVD. The internal action is the sign for
-  fermions, U_P(pi) for parafermions and the slot permutation of
-  (C^2)^{xN} for bosons, whose internal vectors V span the singlet or
-  doublet slice: with W = 1 x V^T the internal isometry onto that slice,
-  the bosonic carrier range(P_sym W*W) is built without forming W. Each
-  carrier is averaged with its own internal action; none is derived
-  from another, which would make the certificate circular.
+  over S_N by N! moves of the slot axes of the (m, ..., m, k, r) view
+  (the joint slot action) and orthonormalized by one thin SVD. The
+  internal action is the sign for fermions, U_P(pi) for parafermions
+  and the slot permutation of (C^2)^{xN} for bosons, whose internal
+  vectors V span the singlet or doublet slice: with W = 1 x V^T the
+  internal isometry onto that slice, the bosonic carrier
+  range(P_sym W*W) is built without forming W. Each carrier is averaged
+  with its own internal action; none is derived from another, which
+  would make the certificate circular.
 * Internal degrees of freedom are unobservable: every observable acts as
   A x 1 with A an S_N-invariant spatial operator. By Schur-Weyl duality
   the m^2 one-body operators G_ab = sum_i E_ab^(i) generate that algebra
@@ -44,6 +45,9 @@ working images and the intertwiner search.
 Index conventions: the carriers hold their rows spatial-major:
 (q_1 ... q_N, a_1 ... a_N) for the bosons, spatial_flat * 2 + component
 for doublet-valued wave functions; internal indices a_k are 0-based.
+Slot permutations follow tensor_rep's convention (the content of slot i
+moves to slot pi(i)), applied here by axis moves, so this module loads
+none of tensor_rep's dense builders.
 """
 
 from __future__ import annotations
@@ -58,7 +62,6 @@ import numpy as np
 from . import linalg
 from .errors import ConsistencyError, DomainError, check_bytes
 from .permgroup import Permutation, symmetric_group
-from .tensor_rep import FLOAT_BYTES, TensorSpace, _images, _index_maps
 
 #: Orthonormal basis of C^3 splitting the natural S_3 action into the
 #: trivial line (first column) and the two-dimensional irreducible block.
@@ -81,6 +84,8 @@ DOUBLET_VECTORS = np.zeros((8, 2))
 DOUBLET_VECTORS[[0b010, 0b001], 0] = np.array([1.0, -1.0]) / math.sqrt(2)
 DOUBLET_VECTORS[[0b100, 0b010, 0b001], 1] = np.array([-2.0, 1.0, 1.0]) / math.sqrt(6)
 
+FLOAT_BYTES = 8
+
 
 def natural_permutation_matrix(pi: Permutation) -> np.ndarray:
     """Matrix of the natural action e_i -> e_{pi(i)} on C^degree."""
@@ -99,26 +104,32 @@ def parafermion_matrix(pi: Permutation) -> np.ndarray:
     return (b.T @ natural_permutation_matrix(pi) @ b)[1:, 1:]
 
 
+def _slot_destinations(pi: Permutation) -> list[int]:
+    """Axis pi(i) - 1 of each slot axis i: U(pi) moves the content of slot i to slot pi(i)."""
+    return [p - 1 for p in pi.images]
+
+
 def _slot_average(columns: np.ndarray, m: int, n_slots: int, internal) -> np.ndarray:
-    """(1/N!) sum_pi U(pi) x M(pi) applied to the columns, by N! row scatters.
+    """(1/N!) sum_pi U(pi) x M(pi) applied to the columns, by N! axis moves.
 
     Rows of `columns` are ordered (word of (C^m)^{xN}, internal index);
-    U(pi) sends the rows of word i to those of word _index_maps[pi][i], and
-    M(pi) = internal(pi) acts on the internal index. No operator on the
-    row space is formed.
+    viewed as an (m, ..., m, k, r) array, U(pi) moves slot axis i to axis
+    pi(i), and M(pi) = internal(pi) acts on the internal index. No
+    operator on the row space is formed.
     """
-    perms = symmetric_group(n_slots)
     x = columns.reshape(m**n_slots, -1, columns.shape[1])
-    total = np.zeros_like(x)
-    for pi, image in zip(perms, _index_maps(_images(perms), m)):
-        total[image] += internal(pi) @ x
+    view = (m,) * n_slots + x.shape[1:]
+    total = np.zeros(view, dtype=x.dtype)
+    for pi in symmetric_group(n_slots):
+        moved = (internal(pi) @ x).reshape(view)
+        total += np.moveaxis(moved, range(n_slots), _slot_destinations(pi))
     return total.reshape(columns.shape) / math.factorial(n_slots)
 
 
 def _sorted_word_columns(m: int, n_slots: int) -> np.ndarray:
     """Unit columns e_w of (C^m)^{xN} for the sorted words w, in flat order."""
-    digits = TensorSpace(m, n_slots).digits()
-    words = np.flatnonzero(np.all(np.diff(digits, axis=1) >= 0, axis=1))
+    digits = np.indices((m,) * n_slots).reshape(n_slots, -1)  # slot 1 most significant
+    words = np.flatnonzero(np.all(np.diff(digits, axis=0) >= 0, axis=0))
     columns = np.zeros((m**n_slots, len(words)))
     columns[words, np.arange(len(words))] = 1.0
     return columns
@@ -144,10 +155,9 @@ def _carrier(m: int, n_slots: int, vectors: np.ndarray, internal) -> np.ndarray:
 
 def _internal_slot_permutation(pi: Permutation) -> np.ndarray:
     """0/1 matrix of the slot permutation pi on the internal (C^2)^{xN}."""
-    image = _index_maps(_images([pi]), 2)[0]
-    action = np.zeros((len(image), len(image)))
-    action[image, np.arange(len(image))] = 1.0
-    return action
+    n = pi.degree
+    columns = np.eye(2**n).reshape((2,) * n + (2**n,))
+    return np.moveaxis(columns, range(n), _slot_destinations(pi)).reshape(2**n, 2**n)
 
 
 def parafermion_constraint_space(m: int) -> np.ndarray:

@@ -31,7 +31,10 @@ generators formed as dense Kronecker sums and the algebra they generate
 closed under products by dense ranks. The cover census on all
 K = |base|^2 |G| entry orbits (orbit_census, with orbit_restrictions),
 which restricted, leak-checked and transported every orbit before the
-closed form, is kept as the census's oracle.
+closed form, is kept as the census's oracle. The equiv carriers' slot
+average by one row scatter per permutation through
+tensor_rep._index_maps (index_map_slot_average), before it moved the
+slot axes, is kept as its oracle.
 Likewise the circle's first certificates: the dense n x n momentum
 operators (twisted_momentum), eigenvalues matched to plane waves by
 eigenvector overlap after a dense eigh of them, and the gauge identity
@@ -681,6 +684,23 @@ def parafermion_constraint_residuals(psi, m: int) -> dict[str, float]:
         for comp in range(2):
             out[f"{name} component {comp + 1}"] = linalg.max_abs(lhs[:, comp] - rhs[:, comp])
     return out
+
+
+def index_map_slot_average(columns: np.ndarray, m: int, n_slots: int, internal) -> np.ndarray:
+    """(1/N!) sum_pi U(pi) x M(pi) on the columns, by N! row scatters.
+
+    Rows are ordered (word of (C^m)^{xN}, internal index); U(pi) sends
+    the rows of word i to those of word tensor_rep._index_maps[pi][i].
+    """
+    from sectorkit.permgroup import symmetric_group
+    from sectorkit.tensor_rep import _images, _index_maps
+
+    perms = symmetric_group(n_slots)
+    x = columns.reshape(m**n_slots, -1, columns.shape[1])
+    total = np.zeros_like(x)
+    for pi, image in zip(perms, _index_maps(_images(perms), m)):
+        total[image] += internal(pi) @ x
+    return total.reshape(columns.shape) / math.factorial(n_slots)
 
 
 def dense_orthonormal_range(a: np.ndarray) -> np.ndarray:

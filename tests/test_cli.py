@@ -397,13 +397,13 @@ class TestFailureExitCodes:
         assert data["certificate"]["equivalent"] is False
 
     def test_consistency_error_exits_4(self, monkeypatch, capsys):
-        from sectorkit import tensor_rep
+        from sectorkit import schur_weyl
         from sectorkit.errors import ConsistencyError
 
         def broken(m, n):
             raise ConsistencyError("rank bookkeeping went wrong")
 
-        monkeypatch.setattr(tensor_rep, "sector_decomposition", broken)
+        monkeypatch.setattr(schur_weyl, "sector_decomposition", broken)
         assert main(["sectors", "--m", "2", "--N", "2"]) == 4
         assert json.loads(capsys.readouterr().err)["kind"] == "consistency"
 
@@ -689,7 +689,7 @@ class TestImports:
         assert out[0] == "0"
         loaded = set(out[1:])
         assert "sectorkit.cli" in loaded
-        for heavy in ("tensor_rep", "cover_quant", "parastat_equiv", "circle_theta"):
+        for heavy in ("tensor_rep", "schur_weyl", "cover_quant", "parastat_equiv", "circle_theta"):
             assert f"sectorkit.{heavy}" not in loaded
 
     def test_cover_run_does_not_load_numpy_random(self):
@@ -728,10 +728,13 @@ class TestImports:
             (["cover", "--q-size", "4", "--N", "3"], "numpy.ma"),
             # only tableaux and --lambda parsing use the symmetric group
             (["circle", "--theta", "1", "--grid", "128"], "sectorkit.permgroup"),
+            # the dense reference builders: equiv moves slot axes, sectors runs schur_weyl
+            (["equiv", "--m", "3", "--N", "3"], "sectorkit.tensor_rep"),
+            (["sectors", "--m", "3", "--N", "4"], "sectorkit.tensor_rep"),
         ],
         ids=[
             "equiv-numpy.random", "circle-numpy.random", "sectors-numpy.ma", "cover-numpy.ma",
-            "circle-permgroup",
+            "circle-permgroup", "equiv-tensor_rep", "sectors-tensor_rep",
         ],
     )
     def test_run_does_not_load(self, argv, module):
@@ -775,7 +778,7 @@ class TestImports:
         # before a handler imports its numeric module
         src = str(Path(sectorkit.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
-        numeric = ("numpy", "sectorkit.linalg", "sectorkit.tensor_rep",
+        numeric = ("numpy", "sectorkit.linalg", "sectorkit.tensor_rep", "sectorkit.schur_weyl",
                    "sectorkit.parastat_equiv", "sectorkit.cover_quant", "sectorkit.circle_theta")
         script = (
             "import sys\n"

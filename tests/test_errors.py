@@ -9,7 +9,9 @@ import contextlib
 import numpy as np
 import pytest
 
-from sectorkit import circle_theta, cover_quant, errors, linalg, parastat_equiv, tensor_rep
+from sectorkit import (
+    circle_theta, cover_quant, errors, linalg, parastat_equiv, schur_weyl, tensor_rep,
+)
 from sectorkit.cover_quant import FiniteGroup, sector_census, symmetric_cover
 from sectorkit.errors import ResourceLimitError
 
@@ -31,7 +33,7 @@ def cyclic_group(order):
 ESTIMATES = {
     "enumerating": lambda: tensor_rep._check_group_cost(2, 8),
     "commutant basis": lambda: tensor_rep._check_commutant_cost(4, 3),
-    "sector decomposition": lambda: tensor_rep._check_sector_cost(2, 12),
+    "sector decomposition": lambda: schur_weyl._check_sector_cost(2, 12),
     "restricted to two carriers": lambda: parastat_equiv._check_equiv_cost(8, 2),
     "successive restriction": lambda: linalg.unitary_intertwiner([np.eye(10)], [np.eye(10)]),
     "regular representation": lambda: cover_quant._regular_irreps(cyclic_group(64), 0),
@@ -71,7 +73,7 @@ def test_a_refused_estimate_reads_larger_than_the_cap(cap, nbytes, sizes, monkey
 
 # the phrase each refusal names -> a request every work estimate admits at 4e9
 WORK_ESTIMATES = {
-    "dense block operations": lambda: tensor_rep._check_sector_cost(2, 12),
+    "dense block operations": lambda: schur_weyl._check_sector_cost(2, 12),
     "gauge check": lambda: circle_theta.check_gauge_cost(4096),
 }
 

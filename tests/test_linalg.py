@@ -436,6 +436,16 @@ class TestRandomElementIntertwiner:
         assert detail.startswith("spectra of a random algebra element differ by ")
         assert float(detail.split()[-1]) > linalg.EIGEN_CLUSTER_TOL
 
+    def test_unequal_dimensions_are_refuted_before_any_search(self, monkeypatch):
+        # the fallback's byte estimate at 60 x 100 (~5.5 GiB) is never reached
+        refuse_fallback(monkeypatch)
+        monkeypatch.setattr(
+            linalg, "_intertwiner_from_random_element", lambda *args: pytest.fail("searched")
+        )
+        v, residual, detail = linalg.unitary_intertwiner([np.eye(60)], [np.eye(100)])
+        assert v is None and residual == float("inf")
+        assert detail == "carrier dimensions differ (60 vs 100)"
+
     def test_degenerate_spectrum_falls_back(self, monkeypatch):
         # two copies of one irreducible: every Hermitian element of the
         # algebra has doubly degenerate eigenvalues

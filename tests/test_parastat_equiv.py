@@ -274,6 +274,32 @@ class TestOneBodyGenerators:
         assert linalg.intertwining_residual(v, orbit1.operators, orbit2.operators) <= 1e-12
 
 
+SLOT_AVERAGE_CASES = [
+    (m, n, action)
+    for m, n in [(2, 2), (3, 2), (2, 3), (3, 3)]
+    for action in ("sign", "internal slots", "parafermion")
+    if action != "parafermion" or n == 3  # U_P is a representation of S_3 only
+]
+
+
+def internal_action(action, n):
+    """(k, M): the internal dimension and action of the fermions, the bosons or the parafermions."""
+    if action == "sign":
+        return 1, lambda pi: np.array([[pi.sign()]])
+    if action == "internal slots":
+        return 2**n, parastat_equiv._internal_slot_permutation
+    return 2, parafermion_matrix
+
+
+@pytest.mark.parametrize("m,n,action", SLOT_AVERAGE_CASES)
+def test_axis_moves_equal_the_index_map_scatter(m, n, action):
+    # moving slot axis i to pi(i) is the row scatter e_i -> U(pi) e_i, bit for bit
+    k, internal = internal_action(action, n)
+    columns = np.random.default_rng(10 * m + n).standard_normal((m**n * k, 5))
+    expected = oracles.index_map_slot_average(columns, m, n, internal)
+    assert np.array_equal(parastat_equiv._slot_average(columns, m, n, internal), expected)
+
+
 class TestAgainstDensePath:
     """Carriers and restricted operators against the dense path they replaced.
 
@@ -530,6 +556,21 @@ class TestGeneralEquivalence:
         assert not cert.equivalent
         assert cert.carrier_dims == (3, 1)
         assert cert.intertwiner is None
+
+    def test_unequal_carriers_refuted_without_solving(self, monkeypatch):
+        # the 3- and 1-dim carriers cannot be unitarily equivalent: no
+        # random element and no intertwiner space is needed to say so
+        ops = commutant_basis(2, 2)
+        bosons = sector_realization_from_projector("bosons", symmetrizer(2, 2), ops)
+        fermions = sector_realization_from_projector("fermions", antisymmetrizer(2, 2), ops)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("searched for an intertwiner between unequal carriers")
+
+        monkeypatch.setattr(linalg, "_intertwiner_from_random_element", refuse)
+        monkeypatch.setattr(linalg, "intertwiner_basis", refuse)
+        cert = general_equivalence(bosons, fermions)
+        assert not cert.equivalent and cert.detail == "carrier dimensions differ (3 vs 1)"
 
     def test_parastatistics_copies_equivalent(self):
         # the two same-shape Young projector images carry equivalent actions

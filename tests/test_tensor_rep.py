@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from sectorkit import linalg, tensor_rep
+from sectorkit import linalg, permgroup, schur_weyl, tensor_rep
 from sectorkit.errors import ConsistencyError, DomainError, ResourceLimitError
 from sectorkit.permgroup import (
     Partition,
@@ -27,10 +27,10 @@ from sectorkit.tensor_rep import (
     commutant_basis,
     commutant_dimension_nullspace,
     permutation_operator,
-    sector_decomposition,
     symmetrizer,
     young_projector,
 )
+from sectorkit.schur_weyl import sector_decomposition
 
 import oracles
 
@@ -525,7 +525,7 @@ class TestGroupCostEstimate:
 def split_weight_blocks(m, n):
     """(shapes with <= m rows, [WeightBlock per sorted weight]) as the decomposition builds them."""
     shapes = list(iter_partitions(n, m))
-    return shapes, list(tensor_rep._weight_blocks(m, shapes))
+    return shapes, list(schur_weyl._weight_blocks(m, shapes))
 
 
 def compositions(m, n):
@@ -584,8 +584,12 @@ class TestWeightBlocks:
             raise AssertionError("the weight-block path enumerated S_N or built an irrep")
 
         names = ("symmetric_group", "_operator_sum", "irrep", "character", "_central_projectors")
+        # schur_weyl holds none of them by name; patch them where they are defined
+        assert not any(hasattr(schur_weyl, name) for name in names)
         for name in names:
             monkeypatch.setattr(tensor_rep, name, refuse)
+        for name in ("symmetric_group", "irrep", "character"):
+            monkeypatch.setattr(permgroup, name, refuse)
         report = sector_decomposition(m, n)
         assert sum(s.rank for s in report.sectors) == m**n
 
@@ -603,7 +607,7 @@ class TestWeightBlocks:
     def test_content_characters_are_class_sum_eigenvalues(self, n):
         # omega_lambda(C) = |C| chi_lambda(C) / d_lambda, by Murnaghan-Nakayama
         shapes = [s.parts for s in enumerate_partitions(n)]
-        omega, _ = tensor_rep._separating_combination(shapes)
+        omega, _ = schur_weyl._separating_combination(shapes)
         for shape, (w2, w3) in zip(shapes, omega):
             d = oracles.mn_character(shape, (1,) * n)
             chi2 = oracles.mn_character(shape, (2,) + (1,) * (n - 2))
@@ -613,27 +617,27 @@ class TestWeightBlocks:
 
     def test_contents_separate_up_to_14_and_collide_at_15(self):
         for n in range(1, 15):
-            tensor_rep._separating_combination([s.parts for s in enumerate_partitions(n)])
+            schur_weyl._separating_combination([s.parts for s in enumerate_partitions(n)])
         for m, n in [(5, 15), (4, 16)]:
             with pytest.raises(ConsistencyError, match="do not separate"):
-                tensor_rep._separating_combination(list(iter_partitions(n, m)))
+                schur_weyl._separating_combination(list(iter_partitions(n, m)))
 
     def test_stray_eigenvalue_raises(self):
         predicted = np.array([0.0, 2.0, 5.0])
-        landed = tensor_rep._assign_sectors(np.array([5.0, 0.0, 2.0]), predicted, (1,))
+        landed = schur_weyl._assign_sectors(np.array([5.0, 0.0, 2.0]), predicted, (1,))
         assert list(landed) == [2, 0, 1]
         with pytest.raises(ConsistencyError, match="eigenvalue"):
-            tensor_rep._assign_sectors(np.array([0.0, 2.0 + 1e-3]), predicted, (1,))
+            schur_weyl._assign_sectors(np.array([0.0, 2.0 + 1e-3]), predicted, (1,))
 
     def test_wrong_prediction_raises_from_the_eigenvalues(self, monkeypatch):
         # omega_3 without its -C(N, 2): no eigenvalue lands on a prediction
-        separate = tensor_rep._separating_combination
+        separate = schur_weyl._separating_combination
 
         def shifted(shapes):
             omega, scale = separate(shapes)
             return omega + [0, math.comb(sum(shapes[0]), 2)], scale
 
-        monkeypatch.setattr(tensor_rep, "_separating_combination", shifted)
+        monkeypatch.setattr(schur_weyl, "_separating_combination", shifted)
         with pytest.raises(ConsistencyError, match="eigenvalue"):
             sector_decomposition(3, 4)
 
@@ -644,11 +648,11 @@ class TestWeightBlocks:
             expected = sorted(set(itertools.permutations(
                 [letter for letter, count in enumerate(weight) for _ in range(count)]
             )))
-            assert [tuple(w) for w in tensor_rep._weight_words(weight)] == expected
+            assert [tuple(w) for w in schur_weyl._weight_words(weight)] == expected
             same_type = [
                 a for a in weights if tuple(sorted((c for c in a if c), reverse=True)) == weight
             ]
-            assert tensor_rep._weight_count(weight, m) == len(same_type)
+            assert schur_weyl._weight_count(weight, m) == len(same_type)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_cycle_images_are_the_classes(self, n):
@@ -656,7 +660,7 @@ class TestWeightBlocks:
         for length in (2, 3):
             cycle_type = (length,) + (1,) * (n - length)
             expected = sorted(p for p in group if oracles.inverse_cycle_type(p) == cycle_type)
-            assert sorted(map(tuple, tensor_rep._cycle_images(n, length))) == expected
+            assert sorted(map(tuple, schur_weyl._cycle_images(n, length))) == expected
 
 
 class TestSectorCostEstimate:
@@ -669,19 +673,19 @@ class TestSectorCostEstimate:
         def build(*args):
             raise AssertionError("a weight block was built past the estimate")
 
-        monkeypatch.setattr(tensor_rep, "_weight_block", build)
+        monkeypatch.setattr(schur_weyl, "_weight_block", build)
         with pytest.raises(ResourceLimitError, match=f"sector decomposition.*{reason}"):
             sector_decomposition(m, n)
 
     def test_admits_the_frontier(self):
         for m, n in [(2, 10), (3, 8), (4, 7), (10, 6), (2, 12), (1, 35), (10**50, 3)]:
-            tensor_rep._check_sector_cost(m, n)
+            schur_weyl._check_sector_cost(m, n)
 
     def test_record_count_matches_enumeration(self):
         for n in range(1, 25):
-            assert tensor_rep._partition_count(n, 10**6) == len(enumerate_partitions(n))
-        assert tensor_rep._partition_count(35, 2**14) == 14883
-        assert tensor_rep._partition_count(10**5, 2**14) == 2**14 + 1
+            assert schur_weyl._partition_count(n, 10**6) == len(enumerate_partitions(n))
+        assert schur_weyl._partition_count(35, 2**14) == 14883
+        assert schur_weyl._partition_count(10**5, 2**14) == 2**14 + 1
 
     def test_huge_m_counts_exactly(self):
         m = 10**12
