@@ -28,10 +28,11 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 
-import numpy as np
-
-from . import linalg
+# sectorkit modules before numpy (README Conventions); linalg loads numpy
 from .errors import ConsistencyError, DomainError, check_bytes, check_work
+from . import linalg
+
+import numpy as np
 
 TWO_PI = 2.0 * math.pi
 MIN_GRID = 8

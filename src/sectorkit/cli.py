@@ -142,7 +142,9 @@ def _run_tableaux(args) -> tuple[int, bytes]:
 
 def _run_sectors(args) -> tuple[int, bytes]:
     wanted = _parse_partition(args.lam) if args.lam is not None else None
-    from . import linalg, schur_weyl
+    # schur_weyl before linalg, which loads numpy (README Conventions)
+    from . import schur_weyl
+    from . import linalg
 
     report = schur_weyl.sector_decomposition(args.m, args.N)
     data = report.to_dict()

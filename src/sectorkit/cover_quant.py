@@ -25,11 +25,12 @@ import random
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
-import numpy as np
-
-from . import linalg
+# sectorkit modules before numpy (README Conventions); linalg loads numpy
 from .errors import ConsistencyError, DomainError, check_bytes
 from .permgroup import Permutation, enumerate_partitions, hook_dimension, irrep, symmetric_group
+from . import linalg
+
+import numpy as np
 
 
 @dataclass(frozen=True, eq=False)

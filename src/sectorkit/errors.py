@@ -33,16 +33,26 @@ class ConsistencyError(RuntimeError):
     """An internal counting or residual identity failed; indicates a bug."""
 
 
+def _digits(need: float, cap: float) -> int:
+    """Significant digits, 3 at least, at which `need` reads larger than `cap`."""
+    digits = 3
+    while digits < 17 and f"{need:.{digits}g}" == f"{cap:.{digits}g}":
+        digits += 1
+    return digits
+
+
 def check_bytes(nbytes: int, what: str) -> None:
     """Refuse `what`, estimated at nbytes, with ResourceLimitError over BYTES_CAP."""
     if nbytes > BYTES_CAP:
-        need, cap, digits = nbytes / 2**20, BYTES_CAP / 2**20, 3
-        while digits < 17 and f"{need:.{digits}g}" == f"{cap:.{digits}g}":
-            digits += 1
+        need, cap = nbytes / 2**20, BYTES_CAP / 2**20
+        digits = _digits(need, cap)
         raise ResourceLimitError(f"{what} needs ~{need:.{digits}g} MiB, cap {cap:.{digits}g} MiB")
 
 
 def check_work(work: float, what: str) -> None:
     """Refuse `what`, estimated at `work` operations, with ResourceLimitError over WORK_CAP."""
     if work > WORK_CAP:
-        raise ResourceLimitError(f"{what} needs ~{work:.3g} operations, cap {WORK_CAP:.3g}")
+        digits = _digits(work, WORK_CAP)
+        raise ResourceLimitError(
+            f"{what} needs ~{work:.{digits}g} operations, cap {WORK_CAP:.{digits}g}"
+        )

@@ -28,9 +28,10 @@ from __future__ import annotations
 
 import random
 
-import numpy as np
-
+# sectorkit modules before numpy (README Conventions)
 from .errors import DomainError, check_bytes
+
+import numpy as np
 
 RANK_TOL = 1e-8
 RESIDUAL_TOL = 1e-10

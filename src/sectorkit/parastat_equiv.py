@@ -57,11 +57,12 @@ import math
 from dataclasses import dataclass
 from typing import Iterable
 
-import numpy as np
-
-from . import linalg
+# sectorkit modules before numpy (README Conventions); linalg loads numpy
 from .errors import ConsistencyError, DomainError, check_bytes
 from .permgroup import Permutation, symmetric_group
+from . import linalg
+
+import numpy as np
 
 #: Orthonormal basis of C^3 splitting the natural S_3 action into the
 #: trivial line (first column) and the two-dimensional irreducible block.

@@ -28,11 +28,12 @@ import itertools
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from . import linalg
+# sectorkit modules before numpy (README Conventions); linalg loads numpy
 from .errors import ConsistencyError, DomainError, ResourceLimitError, check_bytes, check_work
 from .permgroup import enumerate_partitions, hook_dimension, iter_partitions
+from . import linalg
+
+import numpy as np
 
 # The sector decomposition's estimate. A report holds one record per
 # partition of N: (1, 35) has 14,883, (1, 36) 17,977 and is refused.

@@ -23,9 +23,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from . import linalg
+# sectorkit modules before numpy (README Conventions); schur_weyl loads numpy
 from .errors import DomainError, ResourceLimitError, check_bytes
 from .permgroup import (
     Partition,
@@ -41,6 +39,9 @@ from .permgroup import (
 # sector_decomposition and its report types are re-exported for the acceptance
 # tests and perfbench's TRACED list, which still name them here
 from .schur_weyl import SectorRecord, SectorReport, _scatter_sum, sector_decomposition
+from . import linalg
+
+import numpy as np
 
 # Cap on the tensor-space dimension m**N: a dense operator then holds at
 # most ~1e6 complex entries.

@@ -753,6 +753,36 @@ class TestImports:
         assert out == ["0", "False"]
 
     @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sectors", "--m", "2", "--N", "2"],
+            ["equiv", "--m", "2", "--N", "2"],
+            ["cover", "--q-size", "3", "--N", "2"],
+            ["circle", "--theta", "0", "--grid", "128"],
+        ],
+        ids=["sectors", "equiv", "cover", "circle"],
+    )
+    def test_sectorkit_modules_import_before_numpy(self, argv):
+        # without cached bytecode a module's short-lived compile data lands on
+        # top of numpy's heap if it is imported later (README Conventions)
+        src = str(Path(sectorkit.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        script = (
+            "import sys\n"
+            "names = []\n"
+            "sys.addaudithook(lambda event, args: names.append(args[0]) if event == 'import' else None)\n"
+            "from sectorkit import cli\n"
+            "code = cli.main(sys.argv[2:] + ['--out', sys.argv[1]])\n"
+            "first = next(i for i, n in enumerate(names) if n.split('.')[0] == 'numpy')\n"
+            "print(code, *(n for n in names[first:] if n.startswith('sectorkit')))\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", script, os.devnull, *argv],
+            env=env, capture_output=True, text=True, check=True, timeout=60,
+        ).stdout.split()
+        assert out == ["0"]
+
+    @pytest.mark.parametrize(
         "argv,code",
         [
             (["tableaux", "--N", "6"], 0),

@@ -71,6 +71,21 @@ def test_a_refused_estimate_reads_larger_than_the_cap(cap, nbytes, sizes, monkey
     assert str(refused.value) == f"x {sizes}"
 
 
+@pytest.mark.parametrize(
+    "work,sizes",
+    [
+        (4.001e9, "needs ~4.001e+09 operations, cap 4e+09"),
+        (4 * 10**9 + 1, "needs ~4000000001 operations, cap 4000000000"),
+        (7.6e9, "needs ~7.6e+09 operations, cap 4e+09"),
+    ],
+)
+def test_a_refused_operation_count_reads_larger_than_the_cap(work, sizes):
+    # the same digits rule as the byte refusals, against WORK_CAP = 4e9
+    with pytest.raises(ResourceLimitError) as refused:
+        errors.check_work(work, "x")
+    assert str(refused.value) == f"x {sizes}"
+
+
 # the phrase each refusal names -> a request every work estimate admits at 4e9
 WORK_ESTIMATES = {
     "dense block operations": lambda: schur_weyl._check_sector_cost(2, 12),
