@@ -67,9 +67,10 @@ class FiniteGroup:
         if not np.all(two_sided.any(axis=1)):
             raise DomainError("group element without inverse")
         object.__setattr__(self, "_inverse", two_sided.argmax(axis=1).astype(np.int64))
+        object.__setattr__(self, "_generators", _generating_set(cayley, e))
         # (g_i g_j) g_k == g_i (g_j g_k) for k over generators: the k it holds
         # for are closed under products (Light's test; Clifford and Preston, 1.2)
-        for k in _generators(self):
+        for k in self._generators:
             if not np.array_equal(cayley[cayley, k], cayley[:, cayley[:, k]]):
                 raise DomainError("multiplication is not associative")
 
@@ -86,21 +87,20 @@ class FiniteGroup:
 class FiniteCover:
     """Free action of a finite group on a finite set, with quotient data.
 
-    action[x, g] is the image of point x under group element g; tau maps
-    points to orbit indices; section picks one representative point per
-    orbit.
+    action[x, g] is the image of point x under group element g; section picks
+    one point per orbit, in any order, which gives each point x = section(tau(x)) . h(x)
+    its base point tau(x) and its deck element h(x) (deck_element).
     """
 
     points: tuple | np.ndarray
     group: FiniteGroup
     action: np.ndarray
-    tau: np.ndarray
     section: np.ndarray
 
     def __post_init__(self):
-        for name in ("action", "tau", "section"):
+        for name in ("action", "section"):
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=np.int64))
-        action, tau, section = self.action, self.tau, self.section
+        action, section = self.action, self.section
         npts, ng = action.shape
         if len(self.points) != npts or ng != self.group.order:
             raise DomainError("action table shape mismatch")
@@ -114,16 +114,18 @@ class FiniteCover:
             raise DomainError(f"action is not free: element {self.group.labels[g]}")
         # (x.g).h == x.(g h) for every x, g and h over generators: by
         # associativity the h it holds for are closed under products
-        for h in _generators(self.group):
+        for h in self.group._generators:
             if not np.array_equal(action[action, h], action[:, self.group.cayley[:, h]]):
                 raise DomainError("action is incompatible with the group law")
-        nbase = int(tau.max()) + 1 if npts else 0
-        if npts != nbase * ng:
-            raise DomainError("|total| must equal |base| * |group|")
-        if not np.array_equal(tau[section], np.arange(nbase)):
+        # the section picks one point per orbit exactly when it holds |total| / |G|
+        # points and scattering q |G| + h to section(q) . h reaches every point
+        index = np.full(npts, -1, dtype=np.int64)
+        index[action[section].ravel()] = np.arange(section.size * ng)
+        if section.shape != (npts // ng,) or np.any(index < 0):
             raise DomainError("section must pick one point per orbit")
-        if np.any(tau[action] != tau[:, None]):
-            raise DomainError("tau is not constant on orbits")
+        tau, deck = np.divmod(index, ng)
+        object.__setattr__(self, "tau", tau)
+        object.__setattr__(self, "_deck", deck)
 
     @property
     def total_size(self) -> int:
@@ -135,9 +137,7 @@ class FiniteCover:
 
     def deck_element(self) -> np.ndarray:
         """h_of[x]: the unique h with section(tau(x)) . h = x."""
-        h_of = np.full(self.total_size, -1, dtype=np.int64)
-        h_of[self.action[self.section]] = np.arange(self.group.order)
-        return h_of
+        return self._deck
 
 
 def cover_from_action(
@@ -179,15 +179,10 @@ def cover_from_action(
     group = FiniteGroup(cayley=cayley, labels=tuple(labels), perms=perms)
 
     action = images.T  # action[x, g]
-    # orbits labeled in the order of their smallest points, which represent them
-    smallest = action.min(axis=1)
-    orbit_reps = np.flatnonzero(smallest == np.arange(npts))
-    tau = np.searchsorted(orbit_reps, smallest)
     if section is None:
-        section = orbit_reps
-    return FiniteCover(
-        points=points, group=group, action=action, tau=tau, section=np.asarray(section)
-    )
+        # each orbit represented by its smallest point, in increasing order
+        section = np.flatnonzero(action.min(axis=1) == np.arange(npts))
+    return FiniteCover(points=points, group=group, action=action, section=section)
 
 
 def symmetric_cover(q: int, n_particles: int) -> FiniteCover:
@@ -249,8 +244,9 @@ def cover_from_json(data) -> FiniteCover:
     The document is an object with `points`, a non-empty list of distinct
     strings, and `group`, a non-empty list of words, each a list of ints;
     optional `group_labels` hold one string per word and `section` a list
-    of point indices. Anything else raises DomainError, as does a table
-    that is not a free group action (see cover_from_action).
+    of point indices, one per orbit in any order. Anything else raises
+    DomainError, as does a table that is not a free group action (see
+    cover_from_action).
     """
     data = _load_json(data)
     if not isinstance(data, dict):
@@ -281,50 +277,52 @@ def cover_from_json(data) -> FiniteCover:
         tuple(points),
         group,
         group_labels=tuple(labels) if labels is not None else None,
-        section=np.asarray(section, dtype=np.int64) if section is not None else None,
+        section=section,
     )
 
 
 @dataclass(frozen=True, eq=False)
 class GroupRep:
-    """Unitary representation of a FiniteGroup, matrices per element."""
+    """Unitary representation of a FiniteGroup: matrices[g] is U(g), a (|G|, d, d) stack."""
 
     group: FiniteGroup
-    matrices: tuple[np.ndarray, ...]
+    matrices: np.ndarray
     label: str
 
     def __post_init__(self):
-        mats = tuple(np.asarray(mat, dtype=complex) for mat in self.matrices)
+        mats = np.asarray(self.matrices, dtype=complex)  # ragged: numpy's ValueError
         object.__setattr__(self, "matrices", mats)
-        if len(mats) != self.group.order:
-            raise DomainError("one matrix per group element required")
-        d = mats[0].shape[0]
-        if any(mat.shape != (d, d) for mat in mats):
-            raise DomainError("matrices must share one square shape")
-        stack = np.array(mats)
-        defects = np.abs(stack @ stack.conj().swapaxes(1, 2) - np.eye(d))
+        n = self.group.order
+        if mats.ndim != 3 or len(mats) != n or not 0 < mats.shape[1] == mats.shape[2]:
+            raise DomainError("need one square matrix per group element, all of one shape")
+        d = mats.shape[1]
+        defects = np.abs(mats @ mats.conj().swapaxes(1, 2) - np.eye(d))
         bad = np.flatnonzero(defects.max(axis=(1, 2), initial=0.0) > linalg.GROUP_LAW_TOL)
         if bad.size:
             raise DomainError(f"matrix {bad[0]} is not unitary")
-        for i in range(len(mats)):
-            # mats[i] @ mats[j] against mats[g_i g_j], all j at once
-            prods = mats[i] @ stack
-            if linalg.max_abs(prods - stack[self.group.cayley[i]]) > linalg.GROUP_LAW_TOL:
+        # U(g_i) U(g_j) against U(g_i g_j) for every pair, in chunks of rows i
+        # of at most linalg.CHUNK_BYTES and |G|**2 entries (a |G| x |G| array)
+        rows = max(1, min(linalg.CHUNK_BYTES // 16, n * n) // (n * d * d))
+        for i in range(0, n, rows):
+            defect = mats[i : i + rows, None] @ mats
+            defect -= mats[self.group.cayley[i : i + rows]]
+            if linalg.max_abs(defect) > linalg.GROUP_LAW_TOL:
                 raise DomainError("matrices do not respect the group law")
 
     @property
     def dimension(self) -> int:
-        return self.matrices[0].shape[0]
+        return self.matrices.shape[1]
 
     def inverse_matrices(self) -> np.ndarray:
         """U(g^-1) for every element g, stacked as (|G|, d, d)."""
-        return np.array(self.matrices)[self.group._inverse]
+        return self.matrices[self.group._inverse]
 
 
 def _regular_bytes(n: int) -> int:
     """Peak bytes of _regular_irreps at order n: four complex n x n arrays (H, its
     eigenvectors, eigh's work), two int n x n index tables, and one candidate's
-    three (n, n, d) complex gathers at d = isqrt(n), the most an irreducible has."""
+    three (n, n, d) complex gathers at d = isqrt(n), the most an irreducible has;
+    GroupRep's group-law chunks of at most n**2 entries reuse the gathers' share."""
     return 16 * n * n * (5 + 3 * math.isqrt(n))
 
 
@@ -388,7 +386,7 @@ def _regular_irreps(group: FiniteGroup, seed: int) -> list[GroupRep]:
         distinct.sort(key=lambda item: (item[1].shape[1], np.round(item[0].real, 6).tolist()))
         try:
             return [
-                GroupRep(group=group, matrices=tuple(mats), label=f"chi{i}")
+                GroupRep(group=group, matrices=mats, label=f"chi{i}")
                 for i, (_, mats) in enumerate(distinct)
             ]
         except DomainError:
@@ -411,7 +409,7 @@ def irreps_of(group: FiniteGroup, seed: int = 0) -> list[GroupRep]:
             out.append(
                 GroupRep(
                     group=group,
-                    matrices=tuple(rep.matrix(pi) for pi in group.perms),
+                    matrices=np.array([rep.matrix(pi) for pi in group.perms]),
                     label=str(shape.parts),
                 )
             )
@@ -589,25 +587,27 @@ class SectorCensusReport:
 def _census_bytes(npts: int, nbase: int, ng: int, dims: list[int]) -> int:
     """Peak bytes of sector_census on |total| = npts, |base| = nbase, |G| = ng.
 
-    Three (|total|, |G|) int64 tables for the deck identity; then, one
-    sector at a time at d = max d_chi, two |total| d**2 complex arrays of
-    fiber blocks and six (k, |G|, d, d) gathers, products and residuals
-    of the k <= |base| + log2 |G| generating orbits.
+    One sector at a time at d = max d_chi: two |total| d**2 complex arrays
+    of fiber blocks and six (k, |G|, d, d) gathers, products and residuals
+    of the k <= |base| + log2 |G| generating orbits. The deck elements are
+    the cover's own, so nothing of the action's size is formed.
     """
     k = nbase + ng.bit_length() - 1
     dmax = max(dims)
-    return 3 * 8 * npts * ng + 16 * dmax * dmax * (2 * npts + 6 * k * ng)
+    return 16 * dmax * dmax * (2 * npts + 6 * k * ng)
 
 
 def check_census_cost(q: int, n_particles: int) -> None:
     """Refuse the census of symmetric_cover(q, N), the cover included, from (q, N) alone.
 
-    The build takes 8 bytes per entry of the (|total|, N) tuples and five
-    |total| vectors, and 25 per entry of the (|total|, |G|) action and the
-    Cayley table (each with two int64 gathers and a boolean comparison
-    while its law is checked), added to _census_bytes. |total| = q!/(q -
-    N)! is multiplied factor by factor and the tuples and vectors checked
-    after each, so nothing of the cover's size is formed before a refusal.
+    The build takes 8 bytes per entry of the (|total|, N) tuples and six
+    |total| vectors (cover_from_action's lookup and section with FiniteCover's
+    scattered orbits, values and index, or that index with its tau and h),
+    and 25 per entry of the (|total|, |G|) action and the Cayley table (each
+    with two int64 gathers and a boolean comparison while its law is
+    checked), added to _census_bytes. |total| = q!/(q - N)! is multiplied
+    factor by factor and the tuples and vectors checked after each, so
+    nothing of the cover's size is formed before a refusal.
     (q, N) outside symmetric_cover's domain are left to its DomainError.
     """
     n = n_particles
@@ -617,10 +617,10 @@ def check_census_cost(q: int, n_particles: int) -> None:
     total = 1
     for k in range(q, q - n, -1):
         total *= k
-        check_bytes(8 * total * (n + 5), what)
+        check_bytes(8 * total * (n + 6), what)
     order = math.factorial(n)
     dims = [hook_dimension(shape) for shape in enumerate_partitions(n)]
-    tables = 8 * total * (n + 5) + 25 * (total + order) * order
+    tables = 8 * total * (n + 6) + 25 * (total + order) * order
     check_bytes(tables + _census_bytes(total, total // order, order, dims), what)
 
 
@@ -652,15 +652,15 @@ def _sector_dimensions(reps: list[GroupRep]) -> tuple[list[int], dict, float]:
     return commutant, pairwise, margin
 
 
-def _generators(group: FiniteGroup) -> list[int]:
-    """A generating set of the group, grown greedily from its Cayley table.
+def _generating_set(cayley: np.ndarray, identity: int) -> np.ndarray:
+    """A generating set of a group, grown greedily from its Cayley table.
 
     Each generator is the first element outside the subgroup generated so
     far, which it at least doubles (Lagrange), so there are at most
     log2 |G| of them. In a finite group the generated subgroup is the
     closure under products, reached by squaring the member set.
     """
-    inside = np.arange(group.order) == group.identity
+    inside = np.arange(len(cayley)) == identity
     gens: list[int] = []
     while not inside.all():
         gens.append(int(np.argmin(inside)))
@@ -669,8 +669,8 @@ def _generators(group: FiniteGroup) -> list[int]:
         while size < np.count_nonzero(inside):
             size = np.count_nonzero(inside)
             members = np.flatnonzero(inside)
-            inside[group.cayley[np.ix_(members, members)]] = True
-    return gens
+            inside[cayley[np.ix_(members, members)]] = True
+    return np.array(gens, dtype=np.int64)
 
 
 def sector_census(cover: FiniteCover, seed: int = 0) -> SectorCensusReport:
@@ -684,18 +684,19 @@ def sector_census(cover: FiniteCover, seed: int = 0) -> SectorCensusReport:
 
     The orbit of a point pair (a, b) restricts to one d x d block at
     (tau(a), tau(b)), R = |G|**-1/2 sum_g W_{a.g}^* W_{b.g} over the fiber
-    blocks W_x = |G|**-1/2 U(h(x)^-1). As h(x.g) = h(x) g on a right
-    action, R = |G|**-1/2 U(h(a) h(b)^-1): for a on the section, the
-    section action's block (the realization unitary is the identity).
-    So the census checks h(x.g) = h(x) g on the action table, takes the
+    blocks W_x = |G|**-1/2 U(h(x)^-1). FiniteCover checked the group law
+    of the free action and that the section's orbits partition the points,
+    so x = sigma(tau(x)).h(x) gives h(x.g) = h(x) g, and R = |G|**-1/2
+    U(h(a) h(b)^-1): for a on the section, the section action's block (the
+    realization unitary is the identity). So the census takes the
     dimensions from the characters (_sector_dimensions), and restricts,
     with the leakage check, a generating set of the kernels M_|base| x
     C[G]: the orbits of (sigma(q0), sigma(q)) for every q and of (sigma(q0),
     sigma(q0).g) for the generators g. Their largest distance from
     |G|**-1/2 U(h(b)^-1) is intertwining_residual_max; both realizations
     are *-homomorphisms, so agreement on generators is agreement on every
-    kernel; the column points cover every fiber. _census_bytes is refused
-    over errors.BYTES_CAP first.
+    kernel; the column points cover every fiber, so a wrong h(x) leaks.
+    _census_bytes is refused over errors.BYTES_CAP first.
     """
     reps = irreps_of(cover.group, seed=seed)
     npts, nbase, ng = cover.total_size, cover.base_size, cover.group.order
@@ -703,14 +704,10 @@ def sector_census(cover: FiniteCover, seed: int = 0) -> SectorCensusReport:
         _census_bytes(npts, nbase, ng, [rep.dimension for rep in reps]),
         f"cover census of {npts} points over {nbase} base points (deck group of order {ng})",
     )
-    h = cover.deck_element()
-    bad = np.flatnonzero(np.any(h[cover.action] != cover.group.cayley[h], axis=1))
-    if bad.size:
-        raise ConsistencyError(f"deck elements break h(x.g) = h(x) g at point {int(bad[0])}")
     commutant, pairwise, margin = _sector_dimensions(reps)
 
     start = cover.action[cover.section[0]]
-    ends = np.concatenate((cover.section, start[_generators(cover.group)]))
+    ends = np.concatenate((cover.section, start[cover.group._generators]))
     cols = cover.action[ends]
     root = math.sqrt(ng)
     residual = 0.0
@@ -721,7 +718,7 @@ def sector_census(cover: FiniteCover, seed: int = 0) -> SectorCensusReport:
         leakage = linalg.max_abs(right / root - left @ restricted[:, None])
         if leakage > linalg.RESIDUAL_TOL:
             raise ConsistencyError(f"constrained subspace leaks: {leakage:.2e}")
-        expected = rep.inverse_matrices()[h[ends]] / root
+        expected = rep.inverse_matrices()[cover.deck_element()[ends]] / root
         residual = max(residual, linalg.max_abs(restricted - expected))
         del fibers, left, right
     records = [

@@ -357,12 +357,12 @@ def dict_symmetric_cover(q: int, n: int) -> tuple[list[tuple[int, ...]], np.ndar
     return tuples, np.array(action, dtype=np.int64)
 
 
-def bruteforce_cover_is_valid(action, cayley, identity: int, tau, section) -> bool:
-    """Whether a table is a free right action with quotient data, by loops.
+def bruteforce_cover_is_valid(action, cayley, identity: int, section) -> bool:
+    """Whether a table is a free right action with a section, by loops.
 
     The identity fixes every point and no other element fixes any; (x.g).h
-    = x.(g h) is tried for every (x, g, h); |total| = |base| |G|, the
-    section picks orbit 0, 1, ... in order, and tau is constant on orbits.
+    = x.(g h) is tried for every (x, g, h); the section picks one point per
+    orbit, the orbits in any order, so its orbits list every point once.
     """
     npts, ng = len(action), len(cayley)
     for x, g in itertools.product(range(npts), range(ng)):
@@ -371,12 +371,8 @@ def bruteforce_cover_is_valid(action, cayley, identity: int, tau, section) -> bo
     for x, g, h in itertools.product(range(npts), range(ng), range(ng)):
         if action[action[x][g]][h] != action[x][cayley[g][h]]:
             return False
-    nbase = max(tau) + 1
-    return (
-        npts == nbase * ng
-        and [tau[s] for s in section] == list(range(nbase))
-        and all(tau[action[x][g]] == tau[x] for x in range(npts) for g in range(ng))
-    )
+    reached = [action[s][g] for s in section for g in range(ng)]
+    return sorted(reached) == list(range(npts))
 
 
 def dict_composition_cayley(images: np.ndarray) -> np.ndarray | None:

@@ -200,11 +200,11 @@ class TestCover:
         capsys.readouterr()
 
     def test_census_cost_exits_before_allocating(self, capsys):
-        # 314,364 points: the first N = 3 cover the estimate refuses
+        # 373,176 points: the first N = 3 cover the estimate refuses
         tracemalloc.start()
         start = time.perf_counter()
         try:
-            code = main(["cover", "--q-size", "69", "--N", "3"])
+            code = main(["cover", "--q-size", "73", "--N", "3"])
             elapsed = time.perf_counter() - start
             _, peak = tracemalloc.get_traced_memory()
         finally:
@@ -218,7 +218,7 @@ class TestCover:
 
     @pytest.mark.parametrize(
         "q,n,code",
-        [(1000, 2, 3), (12, 12, 3), (10**9, 1, 3), (1000, 2000, 2), (4, 0, 2)],
+        [(2000, 2, 3), (12, 12, 3), (10**9, 1, 3), (1000, 2000, 2), (4, 0, 2)],
     )
     def test_q_size_and_n_refused_before_enumerating(self, q, n, code, capsys, monkeypatch):
         # q!/(q - N)! tuples would be listed before the census estimate runs;
@@ -275,7 +275,7 @@ class TestCover:
         assert data["passed"] is True
 
     def test_census_cost_applies_to_cover_json(self, tmp_path, capsys, monkeypatch):
-        # (100, 2) under a 1 MiB budget: the census estimate (~1.7 MiB) refuses
+        # (100, 2) under a 1 MiB budget: the census estimate (~1.2 MiB) refuses
         # it, the regular split of Z_2 (512 bytes) does not
         spec_file = tmp_path / "cover.json"
         spec_file.write_text(json.dumps(oracles.cover_to_json(symmetric_cover(100, 2))))
@@ -321,7 +321,7 @@ class TestCover:
             _, status, usage = os.wait4(child.pid, 0)
             return os.waitstatus_to_exitcode(status), usage.ru_maxrss * 1024  # KiB on Linux
 
-        floor_code, floor = peak_rss(1000, 2)
+        floor_code, floor = peak_rss(2000, 2)
         code, peak = peak_rss(300, 2)
         assert (floor_code, code) == (3, 0)
         assert peak - floor < estimates[-1]

@@ -122,14 +122,24 @@ class TestCoverConstruction:
         assert np.array_equal(cover.section, smallest) == default_section
         assert np.array_equal(cover.deck_element(), oracles.looped_deck_element(cover))
 
-    def test_tau_not_constant_on_orbits_rejected(self, cover32):
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_orbit_labels_and_deck_elements_follow_a_permuted_section(self, data):
+        # any representative per orbit, the orbits in any order: base point k
+        # is the orbit of section[k], whatever the scan's label of that orbit
         from dataclasses import replace
 
-        tau = cover32.tau.copy()
-        moved = next(x for x in range(cover32.total_size) if x not in cover32.section)
-        tau[moved] = (tau[moved] + 1) % cover32.base_size
-        with pytest.raises(DomainError, match="not constant on orbits"):
-            replace(cover32, tau=tau)
+        cover = data.draw(st.sampled_from(SWAPPABLE_COVERS))
+        order = data.draw(st.permutations(range(cover.base_size)))
+        size = cover.base_size
+        picks = data.draw(
+            st.lists(st.integers(0, cover.group.order - 1), min_size=size, max_size=size)
+        )
+        permuted = replace(cover, section=cover.action[cover.section[order], picks])
+        tau, _ = oracles.looped_orbit_labels(cover.action)
+        relabel = np.argsort(tau[permuted.section])
+        assert np.array_equal(permuted.tau, relabel[tau])
+        assert np.array_equal(permuted.deck_element(), oracles.looped_deck_element(permuted))
 
     def test_invalid_section_rejected(self, cover32):
         from dataclasses import replace
@@ -271,9 +281,7 @@ class TestGroupValidation:
         group = FiniteGroup(cayley=klein, labels=self.labels(4))
         action = np.array([[(x + g) % 4 for g in range(4)] for x in range(4)])
         with pytest.raises(DomainError, match="incompatible with the group law"):
-            FiniteCover(
-                points=tuple(range(4)), group=group, action=action, tau=np.zeros(4), section=[0]
-            )
+            FiniteCover(points=tuple(range(4)), group=group, action=action, section=[0])
 
     @given(st.data())
     @settings(max_examples=150, deadline=None)
@@ -311,15 +319,13 @@ class TestGroupValidation:
         # the group law is checked on generators only; every (x, g, h) here
         cover = data.draw(st.sampled_from(SWAPPABLE_COVERS))
         action = swapped_action(cover, data)
-        group, tau, section = cover.group, cover.tau, cover.section
-        args = (action.tolist(), group.cayley.tolist(), group.identity)
-        if oracles.bruteforce_cover_is_valid(*args, tau.tolist(), section.tolist()):
-            FiniteCover(points=cover.points, group=group, action=action, tau=tau, section=section)
+        group, section = cover.group, cover.section
+        args = (action.tolist(), group.cayley.tolist(), group.identity, section.tolist())
+        if oracles.bruteforce_cover_is_valid(*args):
+            FiniteCover(points=cover.points, group=group, action=action, section=section)
         else:
             with pytest.raises(DomainError):
-                FiniteCover(
-                    points=cover.points, group=group, action=action, tau=tau, section=section
-                )
+                FiniteCover(points=cover.points, group=group, action=action, section=section)
 
 
 class TestIrreps:
@@ -442,6 +448,23 @@ class TestIrreps:
         mats[-1] = 1j * mats[-1]
         with pytest.raises(DomainError, match="group law"):
             GroupRep(group=cover43.group, matrices=tuple(mats), label="bad")
+
+    def test_group_rep_checks_the_law_past_the_first_chunk(self, monkeypatch):
+        # r^a s^b -> i^a is a character of Z_4 x Z_2, not of D_4; with r^a s^b at
+        # index a + 4 b, both groups multiply alike from the left by r^a, so
+        # with four rows per chunk only the second chunk breaks D_4's law
+        dihedral = cover_from_json(oracles.dihedral_document(4)).group
+        b, a = np.divmod(np.arange(8), 4)
+        abelian = FiniteGroup(
+            cayley=(a[:, None] + a) % 4 + 4 * ((b[:, None] + b) % 2), labels=dihedral.labels
+        )
+        chars = (1j ** a).reshape(8, 1, 1)
+        monkeypatch.setattr(linalg, "CHUNK_BYTES", 4 * 16 * 8)
+        GroupRep(group=abelian, matrices=chars, label="chi")
+        first = chars[:4, None] @ chars - chars[dihedral.cayley[:4]]
+        assert linalg.max_abs(first) == 0.0
+        with pytest.raises(DomainError, match="group law"):
+            GroupRep(group=dihedral, matrices=chars, label="chi")
 
 
 class TestConstrainedSpace:
@@ -949,20 +972,23 @@ class TestBatchedCensus:
             assert np.allclose(mat.ravel()[members], 1.0 / math.sqrt(cover43.group.order))
         assert len(kernel_orbit_basis(cover43)) == len(scanned) == npts * cover43.base_size
 
-    @pytest.mark.parametrize("point", [0, 5, 23])
+    @pytest.mark.parametrize("point", range(24))
     def test_broken_deck_identity_raises(self, cover43, point, monkeypatch):
-        # h(x.g) = h(x) g is what the closed form rests on: one point moved to
-        # another element of its fiber breaks it
+        # h(x.g) = h(x) g is what the closed form rests on: the point moved to
+        # any other element of its fiber breaks it, and the census's own
+        # leakage check sees that
         exact = FiniteCover.deck_element
+        group = cover43.group
+        for g in set(range(group.order)) - {group.identity}:
 
-        def broken(cover):
-            h_of = exact(cover).copy()
-            h_of[point] = cover.group.cayley[h_of[point], 1]
-            return h_of
+            def broken(cover):
+                h_of = exact(cover).copy()
+                h_of[point] = cover.group.cayley[h_of[point], g]
+                return h_of
 
-        monkeypatch.setattr(FiniteCover, "deck_element", broken)
-        with pytest.raises(ConsistencyError, match=rf"h\(x.g\) = h\(x\) g at point"):
-            sector_census(cover43, seed=0)
+            monkeypatch.setattr(FiniteCover, "deck_element", broken)
+            with pytest.raises(ConsistencyError, match="constrained subspace leaks"):
+                sector_census(cover43, seed=0)
 
     @pytest.mark.parametrize("point", [0, 7, 23])
     def test_corrupted_fiber_block_leaks(self, cover43, point, monkeypatch):
@@ -1006,7 +1032,7 @@ class TestBatchedCensus:
 
     def test_cost_estimate_admits_the_frontier(self):
         # the largest admitted (q, N) for N = 2..6, and the first refused
-        for q, n in [(976, 2), (68, 3), (19, 4), (9, 5), (6, 6)]:
+        for q, n in [(1053, 2), (72, 3), (21, 4), (10, 5), (6, 6)]:
             cover_quant.check_census_cost(q, n)
             with pytest.raises(ResourceLimitError, match=f"{n}-particle cover of {q + 1} points"):
                 cover_quant.check_census_cost(q + 1, n)
@@ -1020,13 +1046,13 @@ class TestBatchedCensus:
     def test_early_refusal_includes_the_census_estimate(self, q, n, monkeypatch):
         # check_census_cost adds symmetric_cover's arrays to _census_bytes, so
         # at any cap that it admits, the census admits the cover it builds:
-        # 8 bytes per entry of the (|total|, N) tuples and five |total|
+        # 8 bytes per entry of the (|total|, N) tuples and six |total|
         # vectors, 25 per entry of the action and the Cayley table
         cover = symmetric_cover(q, n)
         npts, order = cover.total_size, cover.group.order
         dims = [rep.dimension for rep in irreps_of(cover.group)]
         census = cover_quant._census_bytes(npts, cover.base_size, order, dims)
-        estimate = census + 8 * npts * (n + 5) + 25 * (npts + order) * order
+        estimate = census + 8 * npts * (n + 6) + 25 * (npts + order) * order
         monkeypatch.setattr(errors, "BYTES_CAP", estimate)
         cover_quant.check_census_cost(q, n)
         sector_census(cover, seed=0)
@@ -1038,7 +1064,7 @@ class TestBatchedCensus:
             sector_census(cover, seed=0)
 
     def test_cost_estimate_refuses_before_the_census_tables(self, monkeypatch):
-        # a 512 KiB budget refuses (12, 3) (~0.83 MiB) before h(x) is read,
+        # a 512 KiB budget refuses (12, 3) (~0.65 MiB) before h(x) is read,
         # with Young's forms and with the regular split alike
         def refuse(cover):
             raise AssertionError("deck elements read")
@@ -1092,7 +1118,7 @@ class TestClosedForm:
     )
     def test_generators_are_few_and_generate(self, group):
         group = group()
-        gens = cover_quant._generators(group)
+        gens = group._generators
         assert 1 <= len(gens) <= math.log2(group.order)
         # closure under right multiplication by the generators, in a Python set
         reached = {group.identity}
@@ -1116,6 +1142,17 @@ class TestJsonInterface:
         report = sector_census(from_path, seed=0)
         assert report.kernel_space_dim == 18
         assert report.passed
+
+    def test_section_in_any_orbit_order(self):
+        # a section lists one point per orbit in any order: reversed, the
+        # census report is the default section's
+        data = oracles.cover_to_json(symmetric_cover(4, 3))
+        default = cover_from_json(data)
+        data["section"] = data["section"][::-1]
+        reversed_cover = cover_from_json(data)
+        assert np.array_equal(reversed_cover.section, default.section[::-1])
+        report = sector_census(reversed_cover, seed=0).to_dict()
+        assert report == sector_census(default, seed=0).to_dict()
 
     def test_section_preserved(self, cover32):
         shifted = randomize_section(cover32, seed=9)
