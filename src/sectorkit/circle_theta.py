@@ -15,7 +15,7 @@ conventions).
 The certificates neither form nor diagonalize an n x n operator. The
 twisted plane wave exp(i (theta + 2 pi k) x)/sqrt(n) is an exact
 eigenvector of both discretizations. Each operator is applied to it
-matrix-free (_apply: the stencil as two shifted copies with the
+matrix-free (_apply: the stencil as a difference of shifted slices with the
 exp(+-i theta) wrap, the spectral operator by FFT), and its Rayleigh
 quotient is certified by the residual, which bounds the distance to the
 spectrum of a Hermitian operator (Parlett, The Symmetric Eigenvalue
@@ -48,8 +48,13 @@ MIN_FD_ORDER = 1.9
 COMPLEX_BYTES = 16
 # A matrix-free pass holds at most PASS_VECTORS length-n vectors (grid,
 # phases, mode numbers, roots of unity, multipliers, the two spectra and the
-# gauge diagonal) and PASS_CHUNKS arrays of one chunk of plane waves (the
-# waves, their images, products, FFT output and gather indices).
+# gauge diagonal) and PASS_CHUNKS arrays of one chunk of plane waves. The
+# operators work in place, so the gauge pass, the largest, holds four: the
+# waves, their two images and one work array for the Rayleigh products and
+# residuals, with the gather indices or |columns| (half a chunk each) in
+# passing. The other chunks bound what resident memory adds on top of the
+# arrays: FFT buffers, the allocator's kept blocks and code pages (a Tier-1
+# test checks peak RSS against the estimate).
 PASS_VECTORS = 12
 PASS_CHUNKS = 10
 
@@ -125,25 +130,37 @@ def _plane_waves(theta: float, modes: np.ndarray, n: int) -> np.ndarray:
     """
     j = np.arange(n)
     roots = np.exp(2j * math.pi * j / n) / math.sqrt(n)
-    return np.exp(1j * theta * grid(n)) * roots[np.multiply.outer(modes, j) % n]
+    index = np.multiply.outer(modes, j)
+    waves = roots[np.remainder(index, n, out=index)]
+    return np.multiply(np.exp(1j * theta * grid(n)), waves, out=waves)
 
 
 def _apply_spectral(theta: float, vectors: np.ndarray) -> np.ndarray:
-    """The spectral operator applied to each row, by FFT."""
+    """The spectral operator applied to each row, by FFT, in one new array."""
     n = vectors.shape[-1]
     twist = np.exp(1j * theta * grid(n))
     mu = theta + TWO_PI * _mode_numbers(n)  # in numpy's FFT frequency order
-    return twist * np.fft.ifft(mu * np.fft.fft(twist.conj() * vectors))
+    # each phase stays the left operand: numpy's complex multiply is not
+    # bitwise commutative, and the reports are pinned to the last bit
+    out = np.multiply(twist.conj(), vectors)
+    np.fft.fft(out, out=out)
+    np.multiply(mu, out, out=out)
+    np.fft.ifft(out, out=out)
+    return np.multiply(twist, out, out=out)
 
 
 def _apply_fd(theta: float, vectors: np.ndarray) -> np.ndarray:
-    """The central-difference stencil applied to each row, in O(n) per row."""
+    """The central-difference stencil applied to each row, in O(n) per row and one new array.
+
+    Row j is -i n/2 (psi(x_j + 1/n) - psi(x_j - 1/n)), wrapping as
+    psi(1) = e^{i theta} psi(0) at both ends.
+    """
     n = vectors.shape[-1]
-    ahead = np.roll(vectors, -1, axis=-1)  # psi(x + 1/n), wrapping as psi(1) = e^{i theta} psi(0)
-    ahead[..., -1] *= np.exp(1j * theta)
-    behind = np.roll(vectors, 1, axis=-1)
-    behind[..., 0] *= np.exp(-1j * theta)
-    return (-0.5j * n) * (ahead - behind)
+    out = np.empty_like(vectors, dtype=complex)
+    np.subtract(vectors[..., 2:], vectors[..., :-2], out=out[..., 1:-1])
+    np.subtract(vectors[..., 1], vectors[..., -1] * np.exp(-1j * theta), out=out[..., 0])
+    np.subtract(vectors[..., 0] * np.exp(1j * theta), vectors[..., -2], out=out[..., -1])
+    return np.multiply(-0.5j * n, out, out=out)
 
 
 def _apply(theta: float, vectors: np.ndarray, method: str) -> np.ndarray:
@@ -156,18 +173,26 @@ def _apply(theta: float, vectors: np.ndarray, method: str) -> np.ndarray:
 
 
 def _certified_eigenvalues(
-    theta: float, waves: np.ndarray, method: str
+    theta: float, waves: np.ndarray, method: str, work: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Images H v, Rayleigh quotients v* H v and residuals of the unit rows v of `waves`.
 
     For Hermitian H some eigenvalue lies within ||H v - (v* H v) v|| of
     v* H v. A residual past SPECTRAL_ERROR_TOL raises ConsistencyError:
-    v is then no eigenvector and its quotient certifies nothing.
+    v is then no eigenvector and its quotient certifies nothing. `work`,
+    a complex array of the shape of `waves`, holds the Rayleigh products
+    and then the residual vectors; the images are the one new array.
     """
     images = _apply(theta, waves, method)
+    np.conjugate(waves, out=work)
     # np.sum sums pairwise: a sequential dot product loses ~sqrt(n) |lambda| ulp
-    values = np.sum(waves.conj() * images, axis=-1).real
-    residuals = np.linalg.norm(images - values[:, None] * waves, axis=-1)
+    values = np.sum(np.multiply(work, images, out=work), axis=-1).real
+    np.subtract(images, np.multiply(values[:, None], waves, out=work), out=work)
+    # numpy's norm along a row, sqrt(add.reduce((x.conj() * x).real)), one row
+    # at a time so that x.conj() is a row and not a second chunk
+    residuals = np.array(
+        [math.sqrt(np.add.reduce(np.multiply(r.conj(), r, out=r).real)) for r in work]
+    )
     worst = float(residuals.max())
     if not worst <= SPECTRAL_ERROR_TOL:
         raise ConsistencyError(
@@ -204,11 +229,13 @@ def spectrum_rows(theta, n: int, k_max: int, method: str = "spectral") -> list[d
     refs = reference_eigenvalues(angle, k_max)
     _check_cost(n, 2 * len(refs), f"{len(refs)} plane-wave eigenvalues on a {n}-point grid")
     step = _chunk_rows(n)
+    work = np.empty((min(step, len(refs)), n), dtype=complex)
     rows = []
     for start in range(0, len(refs), step):
         chunk = refs[start : start + step]
         waves = _plane_waves(angle, np.array([k for k, _ in chunk]), n)
-        _, values, residuals = _certified_eigenvalues(angle, waves, method)
+        values, residuals = _certified_eigenvalues(angle, waves, method, work[: len(chunk)])[1:]
+        del waves  # free this chunk before the next is built
         rows += [
             {
                 "k": k,
@@ -245,28 +272,40 @@ def _spectral_gauge(theta: float, n: int) -> GaugeReport:
     eigenvector of T_0) and v_m = G* w_m (one of T_theta), both operators
     are applied and both eigenvalues certified; W* (G T_theta v_m - T_0 w_m)
     is column m of the difference in the plane-wave basis, by one more
-    FFT. Chunks of _chunk_rows(n) waves keep every array at n x chunk.
+    FFT. Chunks of _chunk_rows(n) waves keep every array at n x chunk, and
+    each chunk is worked in place in four such arrays (PASS_CHUNKS).
     """
     modes = _mode_numbers(n)
     twist = np.exp(1j * theta * grid(n))
+    untwist = twist.conj()
     twisted_values = np.empty(n)
     periodic_values = np.empty(n)
     diagonal = np.empty(n, dtype=complex)
     off_diagonal = 0.0
     step = _chunk_rows(n)
+    work = np.empty((min(step, n), n), dtype=complex)
     for start in range(0, n, step):
         block = modes[start : start + step]
         stop = start + len(block)
+        scratch = work[: len(block)]
         waves = _plane_waves(0.0, block, n)
-        twisted, twisted_values[start:stop], _ = _certified_eigenvalues(
-            theta, twist * waves, "spectral"
+        periodic, periodic_values[start:stop], _ = _certified_eigenvalues(
+            0.0, waves, "spectral", scratch
         )
-        periodic, periodic_values[start:stop], _ = _certified_eigenvalues(0.0, waves, "spectral")
-        columns = np.fft.fft(twist.conj() * twisted - periodic) / math.sqrt(n)
+        np.multiply(twist, waves, out=waves)  # v_m = G* w_m
+        columns, twisted_values[start:stop], _ = _certified_eigenvalues(
+            theta, waves, "spectral", scratch
+        )
+        # W* (G T_theta v_m - T_0 w_m), W* being the FFT over sqrt(n), in place of T_theta v_m
+        np.multiply(untwist, columns, out=columns)
+        np.subtract(columns, periodic, out=columns)
+        np.fft.fft(columns, out=columns)
+        np.divide(columns, math.sqrt(n), out=columns)
         rows, own = np.arange(len(block)), block % n  # FFT index of mode m
         diagonal[start:stop] = columns[rows, own]
         columns[rows, own] = 0.0
         off_diagonal = max(off_diagonal, linalg.max_abs(columns))
+        del waves, periodic, columns  # free this chunk before the next is built
     constant = float(np.mean(diagonal).real)
     residual = max(off_diagonal, linalg.max_abs(diagonal - constant))
     agreement = linalg.max_abs(twisted_values - periodic_values - constant)

@@ -38,7 +38,9 @@ slot axes, is kept as its oracle.
 Likewise the circle's first certificates: the dense n x n momentum
 operators (twisted_momentum), eigenvalues matched to plane waves by
 eigenvector overlap after a dense eigh of them, and the gauge identity
-as a dense n x n residual with eigvalsh spectra.
+as a dense n x n residual with eigvalsh spectra. Their matrix-free
+successors as first written, one new array per operation, are kept too
+(out_of_place_*): the in-place passes must match them bitwise.
 """
 
 import itertools
@@ -909,4 +911,66 @@ def dense_gauge_report(theta: float, n: int) -> dict:
         "residual": float(np.abs(diff - constant * np.eye(n)).max()),
         "measured_constant": constant,
         "eigenvalue_agreement": float(np.abs(eig_twist - eig_per).max()),
+    }
+
+
+def out_of_place_plane_waves(theta: float, modes: np.ndarray, n: int) -> np.ndarray:
+    """Rows exp(i (theta + 2 pi m) x)/sqrt(n), phase times an indexed n-th root of unity."""
+    j = np.arange(n)
+    roots = np.exp(2j * math.pi * j / n) / math.sqrt(n)
+    return np.exp(1j * theta * (j / n)) * roots[np.multiply.outer(modes, j) % n]
+
+
+def out_of_place_apply(theta: float, vectors: np.ndarray, method: str) -> np.ndarray:
+    """-i d/dx on each row: by FFT ("spectral") or by two rolled copies ("fd")."""
+    n = vectors.shape[-1]
+    if method == "spectral":
+        twist = np.exp(1j * theta * (np.arange(n) / n))
+        mu = theta + 2.0 * math.pi * (((np.arange(n) + n // 2) % n) - n // 2)
+        return twist * np.fft.ifft(mu * np.fft.fft(twist.conj() * vectors))
+    if method == "fd":
+        ahead = np.roll(vectors, -1, axis=-1)
+        ahead[..., -1] *= np.exp(1j * theta)
+        behind = np.roll(vectors, 1, axis=-1)
+        behind[..., 0] *= np.exp(-1j * theta)
+        return (-0.5j * n) * (ahead - behind)
+    raise ValueError(f"unknown discretization {method!r}")
+
+
+def out_of_place_certified_eigenvalues(theta: float, waves: np.ndarray, method: str):
+    """Images, Rayleigh quotients and np.linalg.norm residuals of the rows of `waves`."""
+    images = out_of_place_apply(theta, waves, method)
+    values = np.sum(waves.conj() * images, axis=-1).real
+    residuals = np.linalg.norm(images - values[:, None] * waves, axis=-1)
+    return images, values, residuals
+
+
+def out_of_place_gauge_report(theta: float, n: int) -> dict:
+    """The chunked spectral gauge check, each chunk's column step as one expression."""
+    modes = ((np.arange(n) + n // 2) % n) - n // 2
+    twist = np.exp(1j * theta * (np.arange(n) / n))
+    twisted_values, periodic_values = np.empty(n), np.empty(n)
+    diagonal = np.empty(n, dtype=complex)
+    off_diagonal = 0.0
+    step = max(1, 2**20 // (16 * n))
+    for start in range(0, n, step):
+        block = modes[start : start + step]
+        stop = start + len(block)
+        waves = out_of_place_plane_waves(0.0, block, n)
+        twisted, twisted_values[start:stop], _ = out_of_place_certified_eigenvalues(
+            theta, twist * waves, "spectral"
+        )
+        periodic, periodic_values[start:stop], _ = out_of_place_certified_eigenvalues(
+            0.0, waves, "spectral"
+        )
+        columns = np.fft.fft(twist.conj() * twisted - periodic) / math.sqrt(n)
+        rows, own = np.arange(len(block)), block % n
+        diagonal[start:stop] = columns[rows, own]
+        columns[rows, own] = 0.0
+        off_diagonal = max(off_diagonal, float(np.max(np.abs(columns))))
+    constant = float(np.mean(diagonal).real)
+    return {
+        "residual": max(off_diagonal, float(np.max(np.abs(diagonal - constant)))),
+        "measured_constant": constant,
+        "eigenvalue_agreement": float(np.max(np.abs(twisted_values - periodic_values - constant))),
     }

@@ -268,6 +268,38 @@ class TestMatrixFree:
             dense = oracles.twisted_momentum(theta, n, method)
             assert linalg.max_abs(applied - dense.T) < 1e-12 * n
 
+    @pytest.mark.parametrize("theta", THETAS)
+    @pytest.mark.parametrize("n", [8, 17, 128, 2048])
+    def test_in_place_passes_match_the_out_of_place_expressions_bitwise(self, theta, n):
+        # numpy's complex multiply is not bitwise commutative: t * a and a * t
+        # can differ in the last bit of the imaginary part. The in-place passes
+        # keep the left operand of every product, and array_equal, not a
+        # tolerance, holds them to it.
+        # At 2048 points the spectrum and the gauge pass span several chunks.
+        theta = ThetaSector(theta).theta
+        modes = circle_theta._mode_numbers(n)[:: max(1, n // 64)]
+        waves = circle_theta._plane_waves(theta, modes, n)
+        assert np.array_equal(waves, oracles.out_of_place_plane_waves(theta, modes, n))
+        k_max = min((n // 2 - 1) // 2, 40)
+        for method in ("spectral", "fd"):
+            applied = circle_theta._apply(theta, waves, method)
+            assert np.array_equal(applied, oracles.out_of_place_apply(theta, waves, method))
+            certified = circle_theta._certified_eigenvalues(
+                theta, waves, method, np.empty_like(waves)
+            )
+            expected = oracles.out_of_place_certified_eigenvalues(theta, waves, method)
+            assert all(np.array_equal(a, b) for a, b in zip(certified, expected))
+            window = np.arange(-k_max, k_max + 1)
+            _, values, residuals = oracles.out_of_place_certified_eigenvalues(
+                theta, oracles.out_of_place_plane_waves(theta, window, n), method
+            )
+            rows = spectrum_rows(theta, n, k_max, method)
+            assert [row["eigenvalue"] for row in rows] == values.tolist()
+            assert [row["residual"] for row in rows] == residuals.tolist()
+        report = gauge_equivalence_check(theta, n)
+        expected = oracles.out_of_place_gauge_report(theta, n)
+        assert {key: getattr(report, key) for key in expected} == expected
+
     def test_wrong_wrap_phase_fails_the_residual_check(self, monkeypatch):
         wrong_wrap_phase(monkeypatch)
         with pytest.raises(ConsistencyError, match="residual"):

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 import oracles
 import sectorkit
-from sectorkit import cover_quant, errors, linalg
+from sectorkit import circle_theta, cover_quant, errors, linalg
 from sectorkit.cli import _round_floats, main
 from sectorkit.cover_quant import symmetric_cover
 
@@ -29,6 +29,26 @@ def run_to_file(tmp_path, name, argv):
     out = tmp_path / name
     code = main(argv + ["--out", str(out)])
     return code, out.read_bytes()
+
+
+# Linux starts a child's ru_maxrss at its parent's high-water mark, so a
+# child of this test process would report at least the test process's own
+# peak. A small launcher runs the command and reports its child's usage.
+RSS_LAUNCHER = (
+    "import os, subprocess, sys; child = subprocess.Popen(sys.argv[1:], stderr=subprocess.DEVNULL); "
+    "_, status, usage = os.wait4(child.pid, 0); print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)"
+)
+
+
+def child_peak_rss(argv):
+    """Exit code and peak RSS in bytes of `python -m sectorkit argv`, run by RSS_LAUNCHER."""
+    command = [sys.executable, "-m", "sectorkit", *argv, "--out", os.devnull]
+    done = subprocess.run(
+        [sys.executable, "-c", RSS_LAUNCHER, *command],
+        env=process_env(), capture_output=True, text=True, check=True,
+    )
+    code, kib = map(int, done.stdout.split())
+    return code, kib * 1024  # ru_maxrss is in KiB on Linux
 
 
 class TestTableaux:
@@ -310,19 +330,8 @@ class TestCover:
         estimates = []
         monkeypatch.setattr(cover_quant, "check_bytes", lambda nbytes, _: estimates.append(nbytes))
         cover_quant.check_census_cost(300, 2)
-        src = str(Path(sectorkit.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
-
-        def peak_rss(q, n):
-            argv = ["cover", "--q-size", str(q), "--N", str(n), "--out", os.devnull]
-            child = subprocess.Popen(
-                [sys.executable, "-m", "sectorkit", *argv], env=env, stderr=subprocess.DEVNULL
-            )
-            _, status, usage = os.wait4(child.pid, 0)
-            return os.waitstatus_to_exitcode(status), usage.ru_maxrss * 1024  # KiB on Linux
-
-        floor_code, floor = peak_rss(2000, 2)
-        code, peak = peak_rss(300, 2)
+        floor_code, floor = child_peak_rss(["cover", "--q-size", "2000", "--N", "2"])
+        code, peak = child_peak_rss(["cover", "--q-size", "300", "--N", "2"])
         assert (floor_code, code) == (3, 0)
         assert peak - floor < estimates[-1]
 
@@ -355,6 +364,24 @@ class TestCircle:
     def test_small_grid_rejected(self, capsys):
         assert main(["circle", "--theta", "0", "--grid", "4"]) == 2
         capsys.readouterr()
+
+    def test_estimate_bounds_the_peak_rss(self, monkeypatch):
+        # peak RSS of 2048 and 4096 points above the floor of an exit-3 circle
+        # run (7863 points, the first refused grid), against the byte estimate
+        # check_gauge_cost refuses on: 16 n (PASS_VECTORS + PASS_CHUNKS rows)
+        estimates = []
+        monkeypatch.setattr(circle_theta, "check_bytes", lambda nbytes, _: estimates.append(nbytes))
+        floor_code, floor = child_peak_rss(["circle", "--theta", "1", "--grid", "7863"])
+        assert floor_code == 3
+        for n in (2048, 4096):
+            circle_theta.check_gauge_cost(n)
+            estimate = estimates[-1]
+            assert estimate == 16 * n * (
+                circle_theta.PASS_VECTORS + circle_theta.PASS_CHUNKS * circle_theta._chunk_rows(n)
+            )
+            code, peak = child_peak_rss(["circle", "--theta", "1", "--grid", str(n)])
+            assert code == 0
+            assert peak - floor < estimate, (n, peak - floor, estimate)
 
     @pytest.mark.parametrize("grid", [8192, 100000])
     def test_refused_grid_exits_3_before_allocating(self, capsys, grid):
