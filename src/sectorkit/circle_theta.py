@@ -360,7 +360,14 @@ def fd_convergence(
         math.log(errors[i] / errors[i + 1]) / math.log(grid_sizes[i + 1] / grid_sizes[i])
         for i in range(len(errors) - 1)
     )
-    fit = -np.polyfit(np.log(np.array(grid_sizes, float)), np.log(np.array(errors)), 1)[0]
+    # least-squares slope of log error against log n in closed form: a
+    # LAPACK fit would fault in ~1 MB of its library code for three points
+    xs = [math.log(n) for n in grid_sizes]
+    ys = [math.log(e) for e in errors]
+    x_mean, y_mean = sum(xs) / len(xs), sum(ys) / len(ys)
+    fit = -sum((x - x_mean) * (y - y_mean) for x, y in zip(xs, ys)) / sum(
+        (x - x_mean) ** 2 for x in xs
+    )
     return ConvergenceReport(
         theta=theta,
         k_max=k_max,

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from functools import reduce
 from typing import TYPE_CHECKING
 
@@ -32,17 +31,54 @@ if TYPE_CHECKING:
     import numpy as np
 
 
-@dataclass(frozen=True)
-class Permutation:
+class _Value:
+    """Immutable value over the fields named in a subclass's ``__slots__``.
+
+    Equality and hash go by type and fields, the repr reads
+    ``Name(field=value)``, assigning a field raises AttributeError, and
+    copies and pickles rebuild through the validating constructor. Written
+    out instead of ``@dataclass(frozen=True)``, whose import loads
+    ``inspect`` (~10 ms) on the numpy-free ``tableaux`` path.
+    """
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._fields()
+
+
+class Permutation(_Value):
     """Element of S_N in one-line notation, ``pi(i) = images[i-1]``."""
 
-    images: tuple[int, ...]
+    __slots__ = ("images",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "images", tuple(int(i) for i in self.images))
-        n = len(self.images)
-        if n == 0 or sorted(self.images) != list(range(1, n + 1)):
-            raise DomainError(f"not a bijection of 1..{n}: {self.images}")
+    def __init__(self, images: tuple[int, ...]):
+        images = tuple(int(i) for i in images)
+        n = len(images)
+        if n == 0 or sorted(images) != list(range(1, n + 1)):
+            raise DomainError(f"not a bijection of 1..{n}: {images}")
+        object.__setattr__(self, "images", images)
 
     @property
     def degree(self) -> int:
@@ -151,20 +187,20 @@ def conjugacy_classes(images: np.ndarray) -> tuple[list[tuple[int, ...]], np.nda
     return types, rank[label]
 
 
-@dataclass(frozen=True)
-class Partition:
+class Partition(_Value):
     """Non-increasing positive parts; labels an irreducible of S_total."""
 
-    parts: tuple[int, ...]
+    __slots__ = ("parts",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "parts", tuple(int(p) for p in self.parts))
-        if not self.parts:
+    def __init__(self, parts: tuple[int, ...]):
+        parts = tuple(int(p) for p in parts)
+        if not parts:
             raise DomainError("empty partition")
-        if any(p <= 0 for p in self.parts):
-            raise DomainError(f"parts must be positive: {self.parts}")
-        if any(a < b for a, b in zip(self.parts, self.parts[1:])):
-            raise DomainError(f"parts must be non-increasing: {self.parts}")
+        if any(p <= 0 for p in parts):
+            raise DomainError(f"parts must be positive: {parts}")
+        if any(a < b for a, b in zip(parts, parts[1:])):
+            raise DomainError(f"parts must be non-increasing: {parts}")
+        object.__setattr__(self, "parts", parts)
 
     @property
     def total(self) -> int:
@@ -213,26 +249,25 @@ def enumerate_partitions(n: int) -> list[Partition]:
     return [Partition(p) for p in iter_partitions(n)]
 
 
-@dataclass(frozen=True)
-class StandardTableau:
+class StandardTableau(_Value):
     """Filling of a frame with 1..N, increasing along rows and down columns."""
 
-    rows: tuple[tuple[int, ...], ...]
+    __slots__ = ("rows",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "rows", tuple(tuple(int(v) for v in r) for r in self.rows))
-        shape = self.shape  # validates the frame
-        n = shape.total
-        entries = [v for row in self.rows for v in row]
+    def __init__(self, rows: tuple[tuple[int, ...], ...]):
+        rows = tuple(tuple(int(v) for v in r) for r in rows)
+        n = Partition(tuple(len(r) for r in rows)).total  # validates the frame
+        entries = [v for row in rows for v in row]
         if sorted(entries) != list(range(1, n + 1)):
-            raise DomainError(f"entries must be exactly 1..{n}: {self.rows}")
-        for row in self.rows:
+            raise DomainError(f"entries must be exactly 1..{n}: {rows}")
+        for row in rows:
             if any(a >= b for a, b in zip(row, row[1:])):
-                raise DomainError(f"rows must increase left to right: {self.rows}")
-        for i in range(1, len(self.rows)):
-            for j in range(len(self.rows[i])):
-                if self.rows[i - 1][j] >= self.rows[i][j]:
-                    raise DomainError(f"columns must increase top to bottom: {self.rows}")
+                raise DomainError(f"rows must increase left to right: {rows}")
+        for i in range(1, len(rows)):
+            for j in range(len(rows[i])):
+                if rows[i - 1][j] >= rows[i][j]:
+                    raise DomainError(f"columns must increase top to bottom: {rows}")
+        object.__setattr__(self, "rows", rows)
 
     @property
     def shape(self) -> Partition:

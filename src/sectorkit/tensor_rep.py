@@ -48,7 +48,7 @@ import numpy as np
 DIM_CAP = 1024
 
 # S_N and one int64 index map per element take N! * (PERMUTATION_BYTES +
-# 8 * m**N) bytes ((2, 8): ~90 MiB; a Permutation takes ~190 bytes at
+# 8 * m**N) bytes ((2, 8): ~90 MiB; a Permutation takes ~150 bytes at
 # N = 8). Against errors.BYTES_CAP, (1, 10) and (2, 9) are refused.
 PERMUTATION_BYTES = 256
 COMPLEX_BYTES = 16

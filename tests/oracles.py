@@ -40,7 +40,10 @@ operators (twisted_momentum), eigenvalues matched to plane waves by
 eigenvector overlap after a dense eigh of them, and the gauge identity
 as a dense n x n residual with eigvalsh spectra. Their matrix-free
 successors as first written, one new array per operation, are kept too
-(out_of_place_*): the in-place passes must match them bitwise.
+(out_of_place_*): the in-place passes must match them bitwise. The
+convergence order is checked against np.polyfit's least-squares line
+through (log n, log error) (polyfit_order), which the closed-form slope
+replaced.
 """
 
 import itertools
@@ -974,3 +977,8 @@ def out_of_place_gauge_report(theta: float, n: int) -> dict:
         "measured_constant": constant,
         "eigenvalue_agreement": float(np.max(np.abs(twisted_values - periodic_values - constant))),
     }
+
+
+def polyfit_order(grid_sizes, errors) -> float:
+    """Fitted convergence order: minus the slope of np.polyfit(log n, log error, 1)."""
+    return float(-np.polyfit(np.log(np.array(grid_sizes, float)), np.log(np.array(errors)), 1)[0])

@@ -1,4 +1,5 @@
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -140,6 +141,37 @@ class TestFiniteDifferences:
         report = fd_convergence(theta, k_max=4, grid_sizes=(64, 128, 256))
         assert report.fitted_order >= 1.9
         assert all(order >= 1.9 for order in report.pairwise_orders)
+
+    @pytest.mark.parametrize(
+        "grid_sizes,thetas",
+        [
+            ((64, 128, 256), np.linspace(0.0, TWO_PI, 68, endpoint=False)),
+            ((32, 64), [0.0, 1.0, math.pi]),
+            ((40, 96, 200, 512), [0.0, 1.0, math.pi]),
+        ],
+        ids=["circle-grids", "two-grids", "uneven-grids"],
+    )
+    def test_closed_form_slope_matches_polyfit(self, grid_sizes, thetas):
+        # the report prints fitted_order to 10 significant digits
+        for theta in thetas:
+            report = fd_convergence(theta, k_max=4, grid_sizes=grid_sizes)
+            expected = oracles.polyfit_order(report.grid_sizes, report.errors)
+            assert report.fitted_order == pytest.approx(expected, rel=1e-13, abs=0.0)
+            assert f"{report.fitted_order:.10g}" == f"{expected:.10g}", theta
+
+    def test_fit_calls_no_lapack(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("numpy.linalg.lstsq called")
+
+        # numpy.linalg and every module that holds lstsq by name, np.polyfit's included
+        lstsq = np.linalg.lstsq
+        for module in list(sys.modules.values()):
+            if getattr(module, "lstsq", None) is lstsq:
+                monkeypatch.setattr(module, "lstsq", refuse)
+        report = fd_convergence(1.0)
+        with pytest.raises(AssertionError, match="lstsq called"):  # the patch reaches polyfit
+            oracles.polyfit_order(report.grid_sizes, report.errors)
+        assert report.fitted_order >= circle_theta.MIN_FD_ORDER
 
     def test_error_model_bound(self):
         # |lambda_k - mu_k| <= (2*pi*(|k|+1))^3 / (6 n^2) for the stencil

@@ -758,10 +758,16 @@ class TestImports:
             # the dense reference builders: equiv moves slot axes, sectors runs schur_weyl
             (["equiv", "--m", "3", "--N", "3"], "sectorkit.tensor_rep"),
             (["sectors", "--m", "3", "--N", "4"], "sectorkit.tensor_rep"),
+            # csv is imported by the csv renderer only
+            (["sectors", "--m", "2", "--N", "3"], "csv"),
+            (["equiv", "--m", "2", "--N", "2"], "csv"),
+            (["cover", "--q-size", "3", "--N", "2"], "csv"),
+            (["circle", "--theta", "1", "--grid", "128"], "csv"),
         ],
         ids=[
             "equiv-numpy.random", "circle-numpy.random", "sectors-numpy.ma", "cover-numpy.ma",
-            "circle-permgroup", "equiv-tensor_rep", "sectors-tensor_rep",
+            "circle-permgroup", "equiv-tensor_rep", "sectors-tensor_rep", "sectors-csv",
+            "equiv-csv", "cover-csv", "circle-csv",
         ],
     )
     def test_run_does_not_load(self, argv, module):
@@ -832,11 +838,16 @@ class TestImports:
     )
     def test_combinatorics_and_usage_errors_load_no_numpy(self, argv, code):
         # tableaux is exact integer combinatorics, and usage errors are raised
-        # before a handler imports its numeric module
+        # before a handler imports its numeric module. The permgroup value
+        # types are written out, since dataclasses imports inspect (~10 ms),
+        # and only the csv renderer imports csv.
         src = str(Path(sectorkit.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
-        numeric = ("numpy", "sectorkit.linalg", "sectorkit.tensor_rep", "sectorkit.schur_weyl",
-                   "sectorkit.parastat_equiv", "sectorkit.cover_quant", "sectorkit.circle_theta")
+        unused = ("numpy", "sectorkit.linalg", "sectorkit.tensor_rep", "sectorkit.schur_weyl",
+                  "sectorkit.parastat_equiv", "sectorkit.cover_quant", "sectorkit.circle_theta",
+                  "dataclasses", "inspect")
+        if code or "csv" not in argv:  # only a csv report is rendered by csv
+            unused += ("csv",)
         script = (
             "import sys\n"
             "from sectorkit import cli\n"
@@ -844,7 +855,7 @@ class TestImports:
             "    code = cli.main(sys.argv[1:])\n"
             "except SystemExit as exc:\n"
             "    code = exc.code\n"
-            f"print('\\n', code, *(m for m in {numeric!r} if m in sys.modules))\n"
+            f"print('\\n', code, *(m for m in {unused!r} if m in sys.modules))\n"
         )
         out = subprocess.run(
             [sys.executable, "-c", script, *argv],
@@ -964,16 +975,29 @@ class TestDeterminism:
         assert main(["tableaux", "--N", "3", "--out", "."]) == 2
         assert (gc.isenabled(), gc.get_freeze_count()) == before
 
-    def test_entry_freezes_the_heap_and_keeps_the_collector_on(self, tmp_path):
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["tableaux", "--N", "3"],
+            ["equiv", "--m", "4", "--N", "3"],
+            ["equiv", "--m", "3", "--N", "4"],
+        ],
+        ids=["small-report", "large-report", "usage-error"],
+    )
+    def test_entry_ends_the_process_without_teardown(self, tmp_path, capsysbinary, argv):
+        # the report and any error line are complete and the exit code is
+        # entry's, but the interpreter never reaches its atexit handlers
+        code = main(argv)
+        captured = capsysbinary.readouterr()
         script = (
-            "import gc, sys\n"
+            "import atexit, sys\n"
             "from sectorkit import cli\n"
-            "sys.argv[1:] = ['tableaux', '--N', '3', '--out', sys.argv[1]]\n"
-            "code = cli.entry()\n"
-            "print(code, gc.isenabled(), gc.get_freeze_count() > 0)\n"
+            "atexit.register(lambda: sys.stderr.write('atexit ran\\n'))\n"
+            "cli.entry()\n"
+            "sys.stderr.write('entry returned\\n')\n"
         )
         done = subprocess.run(
-            [sys.executable, "-c", script, os.devnull],
-            cwd=tmp_path, env=process_env(), capture_output=True, text=True, timeout=60,
+            [sys.executable, "-c", script, *argv],
+            cwd=tmp_path, env=process_env(), capture_output=True, timeout=60,
         )
-        assert done.stdout.split() == ["0", "True", "True"]
+        assert (done.returncode, done.stdout, done.stderr) == (code, captured.out, captured.err)

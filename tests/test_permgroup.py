@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -273,3 +275,101 @@ class TestCharacters:
         rep = irrep(sign_shape)
         for pi in symmetric_group(4):
             assert character(sign_shape, pi, rep) == pi.sign()
+
+
+# One value of each type, its field name and value, and a value of the
+# same type that differs in it.
+VALUES = [
+    (Permutation((2, 1)), "images", (2, 1), Permutation((1, 2))),
+    (Partition((2, 1)), "parts", (2, 1), Partition((3,))),
+    (StandardTableau(((1, 2), (3,))), "rows", ((1, 2), (3,)), StandardTableau(((1, 3), (2,)))),
+]
+VALUE_IDS = ["Permutation", "Partition", "StandardTableau"]
+
+
+class TestValueTypes:
+    """The contract the three value types kept when they stopped being
+    frozen dataclasses: equality, hash and repr by type and field, keyword
+    construction, read-only fields, copies and pickles, and the messages."""
+
+    @pytest.mark.parametrize("value,field,content,other", VALUES, ids=VALUE_IDS)
+    def test_equality_and_hash_go_by_type_and_field(self, value, field, content, other):
+        twin = type(value)(content)
+        assert twin == value and not twin != value and twin is not value
+        assert hash(twin) == hash(value) == hash((content,))  # the dataclass hash
+        assert value != other
+        assert value != content and content != value
+        assert len({value, twin, other}) == 2
+
+    def test_types_never_compare_equal(self):
+        # Permutation((2, 1)) and Partition((2, 1)) hold the same tuple
+        pi, shape = VALUES[0][0], VALUES[1][0]
+        assert pi.images == shape.parts
+        assert pi != shape and shape != pi
+        assert len({pi, shape}) == 2
+
+    def test_repr_text(self):
+        assert repr(Permutation((2, 3, 1))) == "Permutation(images=(2, 3, 1))"
+        assert repr(Partition((3, 1))) == "Partition(parts=(3, 1))"
+        assert repr(StandardTableau(((1, 2), (3,)))) == "StandardTableau(rows=((1, 2), (3,)))"
+        assert str(Partition((3, 1))) == "Partition(parts=(3, 1))"
+
+    @pytest.mark.parametrize("value,field,content,other", VALUES, ids=VALUE_IDS)
+    def test_keyword_construction_converts_to_int_tuples(self, value, field, content, other):
+        assert type(value)(**{field: content}) == value
+        lists = [list(r) for r in content] if field == "rows" else list(content)
+        floats = [[float(v) for v in r] for r in content] if field == "rows" else [2.0, 1.0]
+        for raw in (lists, floats):
+            rebuilt = type(value)(**{field: raw})
+            assert getattr(rebuilt, field) == content
+            assert rebuilt == value
+        with pytest.raises(TypeError):
+            type(value)()
+
+    @pytest.mark.parametrize("value,field,content,other", VALUES, ids=VALUE_IDS)
+    def test_fields_are_read_only(self, value, field, content, other):
+        with pytest.raises(AttributeError):
+            setattr(value, field, getattr(other, field))
+        with pytest.raises(AttributeError):
+            delattr(value, field)
+        with pytest.raises(AttributeError):
+            value.extra = 1
+        assert getattr(value, field) == content
+
+    @pytest.mark.parametrize("value,field,content,other", VALUES, ids=VALUE_IDS)
+    def test_copy_deepcopy_and_pickle_round_trip(self, value, field, content, other):
+        for twin in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+            assert type(twin) is type(value)
+            assert twin == value and hash(twin) == hash(value)
+            assert getattr(twin, field) == content
+        nested = copy.deepcopy({"key": [value]})
+        assert nested == {"key": [value]}
+
+    @pytest.mark.parametrize(
+        "make,message",
+        [
+            (lambda: Permutation((1, 1, 3)), "not a bijection of 1..3: (1, 1, 3)"),
+            (lambda: Permutation((0, 1, 2)), "not a bijection of 1..3: (0, 1, 2)"),
+            (lambda: Permutation(()), "not a bijection of 1..0: ()"),
+            (lambda: Partition(()), "empty partition"),
+            (lambda: Partition((2, 0)), "parts must be positive: (2, 0)"),
+            (lambda: Partition((1, 2)), "parts must be non-increasing: (1, 2)"),
+            (lambda: StandardTableau(()), "empty partition"),
+            (lambda: StandardTableau(((1,), (2, 3))), "parts must be non-increasing: (1, 2)"),
+            (lambda: StandardTableau(((1, 2), (2,))),
+             "entries must be exactly 1..3: ((1, 2), (2,))"),
+            (lambda: StandardTableau(((2, 1), (3,))),
+             "rows must increase left to right: ((2, 1), (3,))"),
+            (lambda: StandardTableau(((1, 4), (2, 3))),
+             "columns must increase top to bottom: ((1, 4), (2, 3))"),
+        ],
+        ids=[
+            "repeated-image", "image-out-of-range", "no-images", "no-parts", "zero-part",
+            "increasing-parts", "no-rows", "frame-not-a-partition", "repeated-entry",
+            "row-not-increasing", "column-not-increasing",
+        ],
+    )
+    def test_domain_error_messages(self, make, message):
+        with pytest.raises(DomainError) as info:
+            make()
+        assert str(info.value) == message
