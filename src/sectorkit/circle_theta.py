@@ -26,10 +26,9 @@ in chunks of bounded size, after a byte and a work estimate.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
 
 # sectorkit modules before numpy (README Conventions); linalg loads numpy
-from .errors import ConsistencyError, DomainError, check_bytes, check_work
+from .errors import ConsistencyError, DomainError, Value, check_bytes, check_work
 from . import linalg
 
 import numpy as np
@@ -59,13 +58,12 @@ PASS_VECTORS = 12
 PASS_CHUNKS = 10
 
 
-@dataclass(frozen=True)
-class ThetaSector:
+class ThetaSector(Value):
     """Sector angle, reduced modulo 2*pi into [0, 2*pi); must be finite."""
 
-    theta: float
+    _fields = ("theta",)
 
-    def __post_init__(self):
+    def _validate(self):
         if not math.isfinite(float(self.theta)):
             raise DomainError(f"theta must be finite, got {self.theta}")
         theta = math.fmod(float(self.theta), TWO_PI)
@@ -249,20 +247,21 @@ def spectrum_rows(theta, n: int, k_max: int, method: str = "spectral") -> list[d
     return rows
 
 
-@dataclass(frozen=True)
-class GaugeReport:
+class GaugeReport(Value):
     """Result of conjugating the twist out of the momentum operator."""
 
-    theta: float
-    n: int
-    method: str
-    residual: float
-    measured_constant: float
-    theta_over_2pi: float
-    eigenvalue_agreement: float
+    _fields = (
+        "theta",
+        "n",
+        "method",
+        "residual",
+        "measured_constant",
+        "theta_over_2pi",
+        "eigenvalue_agreement",
+    )
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
 
 def _spectral_gauge(theta: float, n: int) -> GaugeReport:
@@ -332,19 +331,16 @@ def gauge_equivalence_check(theta, n: int, method: str = "spectral") -> GaugeRep
     return _spectral_gauge(theta, n)
 
 
-@dataclass(frozen=True)
-class ConvergenceReport:
-    """Empirical convergence of the finite-difference spectrum."""
+class ConvergenceReport(Value):
+    """Empirical convergence of the finite-difference spectrum.
 
-    theta: float
-    k_max: int
-    grid_sizes: tuple[int, ...]
-    errors: tuple[float, ...]
-    pairwise_orders: tuple[float, ...]
-    fitted_order: float
+    grid_sizes, errors and pairwise_orders are tuples.
+    """
+
+    _fields = ("theta", "k_max", "grid_sizes", "errors", "pairwise_orders", "fitted_order")
 
     def to_dict(self) -> dict:
-        return {k: list(v) if isinstance(v, tuple) else v for k, v in asdict(self).items()}
+        return {k: list(v) if isinstance(v, tuple) else v for k, v in self._asdict().items()}
 
 
 def fd_convergence(

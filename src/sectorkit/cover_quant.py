@@ -22,32 +22,29 @@ import itertools
 import json
 import math
 import random
-from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 # sectorkit modules before numpy (README Conventions); linalg loads numpy
-from .errors import ConsistencyError, DomainError, check_bytes
+from .errors import ConsistencyError, DomainError, Value, check_bytes
 from .permgroup import Permutation, enumerate_partitions, hook_dimension, irrep, symmetric_group
 from . import linalg
 
 import numpy as np
 
 
-@dataclass(frozen=True, eq=False)
-class FiniteGroup:
+class FiniteGroup(Value, eq=False):
     """Finite group presented by its Cayley table.
 
     cayley[i, j] is the index of the product g_i g_j, composed so that a
-    right action satisfies x.(g_i g_j) = (x.g_i).g_j. A symmetric group
-    acting by slot permutation carries its Permutation objects, which give
-    exact irreducibles.
+    right action satisfies x.(g_i g_j) = (x.g_i).g_j; labels names each
+    element. A symmetric group acting by slot permutation carries its
+    Permutation objects in perms, which give exact irreducibles.
     """
 
-    cayley: np.ndarray
-    labels: tuple[str, ...]
-    perms: tuple[Permutation, ...] | None = None
+    _fields = ("cayley", "labels", "perms")
+    _defaults = {"perms": None}
 
-    def __post_init__(self):
+    def _validate(self):
         cayley = np.asarray(self.cayley, dtype=np.int64)
         object.__setattr__(self, "cayley", cayley)
         n = cayley.shape[0]
@@ -83,27 +80,31 @@ class FiniteGroup:
         return self._identity
 
 
-@dataclass(frozen=True, eq=False)
-class FiniteCover:
+class FiniteCover(Value, eq=False):
     """Free action of a finite group on a finite set, with quotient data.
 
-    action[x, g] is the image of point x under group element g; section picks
-    one point per orbit, in any order, which gives each point x = section(tau(x)) . h(x)
-    its base point tau(x) and its deck element h(x) (deck_element).
+    points is a tuple or array of the points; action[x, g] is the image of
+    point x under group element g; section picks one point per orbit, in
+    any order, which gives each point x = section(tau(x)) . h(x) its base
+    point tau(x) and its deck element h(x) (deck_element).
     """
 
-    points: tuple | np.ndarray
-    group: FiniteGroup
-    action: np.ndarray
-    section: np.ndarray
+    _fields = ("points", "group", "action", "section")
 
-    def __post_init__(self):
-        for name in ("action", "section"):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=np.int64))
-        action, section = self.action, self.section
+    def _validate(self):
+        action = np.asarray(self.action, dtype=np.int64)
+        section = np.asarray(self.section)
         npts, ng = action.shape
         if len(self.points) != npts or ng != self.group.order:
             raise DomainError("action table shape mismatch")
+        # an empty section converts as floats; the orbit check below refuses it
+        if section.size and (
+            section.dtype.kind not in "iu" or section.min() < 0 or section.max() >= npts
+        ):
+            raise DomainError(f"section entries must be point indices in 0..{npts - 1}")
+        section = section.astype(np.int64, copy=False)
+        object.__setattr__(self, "action", action)
+        object.__setattr__(self, "section", section)
         e = self.group.identity
         fixed = np.count_nonzero(action == np.arange(npts)[:, None], axis=0)
         if fixed[e] != npts:
@@ -215,7 +216,7 @@ def symmetric_cover(q: int, n_particles: int) -> FiniteCover:
 def randomize_section(cover: FiniteCover, seed: int = 0) -> FiniteCover:
     """Same cover with a uniformly random representative per orbit."""
     picks = np.random.default_rng(seed).integers(cover.group.order, size=cover.base_size)
-    return replace(cover, section=cover.action[cover.section, picks])
+    return FiniteCover(cover.points, cover.group, cover.action, cover.action[cover.section, picks])
 
 
 def _load_json(data):
@@ -281,15 +282,12 @@ def cover_from_json(data) -> FiniteCover:
     )
 
 
-@dataclass(frozen=True, eq=False)
-class GroupRep:
+class GroupRep(Value, eq=False):
     """Unitary representation of a FiniteGroup: matrices[g] is U(g), a (|G|, d, d) stack."""
 
-    group: FiniteGroup
-    matrices: np.ndarray
-    label: str
+    _fields = ("group", "matrices", "label")
 
-    def __post_init__(self):
+    def _validate(self):
         mats = np.asarray(self.matrices, dtype=complex)  # ragged: numpy's ValueError
         object.__setattr__(self, "matrices", mats)
         n = self.group.order
@@ -417,14 +415,12 @@ def irreps_of(group: FiniteGroup, seed: int = 0) -> list[GroupRep]:
     return _regular_irreps(group, seed)
 
 
-@dataclass(frozen=True, eq=False)
-class InvariantKernel:
+class InvariantKernel(Value, eq=False):
     """Kernel on the total set, invariant under the diagonal deck action."""
 
-    cover: FiniteCover
-    matrix: np.ndarray
+    _fields = ("cover", "matrix")
 
-    def __post_init__(self):
+    def _validate(self):
         mat = np.asarray(self.matrix, dtype=complex)
         object.__setattr__(self, "matrix", mat)
         npts = self.cover.total_size
@@ -554,34 +550,40 @@ def realization_unitary(cover: FiniteCover, rep: GroupRep) -> np.ndarray:
     return math.sqrt(cover.group.order) * basis[rows, :]
 
 
-@dataclass(frozen=True)
-class SectorCensusRecord:
-    label: str
-    internal_dim: int
-    carrier_dim: int
-    commutant_dim: int
+class SectorCensusRecord(Value):
+    _fields = ("label", "internal_dim", "carrier_dim", "commutant_dim")
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
 
-@dataclass(frozen=True)
-class SectorCensusReport:
-    """Verification record for the sector correspondence on one cover."""
+class SectorCensusReport(Value):
+    """Verification record for the sector correspondence on one cover.
 
-    total_size: int
-    base_size: int
-    group_order: int
-    kernel_space_dim: int
-    sectors: tuple[SectorCensusRecord, ...]
-    pairwise_intertwiner_dims: dict
-    dimension_margin: float
-    dimension_identity_ok: bool
-    intertwining_residual_max: float
-    passed: bool
+    sectors holds one SectorCensusRecord per irreducible, and
+    pairwise_intertwiner_dims maps "label|label" to the intertwiner
+    dimension of each pair.
+    """
+
+    _fields = (
+        "total_size",
+        "base_size",
+        "group_order",
+        "kernel_space_dim",
+        "sectors",
+        "pairwise_intertwiner_dims",
+        "dimension_margin",
+        "dimension_identity_ok",
+        "intertwining_residual_max",
+        "passed",
+    )
 
     def to_dict(self) -> dict:
-        return {**asdict(self), "sectors": [s.to_dict() for s in self.sectors]}
+        return {
+            **self._asdict(),
+            "sectors": [s.to_dict() for s in self.sectors],
+            "pairwise_intertwiner_dims": dict(self.pairwise_intertwiner_dims),
+        }
 
 
 def _census_bytes(npts: int, nbase: int, ng: int, dims: list[int]) -> int:

@@ -1,4 +1,5 @@
-"""Exception types shared across the toolkit, and the one byte and work budgets.
+"""Exception types shared across the toolkit, the one byte and work budgets,
+and the frozen value base of every model and report type.
 
 The CLI maps the exceptions onto its exit-code contract (usage error 2,
 resource cap 3, consistency failure 4).
@@ -10,6 +11,9 @@ time grows faster than its memory counts its operations and passes the
 count to check_work; one WORK_CAP bounds them all. The caps on report
 records, printed digits and the tensor dimension are neither and stay
 with the computations they bound.
+
+Value lives here because every sectorkit module imports this leaf before
+numpy, the numpy-free ``tableaux`` path included.
 """
 
 BYTES_CAP = 256 * 2**20
@@ -56,3 +60,80 @@ def check_work(work: float, what: str) -> None:
         raise ResourceLimitError(
             f"{what} needs ~{work:.{digits}g} operations, cap {WORK_CAP:.{digits}g}"
         )
+
+
+class Value:
+    """Immutable record over the field names in a subclass's ``_fields``.
+
+    The constructor binds positional and keyword arguments to the fields,
+    taking missing ones from ``_defaults``; a missing or unknown argument
+    raises TypeError. It then calls ``_validate()``, which may check the
+    fields and replace them through ``object.__setattr__``. Equality and
+    hash go by type and fields (a subclass declared with ``eq=False``
+    compares and hashes by identity instead), the repr reads
+    ``Name(field=value)``, assigning or deleting an attribute raises
+    AttributeError, and copies and pickles rebuild through the validating
+    constructor. Written out instead of ``@dataclass(frozen=True)``, whose
+    import loads ``inspect`` and whose decorator compiles code per class.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+    _defaults: dict = {}
+
+    def __init_subclass__(cls, eq: bool = True, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if not eq:
+            cls.__eq__, cls.__hash__ = object.__eq__, object.__hash__
+
+    def __init__(self, *args, **kwargs):
+        cls = type(self)
+        if len(args) > len(cls._fields):
+            raise TypeError(
+                f"{cls.__qualname__}() takes {len(cls._fields)} arguments, {len(args)} given"
+            )
+        bound = dict(zip(cls._fields, args))
+        for name in kwargs:
+            if name in bound or name not in cls._fields:
+                raise TypeError(f"{cls.__qualname__}() got an unexpected argument {name!r}")
+        bound.update(kwargs)
+        for name in cls._fields:
+            if name in bound:
+                value = bound[name]
+            elif name in cls._defaults:
+                value = cls._defaults[name]
+            else:
+                raise TypeError(f"{cls.__qualname__}() missing argument {name!r}")
+            object.__setattr__(self, name, value)
+        self._validate()
+
+    def _validate(self) -> None:
+        """Check the bound fields; a subclass raises or normalizes here."""
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def _asdict(self) -> dict:
+        """The fields by name, in order; containers are shared, not copied."""
+        return {name: getattr(self, name) for name in self._fields}
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._values()

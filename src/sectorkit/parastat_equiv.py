@@ -54,11 +54,10 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from typing import Iterable
 
 # sectorkit modules before numpy (README Conventions); linalg loads numpy
-from .errors import ConsistencyError, DomainError, check_bytes
+from .errors import ConsistencyError, DomainError, Value, check_bytes
 from .permgroup import Permutation, symmetric_group
 from . import linalg
 
@@ -173,18 +172,14 @@ def parafermion_constraint_space(m: int) -> np.ndarray:
     return _carrier(m, 3, np.eye(2), parafermion_matrix)
 
 
-@dataclass(frozen=True)
-class SectorRealization:
+class SectorRealization(Value):
     """An invariant-algebra action restricted to an invariant carrier.
 
     `operators` is a (K, r, r) array, one restricted operator per given
     operator: the m**2 one-body generators for the equiv realizations.
     """
 
-    label: str
-    injection: np.ndarray
-    operators: np.ndarray
-    leakage: float
+    _fields = ("label", "injection", "operators", "leakage")
 
     @property
     def carrier_dim(self) -> int:
@@ -258,15 +253,13 @@ def one_body_realization(
     return _realization(label, c, restricted.reshape(m * m, r, r), leakage)
 
 
-@dataclass(frozen=True)
-class EquivalenceCertificate:
-    """Outcome of a unitary-intertwiner search between two realizations."""
+class EquivalenceCertificate(Value):
+    """Outcome of a unitary-intertwiner search between two realizations.
 
-    equivalent: bool
-    carrier_dims: tuple[int, int]
-    residual: float
-    intertwiner: np.ndarray | None
-    detail: str
+    intertwiner is the unitary found, or None.
+    """
+
+    _fields = ("equivalent", "carrier_dims", "residual", "intertwiner", "detail")
 
     def to_dict(self) -> dict:
         out = {

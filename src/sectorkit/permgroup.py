@@ -25,53 +25,16 @@ import math
 from functools import reduce
 from typing import TYPE_CHECKING
 
-from .errors import DomainError
+from .errors import DomainError, Value
 
 if TYPE_CHECKING:
     import numpy as np
 
 
-class _Value:
-    """Immutable value over the fields named in a subclass's ``__slots__``.
-
-    Equality and hash go by type and fields, the repr reads
-    ``Name(field=value)``, assigning a field raises AttributeError, and
-    copies and pickles rebuild through the validating constructor. Written
-    out instead of ``@dataclass(frozen=True)``, whose import loads
-    ``inspect`` (~10 ms) on the numpy-free ``tableaux`` path.
-    """
-
-    __slots__ = ()
-
-    def _fields(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self) -> int:
-        return hash(self._fields())
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
-        return f"{type(self).__qualname__}({fields})"
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        return type(self), self._fields()
-
-
-class Permutation(_Value):
+class Permutation(Value):
     """Element of S_N in one-line notation, ``pi(i) = images[i-1]``."""
 
-    __slots__ = ("images",)
+    __slots__ = _fields = ("images",)
 
     def __init__(self, images: tuple[int, ...]):
         images = tuple(int(i) for i in images)
@@ -187,10 +150,10 @@ def conjugacy_classes(images: np.ndarray) -> tuple[list[tuple[int, ...]], np.nda
     return types, rank[label]
 
 
-class Partition(_Value):
+class Partition(Value):
     """Non-increasing positive parts; labels an irreducible of S_total."""
 
-    __slots__ = ("parts",)
+    __slots__ = _fields = ("parts",)
 
     def __init__(self, parts: tuple[int, ...]):
         parts = tuple(int(p) for p in parts)
@@ -249,10 +212,10 @@ def enumerate_partitions(n: int) -> list[Partition]:
     return [Partition(p) for p in iter_partitions(n)]
 
 
-class StandardTableau(_Value):
+class StandardTableau(Value):
     """Filling of a frame with 1..N, increasing along rows and down columns."""
 
-    __slots__ = ("rows",)
+    __slots__ = _fields = ("rows",)
 
     def __init__(self, rows: tuple[tuple[int, ...], ...]):
         rows = tuple(tuple(int(v) for v in r) for r in rows)

@@ -26,10 +26,16 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
 # sectorkit modules before numpy (README Conventions); linalg loads numpy
-from .errors import ConsistencyError, DomainError, ResourceLimitError, check_bytes, check_work
+from .errors import (
+    ConsistencyError,
+    DomainError,
+    ResourceLimitError,
+    Value,
+    check_bytes,
+    check_work,
+)
 from .permgroup import enumerate_partitions, hook_dimension, iter_partitions
 from . import linalg
 
@@ -60,13 +66,8 @@ def _scatter_sum(maps: np.ndarray, coeffs) -> np.ndarray:
     return acc
 
 
-@dataclass(frozen=True)
-class SectorRecord:
-    partition: tuple[int, ...]
-    irrep_dim: int
-    multiplicity: int
-    rank: int
-    idempotence_residual: float
+class SectorRecord(Value):
+    _fields = ("partition", "irrep_dim", "multiplicity", "rank", "idempotence_residual")
 
     def to_dict(self) -> dict:
         return {
@@ -78,15 +79,14 @@ class SectorRecord:
         }
 
 
-@dataclass(frozen=True)
-class SectorReport:
-    """Isotypic decomposition of (C^m)^{tensor N} under the invariant algebra."""
+class SectorReport(Value):
+    """Isotypic decomposition of (C^m)^{tensor N} under the invariant algebra.
 
-    m: int
-    N: int
-    sectors: tuple[SectorRecord, ...]
-    commutant_dim: int
-    residuals: dict
+    sectors holds one SectorRecord per partition, residuals the max-abs
+    residual of each identity checked, by name.
+    """
+
+    _fields = ("m", "N", "sectors", "commutant_dim", "residuals")
 
     def to_dict(self) -> dict:
         """The fields in declaration order, each record converted once."""
@@ -251,8 +251,7 @@ def _assign_sectors(values: np.ndarray, predicted: np.ndarray, weight) -> np.nda
     return nearest
 
 
-@dataclass(frozen=True)
-class WeightBlock:
+class WeightBlock(Value):
     """One sorted weight's words, split into sectors by the class sums.
 
     Column k of `vectors` is an eigenvector of sector `sector[k]` (an
@@ -264,12 +263,7 @@ class WeightBlock:
     the Gram matrix of V.
     """
 
-    weight: tuple[int, ...]
-    words: np.ndarray
-    vectors: np.ndarray
-    sector: np.ndarray
-    residuals: dict
-    idempotence: dict
+    _fields = ("weight", "words", "vectors", "sector", "residuals", "idempotence")
 
 
 def _weight_block(

@@ -21,10 +21,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
 # sectorkit modules before numpy (README Conventions); schur_weyl loads numpy
-from .errors import DomainError, ResourceLimitError, check_bytes
+from .errors import DomainError, ResourceLimitError, Value, check_bytes
 from .permgroup import (
     Partition,
     Permutation,
@@ -54,14 +53,12 @@ PERMUTATION_BYTES = 256
 COMPLEX_BYTES = 16
 
 
-@dataclass(frozen=True)
-class TensorSpace:
+class TensorSpace(Value):
     """Index bookkeeping for (C^m)^{tensor N}, slot 1 most significant."""
 
-    m: int
-    N: int
+    _fields = ("m", "N")
 
-    def __post_init__(self):
+    def _validate(self):
         if self.m < 1 or self.N < 1:
             raise DomainError(f"need m >= 1 and N >= 1, got m={self.m}, N={self.N}")
 

@@ -43,7 +43,9 @@ successors as first written, one new array per operation, are kept too
 (out_of_place_*): the in-place passes must match them bitwise. The
 convergence order is checked against np.polyfit's least-squares line
 through (log n, log error) (polyfit_order), which the closed-form slope
-replaced.
+replaced. The sector report's JSON form is checked against its fields
+written out one by one in declaration order (sector_report_fields), the
+form dataclasses.asdict gave before the report types left dataclasses.
 """
 
 import itertools
@@ -982,3 +984,24 @@ def out_of_place_gauge_report(theta: float, n: int) -> dict:
 def polyfit_order(grid_sizes, errors) -> float:
     """Fitted convergence order: minus the slope of np.polyfit(log n, log error, 1)."""
     return float(-np.polyfit(np.log(np.array(grid_sizes, float)), np.log(np.array(errors)), 1)[0])
+
+
+def sector_report_fields(report) -> dict:
+    """A SectorReport's fields in declaration order, with its SectorRecords'
+    fields in theirs: fresh lists and dicts, partitions as lists."""
+    return {
+        "m": report.m,
+        "N": report.N,
+        "sectors": [
+            {
+                "partition": list(s.partition),
+                "irrep_dim": s.irrep_dim,
+                "multiplicity": s.multiplicity,
+                "rank": s.rank,
+                "idempotence_residual": s.idempotence_residual,
+            }
+            for s in report.sectors
+        ],
+        "commutant_dim": report.commutant_dim,
+        "residuals": dict(report.residuals),
+    }

@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import functools
 import gc
@@ -763,11 +764,17 @@ class TestImports:
             (["equiv", "--m", "2", "--N", "2"], "csv"),
             (["cover", "--q-size", "3", "--N", "2"], "csv"),
             (["circle", "--theta", "1", "--grid", "128"], "csv"),
+            # every model and report type is an errors.Value, not a dataclass
+            (["sectors", "--m", "3", "--N", "5"], "dataclasses"),
+            (["equiv", "--m", "3", "--N", "3"], "dataclasses"),
+            (["cover", "--q-size", "4", "--N", "3"], "dataclasses"),
+            (["circle", "--theta", "3", "--grid", "128", "--format", "csv"], "dataclasses"),
         ],
         ids=[
             "equiv-numpy.random", "circle-numpy.random", "sectors-numpy.ma", "cover-numpy.ma",
             "circle-permgroup", "equiv-tensor_rep", "sectors-tensor_rep", "sectors-csv",
-            "equiv-csv", "cover-csv", "circle-csv",
+            "equiv-csv", "cover-csv", "circle-csv", "sectors-dataclasses",
+            "equiv-dataclasses", "cover-dataclasses", "circle-dataclasses",
         ],
     )
     def test_run_does_not_load(self, argv, module):
@@ -784,6 +791,23 @@ class TestImports:
             env=env, capture_output=True, text=True, check=True, timeout=60,
         ).stdout.split()
         assert out == ["0", "False"]
+
+    def test_no_sectorkit_module_imports_dataclasses(self):
+        # the statement check covers tensor_rep too, which no subcommand loads
+        package = Path(sectorkit.__file__).resolve().parent
+        modules = sorted(package.glob("*.py"))
+        assert {"errors.py", "tensor_rep.py", "cover_quant.py"} <= {p.name for p in modules}
+        for path in modules:
+            for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    names = [node.module or ""]
+                else:
+                    continue
+                assert "dataclasses" not in [n.split(".")[0] for n in names], (
+                    f"{path.name}:{node.lineno} imports dataclasses"
+                )
 
     @pytest.mark.parametrize(
         "argv",
@@ -839,8 +863,8 @@ class TestImports:
     def test_combinatorics_and_usage_errors_load_no_numpy(self, argv, code):
         # tableaux is exact integer combinatorics, and usage errors are raised
         # before a handler imports its numeric module. The permgroup value
-        # types are written out, since dataclasses imports inspect (~10 ms),
-        # and only the csv renderer imports csv.
+        # types are errors.Value, not dataclasses (whose import loads
+        # inspect, ~10 ms), and only the csv renderer imports csv.
         src = str(Path(sectorkit.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
         unused = ("numpy", "sectorkit.linalg", "sectorkit.tensor_rep", "sectorkit.schur_weyl",

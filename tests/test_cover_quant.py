@@ -127,27 +127,41 @@ class TestCoverConstruction:
     def test_orbit_labels_and_deck_elements_follow_a_permuted_section(self, data):
         # any representative per orbit, the orbits in any order: base point k
         # is the orbit of section[k], whatever the scan's label of that orbit
-        from dataclasses import replace
-
         cover = data.draw(st.sampled_from(SWAPPABLE_COVERS))
         order = data.draw(st.permutations(range(cover.base_size)))
         size = cover.base_size
         picks = data.draw(
             st.lists(st.integers(0, cover.group.order - 1), min_size=size, max_size=size)
         )
-        permuted = replace(cover, section=cover.action[cover.section[order], picks])
+        section = cover.action[cover.section[order], picks]
+        permuted = FiniteCover(cover.points, cover.group, cover.action, section)
         tau, _ = oracles.looped_orbit_labels(cover.action)
         relabel = np.argsort(tau[permuted.section])
         assert np.array_equal(permuted.tau, relabel[tau])
         assert np.array_equal(permuted.deck_element(), oracles.looped_deck_element(permuted))
 
     def test_invalid_section_rejected(self, cover32):
-        from dataclasses import replace
-
         bad = cover32.section.copy()
         bad[1] = cover32.section[0]  # two orbits share a representative
         with pytest.raises(DomainError):
-            replace(cover32, section=bad)
+            FiniteCover(cover32.points, cover32.group, cover32.action, bad)
+
+    def test_integer_tables_are_kept_not_copied(self, cover32):
+        # a copied section or action of (1000, 2) holds ~4 MB more at the census peak
+        again = FiniteCover(cover32.points, cover32.group, cover32.action, cover32.section)
+        assert again.section is cover32.section and again.action is cover32.action
+
+    @pytest.mark.parametrize(
+        "section",
+        [[0, 1, -1], [0, 1, 99], [0.7, 1, 3]],
+        ids=["negative-wraps-to-a-point", "past-the-last-point", "fractional"],
+    )
+    def test_section_entries_must_be_point_indices(self, cover32, section):
+        # -1 would wrap to point 5 (an orbit representative), 99 would index
+        # past the action table and 0.7 would truncate to the valid 0
+        assert cover32.section.tolist() == [0, 1, 3]
+        with pytest.raises(DomainError, match=r"section entries must be point indices in 0\.\.5"):
+            FiniteCover(cover32.points, cover32.group, cover32.action, section)
 
 
 def z3_on_two_orbits_with_a_wrong_square():
@@ -361,13 +375,13 @@ class TestIrreps:
     def test_regular_path_validates_each_irrep_once(self, monkeypatch):
         group = regular_path_cover().group
         validated = []
-        exact = GroupRep.__post_init__
+        exact = GroupRep._validate
 
         def counting(self):
             validated.append(self.label)
             exact(self)
 
-        monkeypatch.setattr(GroupRep, "__post_init__", counting)
+        monkeypatch.setattr(GroupRep, "_validate", counting)
         reps = irreps_of(group, seed=0)
         assert validated == [rep.label for rep in reps] == ["chi0", "chi1", "chi2"]
 

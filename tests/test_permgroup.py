@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sectorkit import linalg
-from sectorkit.errors import DomainError
+from sectorkit import circle_theta, cover_quant, linalg, parastat_equiv, schur_weyl, tensor_rep
+from sectorkit.errors import DomainError, Value
 from sectorkit.permgroup import (
     Partition,
     Permutation,
@@ -373,3 +373,198 @@ class TestValueTypes:
         with pytest.raises(DomainError) as info:
             make()
         assert str(info.value) == message
+
+
+# Every model and report type built on errors.Value besides the three
+# above: its fields in declaration order and its defaults.
+RECORD_FIELDS = {
+    "FiniteGroup": ("cayley", "labels", "perms"),
+    "FiniteCover": ("points", "group", "action", "section"),
+    "GroupRep": ("group", "matrices", "label"),
+    "InvariantKernel": ("cover", "matrix"),
+    "SectorCensusRecord": ("label", "internal_dim", "carrier_dim", "commutant_dim"),
+    "SectorCensusReport": (
+        "total_size", "base_size", "group_order", "kernel_space_dim", "sectors",
+        "pairwise_intertwiner_dims", "dimension_margin", "dimension_identity_ok",
+        "intertwining_residual_max", "passed",
+    ),
+    "SectorRecord": ("partition", "irrep_dim", "multiplicity", "rank", "idempotence_residual"),
+    "SectorReport": ("m", "N", "sectors", "commutant_dim", "residuals"),
+    "WeightBlock": ("weight", "words", "vectors", "sector", "residuals", "idempotence"),
+    "SectorRealization": ("label", "injection", "operators", "leakage"),
+    "EquivalenceCertificate": ("equivalent", "carrier_dims", "residual", "intertwiner", "detail"),
+    "ThetaSector": ("theta",),
+    "GaugeReport": (
+        "theta", "n", "method", "residual", "measured_constant", "theta_over_2pi",
+        "eigenvalue_agreement",
+    ),
+    "ConvergenceReport": (
+        "theta", "k_max", "grid_sizes", "errors", "pairwise_orders", "fitted_order",
+    ),
+    "TensorSpace": ("m", "N"),
+}
+RECORD_DEFAULTS = {"FiniteGroup": {"perms": None}}
+# These hold arrays and compare and hash by identity.
+ARRAY_HOLDERS = {"FiniteGroup", "FiniteCover", "GroupRep", "InvariantKernel"}
+
+
+@pytest.fixture(scope="module")
+def records():
+    """One value of each type in RECORD_FIELDS, by class name."""
+    cover = cover_quant.symmetric_cover(3, 2)
+    census = cover_quant.sector_census(cover)
+    report = schur_weyl.sector_decomposition(2, 3)
+    block = schur_weyl.WeightBlock(
+        (1, 1), np.array([[0, 1], [1, 0]]), np.eye(2), np.array([0, 1]), {"x": 0.0}, {0: 0.0}
+    )
+    values = [
+        cover.group,
+        cover,
+        cover_quant.irreps_of(cover.group)[1],
+        cover_quant.random_invariant_kernel(cover, np.random.default_rng(0)),
+        census.sectors[0],
+        census,
+        report.sectors[0],
+        report,
+        block,
+        parastat_equiv.SectorRealization("sym", np.eye(2), np.zeros((1, 2, 2)), 0.0),
+        parastat_equiv.EquivalenceCertificate(True, (2, 2), 0.0, np.eye(2), "unitary"),
+        circle_theta.ThetaSector(1.0),
+        circle_theta.gauge_equivalence_check(1.0, 64),
+        circle_theta.fd_convergence(1.0, k_max=2, grid_sizes=(16, 32, 64)),
+        tensor_rep.TensorSpace(2, 3),
+    ]
+    return {type(v).__name__: v for v in values}
+
+
+def same_content(a, b) -> bool:
+    """Equal content: arrays by dtype and entries, records field by field."""
+    if isinstance(a, np.ndarray):
+        return isinstance(b, np.ndarray) and a.dtype == b.dtype and np.array_equal(a, b)
+    if isinstance(a, Value):
+        return type(a) is type(b) and all(
+            same_content(getattr(a, name), getattr(b, name)) for name in type(a)._fields
+        )
+    if isinstance(a, (tuple, list)):
+        return type(a) is type(b) and len(a) == len(b) and all(map(same_content, a, b))
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(same_content(a[k], b[k]) for k in a)
+    return a == b
+
+
+def containers(obj, found: set) -> set:
+    """ids of the lists and dicts reachable from obj through containers and records."""
+    if isinstance(obj, (list, dict)):
+        found.add(id(obj))
+    if isinstance(obj, dict):
+        children = obj.values()
+    elif isinstance(obj, (list, tuple)):
+        children = obj
+    elif isinstance(obj, Value):
+        children = [getattr(obj, name) for name in type(obj)._fields]
+    else:
+        children = ()
+    for child in children:
+        containers(child, found)
+    return found
+
+
+def field_values(value) -> dict:
+    return {name: getattr(value, name) for name in RECORD_FIELDS[type(value).__name__]}
+
+
+class TestRecordTypes:
+    """The contract the model and report types kept when they stopped being
+    frozen dataclasses: fields, defaults and constructor forms, read-only
+    fields, copies and pickles, equality by field or by identity, and
+    to_dict output that shares no container with the record."""
+
+    @pytest.mark.parametrize("name", RECORD_FIELDS)
+    def test_positional_and_keyword_construction(self, records, name):
+        value = records[name]
+        cls = type(value)
+        assert cls.__name__ == name and cls._fields == RECORD_FIELDS[name]
+        fields = field_values(value)
+        for twin in (cls(*fields.values()), cls(**fields)):
+            assert same_content(twin, value)
+
+    @pytest.mark.parametrize("name", RECORD_FIELDS)
+    def test_defaults_and_missing_or_unknown_arguments(self, records, name):
+        value = records[name]
+        cls, fields = type(value), field_values(value)
+        defaults = RECORD_DEFAULTS.get(name, {})
+        for omitted in fields:
+            rest = {k: v for k, v in fields.items() if k != omitted}
+            if omitted in defaults:
+                assert getattr(cls(**rest), omitted) == defaults[omitted]
+            else:
+                with pytest.raises(TypeError, match=repr(omitted)):
+                    cls(**rest)
+        with pytest.raises(TypeError, match="'unknown'"):
+            cls(**fields, unknown=1)
+        with pytest.raises(TypeError):
+            cls(*fields.values(), 1)
+        first, *_ = fields
+        with pytest.raises(TypeError, match=repr(first)):
+            cls(*fields.values(), **{first: fields[first]})
+
+    @pytest.mark.parametrize("name", RECORD_FIELDS)
+    def test_fields_are_read_only(self, records, name):
+        value = records[name]
+        fields = field_values(value)
+        for field, content in fields.items():
+            with pytest.raises(AttributeError):
+                setattr(value, field, content)
+            with pytest.raises(AttributeError):
+                delattr(value, field)
+            assert getattr(value, field) is content
+        with pytest.raises(AttributeError):
+            value.extra = 1
+
+    @pytest.mark.parametrize("name", RECORD_FIELDS)
+    def test_copy_deepcopy_and_pickle_round_trip(self, records, name):
+        value = records[name]
+        for twin in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+            assert same_content(twin, value)
+        arrays = any(isinstance(v, np.ndarray) for v in field_values(value).values())
+        if name not in ARRAY_HOLDERS and not arrays:
+            assert copy.deepcopy(value) == value == pickle.loads(pickle.dumps(value))
+
+    @pytest.mark.parametrize("name", RECORD_FIELDS)
+    def test_equality_and_hash(self, records, name):
+        value = records[name]
+        twin = type(value)(**field_values(value))
+        assert value == value
+        if name in ARRAY_HOLDERS:
+            assert twin != value and not twin == value
+            assert hash(value) == object.__hash__(value)
+            assert len({value, twin}) == 2
+            return
+        # equal fields, the same objects: equal records, hashed as the field tuple
+        assert twin == value and not twin != value
+        contents = tuple(field_values(value).values())
+        try:
+            expected = hash(contents)
+        except TypeError:
+            with pytest.raises(TypeError):
+                hash(value)
+        else:
+            assert hash(twin) == hash(value) == expected
+
+    def test_gauge_reports_at_equal_angles_are_equal(self):
+        full_turn = circle_theta.gauge_equivalence_check(2 * math.pi, 64)
+        zero = circle_theta.gauge_equivalence_check(0, 64)
+        assert full_turn == zero and hash(full_turn) == hash(zero)
+        assert full_turn != circle_theta.gauge_equivalence_check(1.0, 64)
+
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "SectorCensusRecord", "SectorCensusReport", "SectorRecord", "SectorReport",
+            "EquivalenceCertificate", "GaugeReport", "ConvergenceReport",
+        ],
+    )
+    def test_to_dict_shares_no_container(self, records, name):
+        # dataclasses.asdict copied every list and dict it met
+        value = records[name]
+        assert not containers(value.to_dict(), set()) & containers(value, set())

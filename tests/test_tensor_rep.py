@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import json
 import math
@@ -321,12 +320,7 @@ class TestSectorDecomposition:
         # one pass over the records gives what asdict and a rebuilt
         # record list gave: same keys in the same order, same values
         report = sector_decomposition(m, n)
-        reference = {
-            **dataclasses.asdict(report),
-            "sectors": [
-                {**dataclasses.asdict(s), "partition": list(s.partition)} for s in report.sectors
-            ],
-        }
+        reference = oracles.sector_report_fields(report)
         data = report.to_dict()
         assert list(data) == list(reference)
         assert [list(s) for s in data["sectors"]] == [list(s) for s in reference["sectors"]]
