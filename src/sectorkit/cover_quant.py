@@ -70,6 +70,7 @@ class FiniteGroup(Value, eq=False):
         for k in self._generators:
             if not np.array_equal(cayley[cayley, k], cayley[:, cayley[:, k]]):
                 raise DomainError("multiplication is not associative")
+        object.__setattr__(self, "_diameter", _cayley_diameter(cayley, e, self._generators))
 
     @property
     def order(self) -> int:
@@ -160,11 +161,16 @@ def cover_from_action(
         images = np.asarray(words, dtype=np.int64).reshape(len(words), npts)
     except (ValueError, TypeError, OverflowError) as exc:
         raise DomainError(f"group words are not lists of {npts} point indices: {exc}") from exc
-    wrong = np.flatnonzero(np.any(np.sort(images, axis=1) != np.arange(npts), axis=1))
-    if wrong.size:
-        raise DomainError(f"not a permutation of the point set: {tuple(images[wrong[0]].tolist())}")
     if npts == 0:
         raise DomainError("a cover needs at least one point")
+    # entries outside the points would index past (or wrap around) the
+    # tables below; that each word is a permutation follows from
+    # FiniteCover's checks: with e acting trivially and (x.g).h = x.(g h)
+    # for all g and h, (x.g).g^-1 = x, so every word is injective
+    outside = np.flatnonzero((images.min(axis=1) < 0) | (images.max(axis=1) >= npts))
+    if outside.size:
+        word = tuple(images[outside[0]].tolist())
+        raise DomainError(f"not a permutation of the point set: {word}")
     ng = len(images)
     # g -> 0.g is injective on a free action
     lookup = np.full(npts, -1, dtype=np.int64)
@@ -283,12 +289,17 @@ def cover_from_json(data) -> FiniteCover:
 
 
 class GroupRep(Value, eq=False):
-    """Unitary representation of a FiniteGroup: matrices[g] is U(g), a (|G|, d, d) stack."""
+    """Unitary representation of a FiniteGroup: matrices[g] is U(g), a (|G|, d, d) stack.
+
+    A real stack stays real (Young's orthogonal forms); anything else is
+    promoted to at least float64, so complex stacks stay complex.
+    """
 
     _fields = ("group", "matrices", "label")
 
     def _validate(self):
-        mats = np.asarray(self.matrices, dtype=complex)  # ragged: numpy's ValueError
+        mats = np.asarray(self.matrices)  # ragged: numpy's ValueError
+        mats = mats.astype(np.result_type(mats, np.float64), copy=False)
         object.__setattr__(self, "matrices", mats)
         n = self.group.order
         if mats.ndim != 3 or len(mats) != n or not 0 < mats.shape[1] == mats.shape[2]:
@@ -298,14 +309,8 @@ class GroupRep(Value, eq=False):
         bad = np.flatnonzero(defects.max(axis=(1, 2), initial=0.0) > linalg.GROUP_LAW_TOL)
         if bad.size:
             raise DomainError(f"matrix {bad[0]} is not unitary")
-        # U(g_i) U(g_j) against U(g_i g_j) for every pair, in chunks of rows i
-        # of at most linalg.CHUNK_BYTES and |G|**2 entries (a |G| x |G| array)
-        rows = max(1, min(linalg.CHUNK_BYTES // 16, n * n) // (n * d * d))
-        for i in range(0, n, rows):
-            defect = mats[i : i + rows, None] @ mats
-            defect -= mats[self.group.cayley[i : i + rows]]
-            if linalg.max_abs(defect) > linalg.GROUP_LAW_TOL:
-                raise DomainError("matrices do not respect the group law")
+        if _group_law_bound(self.group, mats) > linalg.GROUP_LAW_TOL:
+            raise DomainError("matrices do not respect the group law")
 
     @property
     def dimension(self) -> int:
@@ -316,12 +321,38 @@ class GroupRep(Value, eq=False):
         return self.matrices[self.group._inverse]
 
 
-def _regular_bytes(n: int) -> int:
-    """Peak bytes of _regular_irreps at order n: four complex n x n arrays (H, its
-    eigenvectors, eigh's work), two int n x n index tables, and one candidate's
-    three (n, n, d) complex gathers at d = isqrt(n), the most an irreducible has;
-    GroupRep's group-law chunks of at most n**2 entries reuse the gathers' share."""
-    return 16 * n * n * (5 + 3 * math.isqrt(n))
+def _group_law_bound(group: FiniteGroup, mats: np.ndarray) -> float:
+    """A bound on max_abs(U(x) U(y) - U(xy)) over all pairs, from the generators.
+
+    delta is the largest entry of U(e) - 1 and of U(x) U(s) - U(xs) over
+    every x and every generator s, one (|G|, d, d) product per s. Write y
+    as a word s_1 ... s_l in the generators; with U unitary,
+    U(x) U(ys) - U(xys) = -U(x) (U(y) U(s) - U(ys)) + (U(x) U(y) - U(xy)) U(s)
+    + (U(xy) U(s) - U(xys)), and an entry bound delta bounds the operator
+    norm by d delta, so by induction on l every pair is within 2 l d delta
+    (d delta for y = e). l is at most the Cayley graph's diameter D, so
+    2 max(D, 1) d delta bounds every pair: held to GROUP_LAW_TOL it
+    certifies the law as strictly as checking all |G|**2 pairs, whose
+    check is kept as the test oracle.
+    """
+    d = mats.shape[1]
+    delta = linalg.max_abs(mats[group.identity] - np.eye(d))
+    for s in group._generators:
+        defect = mats @ mats[s]
+        defect -= mats[group.cayley[:, s]]
+        delta = max(delta, linalg.max_abs(defect))
+    return 2 * max(group._diameter, 1) * d * delta
+
+
+def _regular_bytes(n: int, width: int) -> int:
+    """Peak bytes of _regular_irreps at order n when its widest eigenspace has `width` columns.
+
+    Four complex n x n arrays (H, its eigenvectors, eigh's work), two int
+    n x n index tables, one n x n array of kept characters and the kept
+    stacks (n sum d**2 = n**2 entries), and one eigenspace's three
+    (n, n, width) complex gathers.
+    """
+    return 16 * n * n * (6 + 3 * width)
 
 
 def _irreducible_blocks(bases: list[np.ndarray], left: np.ndarray) -> list | None:
@@ -331,13 +362,13 @@ def _irreducible_blocks(bases: list[np.ndarray], left: np.ndarray) -> list | Non
     one row gather and a product for all g. None if some B is not invariant
     or its character norm n**-1 sum_g |chi(g)|**2, which is 1 exactly for
     irreducibles (Serre, 2.3), is not; a B whose character inner product
-    with a kept one rounds to 1 is a repeat.
+    with a kept one rounds to 1 is a repeat, found by one product with the
+    kept characters, held as the rows of one array.
     """
     n = len(left)
     kept = []
+    chars_kept = np.empty((len(bases), n), dtype=complex)
     for basis in bases:
-        if basis.shape[1] > math.isqrt(n):  # d**2 <= n
-            return None
         moved = basis[left]
         mats = linalg.dagger(basis) @ moved
         moved -= basis @ mats
@@ -346,7 +377,8 @@ def _irreducible_blocks(bases: list[np.ndarray], left: np.ndarray) -> list | Non
         chars = np.trace(mats, axis1=1, axis2=2)
         if np.rint(np.vdot(chars, chars).real / n) != 1:
             return None
-        if not any(np.rint(abs(np.vdot(c, chars)) / n) for c, _ in kept):
+        if not np.rint(np.abs(chars_kept[: len(kept)] @ chars.conj()) / n).any():
+            chars_kept[len(kept)] = chars
             kept.append((chars, mats))
     return kept
 
@@ -358,16 +390,17 @@ def _regular_irreps(group: FiniteGroup, seed: int) -> list[GroupRep]:
     L(g) e_j = e_{g j} (Serre, Linear Representations of Finite Groups,
     2.4), so the eigenspaces of a random Hermitian H = sum_k c_k R(k) + h.c.,
     scattered from the Cayley table, are generically irreducible, each
-    irreducible appearing (dim) times. _irreducible_blocks restricts,
-    checks and deduplicates them; when the squared dimensions sum to |G|
-    they are returned as GroupReps. A failed split retries with a fresh
-    random.Random(seed + attempt) (numpy.random is not loaded).
-    _regular_bytes is refused over errors.BYTES_CAP first.
+    irreducible appearing (dim) times, so no wider than isqrt(|G|).
+    _irreducible_blocks restricts, checks and deduplicates them; when the
+    squared dimensions sum to |G| they are returned as GroupReps. A failed
+    split retries with a fresh random.Random(seed + attempt) (numpy.random
+    is not loaded). _regular_bytes is refused over errors.BYTES_CAP at width
+    1 before eigh, since every eigenspace has a column, and again at the
+    widest eigenspace before any is gathered.
     """
     n = group.order
-    check_bytes(
-        _regular_bytes(n), f"splitting the regular representation of a deck group of order {n}"
-    )
+    what = f"splitting the regular representation of a deck group of order {n}"
+    check_bytes(_regular_bytes(n, 1), what)
     left = group.cayley[group._inverse]
     for attempt in range(20):
         rng = random.Random(seed + attempt)
@@ -377,8 +410,14 @@ def _regular_irreps(group: FiniteGroup, seed: int) -> list[GroupRep]:
             linalg._normals(rng, n) + 1j * linalg._normals(rng, n)
         )
         eigvals, eigvecs = np.linalg.eigh(h + linalg.dagger(h))
+        del h
         gaps = np.flatnonzero(np.diff(eigvals) >= linalg.EIGEN_CLUSTER_TOL)
-        distinct = _irreducible_blocks(np.split(eigvecs, gaps + 1, axis=1), left)
+        cuts = np.concatenate(([0], gaps + 1, [n]))
+        width = int(np.diff(cuts).max())
+        if width > math.isqrt(n):  # d**2 <= n
+            continue
+        check_bytes(_regular_bytes(n, width), what)
+        distinct = _irreducible_blocks(np.split(eigvecs, cuts[1:-1], axis=1), left)
         if distinct is None or sum(mats.shape[1] ** 2 for _, mats in distinct) != n:
             continue
         distinct.sort(key=lambda item: (item[1].shape[1], np.round(item[0].real, 6).tolist()))
@@ -483,7 +522,9 @@ def _fiber_blocks(cover: FiniteCover, rep: GroupRep) -> np.ndarray:
     """
     if rep.group is not cover.group:
         raise DomainError("representation must belong to the cover's deck group")
-    return rep.inverse_matrices()[cover.deck_element()] * (1.0 / math.sqrt(cover.group.order))
+    blocks = rep.matrices[cover.group._inverse[cover.deck_element()]]
+    blocks *= 1.0 / math.sqrt(cover.group.order)
+    return blocks
 
 
 def constrained_space(cover: FiniteCover, rep: GroupRep) -> np.ndarray:
@@ -497,7 +538,7 @@ def constrained_space(cover: FiniteCover, rep: GroupRep) -> np.ndarray:
     """
     blocks = _fiber_blocks(cover, rep)
     npts, d = blocks.shape[:2]
-    basis = np.zeros((npts, d, cover.base_size, d), dtype=complex)
+    basis = np.zeros((npts, d, cover.base_size, d), dtype=blocks.dtype)
     basis[np.arange(npts), :, cover.tau, :] = blocks
     return basis.reshape(npts * d, cover.base_size * d)
 
@@ -586,17 +627,29 @@ class SectorCensusReport(Value):
         }
 
 
-def _census_bytes(npts: int, nbase: int, ng: int, dims: list[int]) -> int:
+def _orbit_chunk(ng: int, d: int, itemsize: int) -> int:
+    """Orbits per chunk: (rows, |G|, d, d) arrays of at most linalg.CHUNK_BYTES, one row at least."""
+    return max(1, linalg.CHUNK_BYTES // (itemsize * ng * d * d))
+
+
+def _census_bytes(npts: int, nbase: int, ng: int, dims: list[int], itemsize: int) -> int:
     """Peak bytes of sector_census on |total| = npts, |base| = nbase, |G| = ng.
 
-    One sector at a time at d = max d_chi: two |total| d**2 complex arrays
-    of fiber blocks and six (k, |G|, d, d) gathers, products and residuals
-    of the k <= |base| + log2 |G| generating orbits. The deck elements are
-    the cover's own, so nothing of the action's size is formed.
+    itemsize is the bytes of one entry of the irreducibles: 8 for Young's
+    real orthogonal forms, 16 for the complex regular split. The stacks of
+    all irreducibles (|G| sum d_chi**2 entries) are held throughout; one
+    sector at a time, at its d: the |total| d**2 fiber blocks with their
+    |total| int64 index, the |G| d**2 blocks of the first orbit and their
+    adjoint, and three chunks of the k <= |base| + log2 |G| generating
+    orbits (_orbit_chunk): their gather, a product and a residual. The deck
+    elements are the cover's own, so nothing of the action's size is formed.
     """
     k = nbase + ng.bit_length() - 1
-    dmax = max(dims)
-    return 16 * dmax * dmax * (2 * npts + 6 * k * ng)
+    sector = max(
+        itemsize * d * d * (npts + 2 * ng + 3 * min(k, _orbit_chunk(ng, d, itemsize)) * ng)
+        for d in set(dims)
+    )
+    return itemsize * ng * sum(d * d for d in dims) + 8 * npts + sector
 
 
 def check_census_cost(q: int, n_particles: int) -> None:
@@ -607,10 +660,11 @@ def check_census_cost(q: int, n_particles: int) -> None:
     scattered orbits, values and index, or that index with its tau and h),
     and 25 per entry of the (|total|, |G|) action and the Cayley table (each
     with two int64 gathers and a boolean comparison while its law is
-    checked), added to _census_bytes. |total| = q!/(q - N)! is multiplied
-    factor by factor and the tuples and vectors checked after each, so
-    nothing of the cover's size is formed before a refusal.
-    (q, N) outside symmetric_cover's domain are left to its DomainError.
+    checked), added to _census_bytes at 8 bytes per entry of Young's real
+    forms. |total| = q!/(q - N)! is multiplied factor by factor and the
+    tuples and vectors checked after each, so nothing of the cover's size
+    is formed before a refusal. (q, N) outside symmetric_cover's domain are
+    left to its DomainError.
     """
     n = n_particles
     if not 1 <= n <= q:
@@ -623,7 +677,7 @@ def check_census_cost(q: int, n_particles: int) -> None:
     order = math.factorial(n)
     dims = [hook_dimension(shape) for shape in enumerate_partitions(n)]
     tables = 8 * total * (n + 6) + 25 * (total + order) * order
-    check_bytes(tables + _census_bytes(total, total // order, order, dims), what)
+    check_bytes(tables + _census_bytes(total, total // order, order, dims, 8), what)
 
 
 def _sector_dimensions(reps: list[GroupRep]) -> tuple[list[int], dict, float]:
@@ -675,6 +729,26 @@ def _generating_set(cayley: np.ndarray, identity: int) -> np.ndarray:
     return np.array(gens, dtype=np.int64)
 
 
+def _cayley_diameter(cayley: np.ndarray, identity: int, gens: np.ndarray) -> int:
+    """Longest shortest word in the generators: the depth of a breadth-first search.
+
+    Layer l holds the elements first reached as products of l generators;
+    the next layer is scattered as flags from their right products (no
+    np.unique, which loads numpy.ma). Finite groups are generated as monoids
+    by any generating set, so the search reaches every element.
+    """
+    reached = np.arange(len(cayley)) == identity
+    layer = reached.copy()
+    depth = 0
+    while not reached.all():
+        grown = np.zeros_like(reached)
+        grown[cayley[np.ix_(np.flatnonzero(layer), gens)]] = True
+        layer = grown & ~reached
+        reached |= layer
+        depth += 1
+    return depth
+
+
 def sector_census(cover: FiniteCover, seed: int = 0) -> SectorCensusReport:
     """Verify the sector correspondence for one cover.
 
@@ -698,31 +772,40 @@ def sector_census(cover: FiniteCover, seed: int = 0) -> SectorCensusReport:
     |G|**-1/2 U(h(b)^-1) is intertwining_residual_max; both realizations
     are *-homomorphisms, so agreement on generators is agreement on every
     kernel; the column points cover every fiber, so a wrong h(x) leaks.
-    _census_bytes is refused over errors.BYTES_CAP first.
+    The orbits are checked in chunks (_orbit_chunk), in the irreducibles'
+    own dtype, and _census_bytes is refused over errors.BYTES_CAP first.
     """
     reps = irreps_of(cover.group, seed=seed)
     npts, nbase, ng = cover.total_size, cover.base_size, cover.group.order
+    itemsize = reps[0].matrices.itemsize
     check_bytes(
-        _census_bytes(npts, nbase, ng, [rep.dimension for rep in reps]),
+        _census_bytes(npts, nbase, ng, [rep.dimension for rep in reps], itemsize),
         f"cover census of {npts} points over {nbase} base points (deck group of order {ng})",
     )
     commutant, pairwise, margin = _sector_dimensions(reps)
 
     start = cover.action[cover.section[0]]
     ends = np.concatenate((cover.section, start[cover.group._generators]))
-    cols = cover.action[ends]
+    inverse_deck = cover.group._inverse[cover.deck_element()[ends]]
     root = math.sqrt(ng)
     residual = 0.0
     for rep in reps:
         fibers = _fiber_blocks(cover, rep)
-        left, right = fibers[start], fibers[cols]
-        restricted = (left.conj().swapaxes(1, 2) @ right).sum(axis=1) / root
-        leakage = linalg.max_abs(right / root - left @ restricted[:, None])
-        if leakage > linalg.RESIDUAL_TOL:
-            raise ConsistencyError(f"constrained subspace leaks: {leakage:.2e}")
-        expected = rep.inverse_matrices()[cover.deck_element()[ends]] / root
-        residual = max(residual, linalg.max_abs(restricted - expected))
-        del fibers, left, right
+        left = fibers[start]
+        left_adjoint = left.conj().swapaxes(1, 2)
+        rows = _orbit_chunk(ng, rep.dimension, itemsize)
+        for i in range(0, len(ends), rows):
+            right = fibers[cover.action[ends[i : i + rows]]]
+            restricted = np.matmul(left_adjoint, right).sum(axis=1)
+            restricted /= root
+            right /= root
+            right -= left @ restricted[:, None]
+            leakage = linalg.max_abs(right)
+            if leakage > linalg.RESIDUAL_TOL:
+                raise ConsistencyError(f"constrained subspace leaks: {leakage:.2e}")
+            restricted -= rep.matrices[inverse_deck[i : i + rows]] / root
+            residual = max(residual, linalg.max_abs(restricted))
+        del fibers, left, left_adjoint, right
     records = [
         SectorCensusRecord(
             label=rep.label,

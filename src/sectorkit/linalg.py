@@ -41,7 +41,7 @@ GROUP_LAW_TOL = 1e-9  # unitarity and group law of a representation
 INVARIANT_SUBSPACE_TOL = 1e-8  # leakage of a candidate irreducible subspace
 EIGEN_CLUSTER_TOL = 1e-6  # eigenvalue clusters, sector eigenvalues, intertwiner spectra
 KERNEL_INVARIANCE_TOL = 1e-10  # deck invariance of a kernel
-# One chunk's size: circle_theta's plane-wave passes, GroupRep's group-law rows.
+# One chunk's size: circle_theta's plane-wave passes, the census's generating orbits.
 CHUNK_BYTES = 2**20
 
 

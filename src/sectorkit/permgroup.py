@@ -349,7 +349,7 @@ class IrrepMatrices:
         return mat
 
     def matrix(self, pi: Permutation) -> np.ndarray:
-        """Representing matrix of pi (complex dtype for uniformity)."""
+        """Representing matrix of pi: real orthogonal, float64, as Young's form gives it."""
         import numpy as np
 
         if pi.degree != self._n:
@@ -357,7 +357,7 @@ class IrrepMatrices:
         mat = np.eye(self.dimension)
         for k in pi.adjacent_word():
             mat = mat @ self._adjacent[k - 1]
-        return mat.astype(complex)
+        return mat
 
 
 def irrep(shape: Partition) -> IrrepMatrices:
@@ -368,4 +368,4 @@ def irrep(shape: Partition) -> IrrepMatrices:
 def character(shape: Partition, pi: Permutation, rep: IrrepMatrices | None = None) -> float:
     """Trace of the representing matrix; constant on conjugacy classes."""
     rep = rep if rep is not None else irrep(shape)
-    return float(rep.matrix(pi).trace().real)
+    return float(rep.matrix(pi).trace())

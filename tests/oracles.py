@@ -46,6 +46,9 @@ through (log n, log error) (polyfit_order), which the closed-form slope
 replaced. The sector report's JSON form is checked against its fields
 written out one by one in declaration order (sector_report_fields), the
 form dataclasses.asdict gave before the report types left dataclasses.
+A representation's group law is checked on every pair of elements
+(all_pairs_law_defect), as GroupRep did before it certified the law on
+the generators.
 """
 
 import itertools
@@ -175,6 +178,14 @@ def dense_intertwiner_basis(ops1: list[np.ndarray], ops2: list[np.ndarray]) -> n
     _, s, vh = np.linalg.svd(stack, full_matrices=stack.shape[0] < stack.shape[1])
     rank = int(np.sum(s > 1e-8 * max(1.0, s[0])))
     return vh[rank:].conj().T
+
+
+def all_pairs_law_defect(cayley: np.ndarray, mats: np.ndarray) -> float:
+    """max |U(g_i) U(g_j) - U(g_i g_j)| over every pair, one row i at a time."""
+    mats = np.asarray(mats)
+    return max(
+        float(np.abs(mats[i] @ mats - mats[cayley[i]]).max()) for i in range(len(mats))
+    )
 
 
 def bruteforce_group_structure(table) -> tuple[int, list[int]] | None:

@@ -221,11 +221,11 @@ class TestCover:
         capsys.readouterr()
 
     def test_census_cost_exits_before_allocating(self, capsys):
-        # 373,176 points: the first N = 3 cover the estimate refuses
+        # 1,030,200 points: the first N = 3 cover the estimate refuses
         tracemalloc.start()
         start = time.perf_counter()
         try:
-            code = main(["cover", "--q-size", "73", "--N", "3"])
+            code = main(["cover", "--q-size", "102", "--N", "3"])
             elapsed = time.perf_counter() - start
             _, peak = tracemalloc.get_traced_memory()
         finally:
@@ -268,12 +268,12 @@ class TestCover:
         return spec_file
 
     def test_regular_split_cost_exits_before_allocating(self, tmp_path, capsys, monkeypatch):
-        # Z_64 under a 1 MiB budget: the split's estimate (~1.8 MiB) refuses
-        # it before H is diagonalized
+        # Z_64 under a 256 KiB budget: the split's estimate at one column per
+        # eigenspace (~0.56 MiB) refuses it before H is diagonalized
         def refuse(*args):
             raise AssertionError("regular representation split past the cost check")
 
-        monkeypatch.setattr(errors, "BYTES_CAP", 2**20)
+        monkeypatch.setattr(errors, "BYTES_CAP", 2**18)
         monkeypatch.setattr(np.linalg, "eigh", refuse)
         spec_file = self.cyclic_cover_file(tmp_path, 64)
         assert main(["cover", "--cover-json", str(spec_file)]) == 3
@@ -296,11 +296,12 @@ class TestCover:
         assert data["passed"] is True
 
     def test_census_cost_applies_to_cover_json(self, tmp_path, capsys, monkeypatch):
-        # (100, 2) under a 1 MiB budget: the census estimate (~1.2 MiB) refuses
-        # it, the regular split of Z_2 (512 bytes) does not
+        # (100, 2) under a 512 KiB budget: the census estimate at 16 bytes per
+        # complex entry (~0.68 MiB) refuses it, the regular split of Z_2
+        # (~0.6 KiB) does not
         spec_file = tmp_path / "cover.json"
         spec_file.write_text(json.dumps(oracles.cover_to_json(symmetric_cover(100, 2))))
-        monkeypatch.setattr(errors, "BYTES_CAP", 2**20)
+        monkeypatch.setattr(errors, "BYTES_CAP", 2**19)
         assert main(["cover", "--cover-json", str(spec_file)]) == 3
         assert "cover census of 9900 points" in json.loads(capsys.readouterr().err)["error"]
 
@@ -324,17 +325,18 @@ class TestCover:
         assert error["kind"] == "usage"
         assert phrase in error["error"]
 
-    def test_census_estimate_bounds_the_peak_rss(self, monkeypatch):
-        # peak RSS of (300, 2) above the floor of an exit-3 cover run, against
-        # the estimate check_census_cost refuses on: the cover's own tables
-        # and _census_bytes
+    @pytest.mark.parametrize("q,n", [(300, 2), (101, 3)], ids=["300-2", "N3-edge"])
+    def test_census_estimate_bounds_the_peak_rss(self, monkeypatch, q, n):
+        # peak RSS above the floor of an exit-3 cover run, against the
+        # estimate check_census_cost refuses on: the cover's own tables and
+        # _census_bytes; (101, 3) is the largest N = 3 cover it admits
         estimates = []
         monkeypatch.setattr(cover_quant, "check_bytes", lambda nbytes, _: estimates.append(nbytes))
-        cover_quant.check_census_cost(300, 2)
+        cover_quant.check_census_cost(q, n)
         floor_code, floor = child_peak_rss(["cover", "--q-size", "2000", "--N", "2"])
-        code, peak = child_peak_rss(["cover", "--q-size", "300", "--N", "2"])
+        code, peak = child_peak_rss(["cover", "--q-size", str(q), "--N", str(n)])
         assert (floor_code, code) == (3, 0)
-        assert peak - floor < estimates[-1]
+        assert peak - floor < estimates[-1], (peak - floor, estimates[-1])
 
 
 class TestCircle:

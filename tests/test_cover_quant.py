@@ -1,5 +1,7 @@
+import itertools
 import json
 import math
+import re
 import tracemalloc
 from types import SimpleNamespace
 
@@ -200,6 +202,46 @@ class TestCayleyFromOnePoint:
     def test_no_points_rejected(self):
         with pytest.raises(DomainError, match="at least one point"):
             cover_from_action((), [()])
+
+    @pytest.mark.parametrize("bad", [[2, 0, 3], [-1, 0, 1]], ids=["past", "negative"])
+    def test_first_word_off_the_points_is_named(self, bad):
+        words = [[0, 1, 2], bad, [2, 2, 5]]
+        message = f"not a permutation of the point set: {tuple(bad)}"
+        with pytest.raises(DomainError, match=re.escape(message)):
+            cover_from_action(("a", "b", "c"), words)
+
+    @pytest.mark.parametrize(
+        "words",
+        [
+            [[0, 1, 2], [1, 1, 0]],
+            [[0, 1, 2], [1, 2, 0], [2, 2, 1]],
+            [[0, 1, 2], [1, 2, 2], [2, 0, 1]],
+            [[0, 1, 2, 3], [1, 0, 3, 3]],
+            [[1, 1, 2, 3], [0, 0, 3, 2]],
+        ],
+    )
+    def test_words_that_are_not_permutations_are_refused(self, words):
+        # no word is sorted against the points: the group and cover checks
+        # refuse them, since a group action's words are bijections
+        assert any(sorted(w) != list(range(len(w))) for w in words)
+        with pytest.raises(DomainError):
+            cover_from_action(tuple("abcd"[: len(words[0])]), words)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_a_changed_entry_of_a_valid_cover_is_refused_or_a_cover(self, data):
+        # one entry of one word of a valid table moved to another point: the
+        # result is refused, or every word is still a permutation
+        cover = data.draw(st.sampled_from(SWAPPABLE_COVERS))
+        words = cover.action.T.copy()
+        g = data.draw(st.integers(0, len(words) - 1))
+        x = data.draw(st.integers(0, words.shape[1] - 1))
+        words[g, x] = data.draw(st.integers(0, words.shape[1] - 1))
+        try:
+            built = cover_from_action(cover.points, words)
+        except DomainError:
+            return
+        assert all(sorted(w) == list(range(len(w))) for w in built.action.T.tolist())
 
 
 def _fill_row(rows: list, row: list, order: list) -> bool:
@@ -425,8 +467,8 @@ class TestIrreps:
         ids=["Z64", "D16", "S4"],
     )
     def test_regular_split_estimate(self, document, monkeypatch):
+        # a generic split's widest eigenspace is its largest irreducible
         group = cover_from_json(document).group
-        estimate = cover_quant._regular_bytes(group.order)
         tracemalloc.start()
         try:
             reps = cover_quant._regular_irreps(group, 0)
@@ -434,6 +476,7 @@ class TestIrreps:
         finally:
             tracemalloc.stop()
         assert sum(r.dimension**2 for r in reps) == group.order
+        estimate = cover_quant._regular_bytes(group.order, max(r.dimension for r in reps))
         assert peak <= estimate
         monkeypatch.setattr(errors, "BYTES_CAP", estimate)
         cover_quant._regular_irreps(group, 0)
@@ -463,22 +506,64 @@ class TestIrreps:
         with pytest.raises(DomainError, match="group law"):
             GroupRep(group=cover43.group, matrices=tuple(mats), label="bad")
 
-    def test_group_rep_checks_the_law_past_the_first_chunk(self, monkeypatch):
+    def test_group_rep_checks_the_law_of_its_own_group(self):
         # r^a s^b -> i^a is a character of Z_4 x Z_2, not of D_4; with r^a s^b at
-        # index a + 4 b, both groups multiply alike from the left by r^a, so
-        # with four rows per chunk only the second chunk breaks D_4's law
+        # index a + 4 b, both groups multiply alike from the left by r^a, and
+        # the rows of the reflections r^a s break D_4's law
         dihedral = cover_from_json(oracles.dihedral_document(4)).group
         b, a = np.divmod(np.arange(8), 4)
         abelian = FiniteGroup(
             cayley=(a[:, None] + a) % 4 + 4 * ((b[:, None] + b) % 2), labels=dihedral.labels
         )
         chars = (1j ** a).reshape(8, 1, 1)
-        monkeypatch.setattr(linalg, "CHUNK_BYTES", 4 * 16 * 8)
         GroupRep(group=abelian, matrices=chars, label="chi")
+        assert oracles.all_pairs_law_defect(abelian.cayley, chars) == 0.0
         first = chars[:4, None] @ chars - chars[dihedral.cayley[:4]]
         assert linalg.max_abs(first) == 0.0
+        assert oracles.all_pairs_law_defect(dihedral.cayley, chars) == 2.0
         with pytest.raises(DomainError, match="group law"):
             GroupRep(group=dihedral, matrices=chars, label="chi")
+
+    def test_irreducible_stacks_keep_their_field(self, cover43):
+        # Young's orthogonal forms are real; the regular split's eigenvectors are complex
+        assert {rep.matrices.dtype for rep in irreps_of(cover43.group)} == {np.dtype(np.float64)}
+        generic = cover_from_json(oracles.cover_to_json(cover43)).group
+        assert {rep.matrices.dtype for rep in irreps_of(generic)} == {np.dtype(np.complex128)}
+        ints = GroupRep(group=cover43.group, matrices=np.ones((6, 1, 1), dtype=np.int8), label="1")
+        assert ints.matrices.dtype == np.float64
+        singles = np.ones((6, 1, 1), dtype=np.complex64)
+        assert GroupRep(group=cover43.group, matrices=singles, label="1").matrices.dtype == complex
+
+    @pytest.mark.parametrize(
+        "group",
+        [
+            lambda: symmetric_cover(3, 3).group,
+            lambda: symmetric_cover(4, 4).group,
+            lambda: cover_from_json(oracles.dihedral_document(4)).group,
+            lambda: cover_from_json(oracles.cyclic_document(6)).group,
+        ],
+        ids=["S3", "S4", "D4", "Z6"],
+    )
+    def test_every_single_entry_corruption_is_refused(self, group):
+        # U(g) + c e_i e_j^T for every element g, generator or not, and every
+        # entry: the generator bound and the all-pairs oracle both exceed
+        # GROUP_LAW_TOL at |c| = 10 GROUP_LAW_TOL, and GroupRep refuses it
+        group = group()
+        amount = 10 * linalg.GROUP_LAW_TOL
+        for rep in irreps_of(group):
+            mats = rep.matrices
+            assert cover_quant._group_law_bound(group, mats) <= linalg.GROUP_LAW_TOL
+            assert oracles.all_pairs_law_defect(group.cayley, mats) <= linalg.GROUP_LAW_TOL
+            d = rep.dimension
+            for g, i, j, c in itertools.product(
+                range(group.order), range(d), range(d), (amount, -1j * amount)
+            ):
+                bad = mats.astype(complex)
+                bad[g, i, j] += c
+                assert cover_quant._group_law_bound(group, bad) > linalg.GROUP_LAW_TOL
+                assert oracles.all_pairs_law_defect(group.cayley, bad) > linalg.GROUP_LAW_TOL
+                with pytest.raises(DomainError):
+                    GroupRep(group=group, matrices=bad, label="bad")
 
 
 class TestConstrainedSpace:
@@ -1046,26 +1131,27 @@ class TestBatchedCensus:
 
     def test_cost_estimate_admits_the_frontier(self):
         # the largest admitted (q, N) for N = 2..6, and the first refused
-        for q, n in [(1053, 2), (72, 3), (21, 4), (10, 5), (6, 6)]:
+        for q, n in [(1429, 2), (101, 3), (25, 4), (11, 5), (7, 6)]:
             cover_quant.check_census_cost(q, n)
             with pytest.raises(ResourceLimitError, match=f"{n}-particle cover of {q + 1} points"):
                 cover_quant.check_census_cost(q + 1, n)
         for q, n in [(3, 2), (4, 3), (5, 5), (11, 2), (34, 2), (10, 3), (64, 2), (11, 3), (7, 4)]:
             cover = symmetric_cover(q, n)
             dims = [rep.dimension for rep in irreps_of(cover.group)]
-            sizes = (cover.total_size, cover.base_size, cover.group.order, dims)
+            sizes = (cover.total_size, cover.base_size, cover.group.order, dims, 8)
             assert cover_quant._census_bytes(*sizes) <= errors.BYTES_CAP
 
     @pytest.mark.parametrize("q,n", [(3, 2), (4, 3), (5, 5), (6, 2), (6, 3), (8, 2), (5, 4)])
     def test_early_refusal_includes_the_census_estimate(self, q, n, monkeypatch):
-        # check_census_cost adds symmetric_cover's arrays to _census_bytes, so
-        # at any cap that it admits, the census admits the cover it builds:
-        # 8 bytes per entry of the (|total|, N) tuples and six |total|
-        # vectors, 25 per entry of the action and the Cayley table
+        # check_census_cost adds symmetric_cover's arrays to _census_bytes at
+        # 8 bytes per entry of Young's real forms, so at any cap that it
+        # admits, the census admits the cover it builds: 8 bytes per entry of
+        # the (|total|, N) tuples and six |total| vectors, 25 per entry of the
+        # action and the Cayley table
         cover = symmetric_cover(q, n)
         npts, order = cover.total_size, cover.group.order
         dims = [rep.dimension for rep in irreps_of(cover.group)]
-        census = cover_quant._census_bytes(npts, cover.base_size, order, dims)
+        census = cover_quant._census_bytes(npts, cover.base_size, order, dims, 8)
         estimate = census + 8 * npts * (n + 6) + 25 * (npts + order) * order
         monkeypatch.setattr(errors, "BYTES_CAP", estimate)
         cover_quant.check_census_cost(q, n)
@@ -1078,13 +1164,13 @@ class TestBatchedCensus:
             sector_census(cover, seed=0)
 
     def test_cost_estimate_refuses_before_the_census_tables(self, monkeypatch):
-        # a 512 KiB budget refuses (12, 3) (~0.65 MiB) before h(x) is read,
-        # with Young's forms and with the regular split alike
+        # a 128 KiB budget refuses (12, 3) before h(x) is read, with Young's
+        # real forms (~0.17 MiB) and with the complex regular split (~0.34 MiB)
         def refuse(cover):
             raise AssertionError("deck elements read")
 
         cover = symmetric_cover(12, 3)
-        monkeypatch.setattr(errors, "BYTES_CAP", 2**19)
+        monkeypatch.setattr(errors, "BYTES_CAP", 2**17)
         monkeypatch.setattr(FiniteCover, "deck_element", refuse)
         for census_of in (cover, cover_from_json(oracles.cover_to_json(cover))):
             with pytest.raises(ResourceLimitError, match="cover census of 1320 points"):
@@ -1119,6 +1205,28 @@ class TestClosedForm:
         assert oracle["intertwining_residual_max"] < 1e-14
         assert report.passed
 
+    @pytest.mark.parametrize("q,n", [(3, 2), (4, 3), (5, 4), (6, 6)])
+    def test_real_census_matches_the_complex_census(self, q, n, monkeypatch):
+        # the census in Young's real forms against the same census on their
+        # complex copies, the arithmetic it ran in before
+        cover = symmetric_cover(q, n)
+        real = sector_census(cover, seed=0)
+        exact = cover_quant.irreps_of
+
+        def complex_irreps(group, seed=0):
+            return [
+                GroupRep(group=group, matrices=rep.matrices.astype(complex), label=rep.label)
+                for rep in exact(group, seed)
+            ]
+
+        monkeypatch.setattr(cover_quant, "irreps_of", complex_irreps)
+        oracle = sector_census(cover, seed=0)
+        assert real.sectors == oracle.sectors
+        assert real.pairwise_intertwiner_dims == oracle.pairwise_intertwiner_dims
+        assert real.passed and oracle.passed
+        assert abs(real.dimension_margin - oracle.dimension_margin) <= 1e-15
+        assert abs(real.intertwining_residual_max - oracle.intertwining_residual_max) <= 1e-15
+
     @pytest.mark.parametrize(
         "group",
         [
@@ -1134,14 +1242,19 @@ class TestClosedForm:
         group = group()
         gens = group._generators
         assert 1 <= len(gens) <= math.log2(group.order)
-        # closure under right multiplication by the generators, in a Python set
+        # closure under right multiplication by the generators, in a Python
+        # set; step l reaches the words of length l, so the steps that grow
+        # it are the diameter of the Cayley graph
         reached = {group.identity}
+        steps = 0
         while True:
             grown = reached | {int(group.cayley[x, g]) for x in reached for g in gens}
             if grown == reached:
                 break
             reached = grown
+            steps += 1
         assert reached == set(range(group.order))
+        assert group._diameter == steps
 
 
 class TestJsonInterface:

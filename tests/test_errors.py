@@ -36,8 +36,8 @@ ESTIMATES = {
     "sector decomposition": lambda: schur_weyl._check_sector_cost(2, 12),
     "restricted to two carriers": lambda: parastat_equiv._check_equiv_cost(8, 2),
     "successive restriction": lambda: linalg.unitary_intertwiner([np.eye(10)], [np.eye(10)]),
-    "regular representation": lambda: cover_quant._regular_irreps(cyclic_group(64), 0),
-    "cover census": lambda: sector_census(symmetric_cover(16, 3)),
+    "regular representation": lambda: cover_quant._regular_irreps(cyclic_group(128), 0),
+    "cover census": lambda: sector_census(symmetric_cover(24, 3)),
     "gauge check": lambda: circle_theta.check_gauge_cost(4096),
     "plane-wave eigenvalues": lambda: circle_theta.spectrum_rows(1.0, 4096, 4),
 }
