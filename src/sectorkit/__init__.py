@@ -22,22 +22,24 @@ _EXPORTS = {
         "gauge_equivalence_check",
         "spectrum_rows",
     ),
+    "cover_document": ("cover_from_json",),
     "cover_quant": (
         "FiniteCover",
         "FiniteGroup",
         "GroupRep",
+        "cover_from_action",
+        "irreps_of",
+        "randomize_section",
+        "sector_census",
+        "symmetric_cover",
+    ),
+    "cover_reference": (
         "InvariantKernel",
         "constrained_action",
         "constrained_space",
-        "cover_from_action",
-        "cover_from_json",
-        "irreps_of",
         "random_invariant_kernel",
-        "randomize_section",
         "realization_unitary",
         "section_action",
-        "sector_census",
-        "symmetric_cover",
     ),
     "errors": (
         "ConsistencyError",
@@ -54,17 +56,19 @@ _EXPORTS = {
         "verify_singlet_fermion_equivalence",
         "verify_doublet_parafermion_equivalence",
     ),
-    "permgroup": (
-        "IrrepMatrices",
+    "partitions": (
         "Partition",
-        "Permutation",
         "StandardTableau",
-        "character",
         "enumerate_partitions",
         "hook_dimension",
+        "standard_tableaux",
+    ),
+    "permgroup": (
+        "IrrepMatrices",
+        "Permutation",
+        "character",
         "irrep",
         "row_col_groups",
-        "standard_tableaux",
         "symmetric_group",
     ),
     "schur_weyl": (

@@ -27,9 +27,9 @@ from __future__ import annotations
 
 import math
 
-# sectorkit modules before numpy (README Conventions); linalg loads numpy
+# sectorkit modules before numpy (README Conventions); tolerances loads numpy
 from .errors import ConsistencyError, DomainError, Value, check_bytes, check_work
-from . import linalg
+from . import tolerances
 
 import numpy as np
 
@@ -95,8 +95,8 @@ def _mode_numbers(n: int) -> np.ndarray:
 
 
 def _chunk_rows(n: int) -> int:
-    """Plane waves per chunk: linalg.CHUNK_BYTES worth, one at least."""
-    return max(1, linalg.CHUNK_BYTES // (COMPLEX_BYTES * n))
+    """Plane waves per chunk: tolerances.CHUNK_BYTES worth, one at least."""
+    return max(1, tolerances.CHUNK_BYTES // (COMPLEX_BYTES * n))
 
 
 def _check_cost(n: int, transforms: int, what: str) -> None:
@@ -303,11 +303,11 @@ def _spectral_gauge(theta: float, n: int) -> GaugeReport:
         rows, own = np.arange(len(block)), block % n  # FFT index of mode m
         diagonal[start:stop] = columns[rows, own]
         columns[rows, own] = 0.0
-        off_diagonal = max(off_diagonal, linalg.max_abs(columns))
+        off_diagonal = max(off_diagonal, tolerances.max_abs(columns))
         del waves, periodic, columns  # free this chunk before the next is built
     constant = float(np.mean(diagonal).real)
-    residual = max(off_diagonal, linalg.max_abs(diagonal - constant))
-    agreement = linalg.max_abs(twisted_values - periodic_values - constant)
+    residual = max(off_diagonal, tolerances.max_abs(diagonal - constant))
+    agreement = tolerances.max_abs(twisted_values - periodic_values - constant)
     return GaugeReport(theta, n, "spectral", residual, constant, theta / TWO_PI, agreement)
 
 
@@ -372,3 +372,55 @@ def fd_convergence(
         pairwise_orders=orders,
         fitted_order=float(fit),
     )
+
+
+def _run_circle(args) -> tuple[int, bytes]:
+    """The ``circle`` report: the spectra, the gauge check and the convergence order."""
+    from .cli import EXIT_CHECK_FAILED, EXIT_OK, SCHEMA, _render_csv, _render_json, _render_pretty
+
+    theta = ThetaSector(args.theta).theta
+    n = args.grid
+    k_max = args.k_max
+    # the whole-space gauge pass is the costliest step: refuse before computing anything
+    check_gauge_cost(n)
+    rows = spectrum_rows(theta, n, k_max, method="spectral")
+    eigen_residual = max(r.pop("residual") for r in rows)
+    gauge = gauge_equivalence_check(theta, n, method="spectral")
+    sizes = (64, 128, 256)
+    convergence = fd_convergence(theta, k_max=4, grid_sizes=sizes)
+    worst = max(r["error"] for r in rows)
+    ok = (
+        worst < SPECTRAL_ERROR_TOL
+        and gauge.residual < GAUGE_RESIDUAL_TOL
+        and convergence.fitted_order >= MIN_FD_ORDER
+    )
+    code = EXIT_OK if ok else EXIT_CHECK_FAILED
+    if args.format == "csv":
+        csv_rows = [
+            [theta, r["k"], r["eigenvalue"], r["reference"], r["error"]] for r in rows
+        ]
+        return code, _render_csv(["theta", "k", "eigenvalue", "reference", "error"], csv_rows)
+    payload = {
+        "schema": SCHEMA,
+        "command": "circle",
+        "config": {"theta": theta, "grid": n, "k_max": k_max, "seed": args.seed},
+        "rows": rows,
+        "worst_spectral_error": worst,
+        "eigen_residual_max": eigen_residual,
+        "gauge": gauge.to_dict(),
+        "fd_convergence": convergence.to_dict(),
+        "passed": ok,
+    }
+    if args.format == "pretty":
+        lines = [
+            f"theta = {theta:.6f}, grid {n}",
+            f"worst spectral eigenvalue error (|k| <= {k_max}): {worst:.3e}",
+            f"largest eigenvalue residual: {eigen_residual:.3e}",
+            f"gauge residual: {gauge.residual:.3e} "
+            f"(measured constant {gauge.measured_constant:.6f}, "
+            f"theta/2pi = {gauge.theta_over_2pi:.6f})",
+            f"fd convergence order: {convergence.fitted_order:.3f}",
+            f"passed: {ok}",
+        ]
+        return code, _render_pretty(lines)
+    return code, _render_json(payload)

@@ -6,9 +6,14 @@ kernels on the total set form the observable algebra; for every unitary
 irreducible of the deck group the algebra acts irreducibly on the space
 of equivariant functions (the constrained realization) and, unitarily
 equivalently, on functions over the quotient tensored with the internal
-space (the section realization). This module constructs both
-realizations, the unitary relating them, and a census verifying the
-sector correspondence and its dimension identity.
+space (the section realization). This module builds covers and their
+deck groups' irreducibles and runs the census verifying the sector
+correspondence and its dimension identity, with the handler of ``cover
+--q-size/--N``. What that run does not use lives beside it and is
+resolved here on first access (PEP 562): the ``--cover-json`` document
+reader and the regular-representation split in cover_document, the
+dense realizations (the constrained and section actions of a kernel and
+the unitary relating them) in cover_reference.
 
 Measure conventions: kernels act by plain matrix multiplication on
 functions over the total set; the inner product on equivariant functions
@@ -18,18 +23,39 @@ unitary onto the quotient realization.
 
 from __future__ import annotations
 
+import importlib
 import itertools
-import json
 import math
-import random
-from pathlib import Path
 
-# sectorkit modules before numpy (README Conventions); linalg loads numpy
+# sectorkit modules before numpy (README Conventions); tolerances loads numpy
 from .errors import ConsistencyError, DomainError, Value, check_bytes
-from .permgroup import Permutation, enumerate_partitions, hook_dimension, irrep, symmetric_group
-from . import linalg
+from .partitions import enumerate_partitions, hook_dimension
+from .permgroup import Permutation, irrep, symmetric_group
+from . import tolerances
 
 import numpy as np
+
+# the names that live beside the census, by the module that holds them
+_ELSEWHERE = {
+    "cover_from_json": "cover_document",
+    "InvariantKernel": "cover_reference",
+    "constrained_action": "cover_reference",
+    "constrained_space": "cover_reference",
+    "kernel_orbit_basis": "cover_reference",
+    "random_invariant_kernel": "cover_reference",
+    "realization_unitary": "cover_reference",
+    "section_action": "cover_reference",
+}
+
+
+def __getattr__(name: str):
+    """Resolve a name of _ELSEWHERE on first access and keep it here (PEP 562)."""
+    module = _ELSEWHERE.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __package__), name)
+    globals()[name] = value
+    return value
 
 
 class FiniteGroup(Value, eq=False):
@@ -225,69 +251,6 @@ def randomize_section(cover: FiniteCover, seed: int = 0) -> FiniteCover:
     return FiniteCover(cover.points, cover.group, cover.action, cover.action[cover.section, picks])
 
 
-def _load_json(data):
-    """A JSON document given as a dict, or as a path to read it from.
-
-    A file that cannot be read or parsed is a usage error (DomainError).
-    """
-    if not isinstance(data, (str, Path)):
-        return data
-    try:
-        return json.loads(Path(data).read_text())
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise DomainError(f"cannot read JSON from {str(data)!r}: {exc}") from exc
-
-
-def _is_int_list(value) -> bool:
-    """A list of ints; bools, an int subclass in Python, are not indices."""
-    return isinstance(value, list) and all(
-        isinstance(v, int) and not isinstance(v, bool) for v in value
-    )
-
-
-def cover_from_json(data) -> FiniteCover:
-    """Load a cover from its JSON description (or a path to one).
-
-    The document is an object with `points`, a non-empty list of distinct
-    strings, and `group`, a non-empty list of words, each a list of ints;
-    optional `group_labels` hold one string per word and `section` a list
-    of point indices, one per orbit in any order. Anything else raises
-    DomainError, as does a table that is not a free group action (see
-    cover_from_action).
-    """
-    data = _load_json(data)
-    if not isinstance(data, dict):
-        raise DomainError(f"a cover document is a JSON object, not {type(data).__name__}")
-    points = data.get("points")
-    if not (isinstance(points, list) and points and all(isinstance(p, str) for p in points)):
-        raise DomainError("cover 'points' must be a non-empty list of strings")
-    if len(set(points)) != len(points):
-        raise DomainError("cover 'points' must be distinct")
-    group = data.get("group")
-    if not (isinstance(group, list) and group and all(_is_int_list(w) for w in group)):
-        raise DomainError("cover 'group' must be a non-empty list of lists of ints")
-    labels = data.get("group_labels")
-    if labels is not None and not (
-        isinstance(labels, list)
-        and len(labels) == len(group)
-        and all(isinstance(label, str) for label in labels)
-    ):
-        raise DomainError("cover 'group_labels' must hold one string per group element")
-    section = data.get("section")
-    if section is not None and not (
-        _is_int_list(section) and all(0 <= i < len(points) for i in section)
-    ):
-        raise DomainError(
-            f"cover 'section' must be a list of point indices in 0..{len(points) - 1}"
-        )
-    return cover_from_action(
-        tuple(points),
-        group,
-        group_labels=tuple(labels) if labels is not None else None,
-        section=section,
-    )
-
-
 class GroupRep(Value, eq=False):
     """Unitary representation of a FiniteGroup: matrices[g] is U(g), a (|G|, d, d) stack.
 
@@ -306,10 +269,10 @@ class GroupRep(Value, eq=False):
             raise DomainError("need one square matrix per group element, all of one shape")
         d = mats.shape[1]
         defects = np.abs(mats @ mats.conj().swapaxes(1, 2) - np.eye(d))
-        bad = np.flatnonzero(defects.max(axis=(1, 2), initial=0.0) > linalg.GROUP_LAW_TOL)
+        bad = np.flatnonzero(defects.max(axis=(1, 2), initial=0.0) > tolerances.GROUP_LAW_TOL)
         if bad.size:
             raise DomainError(f"matrix {bad[0]} is not unitary")
-        if _group_law_bound(self.group, mats) > linalg.GROUP_LAW_TOL:
+        if _group_law_bound(self.group, mats) > tolerances.GROUP_LAW_TOL:
             raise DomainError("matrices do not respect the group law")
 
     @property
@@ -336,99 +299,12 @@ def _group_law_bound(group: FiniteGroup, mats: np.ndarray) -> float:
     check is kept as the test oracle.
     """
     d = mats.shape[1]
-    delta = linalg.max_abs(mats[group.identity] - np.eye(d))
+    delta = tolerances.max_abs(mats[group.identity] - np.eye(d))
     for s in group._generators:
         defect = mats @ mats[s]
         defect -= mats[group.cayley[:, s]]
-        delta = max(delta, linalg.max_abs(defect))
+        delta = max(delta, tolerances.max_abs(defect))
     return 2 * max(group._diameter, 1) * d * delta
-
-
-def _regular_bytes(n: int, width: int) -> int:
-    """Peak bytes of _regular_irreps at order n when its widest eigenspace has `width` columns.
-
-    Four complex n x n arrays (H, its eigenvectors, eigh's work), two int
-    n x n index tables, one n x n array of kept characters and the kept
-    stacks (n sum d**2 = n**2 entries), and one eigenspace's three
-    (n, n, width) complex gathers.
-    """
-    return 16 * n * n * (6 + 3 * width)
-
-
-def _irreducible_blocks(bases: list[np.ndarray], left: np.ndarray) -> list | None:
-    """(character, (n, d, d) matrices) of each inequivalent irreducible eigenspace B.
-
-    L(g) only permutes rows, (L(g) B)[i] = B[g^-1 i], so M(g) = B* L(g) B is
-    one row gather and a product for all g. None if some B is not invariant
-    or its character norm n**-1 sum_g |chi(g)|**2, which is 1 exactly for
-    irreducibles (Serre, 2.3), is not; a B whose character inner product
-    with a kept one rounds to 1 is a repeat, found by one product with the
-    kept characters, held as the rows of one array.
-    """
-    n = len(left)
-    kept = []
-    chars_kept = np.empty((len(bases), n), dtype=complex)
-    for basis in bases:
-        moved = basis[left]
-        mats = linalg.dagger(basis) @ moved
-        moved -= basis @ mats
-        if linalg.max_abs(moved) > linalg.INVARIANT_SUBSPACE_TOL:
-            return None
-        chars = np.trace(mats, axis1=1, axis2=2)
-        if np.rint(np.vdot(chars, chars).real / n) != 1:
-            return None
-        if not np.rint(np.abs(chars_kept[: len(kept)] @ chars.conj()) / n).any():
-            chars_kept[len(kept)] = chars
-            kept.append((chars, mats))
-    return kept
-
-
-def _regular_irreps(group: FiniteGroup, seed: int) -> list[GroupRep]:
-    """All irreducibles by splitting the left regular representation L.
-
-    The right multiplications R(k) e_j = e_{j k} span the commutant of
-    L(g) e_j = e_{g j} (Serre, Linear Representations of Finite Groups,
-    2.4), so the eigenspaces of a random Hermitian H = sum_k c_k R(k) + h.c.,
-    scattered from the Cayley table, are generically irreducible, each
-    irreducible appearing (dim) times, so no wider than isqrt(|G|).
-    _irreducible_blocks restricts, checks and deduplicates them; when the
-    squared dimensions sum to |G| they are returned as GroupReps. A failed
-    split retries with a fresh random.Random(seed + attempt) (numpy.random
-    is not loaded). _regular_bytes is refused over errors.BYTES_CAP at width
-    1 before eigh, since every eigenspace has a column, and again at the
-    widest eigenspace before any is gathered.
-    """
-    n = group.order
-    what = f"splitting the regular representation of a deck group of order {n}"
-    check_bytes(_regular_bytes(n, 1), what)
-    left = group.cayley[group._inverse]
-    for attempt in range(20):
-        rng = random.Random(seed + attempt)
-        h = np.zeros((n, n), dtype=complex)
-        # R(k) has its one entry of column j in row j k
-        h[group.cayley, np.arange(n)[:, None]] = (
-            linalg._normals(rng, n) + 1j * linalg._normals(rng, n)
-        )
-        eigvals, eigvecs = np.linalg.eigh(h + linalg.dagger(h))
-        del h
-        gaps = np.flatnonzero(np.diff(eigvals) >= linalg.EIGEN_CLUSTER_TOL)
-        cuts = np.concatenate(([0], gaps + 1, [n]))
-        width = int(np.diff(cuts).max())
-        if width > math.isqrt(n):  # d**2 <= n
-            continue
-        check_bytes(_regular_bytes(n, width), what)
-        distinct = _irreducible_blocks(np.split(eigvecs, cuts[1:-1], axis=1), left)
-        if distinct is None or sum(mats.shape[1] ** 2 for _, mats in distinct) != n:
-            continue
-        distinct.sort(key=lambda item: (item[1].shape[1], np.round(item[0].real, 6).tolist()))
-        try:
-            return [
-                GroupRep(group=group, matrices=mats, label=f"chi{i}")
-                for i, (_, mats) in enumerate(distinct)
-            ]
-        except DomainError:
-            continue
-    raise ConsistencyError("failed to split the regular representation")
 
 
 def irreps_of(group: FiniteGroup, seed: int = 0) -> list[GroupRep]:
@@ -451,66 +327,9 @@ def irreps_of(group: FiniteGroup, seed: int = 0) -> list[GroupRep]:
                 )
             )
         return out
+    from .cover_document import _regular_irreps
+
     return _regular_irreps(group, seed)
-
-
-class InvariantKernel(Value, eq=False):
-    """Kernel on the total set, invariant under the diagonal deck action."""
-
-    _fields = ("cover", "matrix")
-
-    def _validate(self):
-        mat = np.asarray(self.matrix, dtype=complex)
-        object.__setattr__(self, "matrix", mat)
-        npts = self.cover.total_size
-        if mat.shape != (npts, npts):
-            raise DomainError("kernel must be square over the total set")
-        action = self.cover.action
-        for g in range(self.cover.group.order):
-            moved = mat[np.ix_(action[:, g], action[:, g])]
-            err = np.abs(moved - mat)
-            worst = float(err.max()) if err.size else 0.0
-            if worst > linalg.KERNEL_INVARIANCE_TOL:
-                x, y = np.unravel_index(int(err.argmax()), err.shape)
-                raise DomainError(
-                    "kernel is not invariant: "
-                    f"A({x}.g, {y}.g) != A({x}, {y}) for g={self.cover.group.labels[g]}"
-                )
-
-
-def random_invariant_kernel(
-    cover: FiniteCover, rng: np.random.Generator, hermitian: bool = False
-) -> InvariantKernel:
-    """Group-average of a random dense kernel; exactly invariant."""
-    npts = cover.total_size
-    raw = rng.standard_normal((npts, npts)) + 1j * rng.standard_normal((npts, npts))
-    acc = np.zeros_like(raw)
-    for g in range(cover.group.order):
-        sel = cover.action[:, g]
-        acc += raw[np.ix_(sel, sel)]
-    acc /= cover.group.order
-    if hermitian:
-        acc = (acc + linalg.dagger(acc)) / 2
-    return InvariantKernel(cover=cover, matrix=acc)
-
-
-def kernel_orbit_basis(cover: FiniteCover) -> list[np.ndarray]:
-    """Orthonormal basis of the invariant kernels, one per entry orbit.
-
-    Each orbit of the (free) diagonal action on index pairs holds one pair
-    whose row point is on the section: the |base|**2 |group| orbits are
-    {(section(q).g, b.g) : g} over base points q and points b, ordered by
-    smallest flat index row * |total| + col.
-    """
-    npts = cover.total_size
-    rows = np.repeat(cover.action[cover.section], npts, axis=0)
-    cols = np.tile(cover.action, (cover.base_size, 1))
-    basis = []
-    for o in np.argsort((rows * npts + cols).min(axis=1)):
-        mat = np.zeros((npts, npts), dtype=complex)
-        mat[rows[o], cols[o]] = 1.0 / math.sqrt(cover.group.order)
-        basis.append(mat)
-    return basis
 
 
 def _fiber_blocks(cover: FiniteCover, rep: GroupRep) -> np.ndarray:
@@ -525,70 +344,6 @@ def _fiber_blocks(cover: FiniteCover, rep: GroupRep) -> np.ndarray:
     blocks = rep.matrices[cover.group._inverse[cover.deck_element()]]
     blocks *= 1.0 / math.sqrt(cover.group.order)
     return blocks
-
-
-def constrained_space(cover: FiniteCover, rep: GroupRep) -> np.ndarray:
-    """Orthonormal basis (columns) of the equivariant functions.
-
-    Functions psi with psi(x.h) = U(h^-1) psi(x), encoded as vectors with
-    index (point, component); the 1/sqrt(|G|) scaling realizes the
-    quotient measure so that the columns are orthonormal and evaluation
-    along the section is unitary. The fiber blocks (_fiber_blocks) are
-    scattered onto the block diagonal of (point, base point).
-    """
-    blocks = _fiber_blocks(cover, rep)
-    npts, d = blocks.shape[:2]
-    basis = np.zeros((npts, d, cover.base_size, d), dtype=blocks.dtype)
-    basis[np.arange(npts), :, cover.tau, :] = blocks
-    return basis.reshape(npts * d, cover.base_size * d)
-
-
-def constrained_action(kernel: InvariantKernel, rep: GroupRep) -> np.ndarray:
-    """Matrix of the kernel action restricted to the equivariant functions.
-
-    The kernel acts as (matrix x identity) on vector-valued functions;
-    invariance keeps the constrained subspace stable, which is checked
-    (leakage must stay below linalg.RESIDUAL_TOL).
-    """
-    return _restrict(kernel, constrained_space(kernel.cover, rep))
-
-
-def _restrict(kernel: InvariantKernel, basis: np.ndarray) -> np.ndarray:
-    """constrained_action on a precomputed constrained_space basis."""
-    restricted, leakage = linalg.restrict(kernel.matrix, basis)
-    if leakage > linalg.RESIDUAL_TOL:
-        raise ConsistencyError(f"constrained subspace leaks: {leakage:.2e}")
-    return restricted
-
-
-def section_action(kernel: InvariantKernel, rep: GroupRep) -> np.ndarray:
-    """Kernel action transported to functions on the quotient.
-
-    On psi: base -> internal space,
-    (A psi)(q) = sum_{h, q'} A(sigma(q), sigma(q').h) U(h^-1) psi(q');
-    this is the conjugate of the constrained action by the section
-    evaluation unitary. The entries A(sigma(q), sigma(q').h) are gathered
-    as one (base, base, G) array and contracted with U(h^-1) stacked
-    over h.
-    """
-    cover = kernel.cover
-    if rep.group is not cover.group:
-        raise DomainError("representation must belong to the cover's deck group")
-    entries = kernel.matrix[cover.section][:, cover.action[cover.section]]
-    size = cover.base_size * rep.dimension
-    return np.einsum("qph,hij->qipj", entries, rep.inverse_matrices()).reshape(size, size)
-
-
-def realization_unitary(cover: FiniteCover, rep: GroupRep) -> np.ndarray:
-    """Unitary from the constrained to the quotient realization.
-
-    Evaluation along the section, expressed in the coordinates provided
-    by constrained_space: U psi = psi(sigma(.)). Conjugation by it turns
-    every constrained action into the matching section action.
-    """
-    basis = constrained_space(cover, rep)
-    rows = (cover.section[:, None] * rep.dimension + np.arange(rep.dimension)).ravel()
-    return math.sqrt(cover.group.order) * basis[rows, :]
 
 
 class SectorCensusRecord(Value):
@@ -628,8 +383,8 @@ class SectorCensusReport(Value):
 
 
 def _orbit_chunk(ng: int, d: int, itemsize: int) -> int:
-    """Orbits per chunk: (rows, |G|, d, d) arrays of at most linalg.CHUNK_BYTES, one row at least."""
-    return max(1, linalg.CHUNK_BYTES // (itemsize * ng * d * d))
+    """Orbits per chunk: (rows, |G|, d, d) arrays of at most CHUNK_BYTES, one row at least."""
+    return max(1, tolerances.CHUNK_BYTES // (itemsize * ng * d * d))
 
 
 def _census_bytes(npts: int, nbase: int, ng: int, dims: list[int], itemsize: int) -> int:
@@ -691,14 +446,14 @@ def _sector_dimensions(reps: list[GroupRep]) -> tuple[list[int], dict, float]:
 
     Rounded, the diagonal gives the commutant dimensions and the upper
     triangle the intertwiner dimensions; the largest distance of an entry
-    from its integer is the margin, past linalg.RESIDUAL_TOL a
+    from its integer is the margin, past tolerances.RESIDUAL_TOL a
     ConsistencyError.
     """
     chars = np.array([np.trace(rep.matrices, axis1=1, axis2=2) for rep in reps])
     gram = chars @ chars.conj().T / chars.shape[1]
     dims = np.rint(gram.real)
-    margin = linalg.max_abs(gram - dims)
-    if margin > linalg.RESIDUAL_TOL:
+    margin = tolerances.max_abs(gram - dims)
+    if margin > tolerances.RESIDUAL_TOL:
         raise ConsistencyError(f"character Gram matrix is {margin:.2e} from integral")
     commutant = [int(dims[i, i]) for i in range(len(reps))]
     pairwise = {
@@ -800,11 +555,11 @@ def sector_census(cover: FiniteCover, seed: int = 0) -> SectorCensusReport:
             restricted /= root
             right /= root
             right -= left @ restricted[:, None]
-            leakage = linalg.max_abs(right)
-            if leakage > linalg.RESIDUAL_TOL:
+            leakage = tolerances.max_abs(right)
+            if leakage > tolerances.RESIDUAL_TOL:
                 raise ConsistencyError(f"constrained subspace leaks: {leakage:.2e}")
             restricted -= rep.matrices[inverse_deck[i : i + rows]] / root
-            residual = max(residual, linalg.max_abs(restricted))
+            residual = max(residual, tolerances.max_abs(restricted))
         del fibers, left, left_adjoint, right
     records = [
         SectorCensusRecord(
@@ -822,7 +577,7 @@ def sector_census(cover: FiniteCover, seed: int = 0) -> SectorCensusReport:
         identity_ok
         and all(r.commutant_dim == 1 for r in records)
         and all(v == 0 for v in pairwise.values())
-        and residual < linalg.RESIDUAL_TOL
+        and residual < tolerances.RESIDUAL_TOL
     )
     return SectorCensusReport(
         total_size=npts,
@@ -836,3 +591,41 @@ def sector_census(cover: FiniteCover, seed: int = 0) -> SectorCensusReport:
         intertwining_residual_max=residual,
         passed=passed,
     )
+
+
+def _run_cover(args) -> tuple[int, bytes]:
+    """The ``cover --q-size/--N`` report; cli checked the options before importing this module."""
+    # refuse from (q, N) alone: enumerating the cover may already exceed the cap
+    check_census_cost(args.q_size, args.N)
+    cover = symmetric_cover(args.q_size, args.N)
+    return _cover_report(args, cover, {"q_size": args.q_size, "N": args.N})
+
+
+def _cover_report(args, cover: FiniteCover, source: dict) -> tuple[int, bytes]:
+    """The census of `cover`, rendered; `source` names the cover in the report's config."""
+    from .cli import EXIT_CHECK_FAILED, EXIT_OK, SCHEMA, _render_json, _render_pretty
+
+    report = sector_census(cover, seed=args.seed)
+    payload = {
+        "schema": SCHEMA,
+        "command": "cover",
+        "config": {**source, "seed": args.seed},
+        **report.to_dict(),
+    }
+    code = EXIT_OK if report.passed else EXIT_CHECK_FAILED
+    if args.format == "pretty":
+        lines = [
+            f"cover: {report.total_size} points over {report.base_size} base points, "
+            f"deck group of order {report.group_order}",
+            f"invariant kernel space: {report.kernel_space_dim}",
+        ]
+        lines += [
+            f"  sector {s.label}: carrier dim {s.carrier_dim}, commutant dim {s.commutant_dim}"
+            for s in report.sectors
+        ]
+        lines.append(f"dimension margin: {report.dimension_margin:.3e}")
+        lines.append(f"dimension identity: {report.dimension_identity_ok}")
+        lines.append(f"intertwining residual: {report.intertwining_residual_max:.3e}")
+        lines.append(f"passed: {report.passed}")
+        return code, _render_pretty(lines)
+    return code, _render_json(payload)

@@ -1,13 +1,9 @@
 """Dense linear-algebra helpers shared by the sector modules.
 
-Operators are plain complex numpy arrays. Every threshold of the matrix
-certificates is a named constant below (circle_theta names those of its
-grid spectra), and no function takes a tolerance argument, so each
-certificate is decided against the same numbers wherever it is
-computed. Rank decisions count eigenvalues of a Hermitian idempotent
-above RANK_TOL, or singular values above RANK_TOL times max(1, largest);
-identity-type residuals (intertwining, leakage, idempotence) are
-measured in the max-abs entry norm against RESIDUAL_TOL.
+Operators are plain complex numpy arrays. The certificate thresholds,
+CHUNK_BYTES and max_abs live in tolerances, which the paths that need
+none of the solvers below import alone; they are imported here by name,
+so linalg.RESIDUAL_TOL and the others still resolve.
 
 Commutants and intertwiner spaces are the null spaces of Sylvester
 systems, found by successive restriction, one operator pair at a time:
@@ -28,30 +24,27 @@ from __future__ import annotations
 
 import random
 
-# sectorkit modules before numpy (README Conventions)
+# sectorkit modules before numpy (README Conventions); tolerances loads numpy
 from .errors import DomainError, check_bytes
+# the thresholds, CHUNK_BYTES and max_abs are re-exported for parastat_equiv,
+# tensor_rep, the tests and perfbench's TRACED list, which name them here
+from .tolerances import (
+    CHUNK_BYTES,
+    EIGEN_CLUSTER_TOL,
+    GROUP_LAW_TOL,
+    INVARIANT_SUBSPACE_TOL,
+    ISOMETRY_TOL,
+    KERNEL_INVARIANCE_TOL,
+    RANK_TOL,
+    RESIDUAL_TOL,
+    max_abs,
+)
 
 import numpy as np
-
-RANK_TOL = 1e-8
-RESIDUAL_TOL = 1e-10
-ISOMETRY_TOL = 1e-12  # C*C - 1 of an injection handed to a realization
-# Checks of the cover layer, kept at the values they were introduced with:
-GROUP_LAW_TOL = 1e-9  # unitarity and group law of a representation
-INVARIANT_SUBSPACE_TOL = 1e-8  # leakage of a candidate irreducible subspace
-EIGEN_CLUSTER_TOL = 1e-6  # eigenvalue clusters, sector eigenvalues, intertwiner spectra
-KERNEL_INVARIANCE_TOL = 1e-10  # deck invariance of a kernel
-# One chunk's size: circle_theta's plane-wave passes, the census's generating orbits.
-CHUNK_BYTES = 2**20
 
 
 def dagger(a: np.ndarray) -> np.ndarray:
     return a.conj().T
-
-
-def max_abs(a: np.ndarray) -> float:
-    a = np.asarray(a)
-    return float(np.max(np.abs(a))) if a.size else 0.0
 
 
 def _rank_from_singular_values(s: np.ndarray) -> int:

@@ -390,3 +390,33 @@ def sector_realization_from_projector(
 ) -> SectorRealization:
     """Realization on the range of an idempotent (orthonormalized first)."""
     return realize(label, linalg.orthonormal_range(projector), ambient_ops)
+
+
+def _run_equiv(args) -> tuple[int, bytes]:
+    """The ``equiv`` report; cli checked m, N and the format before importing this module."""
+    from .cli import EXIT_CHECK_FAILED, EXIT_OK, SCHEMA, _render_json, _render_pretty
+
+    if args.N == 2:
+        first = bosonic_singlet_realization(args.m)
+        second = fermionic_realization(args.m)
+    else:
+        first = bosonic_doublet_realization(args.m)
+        second = parafermion_realization(args.m)
+    cert = general_equivalence(first, second, seed=args.seed)
+    payload = {
+        "schema": SCHEMA,
+        "command": "equiv",
+        "config": {"m": args.m, "N": args.N, "seed": args.seed},
+        "realizations": [first.label, second.label],
+        "carrier_leakages": [first.leakage, second.leakage],
+        "certificate": cert.to_dict(),
+    }
+    code = EXIT_OK if cert.equivalent else EXIT_CHECK_FAILED
+    if args.format == "pretty":
+        lines = [
+            f"{first.label}  ~  {second.label}",
+            f"carrier dims: {cert.carrier_dims}",
+            f"equivalent: {cert.equivalent} (residual {cert.residual:.3e})",
+        ]
+        return code, _render_pretty(lines)
+    return code, _render_json(payload)

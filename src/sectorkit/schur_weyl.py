@@ -18,8 +18,9 @@ too many records (partitions of N), whose integers are too long to
 print, or whose largest block exceeds the byte cap or whose blocks
 exceed the cubic work budget.
 
-This is the module the CLI's ``sectors`` runs; the dense reference
-builders of tensor_rep are not loaded on that path.
+This is the module the CLI's ``sectors`` runs, and its handler lives
+here; the dense reference builders of tensor_rep, permgroup and linalg
+are not loaded on that path.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from __future__ import annotations
 import itertools
 import math
 
-# sectorkit modules before numpy (README Conventions); linalg loads numpy
+# sectorkit modules before numpy (README Conventions); tolerances loads numpy
 from .errors import (
     ConsistencyError,
     DomainError,
@@ -36,8 +37,8 @@ from .errors import (
     check_bytes,
     check_work,
 )
-from .permgroup import enumerate_partitions, hook_dimension, iter_partitions
-from . import linalg
+from .partitions import enumerate_partitions, hook_dimension, iter_partitions
+from . import tolerances
 
 import numpy as np
 
@@ -242,7 +243,7 @@ def _assign_sectors(values: np.ndarray, predicted: np.ndarray, weight) -> np.nda
     gap = float(np.diff(ladder).min()) if len(ladder) > 1 else 1.0
     nearest = np.abs(values[:, None] - predicted[None, :]).argmin(axis=1)
     miss = np.abs(values - predicted[nearest])
-    if miss.size and miss.max() > linalg.EIGEN_CLUSTER_TOL * gap:
+    if miss.size and miss.max() > tolerances.EIGEN_CLUSTER_TOL * gap:
         k = int(miss.argmax())
         raise ConsistencyError(
             f"eigenvalue {values[k]:.12g} of weight block {weight} is {miss[k]:.3g} from the "
@@ -293,7 +294,9 @@ def _weight_block(
     groups = np.split(order, np.flatnonzero(np.diff(sector[order])) + 1)
     columns = {int(sector[c[0]]): c for c in groups}
     idempotence = {
-        s: linalg.max_abs(vectors[:, c] @ (gram[np.ix_(c, c)] - np.eye(len(c))) @ vectors[:, c].T)
+        s: tolerances.max_abs(
+            vectors[:, c] @ (gram[np.ix_(c, c)] - np.eye(len(c))) @ vectors[:, c].T
+        )
         for s, c in columns.items()
     }
     orthogonality = 0.0
@@ -301,13 +304,13 @@ def _weight_block(
         if len(cols_s) > len(cols_t):  # the cheaper association of V_s G_st V_t^T
             cols_s, cols_t = cols_t, cols_s
         product = vectors[:, cols_s] @ (gram[np.ix_(cols_s, cols_t)] @ vectors[:, cols_t].T)
-        orthogonality = max(orthogonality, linalg.max_abs(product))
+        orthogonality = max(orthogonality, tolerances.max_abs(product))
     residuals = {
-        "central_completeness": linalg.max_abs(vectors @ vectors.T - np.eye(len(words))),
+        "central_completeness": tolerances.max_abs(vectors @ vectors.T - np.eye(len(words))),
         "central_orthogonality_max": orthogonality,
         "class_sum_eigen_max": max(
-            linalg.max_abs(k2 @ vectors - vectors * omega[sector, 0]),
-            linalg.max_abs(k3 @ vectors - vectors * omega[sector, 1]),
+            tolerances.max_abs(k2 @ vectors - vectors * omega[sector, 0]),
+            tolerances.max_abs(k3 @ vectors - vectors * omega[sector, 1]),
         ),
     }
     return WeightBlock(weight, words, vectors, sector, residuals, idempotence)
@@ -390,3 +393,40 @@ def sector_decomposition(m: int, N: int) -> SectorReport:
         commutant_dim=commutant_dim,
         residuals=residuals,
     )
+
+
+def _run_sectors(args) -> tuple[int, bytes]:
+    """The ``sectors`` report; cli parsed --lambda into args.wanted before importing this module."""
+    from .cli import EXIT_CHECK_FAILED, EXIT_OK, SCHEMA, _render_csv, _render_json, _render_pretty
+
+    wanted = args.wanted
+    report = sector_decomposition(args.m, args.N)
+    data = report.to_dict()
+    if wanted is not None:
+        data["sectors"] = [s for s in data["sectors"] if tuple(s["partition"]) == wanted.parts]
+        if not data["sectors"]:
+            raise DomainError(f"{wanted.parts} is not a partition of {args.N}")
+    payload = {
+        "schema": SCHEMA,
+        "command": "sectors",
+        "config": {"m": args.m, "N": args.N, "lambda": args.lam, "seed": args.seed},
+        **data,
+    }
+    worst = max(payload["residuals"].values())
+    code = EXIT_OK if worst < tolerances.RESIDUAL_TOL else EXIT_CHECK_FAILED
+    if args.format == "csv":
+        rows = [
+            [",".join(map(str, s["partition"])), s["irrep_dim"], s["multiplicity"], s["rank"]]
+            for s in data["sectors"]
+        ]
+        return code, _render_csv(["partition", "irrep_dim", "multiplicity", "rank"], rows)
+    if args.format == "pretty":
+        lines = [f"sectors of (C^{args.m})^(x{args.N}):"]
+        lines += [
+            f"  {tuple(s['partition'])}: irrep dim {s['irrep_dim']}, multiplicity "
+            f"{s['multiplicity']}, rank {s['rank']}"
+            for s in data["sectors"]
+        ]
+        lines.append(f"commutant dimension: {data['commutant_dim']}")
+        return code, _render_pretty(lines)
+    return code, _render_json(payload)

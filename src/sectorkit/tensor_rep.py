@@ -24,13 +24,11 @@ import math
 
 # sectorkit modules before numpy (README Conventions); schur_weyl loads numpy
 from .errors import DomainError, ResourceLimitError, Value, check_bytes
+from .partitions import Partition, StandardTableau, hook_dimension
 from .permgroup import (
-    Partition,
     Permutation,
-    StandardTableau,
     character,
     conjugacy_classes,
-    hook_dimension,
     irrep,
     row_col_groups,
     symmetric_group,

@@ -525,14 +525,14 @@ def orbit_restrictions(
     R_O is the carrier restriction of the normalized indicator of O (times
     the identity on the k internal rows). The blocks are gathered per
     entry, multiplied and summed per orbit, in chunks of whole orbits
-    whose products take at most linalg.CHUNK_BYTES (one orbit at least).
+    whose products take at most tolerances.CHUNK_BYTES (one orbit at least).
     """
-    from sectorkit import linalg
+    from sectorkit import tolerances
 
     r = blocks.shape[2]
     sizes = np.diff(starts)
     out = np.empty((len(sizes), r, r), dtype=blocks.dtype)
-    step = max(1, linalg.CHUNK_BYTES // max(1, r * r * blocks.itemsize * int(sizes.max())))
+    step = max(1, tolerances.CHUNK_BYTES // max(1, r * r * blocks.itemsize * int(sizes.max())))
     for lo in range(0, len(sizes), step):
         hi = min(lo + step, len(sizes))
         entries = slice(starts[lo], starts[hi])
@@ -787,7 +787,7 @@ def restrict_orbits(carrier, n: int, rows, cols, starts):
     is |O|**-1/2 sum_{j : (i, j) in O} C_j, a scatter-add of gathered
     blocks. No n x n operator is formed.
     """
-    from sectorkit import linalg
+    from sectorkit import linalg, tolerances
     from sectorkit.errors import DomainError
 
     c = np.asarray(carrier)
@@ -798,7 +798,7 @@ def restrict_orbits(carrier, n: int, rows, cols, starts):
     sizes = np.diff(starts)
     scale = np.repeat(1.0 / np.sqrt(sizes), sizes)[:, None, None]
     # C R_O and its absolute values are the two arrays of a chunk
-    step = max(1, linalg.CHUNK_BYTES // max(1, 2 * c.size * c.itemsize))
+    step = max(1, tolerances.CHUNK_BYTES // max(1, 2 * c.size * c.itemsize))
     leakage = 0.0
     for lo in range(0, len(sizes), step):
         hi = min(lo + step, len(sizes))

@@ -636,9 +636,23 @@ MALFORMED_COVERS = {
 }
 
 
+# Texts that json.loads refuses with something other than JSONDecodeError:
+# they ended in a RecursionError and in a ValueError from the interpreter's
+# int-conversion limit, both with a traceback and exit 1.
+UNREADABLE_COVERS = {
+    "nested-past-the-recursion-limit": "[" * 100000 + "]" * 100000,
+    "integer-past-the-digit-limit": '{"points": ["a"], "group": [[' + "9" * 5000 + "]]}",
+}
+
+
 def run_cover_document(path, document):
     """main() on `cover --cover-json` for one document: (code, stderr lines)."""
     path.write_text(json.dumps(document))
+    return run_cover_file(path)
+
+
+def run_cover_file(path):
+    """main() on `cover --cover-json path`: (code, stderr lines)."""
     err = io.StringIO()
     with contextlib.redirect_stderr(err):
         code = main(["cover", "--cover-json", str(path), "--out", os.devnull])
@@ -646,9 +660,16 @@ def run_cover_document(path, document):
 
 
 class TestCoverDocumentContract:
-    @pytest.mark.parametrize("document", MALFORMED_COVERS.values(), ids=MALFORMED_COVERS.keys())
-    def test_malformed_document_exits_2(self, tmp_path, document):
-        code, lines = run_cover_document(tmp_path / "cover.json", document)
+    @pytest.mark.parametrize(
+        "text",
+        [json.dumps(document) for document in MALFORMED_COVERS.values()]
+        + list(UNREADABLE_COVERS.values()),
+        ids=[*MALFORMED_COVERS, *UNREADABLE_COVERS],
+    )
+    def test_malformed_document_exits_2(self, tmp_path, text):
+        path = tmp_path / "cover.json"
+        path.write_text(text)
+        code, lines = run_cover_file(path)
         assert code == 2
         assert len(lines) == 1
         error = json.loads(lines[0])
@@ -702,25 +723,55 @@ class TestCoverDocumentContract:
             assert json.loads(lines[0])["kind"] in ("usage", "resource")
 
 
+def with_document(tmp_path, argv):
+    """argv with "DOC" replaced by the path of a D_6 cover document written to tmp_path."""
+    document = tmp_path / "d6.json"
+    document.write_text(json.dumps(oracles.dihedral_document(6)))
+    return [str(document) if a == "DOC" else a for a in argv]
+
+
 class TestImports:
-    def test_subcommand_loads_only_its_modules(self):
+    @pytest.mark.parametrize(
+        "argv,modules",
+        [
+            (["tableaux", "--N", "3"], {"partitions"}),
+            (["sectors", "--m", "3", "--N", "4"], {"partitions", "schur_weyl", "tolerances"}),
+            (
+                ["equiv", "--m", "2", "--N", "3"],
+                {"partitions", "permgroup", "tolerances", "linalg", "parastat_equiv"},
+            ),
+            (
+                ["cover", "--q-size", "4", "--N", "3"],
+                {"partitions", "permgroup", "tolerances", "cover_quant"},
+            ),
+            (
+                ["cover", "--cover-json", "DOC"],
+                {"partitions", "permgroup", "tolerances", "cover_quant", "cover_document"},
+            ),
+            (["circle", "--theta", "1", "--grid", "128"], {"tolerances", "circle_theta"}),
+        ],
+        ids=["tableaux", "sectors", "equiv", "cover", "cover-json", "circle"],
+    )
+    def test_subcommand_loads_only_its_modules(self, tmp_path, argv, modules):
+        # each handler lives beside what it reports: no run compiles another
+        # subcommand's code, the Sylvester solvers of linalg, the permutations
+        # of permgroup, the regular split or the dense reference builders
+        argv = with_document(tmp_path, argv)
         src = str(Path(sectorkit.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
         script = (
             "import sys\n"
             "from sectorkit import cli\n"
-            "code = cli.main(['tableaux', '--N', '3', '--out', sys.argv[1]])\n"
+            "code = cli.main(sys.argv[2:] + ['--out', sys.argv[1]])\n"
             "print(code, ' '.join(sorted(m for m in sys.modules if m.startswith('sectorkit'))))\n"
         )
         out = subprocess.run(
-            [sys.executable, "-c", script, os.devnull],
+            [sys.executable, "-c", script, os.devnull, *argv],
             env=env, capture_output=True, text=True, check=True, timeout=60,
         ).stdout.split()
         assert out[0] == "0"
-        loaded = set(out[1:])
-        assert "sectorkit.cli" in loaded
-        for heavy in ("tensor_rep", "schur_weyl", "cover_quant", "parastat_equiv", "circle_theta"):
-            assert f"sectorkit.{heavy}" not in loaded
+        expected = {"sectorkit", "sectorkit.cli", "sectorkit.errors"}
+        assert set(out[1:]) == expected | {f"sectorkit.{m}" for m in modules}
 
     def test_cover_run_does_not_load_numpy_random(self):
         # the census draws no random kernel, and symmetric deck groups get
@@ -818,12 +869,14 @@ class TestImports:
             ["equiv", "--m", "2", "--N", "2"],
             ["cover", "--q-size", "3", "--N", "2"],
             ["circle", "--theta", "0", "--grid", "128"],
+            ["cover", "--cover-json", "DOC"],
         ],
-        ids=["sectors", "equiv", "cover", "circle"],
+        ids=["sectors", "equiv", "cover", "circle", "cover-json"],
     )
-    def test_sectorkit_modules_import_before_numpy(self, argv):
+    def test_sectorkit_modules_import_before_numpy(self, tmp_path, argv):
         # without cached bytecode a module's short-lived compile data lands on
         # top of numpy's heap if it is imported later (README Conventions)
+        argv = with_document(tmp_path, argv)
         src = str(Path(sectorkit.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
         script = (
@@ -869,9 +922,10 @@ class TestImports:
         # inspect, ~10 ms), and only the csv renderer imports csv.
         src = str(Path(sectorkit.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
-        unused = ("numpy", "sectorkit.linalg", "sectorkit.tensor_rep", "sectorkit.schur_weyl",
-                  "sectorkit.parastat_equiv", "sectorkit.cover_quant", "sectorkit.circle_theta",
-                  "dataclasses", "inspect")
+        unused = ("numpy", "sectorkit.tolerances", "sectorkit.linalg", "sectorkit.permgroup",
+                  "sectorkit.tensor_rep", "sectorkit.schur_weyl", "sectorkit.parastat_equiv",
+                  "sectorkit.cover_quant", "sectorkit.cover_document", "sectorkit.cover_reference",
+                  "sectorkit.circle_theta", "dataclasses", "inspect")
         if code or "csv" not in argv:  # only a csv report is rendered by csv
             unused += ("csv",)
         script = (

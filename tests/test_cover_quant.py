@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from sectorkit import cover_quant, errors, linalg
+from sectorkit import cover_document, cover_quant, cover_reference, errors, linalg
 from sectorkit.cover_quant import (
     FiniteCover,
     FiniteGroup,
@@ -471,18 +471,18 @@ class TestIrreps:
         group = cover_from_json(document).group
         tracemalloc.start()
         try:
-            reps = cover_quant._regular_irreps(group, 0)
+            reps = cover_document._regular_irreps(group, 0)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert sum(r.dimension**2 for r in reps) == group.order
-        estimate = cover_quant._regular_bytes(group.order, max(r.dimension for r in reps))
+        estimate = cover_document._regular_bytes(group.order, max(r.dimension for r in reps))
         assert peak <= estimate
         monkeypatch.setattr(errors, "BYTES_CAP", estimate)
-        cover_quant._regular_irreps(group, 0)
+        cover_document._regular_irreps(group, 0)
         monkeypatch.setattr(errors, "BYTES_CAP", estimate - 1)
         with pytest.raises(ResourceLimitError, match="regular representation"):
-            cover_quant._regular_irreps(group, 0)
+            cover_document._regular_irreps(group, 0)
 
     def test_group_rep_validation(self, cover32):
         bad = [np.eye(1) * 2.0 for _ in range(cover32.group.order)]
@@ -996,7 +996,7 @@ def oracle_dimensions(cover, reps):
     actions = []
     for rep in reps:
         basis = constrained_space(cover, rep)
-        actions.append([cover_quant._restrict(k, basis) for k in kernels])
+        actions.append([cover_reference._restrict(k, basis) for k in kernels])
     commutant = [oracles.dense_intertwiner_dimension(acts, acts) for acts in actions]
     pairwise = {
         f"{reps[i].label}|{reps[j].label}": oracles.dense_intertwiner_dimension(
@@ -1060,7 +1060,7 @@ class TestBatchedCensus:
             for o, block in enumerate(blocks):
                 a, b = cover.tau[rows[o, 0]], cover.tau[cols[o, 0]]
                 placed[o, a * d : (a + 1) * d, b * d : (b + 1) * d] = block
-            single = np.array([cover_quant._restrict(kernel, basis) for kernel in kernels])
+            single = np.array([cover_reference._restrict(kernel, basis) for kernel in kernels])
             assert linalg.max_abs(placed - single) < 1e-14
 
     def test_orbit_basis_built_from_the_orbit_tables(self, cover43):
@@ -1118,7 +1118,7 @@ class TestBatchedCensus:
             basis = constrained_space(cover43, rep).copy()
             basis[: rep.dimension] *= 2.0
             with pytest.raises(ConsistencyError, match="leaks"):
-                cover_quant._restrict(kernel, linalg.orthonormal_range(basis))
+                cover_reference._restrict(kernel, linalg.orthonormal_range(basis))
 
     @pytest.mark.parametrize("q,n", [(6, 3), (9, 2), (11, 2)])
     def test_frontier_census(self, q, n):

@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 from sectorkit import (
-    circle_theta, cover_quant, errors, linalg, parastat_equiv, schur_weyl, tensor_rep,
+    circle_theta, cover_document, cover_quant, errors, linalg, parastat_equiv, schur_weyl,
+    tensor_rep,
 )
 from sectorkit.cover_quant import FiniteGroup, sector_census, symmetric_cover
 from sectorkit.errors import ResourceLimitError
@@ -36,7 +37,7 @@ ESTIMATES = {
     "sector decomposition": lambda: schur_weyl._check_sector_cost(2, 12),
     "restricted to two carriers": lambda: parastat_equiv._check_equiv_cost(8, 2),
     "successive restriction": lambda: linalg.unitary_intertwiner([np.eye(10)], [np.eye(10)]),
-    "regular representation": lambda: cover_quant._regular_irreps(cyclic_group(128), 0),
+    "regular representation": lambda: cover_document._regular_irreps(cyclic_group(128), 0),
     "cover census": lambda: sector_census(symmetric_cover(24, 3)),
     "gauge check": lambda: circle_theta.check_gauge_cost(4096),
     "plane-wave eigenvalues": lambda: circle_theta.spectrum_rows(1.0, 4096, 4),

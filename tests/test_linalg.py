@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import oracles
-from sectorkit import linalg
+from sectorkit import linalg, tolerances
 from sectorkit.errors import DomainError
 from sectorkit.permgroup import Partition, irrep, symmetric_group
 
@@ -305,7 +305,7 @@ class TestRestrictOrbits:
     @pytest.mark.parametrize("chunk", [1, 1 << 20])
     def test_matches_restrict_of_dense_indicators(self, k, dtype, chunk, monkeypatch):
         # chunk = 1 byte makes every chunk a single orbit
-        monkeypatch.setattr(linalg, "CHUNK_BYTES", chunk)
+        monkeypatch.setattr(tolerances, "CHUNK_BYTES", chunk)
         n, r = 5, 4
         rng = np.random.default_rng(30 + k)
         raw = rng.standard_normal((n * k, r)).astype(dtype)
