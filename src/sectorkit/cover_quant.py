@@ -1,19 +1,16 @@
 """Finite models of covering-space quantization.
 
-A finite set with a free action of a finite group is the desk-scale
-stand-in for a universal cover over its quotient. Group-invariant
-kernels on the total set form the observable algebra; for every unitary
-irreducible of the deck group the algebra acts irreducibly on the space
-of equivariant functions (the constrained realization) and, unitarily
-equivalently, on functions over the quotient tensored with the internal
-space (the section realization). This module builds covers and their
-deck groups' irreducibles and runs the census verifying the sector
-correspondence and its dimension identity, with the handler of ``cover
---q-size/--N``. What that run does not use lives beside it and is
-resolved here on first access (PEP 562): the ``--cover-json`` document
-reader and the regular-representation split in cover_document, the
-dense realizations (the constrained and section actions of a kernel and
-the unitary relating them) in cover_reference.
+A finite set with a free action of a finite group, a bijection of its
+points with base x G, is the desk-scale stand-in for a universal cover
+over its quotient. Group-invariant kernels on the total set form the
+observable algebra; for every unitary irreducible of the deck group it
+acts irreducibly on the equivariant functions (the constrained
+realization) and, unitarily equivalently, on functions over the quotient
+tensored with the internal space (the section realization). This module
+builds covers and their deck groups' irreducibles and runs the census of
+that correspondence, with the handler of ``cover --q-size/--N``. The
+``--cover-json`` reader and the regular split (cover_document) and the
+dense realizations (cover_reference) resolve here on first access (PEP 562).
 
 Measure conventions: kernels act by plain matrix multiplication on
 functions over the total set; the inner product on equivariant functions
@@ -29,7 +26,7 @@ import math
 
 # sectorkit modules before numpy (README Conventions); tolerances loads numpy
 from .errors import ConsistencyError, DomainError, Value, check_bytes
-from .partitions import enumerate_partitions, hook_dimension
+from .partitions import content_sum, enumerate_partitions, hook_dimension
 from .permgroup import Permutation, irrep, symmetric_group
 from . import tolerances
 
@@ -107,51 +104,40 @@ class FiniteGroup(Value, eq=False):
         return self._identity
 
 
-class FiniteCover(Value, eq=False):
-    """Free action of a finite group on a finite set, with quotient data.
+def _point_indices(values, npts: int, what: str) -> np.ndarray:
+    """values as an int64 array of point indices in 0..npts-1, or DomainError naming `what`."""
+    values = np.asarray(values)  # an empty list converts as floats
+    if values.size and (values.dtype.kind not in "iu" or values.min() < 0 or values.max() >= npts):
+        raise DomainError(f"{what} entries must be point indices in 0..{npts - 1}")
+    return np.ascontiguousarray(values, dtype=np.int64)
 
-    points is a tuple or array of the points; action[x, g] is the image of
-    point x under group element g; section picks one point per orbit, in
-    any order, which gives each point x = section(tau(x)) . h(x) its base
-    point tau(x) and its deck element h(x) (deck_element).
+
+class FiniteCover(Value, eq=False):
+    """Free action of a finite group on a finite set, as a bijection of its points with base x G.
+
+    points is a tuple or array of the points; orbits[q, g] is the point
+    section(q) . g, so row q is the orbit of section(q) = orbits[q, e], the
+    rows in any order. Listing every point once, the table gives each point
+    x = orbits[tau(x), h(x)] its base point tau(x) and deck element h(x)
+    (deck_element), and the action x.g = orbits[tau(x), h(x) g] is free and
+    follows the group law by construction: that scatter is the only check.
     """
 
-    _fields = ("points", "group", "action", "section")
+    _fields = ("points", "group", "orbits")
 
     def _validate(self):
-        action = np.asarray(self.action, dtype=np.int64)
-        section = np.asarray(self.section)
-        npts, ng = action.shape
-        if len(self.points) != npts or ng != self.group.order:
-            raise DomainError("action table shape mismatch")
-        # an empty section converts as floats; the orbit check below refuses it
-        if section.size and (
-            section.dtype.kind not in "iu" or section.min() < 0 or section.max() >= npts
-        ):
-            raise DomainError(f"section entries must be point indices in 0..{npts - 1}")
-        section = section.astype(np.int64, copy=False)
-        object.__setattr__(self, "action", action)
-        object.__setattr__(self, "section", section)
-        e = self.group.identity
-        fixed = np.count_nonzero(action == np.arange(npts)[:, None], axis=0)
-        if fixed[e] != npts:
-            raise DomainError("identity must act trivially")
-        fixed[e] = 0
-        if fixed.any():
-            g = np.flatnonzero(fixed)[0]
-            raise DomainError(f"action is not free: element {self.group.labels[g]}")
-        # (x.g).h == x.(g h) for every x, g and h over generators: by
-        # associativity the h it holds for are closed under products
-        for h in self.group._generators:
-            if not np.array_equal(action[action, h], action[:, self.group.cayley[:, h]]):
-                raise DomainError("action is incompatible with the group law")
-        # the section picks one point per orbit exactly when it holds |total| / |G|
-        # points and scattering q |G| + h to section(q) . h reaches every point
-        index = np.full(npts, -1, dtype=np.int64)
-        index[action[section].ravel()] = np.arange(section.size * ng)
-        if section.shape != (npts // ng,) or np.any(index < 0):
+        npts, ng = len(self.points), self.group.order
+        orbits = _point_indices(self.orbits, npts, "orbit table")
+        if orbits.ndim != 2 or orbits.shape[1] != ng:
+            raise DomainError("orbit table needs one column per group element")
+        tau = np.full(npts, -1, dtype=np.int64)
+        tau[orbits] = np.arange(len(orbits))[:, None]
+        if orbits.size != npts or tau.min(initial=0) < 0:
             raise DomainError("section must pick one point per orbit")
-        tau, deck = np.divmod(index, ng)
+        deck = np.empty(npts, dtype=np.int64)
+        deck[orbits] = np.arange(ng)
+        object.__setattr__(self, "orbits", orbits)
+        object.__setattr__(self, "section", orbits[:, self.group.identity])
         object.__setattr__(self, "tau", tau)
         object.__setattr__(self, "_deck", deck)
 
@@ -161,18 +147,21 @@ class FiniteCover(Value, eq=False):
 
     @property
     def base_size(self) -> int:
-        return len(self.section)
+        return len(self.orbits)
 
     def deck_element(self) -> np.ndarray:
         """h_of[x]: the unique h with section(tau(x)) . h = x."""
         return self._deck
+
+    def action(self) -> np.ndarray:
+        """action[x, g] = x.g = orbits[tau(x), h(x) g], for the dense references."""
+        return self.orbits[self.tau[:, None], self.group.cayley[self._deck]]
 
 
 def cover_from_action(
     points,
     words,
     group_labels: tuple[str, ...] | None = None,
-    perms: tuple[Permutation, ...] | None = None,
     section: np.ndarray | None = None,
 ) -> FiniteCover:
     """Build a cover from the action permutations of the deck group.
@@ -180,7 +169,10 @@ def cover_from_action(
     words[g] holds the images of the points under element g, a (|G|,
     |points|) integer array or nested lists; unlabeled elements are named
     by index. A free action is fixed by the image of one point, so the
-    Cayley table is read off the first point's images.
+    Cayley table is read off the first point's images. The orbits of each
+    orbit's smallest point, in increasing order, make a cover, and every
+    word must equal its action: that one check implies the identity,
+    freeness, the group law and that each word is a permutation.
     """
     npts = len(points)
     try:
@@ -189,10 +181,7 @@ def cover_from_action(
         raise DomainError(f"group words are not lists of {npts} point indices: {exc}") from exc
     if npts == 0:
         raise DomainError("a cover needs at least one point")
-    # entries outside the points would index past (or wrap around) the
-    # tables below; that each word is a permutation follows from
-    # FiniteCover's checks: with e acting trivially and (x.g).h = x.(g h)
-    # for all g and h, (x.g).g^-1 = x, so every word is injective
+    # entries outside the points would index past (or wrap around) the tables below
     outside = np.flatnonzero((images.min(axis=1) < 0) | (images.max(axis=1) >= npts))
     if outside.size:
         word = tuple(images[outside[0]].tolist())
@@ -203,19 +192,30 @@ def cover_from_action(
     lookup[images[:, 0]] = np.arange(ng)
     if np.count_nonzero(lookup >= 0) != ng:
         raise DomainError("group elements agree at the first point: duplicates or not free")
-    # cayley[i, j] is the element taking 0 to 0.(g_i g_j) = (0.g_i).g_j; that it
-    # agrees with the composition at every point is FiniteCover's group-law check
+    # cayley[i, j] is the element taking 0 to 0.(g_i g_j) = (0.g_i).g_j
     cayley = lookup[images[:, images[:, 0]]].T
     if np.any(cayley < 0):
         raise DomainError("action maps are not closed under composition")
     labels = group_labels if group_labels is not None else tuple(map(str, range(ng)))
-    group = FiniteGroup(cayley=cayley, labels=tuple(labels), perms=perms)
+    group = FiniteGroup(cayley=cayley, labels=tuple(labels))
 
-    action = images.T  # action[x, g]
-    if section is None:
-        # each orbit represented by its smallest point, in increasing order
-        section = np.flatnonzero(action.min(axis=1) == np.arange(npts))
-    return FiniteCover(points=points, group=group, action=action, section=section)
+    idx = np.arange(npts)
+    try:
+        cover = FiniteCover(points, group, images[:, images.min(axis=0) == idx].T)
+    except DomainError:
+        cover = None
+    # word g takes orbits[q, k] to orbits[q, k g]
+    if cover is None or any(
+        not np.array_equal(images[g, cover.orbits], cover.orbits[:, cayley[:, g]])
+        for g in range(ng)
+    ):
+        fixed = np.flatnonzero((images == idx).any(axis=1) & (np.arange(ng) != group.identity))
+        if fixed.size:
+            raise DomainError(f"action is not free: element {labels[fixed[0]]}")
+        raise DomainError("action is incompatible with the group law")
+    if section is not None:
+        cover = FiniteCover(points, group, images[:, _point_indices(section, npts, "section")].T)
+    return cover
 
 
 def symmetric_cover(q: int, n_particles: int) -> FiniteCover:
@@ -225,6 +225,8 @@ def symmetric_cover(q: int, n_particles: int) -> FiniteCover:
     (removing the extended diagonal keeps the action free), in
     lexicographic order, so that read in base q they are increasing codes;
     the quotient is the n-element subsets, the section the sorted tuples.
+    The orbit table searches the sorted tuples' moved codes (the tuples
+    freed first), the Cayley table those of (0, ..., n-1).pi_i = pi_i - 1.
     """
     n = n_particles
     if n < 1:
@@ -235,20 +237,26 @@ def symmetric_cover(q: int, n_particles: int) -> FiniteCover:
         itertools.permutations(range(q), n), dtype=(np.int64, n), count=math.perm(q, n)
     )
     perms = tuple(symmetric_group(n))
+    first = np.array([pi.images for pi in perms]) - 1
     weights = q ** np.arange(n - 1, -1, -1)
     # slot i of t.pi holds t[pi(i)], so t.pi's code weighs t[pi(i)] by weights[i]
-    moved = np.zeros((len(perms), n), dtype=np.int64)
-    np.put_along_axis(moved, np.array([pi.images for pi in perms]) - 1, weights, axis=1)
-    words = np.searchsorted(tuples @ weights, moved @ tuples.T)
-    return cover_from_action(
-        tuples, words, group_labels=tuple(str(pi.images) for pi in perms), perms=perms
+    moved = np.zeros_like(first)
+    np.put_along_axis(moved, first, weights, axis=1)
+    cayley = np.searchsorted(first @ weights, first @ moved.T)
+    group = FiniteGroup(cayley=cayley, labels=tuple(str(pi.images) for pi in perms), perms=perms)
+    sections = itertools.combinations(range(q), n)
+    orbits = np.searchsorted(
+        tuples @ weights,
+        np.fromiter(sections, dtype=(np.int64, n), count=math.comb(q, n)) @ moved.T,
     )
+    return FiniteCover(points=tuples, group=group, orbits=orbits)
 
 
 def randomize_section(cover: FiniteCover, seed: int = 0) -> FiniteCover:
-    """Same cover with a uniformly random representative per orbit."""
+    """Same cover with a random representative p per orbit: row q becomes orbits[q, p g]."""
     picks = np.random.default_rng(seed).integers(cover.group.order, size=cover.base_size)
-    return FiniteCover(cover.points, cover.group, cover.action, cover.action[cover.section, picks])
+    rows = np.arange(cover.base_size)[:, None]
+    return FiniteCover(cover.points, cover.group, cover.orbits[rows, cover.group.cayley[picks]])
 
 
 class GroupRep(Value, eq=False):
@@ -315,33 +323,25 @@ def irreps_of(group: FiniteGroup, seed: int = 0) -> list[GroupRep]:
     numerically through its regular representation.
     """
     if group.perms is not None:
-        n = group.perms[0].degree
-        out = []
-        for shape in enumerate_partitions(n):
-            rep = irrep(shape)
-            out.append(
-                GroupRep(
-                    group=group,
-                    matrices=np.array([rep.matrix(pi) for pi in group.perms]),
-                    label=str(shape.parts),
-                )
-            )
-        return out
+        reps = [(shape, irrep(shape)) for shape in enumerate_partitions(group.perms[0].degree)]
+        return [
+            GroupRep(group, np.array([rep.matrix(pi) for pi in group.perms]), str(shape.parts))
+            for shape, rep in reps
+        ]
     from .cover_document import _regular_irreps
 
     return _regular_irreps(group, seed)
 
 
 def _fiber_blocks(cover: FiniteCover, rep: GroupRep) -> np.ndarray:
-    """The fiber blocks W_x = |G|**-1/2 U(h(x)^-1) of constrained_space, as (|total|, d, d).
+    """The fiber blocks of constrained_space by deck element, as (|G|, d, d).
 
-    h(x) is the deck element taking x's section point to x (deck_element).
-    Row block x of the constrained basis is W_x in column block tau(x) and
-    zero elsewhere, so these blocks are the whole basis.
+    Row block x of the constrained basis is W_x = |G|**-1/2 U(h(x)^-1) in
+    column block tau(x), h(x) = deck_element()[x]: row h(x) of this table.
     """
     if rep.group is not cover.group:
         raise DomainError("representation must belong to the cover's deck group")
-    blocks = rep.matrices[cover.group._inverse[cover.deck_element()]]
+    blocks = rep.inverse_matrices()
     blocks *= 1.0 / math.sqrt(cover.group.order)
     return blocks
 
@@ -362,16 +362,9 @@ class SectorCensusReport(Value):
     """
 
     _fields = (
-        "total_size",
-        "base_size",
-        "group_order",
-        "kernel_space_dim",
-        "sectors",
-        "pairwise_intertwiner_dims",
-        "dimension_margin",
-        "dimension_identity_ok",
-        "intertwining_residual_max",
-        "passed",
+        "total_size", "base_size", "group_order", "kernel_space_dim", "sectors",
+        "pairwise_intertwiner_dims", "dimension_margin", "dimension_identity_ok",
+        "intertwining_residual_max", "passed",
     )
 
     def to_dict(self) -> dict:
@@ -387,39 +380,36 @@ def _orbit_chunk(ng: int, d: int, itemsize: int) -> int:
     return max(1, tolerances.CHUNK_BYTES // (itemsize * ng * d * d))
 
 
-def _census_bytes(npts: int, nbase: int, ng: int, dims: list[int], itemsize: int) -> int:
-    """Peak bytes of sector_census on |total| = npts, |base| = nbase, |G| = ng.
+def _census_bytes(nbase: int, ng: int, dims: list[int], itemsize: int) -> int:
+    """Peak bytes of sector_census on |base| = nbase, |G| = ng.
 
     itemsize is the bytes of one entry of the irreducibles: 8 for Young's
     real orthogonal forms, 16 for the complex regular split. The stacks of
     all irreducibles (|G| sum d_chi**2 entries) are held throughout; one
-    sector at a time, at its d: the |total| d**2 fiber blocks with their
-    |total| int64 index, the |G| d**2 blocks of the first orbit and their
-    adjoint, and three chunks of the k <= |base| + log2 |G| generating
-    orbits (_orbit_chunk): their gather, a product and a residual. The deck
-    elements are the cover's own, so nothing of the action's size is formed.
+    sector at a time, at its d: the |G| d**2 fiber blocks by deck element,
+    those of the first orbit and their adjoint, and three chunks of the
+    k <= |base| + log2 |G| generating orbits (_orbit_chunk), their gather,
+    a product and a residual, with 16 bytes per point for the chunk's
+    points and deck elements: nothing of the cover's size.
     """
     k = nbase + ng.bit_length() - 1
-    sector = max(
-        itemsize * d * d * (npts + 2 * ng + 3 * min(k, _orbit_chunk(ng, d, itemsize)) * ng)
-        for d in set(dims)
-    )
-    return itemsize * ng * sum(d * d for d in dims) + 8 * npts + sector
+    rows = {d: min(k, _orbit_chunk(ng, d, itemsize)) for d in dims}
+    sector = max(ng * (3 * itemsize * d * d * (1 + r) + 16 * r) for d, r in rows.items())
+    return itemsize * ng * sum(d * d for d in dims) + sector
 
 
 def check_census_cost(q: int, n_particles: int) -> None:
     """Refuse the census of symmetric_cover(q, N), the cover included, from (q, N) alone.
 
-    The build takes 8 bytes per entry of the (|total|, N) tuples and six
-    |total| vectors (cover_from_action's lookup and section with FiniteCover's
-    scattered orbits, values and index, or that index with its tau and h),
-    and 25 per entry of the (|total|, |G|) action and the Cayley table (each
-    with two int64 gathers and a boolean comparison while its law is
-    checked), added to _census_bytes at 8 bytes per entry of Young's real
-    forms. |total| = q!/(q - N)! is multiplied factor by factor and the
-    tuples and vectors checked after each, so nothing of the cover's size
-    is formed before a refusal. (q, N) outside symmetric_cover's domain are
-    left to its DomainError.
+    The build holds at most 8 bytes per entry of the (|total|, N) tuples
+    and four |total| vectors (the tuples' codes, the sorted tuples of
+    |base| N <= |total| entries, their moved codes and the orbit table, or
+    that table with tau and h), and 25 per entry of the Cayley table (two
+    int64 gathers and a comparison check its law), added to _census_bytes
+    for Young's real forms. |total| = q!/(q - N)! is multiplied factor by
+    factor and the tuples and vectors checked after each, so nothing of the
+    cover's size is formed before a refusal. (q, N) outside
+    symmetric_cover's domain are left to its DomainError.
     """
     n = n_particles
     if not 1 <= n <= q:
@@ -428,11 +418,11 @@ def check_census_cost(q: int, n_particles: int) -> None:
     total = 1
     for k in range(q, q - n, -1):
         total *= k
-        check_bytes(8 * total * (n + 6), what)
+        check_bytes(8 * total * (n + 4), what)
     order = math.factorial(n)
     dims = [hook_dimension(shape) for shape in enumerate_partitions(n)]
-    tables = 8 * total * (n + 6) + 25 * (total + order) * order
-    check_bytes(tables + _census_bytes(total, total // order, order, dims, 8), what)
+    build = 8 * total * (n + 4) + 25 * order * order
+    check_bytes(build + _census_bytes(total // order, order, dims, 8), what)
 
 
 def _sector_dimensions(reps: list[GroupRep]) -> tuple[list[int], dict, float]:
@@ -504,6 +494,29 @@ def _cayley_diameter(cayley: np.ndarray, identity: int, gens: np.ndarray) -> int
     return depth
 
 
+def _check_labels(group: FiniteGroup, reps: list[GroupRep]) -> None:
+    """ConsistencyError unless each sector labelled by a partition of N carries its character.
+
+    On a transposition that is d_lambda sum_x c(x) / C(N, 2) over the
+    contents c(x) of lambda's cells (Frobenius), so (N) is the trivial
+    sector and (1^N) the sign. Only deck groups with `perms` have such
+    labels, and S_1 no transposition.
+    """
+    n = group.perms[0].degree if group.perms is not None else 1
+    if n == 1:
+        return
+    t = group.perms.index(Permutation.transposition(n, 1, 2))
+    shapes = {str(shape.parts): shape for shape in enumerate_partitions(n)}
+    for rep in (rep for rep in reps if rep.label in shapes):
+        shape = shapes[rep.label]
+        expected = hook_dimension(shape) * content_sum(shape) / math.comb(n, 2)
+        found = np.trace(rep.matrices[t])
+        if abs(found - expected) > tolerances.RESIDUAL_TOL:
+            raise ConsistencyError(
+                f"sector {rep.label} has character {found:.6g} on a transposition, not {expected:g}"
+            )
+
+
 def sector_census(cover: FiniteCover, seed: int = 0) -> SectorCensusReport:
     """Verify the sector correspondence for one cover.
 
@@ -515,42 +528,44 @@ def sector_census(cover: FiniteCover, seed: int = 0) -> SectorCensusReport:
 
     The orbit of a point pair (a, b) restricts to one d x d block at
     (tau(a), tau(b)), R = |G|**-1/2 sum_g W_{a.g}^* W_{b.g} over the fiber
-    blocks W_x = |G|**-1/2 U(h(x)^-1). FiniteCover checked the group law
-    of the free action and that the section's orbits partition the points,
-    so x = sigma(tau(x)).h(x) gives h(x.g) = h(x) g, and R = |G|**-1/2
-    U(h(a) h(b)^-1): for a on the section, the section action's block (the
-    realization unitary is the identity). So the census takes the
-    dimensions from the characters (_sector_dimensions), and restricts,
-    with the leakage check, a generating set of the kernels M_|base| x
-    C[G]: the orbits of (sigma(q0), sigma(q)) for every q and of (sigma(q0),
-    sigma(q0).g) for the generators g. Their largest distance from
-    |G|**-1/2 U(h(b)^-1) is intertwining_residual_max; both realizations
-    are *-homomorphisms, so agreement on generators is agreement on every
+    blocks W_x = |G|**-1/2 U(h(x)^-1). The cover is a bijection of its
+    points with base x G, x = sigma(tau(x)).h(x), so h(x.g) = h(x) g and
+    R = |G|**-1/2 U(h(a) h(b)^-1): for a on the section, the section
+    action's block (the realization unitary is the identity). So the census
+    takes the dimensions from the characters (_sector_dimensions), checks
+    the labels (_check_labels), and restricts, with the leakage check, a
+    generating set of the kernels M_|base| x C[G]: the orbits of (sigma(q0),
+    sigma(q)) for every q and of (sigma(q0), sigma(q0).g) for the generators
+    g, rows of the orbit table. Their largest distance from |G|**-1/2
+    U(h(b)^-1) is intertwining_residual_max; both realizations are
+    *-homomorphisms, so agreement on generators is agreement on every
     kernel; the column points cover every fiber, so a wrong h(x) leaks.
-    The orbits are checked in chunks (_orbit_chunk), in the irreducibles'
-    own dtype, and _census_bytes is refused over errors.BYTES_CAP first.
+    Each chunk of orbits (_orbit_chunk) gathers the fiber blocks of its own
+    points, in the irreducibles' dtype, after _census_bytes is admitted.
     """
     reps = irreps_of(cover.group, seed=seed)
     npts, nbase, ng = cover.total_size, cover.base_size, cover.group.order
     itemsize = reps[0].matrices.itemsize
     check_bytes(
-        _census_bytes(npts, nbase, ng, [rep.dimension for rep in reps], itemsize),
+        _census_bytes(nbase, ng, [rep.dimension for rep in reps], itemsize),
         f"cover census of {npts} points over {nbase} base points (deck group of order {ng})",
     )
+    _check_labels(cover.group, reps)
     commutant, pairwise, margin = _sector_dimensions(reps)
 
-    start = cover.action[cover.section[0]]
-    ends = np.concatenate((cover.section, start[cover.group._generators]))
-    inverse_deck = cover.group._inverse[cover.deck_element()[ends]]
+    group, orbits, deck = cover.group, cover.orbits, cover.deck_element()
+    generated = orbits[0, group.cayley[group._generators]]
     root = math.sqrt(ng)
     residual = 0.0
     for rep in reps:
-        fibers = _fiber_blocks(cover, rep)
-        left = fibers[start]
+        blocks = _fiber_blocks(cover, rep)
+        left = blocks[deck[orbits[0]]]
         left_adjoint = left.conj().swapaxes(1, 2)
         rows = _orbit_chunk(ng, rep.dimension, itemsize)
-        for i in range(0, len(ends), rows):
-            right = fibers[cover.action[ends[i : i + rows]]]
+        for i in range(0, nbase + len(generated), rows):
+            tail = generated[max(i - nbase, 0) : max(i + rows - nbase, 0)]
+            points = np.concatenate((orbits[i : i + rows], tail))
+            right = blocks[deck[points]]
             restricted = np.matmul(left_adjoint, right).sum(axis=1)
             restricted /= root
             right /= root
@@ -558,21 +573,16 @@ def sector_census(cover: FiniteCover, seed: int = 0) -> SectorCensusReport:
             leakage = tolerances.max_abs(right)
             if leakage > tolerances.RESIDUAL_TOL:
                 raise ConsistencyError(f"constrained subspace leaks: {leakage:.2e}")
-            restricted -= rep.matrices[inverse_deck[i : i + rows]] / root
+            restricted -= rep.matrices[group._inverse[deck[points[:, group.identity]]]] / root
             residual = max(residual, tolerances.max_abs(restricted))
-        del fibers, left, left_adjoint, right
-    records = [
-        SectorCensusRecord(
-            label=rep.label,
-            internal_dim=rep.dimension,
-            carrier_dim=nbase * rep.dimension,
-            commutant_dim=dim,
-        )
+        del blocks, left, left_adjoint, right
+    # label, internal_dim, carrier_dim, commutant_dim
+    records = tuple(
+        SectorCensusRecord(rep.label, rep.dimension, nbase * rep.dimension, dim)
         for rep, dim in zip(reps, commutant)
-    ]
+    )
     kernel_dim = nbase * nbase * ng
     identity_ok = sum(r.carrier_dim**2 for r in records) == kernel_dim
-
     passed = (
         identity_ok
         and all(r.commutant_dim == 1 for r in records)
@@ -580,16 +590,9 @@ def sector_census(cover: FiniteCover, seed: int = 0) -> SectorCensusReport:
         and residual < tolerances.RESIDUAL_TOL
     )
     return SectorCensusReport(
-        total_size=npts,
-        base_size=nbase,
-        group_order=ng,
-        kernel_space_dim=kernel_dim,
-        sectors=tuple(records),
-        pairwise_intertwiner_dims=pairwise,
-        dimension_margin=margin,
-        dimension_identity_ok=identity_ok,
-        intertwining_residual_max=residual,
-        passed=passed,
+        total_size=npts, base_size=nbase, group_order=ng, kernel_space_dim=kernel_dim,
+        sectors=records, pairwise_intertwiner_dims=pairwise, dimension_margin=margin,
+        dimension_identity_ok=identity_ok, intertwining_residual_max=residual, passed=passed,
     )
 
 

@@ -2,12 +2,11 @@
 
 The covering-space counterpart of tensor_rep: invariant kernels as dense
 matrices over the total set (InvariantKernel, random_invariant_kernel,
-the orbit basis kernel_orbit_basis), the dense constrained basis and the
+the orbit basis kernel_orbit_basis), the dense constrained basis, the
 kernels' constrained and section actions on it, and the realization
-unitary between them. cover_quant's census never forms any of these; the
-tests and the acceptance suite check it against them. cover_quant
-resolves these names on first access, so ``from sectorkit.cover_quant
-import constrained_action`` still works.
+unitary between them, read off the cover's action() and orbit tables. The
+census forms none of these; the tests and the acceptance suite check it
+against them, importing them through cover_quant (PEP 562).
 """
 
 from __future__ import annotations
@@ -33,10 +32,8 @@ class InvariantKernel(Value, eq=False):
         npts = self.cover.total_size
         if mat.shape != (npts, npts):
             raise DomainError("kernel must be square over the total set")
-        action = self.cover.action
-        for g in range(self.cover.group.order):
-            moved = mat[np.ix_(action[:, g], action[:, g])]
-            err = np.abs(moved - mat)
+        for g, sel in enumerate(self.cover.action().T):
+            err = np.abs(mat[np.ix_(sel, sel)] - mat)
             worst = float(err.max()) if err.size else 0.0
             if worst > linalg.KERNEL_INVARIANCE_TOL:
                 x, y = np.unravel_index(int(err.argmax()), err.shape)
@@ -53,8 +50,7 @@ def random_invariant_kernel(
     npts = cover.total_size
     raw = rng.standard_normal((npts, npts)) + 1j * rng.standard_normal((npts, npts))
     acc = np.zeros_like(raw)
-    for g in range(cover.group.order):
-        sel = cover.action[:, g]
+    for sel in cover.action().T:
         acc += raw[np.ix_(sel, sel)]
     acc /= cover.group.order
     if hermitian:
@@ -71,8 +67,8 @@ def kernel_orbit_basis(cover: FiniteCover) -> list[np.ndarray]:
     smallest flat index row * |total| + col.
     """
     npts = cover.total_size
-    rows = np.repeat(cover.action[cover.section], npts, axis=0)
-    cols = np.tile(cover.action, (cover.base_size, 1))
+    rows = np.repeat(cover.orbits, npts, axis=0)
+    cols = np.tile(cover.action(), (cover.base_size, 1))
     basis = []
     for o in np.argsort((rows * npts + cols).min(axis=1)):
         mat = np.zeros((npts, npts), dtype=complex)
@@ -87,10 +83,10 @@ def constrained_space(cover: FiniteCover, rep: GroupRep) -> np.ndarray:
     Functions psi with psi(x.h) = U(h^-1) psi(x), encoded as vectors with
     index (point, component); the 1/sqrt(|G|) scaling realizes the
     quotient measure so that the columns are orthonormal and evaluation
-    along the section is unitary. The fiber blocks (_fiber_blocks) are
-    scattered onto the block diagonal of (point, base point).
+    along the section is unitary. The points' fiber blocks (_fiber_blocks)
+    are scattered onto the block diagonal of (point, base point).
     """
-    blocks = _fiber_blocks(cover, rep)
+    blocks = _fiber_blocks(cover, rep)[cover.deck_element()]
     npts, d = blocks.shape[:2]
     basis = np.zeros((npts, d, cover.base_size, d), dtype=blocks.dtype)
     basis[np.arange(npts), :, cover.tau, :] = blocks
@@ -122,13 +118,13 @@ def section_action(kernel: InvariantKernel, rep: GroupRep) -> np.ndarray:
     (A psi)(q) = sum_{h, q'} A(sigma(q), sigma(q').h) U(h^-1) psi(q');
     this is the conjugate of the constrained action by the section
     evaluation unitary. The entries A(sigma(q), sigma(q').h) are gathered
-    as one (base, base, G) array and contracted with U(h^-1) stacked
-    over h.
+    through the orbit table as one (base, base, G) array and contracted
+    with U(h^-1) stacked over h.
     """
     cover = kernel.cover
     if rep.group is not cover.group:
         raise DomainError("representation must belong to the cover's deck group")
-    entries = kernel.matrix[cover.section][:, cover.action[cover.section]]
+    entries = kernel.matrix[cover.section][:, cover.orbits]
     size = cover.base_size * rep.dimension
     return np.einsum("qph,hij->qipj", entries, rep.inverse_matrices()).reshape(size, size)
 

@@ -160,6 +160,11 @@ def hook_dimension(shape: Partition) -> int:
     return math.factorial(shape.total) // hook_product
 
 
+def content_sum(shape: Partition) -> int:
+    """Sum of the contents col - row over the cells of the shape."""
+    return sum(j - i for i, row in enumerate(shape.parts) for j in range(row))
+
+
 def _run_tableaux(args) -> tuple[int, bytes]:
     """The ``tableaux`` report: each partition's hook dimension and tableau count."""
     from .cli import (

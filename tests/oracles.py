@@ -48,7 +48,9 @@ written out one by one in declaration order (sector_report_fields), the
 form dataclasses.asdict gave before the report types left dataclasses.
 A representation's group law is checked on every pair of elements
 (all_pairs_law_defect), as GroupRep did before it certified the law on
-the generators.
+the generators. The census's fiber blocks, gathered at the points each
+chunk reads, are checked against the (|total|, d, d) gather of every
+point's block (gathered_fiber_blocks) that the census held before.
 """
 
 import itertools
@@ -425,7 +427,7 @@ def cover_to_json(cover) -> dict:
     """Cover document of a FiniteCover, as cover_from_json reads it back."""
     return {
         "points": [str(p) for p in cover.points],
-        "group": [[int(x) for x in cover.action[:, g]] for g in range(cover.group.order)],
+        "group": [[int(x) for x in cover.action()[:, g]] for g in range(cover.group.order)],
         "group_labels": list(cover.group.labels),
         "section": [int(s) for s in cover.section],
     }
@@ -454,7 +456,7 @@ def looped_deck_element(cover) -> np.ndarray:
     h_of = np.full(cover.total_size, -1, dtype=np.int64)
     for q in range(cover.base_size):
         for g in range(cover.group.order):
-            h_of[cover.action[cover.section[q], g]] = g
+            h_of[cover.action()[cover.section[q], g]] = g
     return h_of
 
 
@@ -509,8 +511,8 @@ def entry_orbits(cover) -> tuple[np.ndarray, np.ndarray]:
     scanned_entry_orbits and of cover_quant.kernel_orbit_basis.
     """
     npts = cover.total_size
-    rows = np.repeat(cover.action[cover.section], npts, axis=0)
-    cols = np.tile(cover.action, (cover.base_size, 1))
+    rows = np.repeat(cover.action()[cover.section], npts, axis=0)
+    cols = np.tile(cover.action(), (cover.base_size, 1))
     order = np.argsort((rows * npts + cols).min(axis=1))
     return rows[order], cols[order]
 
@@ -548,6 +550,13 @@ def looped_fiber_blocks(cover, rep) -> np.ndarray:
     d = rep.dimension
     basis = looped_constrained_space(cover, rep).reshape(cover.total_size, d, cover.base_size, d)
     return basis[np.arange(cover.total_size), :, cover.tau, :]
+
+
+def gathered_fiber_blocks(cover, rep) -> np.ndarray:
+    """The (|total|, d, d) fiber blocks |G|**-1/2 U(h(x)^-1), one gather over every point."""
+    blocks = np.asarray(rep.matrices)[cover.group._inverse[cover.deck_element()]]
+    blocks *= 1.0 / math.sqrt(cover.group.order)
+    return blocks
 
 
 def orbit_census(cover, reps) -> dict:

@@ -221,11 +221,11 @@ class TestCover:
         capsys.readouterr()
 
     def test_census_cost_exits_before_allocating(self, capsys):
-        # 1,030,200 points: the first N = 3 cover the estimate refuses
+        # 4,741,464 points: the first N = 3 cover the estimate refuses
         tracemalloc.start()
         start = time.perf_counter()
         try:
-            code = main(["cover", "--q-size", "102", "--N", "3"])
+            code = main(["cover", "--q-size", "169", "--N", "3"])
             elapsed = time.perf_counter() - start
             _, peak = tracemalloc.get_traced_memory()
         finally:
@@ -239,7 +239,7 @@ class TestCover:
 
     @pytest.mark.parametrize(
         "q,n,code",
-        [(2000, 2, 3), (12, 12, 3), (10**9, 1, 3), (1000, 2000, 2), (4, 0, 2)],
+        [(4000, 2, 3), (12, 12, 3), (10**9, 1, 3), (1000, 2000, 2), (4, 0, 2)],
     )
     def test_q_size_and_n_refused_before_enumerating(self, q, n, code, capsys, monkeypatch):
         # q!/(q - N)! tuples would be listed before the census estimate runs;
@@ -297,7 +297,7 @@ class TestCover:
 
     def test_census_cost_applies_to_cover_json(self, tmp_path, capsys, monkeypatch):
         # (100, 2) under a 512 KiB budget: the census estimate at 16 bytes per
-        # complex entry (~0.68 MiB) refuses it, the regular split of Z_2
+        # complex entry (~0.60 MiB) refuses it, the regular split of Z_2
         # (~0.6 KiB) does not
         spec_file = tmp_path / "cover.json"
         spec_file.write_text(json.dumps(oracles.cover_to_json(symmetric_cover(100, 2))))
@@ -325,15 +325,16 @@ class TestCover:
         assert error["kind"] == "usage"
         assert phrase in error["error"]
 
-    @pytest.mark.parametrize("q,n", [(300, 2), (101, 3)], ids=["300-2", "N3-edge"])
+    @pytest.mark.parametrize("q,n", [(2342, 2), (168, 3)], ids=["N2-edge", "N3-edge"])
     def test_census_estimate_bounds_the_peak_rss(self, monkeypatch, q, n):
         # peak RSS above the floor of an exit-3 cover run, against the
         # estimate check_census_cost refuses on: the cover's own tables and
-        # _census_bytes; (101, 3) is the largest N = 3 cover it admits
+        # _census_bytes; (2342, 2) and (168, 3) are the largest N = 2 and
+        # N = 3 covers it admits
         estimates = []
         monkeypatch.setattr(cover_quant, "check_bytes", lambda nbytes, _: estimates.append(nbytes))
         cover_quant.check_census_cost(q, n)
-        floor_code, floor = child_peak_rss(["cover", "--q-size", "2000", "--N", "2"])
+        floor_code, floor = child_peak_rss(["cover", "--q-size", "4000", "--N", "2"])
         code, peak = child_peak_rss(["cover", "--q-size", str(q), "--N", str(n)])
         assert (floor_code, code) == (3, 0)
         assert peak - floor < estimates[-1], (peak - floor, estimates[-1])
@@ -464,6 +465,81 @@ class TestFailureExitCodes:
         error = json.loads(captured.err)
         assert error["kind"] == "resource"
         assert "Unable to allocate" in error["error"]
+
+
+def run_main(argv):
+    """main() in-process with its output discarded: (code, the stderr record or None)."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(argv + ["--out", os.devnull])
+    return code, json.loads(err.getvalue()) if err.getvalue() else None
+
+
+def one_wrong_word(kind):
+    """The cover document of symmetric_cover(4, 3) with the word of element 1
+    changed on the orbit of base point 2 only, where it acts as the identity
+    ("fixed") or as element 2 ("law"): a permutation that keeps the first
+    point's images, and so the Cayley table read there."""
+    cover = symmetric_cover(4, 3)
+    document = oracles.cover_to_json(cover)
+    word = document["group"][1]
+    for x in cover.orbits[2]:
+        word[x] = int(x) if kind == "fixed" else document["group"][2][x]
+    return document
+
+
+class TestCoverFaults:
+    @pytest.mark.parametrize("q,n", [(3, 2), (4, 3)])
+    def test_sign_twisted_irreducibles_exit_4(self, q, n, monkeypatch):
+        # every Young matrix times sign(pi): each label then carries its
+        # conjugate irreducible, (N) the fermions, which every dimension,
+        # leakage and intertwining check accepts
+        exact = cover_quant.irreps_of
+
+        def twisted(group, seed=0):
+            signs = np.array([pi.sign() for pi in group.perms], dtype=float)[:, None, None]
+            return [
+                cover_quant.GroupRep(group=group, matrices=signs * rep.matrices, label=rep.label)
+                for rep in exact(group, seed)
+            ]
+
+        monkeypatch.setattr(cover_quant, "irreps_of", twisted)
+        code, error = run_main(["cover", "--q-size", str(q), "--N", str(n)])
+        assert code == 4
+        assert error["kind"] == "consistency"
+        assert f"sector ({n},) has character -1 on a transposition, not 1" in error["error"]
+
+    @pytest.mark.parametrize(
+        "entry,phrase",
+        [(5, "section must pick one point per orbit"), (24, "entries must be point indices")],
+        ids=["duplicate", "out-of-range"],
+    )
+    def test_one_corrupted_orbit_entry_exits_2(self, entry, phrase, monkeypatch):
+        # symmetric_cover(4, 3)'s orbit table with its entry (1, 1) replaced
+        # by another row's point, or by one past the last point
+        exact = cover_quant.FiniteCover
+
+        def corrupted(points, group, orbits):
+            orbits = orbits.copy()
+            orbits[1, 1] = entry
+            return exact(points, group, orbits)
+
+        monkeypatch.setattr(cover_quant, "FiniteCover", corrupted)
+        code, error = run_main(["cover", "--q-size", "4", "--N", "3"])
+        assert (code, error["kind"]) == (2, "usage")
+        assert phrase in error["error"]
+
+    @pytest.mark.parametrize(
+        "kind,phrase",
+        [("fixed", "action is not free: element (1, 3, 2)"),
+         ("law", "action is incompatible with the group law")],
+    )
+    def test_one_wrong_word_exits_2(self, kind, phrase, tmp_path):
+        document = one_wrong_word(kind)
+        assert sorted(document["group"][1]) == list(range(24))
+        code, lines = run_cover_document(tmp_path / "cover.json", document)
+        assert code == 2
+        assert phrase in json.loads(lines[0])["error"]
 
 
 def process_env():

@@ -80,7 +80,7 @@ class TestCoverConstruction:
         tuples, action = oracles.dict_symmetric_cover(q, n)
         tau, smallest = oracles.looped_orbit_labels(action)
         assert np.array_equal(cover.points, np.reshape(tuples, (-1, n)))
-        assert np.array_equal(cover.action, action)
+        assert np.array_equal(cover.action(), action)
         assert np.array_equal(cover.tau, tau)
         assert np.array_equal(cover.section, smallest)
         expected = oracles.dict_composition_cayley(np.ascontiguousarray(action.T))
@@ -119,7 +119,7 @@ class TestCoverConstruction:
     )
     def test_orbit_labels_and_deck_elements_match_the_loops(self, make, default_section):
         cover = make()
-        tau, smallest = oracles.looped_orbit_labels(cover.action)
+        tau, smallest = oracles.looped_orbit_labels(cover.action())
         assert np.array_equal(cover.tau, tau)
         assert np.array_equal(cover.section, smallest) == default_section
         assert np.array_equal(cover.deck_element(), oracles.looped_deck_element(cover))
@@ -135,23 +135,42 @@ class TestCoverConstruction:
         picks = data.draw(
             st.lists(st.integers(0, cover.group.order - 1), min_size=size, max_size=size)
         )
-        section = cover.action[cover.section[order], picks]
-        permuted = FiniteCover(cover.points, cover.group, cover.action, section)
-        tau, _ = oracles.looped_orbit_labels(cover.action)
+        # row k of the table is row order[k] turned by picks[k]
+        rows = cover.orbits[np.array(order)[:, None], cover.group.cayley[picks]]
+        permuted = FiniteCover(cover.points, cover.group, rows)
+        assert np.array_equal(permuted.section, cover.action()[cover.section[order], picks])
+        tau, _ = oracles.looped_orbit_labels(cover.action())
         relabel = np.argsort(tau[permuted.section])
         assert np.array_equal(permuted.tau, relabel[tau])
         assert np.array_equal(permuted.deck_element(), oracles.looped_deck_element(permuted))
 
     def test_invalid_section_rejected(self, cover32):
-        bad = cover32.section.copy()
-        bad[1] = cover32.section[0]  # two orbits share a representative
-        with pytest.raises(DomainError):
-            FiniteCover(cover32.points, cover32.group, cover32.action, bad)
+        bad = cover32.orbits.copy()
+        bad[1] = cover32.orbits[0]  # two orbits share a representative
+        with pytest.raises(DomainError, match="section must pick one point per orbit"):
+            FiniteCover(cover32.points, cover32.group, bad)
+        words = cover32.action().T
+        with pytest.raises(DomainError, match="section must pick one point per orbit"):
+            cover_from_action(cover32.points, words, section=[0, 0, 3])
 
     def test_integer_tables_are_kept_not_copied(self, cover32):
-        # a copied section or action of (1000, 2) holds ~4 MB more at the census peak
-        again = FiniteCover(cover32.points, cover32.group, cover32.action, cover32.section)
-        assert again.section is cover32.section and again.action is cover32.action
+        # a copied orbit table of (1000, 2) holds ~8 MB more at the census peak
+        again = FiniteCover(cover32.points, cover32.group, cover32.orbits)
+        assert again.orbits is cover32.orbits
+        assert np.shares_memory(again.section, cover32.orbits)
+
+    @pytest.mark.parametrize(
+        "entry,message",
+        [(-1, "entries must be point indices in 0..5"), (6, "entries must be point indices"),
+         (3, "one point per orbit"), (0.5, "entries must be point indices")],
+        ids=["negative", "past-the-last-point", "duplicate", "fractional"],
+    )
+    def test_one_corrupted_orbit_entry_is_refused(self, cover32, entry, message):
+        # the table [[0, 2], [1, 4], [3, 5]] with its entry (1, 1) replaced
+        bad = cover32.orbits.astype(type(entry))
+        bad[1, 1] = entry
+        with pytest.raises(DomainError, match=re.escape(message)):
+            FiniteCover(cover32.points, cover32.group, bad)
 
     @pytest.mark.parametrize(
         "section",
@@ -160,10 +179,10 @@ class TestCoverConstruction:
     )
     def test_section_entries_must_be_point_indices(self, cover32, section):
         # -1 would wrap to point 5 (an orbit representative), 99 would index
-        # past the action table and 0.7 would truncate to the valid 0
+        # past the words and 0.7 would truncate to the valid 0
         assert cover32.section.tolist() == [0, 1, 3]
         with pytest.raises(DomainError, match=r"section entries must be point indices in 0\.\.5"):
-            FiniteCover(cover32.points, cover32.group, cover32.action, section)
+            cover_from_action(cover32.points, cover32.action().T, section=section)
 
 
 def z3_on_two_orbits_with_a_wrong_square():
@@ -190,7 +209,7 @@ class TestCayleyFromOnePoint:
     )
     def test_table_matches_dict_composition(self, make):
         cover = make()
-        expected = oracles.dict_composition_cayley(np.ascontiguousarray(cover.action.T))
+        expected = oracles.dict_composition_cayley(np.ascontiguousarray(cover.action().T))
         assert np.array_equal(cover.group.cayley, expected)
 
     def test_table_of_one_point_is_checked_at_every_point(self):
@@ -233,7 +252,7 @@ class TestCayleyFromOnePoint:
         # one entry of one word of a valid table moved to another point: the
         # result is refused, or every word is still a permutation
         cover = data.draw(st.sampled_from(SWAPPABLE_COVERS))
-        words = cover.action.T.copy()
+        words = cover.action().T.copy()
         g = data.draw(st.integers(0, len(words) - 1))
         x = data.draw(st.integers(0, words.shape[1] - 1))
         words[g, x] = data.draw(st.integers(0, words.shape[1] - 1))
@@ -241,7 +260,7 @@ class TestCayleyFromOnePoint:
             built = cover_from_action(cover.points, words)
         except DomainError:
             return
-        assert all(sorted(w) == list(range(len(w))) for w in built.action.T.tolist())
+        assert all(sorted(w) == list(range(len(w))) for w in built.action().T.tolist())
 
 
 def _fill_row(rows: list, row: list, order: list) -> bool:
@@ -288,7 +307,7 @@ SWAPPABLE_COVERS = [
 def swapped_action(cover, data):
     """cover's action unchanged, with two columns swapped, or with two
     entries of one column swapped, as drawn."""
-    action = cover.action.copy()
+    action = cover.action().copy()
     npts, ng = action.shape
     kind = data.draw(st.sampled_from(["none", "columns", "entries"]))
     if kind == "columns":
@@ -332,12 +351,18 @@ class TestGroupValidation:
             FiniteGroup(cayley=[[0, 2], [1, 0]], labels=self.labels(2))
 
     def test_action_against_group_law_rejected(self):
-        # Z_4 acting regularly, presented with the Klein four-group's table
+        # the Klein four-group on the orbit {0, 1, 2, 3}, whose images of 0
+        # give the Cayley table, and Z_4 on {4, 5, 6, 7}: free, but not
+        # Klein's law there
         klein = [[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]]
-        group = FiniteGroup(cayley=klein, labels=self.labels(4))
-        action = np.array([[(x + g) % 4 for g in range(4)] for x in range(4)])
+        words = [klein[g] + [4 + (x + g) % 4 for x in range(4)] for g in range(4)]
         with pytest.raises(DomainError, match="incompatible with the group law"):
-            FiniteCover(points=tuple(range(4)), group=group, action=action, section=[0])
+            cover_from_action(tuple(range(8)), words)
+        # a table is a bijection with base x G: the Z_4 orbit read as a row of
+        # a Klein cover acts by Klein's law
+        group = FiniteGroup(cayley=klein, labels=self.labels(4))
+        cover = FiniteCover(points=tuple(range(4)), group=group, orbits=[[0, 1, 2, 3]])
+        assert cover.action().tolist() == klein
 
     @given(st.data())
     @settings(max_examples=150, deadline=None)
@@ -372,16 +397,22 @@ class TestGroupValidation:
     @given(st.data())
     @settings(max_examples=150, deadline=None)
     def test_cover_validation_matches_the_bruteforce_oracle(self, data):
-        # the group law is checked on generators only; every (x, g, h) here
+        # cover_from_action compares every word with the induced action once;
+        # the oracle composes every pair of words and tries every (x, g, h)
         cover = data.draw(st.sampled_from(SWAPPABLE_COVERS))
         action = swapped_action(cover, data)
-        group, section = cover.group, cover.section
-        args = (action.tolist(), group.cayley.tolist(), group.identity, section.tolist())
-        if oracles.bruteforce_cover_is_valid(*args):
-            FiniteCover(points=cover.points, group=group, action=action, section=section)
+        section = cover.section.tolist()
+        cayley = oracles.dict_composition_cayley(np.ascontiguousarray(action.T))
+        structure = cayley is not None and oracles.bruteforce_group_structure(cayley.tolist())
+        if structure and oracles.bruteforce_cover_is_valid(
+            action.tolist(), cayley.tolist(), structure[0], section
+        ):
+            built = cover_from_action(cover.points, action.T, section=section)
+            assert np.array_equal(built.action(), action)
+            assert np.array_equal(built.group.cayley, cayley)
         else:
             with pytest.raises(DomainError):
-                FiniteCover(points=cover.points, group=group, action=action, section=section)
+                cover_from_action(cover.points, action.T, section=section)
 
 
 class TestIrreps:
@@ -609,7 +640,7 @@ class TestConstrainedSpace:
             d = rep.dimension
             values = basis.reshape(cover32.total_size, d, -1)
             for g in range(cover32.group.order):
-                moved = values[cover32.action[:, g]]
+                moved = values[cover32.action()[:, g]]
                 # U(g^-1) = U(g)* for a unitary representation
                 expected = np.einsum("ab,xbc->xac", rep.matrices[g].conj().T, values)
                 assert linalg.max_abs(moved - expected) < 1e-12
@@ -732,7 +763,7 @@ def looped_section_action(kernel, rep):
     cover = kernel.cover
     _, inverses = oracles.bruteforce_group_structure(cover.group.cayley.tolist())
     return oracles.looped_section_action(
-        kernel.matrix, cover.action, cover.section, inverses, list(rep.matrices)
+        kernel.matrix, cover.action(), cover.section, inverses, list(rep.matrices)
     )
 
 
@@ -1041,7 +1072,7 @@ class TestBatchedCensus:
         cover = make()
         rows, cols = oracles.entry_orbits(cover)
         npts = cover.total_size
-        scanned = oracles.scanned_entry_orbits(cover.action)
+        scanned = oracles.scanned_entry_orbits(cover.action())
         assert np.sort(rows * npts + cols, axis=1).tolist() == scanned
         kernels = []
         for members in scanned:
@@ -1065,7 +1096,7 @@ class TestBatchedCensus:
 
     def test_orbit_basis_built_from_the_orbit_tables(self, cover43):
         npts = cover43.total_size
-        scanned = oracles.scanned_entry_orbits(cover43.action)
+        scanned = oracles.scanned_entry_orbits(cover43.action())
         for mat, members in zip(kernel_orbit_basis(cover43), scanned):
             assert sorted(np.flatnonzero(mat).tolist()) == members
             assert np.allclose(mat.ravel()[members], 1.0 / math.sqrt(cover43.group.order))
@@ -1091,17 +1122,64 @@ class TestBatchedCensus:
 
     @pytest.mark.parametrize("point", [0, 7, 23])
     def test_corrupted_fiber_block_leaks(self, cover43, point, monkeypatch):
-        # one fiber block no longer equivariant, whichever fiber it lies in
+        # the block of one point's deck element no longer equivariant, in
+        # every fiber, whichever element it is
         exact = cover_quant._fiber_blocks
 
         def corrupted(cover, rep):
-            fibers = exact(cover, rep)
-            fibers[point] *= 2.0
-            return fibers
+            blocks = exact(cover, rep)
+            blocks[cover.deck_element()[point]] *= 2.0
+            return blocks
 
         monkeypatch.setattr(cover_quant, "_fiber_blocks", corrupted)
         with pytest.raises(ConsistencyError, match="leaks"):
             sector_census(cover43, seed=0)
+
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: symmetric_cover(5, 3), lambda: randomize_section(symmetric_cover(4, 3), 6),
+         regular_path_cover],
+        ids=["cover53", "random-section-43", "regular-path"],
+    )
+    def test_fiber_rows_match_the_full_gather(self, make, monkeypatch):
+        # the rows a chunk gathers by deck element at its orbit-table points,
+        # bit for bit the rows of the (|total|, d, d) gather of every point
+        cover = make()
+        read = []
+        exact = cover_quant._fiber_blocks
+
+        def recording(cover, rep):
+            blocks = exact(cover, rep)
+            full = oracles.gathered_fiber_blocks(cover, rep)
+            read.append((blocks, full))
+            return blocks
+
+        monkeypatch.setattr(cover_quant, "_fiber_blocks", recording)
+        assert sector_census(cover, seed=0).passed
+        deck = cover.deck_element()
+        for blocks, full in read:
+            assert full.shape[0] == cover.total_size
+            assert np.array_equal(blocks[deck], full)
+            assert np.array_equal(blocks[deck[cover.orbits]], full[cover.orbits])
+
+    @pytest.mark.parametrize("q,n", [(20, 4), (11, 5), (8, 6)])
+    def test_census_forms_nothing_of_the_cover_size(self, q, n):
+        # traced peak of the census under its estimate, and under one
+        # (|total|, d, d) fiber array at the largest d or one (|total|, |G|)
+        # table: 7.98 and 21.3 MiB at (20, 4), 15.2 and 50.8 at (11, 5), 39.4
+        # and 111 at (8, 6)
+        cover = symmetric_cover(q, n)
+        reps = irreps_of(cover.group)
+        dims = [rep.dimension for rep in reps]
+        tracemalloc.start()
+        try:
+            assert sector_census(cover, seed=0).passed
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        order = cover.group.order
+        assert peak <= cover_quant._census_bytes(cover.base_size, order, dims, 8)
+        assert peak < 8 * cover.total_size * min(order, max(dims) ** 2)
 
     def test_census_reads_the_fiber_blocks_alone(self, cover43, monkeypatch):
         # no dense (|total| d) x (|base| d) basis is formed anywhere in the census
@@ -1131,14 +1209,14 @@ class TestBatchedCensus:
 
     def test_cost_estimate_admits_the_frontier(self):
         # the largest admitted (q, N) for N = 2..6, and the first refused
-        for q, n in [(1429, 2), (101, 3), (25, 4), (11, 5), (7, 6)]:
+        for q, n in [(2342, 2), (168, 3), (46, 4), (22, 5), (14, 6)]:
             cover_quant.check_census_cost(q, n)
             with pytest.raises(ResourceLimitError, match=f"{n}-particle cover of {q + 1} points"):
                 cover_quant.check_census_cost(q + 1, n)
         for q, n in [(3, 2), (4, 3), (5, 5), (11, 2), (34, 2), (10, 3), (64, 2), (11, 3), (7, 4)]:
             cover = symmetric_cover(q, n)
             dims = [rep.dimension for rep in irreps_of(cover.group)]
-            sizes = (cover.total_size, cover.base_size, cover.group.order, dims, 8)
+            sizes = (cover.base_size, cover.group.order, dims, 8)
             assert cover_quant._census_bytes(*sizes) <= errors.BYTES_CAP
 
     @pytest.mark.parametrize("q,n", [(3, 2), (4, 3), (5, 5), (6, 2), (6, 3), (8, 2), (5, 4)])
@@ -1146,13 +1224,13 @@ class TestBatchedCensus:
         # check_census_cost adds symmetric_cover's arrays to _census_bytes at
         # 8 bytes per entry of Young's real forms, so at any cap that it
         # admits, the census admits the cover it builds: 8 bytes per entry of
-        # the (|total|, N) tuples and six |total| vectors, 25 per entry of the
-        # action and the Cayley table
+        # the (|total|, N) tuples and four |total| vectors, 25 per entry of
+        # the Cayley table
         cover = symmetric_cover(q, n)
         npts, order = cover.total_size, cover.group.order
         dims = [rep.dimension for rep in irreps_of(cover.group)]
-        census = cover_quant._census_bytes(npts, cover.base_size, order, dims, 8)
-        estimate = census + 8 * npts * (n + 6) + 25 * (npts + order) * order
+        census = cover_quant._census_bytes(cover.base_size, order, dims, 8)
+        estimate = census + 8 * npts * (n + 4) + 25 * order * order
         monkeypatch.setattr(errors, "BYTES_CAP", estimate)
         cover_quant.check_census_cost(q, n)
         sector_census(cover, seed=0)
@@ -1165,7 +1243,7 @@ class TestBatchedCensus:
 
     def test_cost_estimate_refuses_before_the_census_tables(self, monkeypatch):
         # a 128 KiB budget refuses (12, 3) before h(x) is read, with Young's
-        # real forms (~0.17 MiB) and with the complex regular split (~0.34 MiB)
+        # real forms (~0.14 MiB) and with the complex regular split (~0.27 MiB)
         def refuse(cover):
             raise AssertionError("deck elements read")
 

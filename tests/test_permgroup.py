@@ -379,7 +379,7 @@ class TestValueTypes:
 # above: its fields in declaration order and its defaults.
 RECORD_FIELDS = {
     "FiniteGroup": ("cayley", "labels", "perms"),
-    "FiniteCover": ("points", "group", "action", "section"),
+    "FiniteCover": ("points", "group", "orbits"),
     "GroupRep": ("group", "matrices", "label"),
     "InvariantKernel": ("cover", "matrix"),
     "SectorCensusRecord": ("label", "internal_dim", "carrier_dim", "commutant_dim"),
