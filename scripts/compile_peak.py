@@ -1,7 +1,7 @@
-"""Bound the share of a numeric run's peak RSS that compiling sectorkit sets.
+"""Bound the share of a numpy run's peak RSS that compiling sectorkit sets.
 
 Copies SRC (default: the repository's src) to a temporary directory
-without __pycache__ and runs four numeric jobs there under
+without __pycache__ and runs three jobs that load numpy there under
 PYTHONDONTWRITEBYTECODE=1, so that every sectorkit module is compiled
 from source. Then byte-compiles the copy with compileall and runs them
 again. Fails if any job's peak RSS (ru_maxrss, the median of RUNS
@@ -21,11 +21,13 @@ from pathlib import Path
 
 # Compiling a module allocates 0.6-1.9 MiB of short-lived AST and symbol
 # tables; imported before numpy (README Conventions), that costs a run's
-# peak 0.1-0.25 MB, and 0.65-1.1 MB when imported after it.
+# peak 0.1-0.25 MB, and 0.65-1.1 MB when imported after it. A run without
+# numpy has no later heap to reuse that memory: its whole compile share,
+# about 0.6 MB for tableaux and sectors, stays on its peak, so it is not
+# one of the jobs.
 COMPILE_MARGIN_MB = 0.5
 RUNS = 3
 JOBS = (
-    "sectors --m 2 --N 2",
     "equiv --m 2 --N 2",
     "cover --q-size 3 --N 2",
     "circle --theta 0 --grid 128",

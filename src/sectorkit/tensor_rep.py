@@ -12,9 +12,8 @@ estimate of their bytes.
 
 These builders serve as references for the certificates the CLI runs;
 no subcommand loads this module. The sector decomposition those
-certificates report lives in schur_weyl, which holds no dense builder,
-and is imported here by name (with its report types and the scatter-add
-the operator sums share).
+certificates report lives in schur_weyl, which holds no dense builder
+and no floating point, and is imported here by name with its report types.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ from __future__ import annotations
 import itertools
 import math
 
-# sectorkit modules before numpy (README Conventions); schur_weyl loads numpy
+# sectorkit modules before numpy (README Conventions); linalg's tolerances loads numpy
 from .errors import DomainError, ResourceLimitError, Value, check_bytes
 from .partitions import Partition, StandardTableau, hook_dimension
 from .permgroup import (
@@ -35,7 +34,7 @@ from .permgroup import (
 )
 # sector_decomposition and its report types are re-exported for the acceptance
 # tests and perfbench's TRACED list, which still name them here
-from .schur_weyl import SectorRecord, SectorReport, _scatter_sum, sector_decomposition
+from .schur_weyl import SectorRecord, SectorReport, sector_decomposition
 from . import linalg
 
 import numpy as np
@@ -70,6 +69,18 @@ class TensorSpace(Value):
         return np.stack(
             [(idx // self.m ** (self.N - 1 - k)) % self.m for k in range(self.N)], axis=1
         )
+
+
+def _scatter_sum(maps: np.ndarray, coeffs) -> np.ndarray:
+    """Real dense sum_k coeffs[k] P_k, by one unbuffered scatter-add.
+
+    P_k has a one in row maps[k, i] of column i. np.add.at adds in k
+    order, entry by entry.
+    """
+    dim = maps.shape[1]
+    acc = np.zeros((dim, dim))
+    np.add.at(acc, (maps, np.arange(dim)), np.asarray(coeffs, dtype=float)[:, None])
+    return acc
 
 
 def _check_cap(dim: int) -> None:

@@ -51,6 +51,12 @@ A representation's group law is checked on every pair of elements
 the generators. The census's fiber blocks, gathered at the points each
 chunk reads, are checked against the (|total|, d, d) gather of every
 point's block (gathered_fiber_blocks) that the census held before.
+The sector decomposition's dense split of one weight block, by one
+float eigh of scale K_(2) + K_(3) built by scatter-adds over the
+transposition and 3-cycle index maps, each eigenvalue assigned to the
+nearest predicted content value within EIGEN_CLUSTER_TOL of the gap
+(dense_weight_block_split), which the exact Newton certificate
+replaced, is kept as its oracle.
 """
 
 import itertools
@@ -1024,4 +1030,64 @@ def sector_report_fields(report) -> dict:
         ],
         "commutant_dim": report.commutant_dim,
         "residuals": dict(report.residuals),
+    }
+
+
+def dense_cycle_images(n: int, length: int) -> np.ndarray:
+    """One-line images (1-based) of every cycle of the given length in S_n.
+
+    Each cycle is written once, from its smallest point; rows are ordered
+    by point set, then by the order of the other points.
+    """
+    points = np.array(list(itertools.combinations(range(1, n + 1), length)), dtype=np.int64)
+    points = points.reshape(-1, length)
+    orders = [(0, *rest) for rest in itertools.permutations(range(1, length))]
+    cycles = np.concatenate([points[:, list(order)] for order in orders])
+    images = np.tile(np.arange(1, n + 1), (len(cycles), 1))
+    images[np.arange(len(cycles))[:, None], cycles - 1] = np.roll(cycles, -1, axis=1)
+    return images
+
+
+def dense_weight_block_split(weight: tuple[int, ...], shapes: list[tuple[int, ...]]) -> dict:
+    """The dense eigh split of the block of `weight` into the sectors `shapes`.
+
+    The block's words in lexicographic order, the combination
+    scale K_(2) + K_(3) of the transposition and 3-cycle class sums built
+    by unbuffered scatter-adds over their index maps (slot k's letter goes
+    to slot pi(k)), its eigenvectors, and the index into `shapes` of the
+    predicted content value omega = scale sum c + sum c^2 - C(N, 2) each
+    eigenvalue lands on. scale is the smallest positive integer making the
+    values distinct. An eigenvalue farther than EIGEN_CLUSTER_TOL times the
+    smallest gap from every prediction raises AssertionError. Returns
+    {"words", "vectors", "sector", "k2", "k3", "scale"}.
+    """
+    n = sum(weight)
+    pairs = []
+    for shape in shapes:
+        contents = [j - i for i, row in enumerate(shape) for j in range(row)]
+        pairs.append((sum(contents), sum(c * c for c in contents) - math.comb(n, 2)))
+    omega = np.array(pairs, dtype=float)
+    scale = next(s for s in itertools.count(1) if len(set(s * omega[:, 0] + omega[:, 1])) == len(omega))
+    words = np.array(sorted(set(itertools.permutations(
+        [letter for letter, count in enumerate(weight) for _ in range(count)]
+    ))), dtype=np.int64).reshape(-1, n)
+    base = len(weight)
+    codes = words @ base ** np.arange(n - 1, -1, -1)
+    sums = []
+    for length in (2, 3):
+        images = dense_cycle_images(n, length)
+        maps = np.searchsorted(codes, (base ** (n - images)) @ words.T)
+        acc = np.zeros((len(words), len(words)))
+        np.add.at(acc, (maps, np.arange(len(words))), 1.0)
+        sums.append(acc)
+    values, vectors = np.linalg.eigh(scale * sums[0] + sums[1])
+    predicted = scale * omega[:, 0] + omega[:, 1]
+    ladder = np.sort(predicted)
+    gap = float(np.diff(ladder).min()) if len(ladder) > 1 else 1.0
+    nearest = np.abs(values[:, None] - predicted[None, :]).argmin(axis=1)
+    miss = np.abs(values - predicted[nearest])
+    assert not miss.size or miss.max() <= 1e-6 * gap, (weight, miss.max())
+    return {
+        "words": words, "vectors": vectors, "sector": nearest, "k2": sums[0], "k3": sums[1],
+        "scale": scale,
     }

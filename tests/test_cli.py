@@ -112,7 +112,7 @@ class TestSectors:
 
     @pytest.mark.parametrize("m,n", [(2, 30), (3, 12), (1, 100000)])
     def test_group_order_cap_exits_before_allocating(self, capsys, m, n):
-        # too many records or too large a weight block: refused by the cost estimate
+        # too large a weight block, too many gathers or too many records: refused by the estimate
         tracemalloc.start()
         start = time.perf_counter()
         try:
@@ -148,6 +148,93 @@ class TestSectors:
         assert code == 0
         assert len(data["sectors"]) == 1
         assert data["sectors"][0]["rank"] == 1
+
+    @pytest.mark.parametrize("m,n", [(7, 7), (4, 8), (3, 9), (2, 13)])
+    def test_new_edges_certify_against_hook_content(self, tmp_path, m, n):
+        code, payload = run_to_file(tmp_path, "s.json", ["sectors", "--m", str(m), "--N", str(n)])
+        assert code == 0
+        data = json.loads(payload)
+        for s in data["sectors"]:
+            assert s["multiplicity"] == oracles.weyl_multiplicity(tuple(s["partition"]), m)
+            assert s["idempotence_residual"] == 0
+        assert data["residuals"] == {"minimal_polynomial_defect": 0}
+
+    @pytest.mark.parametrize("m,n,refused", [(2, 17, (2, 18)), (8, 8, (8, 9))], ids=["m2-edge", "N8-edge"])
+    def test_estimate_bounds_the_peak_rss(self, monkeypatch, m, n, refused):
+        # peak RSS above the floor of an exit-3 sectors run, against the
+        # byte estimate _check_sector_cost refuses on; (2, 17) and (8, 8),
+        # like every m >= 8 at N = 8, are the two largest it admits
+        from sectorkit import schur_weyl
+
+        with pytest.raises(errors.ResourceLimitError):
+            schur_weyl._check_sector_cost(*refused)
+        estimates = []
+        monkeypatch.setattr(schur_weyl, "check_bytes", lambda nbytes, _: estimates.append(nbytes))
+        schur_weyl._check_sector_cost(m, n)
+        floor_code, floor = child_peak_rss(["sectors", "--m", "3", "--N", "12"])
+        code, peak = child_peak_rss(["sectors", "--m", str(m), "--N", str(n)])
+        assert (floor_code, code) == (3, 0)
+        assert peak - floor < estimates[-1], (peak - floor, estimates[-1])
+
+
+def row_minus_col(shape):
+    return [i - j for i, row in enumerate(shape) for j in range(row)]
+
+
+class TestSectorFaults:
+    """Faults seeded in the sector certificate's seams exit 4, never 0."""
+
+    @pytest.mark.parametrize("m,n", [(3, 3), (4, 4), (5, 4)])
+    def test_contents_as_row_minus_col_exit_4(self, m, n, monkeypatch):
+        # every sector's class-sum values become its conjugate's
+        from sectorkit import schur_weyl
+
+        monkeypatch.setattr(schur_weyl, "_contents", row_minus_col)
+        code, error = run_main(["sectors", "--m", str(m), "--N", str(n)])
+        assert code == 4
+        assert error["kind"] == "consistency"
+
+    @pytest.mark.parametrize("m,n", [(2, 2), (3, 4), (4, 4)])
+    def test_one_corrupted_transposition_map_exits_4(self, m, n, monkeypatch):
+        # the first block of more than one word: word 0 of the map of the
+        # slots (1 2) points where word 1 does
+        from sectorkit import schur_weyl
+
+        build, corrupted = schur_weyl._transposition_maps, []
+
+        def corrupt(words):
+            maps = build(words)
+            if len(words) > 1 and not corrupted:
+                row = maps[0][0]
+                maps[0][0] = (row[1],) + row[1:]
+                corrupted.append(words[0])
+            return maps
+
+        monkeypatch.setattr(schur_weyl, "_transposition_maps", corrupt)
+        code, error = run_main(["sectors", "--m", str(m), "--N", str(n)])
+        assert corrupted
+        assert code == 4
+        assert error["kind"] == "consistency"
+
+    @pytest.mark.parametrize("m,n", [(3, 3), (4, 4), (5, 4), (6, 5)])
+    def test_records_labelled_by_the_conjugate_exit_4_on_the_hook_content_anchor(
+        self, m, n, monkeypatch
+    ):
+        # d, the rank sum and the multiplicity squares are the same for a
+        # shape and its conjugate; only the hook-content value tells them apart
+        from sectorkit import schur_weyl
+        from sectorkit.partitions import Partition
+
+        record = schur_weyl.SectorRecord
+
+        def conjugated(partition, **fields):
+            return record(partition=Partition(partition).conjugate().parts, **fields)
+
+        monkeypatch.setattr(schur_weyl, "SectorRecord", conjugated)
+        code, error = run_main(["sectors", "--m", str(m), "--N", str(n)])
+        assert code == 4
+        assert error["kind"] == "consistency"
+        assert "hook-content" in error["error"]
 
 
 class TestEquiv:
@@ -811,7 +898,7 @@ class TestImports:
         "argv,modules",
         [
             (["tableaux", "--N", "3"], {"partitions"}),
-            (["sectors", "--m", "3", "--N", "4"], {"partitions", "schur_weyl", "tolerances"}),
+            (["sectors", "--m", "3", "--N", "4"], {"partitions", "schur_weyl"}),
             (
                 ["equiv", "--m", "2", "--N", "3"],
                 {"partitions", "permgroup", "tolerances", "linalg", "parastat_equiv"},
@@ -939,15 +1026,40 @@ class TestImports:
                 )
 
     @pytest.mark.parametrize(
+        "argv,code",
+        [
+            (["sectors", "--m", "2", "--N", "2"], 0),
+            (["sectors", "--m", "3", "--N", "4", "--format", "pretty"], 0),
+            (["sectors", "--m", "3", "--N", "12"], 3),
+            (["sectors", "--m", "3", "--N", "4", "--lambda", "2,1,1"], 0),
+        ],
+        ids=["admitted", "pretty", "refused", "lambda"],
+    )
+    def test_sectors_loads_no_numpy_and_no_tolerances(self, argv, code):
+        # the certificate is exact integer arithmetic: no float, no threshold
+        src = str(Path(sectorkit.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        script = (
+            "import sys\n"
+            "from sectorkit import cli\n"
+            "code = cli.main(sys.argv[2:] + ['--out', sys.argv[1]])\n"
+            "print(code, *(m for m in ('numpy', 'sectorkit.tolerances') if m in sys.modules))\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", script, os.devnull, *argv],
+            env=env, capture_output=True, text=True, check=True, timeout=60,
+        ).stdout.split()
+        assert out == [str(code)]
+
+    @pytest.mark.parametrize(
         "argv",
         [
-            ["sectors", "--m", "2", "--N", "2"],
             ["equiv", "--m", "2", "--N", "2"],
             ["cover", "--q-size", "3", "--N", "2"],
             ["circle", "--theta", "0", "--grid", "128"],
             ["cover", "--cover-json", "DOC"],
         ],
-        ids=["sectors", "equiv", "cover", "circle", "cover-json"],
+        ids=["equiv", "cover", "circle", "cover-json"],
     )
     def test_sectorkit_modules_import_before_numpy(self, tmp_path, argv):
         # without cached bytecode a module's short-lived compile data lands on

@@ -34,7 +34,7 @@ def cyclic_group(order):
 ESTIMATES = {
     "enumerating": lambda: tensor_rep._check_group_cost(2, 8),
     "commutant basis": lambda: tensor_rep._check_commutant_cost(4, 3),
-    "sector decomposition": lambda: schur_weyl._check_sector_cost(2, 12),
+    "sector decomposition": lambda: schur_weyl._check_sector_cost(8, 8),
     "restricted to two carriers": lambda: parastat_equiv._check_equiv_cost(8, 2),
     "successive restriction": lambda: linalg.unitary_intertwiner([np.eye(10)], [np.eye(10)]),
     "regular representation": lambda: cover_document._regular_irreps(cyclic_group(128), 0),
@@ -89,7 +89,7 @@ def test_a_refused_operation_count_reads_larger_than_the_cap(work, sizes):
 
 # the phrase each refusal names -> a request every work estimate admits at 4e9
 WORK_ESTIMATES = {
-    "dense block operations": lambda: schur_weyl._check_sector_cost(2, 12),
+    "Newton steps": lambda: schur_weyl._check_sector_cost(3, 11),
     "gauge check": lambda: circle_theta.check_gauge_cost(4096),
 }
 

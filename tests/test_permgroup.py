@@ -390,7 +390,6 @@ RECORD_FIELDS = {
     ),
     "SectorRecord": ("partition", "irrep_dim", "multiplicity", "rank", "idempotence_residual"),
     "SectorReport": ("m", "N", "sectors", "commutant_dim", "residuals"),
-    "WeightBlock": ("weight", "words", "vectors", "sector", "residuals", "idempotence"),
     "SectorRealization": ("label", "injection", "operators", "leakage"),
     "EquivalenceCertificate": ("equivalent", "carrier_dims", "residual", "intertwiner", "detail"),
     "ThetaSector": ("theta",),
@@ -414,9 +413,6 @@ def records():
     cover = cover_quant.symmetric_cover(3, 2)
     census = cover_quant.sector_census(cover)
     report = schur_weyl.sector_decomposition(2, 3)
-    block = schur_weyl.WeightBlock(
-        (1, 1), np.array([[0, 1], [1, 0]]), np.eye(2), np.array([0, 1]), {"x": 0.0}, {0: 0.0}
-    )
     values = [
         cover.group,
         cover,
@@ -426,7 +422,6 @@ def records():
         census,
         report.sectors[0],
         report,
-        block,
         parastat_equiv.SectorRealization("sym", np.eye(2), np.zeros((1, 2, 2)), 0.0),
         parastat_equiv.EquivalenceCertificate(True, (2, 2), 0.0, np.eye(2), "unitary"),
         circle_theta.ThetaSector(1.0),

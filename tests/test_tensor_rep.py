@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -516,10 +517,19 @@ class TestGroupCostEstimate:
             tensor_rep._check_group_cost(m, n)
 
 
-def split_weight_blocks(m, n):
-    """(shapes with <= m rows, [WeightBlock per sorted weight]) as the decomposition builds them."""
+def dense_weight_blocks(m, n):
+    """(shapes with <= m rows, {sorted weight: the dense eigh split of its block})."""
     shapes = list(iter_partitions(n, m))
-    return shapes, list(schur_weyl._weight_blocks(m, shapes))
+    return shapes, {w: oracles.dense_weight_block_split(w, shapes) for w in iter_partitions(n, m)}
+
+
+def exact_block_ranks(weight, shapes):
+    """{shape: rank} of the exact certificate on the block of `weight`."""
+    omega, scale = schur_weyl._separating_combination(shapes)
+    values = dict(zip(shapes, (scale * w2 + w3 for w2, w3 in omega)))
+    nodes = [s for s in shapes if schur_weyl._dominates(s, weight)]
+    ranks = schur_weyl._block_ranks(weight, nodes, [values[s] for s in nodes], scale)
+    return dict(zip(nodes, ranks))
 
 
 def compositions(m, n):
@@ -528,40 +538,84 @@ def compositions(m, n):
 
 
 class TestWeightBlocks:
-    """Per-weight spectral split against dense and combinatorial oracles."""
+    """The exact per-weight certificate against the dense eigh split and combinatorial oracles."""
 
     @pytest.mark.parametrize("m,n", ORACLE_SIZES[1:] + [(3, 4)])
-    def test_block_projectors_reassemble_central_projectors(self, m, n):
-        shapes, blocks = split_weight_blocks(m, n)
+    def test_dense_block_projectors_reassemble_central_projectors(self, m, n):
+        # the oracle itself: its block splits are the central projectors
+        shapes, blocks = dense_weight_blocks(m, n)
         z = {shape: np.zeros((m**n, m**n)) for shape in shapes}
         place = m ** np.arange(n - 1, -1, -1)
-        for block in blocks:
+        for weight, block in blocks.items():
             seen = set()
             # every weight of this sorted type: block letter i -> letters[i]
-            for letters in itertools.permutations(range(m), len(block.weight)):
-                weight = [0] * m
-                for letter, count in zip(letters, block.weight):
-                    weight[letter] = count
-                if tuple(weight) in seen:
+            for letters in itertools.permutations(range(m), len(weight)):
+                counts = [0] * m
+                for letter, count in zip(letters, weight):
+                    counts[letter] = count
+                if tuple(counts) in seen:
                     continue
-                seen.add(tuple(weight))
-                flat = np.array(letters)[block.words] @ place
+                seen.add(tuple(counts))
+                flat = np.array(letters)[block["words"]] @ place
                 for s, shape in enumerate(shapes):
-                    v = block.vectors[:, block.sector == s]
+                    v = block["vectors"][:, block["sector"] == s]
                     z[shape][np.ix_(flat, flat)] += v @ v.T
         for shape in enumerate_partitions(n):
             expected = oracles.dense_central_projector(shape.parts, m)
             got = z.get(shape.parts, np.zeros_like(expected))
             assert linalg.max_abs(got - expected) < 1e-12
 
+    @pytest.mark.parametrize("m,n", [(1, 3), (2, 2), (2, 5), (3, 3), (3, 4), (4, 4), (3, 5), (4, 5), (2, 6), (5, 5)])
+    def test_exact_block_ranks_equal_the_dense_split(self, m, n):
+        shapes, blocks = dense_weight_blocks(m, n)
+        for weight, block in blocks.items():
+            dense = dict(zip(shapes, np.bincount(block["sector"], minlength=len(shapes)).tolist()))
+            exact = exact_block_ranks(weight, shapes)
+            assert {s: r for s, r in dense.items() if r} == {s: r for s, r in exact.items() if r}
+            # Young's rule: exactly the shapes dominating the weight occur
+            assert set(exact) == {s for s, r in dense.items() if r}
+
     @pytest.mark.parametrize("m,n", [(2, 4), (3, 4), (3, 5), (4, 5), (3, 6), (4, 6)])
     def test_block_ranks_are_kostka_times_irrep_dim(self, m, n):
-        shapes, blocks = split_weight_blocks(m, n)
-        for block in blocks:
-            ranks = np.bincount(block.sector, minlength=len(shapes))
-            for shape, rank in zip(shapes, ranks):
-                kostka = oracles.bruteforce_kostka(shape, block.weight)
-                assert rank == kostka * hook_dimension(Partition(shape))
+        shapes = list(iter_partitions(n, m))
+        for weight in iter_partitions(n, m):
+            ranks = exact_block_ranks(weight, shapes)
+            for shape in shapes:
+                kostka = oracles.bruteforce_kostka(shape, weight)
+                assert ranks.get(shape, 0) == kostka * hook_dimension(Partition(shape))
+
+    @pytest.mark.parametrize("weight", [(1,), (2,), (1, 1), (2, 1), (1, 1, 1), (2, 2), (3, 1, 1), (2, 1, 1, 1)])
+    def test_jucys_murphy_step_is_the_class_sum_combination(self, weight):
+        # sum_k (scale J_k + J_k^2) - C(N, 2), through the transposition maps,
+        # is the oracle's dense scale K_(2) + K_(3) built from the 3-cycles too
+        n = sum(weight)
+        shapes = list(iter_partitions(n))
+        block = oracles.dense_weight_block_split(weight, shapes)
+        scale = block["scale"]
+        dense = scale * block["k2"] + block["k3"]
+        words = schur_weyl._weight_words(weight)
+        assert [tuple(w) for w in block["words"]] == words
+        jucys_murphy = schur_weyl._transposition_maps(words)
+        assert [len(maps) for maps in jucys_murphy] == list(range(1, n))
+        rng = np.random.default_rng(n)
+        v = [int(x) for x in rng.integers(-1000, 1000, len(words))]
+        k2 = k3 = [0] * len(words)
+        for maps in jucys_murphy:
+            u = schur_weyl._gather_sum(v, maps)
+            k2 = [a + b for a, b in zip(k2, u)]
+            k3 = [a + b for a, b in zip(k3, schur_weyl._gather_sum(u, maps))]
+        exact = [scale * a + c - math.comb(n, 2) * x for a, c, x in zip(k2, k3, v)]
+        assert exact == (dense @ np.array(v, dtype=float)).astype(np.int64).tolist()
+
+    @pytest.mark.parametrize("weight", [(1, 1, 1), (2, 1, 1), (3, 2), (2, 2, 1, 1)])
+    def test_transposition_maps_exchange_two_slots(self, weight):
+        words = schur_weyl._weight_words(weight)
+        for k, maps in enumerate(schur_weyl._transposition_maps(words), start=1):
+            for i, row in enumerate(maps):
+                for x, y in enumerate(row):
+                    swapped = list(words[x])
+                    swapped[i], swapped[k] = swapped[k], swapped[i]
+                    assert words[y] == tuple(swapped)
 
     @pytest.mark.parametrize("m,n", [(2, 9), (2, 10), (3, 7), (3, 8), (4, 7), (10, 6)])
     def test_frontier_multiplicities_against_hook_content(self, m, n):
@@ -569,8 +623,9 @@ class TestWeightBlocks:
         for s in report.sectors:
             assert s.multiplicity == oracles.weyl_multiplicity(s.partition, m)
             assert s.rank == s.multiplicity * s.irrep_dim
+            assert s.idempotence_residual == 0
         assert report.commutant_dim == math.comb(m * m + n - 1, n)
-        assert max(report.residuals.values()) < 1e-10
+        assert report.residuals == {"minimal_polynomial_defect": 0}
 
     @pytest.mark.parametrize("m,n", [(1, 11), (2, 9), (2, 10)])
     def test_no_group_enumeration_or_irrep(self, m, n, monkeypatch):
@@ -616,23 +671,30 @@ class TestWeightBlocks:
             with pytest.raises(ConsistencyError, match="do not separate"):
                 schur_weyl._separating_combination(list(iter_partitions(n, m)))
 
-    def test_stray_eigenvalue_raises(self):
-        predicted = np.array([0.0, 2.0, 5.0])
-        landed = schur_weyl._assign_sectors(np.array([5.0, 0.0, 2.0]), predicted, (1,))
-        assert list(landed) == [2, 0, 1]
-        with pytest.raises(ConsistencyError, match="eigenvalue"):
-            schur_weyl._assign_sectors(np.array([0.0, 2.0 + 1e-3]), predicted, (1,))
+    def test_a_value_off_the_spectrum_leaves_a_defect(self):
+        # one node moved off its sector's value: f(K) e is no longer 0
+        weight, shapes = (2, 1, 1), list(iter_partitions(4, 3))
+        omega, scale = schur_weyl._separating_combination(shapes)
+        values = dict(zip(shapes, (scale * w2 + w3 for w2, w3 in omega)))
+        nodes = [s for s in shapes if schur_weyl._dominates(s, weight)]
+        moved = [values[s] for s in nodes]
+        assert schur_weyl._block_ranks(weight, nodes, moved, scale) == [
+            oracles.bruteforce_kostka(s, weight) * hook_dimension(Partition(s)) for s in nodes
+        ]
+        moved[1] += 1
+        with pytest.raises(ConsistencyError, match="leave the predicted sector values"):
+            schur_weyl._block_ranks(weight, nodes, moved, scale)
 
-    def test_wrong_prediction_raises_from_the_eigenvalues(self, monkeypatch):
-        # omega_3 without its -C(N, 2): no eigenvalue lands on a prediction
+    def test_wrong_prediction_raises_from_the_certificate(self, monkeypatch):
+        # omega_3 without its -C(N, 2): no block's spectrum lies on the predictions
         separate = schur_weyl._separating_combination
 
         def shifted(shapes):
             omega, scale = separate(shapes)
-            return omega + [0, math.comb(sum(shapes[0]), 2)], scale
+            return [(w2, w3 + math.comb(sum(shapes[0]), 2)) for w2, w3 in omega], scale
 
         monkeypatch.setattr(schur_weyl, "_separating_combination", shifted)
-        with pytest.raises(ConsistencyError, match="eigenvalue"):
+        with pytest.raises(ConsistencyError, match="leave the predicted sector values"):
             sector_decomposition(3, 4)
 
     @pytest.mark.parametrize("m,n", [(1, 4), (2, 4), (3, 4), (4, 3), (3, 5)])
@@ -642,38 +704,53 @@ class TestWeightBlocks:
             expected = sorted(set(itertools.permutations(
                 [letter for letter, count in enumerate(weight) for _ in range(count)]
             )))
-            assert [tuple(w) for w in schur_weyl._weight_words(weight)] == expected
+            assert schur_weyl._weight_words(weight) == expected
             same_type = [
                 a for a in weights if tuple(sorted((c for c in a if c), reverse=True)) == weight
             ]
             assert schur_weyl._weight_count(weight, m) == len(same_type)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
-    def test_cycle_images_are_the_classes(self, n):
+    def test_dense_cycle_images_are_the_classes(self, n):
         group = list(itertools.permutations(range(1, n + 1)))
         for length in (2, 3):
             cycle_type = (length,) + (1,) * (n - length)
             expected = sorted(p for p in group if oracles.inverse_cycle_type(p) == cycle_type)
-            assert sorted(map(tuple, schur_weyl._cycle_images(n, length))) == expected
+            assert sorted(map(tuple, oracles.dense_cycle_images(n, length))) == expected
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
+    def test_dominance_against_partial_sums(self, n):
+        shapes = list(iter_partitions(n))
+        for shape, weight in itertools.product(shapes, shapes):
+            expected = all(
+                sum(shape[:k]) >= sum(weight[:k]) for k in range(1, max(len(shape), len(weight)) + 1)
+            )
+            assert schur_weyl._dominates(shape, weight) == expected
 
 
 class TestSectorCostEstimate:
     @pytest.mark.parametrize(
         "m,n,reason",
-        [(1, 100000, "records"), (1, 36, "records"), (2, 30, "MiB"), (3, 12, "MiB"),
-         (3, 9, "block operations"), (10**400, 3, "digits")],
+        [(1, 100000, "records"), (1, 36, "records"), (2, 30, "MiB"), (9, 9, "MiB"),
+         (2, 18, "gathers"), (3, 12, "gathers"), (4, 10, "gathers"), (6, 9, "gathers"),
+         (10**400, 3, "digits")],
     )
     def test_refused_before_any_block(self, m, n, reason, monkeypatch):
         def build(*args):
             raise AssertionError("a weight block was built past the estimate")
 
-        monkeypatch.setattr(schur_weyl, "_weight_block", build)
+        monkeypatch.setattr(schur_weyl, "_block_ranks", build)
         with pytest.raises(ResourceLimitError, match=f"sector decomposition.*{reason}"):
             sector_decomposition(m, n)
 
     def test_admits_the_frontier(self):
-        for m, n in [(2, 10), (3, 8), (4, 7), (10, 6), (2, 12), (1, 35), (10**50, 3)]:
+        for m, n in [(2, 17), (3, 11), (4, 9), (5, 9), (8, 8), (10**6, 8), (1, 35), (10**50, 3)]:
             schur_weyl._check_sector_cost(m, n)
+
+    def test_int_bytes_are_the_interpreters(self):
+        for value in (0, 1, 255, 2**30, 2**60, 2**90, 2**150, 2**400):
+            assert schur_weyl._int_bytes(value.bit_length()) >= sys.getsizeof(value)
+            assert schur_weyl._int_bytes(value.bit_length()) < sys.getsizeof(value) + 16
 
     def test_record_count_matches_enumeration(self):
         for n in range(1, 25):
