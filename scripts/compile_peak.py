@@ -3,14 +3,21 @@
 Copies SRC (default: the repository's src) to a temporary directory
 without __pycache__ and runs three jobs that load numpy there under
 PYTHONDONTWRITEBYTECODE=1, so that every sectorkit module is compiled
-from source. Then byte-compiles the copy with compileall and runs them
-again. Fails if any job's peak RSS (ru_maxrss, the median of RUNS
-processes) differs by more than COMPILE_MARGIN_MB between the two.
+from source: equiv, circle and cover --cover-json on a small cyclic
+cover document written to the same directory. Then byte-compiles the
+copy with compileall and runs them again. Fails if any job's peak RSS
+(ru_maxrss, the median of RUNS processes) differs by more than
+COMPILE_MARGIN_MB between the two.
+
+Each job is spawned by a small ``python -S`` launcher (LAUNCHER), as the
+Tier-1 RSS tests do: a child's ru_maxrss starts at the resident set of
+the process that spawned it, and this script's own grows with compileall.
 
 Usage: python scripts/compile_peak.py [SRC]
 """
 
 import compileall
+import json
 import os
 import shutil
 import statistics
@@ -23,28 +30,36 @@ from pathlib import Path
 # tables; imported before numpy (README Conventions), that costs a run's
 # peak 0.1-0.25 MB, and 0.65-1.1 MB when imported after it. A run without
 # numpy has no later heap to reuse that memory: its whole compile share,
-# about 0.6 MB for tableaux and sectors, stays on its peak, so it is not
-# one of the jobs.
+# about 0.6 MB for tableaux and sectors and more for cover --q-size/--N,
+# stays on its peak, so none of them is one of the jobs.
 COMPILE_MARGIN_MB = 0.5
 RUNS = 3
 JOBS = (
     "equiv --m 2 --N 2",
-    "cover --q-size 3 --N 2",
     "circle --theta 0 --grid 128",
+    "cover --cover-json {document}",
+)
+CYCLIC_ORDER = 12
+LAUNCHER = (
+    "import os, subprocess, sys; child = subprocess.Popen(sys.argv[1:]); "
+    "_, status, usage = os.wait4(child.pid, 0); "
+    "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)"
 )
 
 
 def peak_mb(src: Path, job: str) -> float:
     env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+    command = [sys.executable, "-m", "sectorkit", *job.split(), "--out", os.devnull]
     peaks = []
     for _ in range(RUNS):
-        child = subprocess.Popen(
-            [sys.executable, "-m", "sectorkit", *job.split(), "--out", os.devnull], env=env
+        done = subprocess.run(
+            [sys.executable, "-S", "-c", LAUNCHER, *command],
+            env=env, capture_output=True, text=True, check=True,
         )
-        _, status, usage = os.wait4(child.pid, 0)
-        if os.waitstatus_to_exitcode(status) != 0:
-            sys.exit(f"{job} exited {os.waitstatus_to_exitcode(status)}")
-        peaks.append(usage.ru_maxrss / 1024)  # KiB on Linux
+        code, kib = map(int, done.stdout.split())
+        if code != 0:
+            sys.exit(f"{job} exited {code}")
+        peaks.append(kib / 1024)  # KiB on Linux
     return statistics.median(peaks)
 
 
@@ -53,15 +68,22 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         src = Path(tmp) / "src"
         shutil.copytree(root, src, ignore=shutil.ignore_patterns("__pycache__"))
-        source = {job: peak_mb(src, job) for job in JOBS}
+        document = Path(tmp) / f"z{CYCLIC_ORDER}.json"
+        n = CYCLIC_ORDER
+        document.write_text(json.dumps({
+            "points": [f"p{x}" for x in range(n)],
+            "group": [[(x + k) % n for x in range(n)] for k in range(n)],
+        }))
+        jobs = [job.format(document=document) for job in JOBS]
+        source = {job: peak_mb(src, job) for job in jobs}
         if not compileall.compile_dir(src, quiet=1):
             sys.exit("compileall failed")
-        cached = {job: peak_mb(src, job) for job in JOBS}
+        cached = {job: peak_mb(src, job) for job in jobs}
     worst = 0.0
-    for job in JOBS:
+    for job, name in zip(jobs, JOBS):
         gap = source[job] - cached[job]
         worst = max(worst, abs(gap))
-        print(f"{job:30s} from source {source[job]:.2f} MB, cached {cached[job]:.2f} MB, {gap:+.2f}")
+        print(f"{name:30s} from source {source[job]:.2f} MB, cached {cached[job]:.2f} MB, {gap:+.2f}")
     print(f"largest difference {worst:.2f} MB, margin {COMPILE_MARGIN_MB} MB")
     return 1 if worst > COMPILE_MARGIN_MB else 0
 

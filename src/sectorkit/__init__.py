@@ -22,14 +22,12 @@ _EXPORTS = {
         "gauge_equivalence_check",
         "spectrum_rows",
     ),
-    "cover_document": ("cover_from_json",),
+    "cover_document": ("cover_from_action", "cover_from_json"),
     "cover_quant": (
         "FiniteCover",
         "FiniteGroup",
         "GroupRep",
-        "cover_from_action",
         "irreps_of",
-        "randomize_section",
         "sector_census",
         "symmetric_cover",
     ),
@@ -38,6 +36,7 @@ _EXPORTS = {
         "constrained_action",
         "constrained_space",
         "random_invariant_kernel",
+        "randomize_section",
         "realization_unitary",
         "section_action",
     ),

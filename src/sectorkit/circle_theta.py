@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 
-# sectorkit modules before numpy (README Conventions); tolerances loads numpy
+# sectorkit modules before numpy (README Conventions)
 from .errors import ConsistencyError, DomainError, Value, check_bytes, check_work
 from . import tolerances
 

@@ -115,7 +115,8 @@ def _route_tableaux(args):
 
 
 def _route_sectors(args):
-    # --lambda is parsed before schur_weyl, which loads numpy
+    # --lambda is parsed here, so that a malformed one is a usage error
+    # before schur_weyl is compiled
     args.wanted = _parse_partition(args.lam) if args.lam is not None else None
     from .schur_weyl import _run_sectors
 

@@ -1,12 +1,15 @@
 """The ``--cover-json`` path: cover documents and the regular-representation split.
 
 A cover document names the points and the deck group's action words
-(cover_from_json); its group carries no permutations, so its
-irreducibles come from splitting the regular representation
+(cover_from_json, cover_from_action); its group carries no permutations,
+so its irreducibles come from splitting the regular representation
 (_regular_irreps), which cover_quant.irreps_of imports from here for
-any group without `perms`. A ``cover --q-size/--N`` run needs neither
-and never loads this module; cover_quant.cover_from_json resolves here
-on first access.
+any group without `perms`, and their r x r character Gram matrix is
+formed here too (_regular_gram_dimensions). These are the numpy parts
+of the cover layer: the words are checked as arrays, and the shared
+types of cover_quant are handed lists. A ``cover --q-size/--N`` run needs none of
+it and never loads this module; cover_quant.cover_from_json and
+cover_from_action resolve here on first access.
 """
 
 from __future__ import annotations
@@ -16,12 +19,81 @@ import math
 import random
 from pathlib import Path
 
-# sectorkit modules before numpy (README Conventions); cover_quant loads numpy
+# sectorkit modules before numpy (README Conventions)
 from .errors import ConsistencyError, DomainError, check_bytes
-from .cover_quant import FiniteCover, FiniteGroup, GroupRep, _cover_report, cover_from_action
+from .cover_quant import FiniteCover, FiniteGroup, GroupRep, MatrixStack, _cover_report
 from . import tolerances
 
 import numpy as np
+
+
+def _point_indices(values, npts: int, what: str) -> np.ndarray:
+    """values as an int64 array of point indices in 0..npts-1, or DomainError naming `what`."""
+    values = np.asarray(values)  # an empty list converts as floats
+    if values.size and (values.dtype.kind not in "iu" or values.min() < 0 or values.max() >= npts):
+        raise DomainError(f"{what} entries must be point indices in 0..{npts - 1}")
+    return np.ascontiguousarray(values, dtype=np.int64)
+
+
+def cover_from_action(
+    points,
+    words,
+    group_labels: tuple[str, ...] | None = None,
+    section=None,
+) -> FiniteCover:
+    """Build a cover from the action permutations of the deck group.
+
+    words[g] holds the images of the points under element g, a (|G|,
+    |points|) integer array or nested lists; unlabeled elements are named
+    by index. A free action is fixed by the image of one point, so the
+    Cayley table is read off the first point's images. The orbits of each
+    orbit's smallest point, in increasing order, make a cover, and every
+    word must equal its action: that one check implies the identity,
+    freeness, the group law and that each word is a permutation.
+    """
+    npts = len(points)
+    try:
+        images = np.asarray(words, dtype=np.int64).reshape(len(words), npts)
+    except (ValueError, TypeError, OverflowError) as exc:
+        raise DomainError(f"group words are not lists of {npts} point indices: {exc}") from exc
+    if npts == 0:
+        raise DomainError("a cover needs at least one point")
+    # entries outside the points would index past (or wrap around) the tables below
+    outside = np.flatnonzero((images.min(axis=1) < 0) | (images.max(axis=1) >= npts))
+    if outside.size:
+        word = tuple(images[outside[0]].tolist())
+        raise DomainError(f"not a permutation of the point set: {word}")
+    ng = len(images)
+    # g -> 0.g is injective on a free action
+    lookup = np.full(npts, -1, dtype=np.int64)
+    lookup[images[:, 0]] = np.arange(ng)
+    if np.count_nonzero(lookup >= 0) != ng:
+        raise DomainError("group elements agree at the first point: duplicates or not free")
+    # cayley[i, j] is the element taking 0 to 0.(g_i g_j) = (0.g_i).g_j
+    cayley = lookup[images[:, images[:, 0]]].T
+    if np.any(cayley < 0):
+        raise DomainError("action maps are not closed under composition")
+    labels = group_labels if group_labels is not None else tuple(map(str, range(ng)))
+    group = FiniteGroup(cayley=cayley.tolist(), labels=tuple(labels))
+
+    idx = np.arange(npts)
+    try:
+        cover = FiniteCover(points, group, images[:, images.min(axis=0) == idx].T.tolist())
+    except DomainError:
+        cover = None
+    # word g takes orbits[q, k] to orbits[q, k g]
+    orbits = np.asarray(cover.orbits) if cover is not None else None
+    if cover is None or any(
+        not np.array_equal(images[g, orbits], orbits[:, cayley[:, g]]) for g in range(ng)
+    ):
+        fixed = np.flatnonzero((images == idx).any(axis=1) & (np.arange(ng) != group.identity))
+        if fixed.size:
+            raise DomainError(f"action is not free: element {labels[fixed[0]]}")
+        raise DomainError("action is incompatible with the group law")
+    if section is not None:
+        orbits = images[:, _point_indices(section, npts, "section")].T
+        cover = FiniteCover(points, group, orbits.tolist())
+    return cover
 
 
 def _load_json(data):
@@ -147,14 +219,15 @@ def _regular_irreps(group: FiniteGroup, seed: int) -> list[GroupRep]:
     n = group.order
     what = f"splitting the regular representation of a deck group of order {n}"
     check_bytes(_regular_bytes(n, 1), what)
-    left = group.cayley[group._inverse]
+    cayley = np.asarray(group.cayley)
+    left = cayley[np.asarray(group._inverse)]
     for attempt in range(20):
         rng = random.Random(seed + attempt)
         h = np.zeros((n, n), dtype=complex)
         # R(k) has its one entry of column j in row j k; the real parts of
         # the n weights c_k are drawn first, then their imaginary parts
         normals = np.array([rng.gauss(0.0, 1.0) for _ in range(2 * n)])
-        h[group.cayley, np.arange(n)[:, None]] = normals[:n] + 1j * normals[n:]
+        h[cayley, np.arange(n)[:, None]] = normals[:n] + 1j * normals[n:]
         eigvals, eigvecs = np.linalg.eigh(h + h.conj().T)
         del h
         gaps = np.flatnonzero(np.diff(eigvals) >= tolerances.EIGEN_CLUSTER_TOL)
@@ -169,12 +242,32 @@ def _regular_irreps(group: FiniteGroup, seed: int) -> list[GroupRep]:
         distinct.sort(key=lambda item: (item[1].shape[1], np.round(item[0].real, 6).tolist()))
         try:
             return [
-                GroupRep(group=group, matrices=mats, label=f"chi{i}")
+                GroupRep(
+                    group=group,
+                    matrices=MatrixStack(mats.reshape(-1).tolist(), mats.shape[1]),
+                    label=f"chi{i}",
+                )
                 for i, (_, mats) in enumerate(distinct)
             ]
         except DomainError:
             continue
     raise ConsistencyError("failed to split the regular representation")
+
+
+def _regular_gram_dimensions(reps: list[GroupRep]) -> tuple[list[list[int]], float]:
+    """The character Gram matrix |G|**-1 sum_g chi_i(g) conj(chi_j(g)) rounded,
+    and its largest distance from the rounding, as one r x r product.
+
+    The numpy counterpart of cover_quant._gram_dimensions, for the
+    irreducibles of _regular_irreps (cover_quant._sector_dimensions says
+    when each runs).
+    """
+    chars = np.empty((len(reps), reps[0].group.order), dtype=complex)
+    for row, rep in zip(chars, reps):
+        row[:] = rep.matrices.traces()
+    gram = chars @ chars.conj().T / chars.shape[1]
+    dims = np.rint(gram.real)
+    return dims.astype(np.int64).tolist(), tolerances.max_abs(gram - dims)
 
 
 def _run_cover(args) -> tuple[int, bytes]:

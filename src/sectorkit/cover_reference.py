@@ -4,21 +4,31 @@ The covering-space counterpart of tensor_rep: invariant kernels as dense
 matrices over the total set (InvariantKernel, random_invariant_kernel,
 the orbit basis kernel_orbit_basis), the dense constrained basis, the
 kernels' constrained and section actions on it, and the realization
-unitary between them, read off the cover's action() and orbit tables. The
-census forms none of these; the tests and the acceptance suite check it
-against them, importing them through cover_quant (PEP 562).
+unitary between them, read off the cover's action() and orbit tables,
+which numpy reads as arrays (np.asarray), and a cover with a random
+representative per orbit (randomize_section, drawn from numpy.random).
+The census forms none of these; the tests and the acceptance suite check
+it against them, importing them through cover_quant (PEP 562).
 """
 
 from __future__ import annotations
 
 import math
 
-# sectorkit modules before numpy (README Conventions); cover_quant loads numpy
+# sectorkit modules before numpy (README Conventions); linalg loads numpy
 from .errors import ConsistencyError, DomainError, Value
 from .cover_quant import FiniteCover, GroupRep, _fiber_blocks
 from . import linalg
 
 import numpy as np
+
+
+def randomize_section(cover: FiniteCover, seed: int = 0) -> FiniteCover:
+    """Same cover with a random representative p per orbit: row q becomes orbits[q, p g]."""
+    picks = np.random.default_rng(seed).integers(cover.group.order, size=cover.base_size)
+    rows = np.arange(cover.base_size)[:, None]
+    orbits = np.asarray(cover.orbits)[rows, np.asarray(cover.group.cayley)[picks]]
+    return FiniteCover(cover.points, cover.group, orbits.tolist())
 
 
 class InvariantKernel(Value, eq=False):
@@ -32,7 +42,7 @@ class InvariantKernel(Value, eq=False):
         npts = self.cover.total_size
         if mat.shape != (npts, npts):
             raise DomainError("kernel must be square over the total set")
-        for g, sel in enumerate(self.cover.action().T):
+        for g, sel in enumerate(np.asarray(self.cover.action()).T):
             err = np.abs(mat[np.ix_(sel, sel)] - mat)
             worst = float(err.max()) if err.size else 0.0
             if worst > linalg.KERNEL_INVARIANCE_TOL:
@@ -50,7 +60,7 @@ def random_invariant_kernel(
     npts = cover.total_size
     raw = rng.standard_normal((npts, npts)) + 1j * rng.standard_normal((npts, npts))
     acc = np.zeros_like(raw)
-    for sel in cover.action().T:
+    for sel in np.asarray(cover.action()).T:
         acc += raw[np.ix_(sel, sel)]
     acc /= cover.group.order
     if hermitian:
@@ -67,8 +77,8 @@ def kernel_orbit_basis(cover: FiniteCover) -> list[np.ndarray]:
     smallest flat index row * |total| + col.
     """
     npts = cover.total_size
-    rows = np.repeat(cover.orbits, npts, axis=0)
-    cols = np.tile(cover.action(), (cover.base_size, 1))
+    rows = np.repeat(np.asarray(cover.orbits), npts, axis=0)
+    cols = np.tile(np.asarray(cover.action()), (cover.base_size, 1))
     basis = []
     for o in np.argsort((rows * npts + cols).min(axis=1)):
         mat = np.zeros((npts, npts), dtype=complex)
@@ -86,10 +96,10 @@ def constrained_space(cover: FiniteCover, rep: GroupRep) -> np.ndarray:
     along the section is unitary. The points' fiber blocks (_fiber_blocks)
     are scattered onto the block diagonal of (point, base point).
     """
-    blocks = _fiber_blocks(cover, rep)[cover.deck_element()]
+    blocks = np.asarray(_fiber_blocks(cover, rep))[np.asarray(cover.deck_element())]
     npts, d = blocks.shape[:2]
     basis = np.zeros((npts, d, cover.base_size, d), dtype=blocks.dtype)
-    basis[np.arange(npts), :, cover.tau, :] = blocks
+    basis[np.arange(npts), :, np.asarray(cover.tau), :] = blocks
     return basis.reshape(npts * d, cover.base_size * d)
 
 
@@ -124,9 +134,10 @@ def section_action(kernel: InvariantKernel, rep: GroupRep) -> np.ndarray:
     cover = kernel.cover
     if rep.group is not cover.group:
         raise DomainError("representation must belong to the cover's deck group")
-    entries = kernel.matrix[cover.section][:, cover.orbits]
+    entries = kernel.matrix[np.asarray(cover.section)][:, np.asarray(cover.orbits)]
     size = cover.base_size * rep.dimension
-    return np.einsum("qph,hij->qipj", entries, rep.inverse_matrices()).reshape(size, size)
+    inverse = np.asarray(rep.inverse_matrices())
+    return np.einsum("qph,hij->qipj", entries, inverse).reshape(size, size)
 
 
 def realization_unitary(cover: FiniteCover, rep: GroupRep) -> np.ndarray:
@@ -137,5 +148,5 @@ def realization_unitary(cover: FiniteCover, rep: GroupRep) -> np.ndarray:
     every constrained action into the matching section action.
     """
     basis = constrained_space(cover, rep)
-    rows = (cover.section[:, None] * rep.dimension + np.arange(rep.dimension)).ravel()
+    rows = (np.asarray(cover.section)[:, None] * rep.dimension + np.arange(rep.dimension)).ravel()
     return math.sqrt(cover.group.order) * basis[rows, :]

@@ -17,11 +17,12 @@ numpy, the numpy-free ``tableaux`` path included.
 """
 
 BYTES_CAP = 256 * 2**20
-# The sector decomposition counts b^3 per dense b x b weight block: (2, 12)
-# needs 1.4e9 and runs in about a second on two cores, (2, 13) and (3, 9)
-# need 7.6e9 and are refused. The circle's whole-space gauge pass counts
-# n log2 n per length-n FFT: grid 4096 needs 1.0e9 and runs in about 3 s,
-# 8192 needs 4.4e9 and is refused.
+# The sector decomposition weighs each gather of its Newton steps as 24
+# operations: (2, 17) and (8, 8) run in about 8 s on two cores, (2, 18) and
+# (3, 12) are refused. The circle's whole-space gauge pass counts n log2 n
+# per length-n FFT: grid 4096 needs 1.0e9 and runs in about 3 s, 8192 needs
+# 4.4e9 and is refused. The cover census weighs each step of its vector
+# passes as 6 operations; the byte cap refuses every cover before this cap.
 WORK_CAP = 4 * 10**9
 
 

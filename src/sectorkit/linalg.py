@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import random
 
-# sectorkit modules before numpy (README Conventions); tolerances loads numpy
+# sectorkit modules before numpy (README Conventions)
 from .errors import DomainError, check_bytes
 # the thresholds, CHUNK_BYTES and max_abs are re-exported for parastat_equiv,
 # tensor_rep, the tests and perfbench's TRACED list, which name them here

@@ -9,6 +9,9 @@ dense numpy matrices; degrees beyond N ~ 8 are out of scope. numpy is
 imported only where arrays are built (conjugacy_classes and
 IrrepMatrices, which character uses), so that a module importing
 permgroup can still compile before numpy loads (README Conventions).
+Young's generator matrices themselves are plain float lists
+(young_generators), from which the cover census builds its stacks
+without numpy.
 
 Conventions used throughout the package:
 
@@ -193,26 +196,14 @@ class IrrepMatrices:
     """
 
     def __init__(self, shape: Partition):
+        import numpy as np
+
         self.shape = shape
         self.tableaux = standard_tableaux(shape)
         self.dimension = len(self.tableaux)
         self._n = shape.total
-        self._index = {t.rows: i for i, t in enumerate(self.tableaux)}
-        self._adjacent = [self._adjacent_matrix(k) for k in range(1, self._n)]
-
-    def _adjacent_matrix(self, k: int) -> np.ndarray:
-        import numpy as np
-
         d = self.dimension
-        mat = np.zeros((d, d))
-        for i, tab in enumerate(self.tableaux):
-            dist = tab.content_distance(k)
-            mat[i, i] = 1.0 / dist
-            swapped = tab.swap(k)
-            if swapped is not None:
-                j = self._index[swapped.rows]
-                mat[j, i] = math.sqrt(1.0 - 1.0 / dist**2)
-        return mat
+        self._adjacent = [np.array(m).reshape(d, d) for m in young_generators(shape, self.tableaux)]
 
     def matrix(self, pi: Permutation) -> np.ndarray:
         """Representing matrix of pi: real orthogonal, float64, as Young's form gives it."""
@@ -224,6 +215,33 @@ class IrrepMatrices:
         for k in pi.adjacent_word():
             mat = mat @ self._adjacent[k - 1]
         return mat
+
+
+def young_generators(
+    shape: Partition, tableaux: list[StandardTableau] | None = None
+) -> list[list[float]]:
+    """Young's orthogonal matrices of the adjacent transpositions s_1, ..., s_{N-1}.
+
+    Each is d x d over the standard tableaux of the shape, row-major in one
+    list of floats: column i holds 1/r at row i, r the axial distance of
+    k and k+1 in tableau i, and sqrt(1 - 1/r**2) at the row of the tableau
+    with k and k+1 exchanged, when that tableau is standard. Plain Python,
+    so the cover census builds its stacks from them without numpy.
+    """
+    tableaux = standard_tableaux(shape) if tableaux is None else tableaux
+    index = {t.rows: i for i, t in enumerate(tableaux)}
+    d = len(tableaux)
+    mats = []
+    for k in range(1, shape.total):
+        mat = [0.0] * (d * d)
+        for i, tab in enumerate(tableaux):
+            dist = tab.content_distance(k)
+            mat[i * d + i] = 1.0 / dist
+            swapped = tab.swap(k)
+            if swapped is not None:
+                mat[index[swapped.rows] * d + i] = math.sqrt(1.0 - 1.0 / dist**2)
+        mats.append(mat)
+    return mats
 
 
 def irrep(shape: Partition) -> IrrepMatrices:

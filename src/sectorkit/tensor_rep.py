@@ -21,7 +21,7 @@ from __future__ import annotations
 import itertools
 import math
 
-# sectorkit modules before numpy (README Conventions); linalg's tolerances loads numpy
+# sectorkit modules before numpy (README Conventions)
 from .errors import DomainError, ResourceLimitError, Value, check_bytes
 from .partitions import Partition, StandardTableau, hook_dimension
 from .permgroup import (

@@ -10,7 +10,9 @@ permutation matrix per element, commutant orbits from a
 breadth-first search over generators, cover entry orbits by a scan over
 all point pairs, Cayley tables of action words by composing every pair
 and looking the composite up in a dict, the symmetric cover's action by
-looking every permuted tuple up in a dict, free actions by trying every
+looking every permuted tuple up in a dict and its orbit table by
+searching the moved tuples' codes among all tuples' (the numpy build the
+closed form replaced), free actions by trying every
 (x, g, h),
 internal-blind operators A x 1 as dense per-slot tensor products,
 section actions from one loop over base pairs and group elements, the
@@ -31,7 +33,10 @@ generators formed as dense Kronecker sums and the algebra they generate
 closed under products by dense ranks. The cover census on all
 K = |base|^2 |G| entry orbits (orbit_census, with orbit_restrictions),
 which restricted, leak-checked and transported every orbit before the
-closed form, is kept as the census's oracle. The equiv carriers' slot
+closed form, is kept as the census's oracle, and so is the census as it
+ran in numpy on every row of the orbit table (numpy_sector_census),
+before it moved to plain Python with one comparison of the deck
+elements in place of the |base| identical rows. The equiv carriers' slot
 average by one row scatter per permutation through
 tensor_rep._index_maps (index_map_slot_average), before it moved the
 slot axes, is kept as its oracle.
@@ -190,7 +195,7 @@ def dense_intertwiner_basis(ops1: list[np.ndarray], ops2: list[np.ndarray]) -> n
 
 def all_pairs_law_defect(cayley: np.ndarray, mats: np.ndarray) -> float:
     """max |U(g_i) U(g_j) - U(g_i g_j)| over every pair, one row i at a time."""
-    mats = np.asarray(mats)
+    cayley, mats = np.asarray(cayley), np.asarray(mats)
     return max(
         float(np.abs(mats[i] @ mats - mats[cayley[i]]).max()) for i in range(len(mats))
     )
@@ -355,6 +360,7 @@ def looped_orbit_labels(action: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     labeled in the order the scan meets them, which is the order of their
     smallest points.
     """
+    action = np.asarray(action)
     npts = action.shape[0]
     tau = np.full(npts, -1, dtype=np.int64)
     smallest = []
@@ -381,6 +387,27 @@ def dict_symmetric_cover(q: int, n: int) -> tuple[list[tuple[int, ...]], np.ndar
     perms = list(itertools.permutations(range(n)))
     action = [[index[tuple(t[pi[i]] for i in range(n))] for pi in perms] for t in tuples]
     return tuples, np.array(action, dtype=np.int64)
+
+
+def searchsorted_orbit_table(q: int, n: int) -> np.ndarray:
+    """The symmetric cover's orbit table as numpy built it before its closed form.
+
+    The injective n-tuples are listed by itertools.permutations, read in
+    base q as increasing codes, and the codes of every sorted tuple moved
+    by every permutation of S_n (lexicographic order; slot i of t.pi holds
+    t[pi(i)]) are searched among them.
+    """
+    tuples = np.fromiter(
+        itertools.permutations(range(q), n), dtype=(np.int64, n), count=math.perm(q, n)
+    )
+    first = np.array(list(itertools.permutations(range(n))), dtype=np.int64)
+    weights = q ** np.arange(n - 1, -1, -1)
+    moved = np.zeros_like(first)
+    np.put_along_axis(moved, first, weights, axis=1)
+    sections = np.fromiter(
+        itertools.combinations(range(q), n), dtype=(np.int64, n), count=math.comb(q, n)
+    )
+    return np.searchsorted(tuples @ weights, sections @ moved.T)
 
 
 def bruteforce_cover_is_valid(action, cayley, identity: int, section) -> bool:
@@ -431,9 +458,10 @@ def cyclic_document(n: int) -> dict:
 
 def cover_to_json(cover) -> dict:
     """Cover document of a FiniteCover, as cover_from_json reads it back."""
+    action = np.asarray(cover.action())
     return {
         "points": [str(p) for p in cover.points],
-        "group": [[int(x) for x in cover.action()[:, g]] for g in range(cover.group.order)],
+        "group": [[int(x) for x in action[:, g]] for g in range(cover.group.order)],
         "group_labels": list(cover.group.labels),
         "section": [int(s) for s in cover.section],
     }
@@ -460,9 +488,10 @@ def dihedral_document(n: int) -> dict:
 def looped_deck_element(cover) -> np.ndarray:
     """h_of[x]: the h with section(tau(x)) . h = x, one point at a time."""
     h_of = np.full(cover.total_size, -1, dtype=np.int64)
+    action = np.asarray(cover.action())
     for q in range(cover.base_size):
         for g in range(cover.group.order):
-            h_of[cover.action()[cover.section[q], g]] = g
+            h_of[action[cover.section[q], g]] = g
     return h_of
 
 
@@ -478,11 +507,12 @@ def looped_constrained_space(cover, rep) -> np.ndarray:
     h_of = looped_deck_element(cover)
     basis = np.zeros((cover.total_size * d, cover.base_size * d), dtype=complex)
     scale = 1.0 / math.sqrt(ng)
+    mats = np.asarray(rep.matrices)
     for x in range(cover.total_size):
         q = int(cover.tau[x])
         row = cover.group.cayley[int(h_of[x])]
         h_inv = next(g for g in range(ng) if row[g] == cover.group.identity)
-        basis[x * d : (x + 1) * d, q * d : (q + 1) * d] = rep.matrices[h_inv] * scale
+        basis[x * d : (x + 1) * d, q * d : (q + 1) * d] = mats[h_inv] * scale
     return basis
 
 
@@ -492,6 +522,7 @@ def scanned_entry_orbits(action: np.ndarray) -> list[list[int]]:
     action[x, g] is the image of point x under element g. Orbits are
     sorted and ordered by smallest member.
     """
+    action = np.asarray(action)
     npts, order = action.shape
     label = [-1] * (npts * npts)
     orbits = []
@@ -517,8 +548,9 @@ def entry_orbits(cover) -> tuple[np.ndarray, np.ndarray]:
     scanned_entry_orbits and of cover_quant.kernel_orbit_basis.
     """
     npts = cover.total_size
-    rows = np.repeat(cover.action()[cover.section], npts, axis=0)
-    cols = np.tile(cover.action(), (cover.base_size, 1))
+    action = np.asarray(cover.action())
+    rows = np.repeat(action[np.asarray(cover.section)], npts, axis=0)
+    cols = np.tile(action, (cover.base_size, 1))
     order = np.argsort((rows * npts + cols).min(axis=1))
     return rows[order], cols[order]
 
@@ -555,12 +587,13 @@ def looped_fiber_blocks(cover, rep) -> np.ndarray:
     of the basis, read in column block tau(x)."""
     d = rep.dimension
     basis = looped_constrained_space(cover, rep).reshape(cover.total_size, d, cover.base_size, d)
-    return basis[np.arange(cover.total_size), :, cover.tau, :]
+    return basis[np.arange(cover.total_size), :, np.asarray(cover.tau), :]
 
 
 def gathered_fiber_blocks(cover, rep) -> np.ndarray:
     """The (|total|, d, d) fiber blocks |G|**-1/2 U(h(x)^-1), one gather over every point."""
-    blocks = np.asarray(rep.matrices)[cover.group._inverse[cover.deck_element()]]
+    inverse = np.asarray(cover.group._inverse)
+    blocks = np.asarray(rep.matrices)[inverse[np.asarray(cover.deck_element())]]
     blocks *= 1.0 / math.sqrt(cover.group.order)
     return blocks
 
@@ -581,7 +614,8 @@ def orbit_census(cover, reps) -> dict:
     ng = cover.group.order
     root = math.sqrt(ng)
     e = cover.group.identity
-    base_a, base_b = cover.tau[rows[:, e]], cover.tau[cols[:, e]]
+    tau = np.asarray(cover.tau)
+    base_a, base_b = tau[rows[:, e]], tau[cols[:, e]]
     h = looped_deck_element(cover)[cols[:, e]]
     diagonal = np.flatnonzero(base_a == base_b)
     starts = np.arange(len(rows) + 1) * ng
@@ -591,7 +625,7 @@ def orbit_census(cover, reps) -> dict:
         blocks = orbit_restrictions(fibers, rows.ravel(), cols.ravel(), starts)
         image = fibers[rows] @ blocks[:, None]
         leakage = max(leakage, float(np.abs(fibers[cols] / root - image).max()))
-        u = root * fibers[cover.section]
+        u = root * fibers[np.asarray(cover.section)]
         transported = u[base_a] @ blocks @ u[base_b].conj().swapaxes(1, 2)
         section = np.array(rep.matrices)[h].conj().swapaxes(1, 2) / root  # U(h^-1) = U(h)*
         residual = max(residual, float(np.abs(transported - section).max()))
@@ -601,6 +635,57 @@ def orbit_census(cover, reps) -> dict:
     dims = np.rint(gram.real).astype(int)
     return {
         "kernel_space_dim": len(rows),
+        "commutant": [int(dims[i, i]) for i in range(len(reps))],
+        "pairwise": {
+            f"{reps[i].label}|{reps[j].label}": int(dims[i, j])
+            for i, j in itertools.combinations(range(len(reps)), 2)
+        },
+        "dimension_margin": float(np.abs(gram - dims).max()),
+        "leakage": leakage,
+        "intertwining_residual_max": residual,
+    }
+
+
+def numpy_sector_census(cover, reps) -> dict:
+    """The census as it ran in numpy, before it moved to plain Python.
+
+    The stacks and tables read as arrays; the character Gram matrix is one
+    product; every row of the orbit table and every generator row is
+    restricted through the fiber blocks |G|**-1/2 U(h^-1), gathered by deck
+    element in chunks of whole orbits of at most tolerances.CHUNK_BYTES,
+    with its leakage and its distance from the section action's block
+    |G|**-1/2 U(h(b)^-1). The plain census restricts the first row alone
+    beside one comparison of h with the table; this restricts all |base|.
+    """
+    from sectorkit import tolerances
+
+    orbits = np.asarray(cover.orbits)
+    deck = np.asarray(cover.deck_element())
+    cayley = np.asarray(cover.group.cayley)
+    inverse = np.asarray(cover.group._inverse)
+    ng, nbase, e = cover.group.order, cover.base_size, cover.group.identity
+    stacks = [np.asarray(rep.matrices) for rep in reps]
+    chars = np.array([np.trace(mats, axis1=1, axis2=2) for mats in stacks])
+    gram = chars @ chars.conj().T / ng
+    dims = np.rint(gram.real)
+    generated = orbits[0, cayley[np.asarray(cover.group._generators, dtype=np.int64)]]
+    root = math.sqrt(ng)
+    leakage, residual = 0.0, 0.0
+    for mats in stacks:
+        blocks = mats[inverse] * (1.0 / root)
+        left = blocks[deck[orbits[0]]]
+        left_adjoint = left.conj().swapaxes(1, 2)
+        d = mats.shape[1]
+        rows = max(1, tolerances.CHUNK_BYTES // (mats.itemsize * ng * d * d))
+        for i in range(0, nbase + len(generated), rows):
+            tail = generated[max(i - nbase, 0) : max(i + rows - nbase, 0)]
+            points = np.concatenate((orbits[i : i + rows], tail))
+            right = blocks[deck[points]]
+            restricted = np.matmul(left_adjoint, right).sum(axis=1) / root
+            leakage = max(leakage, float(np.abs(right / root - left @ restricted[:, None]).max()))
+            restricted -= mats[inverse[deck[points[:, e]]]] / root
+            residual = max(residual, float(np.abs(restricted).max()))
+    return {
         "commutant": [int(dims[i, i]) for i in range(len(reps))],
         "pairwise": {
             f"{reps[i].label}|{reps[j].label}": int(dims[i, j])

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 import oracles
 import sectorkit
-from sectorkit import circle_theta, cover_quant, errors, linalg
+from sectorkit import circle_theta, cover_document, cover_quant, errors, linalg
 from sectorkit.cli import _round_floats, main
 from sectorkit.cover_quant import symmetric_cover
 
@@ -308,11 +308,11 @@ class TestCover:
         capsys.readouterr()
 
     def test_census_cost_exits_before_allocating(self, capsys):
-        # 4,741,464 points: the first N = 3 cover the estimate refuses
+        # 16,387,170 points: the first N = 3 cover the estimate refuses
         tracemalloc.start()
         start = time.perf_counter()
         try:
-            code = main(["cover", "--q-size", "169", "--N", "3"])
+            code = main(["cover", "--q-size", "255", "--N", "3"])
             elapsed = time.perf_counter() - start
             _, peak = tracemalloc.get_traced_memory()
         finally:
@@ -326,7 +326,7 @@ class TestCover:
 
     @pytest.mark.parametrize(
         "q,n,code",
-        [(4000, 2, 3), (12, 12, 3), (10**9, 1, 3), (1000, 2000, 2), (4, 0, 2)],
+        [(6000, 2, 3), (12, 12, 3), (10**9, 1, 3), (1000, 2000, 2), (4, 0, 2)],
     )
     def test_q_size_and_n_refused_before_enumerating(self, q, n, code, capsys, monkeypatch):
         # q!/(q - N)! tuples would be listed before the census estimate runs;
@@ -383,12 +383,13 @@ class TestCover:
         assert data["passed"] is True
 
     def test_census_cost_applies_to_cover_json(self, tmp_path, capsys, monkeypatch):
-        # (100, 2) under a 512 KiB budget: the census estimate at 16 bytes per
-        # complex entry (~0.60 MiB) refuses it, the regular split of Z_2
-        # (~0.6 KiB) does not
+        # (100, 2) one byte under the census estimate for the complex
+        # irreducibles of Z_2, which the regular split's own estimate is under
         spec_file = tmp_path / "cover.json"
         spec_file.write_text(json.dumps(oracles.cover_to_json(symmetric_cover(100, 2))))
-        monkeypatch.setattr(errors, "BYTES_CAP", 2**19)
+        budget = cover_quant._census_bytes(2, [1, 1], complex_entries=True) - 1
+        assert cover_document._regular_bytes(2, 1) <= budget
+        monkeypatch.setattr(errors, "BYTES_CAP", budget)
         assert main(["cover", "--cover-json", str(spec_file)]) == 3
         assert "cover census of 9900 points" in json.loads(capsys.readouterr().err)["error"]
 
@@ -412,16 +413,22 @@ class TestCover:
         assert error["kind"] == "usage"
         assert phrase in error["error"]
 
-    @pytest.mark.parametrize("q,n", [(2342, 2), (168, 3)], ids=["N2-edge", "N3-edge"])
+    @pytest.mark.parametrize(
+        "q,n",
+        [(4082, 2), (254, 3), (300, 2), (6, 6)],
+        ids=["N2-edge", "N3-edge", "N2-small", "N6-stacks"],
+    )
     def test_census_estimate_bounds_the_peak_rss(self, monkeypatch, q, n):
         # peak RSS above the floor of an exit-3 cover run, against the
         # estimate check_census_cost refuses on: the cover's own tables and
-        # _census_bytes; (2342, 2) and (168, 3) are the largest N = 2 and
-        # N = 3 covers it admits
+        # _census_bytes; (4082, 2) and (254, 3) are the largest N = 2 and
+        # N = 3 covers it admits, at (300, 2) the admitted run's fixed share
+        # is most of the estimate, and at (6, 6) S_6's Young stacks and
+        # restrictions are
         estimates = []
         monkeypatch.setattr(cover_quant, "check_bytes", lambda nbytes, _: estimates.append(nbytes))
         cover_quant.check_census_cost(q, n)
-        floor_code, floor = child_peak_rss(["cover", "--q-size", "4000", "--N", "2"])
+        floor_code, floor = child_peak_rss(["cover", "--q-size", "6000", "--N", "2"])
         code, peak = child_peak_rss(["cover", "--q-size", str(q), "--N", str(n)])
         assert (floor_code, code) == (3, 0)
         assert peak - floor < estimates[-1], (peak - floor, estimates[-1])
@@ -607,8 +614,8 @@ class TestCoverFaults:
         exact = cover_quant.FiniteCover
 
         def corrupted(points, group, orbits):
-            orbits = orbits.copy()
-            orbits[1, 1] = entry
+            orbits = np.asarray(orbits).tolist()
+            orbits[1][1] = entry
             return exact(points, group, orbits)
 
         monkeypatch.setattr(cover_quant, "FiniteCover", corrupted)
@@ -627,6 +634,78 @@ class TestCoverFaults:
         code, lines = run_cover_document(tmp_path / "cover.json", document)
         assert code == 2
         assert phrase in json.loads(lines[0])["error"]
+
+    @pytest.mark.parametrize("q,n", [(3, 2), (4, 3), (5, 4)])
+    def test_one_wrong_young_entry_never_exits_0(self, q, n, monkeypatch):
+        # each nonzero entry of each adjacent transposition's Young matrix,
+        # negated or scaled by 1 + 1e-6, one at a time: the stacks built from
+        # it break unitarity or the group law (exit 2), or carry another
+        # representation under the shape's label (exit 4)
+        exact = cover_quant.young_generators
+        shapes = cover_quant.enumerate_partitions(n)
+        seams = [
+            (shape.parts, k, entry)
+            for shape in shapes
+            for k, mat in enumerate(exact(shape))
+            for entry, value in enumerate(mat)
+            if value != 0
+        ]
+        assert len(seams) >= 2 * (n - 1)
+        codes = set()
+        for parts, k, entry in seams:
+            for fault in (lambda v: -v, lambda v: v * (1 + 1e-6)):
+
+                def wrong(shape, parts=parts, k=k, entry=entry, fault=fault):
+                    mats = exact(shape)
+                    if shape.parts == parts:
+                        mats[k][entry] = fault(mats[k][entry])
+                    return mats
+
+                monkeypatch.setattr(cover_quant, "young_generators", wrong)
+                code, error = run_main(["cover", "--q-size", str(q), "--N", str(n)])
+                assert code in (2, 4), (parts, k, entry)
+                assert error["kind"] == ("usage" if code == 2 else "consistency")
+                codes.add(code)
+        # at N = 2 negating s_1's one entry swaps the trivial and the sign
+        # sector, which only the label anchor sees; from N = 3 on any single
+        # wrong entry breaks a relation of the group law
+        assert codes == ({2, 4} if n == 2 else {2})
+
+    @pytest.mark.parametrize("point", [0, 5, 23])
+    def test_one_wrong_deck_element_exits_4(self, point, monkeypatch):
+        # h(x) moved to every other element of its fiber, one point at a
+        # time: the deck comparison with the orbit table refuses it
+        exact = cover_quant.FiniteCover.deck_element
+        group = symmetric_cover(4, 3).group
+        for g in range(1, group.order):
+
+            def broken(cover, g=g):
+                h_of = exact(cover)[:]
+                h_of[point] = cover.group.cayley[h_of[point], g]
+                return h_of
+
+            monkeypatch.setattr(cover_quant.FiniteCover, "deck_element", broken)
+            code, error = run_main(["cover", "--q-size", "4", "--N", "3"])
+            assert (code, error["kind"]) == (4, "consistency")
+            assert f"point {point} has deck element" in error["error"]
+
+    @pytest.mark.parametrize("row", [1, 3])
+    def test_section_missing_an_orbit_exits_2(self, row, monkeypatch):
+        # symmetric_cover(4, 3)'s orbit table with one row replaced by the
+        # first orbit seen from another representative: that orbit listed
+        # twice and this one not at all
+        exact = cover_quant.FiniteCover
+
+        def missing(points, group, orbits):
+            orbits = np.asarray(orbits).tolist()
+            for g in range(group.order):
+                orbits[row][g] = orbits[0][group.cayley[1, g]]
+            return exact(points, group, orbits)
+
+        monkeypatch.setattr(cover_quant, "FiniteCover", missing)
+        code, error = run_main(["cover", "--q-size", "4", "--N", "3"])
+        assert (code, error["kind"]) == (2, "usage")
+        assert "section must pick one point per orbit" in error["error"]
 
 
 def process_env():
@@ -895,30 +974,34 @@ def with_document(tmp_path, argv):
 
 class TestImports:
     @pytest.mark.parametrize(
-        "argv,modules",
+        "argv,modules,numpy",
         [
-            (["tableaux", "--N", "3"], {"partitions"}),
-            (["sectors", "--m", "3", "--N", "4"], {"partitions", "schur_weyl"}),
+            (["tableaux", "--N", "3"], {"partitions"}, False),
+            (["sectors", "--m", "3", "--N", "4"], {"partitions", "schur_weyl"}, False),
             (
                 ["equiv", "--m", "2", "--N", "3"],
                 {"partitions", "permgroup", "tolerances", "linalg", "parastat_equiv"},
+                True,
             ),
             (
                 ["cover", "--q-size", "4", "--N", "3"],
                 {"partitions", "permgroup", "tolerances", "cover_quant"},
+                False,
             ),
             (
                 ["cover", "--cover-json", "DOC"],
                 {"partitions", "permgroup", "tolerances", "cover_quant", "cover_document"},
+                True,
             ),
-            (["circle", "--theta", "1", "--grid", "128"], {"tolerances", "circle_theta"}),
+            (["circle", "--theta", "1", "--grid", "128"], {"tolerances", "circle_theta"}, True),
         ],
         ids=["tableaux", "sectors", "equiv", "cover", "cover-json", "circle"],
     )
-    def test_subcommand_loads_only_its_modules(self, tmp_path, argv, modules):
+    def test_subcommand_loads_only_its_modules(self, tmp_path, argv, modules, numpy):
         # each handler lives beside what it reports: no run compiles another
         # subcommand's code, the Sylvester solvers of linalg, the permutations
-        # of permgroup, the regular split or the dense reference builders
+        # of permgroup, the regular split or the dense reference builders;
+        # tableaux, sectors and cover --q-size/--N load no numpy either
         argv = with_document(tmp_path, argv)
         src = str(Path(sectorkit.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
@@ -926,32 +1009,44 @@ class TestImports:
             "import sys\n"
             "from sectorkit import cli\n"
             "code = cli.main(sys.argv[2:] + ['--out', sys.argv[1]])\n"
-            "print(code, ' '.join(sorted(m for m in sys.modules if m.startswith('sectorkit'))))\n"
+            "print(code, 'numpy' in sys.modules,\n"
+            "      ' '.join(sorted(m for m in sys.modules if m.startswith('sectorkit'))))\n"
         )
         out = subprocess.run(
             [sys.executable, "-c", script, os.devnull, *argv],
             env=env, capture_output=True, text=True, check=True, timeout=60,
         ).stdout.split()
-        assert out[0] == "0"
+        assert out[:2] == ["0", str(numpy)]
         expected = {"sectorkit", "sectorkit.cli", "sectorkit.errors"}
-        assert set(out[1:]) == expected | {f"sectorkit.{m}" for m in modules}
+        assert set(out[2:]) == expected | {f"sectorkit.{m}" for m in modules}
 
-    def test_cover_run_does_not_load_numpy_random(self):
-        # the census draws no random kernel, and symmetric deck groups get
-        # exact irreducibles, so numpy.random (~6 MB of RSS) stays unloaded
+    @pytest.mark.parametrize(
+        "argv,code",
+        [
+            (["cover", "--q-size", "4", "--N", "3"], 0),
+            (["cover", "--q-size", "5", "--N", "3", "--format", "pretty"], 0),
+            (["cover", "--q-size", "6000", "--N", "2"], 3),
+            (["cover", "--q-size", "2", "--N", "3"], 2),
+        ],
+        ids=["admitted", "pretty", "refused", "usage"],
+    )
+    def test_cover_runs_load_no_numpy(self, argv, code):
+        # the cover, its irreducibles and the census are plain Python, and
+        # the refusal and the usage error are raised past cover_quant's import
         src = str(Path(sectorkit.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
         script = (
             "import sys\n"
             "from sectorkit import cli\n"
-            "code = cli.main(['cover', '--q-size', '4', '--N', '3', '--out', sys.argv[1]])\n"
-            "print(code, 'numpy.random' in sys.modules)\n"
+            "code = cli.main(sys.argv[2:] + ['--out', sys.argv[1]])\n"
+            "print(code, 'sectorkit.cover_quant' in sys.modules,\n"
+            "      *(m for m in sys.modules if m.split('.')[0] == 'numpy'))\n"
         )
         out = subprocess.run(
-            [sys.executable, "-c", script, os.devnull],
+            [sys.executable, "-c", script, os.devnull, *argv],
             env=env, capture_output=True, text=True, check=True, timeout=60,
         ).stdout.split()
-        assert out == ["0", "False"]
+        assert out == [str(code), "True"]
 
     @pytest.mark.parametrize("module", ["numpy.random", "numpy.ma"])
     def test_cover_json_run_does_not_load(self, tmp_path, module):
@@ -1055,11 +1150,10 @@ class TestImports:
         "argv",
         [
             ["equiv", "--m", "2", "--N", "2"],
-            ["cover", "--q-size", "3", "--N", "2"],
             ["circle", "--theta", "0", "--grid", "128"],
             ["cover", "--cover-json", "DOC"],
         ],
-        ids=["equiv", "cover", "circle", "cover-json"],
+        ids=["equiv", "circle", "cover-json"],
     )
     def test_sectorkit_modules_import_before_numpy(self, tmp_path, argv):
         # without cached bytecode a module's short-lived compile data lands on

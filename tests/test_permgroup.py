@@ -433,9 +433,12 @@ def records():
 
 
 def same_content(a, b) -> bool:
-    """Equal content: arrays by dtype and entries, records field by field."""
+    """Equal content: arrays by dtype and entries (the cover layer's tables
+    and stacks read as arrays), records field by field."""
     if isinstance(a, np.ndarray):
         return isinstance(b, np.ndarray) and a.dtype == b.dtype and np.array_equal(a, b)
+    if isinstance(a, (cover_quant.IndexTable, cover_quant.MatrixStack)):
+        return type(a) is type(b) and same_content(np.asarray(a), np.asarray(b))
     if isinstance(a, Value):
         return type(a) is type(b) and all(
             same_content(getattr(a, name), getattr(b, name)) for name in type(a)._fields
