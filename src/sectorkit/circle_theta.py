@@ -260,9 +260,6 @@ class GaugeReport(Value):
         "eigenvalue_agreement",
     )
 
-    def to_dict(self) -> dict:
-        return self._asdict()
-
 
 def _spectral_gauge(theta: float, n: int) -> GaugeReport:
     """The spectral gauge identity G T_theta G* = T_0 + c on the whole plane-wave basis.
@@ -339,9 +336,6 @@ class ConvergenceReport(Value):
 
     _fields = ("theta", "k_max", "grid_sizes", "errors", "pairwise_orders", "fitted_order")
 
-    def to_dict(self) -> dict:
-        return {k: list(v) if isinstance(v, tuple) else v for k, v in self._asdict().items()}
-
 
 def fd_convergence(
     theta, k_max: int = 4, grid_sizes: tuple[int, ...] = (64, 128, 256)
@@ -374,10 +368,8 @@ def fd_convergence(
     )
 
 
-def _run_circle(args) -> tuple[int, bytes]:
+def _run_circle(args):
     """The ``circle`` report: the spectra, the gauge check and the convergence order."""
-    from .cli import EXIT_CHECK_FAILED, EXIT_OK, SCHEMA, _render_csv, _render_json, _render_pretty
-
     theta = ThetaSector(args.theta).theta
     n = args.grid
     k_max = args.k_max
@@ -394,33 +386,24 @@ def _run_circle(args) -> tuple[int, bytes]:
         and gauge.residual < GAUGE_RESIDUAL_TOL
         and convergence.fitted_order >= MIN_FD_ORDER
     )
-    code = EXIT_OK if ok else EXIT_CHECK_FAILED
-    if args.format == "csv":
-        csv_rows = [
-            [theta, r["k"], r["eigenvalue"], r["reference"], r["error"]] for r in rows
-        ]
-        return code, _render_csv(["theta", "k", "eigenvalue", "reference", "error"], csv_rows)
-    payload = {
-        "schema": SCHEMA,
-        "command": "circle",
-        "config": {"theta": theta, "grid": n, "k_max": k_max, "seed": args.seed},
+    body = {
         "rows": rows,
         "worst_spectral_error": worst,
         "eigen_residual_max": eigen_residual,
-        "gauge": gauge.to_dict(),
-        "fd_convergence": convergence.to_dict(),
+        "gauge": gauge,
+        "fd_convergence": convergence,
         "passed": ok,
     }
-    if args.format == "pretty":
-        lines = [
-            f"theta = {theta:.6f}, grid {n}",
-            f"worst spectral eigenvalue error (|k| <= {k_max}): {worst:.3e}",
-            f"largest eigenvalue residual: {eigen_residual:.3e}",
-            f"gauge residual: {gauge.residual:.3e} "
-            f"(measured constant {gauge.measured_constant:.6f}, "
-            f"theta/2pi = {gauge.theta_over_2pi:.6f})",
-            f"fd convergence order: {convergence.fitted_order:.3f}",
-            f"passed: {ok}",
-        ]
-        return code, _render_pretty(lines)
-    return code, _render_json(payload)
+    lines = [
+        f"theta = {theta:.6f}, grid {n}",
+        f"worst spectral eigenvalue error (|k| <= {k_max}): {worst:.3e}",
+        f"largest eigenvalue residual: {eigen_residual:.3e}",
+        f"gauge residual: {gauge.residual:.3e} "
+        f"(measured constant {gauge.measured_constant:.6f}, "
+        f"theta/2pi = {gauge.theta_over_2pi:.6f})",
+        f"fd convergence order: {convergence.fitted_order:.3f}",
+        f"passed: {ok}",
+    ]
+    csv_rows = [[theta, r["k"], r["eigenvalue"], r["reference"], r["error"]] for r in rows]
+    table = (["theta", "k", "eigenvalue", "reference", "error"], csv_rows)
+    return ok, {"theta": theta, "grid": n, "k_max": k_max}, body, lines, table

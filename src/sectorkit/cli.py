@@ -8,15 +8,19 @@ Subcommands expose each module with machine-readable output:
 * ``cover``: sector census of a finite cover;
 * ``circle``: theta-sector spectra, gauge check, convergence.
 
-This module keeps the parser, the dispatch, the renderers and the
+This module keeps the parser, the dispatch, the one renderer and the
 exit-code contract. Each handler, ``_run_<subcommand>``, lives beside the
 computation it reports (partitions, schur_weyl, parastat_equiv,
 cover_quant or, for ``--cover-json``, cover_document, and circle_theta)
-and imports the schema, the exit codes and the renderers from here. A
-subcommand's route runs the usage checks that need no numeric module and
-only then imports the handler: a run compiles only its own subcommand's
-code, numpy is loaded by the numeric modules alone, and ``tableaux``,
-``--help`` and usage errors run without it.
+and returns ``(passed, config, body, lines, table)``: whether the report
+passes, its config without the seed, the JSON fields past the header,
+the pretty lines and the csv ``(header, rows)``, or None where the route
+refuses csv. ``_render`` writes the chosen format and maps ``passed`` to
+the exit code; no handler module imports this one. A subcommand's route
+runs the usage checks that need no numeric module and only then imports
+the handler: a run compiles only its own subcommand's code, numpy is
+loaded by the numeric modules alone, and ``tableaux``, ``--help`` and
+usage errors run without it.
 
 ``main(argv)`` is the in-process API. ``entry()`` is the process entry of
 both launchers, ``python -m sectorkit`` and the ``sectorkit`` script; it
@@ -41,12 +45,9 @@ import numbers
 import os
 import sys
 from pathlib import Path
-from typing import TYPE_CHECKING, NoReturn
+from typing import NoReturn
 
-from .errors import ConsistencyError, DomainError, ResourceLimitError
-
-if TYPE_CHECKING:
-    from .partitions import Partition
+from .errors import ConsistencyError, DomainError, ResourceLimitError, Value
 
 SCHEMA = "sector-kit/1"
 
@@ -57,7 +58,11 @@ EXIT_CHECK_FAILED = 4
 
 
 def _round_floats(obj, sig: int = 10):
-    """Round every float to `sig` significant digits, recursively."""
+    """Round every float to `sig` significant digits, recursively, in fresh
+    lists and dicts: tuples become lists and an errors.Value the dict of its
+    fields, in declaration order."""
+    if isinstance(obj, Value):
+        obj = obj._asdict()
     if isinstance(obj, float):
         if not math.isfinite(obj):
             return None
@@ -75,33 +80,32 @@ def _round_floats(obj, sig: int = 10):
     return obj
 
 
-def _parse_partition(text: str) -> Partition:
-    from .partitions import Partition
+def _render(args, passed: bool, config: dict, body: dict, lines: list[str], table):
+    """A handler's report in args.format, and its exit code: 0 if it passed, else 4.
 
-    try:
-        parts = tuple(int(p) for p in text.replace("(", "").replace(")", "").split(",") if p.strip())
-        return Partition(parts)
-    except (ValueError, DomainError) as exc:
-        raise DomainError(f"cannot parse partition {text!r}: {exc}") from exc
+    The JSON report is the schema, the command and the config with the
+    seed, then the body's fields, every float rounded (_round_floats).
+    """
+    code = EXIT_OK if passed else EXIT_CHECK_FAILED
+    if args.format == "csv":
+        import csv
 
-
-def _render_json(payload: dict) -> bytes:
-    return (json.dumps(_round_floats(payload), sort_keys=True, indent=2) + "\n").encode()
-
-
-def _render_csv(header: list[str], rows: list[list]) -> bytes:
-    import csv
-
-    buf = io.StringIO(newline="")
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([_round_floats(v) if isinstance(v, float) else v for v in row])
-    return buf.getvalue().encode()
-
-
-def _render_pretty(lines: list[str]) -> bytes:
-    return ("\n".join(lines) + "\n").encode()
+        header, rows = table
+        buf = io.StringIO(newline="")
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([_round_floats(v) if isinstance(v, float) else v for v in row])
+        return code, buf.getvalue().encode()
+    if args.format == "pretty":
+        return code, ("\n".join(lines) + "\n").encode()
+    payload = {
+        "schema": SCHEMA,
+        "command": args.command,
+        "config": {**config, "seed": args.seed},
+        **body,
+    }
+    return code, (json.dumps(_round_floats(payload), sort_keys=True, indent=2) + "\n").encode()
 
 
 # A subcommand's route runs its usage checks that need no numeric module,
@@ -115,9 +119,15 @@ def _route_tableaux(args):
 
 
 def _route_sectors(args):
-    # --lambda is parsed here, so that a malformed one is a usage error
-    # before schur_weyl is compiled
-    args.wanted = _parse_partition(args.lam) if args.lam is not None else None
+    # --lambda is parsed and checked here, so that a malformed one, or a
+    # partition of another N, is a usage error before schur_weyl is compiled
+    args.wanted = None
+    if args.lam is not None:
+        from .partitions import parse_partition
+
+        args.wanted = parse_partition(args.lam)
+        if args.wanted.total != args.N:
+            raise DomainError(f"{args.wanted.parts} is not a partition of {args.N}")
     from .schur_weyl import _run_sectors
 
     return _run_sectors
@@ -237,7 +247,7 @@ def _run(argv: list[str] | None) -> tuple[int, bytes]:
     code and the bytes that belong on stdout (empty after --out or an error)."""
     try:
         args = _build_parser().parse_args(argv)
-        code, payload = args.route(args)(args)
+        code, payload = _render(args, *args.route(args)(args))
     except DomainError as exc:
         return _fail("usage", str(exc), EXIT_USAGE), b""
     except (ResourceLimitError, MemoryError) as exc:

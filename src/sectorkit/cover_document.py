@@ -270,7 +270,7 @@ def _regular_gram_dimensions(reps: list[GroupRep]) -> tuple[list[list[int]], flo
     return dims.astype(np.int64).tolist(), tolerances.max_abs(gram - dims)
 
 
-def _run_cover(args) -> tuple[int, bytes]:
+def _run_cover(args):
     """The ``cover --cover-json`` report: the census of the document's cover."""
     cover = cover_from_json(Path(args.cover_json))
     return _cover_report(args, cover, {"cover_json": str(args.cover_json)})

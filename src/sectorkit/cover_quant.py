@@ -689,9 +689,6 @@ def _fiber_blocks(cover: FiniteCover, rep: GroupRep) -> MatrixStack:
 class SectorCensusRecord(Value):
     _fields = ("label", "internal_dim", "carrier_dim", "commutant_dim")
 
-    def to_dict(self) -> dict:
-        return self._asdict()
-
 
 class SectorCensusReport(Value):
     """Verification record for the sector correspondence on one cover.
@@ -706,13 +703,6 @@ class SectorCensusReport(Value):
         "pairwise_intertwiner_dims", "dimension_margin", "dimension_identity_ok",
         "intertwining_residual_max", "passed",
     )
-
-    def to_dict(self) -> dict:
-        return {
-            **self._asdict(),
-            "sectors": [s.to_dict() for s in self.sectors],
-            "pairwise_intertwiner_dims": dict(self.pairwise_intertwiner_dims),
-        }
 
 
 def _census_bytes(ng: int, dims: list[int], complex_entries: bool) -> int:
@@ -1002,7 +992,7 @@ def sector_census(cover: FiniteCover, seed: int = 0) -> SectorCensusReport:
     )
 
 
-def _run_cover(args) -> tuple[int, bytes]:
+def _run_cover(args):
     """The ``cover --q-size/--N`` report; cli checked the options before importing this module."""
     # refuse from (q, N) alone: enumerating the cover may already exceed the cap
     check_census_cost(args.q_size, args.N)
@@ -1010,31 +1000,20 @@ def _run_cover(args) -> tuple[int, bytes]:
     return _cover_report(args, cover, {"q_size": args.q_size, "N": args.N})
 
 
-def _cover_report(args, cover: FiniteCover, source: dict) -> tuple[int, bytes]:
-    """The census of `cover`, rendered; `source` names the cover in the report's config."""
-    from .cli import EXIT_CHECK_FAILED, EXIT_OK, SCHEMA, _render_json, _render_pretty
-
+def _cover_report(args, cover: FiniteCover, config: dict):
+    """The census of `cover` as cli renders it; `config` names the cover."""
     report = sector_census(cover, seed=args.seed)
-    payload = {
-        "schema": SCHEMA,
-        "command": "cover",
-        "config": {**source, "seed": args.seed},
-        **report.to_dict(),
-    }
-    code = EXIT_OK if report.passed else EXIT_CHECK_FAILED
-    if args.format == "pretty":
-        lines = [
-            f"cover: {report.total_size} points over {report.base_size} base points, "
-            f"deck group of order {report.group_order}",
-            f"invariant kernel space: {report.kernel_space_dim}",
-        ]
-        lines += [
-            f"  sector {s.label}: carrier dim {s.carrier_dim}, commutant dim {s.commutant_dim}"
-            for s in report.sectors
-        ]
-        lines.append(f"dimension margin: {report.dimension_margin:.3e}")
-        lines.append(f"dimension identity: {report.dimension_identity_ok}")
-        lines.append(f"intertwining residual: {report.intertwining_residual_max:.3e}")
-        lines.append(f"passed: {report.passed}")
-        return code, _render_pretty(lines)
-    return code, _render_json(payload)
+    lines = [
+        f"cover: {report.total_size} points over {report.base_size} base points, "
+        f"deck group of order {report.group_order}",
+        f"invariant kernel space: {report.kernel_space_dim}",
+    ]
+    lines += [
+        f"  sector {s.label}: carrier dim {s.carrier_dim}, commutant dim {s.commutant_dim}"
+        for s in report.sectors
+    ]
+    lines.append(f"dimension margin: {report.dimension_margin:.3e}")
+    lines.append(f"dimension identity: {report.dimension_identity_ok}")
+    lines.append(f"intertwining residual: {report.intertwining_residual_max:.3e}")
+    lines.append(f"passed: {report.passed}")
+    return report.passed, config, report._asdict(), lines, None

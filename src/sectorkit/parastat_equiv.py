@@ -392,10 +392,8 @@ def sector_realization_from_projector(
     return realize(label, linalg.orthonormal_range(projector), ambient_ops)
 
 
-def _run_equiv(args) -> tuple[int, bytes]:
+def _run_equiv(args):
     """The ``equiv`` report; cli checked m, N and the format before importing this module."""
-    from .cli import EXIT_CHECK_FAILED, EXIT_OK, SCHEMA, _render_json, _render_pretty
-
     if args.N == 2:
         first = bosonic_singlet_realization(args.m)
         second = fermionic_realization(args.m)
@@ -403,20 +401,14 @@ def _run_equiv(args) -> tuple[int, bytes]:
         first = bosonic_doublet_realization(args.m)
         second = parafermion_realization(args.m)
     cert = general_equivalence(first, second, seed=args.seed)
-    payload = {
-        "schema": SCHEMA,
-        "command": "equiv",
-        "config": {"m": args.m, "N": args.N, "seed": args.seed},
+    body = {
         "realizations": [first.label, second.label],
         "carrier_leakages": [first.leakage, second.leakage],
         "certificate": cert.to_dict(),
     }
-    code = EXIT_OK if cert.equivalent else EXIT_CHECK_FAILED
-    if args.format == "pretty":
-        lines = [
-            f"{first.label}  ~  {second.label}",
-            f"carrier dims: {cert.carrier_dims}",
-            f"equivalent: {cert.equivalent} (residual {cert.residual:.3e})",
-        ]
-        return code, _render_pretty(lines)
-    return code, _render_json(payload)
+    lines = [
+        f"{first.label}  ~  {second.label}",
+        f"carrier dims: {cert.carrier_dims}",
+        f"equivalent: {cert.equivalent} (residual {cert.residual:.3e})",
+    ]
+    return cert.equivalent, {"m": args.m, "N": args.N}, body, lines, None

@@ -165,24 +165,23 @@ def content_sum(shape: Partition) -> int:
     return sum(j - i for i, row in enumerate(shape.parts) for j in range(row))
 
 
-def _run_tableaux(args) -> tuple[int, bytes]:
-    """The ``tableaux`` report: each partition's hook dimension and tableau count."""
-    from .cli import (
-        EXIT_CHECK_FAILED,
-        EXIT_OK,
-        SCHEMA,
-        _parse_partition,
-        _render_csv,
-        _render_json,
-        _render_pretty,
-    )
+def parse_partition(text: str) -> Partition:
+    """The partition written as "3,2,1" or "(3, 2, 1)", or DomainError."""
+    try:
+        parts = tuple(int(p) for p in text.replace("(", "").replace(")", "").split(",") if p.strip())
+        return Partition(parts)
+    except (ValueError, DomainError) as exc:
+        raise DomainError(f"cannot parse partition {text!r}: {exc}") from exc
 
+
+def _run_tableaux(args):
+    """The ``tableaux`` report: each partition's hook dimension and tableau count."""
     n = args.N
     if not 1 <= n <= 8:
         raise DomainError(f"--N must be in 1..8, got {n}")
     shapes = enumerate_partitions(n)
     if args.lam is not None:
-        wanted = _parse_partition(args.lam)
+        wanted = parse_partition(args.lam)
         if wanted.total != n:
             raise DomainError(f"partition {wanted.parts} is not a partition of {n}")
         shapes = [s for s in shapes if s.parts == wanted.parts]
@@ -192,26 +191,20 @@ def _run_tableaux(args) -> tuple[int, bytes]:
         count = len(standard_tableaux(shape))
         records.append({"parts": list(shape.parts), "hook_dim": dim, "tableau_count": count})
     sum_sq = sum(r["hook_dim"] ** 2 for r in records)
-    payload = {
-        "schema": SCHEMA,
-        "command": "tableaux",
-        "config": {"N": n, "lambda": args.lam, "seed": args.seed},
+    identity_ok = args.lam is not None or sum_sq == math.factorial(n)
+    body = {
         "partitions": records,
         "sum_of_squares": sum_sq,
         "factorial_N": math.factorial(n),
-        "identity_ok": args.lam is not None or sum_sq == math.factorial(n),
+        "identity_ok": identity_ok,
     }
-    counts_ok = all(r["hook_dim"] == r["tableau_count"] for r in records)
-    code = EXIT_OK if payload["identity_ok"] and counts_ok else EXIT_CHECK_FAILED
-    if args.format == "csv":
-        rows = [[",".join(map(str, r["parts"])), r["hook_dim"], r["tableau_count"]] for r in records]
-        return code, _render_csv(["partition", "hook_dim", "tableau_count"], rows)
-    if args.format == "pretty":
-        lines = [f"partitions of {n}:"]
-        lines += [
-            f"  {tuple(r['parts'])}: dim {r['hook_dim']}, {r['tableau_count']} standard tableaux"
-            for r in records
-        ]
-        lines.append(f"sum of squared dims: {sum_sq} (N! = {math.factorial(n)})")
-        return code, _render_pretty(lines)
-    return code, _render_json(payload)
+    passed = identity_ok and all(r["hook_dim"] == r["tableau_count"] for r in records)
+    lines = [f"partitions of {n}:"]
+    lines += [
+        f"  {tuple(r['parts'])}: dim {r['hook_dim']}, {r['tableau_count']} standard tableaux"
+        for r in records
+    ]
+    lines.append(f"sum of squared dims: {sum_sq} (N! = {math.factorial(n)})")
+    rows = [[",".join(map(str, r["parts"])), r["hook_dim"], r["tableau_count"]] for r in records]
+    table = (["partition", "hook_dim", "tableau_count"], rows)
+    return passed, {"N": n, "lambda": args.lam}, body, lines, table

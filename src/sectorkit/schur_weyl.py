@@ -104,15 +104,6 @@ def _int_bytes(bits: int) -> int:
 class SectorRecord(Value):
     _fields = ("partition", "irrep_dim", "multiplicity", "rank", "idempotence_residual")
 
-    def to_dict(self) -> dict:
-        return {
-            "partition": list(self.partition),
-            "irrep_dim": self.irrep_dim,
-            "multiplicity": self.multiplicity,
-            "rank": self.rank,
-            "idempotence_residual": self.idempotence_residual,
-        }
-
 
 class SectorReport(Value):
     """Isotypic decomposition of (C^m)^{tensor N} under the invariant algebra.
@@ -122,16 +113,6 @@ class SectorReport(Value):
     """
 
     _fields = ("m", "N", "sectors", "commutant_dim", "residuals")
-
-    def to_dict(self) -> dict:
-        """The fields in declaration order, each record converted once."""
-        return {
-            "m": self.m,
-            "N": self.N,
-            "sectors": [s.to_dict() for s in self.sectors],
-            "commutant_dim": self.commutant_dim,
-            "residuals": dict(self.residuals),
-        }
 
 
 def _block_size(weight: tuple[int, ...]) -> int:
@@ -445,37 +426,24 @@ def sector_decomposition(m: int, N: int) -> SectorReport:
     )
 
 
-def _run_sectors(args) -> tuple[int, bytes]:
-    """The ``sectors`` report; cli parsed --lambda into args.wanted before importing this module."""
-    from .cli import EXIT_CHECK_FAILED, EXIT_OK, SCHEMA, _render_csv, _render_json, _render_pretty
-
-    wanted = args.wanted
+def _run_sectors(args):
+    """The ``sectors`` report; cli parsed --lambda into args.wanted, a
+    partition of N, before importing this module."""
     report = sector_decomposition(args.m, args.N)
-    data = report.to_dict()
-    if wanted is not None:
-        data["sectors"] = [s for s in data["sectors"] if tuple(s["partition"]) == wanted.parts]
-        if not data["sectors"]:
-            raise DomainError(f"{wanted.parts} is not a partition of {args.N}")
-    payload = {
-        "schema": SCHEMA,
-        "command": "sectors",
-        "config": {"m": args.m, "N": args.N, "lambda": args.lam, "seed": args.seed},
-        **data,
-    }
-    code = EXIT_CHECK_FAILED if any(payload["residuals"].values()) else EXIT_OK
-    if args.format == "csv":
-        rows = [
-            [",".join(map(str, s["partition"])), s["irrep_dim"], s["multiplicity"], s["rank"]]
-            for s in data["sectors"]
-        ]
-        return code, _render_csv(["partition", "irrep_dim", "multiplicity", "rank"], rows)
-    if args.format == "pretty":
-        lines = [f"sectors of (C^{args.m})^(x{args.N}):"]
-        lines += [
-            f"  {tuple(s['partition'])}: irrep dim {s['irrep_dim']}, multiplicity "
-            f"{s['multiplicity']}, rank {s['rank']}"
-            for s in data["sectors"]
-        ]
-        lines.append(f"commutant dimension: {data['commutant_dim']}")
-        return code, _render_pretty(lines)
-    return code, _render_json(payload)
+    sectors = report.sectors
+    if args.wanted is not None:
+        sectors = [s for s in sectors if s.partition == args.wanted.parts]
+    lines = [f"sectors of (C^{args.m})^(x{args.N}):"]
+    lines += [
+        f"  {s.partition}: irrep dim {s.irrep_dim}, multiplicity {s.multiplicity}, rank {s.rank}"
+        for s in sectors
+    ]
+    lines.append(f"commutant dimension: {report.commutant_dim}")
+    rows = [[",".join(map(str, s.partition)), s.irrep_dim, s.multiplicity, s.rank] for s in sectors]
+    return (
+        not any(report.residuals.values()),
+        {"m": args.m, "N": args.N, "lambda": args.lam},
+        {**report._asdict(), "sectors": sectors},
+        lines,
+        (["partition", "irrep_dim", "multiplicity", "rank"], rows),
+    )

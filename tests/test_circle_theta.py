@@ -7,6 +7,7 @@ import pytest
 
 import oracles
 from sectorkit import circle_theta, linalg
+from sectorkit.cli import _round_floats
 from sectorkit.circle_theta import (
     ThetaSector,
     fd_convergence,
@@ -39,12 +40,12 @@ class TestThetaSector:
             gauge_equivalence_check(value, 16)
 
     def test_report_dicts(self):
-        gauge = gauge_equivalence_check(1.0, 16).to_dict()
+        gauge = _round_floats(gauge_equivalence_check(1.0, 16))
         assert list(gauge) == [
             "theta", "n", "method", "residual", "measured_constant", "theta_over_2pi",
             "eigenvalue_agreement",
         ]
-        conv = fd_convergence(1.0, k_max=2, grid_sizes=(32, 64)).to_dict()
+        conv = _round_floats(fd_convergence(1.0, k_max=2, grid_sizes=(32, 64)))
         assert list(conv) == [
             "theta", "k_max", "grid_sizes", "errors", "pairwise_orders", "fitted_order",
         ]

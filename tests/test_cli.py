@@ -149,6 +149,21 @@ class TestSectors:
         assert len(data["sectors"]) == 1
         assert data["sectors"][0]["rank"] == 1
 
+    @pytest.mark.parametrize("m,n", [(2, 17), (3, 40)])
+    def test_lambda_of_another_n_exits_2_before_decomposing(self, capsys, m, n):
+        # once decided after the decomposition: (2, 17) computed for seconds,
+        # and (3, 40) was refused by the work cap with exit 3
+        start = time.perf_counter()
+        code = main(["sectors", "--m", str(m), "--N", str(n), "--lambda", "5"])
+        elapsed = time.perf_counter() - start
+        assert code == 2
+        assert elapsed < 1.0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err) == {
+            "schema": "sector-kit/1", "error": f"(5,) is not a partition of {n}", "kind": "usage",
+        }
+
     @pytest.mark.parametrize("m,n", [(7, 7), (4, 8), (3, 9), (2, 13)])
     def test_new_edges_certify_against_hook_content(self, tmp_path, m, n):
         code, payload = run_to_file(tmp_path, "s.json", ["sectors", "--m", str(m), "--N", str(n)])
@@ -708,6 +723,71 @@ class TestCoverFaults:
         assert "section must pick one point per orbit" in error["error"]
 
 
+class TestEquivFaults:
+    @pytest.mark.parametrize(
+        "m,n,side", [(2, 2, "fermionic_realization"), (3, 3, "parafermion_realization")]
+    )
+    def test_one_wrong_generator_entry_exits_4(self, tmp_path, m, n, side, monkeypatch):
+        # entry (0, 0) of the second one-body generator off by 1e-6 on the
+        # fermionic or parafermionic side: the algebras are no longer equivalent
+        from sectorkit import parastat_equiv
+
+        exact = getattr(parastat_equiv, side)
+
+        def perturbed(m):
+            realization = exact(m)
+            realization.operators[1][0, 0] += 1e-6
+            return realization
+
+        monkeypatch.setattr(parastat_equiv, side, perturbed)
+        code, payload = run_to_file(tmp_path, "e.json", ["equiv", "--m", str(m), "--N", str(n)])
+        assert code == 4
+        certificate = json.loads(payload)["certificate"]
+        assert certificate["equivalent"] is False
+        assert "intertwiner" not in certificate
+
+    @pytest.mark.parametrize("m,n", [(3, 2), (3, 3)])
+    def test_intertwiner_with_two_rows_swapped_exits_4(self, tmp_path, m, n, monkeypatch):
+        # every intertwiner the search returns, from the random element or
+        # the fallback, passes normalize_phase before its residual is taken
+        normalize = linalg.normalize_phase
+
+        def swapped(v):
+            v = normalize(v).copy()
+            v[[0, 1]] = v[[1, 0]]
+            return v
+
+        monkeypatch.setattr(linalg, "normalize_phase", swapped)
+        code, payload = run_to_file(tmp_path, "e.json", ["equiv", "--m", str(m), "--N", str(n)])
+        assert code == 4
+        certificate = json.loads(payload)["certificate"]
+        assert certificate["equivalent"] is False
+        assert certificate["residual"] > linalg.RESIDUAL_TOL
+
+
+class TestCircleFaults:
+    def test_mode_numbers_off_by_one_exit_4(self, tmp_path, monkeypatch):
+        # the plane waves stay eigenvectors, of eigenvalues 2 pi away from the predictions
+        exact = circle_theta._mode_numbers
+        monkeypatch.setattr(circle_theta, "_mode_numbers", lambda n: exact(n) + 1)
+        code, payload = run_to_file(tmp_path, "c.json", ["circle", "--theta", "1", "--grid", "128"])
+        assert code == 4
+        report = json.loads(payload)
+        assert report["passed"] is False
+        assert report["worst_spectral_error"] > circle_theta.SPECTRAL_ERROR_TOL
+
+    def test_spectral_wrap_phase_exits_4_without_a_report(self, monkeypatch, capsys):
+        # the spectral operator wraps with exp(-i theta): its plane waves are no eigenvectors
+        exact = circle_theta._apply_spectral
+        monkeypatch.setattr(circle_theta, "_apply_spectral", lambda theta, v: exact(-theta, v))
+        assert main(["circle", "--theta", "1", "--grid", "128"]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        error = json.loads(captured.err)
+        assert error["kind"] == "consistency"
+        assert "spectral operator" in error["error"]
+
+
 def process_env():
     src = str(Path(sectorkit.__file__).resolve().parents[1])
     return dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
@@ -1103,6 +1183,26 @@ class TestImports:
         ).stdout.split()
         assert out == ["0", "False"]
 
+    def test_only_the_module_launcher_imports_cli(self):
+        # each handler returns its report's parts and cli renders them, so
+        # no handler module reaches back into the front end
+        package = Path(sectorkit.__file__).resolve().parent
+        importers = set()
+        for path in sorted(package.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+                if isinstance(node, ast.Import):
+                    targets = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    # the package is flat: a relative import is from sectorkit
+                    parts = ["sectorkit"] if node.level else []
+                    base = ".".join(parts + ([node.module] if node.module else []))
+                    targets = [base] + [f"{base}.{alias.name}" for alias in node.names]
+                else:
+                    continue
+                if "sectorkit.cli" in targets:
+                    importers.add(path.name)
+        assert importers == {"__main__.py"}
+
     def test_no_sectorkit_module_imports_dataclasses(self):
         # the statement check covers tensor_rep too, which no subcommand loads
         package = Path(sectorkit.__file__).resolve().parent
@@ -1245,6 +1345,31 @@ class TestImports:
         for module, attr, _, _ in tracing.TRACED:
             owner = importlib.import_module(f"sectorkit.{module}")
             assert callable(functools.reduce(getattr, attr.split("."), owner)), (module, attr)
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+class TestGoldenReports:
+    """Reports of exact integers only, pinned byte for byte: no float, so the
+    bytes are the same on every platform."""
+
+    @pytest.mark.parametrize("fmt,suffix", [("json", "json"), ("csv", "csv"), ("pretty", "txt")])
+    @pytest.mark.parametrize(
+        "argv,name",
+        [
+            (["tableaux", "--N", "5"], "tableaux_N5"),
+            (["tableaux", "--N", "5", "--lambda", "3,2"], "tableaux_N5_lambda"),
+            (["sectors", "--m", "3", "--N", "4"], "sectors_m3_N4"),
+            (["sectors", "--m", "3", "--N", "4", "--lambda", "2,1,1"], "sectors_m3_N4_lambda"),
+        ],
+        ids=["tableaux", "tableaux-lambda", "sectors", "sectors-lambda"],
+    )
+    def test_stdout_matches_the_pinned_bytes(self, capsysbinary, argv, name, fmt, suffix):
+        assert main(argv + ["--format", fmt]) == 0
+        captured = capsysbinary.readouterr()
+        assert captured.err == b""
+        assert captured.out == (GOLDEN / f"{name}.{suffix}").read_bytes()
 
 
 class TestRoundFloats:

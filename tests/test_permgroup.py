@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sectorkit import circle_theta, cover_quant, linalg, parastat_equiv, schur_weyl, tensor_rep
+from sectorkit.cli import _round_floats
 from sectorkit.errors import DomainError, Value
 from sectorkit.permgroup import (
     Partition,
@@ -475,7 +476,7 @@ class TestRecordTypes:
     """The contract the model and report types kept when they stopped being
     frozen dataclasses: fields, defaults and constructor forms, read-only
     fields, copies and pickles, equality by field or by identity, and
-    to_dict output that shares no container with the record."""
+    a JSON form that shares no container with the record."""
 
     @pytest.mark.parametrize("name", RECORD_FIELDS)
     def test_positional_and_keyword_construction(self, records, name):
@@ -563,6 +564,8 @@ class TestRecordTypes:
         ],
     )
     def test_to_dict_shares_no_container(self, records, name):
-        # dataclasses.asdict copied every list and dict it met
+        # dataclasses.asdict copied every list and dict it met; the renderer
+        # writes a record through _round_floats, the certificate through to_dict
         value = records[name]
-        assert not containers(value.to_dict(), set()) & containers(value, set())
+        data = value.to_dict() if name == "EquivalenceCertificate" else _round_floats(value)
+        assert not containers(data, set()) & containers(value, set())
