@@ -112,22 +112,31 @@ def _render(args, passed: bool, config: dict, body: dict, lines: list[str], tabl
 # then imports its handler from the module of the computation it reports.
 
 
-def _route_tableaux(args):
-    from .partitions import _run_tableaux
-
-    return _run_tableaux
-
-
-def _route_sectors(args):
-    # --lambda is parsed and checked here, so that a malformed one, or a
-    # partition of another N, is a usage error before schur_weyl is compiled
+def _parse_lambda(args, prefix: str) -> None:
+    """Set args.wanted to the --lambda partition, or None; DomainError if it
+    is malformed or not a partition of args.N (prefix opens the message)."""
     args.wanted = None
     if args.lam is not None:
         from .partitions import parse_partition
 
         args.wanted = parse_partition(args.lam)
         if args.wanted.total != args.N:
-            raise DomainError(f"{args.wanted.parts} is not a partition of {args.N}")
+            raise DomainError(f"{prefix}{args.wanted.parts} is not a partition of {args.N}")
+
+
+def _route_tableaux(args):
+    if not 1 <= args.N <= 8:
+        raise DomainError(f"--N must be in 1..8, got {args.N}")
+    _parse_lambda(args, "partition ")
+    from .partitions import _run_tableaux
+
+    return _run_tableaux
+
+
+def _route_sectors(args):
+    # a malformed --lambda, or a partition of another N, is a usage error
+    # before schur_weyl is compiled
+    _parse_lambda(args, "")
     from .schur_weyl import _run_sectors
 
     return _run_sectors

@@ -283,10 +283,12 @@ def general_equivalence(
     Seeks V a_1(A) = a_2(A) V over the shared operators, which may be an
     algebra basis or a generating set (linalg.unitary_intertwiner: one
     random element of the generated algebra first, the full solution
-    space as the fallback); a unitary solution with a residual below
-    linalg.RESIDUAL_TOL yields an equivalence certificate, otherwise the
-    spectrum mismatch, or the rank deficiency or non-invertibility of the
-    solution space, is reported as inequivalence evidence.
+    space as the fallback). The certificate checks the V it reports
+    rather than trusting the search: V* V - 1 and the intertwining
+    residual, taken again here, both below linalg.RESIDUAL_TOL yield an
+    equivalence certificate; otherwise the spectrum mismatch, or the
+    rank deficiency or non-invertibility of the solution space, is
+    reported as inequivalence evidence.
     """
     if len(r1.operators) == 0 or len(r2.operators) == 0:
         raise DomainError("empty algebra basis")
@@ -294,7 +296,11 @@ def general_equivalence(
         raise DomainError("realizations carry differently sized algebra bases")
     dims = (r1.carrier_dim, r2.carrier_dim)
     v, residual, evidence = linalg.unitary_intertwiner(r1.operators, r2.operators, seed=seed)
-    equivalent = v is not None and residual < linalg.RESIDUAL_TOL
+    equivalent = False
+    if v is not None:
+        residual = linalg.intertwining_residual(v, r1.operators, r2.operators)
+        unitarity = linalg.max_abs(linalg.dagger(v) @ v - np.eye(len(v)))
+        equivalent = max(residual, unitarity) < linalg.RESIDUAL_TOL
     return EquivalenceCertificate(
         equivalent=equivalent,
         carrier_dims=dims,

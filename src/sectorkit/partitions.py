@@ -3,9 +3,9 @@
 Partitions of N label the irreducible representations of S_N and
 standard tableaux of a shape index their bases (permgroup builds the
 matrices). Nothing here imports numpy, so the ``tableaux`` subcommand,
-whose handler lives here, and the ``--lambda`` parsing of ``sectors``
-run without it; ``sectors`` takes its partitions from this module and
-loads no permgroup.
+whose handler lives here, and cli's ``--lambda`` parsing run without it;
+``sectors`` takes its partitions from this module and loads no
+permgroup.
 """
 
 from __future__ import annotations
@@ -175,16 +175,12 @@ def parse_partition(text: str) -> Partition:
 
 
 def _run_tableaux(args):
-    """The ``tableaux`` report: each partition's hook dimension and tableau count."""
+    """The ``tableaux`` report: each partition's hook dimension and tableau
+    count; cli checked N and parsed --lambda into args.wanted."""
     n = args.N
-    if not 1 <= n <= 8:
-        raise DomainError(f"--N must be in 1..8, got {n}")
     shapes = enumerate_partitions(n)
-    if args.lam is not None:
-        wanted = parse_partition(args.lam)
-        if wanted.total != n:
-            raise DomainError(f"partition {wanted.parts} is not a partition of {n}")
-        shapes = [s for s in shapes if s.parts == wanted.parts]
+    if args.wanted is not None:
+        shapes = [s for s in shapes if s.parts == args.wanted.parts]
     records = []
     for shape in shapes:
         dim = hook_dimension(shape)

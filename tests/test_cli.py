@@ -747,6 +747,28 @@ class TestEquivFaults:
         assert "intertwiner" not in certificate
 
     @pytest.mark.parametrize("m,n", [(3, 2), (3, 3)])
+    @pytest.mark.parametrize(
+        "fault",
+        [lambda v: v[[1, 0, *range(2, len(v))]], lambda v: v * (1 - 1e-6)],
+        ids=["two rows swapped", "scaled by 1 - 1e-6"],
+    )
+    def test_returned_intertwiner_is_checked_again(self, tmp_path, m, n, fault, monkeypatch):
+        # the search hands back a wrong V beside the residual of the right
+        # one; the certificate must check the V it reports
+        search = linalg.unitary_intertwiner
+
+        def broken(ops1, ops2, seed=0):
+            v, residual, evidence = search(ops1, ops2, seed=seed)
+            return fault(v), residual, evidence
+
+        monkeypatch.setattr(linalg, "unitary_intertwiner", broken)
+        code, payload = run_to_file(tmp_path, "e.json", ["equiv", "--m", str(m), "--N", str(n)])
+        assert code == 4
+        certificate = json.loads(payload)["certificate"]
+        assert certificate["equivalent"] is False
+        assert "intertwiner" not in certificate
+
+    @pytest.mark.parametrize("m,n", [(3, 2), (3, 3)])
     def test_intertwiner_with_two_rows_swapped_exits_4(self, tmp_path, m, n, monkeypatch):
         # every intertwiner the search returns, from the random element or
         # the fallback, passes normalize_phase before its residual is taken

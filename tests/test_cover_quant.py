@@ -1515,8 +1515,7 @@ class TestJsonInterface:
         data["section"] = data["section"][::-1]
         reversed_cover = cover_from_json(data)
         assert np.array_equal(reversed_cover.section, default.section[::-1])
-        report = _round_floats(sector_census(reversed_cover, seed=0))
-        assert report == _round_floats(sector_census(default, seed=0))
+        assert sector_census(reversed_cover, seed=0) == sector_census(default, seed=0)
 
     def test_section_preserved(self, cover32):
         shifted = randomize_section(cover32, seed=9)
