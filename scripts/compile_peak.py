@@ -1,10 +1,10 @@
 """Bound the share of a numpy run's peak RSS that compiling sectorkit sets.
 
 Copies SRC (default: the repository's src) to a temporary directory
-without __pycache__ and runs three jobs that load numpy there under
+without __pycache__ and runs the two jobs that load numpy there under
 PYTHONDONTWRITEBYTECODE=1, so that every sectorkit module is compiled
-from source: equiv, circle and cover --cover-json on a small cyclic
-cover document written to the same directory. Then byte-compiles the
+from source: circle and cover --cover-json on a small cyclic cover
+document written to the same directory. Then byte-compiles the
 copy with compileall and runs them again. Fails if any job's peak RSS
 (ru_maxrss, the median of RUNS processes) differs by more than
 COMPILE_MARGIN_MB between the two.
@@ -30,12 +30,11 @@ from pathlib import Path
 # tables; imported before numpy (README Conventions), that costs a run's
 # peak 0.1-0.25 MB, and 0.65-1.1 MB when imported after it. A run without
 # numpy has no later heap to reuse that memory: its whole compile share,
-# about 0.6 MB for tableaux and sectors and more for cover --q-size/--N,
-# stays on its peak, so none of them is one of the jobs.
+# about 0.6 MB for tableaux and sectors and more for cover --q-size/--N and
+# equiv, stays on its peak, so none of them is one of the jobs.
 COMPILE_MARGIN_MB = 0.5
 RUNS = 3
 JOBS = (
-    "equiv --m 2 --N 2",
     "circle --theta 0 --grid 128",
     "cover --cover-json {document}",
 )

@@ -10,7 +10,7 @@ Subcommands expose each module with machine-readable output:
 
 This module keeps the parser, the dispatch, the one renderer and the
 exit-code contract. Each handler, ``_run_<subcommand>``, lives beside the
-computation it reports (partitions, schur_weyl, parastat_equiv,
+computation it reports (partitions, schur_weyl, highest_weight,
 cover_quant or, for ``--cover-json``, cover_document, and circle_theta)
 and returns ``(passed, config, body, lines, table)``: whether the report
 passes, its config without the seed, the JSON fields past the header,
@@ -149,7 +149,7 @@ def _route_equiv(args):
         raise DomainError("--m must be >= 2 for the equivalence certificates")
     if args.format == "csv":
         raise DomainError("csv output is not defined for equiv; use json or pretty")
-    from .parastat_equiv import _run_equiv
+    from .highest_weight import _run_equiv
 
     return _run_equiv
 

@@ -1,12 +1,14 @@
-"""Parastatistics sectors realized by bosons/fermions with internal indices.
+"""Parastatistics sectors realized by bosons/fermions with internal indices, in floats.
 
 Two-particle systems: the internal-singlet slice of two bosonic isospin
 doublets carries the same invariant-algebra representation as spinless
 fermions. Three particles: the internal-doublet slice of three bosonic
 isospin doublets matches the two-component equivariant ("parafermionic")
-realization. Both equivalences are certified by an explicitly computed
-unitary intertwiner; a generic intertwiner search doubles as an
-inequivalence prover.
+realization. `equiv` and the verify_* functions certify both in exact
+integers (highest_weight); this module keeps the float realizations of
+the same carriers, which the tests hold the exact certificate against,
+and a generic unitary-intertwiner search, which doubles as an
+inequivalence prover on any two realizations of one algebra.
 
 No (2m)^N x (2m)^N or m^N x m^N array is formed on the way:
 
@@ -38,7 +40,7 @@ No (2m)^N x (2m)^N or m^N x m^N array is formed on the way:
   mismatch refuting equivalence (linalg.unitary_intertwiner), with
   successive restriction as the fallback whose verdict stands.
 
-One estimate, checked before anything is allocated, bounds the
+One estimate, checked before a realization is built, bounds the
 carrier blocks, the restricted generators of both realizations, their
 working images and the intertwiner search.
 
@@ -58,6 +60,7 @@ from typing import Iterable
 
 # sectorkit modules before numpy (README Conventions); linalg loads numpy
 from .errors import ConsistencyError, DomainError, Value, check_bytes
+from .highest_weight import HighestWeightCertificate, carrier_dim, certify_pair
 from .permgroup import Permutation, symmetric_group
 from . import linalg
 
@@ -310,11 +313,6 @@ def general_equivalence(
     )
 
 
-def _carrier_dim(m: int, n_slots: int) -> int:
-    """Dimension of the certified carriers: C(m, 2) at N = 2, m (m^2 - 1) / 3 at N = 3."""
-    return math.comb(m, 2) if n_slots == 2 else m * (m * m - 1) // 3
-
-
 def _equiv_bytes(m: int, n_slots: int) -> int:
     """Peak bytes of an equivalence certificate, estimated from the sizes alone.
 
@@ -329,7 +327,7 @@ def _equiv_bytes(m: int, n_slots: int) -> int:
     r x r arrays (random elements, eigenvectors, phases, residuals: 24
     of them).
     """
-    r = _carrier_dim(m, n_slots)
+    r = carrier_dim(m, n_slots)
     generators = m * m * r * r
     block = (2 * m) ** n_slots * (n_slots - 1) * math.comb(m + n_slots - 1, n_slots)
     entries = generators + max(
@@ -345,7 +343,7 @@ def _check_equiv_cost(m: int, n_slots: int) -> None:
     check_bytes(
         _equiv_bytes(m, n_slots),
         f"the {m * m} one-body generators on (C^{m})^(x{n_slots}) restricted to two carriers "
-        f"of dim {_carrier_dim(m, n_slots)}",
+        f"of dim {carrier_dim(m, n_slots)}",
     )
 
 
@@ -363,11 +361,12 @@ def fermionic_realization(m: int) -> SectorRealization:
     return one_body_realization("two spinless fermions", carrier, m, 2)
 
 
-def verify_singlet_fermion_equivalence(m: int) -> EquivalenceCertificate:
-    """Certify: singlet slice of two bosonic doublets ~ two fermions."""
+def verify_singlet_fermion_equivalence(m: int) -> HighestWeightCertificate:
+    """Certify: singlet slice of two bosonic doublets ~ two fermions, exactly
+    (highest_weight.certify_pair, the certificate `equiv` reports)."""
     if m < 2:
         raise DomainError("need m >= 2 so the fermionic sector is nonzero")
-    return general_equivalence(bosonic_singlet_realization(m), fermionic_realization(m))
+    return certify_pair(m, 2)
 
 
 def bosonic_doublet_realization(m: int) -> SectorRealization:
@@ -384,11 +383,12 @@ def parafermion_realization(m: int) -> SectorRealization:
     return one_body_realization("parafermion doublet wave functions", carrier, m, 3)
 
 
-def verify_doublet_parafermion_equivalence(m: int) -> EquivalenceCertificate:
-    """Certify: doublet slice of three bosonic doublets ~ parafermions."""
+def verify_doublet_parafermion_equivalence(m: int) -> HighestWeightCertificate:
+    """Certify: doublet slice of three bosonic doublets ~ parafermions, exactly
+    (highest_weight.certify_pair, the certificate `equiv` reports)."""
     if m < 2:
         raise DomainError("need m >= 2 so the parastatistics sector is nonzero")
-    return general_equivalence(bosonic_doublet_realization(m), parafermion_realization(m))
+    return certify_pair(m, 3)
 
 
 def sector_realization_from_projector(
@@ -396,25 +396,3 @@ def sector_realization_from_projector(
 ) -> SectorRealization:
     """Realization on the range of an idempotent (orthonormalized first)."""
     return realize(label, linalg.orthonormal_range(projector), ambient_ops)
-
-
-def _run_equiv(args):
-    """The ``equiv`` report; cli checked m, N and the format before importing this module."""
-    if args.N == 2:
-        first = bosonic_singlet_realization(args.m)
-        second = fermionic_realization(args.m)
-    else:
-        first = bosonic_doublet_realization(args.m)
-        second = parafermion_realization(args.m)
-    cert = general_equivalence(first, second, seed=args.seed)
-    body = {
-        "realizations": [first.label, second.label],
-        "carrier_leakages": [first.leakage, second.leakage],
-        "certificate": cert.to_dict(),
-    }
-    lines = [
-        f"{first.label}  ~  {second.label}",
-        f"carrier dims: {cert.carrier_dims}",
-        f"equivalent: {cert.equivalent} (residual {cert.residual:.3e})",
-    ]
-    return cert.equivalent, {"m": args.m, "N": args.N}, body, lines, None

@@ -258,10 +258,12 @@ class TestEquiv:
         data = json.loads(payload)
         assert code == 0
         assert data["certificate"]["equivalent"] is True
-        assert data["certificate"]["residual"] < 1e-10
+        assert data["certificate"]["residual"] == 0
+        assert data["certificate"]["highest_weights"] == [[[2, 1]], [[2, 1]]]
+        assert data["carrier_leakages"] == [0, 0]
         assert "intertwiner" in data["certificate"]
 
-    @pytest.mark.parametrize("m,n", [(10, 3), (21, 2)])
+    @pytest.mark.parametrize("m,n", [(14, 3), (40, 2)])
     def test_equiv_cost_exits_before_allocating(self, capsys, m, n):
         tracemalloc.start()
         start = time.perf_counter()
@@ -276,7 +278,24 @@ class TestEquiv:
         assert peak < 1 << 20
         error = json.loads(capsys.readouterr().err)
         assert error["kind"] == "resource"
-        assert "one-body generators" in error["error"]
+        assert "exact equivalence certificate" in error["error"]
+
+    @pytest.mark.parametrize("m,n,refused", [(39, 2, (40, 2)), (13, 3, (14, 3))], ids=["N2-edge", "N3-edge"])
+    def test_estimate_bounds_the_peak_rss(self, monkeypatch, m, n, refused):
+        # peak RSS above the floor of an exit-3 equiv run, against the byte
+        # estimate check_certificate_cost refuses on: (39, 2) and (13, 3) are
+        # the largest sizes it admits, where the rendered r x r V is most of it
+        from sectorkit import highest_weight
+
+        with pytest.raises(errors.ResourceLimitError):
+            highest_weight.check_certificate_cost(*refused)
+        estimates = []
+        monkeypatch.setattr(highest_weight, "check_bytes", lambda nbytes, _: estimates.append(nbytes))
+        highest_weight.check_certificate_cost(m, n)
+        floor_code, floor = child_peak_rss(["equiv", "--m", "14", "--N", "3"])
+        code, peak = child_peak_rss(["equiv", "--m", str(m), "--N", str(n)])
+        assert (floor_code, code) == (3, 0)
+        assert peak - floor < estimates[-1], (peak - floor, estimates[-1])
 
     @pytest.mark.parametrize("m,n", [(5, 3), (9, 2), (6, 3), (11, 2), (9, 3)])
     def test_sizes_once_refused_by_the_commutant_cap_run(self, tmp_path, m, n):
@@ -285,9 +304,18 @@ class TestEquiv:
         dim = math.comb(m, 2) if n == 2 else m * (m * m - 1) // 3
         assert code == 0
         assert cert["equivalent"] is True and cert["carrier_dims"] == [dim, dim]
-        assert cert["residual"] < 1e-12
+        assert cert["residual"] == 0
         v = np.array([[complex(re, im) for re, im in row] for row in cert["intertwiner"]])
         assert np.abs(v @ v.conj().T - np.eye(dim)).max() < 1e-8
+
+    @pytest.mark.parametrize("m,n", [(2, 2), (3, 3)])
+    def test_seed_does_not_change_the_report(self, tmp_path, m, n):
+        # the certificate draws nothing: seeds 0 and 7 differ in config.seed only
+        argv = ["equiv", "--m", str(m), "--N", str(n)]
+        reports = [json.loads(run_to_file(tmp_path, f"{seed}.json", argv + ["--seed", seed])[1])
+                   for seed in ("0", "7")]
+        assert [r["config"].pop("seed") for r in reports] == [0, 7]
+        assert reports[0] == reports[1]
 
     def test_bad_n(self, capsys):
         assert main(["equiv", "--m", "2", "--N", "4"]) == 2
@@ -519,22 +547,18 @@ class TestCircle:
 
 class TestFailureExitCodes:
     def test_equivalence_failure_exits_4(self, monkeypatch, capsys):
-        from sectorkit import parastat_equiv
-        from sectorkit.parastat_equiv import EquivalenceCertificate
+        from sectorkit import highest_weight
 
-        def refuted(first, second, seed=0):
-            return EquivalenceCertificate(
-                equivalent=False,
-                carrier_dims=(first.carrier_dim, second.carrier_dim),
-                residual=float("inf"),
-                intertwiner=None,
-                detail="intertwiner space is zero",
+        def refuted(first, second, m):
+            return highest_weight.HighestWeightCertificate(
+                False, (3, 3), [[(1, 1)], []], None, None, None, "highest-weight vectors: 1 and 0"
             )
 
-        monkeypatch.setattr(parastat_equiv, "general_equivalence", refuted)
-        assert main(["equiv", "--m", "2", "--N", "2"]) == 4
+        monkeypatch.setattr(highest_weight, "certify", refuted)
+        assert main(["equiv", "--m", "3", "--N", "2"]) == 4
         data = json.loads(capsys.readouterr().out)
         assert data["certificate"]["equivalent"] is False
+        assert data["certificate"]["intertwiner"] is None
 
     def test_consistency_error_exits_4(self, monkeypatch, capsys):
         from sectorkit import schur_weyl
@@ -723,28 +747,134 @@ class TestCoverFaults:
         assert "section must pick one point per orbit" in error["error"]
 
 
+def refuted_report(tmp_path, m, n):
+    """Exit code and certificate of an equiv run whose seeded fault must be refuted."""
+    code, payload = run_to_file(tmp_path, "e.json", ["equiv", "--m", str(m), "--N", str(n)])
+    certificate = json.loads(payload)["certificate"]
+    assert certificate["intertwiner"] is None and certificate["residual"] is None
+    return code, certificate
+
+
+def off_by_one(vector):
+    """The dict vector with its first entry raised by 1."""
+    vector = dict(vector)
+    key = next(iter(vector))
+    vector[key] += 1
+    return {k: c for k, c in vector.items() if c}
+
+
 class TestEquivFaults:
-    @pytest.mark.parametrize(
-        "m,n,side", [(2, 2, "fermionic_realization"), (3, 3, "parafermion_realization")]
-    )
-    def test_one_wrong_generator_entry_exits_4(self, tmp_path, m, n, side, monkeypatch):
-        # entry (0, 0) of the second one-body generator off by 1e-6 on the
-        # fermionic or parafermionic side: the algebras are no longer equivalent
+    """Faults seeded in the exact certificate's seams exit 4, never 0."""
+
+    @pytest.mark.parametrize("m,n", [(3, 2), (4, 2), (3, 3), (4, 3)])
+    @pytest.mark.parametrize("seam", ["spanning_vector", "apply"])
+    def test_every_single_entry_fault_exits_4(self, m, n, seam, monkeypatch, capsys):
+        # one entry of one carrier spanning vector P(e_w x v), or of one
+        # Chevalley image G_ab x, off by 1, for each nonzero one in turn:
+        # the carrier leaks, loses its one highest-weight vector or its
+        # Gram matrix, or a generator's coordinates differ
+        from sectorkit import highest_weight
+
+        exact = getattr(highest_weight._Space, seam)
+        seen = []
+
+        def faulty(space, *args):
+            vector = exact(space, *args)
+            if vector:
+                seen.append(None)
+                if len(seen) == target + 1:
+                    return off_by_one(vector)
+            return vector
+
+        monkeypatch.setattr(highest_weight._Space, seam, faulty)
+        target = -1
+        assert main(["equiv", "--m", str(m), "--N", str(n), "--out", os.devnull]) == 0
+        nonzero = len(seen)
+        assert nonzero > 0
+        codes = set()
+        for target in range(nonzero):
+            seen.clear()
+            codes.add(main(["equiv", "--m", str(m), "--N", str(n), "--out", os.devnull]))
+        capsys.readouterr()
+        assert codes == {4}
+
+    @pytest.mark.parametrize("m,n", [(3, 2), (3, 3)])
+    def test_one_wrong_generator_entry_exits_4(self, tmp_path, m, n, monkeypatch):
+        # one coordinate of the first nonzero Chevalley image on the second
+        # side (fermionic or parafermionic) off by one: the matched bases no
+        # longer carry equal generator matrices
+        from sectorkit import highest_weight
+
+        exact = highest_weight._coordinates
+        images = []
+
+        def perturbed(y, echelon):
+            coords = exact(y, echelon)
+            if y:
+                images.append(None)
+                if len(images) == 2:
+                    return (coords[0] + 1,) + coords[1:]
+            return coords
+
+        monkeypatch.setattr(highest_weight, "_coordinates", perturbed)
+        code, certificate = refuted_report(tmp_path, m, n)
+        assert code == 4 and len(images) == 2
+        assert certificate["equivalent"] is False and "differs at weight" in certificate["detail"]
+
+    @pytest.mark.parametrize("m", [2, 3, 5])
+    def test_symmetric_singlet_exits_4(self, tmp_path, m, monkeypatch):
+        # psi_01 + psi_10 in place of the singlet: the bosonic carrier is the
+        # symmetric square, of highest weight (2) against the fermions' (1, 1)
+        from sectorkit import highest_weight
+
+        symmetric = highest_weight.Carrier(
+            "two bosonic doublets, symmetric internal state", 2, 4, ({0b01: 1, 0b10: 1},),
+            highest_weight._slot_move,
+        )
+        monkeypatch.setitem(highest_weight.PAIRS, 2, (symmetric, highest_weight.FERMIONS))
+        code, certificate = refuted_report(tmp_path, m, 2)
+        assert code == 4
+        assert certificate["highest_weights"] == [[[2]], [[1, 1]]]
+        assert certificate["carrier_dims"] == [math.comb(m + 1, 2), math.comb(m, 2)]
+
+    @pytest.mark.parametrize("m,n", [(3, 2), (3, 3)])
+    @pytest.mark.parametrize("side", [0, 1])
+    def test_wrong_highest_weight_on_one_side_exits_4(self, tmp_path, m, n, side, monkeypatch):
+        # one side's highest-weight vector reported at the weight of the
+        # sorted word after its own: the two lambdas no longer agree
+        from sectorkit import highest_weight
+
+        exact = highest_weight._highest_weight_vectors
+        calls = []
+
+        def relabeled(space, spaces):
+            found = exact(space, spaces)
+            calls.append(None)
+            if len(calls) == side + 1:
+                words = list(spaces)
+                found = [(words[words.index(w) + 1], h) for w, h in found]
+            return found
+
+        monkeypatch.setattr(highest_weight, "_highest_weight_vectors", relabeled)
+        code, certificate = refuted_report(tmp_path, m, n)
+        assert code == 4
+        assert "highest weights differ" in certificate["detail"]
+
+
+class TestFloatIntertwinerFaults:
+    """The float library's general_equivalence checks the V it reports again.
+
+    These seams ran through `equiv` while it searched for V in floats; the
+    exact certificate has no search, so they call general_equivalence on
+    the float realizations directly."""
+
+    @staticmethod
+    def realizations(m, n):
         from sectorkit import parastat_equiv
 
-        exact = getattr(parastat_equiv, side)
-
-        def perturbed(m):
-            realization = exact(m)
-            realization.operators[1][0, 0] += 1e-6
-            return realization
-
-        monkeypatch.setattr(parastat_equiv, side, perturbed)
-        code, payload = run_to_file(tmp_path, "e.json", ["equiv", "--m", str(m), "--N", str(n)])
-        assert code == 4
-        certificate = json.loads(payload)["certificate"]
-        assert certificate["equivalent"] is False
-        assert "intertwiner" not in certificate
+        if n == 2:
+            return parastat_equiv.bosonic_singlet_realization(m), parastat_equiv.fermionic_realization(m)
+        return parastat_equiv.bosonic_doublet_realization(m), parastat_equiv.parafermion_realization(m)
 
     @pytest.mark.parametrize("m,n", [(3, 2), (3, 3)])
     @pytest.mark.parametrize(
@@ -752,9 +882,11 @@ class TestEquivFaults:
         [lambda v: v[[1, 0, *range(2, len(v))]], lambda v: v * (1 - 1e-6)],
         ids=["two rows swapped", "scaled by 1 - 1e-6"],
     )
-    def test_returned_intertwiner_is_checked_again(self, tmp_path, m, n, fault, monkeypatch):
+    def test_returned_intertwiner_is_checked_again(self, m, n, fault, monkeypatch):
         # the search hands back a wrong V beside the residual of the right
         # one; the certificate must check the V it reports
+        from sectorkit.parastat_equiv import general_equivalence
+
         search = linalg.unitary_intertwiner
 
         def broken(ops1, ops2, seed=0):
@@ -762,16 +894,16 @@ class TestEquivFaults:
             return fault(v), residual, evidence
 
         monkeypatch.setattr(linalg, "unitary_intertwiner", broken)
-        code, payload = run_to_file(tmp_path, "e.json", ["equiv", "--m", str(m), "--N", str(n)])
-        assert code == 4
-        certificate = json.loads(payload)["certificate"]
-        assert certificate["equivalent"] is False
-        assert "intertwiner" not in certificate
+        certificate = general_equivalence(*self.realizations(m, n))
+        assert certificate.equivalent is False
+        assert certificate.intertwiner is None
 
     @pytest.mark.parametrize("m,n", [(3, 2), (3, 3)])
-    def test_intertwiner_with_two_rows_swapped_exits_4(self, tmp_path, m, n, monkeypatch):
+    def test_intertwiner_with_two_rows_swapped_exits_4(self, m, n, monkeypatch):
         # every intertwiner the search returns, from the random element or
         # the fallback, passes normalize_phase before its residual is taken
+        from sectorkit.parastat_equiv import general_equivalence
+
         normalize = linalg.normalize_phase
 
         def swapped(v):
@@ -780,11 +912,9 @@ class TestEquivFaults:
             return v
 
         monkeypatch.setattr(linalg, "normalize_phase", swapped)
-        code, payload = run_to_file(tmp_path, "e.json", ["equiv", "--m", str(m), "--N", str(n)])
-        assert code == 4
-        certificate = json.loads(payload)["certificate"]
-        assert certificate["equivalent"] is False
-        assert certificate["residual"] > linalg.RESIDUAL_TOL
+        certificate = general_equivalence(*self.realizations(m, n))
+        assert certificate.equivalent is False
+        assert certificate.residual > linalg.RESIDUAL_TOL
 
 
 class TestCircleFaults:
@@ -1080,11 +1210,7 @@ class TestImports:
         [
             (["tableaux", "--N", "3"], {"partitions"}, False),
             (["sectors", "--m", "3", "--N", "4"], {"partitions", "schur_weyl"}, False),
-            (
-                ["equiv", "--m", "2", "--N", "3"],
-                {"partitions", "permgroup", "tolerances", "linalg", "parastat_equiv"},
-                True,
-            ),
+            (["equiv", "--m", "2", "--N", "3"], {"highest_weight"}, False),
             (
                 ["cover", "--q-size", "4", "--N", "3"],
                 {"partitions", "permgroup", "tolerances", "cover_quant"},
@@ -1103,7 +1229,7 @@ class TestImports:
         # each handler lives beside what it reports: no run compiles another
         # subcommand's code, the Sylvester solvers of linalg, the permutations
         # of permgroup, the regular split or the dense reference builders;
-        # tableaux, sectors and cover --q-size/--N load no numpy either
+        # tableaux, sectors, equiv and cover --q-size/--N load no numpy either
         argv = with_document(tmp_path, argv)
         src = str(Path(sectorkit.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
@@ -1245,6 +1371,34 @@ class TestImports:
     @pytest.mark.parametrize(
         "argv,code",
         [
+            (["equiv", "--m", "3", "--N", "3"], 0),
+            (["equiv", "--m", "4", "--N", "2", "--format", "pretty"], 0),
+            (["equiv", "--m", "14", "--N", "3"], 3),
+        ],
+        ids=["admitted", "pretty", "refused"],
+    )
+    def test_equiv_loads_no_numpy_and_no_float_library(self, argv, code):
+        # the highest-weight certificate is exact integer arithmetic: no
+        # numpy, no threshold, none of the float realizations or SVDs
+        src = str(Path(sectorkit.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        unused = ("numpy", "sectorkit.tolerances", "sectorkit.linalg", "sectorkit.parastat_equiv",
+                  "sectorkit.permgroup")
+        script = (
+            "import sys\n"
+            "from sectorkit import cli\n"
+            "code = cli.main(sys.argv[2:] + ['--out', sys.argv[1]])\n"
+            f"print(code, 'sectorkit.highest_weight' in sys.modules, *(m for m in {unused!r} if m in sys.modules))\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", script, os.devnull, *argv],
+            env=env, capture_output=True, text=True, check=True, timeout=60,
+        ).stdout.split()
+        assert out == [str(code), "True"]
+
+    @pytest.mark.parametrize(
+        "argv,code",
+        [
             (["sectors", "--m", "2", "--N", "2"], 0),
             (["sectors", "--m", "3", "--N", "4", "--format", "pretty"], 0),
             (["sectors", "--m", "3", "--N", "12"], 3),
@@ -1279,7 +1433,8 @@ class TestImports:
     )
     def test_sectorkit_modules_import_before_numpy(self, tmp_path, argv):
         # without cached bytecode a module's short-lived compile data lands on
-        # top of numpy's heap if it is imported later (README Conventions)
+        # top of numpy's heap if it is imported later (README Conventions);
+        # equiv loads no numpy at all, so it imports nothing after it
         argv = with_document(tmp_path, argv)
         src = str(Path(sectorkit.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
@@ -1289,7 +1444,7 @@ class TestImports:
             "sys.addaudithook(lambda event, args: names.append(args[0]) if event == 'import' else None)\n"
             "from sectorkit import cli\n"
             "code = cli.main(sys.argv[2:] + ['--out', sys.argv[1]])\n"
-            "first = next(i for i, n in enumerate(names) if n.split('.')[0] == 'numpy')\n"
+            "first = next((i for i, n in enumerate(names) if n.split('.')[0] == 'numpy'), len(names))\n"
             "print(code, *(n for n in names[first:] if n.startswith('sectorkit')))\n"
         )
         out = subprocess.run(
@@ -1328,6 +1483,7 @@ class TestImports:
         env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
         unused = ("numpy", "sectorkit.tolerances", "sectorkit.linalg", "sectorkit.permgroup",
                   "sectorkit.tensor_rep", "sectorkit.schur_weyl", "sectorkit.parastat_equiv",
+                  "sectorkit.highest_weight",
                   "sectorkit.cover_quant", "sectorkit.cover_document", "sectorkit.cover_reference",
                   "sectorkit.circle_theta", "dataclasses", "inspect")
         if code or "csv" not in argv:  # only a csv report is rendered by csv
@@ -1392,6 +1548,14 @@ class TestGoldenReports:
         captured = capsysbinary.readouterr()
         assert captured.err == b""
         assert captured.out == (GOLDEN / f"{name}.{suffix}").read_bytes()
+
+    @pytest.mark.parametrize("fmt,suffix", [("json", "json"), ("pretty", "txt")])
+    def test_equiv_matches_the_pinned_bytes(self, capsysbinary, fmt, suffix):
+        # the highest-weight certificate holds integers only: its highest
+        # weights, the matched bases' words, V = 1 and the residual 0
+        self.test_stdout_matches_the_pinned_bytes(
+            capsysbinary, ["equiv", "--m", "3", "--N", "3"], "equiv_m3_N3", fmt, suffix
+        )
 
 
 class TestRoundFloats:

@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 
 from sectorkit import (
-    circle_theta, cover_document, cover_quant, errors, linalg, parastat_equiv, schur_weyl,
-    tensor_rep,
+    circle_theta, cover_document, cover_quant, errors, highest_weight, linalg, parastat_equiv,
+    schur_weyl, tensor_rep,
 )
 from sectorkit.cover_quant import FiniteGroup, sector_census, symmetric_cover
 from sectorkit.errors import ResourceLimitError
@@ -36,6 +36,7 @@ ESTIMATES = {
     "commutant basis": lambda: tensor_rep._check_commutant_cost(4, 3),
     "sector decomposition": lambda: schur_weyl._check_sector_cost(8, 8),
     "restricted to two carriers": lambda: parastat_equiv._check_equiv_cost(8, 2),
+    "exact equivalence certificate": lambda: highest_weight.check_certificate_cost(13, 3),
     "successive restriction": lambda: linalg.unitary_intertwiner([np.eye(10)], [np.eye(10)]),
     "regular representation": lambda: cover_document._regular_irreps(cyclic_group(128), 0),
     # the census estimate does not grow with the cover; S_6's stacks take ~28 MiB

@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sectorkit import circle_theta, cover_quant, linalg, parastat_equiv, schur_weyl, tensor_rep
+from sectorkit import (
+    circle_theta, cover_quant, highest_weight, linalg, parastat_equiv, schur_weyl, tensor_rep,
+)
 from sectorkit.cli import _round_floats
 from sectorkit.errors import DomainError, Value
 from sectorkit.permgroup import (
@@ -393,6 +395,11 @@ RECORD_FIELDS = {
     "SectorReport": ("m", "N", "sectors", "commutant_dim", "residuals"),
     "SectorRealization": ("label", "injection", "operators", "leakage"),
     "EquivalenceCertificate": ("equivalent", "carrier_dims", "residual", "intertwiner", "detail"),
+    "Carrier": ("label", "n", "internal_dim", "vectors", "move"),
+    "HighestWeightCertificate": (
+        "equivalent", "carrier_dims", "highest_weights", "residual", "basis", "intertwiner",
+        "detail",
+    ),
     "ThetaSector": ("theta",),
     "GaugeReport": (
         "theta", "n", "method", "residual", "measured_constant", "theta_over_2pi",
@@ -425,6 +432,8 @@ def records():
         report,
         parastat_equiv.SectorRealization("sym", np.eye(2), np.zeros((1, 2, 2)), 0.0),
         parastat_equiv.EquivalenceCertificate(True, (2, 2), 0.0, np.eye(2), "unitary"),
+        highest_weight.SINGLET,
+        highest_weight.certify_pair(3, 2),
         circle_theta.ThetaSector(1.0),
         circle_theta.gauge_equivalence_check(1.0, 64),
         circle_theta.fd_convergence(1.0, k_max=2, grid_sizes=(16, 32, 64)),
@@ -560,7 +569,8 @@ class TestRecordTypes:
         "name",
         [
             "SectorCensusRecord", "SectorCensusReport", "SectorRecord", "SectorReport",
-            "EquivalenceCertificate", "GaugeReport", "ConvergenceReport",
+            "EquivalenceCertificate", "HighestWeightCertificate", "GaugeReport",
+            "ConvergenceReport",
         ],
     )
     def test_to_dict_shares_no_container(self, records, name):
