@@ -85,6 +85,9 @@ def _render(args, passed: bool, config: dict, body: dict, lines: list[str], tabl
 
     The JSON report is the schema, the command and the config with the
     seed, then the body's fields, every float rounded (_round_floats).
+    errors.RENDERED_ENTRY_BYTES, which the equiv estimate charges, is what
+    this spends per [re, im] entry with the encoder settings below; a
+    change to them must re-measure it.
     """
     code = EXIT_OK if passed else EXIT_CHECK_FAILED
     if args.format == "csv":

@@ -24,6 +24,15 @@ BYTES_CAP = 256 * 2**20
 # 4.4e9 and is refused. The cover census weighs each step of its vector
 # passes as 6 operations; the byte cap refuses every cover before this cap.
 WORK_CAP = 4 * 10**9
+# Bytes cli._render spends on one entry of a dense list of [re, im] pairs, as
+# equiv's r x r intertwiner (highest_weight.certificate_bytes charges it):
+# the entry's slot in its row (8), the fresh list _round_floats makes of it
+# (80) with its row slot (8), the pure-Python JSON encoder's chunks for it,
+# which indent selects over the C encoder (three new strings of 64 bytes and
+# five slots of the chunk list as it grows, 90), and the joined report (47):
+# 425. Measured: 370-378 traced, about 400 resident, at equiv (9, 3),
+# (12, 3) and (35, 2). It holds for _render's encoder settings only.
+RENDERED_ENTRY_BYTES = 448
 
 
 class DomainError(ValueError):

@@ -50,7 +50,7 @@ from __future__ import annotations
 import itertools
 import math
 
-from .errors import ConsistencyError, Value, check_bytes
+from .errors import RENDERED_ENTRY_BYTES, ConsistencyError, Value, check_bytes
 
 # CPython sizes on a 64-bit build, rounded up to the allocator's blocks. One
 # dict vector of up to 21 int entries: its table (632 bytes) and its keys
@@ -59,13 +59,6 @@ VECTOR_BYTES = 2048
 # Dict vectors alive per carrier dimension on one side: the weight space's
 # echelon, the matched basis on both sides and their two tagged echelons.
 VECTORS_PER_DIMENSION = 5
-# One entry of the dense V on its way to the report: its slot in the
-# certificate's row (8), the fresh [re, im] list cli._round_floats makes of
-# it (80) with its row slot (8), the pure-Python JSON encoder's chunks for it
-# (three new strings of 64 bytes and five slots of the chunk list as it
-# grows, 90) and the joined report (47): 425. Measured: 370-378 traced,
-# about 400 resident, at (9, 3), (12, 3) and (35, 2).
-RENDERED_ENTRY_BYTES = 448
 
 
 def _slot_move(p: tuple[int, ...], j: int, n: int) -> tuple[int, int]:
@@ -115,7 +108,7 @@ class HighestWeightCertificate(Value):
     highest_weights lists, per side, the weight (as a partition) of each
     highest-weight vector; basis names the matched bases as (sorted word
     of the weight, lowering word a_1 a_2 ... for F_a1 F_a2 ... h) and
-    intertwiner is V in them, r x r [re, im] pairs, or None.
+    intertwiner is V in them, r rows of r (re, im) pairs, or None.
     """
 
     _fields = (
@@ -132,7 +125,8 @@ def carrier_dim(m: int, n: int) -> int:
 def certificate_bytes(m: int, n: int) -> int:
     """Peak bytes of an `equiv` run above the interpreter, from (m, N) alone.
 
-    The rendered r x r V dominates: RENDERED_ENTRY_BYTES per entry. The
+    The rendered r x r V dominates: errors.RENDERED_ENTRY_BYTES per entry,
+    charged to every format so that one edge holds for all of them. The
     weight spaces hold one echelon per sorted word and the matched bases
     VECTORS_PER_DIMENSION dict vectors per carrier dimension, on each
     side.
@@ -369,7 +363,8 @@ def certify(first: Carrier, second: Carrier, m: int) -> HighestWeightCertificate
     if mismatch:
         return refuted(mismatch)
     basis = [[list(w), list(word)] for w, chosen in blocks.items() for word, _, _ in chosen]
-    one, zero = [1, 0], [0, 0]
+    # immutable pairs, shared across the rows without aliasing an entry a caller edits
+    one, zero = (1, 0), (0, 0)
     identity = [[one if i == j else zero for j in range(r)] for i in range(r)]
     return HighestWeightCertificate(
         True, dims, weights, 0, basis, identity,
@@ -389,7 +384,6 @@ def _run_equiv(args):
     first, second = PAIRS[args.N]
     body = {
         "realizations": [first.label, second.label],
-        "carrier_leakages": [0, 0],
         "certificate": cert,
     }
     lines = [

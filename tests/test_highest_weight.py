@@ -128,6 +128,16 @@ class TestCertificate:
         assert cert.highest_weights == [[(1, 1) if n == 2 else (2, 1)]] * 2
         assert len(cert.basis) == dim
 
+    def test_intertwiner_entries_are_not_aliased(self):
+        # rows are distinct lists and entries immutable pairs: an edit to one
+        # slot of the reported V changes no other
+        cert = certify_pair(3, 3)
+        rows = cert.intertwiner
+        assert len({id(row) for row in rows}) == len(rows) == 8
+        assert all(type(z) is tuple and len(z) == 2 for row in rows for z in row)
+        rows[0][0] = (0, 0)
+        assert rows[1][1] == (1, 0) and rows[0][1] == rows[1][0] == (0, 0)
+
     @pytest.mark.parametrize("m,n", [(3, 2), (4, 3), (5, 3)])
     def test_basis_words_lower_the_highest_weight(self, m, n):
         # each listed (weight, word): F_a1 ... F_al moves one letter a to
@@ -202,4 +212,4 @@ class TestEstimate:
             tracemalloc.stop()
         r = highest_weight.carrier_dim(m, n)
         assert cert.equivalent
-        assert peak < highest_weight.certificate_bytes(m, n) - r * r * highest_weight.RENDERED_ENTRY_BYTES
+        assert peak < highest_weight.certificate_bytes(m, n) - r * r * errors.RENDERED_ENTRY_BYTES
