@@ -37,7 +37,7 @@ from itertools import chain, cycle, repeat
 from operator import add, eq, getitem, mul, setitem, sub, truediv
 
 from .errors import ConsistencyError, DomainError, Value, check_bytes, check_work
-from .partitions import content_sum, enumerate_partitions, hook_dimension
+from .partitions import contents, enumerate_partitions, hook_dimension
 from .permgroup import Permutation, symmetric_group, young_generators
 from . import tolerances
 
@@ -849,7 +849,7 @@ def _check_labels(group: FiniteGroup, reps: list[GroupRep]) -> None:
     shapes = {str(shape.parts): shape for shape in enumerate_partitions(n)}
     for rep in (rep for rep in reps if rep.label in shapes):
         shape = shapes[rep.label]
-        expected = hook_dimension(shape) * content_sum(shape) / math.comb(n, 2)
+        expected = hook_dimension(shape) * sum(contents(shape)) / math.comb(n, 2)
         found = sum(rep.matrices.block(t)[:: rep.dimension + 1])
         if abs(found - expected) > tolerances.RESIDUAL_TOL:
             raise ConsistencyError(

@@ -51,6 +51,7 @@ import itertools
 import math
 
 from .errors import RENDERED_ENTRY_BYTES, ConsistencyError, Value, check_bytes
+from .partitions import Partition, hook_content
 
 # CPython sizes on a 64-bit build, rounded up to the allocator's blocks. One
 # dict vector of up to 21 int entries: its table (632 bytes) and its keys
@@ -118,8 +119,8 @@ class HighestWeightCertificate(Value):
 
 
 def carrier_dim(m: int, n: int) -> int:
-    """Dimension of both certified carriers: C(m, 2) at N = 2, m (m^2 - 1) / 3 at N = 3."""
-    return math.comb(m, 2) if n == 2 else m * (m * m - 1) // 3
+    """Dimension of both carriers, dim S_lambda(C^m): lambda = (1, 1) at N = 2, (2, 1) at N = 3."""
+    return hook_content(Partition((1, 1) if n == 2 else (2, 1)), m)
 
 
 def certificate_bytes(m: int, n: int) -> int:

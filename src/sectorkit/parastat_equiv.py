@@ -264,19 +264,6 @@ class EquivalenceCertificate(Value):
 
     _fields = ("equivalent", "carrier_dims", "residual", "intertwiner", "detail")
 
-    def to_dict(self) -> dict:
-        out = {
-            "equivalent": self.equivalent,
-            "carrier_dims": list(self.carrier_dims),
-            "residual": self.residual if math.isfinite(self.residual) else None,
-            "detail": self.detail,
-        }
-        if self.intertwiner is not None:
-            out["intertwiner"] = [
-                [[float(z.real), float(z.imag)] for z in row] for row in self.intertwiner
-            ]
-        return out
-
 
 def general_equivalence(
     r1: SectorRealization, r2: SectorRealization, seed: int = 0

@@ -1,17 +1,17 @@
-"""Partitions, standard Young tableaux and hook dimensions: exact integer combinatorics.
+"""Partitions, standard Young tableaux, contents and hook formulas: exact integer combinatorics.
 
 Partitions of N label the irreducible representations of S_N and
 standard tableaux of a shape index their bases (permgroup builds the
 matrices). Nothing here imports numpy, so the ``tableaux`` subcommand,
 whose handler lives here, and cli's ``--lambda`` parsing run without it;
-``sectors`` takes its partitions from this module and loads no
-permgroup.
+``sectors`` takes its partitions, contents and hook-content anchor from
+here and loads no permgroup; ``cover`` and ``equiv`` take their contents
+and carrier dimensions from here too.
 """
 
 from __future__ import annotations
 
 import math
-from functools import reduce
 
 from .errors import DomainError, Value
 
@@ -40,14 +40,6 @@ class Partition(Value):
 
     def conjugate(self) -> "Partition":
         return Partition(tuple(sum(1 for p in self.parts if p > j) for j in range(self.parts[0])))
-
-    def hooks(self) -> list[list[int]]:
-        """Hook length of every cell, rows as in the frame."""
-        conj = self.conjugate().parts
-        return [
-            [(row - (j + 1)) + (conj[j] - (i + 1)) + 1 for j in range(row)]
-            for i, row in enumerate(self.parts)
-        ]
 
 
 def iter_partitions(n: int, max_parts: int | None = None):
@@ -154,15 +146,26 @@ def standard_tableaux(shape: Partition) -> list[StandardTableau]:
     return results
 
 
+def contents(shape: Partition) -> list[int]:
+    """Content col - row of each cell, row by row: the Jucys-Murphy spectrum of the Young basis."""
+    return [j - i for i, row in enumerate(shape.parts) for j in range(row)]
+
+
+def _hook_product(shape: Partition) -> int:
+    """Product over the cells of the hook length arm + leg + 1."""
+    conj = shape.conjugate().parts
+    return math.prod(r - j + conj[j] - i - 1 for i, r in enumerate(shape.parts) for j in range(r))
+
+
 def hook_dimension(shape: Partition) -> int:
     """Dimension of the irreducible labeled by the shape (hook-length formula)."""
-    hook_product = reduce(lambda a, b: a * b, (h for row in shape.hooks() for h in row), 1)
-    return math.factorial(shape.total) // hook_product
+    return math.factorial(shape.total) // _hook_product(shape)
 
 
-def content_sum(shape: Partition) -> int:
-    """Sum of the contents col - row over the cells of the shape."""
-    return sum(j - i for i, row in enumerate(shape.parts) for j in range(row))
+def hook_content(shape: Partition, m: int) -> int:
+    """dim S_shape(C^m) = prod over the cells of (m + content) / hook, 0 beyond m
+    rows (Stanley, EC2, Cor. 7.21.4): the sector's multiplicity in (C^m)^{xN}."""
+    return math.prod(m + c for c in contents(shape)) // _hook_product(shape)
 
 
 def parse_partition(text: str) -> Partition:

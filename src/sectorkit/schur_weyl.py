@@ -9,7 +9,7 @@ blocks of b = N!/prod(mu_i!) words. On sector lambda the class sums of
 transpositions and of 3-cycles act as the content characters
 K_(2) = sum c and K_(3) = sum c^2 - C(N, 2), c = col - row over the cells
 of lambda (sum_k J_k^2 = C(N, 2) + K_(3) for the Jucys-Murphy elements
-J_k, whose eigenvalues are contents). One integer `scale` makes
+J_k, whose eigenvalues are the partitions.contents). One integer `scale` makes
 omega_lambda = scale * K_(2) + K_(3) distinct over the shapes, and
 K = scale K_(2) + K_(3) = sum_k (scale J_k + J_k^2) - C(N, 2) is applied
 to a block by gathers through the index maps of its C(N, 2)
@@ -39,7 +39,7 @@ times the number of weights of each sorted type, they give the sector
 ranks; the counting identities sum(N_lambda d_lambda) = m^N and
 sum(N_lambda^2) = C(m^2 + N - 1, N) must hold, and each multiplicity
 must equal the hook-content value prod (m + c) / h over the cells
-(Stanley, EC2, Cor. 7.21.4), an anchor computed apart from the class
+(partitions.hook_content), an anchor computed apart from the class
 sums that ties every rank to its label. The idempotence, completeness,
 orthogonality and eigenvalue identities of the P_lambda are polynomial
 multiples of f(K) or vanish identically, so f(K) e is the one residual,
@@ -69,7 +69,14 @@ from .errors import (
     check_bytes,
     check_work,
 )
-from .partitions import Partition, enumerate_partitions, hook_dimension, iter_partitions
+from .partitions import (
+    Partition,
+    contents,
+    enumerate_partitions,
+    hook_content,
+    hook_dimension,
+    iter_partitions,
+)
 
 # The sector decomposition's estimate. A report holds one record per
 # partition of N: (1, 35) has 14,883, (1, 36) 17,977 and is refused.
@@ -214,11 +221,6 @@ def _check_sector_cost(m: int, n: int) -> None:
     )
 
 
-def _contents(shape: tuple[int, ...]) -> list[int]:
-    """Content col - row of every cell of the shape, row by row."""
-    return [j - i for i, row in enumerate(shape) for j in range(row)]
-
-
 def _separating_combination(shapes: list[tuple[int, ...]]) -> tuple[list[tuple[int, int]], int]:
     """Content characters of the shapes and a weight that separates them.
 
@@ -231,8 +233,8 @@ def _separating_combination(shapes: list[tuple[int, ...]]) -> tuple[list[tuple[i
     """
     pairs = {}
     for shape in shapes:
-        contents = _contents(shape)
-        pair = (sum(contents), sum(c * c for c in contents) - math.comb(sum(shape), 2))
+        cells = contents(Partition(shape))
+        pair = (sum(cells), sum(c * c for c in cells) - math.comb(sum(shape), 2))
         if pair in pairs:
             raise ConsistencyError(
                 f"content characters {pair} do not separate {pairs[pair]} and {shape}"
@@ -349,12 +351,6 @@ def _block_ranks(
     return ranks
 
 
-def _hook_content(shape: tuple[int, ...], m: int) -> int:
-    """dim S_shape(C^m) = prod over the cells of (m + col - row) / hook."""
-    top = math.prod(m + j - i for i, row in enumerate(shape) for j in range(row))
-    return top // math.prod(h for row in Partition(shape).hooks() for h in row)
-
-
 def sector_decomposition(m: int, N: int) -> SectorReport:
     """Ranks and multiplicities of every isotypic sector, with exact checks.
 
@@ -411,7 +407,7 @@ def sector_decomposition(m: int, N: int) -> SectorReport:
             f"commutant dim {commutant_dim} != sum of multiplicity squares {sq_sum}"
         )
     for r in records:
-        if r.multiplicity != (expected := _hook_content(r.partition, m)):
+        if r.multiplicity != (expected := hook_content(Partition(r.partition), m)):
             raise ConsistencyError(
                 f"multiplicity {r.multiplicity} of sector {r.partition} is not its "
                 f"hook-content value {expected}"

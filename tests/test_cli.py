@@ -193,7 +193,8 @@ class TestSectors:
 
 
 def row_minus_col(shape):
-    return [i - j for i, row in enumerate(shape) for j in range(row)]
+    """partitions.contents with its sign flipped: the contents of the conjugate."""
+    return [i - j for i, row in enumerate(shape.parts) for j in range(row)]
 
 
 class TestSectorFaults:
@@ -204,10 +205,22 @@ class TestSectorFaults:
         # every sector's class-sum values become its conjugate's
         from sectorkit import schur_weyl
 
-        monkeypatch.setattr(schur_weyl, "_contents", row_minus_col)
+        monkeypatch.setattr(schur_weyl, "contents", row_minus_col)
         code, error = run_main(["sectors", "--m", str(m), "--N", str(n)])
         assert code == 4
         assert error["kind"] == "consistency"
+
+    @pytest.mark.parametrize("m,n", [(2, 2), (3, 3), (4, 4), (5, 4)])
+    def test_hook_content_off_by_one_exits_4(self, m, n, monkeypatch):
+        # the anchor moved while the weight blocks certify the true ranks
+        from sectorkit import schur_weyl
+
+        exact = schur_weyl.hook_content
+        monkeypatch.setattr(schur_weyl, "hook_content", lambda shape, m: exact(shape, m) + 1)
+        code, error = run_main(["sectors", "--m", str(m), "--N", str(n)])
+        assert code == 4
+        assert error["kind"] == "consistency"
+        assert "hook-content" in error["error"]
 
     @pytest.mark.parametrize("m,n", [(2, 2), (3, 4), (4, 4)])
     def test_one_corrupted_transposition_map_exits_4(self, m, n, monkeypatch):
@@ -641,6 +654,14 @@ class TestCoverFaults:
         assert error["kind"] == "consistency"
         assert f"sector ({n},) has character -1 on a transposition, not 1" in error["error"]
 
+    @pytest.mark.parametrize("q,n", [(3, 2), (4, 3)])
+    def test_contents_as_row_minus_col_exit_4(self, q, n, monkeypatch):
+        # the label anchor predicts each sector's conjugate: (N) the sign
+        monkeypatch.setattr(cover_quant, "contents", row_minus_col)
+        code, error = run_main(["cover", "--q-size", str(q), "--N", str(n)])
+        assert (code, error["kind"]) == (4, "consistency")
+        assert f"sector ({n},) has character 1 on a transposition, not -1" in error["error"]
+
     @pytest.mark.parametrize(
         "entry,phrase",
         [(5, "section must pick one point per orbit"), (24, "entries must be point indices")],
@@ -744,6 +765,91 @@ class TestCoverFaults:
         code, error = run_main(["cover", "--q-size", "4", "--N", "3"])
         assert (code, error["kind"]) == (2, "usage")
         assert "section must pick one point per orbit" in error["error"]
+
+
+def one_entry_off(mats):
+    """Entry (0, 0) of element 1's matrix raised by 1e-6."""
+    mats[1, 0, 0] += 1e-6
+
+
+def one_matrix_conjugated(mats):
+    """The first non-real matrix of the stack conjugated."""
+    g = next(g for g, mat in enumerate(mats) if np.abs(mat.imag).max() > 1e-9)
+    mats[g] = mats[g].conj()
+
+
+def two_rows_swapped(mats):
+    """The two rows of element 1's 2 x 2 matrix swapped."""
+    assert mats.shape[1] == 2
+    mats[1] = mats[1][::-1].copy()
+
+
+def all_conjugated(mats):
+    """Every matrix of the stack conjugated."""
+    mats[...] = mats.conj()
+
+
+def seed_split_fault(monkeypatch, fault):
+    """Seed the fault into every list of blocks cover_document._irreducible_blocks
+    keeps, on the first kept block with a non-real entry: a complex character
+    of Z_12, or a 2-dim block of D_6 (its 1-dim blocks are real). Returns the
+    log of its calls, True where a fault was seeded."""
+    exact, seeded = cover_document._irreducible_blocks, []
+
+    def blocks(bases, left):
+        kept = exact(bases, left)
+        if kept is not None:
+            i = next(i for i, (_, mats) in enumerate(kept) if np.abs(mats.imag).max() > 1e-9)
+            chars, mats = kept[i]
+            mats = mats.copy()
+            fault(mats)
+            kept[i] = (chars, mats)
+        seeded.append(kept is not None)
+        return kept
+
+    monkeypatch.setattr(cover_document, "_irreducible_blocks", blocks)
+    return seeded
+
+
+class TestRegularSplitFaults:
+    """Faults seeded in the irreducibles of the regular split, on every
+    retry, exit 4, never 0. Conjugating a whole D_6 block is no fault: it
+    gives an equivalent representation."""
+
+    @pytest.mark.parametrize(
+        "group,fault",
+        [
+            ("Z12", one_entry_off), ("D6", one_entry_off),
+            ("Z12", one_matrix_conjugated), ("D6", one_matrix_conjugated),
+            ("D6", two_rows_swapped),
+        ],
+        ids=["Z12-entry", "D6-entry", "Z12-one-conjugated", "D6-one-conjugated", "D6-rows"],
+    )
+    def test_broken_block_fails_every_split(self, group, fault, tmp_path, monkeypatch):
+        # a stack that is no representation is refused when it is built, so
+        # the retry loop runs out
+        seeded = seed_split_fault(monkeypatch, fault)
+        document = oracles.cyclic_document(12) if group == "Z12" else oracles.dihedral_document(6)
+        code, lines = run_cover_document(tmp_path / "cover.json", document)
+        assert len(seeded) > 1 and all(seeded)
+        assert code == 4
+        error = json.loads(lines[0])
+        assert error["kind"] == "consistency"
+        assert error["error"] == "failed to split the regular representation"
+
+    def test_conjugated_block_duplicates_a_sector(self, tmp_path, monkeypatch):
+        # chi_k conjugated is chi_-k, which is kept too: one pair of sectors
+        # intertwines and the census fails
+        seeded = seed_split_fault(monkeypatch, all_conjugated)
+        spec_file = tmp_path / "z12.json"
+        spec_file.write_text(json.dumps(oracles.cyclic_document(12)))
+        code, payload = run_to_file(tmp_path, "c.json", ["cover", "--cover-json", str(spec_file)])
+        assert seeded == [True]
+        assert code == 4
+        data = json.loads(payload)
+        assert data["passed"] is False
+        dims = list(data["pairwise_intertwiner_dims"].values())
+        assert dims.count(1) == 1 and set(dims) == {0, 1}
 
 
 def refuted_report(tmp_path, m, n):
@@ -1209,7 +1315,7 @@ class TestImports:
         [
             (["tableaux", "--N", "3"], {"partitions"}, False),
             (["sectors", "--m", "3", "--N", "4"], {"partitions", "schur_weyl"}, False),
-            (["equiv", "--m", "2", "--N", "3"], {"highest_weight"}, False),
+            (["equiv", "--m", "2", "--N", "3"], {"highest_weight", "partitions"}, False),
             (
                 ["cover", "--q-size", "4", "--N", "3"],
                 {"partitions", "permgroup", "tolerances", "cover_quant"},

@@ -196,6 +196,12 @@ class TestEstimate:
             tracemalloc.stop()
         assert elapsed < 1.0 and peak < 1 << 20
 
+    def test_carrier_dim_against_the_closed_forms(self):
+        # dim S_(1,1)(C^m) = C(m, 2) and dim S_(2,1)(C^m) = m (m^2 - 1) / 3
+        for m in range(2, 41):
+            assert highest_weight.carrier_dim(m, 2) == math.comb(m, 2)
+            assert highest_weight.carrier_dim(m, 3) == m * (m * m - 1) // 3
+
     def test_frontier_admitted(self):
         # the edges before the exact certificate, (9, 3) and (20, 2), and the new ones
         for m, n in [(9, 3), (20, 2), (12, 3), (35, 2), (13, 3), (39, 2)]:

@@ -12,6 +12,7 @@ from sectorkit import (
 )
 from sectorkit.cli import _round_floats
 from sectorkit.errors import DomainError, Value
+from sectorkit.partitions import contents, hook_content
 from sectorkit.permgroup import (
     Partition,
     Permutation,
@@ -142,6 +143,23 @@ class TestHookDimension:
     @pytest.mark.parametrize("n", range(1, 7))
     def test_sum_of_squares_is_factorial(self, n):
         assert sum(hook_dimension(p) ** 2 for p in enumerate_partitions(n)) == math.factorial(n)
+
+
+class TestHookContent:
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_against_the_hook_length_and_weyl_oracles(self, n):
+        for shape in enumerate_partitions(n):
+            hooks = math.prod(h for row in oracles.hook_lengths(shape.parts) for h in row)
+            assert hook_dimension(shape) * hooks == math.factorial(n)
+            cells = contents(shape)
+            assert len(cells) == n
+            # the conjugate reflects every cell in the main diagonal
+            assert sorted(contents(shape.conjugate())) == sorted(-c for c in cells)
+            for m in range(1, 7):
+                value = hook_content(shape, m)
+                assert value == oracles.weyl_multiplicity(shape.parts, m)
+                assert math.prod(m + c for c in cells) == value * hooks
+                assert (value == 0) == (len(shape) > m)
 
 
 class TestRowColGroups:
@@ -569,13 +587,12 @@ class TestRecordTypes:
         "name",
         [
             "SectorCensusRecord", "SectorCensusReport", "SectorRecord", "SectorReport",
-            "EquivalenceCertificate", "HighestWeightCertificate", "GaugeReport",
-            "ConvergenceReport",
+            "HighestWeightCertificate", "GaugeReport", "ConvergenceReport",
         ],
     )
     def test_to_dict_shares_no_container(self, records, name):
         # dataclasses.asdict copied every list and dict it met; the renderer
-        # writes a record through _round_floats, the certificate through to_dict
+        # writes every record through _round_floats
         value = records[name]
-        data = value.to_dict() if name == "EquivalenceCertificate" else _round_floats(value)
+        data = _round_floats(value)
         assert not containers(data, set()) & containers(value, set())
